@@ -1,7 +1,9 @@
 //! `sevf-cluster`: sharded multi-host serving with PSP-aware placement.
 //!
 //! The fleet crate serves launch traffic on *one* host against *one* PSP.
-//! This crate scales that out: N hosts on one shared virtual clock, each an
+//! This crate scales that out over the same serving core
+//! ([`sevf_fleet::front::Front`] + [`sevf_fleet::host::Host`]): N hosts on
+//! one shared virtual clock, each an
 //! independent fault domain with its own PSP (the Fig. 12 bottleneck does
 //! not pool — every host brings its own ~39 req/s cold-launch ceiling), its
 //! own §6.2 template cache, and its own §7.1 warm pool. A cluster
@@ -39,9 +41,12 @@
 #![warn(missing_docs)]
 
 pub mod attsweep;
+mod autoscale;
+pub mod config;
 pub mod experiment;
-pub mod host;
+mod member;
 pub mod metrics;
+mod net;
 pub mod netsweep;
 pub mod placement;
 pub mod policysweep;

@@ -1,0 +1,812 @@
+//! One serving host: an independent PSP fault domain and the per-host half
+//! of the serving machine.
+//!
+//! A host owns what the paper's serving unit owns — a PSP resource
+//! (capacity 1, the Fig. 12 bottleneck), a CPU pool, a bounded admission
+//! queue (FIFO or per-tenant WFQ), a §6.2 template cache, a §7.1 warm pool,
+//! per-class circuit breakers, and a [`FaultPlan`] for its fault domain —
+//! plus the bookkeeping a router needs (outstanding expected PSP work) and
+//! the bookkeeping whole-host outages and lease fencing need (every
+//! in-flight engine job on the machine, so all of it can be poisoned at
+//! once).
+//!
+//! The serving logic lives here once: degradation ladder → warm pool →
+//! admission → dispatch → fault-and-attestation splice → settle, plus
+//! refill, drain, PSP reset, and warm-crash handling. Every function takes
+//! the run's shared [`Front`] and the engine's `inject` buffer; a
+//! single-host fleet and an N-host cluster drive exactly the same code.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use sevf_attplane::{Verdict, STEP_RTT};
+use sevf_obs::{MarkerKind, Outcome as ReqOutcome, WorkStep};
+use sevf_policy::{Offer, WfqQueue};
+use sevf_sim::fault::{AttestFault, FaultKind, FaultPlan};
+use sevf_sim::{Job, Nanos, PhaseKind, ResourceClass, ResourceId, RunTrace};
+use sevf_vmm::machine::HOST_CORES;
+
+use crate::admission::{BoundedQueue, Pending, SchedPolicy};
+use crate::blueprint::{Blueprint, LaunchCache};
+use crate::front::{Front, Launch, LaunchFate, ServeJob};
+use crate::metrics::FleetMetrics;
+use crate::pool::WarmPool;
+use crate::recovery::CircuitBreaker;
+use crate::service::ServingTier;
+
+/// Serving state of one host on the shared DES clock.
+#[derive(Debug)]
+pub struct Host {
+    /// Host id (index into the driver's host table).
+    pub id: usize,
+    /// The host's PSP resource (capacity 1).
+    pub psp: ResourceId,
+    /// The host's CPU pool.
+    pub cpu: ResourceId,
+    /// How the recorder names this host: `None` for the single-host
+    /// fleet, `Some(id)` in a cluster.
+    pub tag: Option<usize>,
+    /// Whether the host is inside a whole-host outage window.
+    pub out: bool,
+    /// Whether the host has gracefully left (or is a cold spare).
+    pub departed: bool,
+    /// Autoscale-joined spare warming its pool before taking traffic: up
+    /// (and billing host-seconds) but not yet routable.
+    pub warming: bool,
+    /// Lease-based ownership: virtual time the current lease expires.
+    /// `u64::MAX` nanoseconds when leases are off (never fences itself).
+    pub lease_until: Nanos,
+    /// Whether the host has parked itself after its lease expired: it
+    /// purged its queue and refuses new work until a fresh grant arrives.
+    pub parked: bool,
+    /// §7.1 warm pool.
+    pub pool: WarmPool,
+    /// §6.2 content-addressed template cache. Dies with the host: an outage
+    /// forces every class to re-measure wherever it lands next.
+    pub cache: LaunchCache,
+    /// This host's fault domain.
+    pub plan: Option<FaultPlan>,
+    /// Launches currently dispatched (admission slot accounting).
+    pub inflight: usize,
+    /// Expected serialized PSP work admitted but not yet completed (queued
+    /// plus in flight) — the backlog signal JSQ placement samples.
+    pub committed_psp: Nanos,
+    /// Per-host metrics: completions, latencies, faults, queue depth.
+    pub metrics: FleetMetrics,
+    /// Bounded admission queue (FIFO; unused when `wfq` is active).
+    queue: BoundedQueue,
+    /// Per-tenant weighted-fair queue in front of this host's PSP, when
+    /// the run's policy schedules by WFQ.
+    wfq: Option<WfqQueue<Pending>>,
+    /// Per-class circuit breakers (resilient recovery only).
+    breakers: Option<Vec<CircuitBreaker>>,
+    /// Engine job ids of in-flight work holding this host's PSP; a
+    /// firmware reset poisons them all.
+    psp_inflight: BTreeSet<usize>,
+    /// Engine job ids of *all* in-flight launches/refills on this host.
+    jobs_inflight: BTreeSet<usize>,
+    /// In-flight jobs a PSP reset or a host outage struck: their
+    /// completion is that failure, whatever verdict dispatch drew. (An
+    /// outage overwrites a reset; it also empties `psp_inflight`, so the
+    /// reverse cannot happen.)
+    poisoned: BTreeMap<usize, FaultKind>,
+    /// In-flight jobs the host's lapsed lease fenced: unless poisoned
+    /// above, their completion is a [`FaultKind::NetPartition`] refusal.
+    fenced: BTreeSet<usize>,
+    /// Deterministic token stream for stateless fault draws: one token per
+    /// fault-eligible launch, in dispatch order.
+    launch_seq: u64,
+}
+
+/// What a settled launch reports back to the driver.
+#[derive(Debug, Clone, Copy)]
+pub struct Settled {
+    /// The request the launch served.
+    pub request: usize,
+    /// The dispatch epoch the launch was injected under.
+    pub epoch: u32,
+    /// Why the launch failed, if it did (poisoning included).
+    pub fault: Option<FaultKind>,
+    /// The poisoning that overrode dispatch's verdict, if any.
+    pub poison: Option<FaultKind>,
+    /// Whether the host's lease lapsed under the launch: the outcome may
+    /// only travel back as a refusal, never a completion.
+    pub fenced: bool,
+}
+
+impl Host {
+    /// A host on resources `psp`/`cpu` with fault domain `plan`. A `spare`
+    /// starts departed with an empty pool and a cold cache; otherwise a
+    /// warm-pool tier starts stocked to `warm_target` with every template
+    /// live (the pool's resident guests were launched from them).
+    pub fn new<J: From<ServeJob>>(
+        id: usize,
+        (psp, cpu): (ResourceId, ResourceId),
+        cx: &Front<'_, J>,
+        warm_target: usize,
+        spare: bool,
+        plan: Option<FaultPlan>,
+    ) -> Self {
+        let classes = cx.catalog.classes();
+        let stocked = cx.knobs.tier == ServingTier::WarmPool && !spare;
+        let mut cache = LaunchCache::new();
+        if stocked {
+            for (idx, class) in classes.iter().enumerate() {
+                cache.prefill(class.key, idx);
+            }
+        }
+        Host {
+            id,
+            psp,
+            cpu,
+            tag: None,
+            out: false,
+            departed: spare,
+            warming: false,
+            lease_until: Nanos::from_nanos(u64::MAX),
+            parked: false,
+            pool: WarmPool::prewarmed(
+                classes.len(),
+                if stocked { warm_target } else { 0 },
+                classes.iter().map(|c| c.resident_bytes).collect(),
+            ),
+            cache,
+            plan,
+            inflight: 0,
+            committed_psp: Nanos::ZERO,
+            metrics: FleetMetrics::default(),
+            queue: BoundedQueue::new(cx.knobs.admission.queue_bound),
+            wfq: cx.lane_specs().map(|specs| {
+                WfqQueue::new(
+                    cx.knobs.admission.queue_bound,
+                    &specs,
+                    cx.knobs.seed.wrapping_add(id as u64),
+                )
+                .expect("policy config validated by the driver")
+            }),
+            breakers: cx
+                .knobs
+                .recovery
+                .breaker
+                .map(|b| vec![CircuitBreaker::new(b); classes.len()]),
+            psp_inflight: BTreeSet::new(),
+            jobs_inflight: BTreeSet::new(),
+            poisoned: BTreeMap::new(),
+            fenced: BTreeSet::new(),
+            launch_seq: 0,
+        }
+    }
+
+    /// Seeds this host's fault schedule as marker jobs: PSP reset windows
+    /// and warm-guest crashes. Without a plan this adds nothing, so the
+    /// fault-free path is byte-identical to the pre-fault control plane.
+    pub fn seed_faults<J: From<ServeJob>>(&self, cx: &mut Front<'_, J>, jobs: &mut Vec<Job>) {
+        let Some(plan) = &self.plan else {
+            return;
+        };
+        let host = self.id;
+        for window in plan.resets() {
+            cx.mark(jobs, window.start, ServeJob::ResetStart { host });
+            cx.mark(jobs, window.end, ServeJob::ResetEnd { host });
+        }
+        for (idx, &at) in plan.warm_crashes().iter().enumerate() {
+            cx.mark(jobs, at, ServeJob::WarmCrash { host, idx });
+        }
+    }
+
+    /// Whether the router may send this host traffic.
+    pub fn available(&self) -> bool {
+        !self.out && !self.departed
+    }
+
+    /// Whether this host's PSP is inside a firmware-reset outage at `now`.
+    pub fn in_psp_outage(&self, now: Nanos) -> bool {
+        self.plan.as_ref().and_then(|p| p.in_outage(now)).is_some()
+    }
+
+    /// Whether the host is lease-fenced at `now`: parked, or past its
+    /// expiry. Never true with leases off (the expiry is `u64::MAX`).
+    pub fn lease_blocked(&self, now: Nanos) -> bool {
+        self.parked || now >= self.lease_until
+    }
+
+    /// Requests waiting in the dispatch queue (whichever queue runs).
+    pub fn queue_len(&self) -> usize {
+        match &self.wfq {
+            Some(wfq) => wfq.len(),
+            None => self.queue.len(),
+        }
+    }
+
+    /// In-flight jobs currently holding this host's PSP.
+    pub fn psp_holders(&self) -> usize {
+        self.psp_inflight.len()
+    }
+
+    /// In-flight jobs currently doomed to fail.
+    pub fn poisoned(&self) -> usize {
+        self.poisoned.len()
+    }
+
+    /// Current degradation level of `class` at `now` (0 without breakers).
+    /// Applies the breaker's time-based healing first, so a class tripped
+    /// off the ladder comes back once the cooldown elapses.
+    fn degrade_level(&mut self, class: usize, now: Nanos) -> usize {
+        match &mut self.breakers {
+            Some(breakers) => {
+                breakers[class].heal(now);
+                breakers[class].level()
+            }
+            None => 0,
+        }
+    }
+
+    /// Whether PSP-needing dispatches are being held (resilient recovery
+    /// quiesces across a reset outage; naive keeps dispatching).
+    fn quiesce_hold<J>(&self, cx: &Front<'_, J>, now: Nanos) -> bool {
+        cx.knobs.recovery.quiesce && self.in_psp_outage(now)
+    }
+
+    /// Serves `request` here: degradation ladder, then the warm pool (warm
+    /// tier), then admission control.
+    pub fn assign<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        request: usize,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        let class = cx.class_of(request);
+        let level = self.degrade_level(class, now);
+        let Some(tier) = cx.knobs.tier.degraded(level) else {
+            cx.terminal(request, ReqOutcome::BreakerShed, now, inject);
+            return;
+        };
+        if tier == ServingTier::WarmPool && self.pool.try_take(class) {
+            // Warm hit: no launch, no admission — one vCPU kick. The freed
+            // slot is refilled in the background by a template launch.
+            let blueprint = cx.catalog.class(class).warm_invoke.clone();
+            self.inject_launch(cx, request, class, blueprint, false, now, inject);
+            self.start_refill(cx, class, now, inject);
+            return;
+        }
+        self.admit(cx, request, class, tier, now, inject);
+    }
+
+    /// Expected serialized PSP work of the launch `class` would replay at
+    /// `tier` right now (peeks at the cache without counting).
+    fn expected_psp<J>(&self, cx: &Front<'_, J>, class: usize, tier: ServingTier) -> Nanos {
+        let cb = cx.catalog.class(class);
+        match tier {
+            ServingTier::Cold => cb.cold.psp_work(),
+            ServingTier::Template | ServingTier::WarmPool => {
+                if self.cache.contains(&cb.key) {
+                    cb.template_hit.psp_work()
+                } else {
+                    cb.template_fill.psp_work()
+                }
+            }
+        }
+    }
+
+    /// Admission control: dispatch if a slot is free (and the PSP is not
+    /// quiesced), queue if there is room, shed otherwise.
+    fn admit<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        request: usize,
+        class: usize,
+        tier: ServingTier,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        let expected_psp = self.expected_psp(cx, class, tier);
+        let quiesced = expected_psp > Nanos::ZERO && self.quiesce_hold(cx, now);
+        if !quiesced && self.inflight < cx.knobs.admission.max_inflight {
+            self.dispatch(cx, request, class, tier, now, inject);
+            return;
+        }
+        let pending = Pending {
+            request,
+            class,
+            expected_psp,
+            key: cx.catalog.class(class).key,
+        };
+        // WFQ enqueues on the tenant's lane; overflow sheds by policy
+        // (batch before latency-sensitive, quota-violators first) instead
+        // of refusing the newcomer. The plain queue refuses when full.
+        let offer = match &mut self.wfq {
+            Some(wfq) => {
+                let (tenant, over) = cx.wfq_lane(request, now);
+                wfq.set_over_quota(tenant, over);
+                wfq.offer(tenant, pending, expected_psp)
+            }
+            None if self.queue.offer(pending) => Offer::Queued,
+            None => Offer::Refused(pending),
+        };
+        self.metrics.sample_queue_depth(now, self.queue_len());
+        let displaced = match offer {
+            // Shed: fail fast. A closed-loop client still comes back.
+            Offer::Refused(item) => {
+                return cx.terminal(item.request, ReqOutcome::Shed, now, inject)
+            }
+            Offer::Queued => None,
+            Offer::Displaced { item, .. } => Some(item),
+        };
+        self.committed_psp += expected_psp;
+        cx.rec.queued(request);
+        if let Some(item) = displaced {
+            self.committed_psp = self.committed_psp.saturating_sub(item.expected_psp);
+            cx.terminal(item.request, ReqOutcome::Shed, now, inject);
+        }
+    }
+
+    /// Picks the launch blueprint for a dispatch at `tier` and injects it.
+    fn dispatch<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        request: usize,
+        class: usize,
+        tier: ServingTier,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        if tier != cx.knobs.tier {
+            self.metrics.degraded_dispatches += 1;
+        }
+        let cb = cx.catalog.class(class);
+        let (blueprint, fill) = match tier {
+            ServingTier::Cold => (cb.cold.clone(), false),
+            ServingTier::Template | ServingTier::WarmPool => {
+                if self.cache.lookup_or_fill(cb.key, class) {
+                    (cb.template_hit.clone(), false)
+                } else {
+                    (cb.template_fill.clone(), true)
+                }
+            }
+        };
+        self.inject_launch(cx, request, class, blueprint, fill, now, inject);
+    }
+
+    /// Applies this host's fault domain and the attestation plane to a
+    /// launch and injects it. Fault verdicts are drawn statelessly per
+    /// launch token, so the fault-free path consumes no randomness at all.
+    #[allow(clippy::too_many_arguments)]
+    fn inject_launch<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        request: usize,
+        class: usize,
+        mut blueprint: Blueprint,
+        fill: bool,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        // The acceptance invariant in executable form: a posture-strict
+        // tenant's launch must never reach an ineligible host. The
+        // placement filter and the dispatch-time re-check keep this zero.
+        if !cx.posture_ok(request, self.id) {
+            cx.posture_violations += 1;
+        }
+        let mut fate = LaunchFate::Ok;
+        if let Some(plan) = &self.plan {
+            let token = self.launch_seq;
+            self.launch_seq += 1;
+            let (faulted, kind) = apply_launch_faults(blueprint, plan, token, now);
+            blueprint = faulted;
+            if let Some(kind) = kind {
+                fate = LaunchFate::Fault(kind);
+            }
+        }
+        // Every fault-free dispatch carries an attestation verdict: the
+        // verifier's latency (queue wait → cert fetch/hit → batch window →
+        // signature check) rides the launch as pure network delay (it never
+        // touches the PSP backlog), and a revoked chip turns the dispatch
+        // into an attestation failure that retries.
+        if matches!(fate, LaunchFate::Ok) {
+            if let Some(plane) = cx.plane.as_mut() {
+                let link = cx.verifier_link;
+                if let Some(link) = link {
+                    plane.set_reachable(link.up(now));
+                }
+                let v = plane
+                    .verify_launch(self.id, now)
+                    .expect("plane sized to the hosts");
+                // The round trip is paid only when the verifier was
+                // actually consulted; blackout verdicts are local.
+                if let Some(link) = link {
+                    if plane.is_reachable() && link.rtt > Nanos::ZERO {
+                        blueprint.steps.push(WorkStep::new(
+                            ResourceClass::Network,
+                            PhaseKind::Attestation,
+                            STEP_RTT,
+                            link.rtt,
+                        ));
+                    }
+                }
+                blueprint.steps.extend(v.steps);
+                match v.verdict {
+                    Verdict::Ok => {}
+                    Verdict::Revoked => fate = LaunchFate::Fault(FaultKind::AttestError),
+                    // The verifier was unreachable and the plane ran
+                    // fail-closed: the launch is refused and retries.
+                    Verdict::Unavailable => fate = LaunchFate::Fault(FaultKind::AttestTimeout),
+                }
+            }
+        }
+        let psp_ns = blueprint.psp_work();
+        self.inflight += 1;
+        let job = cx.meta.len();
+        if cx.rec.on() {
+            cx.rec.attempt_start(
+                request,
+                job,
+                &blueprint.label,
+                self.tag,
+                blueprint.steps.clone(),
+                now,
+            );
+        }
+        let tag = ServeJob::Launch(Launch {
+            request,
+            class,
+            host: self.id,
+            epoch: cx.epoch(request),
+            fate,
+            fill,
+            psp_ns,
+        });
+        cx.push(inject, blueprint.to_job(now, self.cpu, self.psp), tag);
+        self.track(job, psp_ns);
+    }
+
+    /// Books an injected job against this host: the PSP backlog, and the
+    /// in-flight sets resets and outages poison from.
+    fn track(&mut self, job: usize, psp_ns: Nanos) {
+        self.committed_psp += psp_ns;
+        if psp_ns > Nanos::ZERO {
+            self.psp_inflight.insert(job);
+        }
+        self.jobs_inflight.insert(job);
+    }
+
+    /// Releases a finished job's bookkeeping; returns why it was poisoned
+    /// (outage, then reset, then lapsed lease), and whether it was fenced.
+    fn release(&mut self, job: usize, psp_ns: Nanos) -> (Option<FaultKind>, bool) {
+        if psp_ns > Nanos::ZERO {
+            self.psp_inflight.remove(&job);
+        }
+        self.jobs_inflight.remove(&job);
+        self.committed_psp = self.committed_psp.saturating_sub(psp_ns);
+        let fenced = self.fenced.remove(&job);
+        let poison = self.poisoned.remove(&job);
+        (poison.or(fenced.then_some(FaultKind::NetPartition)), fenced)
+    }
+
+    /// A launch finished: settles the host-side state — poisoning that
+    /// struck while it was in flight overrides whatever verdict dispatch
+    /// drew — and reports the result. The driver decides what the request
+    /// does next (complete, retry, or report over the network).
+    pub fn settle<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        job: usize,
+        now: Nanos,
+        launch: Launch,
+    ) -> Settled {
+        let Launch { request, class, .. } = launch;
+        cx.rec.attempt_end(job, now);
+        let (poison, fenced) = self.release(job, launch.psp_ns);
+        self.inflight = self.inflight.saturating_sub(1);
+        if poison == Some(FaultKind::HostOutage) {
+            // The host died under this launch; the request fails over to a
+            // surviving host through the retry path.
+            cx.rec
+                .marker(MarkerKind::Failover, Some(request), self.tag, now);
+        }
+        let fault = poison.or(match launch.fate {
+            LaunchFate::Ok => None,
+            LaunchFate::Fault(kind) => Some(kind),
+        });
+        match fault {
+            None => {
+                if let Some(breakers) = &mut self.breakers {
+                    breakers[class].on_success(now);
+                }
+            }
+            Some(kind) => {
+                self.metrics.faults.record(kind);
+                cx.rec.fault(kind, Some(request), self.tag, now);
+                if launch.fill {
+                    // The fill died before finalizing its template: the
+                    // key must not look live.
+                    self.cache.invalidate(&cx.catalog.class(class).key);
+                }
+                if let Some(breakers) = &mut self.breakers {
+                    if breakers[class].on_failure(now) {
+                        cx.rec
+                            .marker(MarkerKind::BreakerTrip, Some(request), self.tag, now);
+                    }
+                }
+            }
+        }
+        Settled {
+            request,
+            epoch: launch.epoch,
+            fault,
+            poison,
+            fenced,
+        }
+    }
+
+    /// Fills freed dispatch slots from the queue per the scheduling policy.
+    /// Held entirely while the host is away, lease-fenced, or quiescing a
+    /// PSP outage. Returns a popped request whose host fell below its
+    /// posture floor between enqueue and pop (a TCB rollout or revocation
+    /// can do that): the driver re-routes it through the placement filter
+    /// and calls again.
+    pub fn drain_queue<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) -> Option<usize> {
+        if !self.available() || self.quiesce_hold(cx, now) || self.lease_blocked(now) {
+            return None;
+        }
+        while self.inflight < cx.knobs.admission.max_inflight {
+            // WFQ pops the globally smallest virtual finish time; the
+            // plain bounded queue picks per the admission policy.
+            let next = match &mut self.wfq {
+                Some(wfq) => wfq.pop().map(|(_, pending)| pending),
+                None => {
+                    let cache = &self.cache;
+                    self.queue
+                        .pick(cx.knobs.admission.policy, |key| cache.contains(key))
+                }
+            };
+            let Some(next) = next else {
+                break;
+            };
+            self.committed_psp = self.committed_psp.saturating_sub(next.expected_psp);
+            self.metrics.sample_queue_depth(now, self.queue_len());
+            if cx.past_deadline(next.request, now) {
+                // Expired while waiting: a timeout shed, not a dispatch.
+                cx.terminal(next.request, ReqOutcome::Timeout, now, inject);
+                continue;
+            }
+            if !cx.posture_ok(next.request, self.id) {
+                cx.posture_redirects += 1;
+                return Some(next.request);
+            }
+            let level = self.degrade_level(next.class, now);
+            let Some(tier) = cx.knobs.tier.degraded(level) else {
+                cx.terminal(next.request, ReqOutcome::BreakerShed, now, inject);
+                continue;
+            };
+            self.dispatch(cx, next.request, next.class, tier, now, inject);
+        }
+        None
+    }
+
+    /// Empties the backlog (WFQ lanes in pop order, or the FIFO queue) for
+    /// failover or a lease purge, releasing its committed PSP work.
+    pub fn purge_backlog(&mut self) -> Vec<Pending> {
+        let purged: Vec<Pending> = match &mut self.wfq {
+            Some(wfq) => wfq.drain().into_iter().map(|(_, p)| p).collect(),
+            None => std::iter::from_fn(|| self.queue.pick(SchedPolicy::Fifo, |_| false)).collect(),
+        };
+        for next in &purged {
+            self.committed_psp = self.committed_psp.saturating_sub(next.expected_psp);
+        }
+        purged
+    }
+
+    /// Starts a background refill for `class` if the pool is below target
+    /// and the host can currently launch: live (or warming), not
+    /// lease-fenced, and its PSP accepting work (no refills are launched
+    /// into a reset outage — the PSP physically accepts nothing).
+    pub fn start_refill<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        class: usize,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        if cx.knobs.tier != ServingTier::WarmPool
+            || !(self.available() || self.warming)
+            || self.lease_blocked(now)
+            || !self.pool.wants_refill(class)
+        {
+            return;
+        }
+        let catalog = cx.catalog;
+        let refill = &catalog.class(class).template_hit;
+        let psp_ns = refill.psp_work();
+        if psp_ns > Nanos::ZERO && self.in_psp_outage(now) {
+            return;
+        }
+        self.pool.refill_started(class);
+        let job = cx.meta.len();
+        if cx.rec.on() {
+            cx.rec
+                .background(job, &refill.label, self.tag, refill.steps.clone(), now);
+        }
+        let tag = ServeJob::Replenish {
+            class,
+            host: self.id,
+            psp_ns,
+        };
+        cx.push(inject, refill.to_job(now, self.cpu, self.psp), tag);
+        self.track(job, psp_ns);
+    }
+
+    /// Starts refills for every class below target.
+    pub fn kick_refills<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        for class in 0..cx.catalog.len() {
+            self.start_refill(cx, class, now, inject);
+        }
+    }
+
+    /// A background refill finished: the slot becomes ready unless the job
+    /// was poisoned in flight.
+    pub fn refill_done<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        job: usize,
+        now: Nanos,
+        class: usize,
+        psp_ns: Nanos,
+    ) {
+        cx.rec.background_end(job, now);
+        match self.release(job, psp_ns).0 {
+            Some(kind) => {
+                self.metrics.faults.record(kind);
+                self.pool.refill_failed(class);
+                cx.rec.fault(kind, None, self.tag, now);
+            }
+            None => self.pool.refill_done(class),
+        }
+    }
+
+    /// A PSP firmware reset begins: every in-flight PSP-using job is
+    /// poisoned (its completion becomes a failure), and the template cache
+    /// dies with the firmware — each class re-measures on next use (§6.2).
+    pub fn reset_start<J: From<ServeJob>>(&mut self, cx: &mut Front<'_, J>, now: Nanos) {
+        cx.rec.marker(MarkerKind::OutageStart, None, self.tag, now);
+        for job in std::mem::take(&mut self.psp_inflight) {
+            self.poisoned.insert(job, FaultKind::PspReset);
+        }
+        self.cache.invalidate_all();
+    }
+
+    /// A scheduled warm-guest crash: pick a class deterministically from the
+    /// crash index and kill one ready slot if that class has any.
+    pub fn warm_crash<J: From<ServeJob>>(
+        &mut self,
+        cx: &mut Front<'_, J>,
+        idx: usize,
+        now: Nanos,
+        inject: &mut Vec<Job>,
+    ) {
+        let classes = cx.catalog.len();
+        let class = ((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % classes;
+        if self.pool.crash(class) {
+            self.metrics.faults.record(FaultKind::WarmCrash);
+            cx.rec.fault(FaultKind::WarmCrash, None, self.tag, now);
+            self.start_refill(cx, class, now, inject);
+        }
+    }
+
+    /// The machine dies: every in-flight job is poisoned, the warm pool
+    /// crashes, and the template cache dies with it.
+    pub fn crash(&mut self, classes: usize) {
+        for job in std::mem::take(&mut self.jobs_inflight) {
+            self.poisoned.insert(job, FaultKind::HostOutage);
+        }
+        self.psp_inflight.clear();
+        for class in 0..classes {
+            while self.pool.crash(class) {}
+        }
+        self.cache.invalidate_all();
+    }
+
+    /// The host's lease lapsed: in-flight work may no longer complete, only
+    /// be refused back to the router.
+    pub fn fence(&mut self) {
+        self.fenced.extend(self.jobs_inflight.iter().copied());
+    }
+
+    /// Folds the end-of-run queue, cache, pool, breaker, and utilization
+    /// figures into [`Host::metrics`].
+    pub fn finish_metrics(&mut self, trace: &RunTrace) {
+        let m = &mut self.metrics;
+        match &self.wfq {
+            Some(wfq) => {
+                m.shed = wfq.shed();
+                m.max_queue_depth = wfq.max_depth();
+            }
+            None => {
+                m.shed = self.queue.shed();
+                m.max_queue_depth = self.queue.max_depth();
+            }
+        }
+        m.cache_hits = self.cache.hits();
+        m.cache_misses = self.cache.misses();
+        m.warm_hits = self.pool.hits();
+        m.warm_misses = self.pool.misses();
+        m.evicted = self.pool.evicted();
+        m.psp_utilization = trace.utilization(self.psp, 1);
+        m.cpu_utilization = trace.utilization(self.cpu, HOST_CORES);
+        m.makespan = trace.makespan();
+        if let Some(breakers) = &self.breakers {
+            m.breaker_trips = breakers.iter().map(|b| b.trips()).sum();
+        }
+    }
+}
+
+/// Applies `plan`'s per-launch fault model to a dispatch at `now`, returning
+/// the (possibly rewritten) blueprint and the fault that struck, if any.
+///
+/// This is the single fault-application path every host runs — the fleet's
+/// one host and each cluster host alike — so all inject byte-identical
+/// faulted work for the same `(plan, token, now)`:
+///
+/// * PSP-needing work dispatched inside a firmware-reset outage hangs on the
+///   network until the outage ends, then errors ([`FaultKind::PspReset`]) —
+///   no PSP occupancy, the firmware is rebooting.
+/// * Otherwise a stateless per-`token` draw may fail the launch transiently
+///   partway through its work ([`FaultKind::PspTransient`]).
+/// * Launches with an attestation round trip may hang until the client-side
+///   timeout or error immediately ([`FaultKind::AttestTimeout`] /
+///   [`FaultKind::AttestError`]).
+///
+/// Verdicts are stateless per token, so a fault-free plan consumes no
+/// randomness and leaves the blueprint untouched.
+pub fn apply_launch_faults(
+    blueprint: Blueprint,
+    plan: &FaultPlan,
+    token: u64,
+    now: Nanos,
+) -> (Blueprint, Option<FaultKind>) {
+    let psp_work = blueprint.psp_work();
+    if psp_work > Nanos::ZERO {
+        if let Some(end) = plan.in_outage(now) {
+            let dead = Blueprint {
+                label: format!("{} (dead psp)", blueprint.label),
+                steps: vec![WorkStep::new(
+                    ResourceClass::Network,
+                    PhaseKind::PreEncryption,
+                    "hang on rebooting PSP mailbox",
+                    end.saturating_sub(now),
+                )],
+            };
+            return (dead, Some(FaultKind::PspReset));
+        }
+        if plan.psp_transient(token) {
+            let truncated = blueprint.truncate_frac(plan.transient_progress(token));
+            return (truncated, Some(FaultKind::PspTransient));
+        }
+    }
+    if blueprint.has_network() {
+        match plan.attest_fault(token) {
+            Some(AttestFault::Timeout) => {
+                let mut hung = blueprint;
+                hung.steps.push(WorkStep::new(
+                    ResourceClass::Network,
+                    PhaseKind::Attestation,
+                    "attestation round trip times out",
+                    plan.config().attest_timeout,
+                ));
+                return (hung, Some(FaultKind::AttestTimeout));
+            }
+            Some(AttestFault::Error) => return (blueprint, Some(FaultKind::AttestError)),
+            None => {}
+        }
+    }
+    (blueprint, None)
+}

@@ -20,7 +20,13 @@
 //!   pluggable scheduling policies (FIFO, shortest-expected-PSP-work-first,
 //!   template-affinity).
 //! * [`pool`] — the §7.1 warm-pool manager with target-size/evict logic.
-//! * [`service`] — the control plane itself, driving
+//! * [`front`] and [`host`] — the serving core, written once: the request
+//!   front end (request table, tenant tagging, policy choke point, terminal
+//!   accounting, retry/backoff, closed-loop re-issue) and the per-host
+//!   machine (ladder → warm pool → admission → dispatch → fault and
+//!   attestation splice → settle). `sevf-cluster` drives the same two types
+//!   with N hosts behind a router.
+//! * [`service`] — the single-host control plane: one front, one host, on
 //!   [`sevf_sim::DesEngine::run_dynamic`].
 //! * [`metrics`] — latency percentiles/histograms, queue depth over time,
 //!   PSP/CPU utilization, shed/hit/miss counters, fault and availability
@@ -53,6 +59,8 @@ pub mod admission;
 pub mod blueprint;
 pub mod chaos;
 pub mod experiment;
+pub mod front;
+pub mod host;
 pub mod metrics;
 pub mod pool;
 pub mod recovery;
@@ -63,15 +71,19 @@ pub use admission::{AdmissionConfig, BoundedQueue, SchedPolicy};
 pub use blueprint::{Blueprint, Catalog, ClassSpec, LaunchCache};
 pub use chaos::{chaos_sweep, ChaosConfig, ChaosReport, ChaosRow};
 pub use experiment::{serving_sweep, ServingRow, SweepConfig, SweepReport};
+pub use front::{Front, ServeJob, Serving};
+pub use host::{apply_launch_faults, Host};
 pub use metrics::{FaultCounters, FleetMetrics};
 pub use pool::WarmPool;
 pub use recovery::{BreakerConfig, CircuitBreaker, RecoveryConfig, RetryPolicy};
-pub use service::{apply_launch_faults, FleetConfig, FleetReport, FleetService, ServingTier};
+pub use service::{FleetConfig, FleetReport, FleetService, ServingTier};
 pub use workload::{Arrival, RequestMix};
 
 /// Errors from building fleet components.
 #[derive(Debug)]
 pub enum FleetError {
+    /// A fleet configuration knob failed validation.
+    Config(&'static str),
     /// A blueprint boot failed.
     Boot(sevf_vmm::VmmError),
     /// The catalog was built with no request classes.
@@ -91,6 +103,7 @@ pub enum FleetError {
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FleetError::Config(e) => write!(f, "invalid fleet config: {e}"),
             FleetError::Boot(e) => write!(f, "blueprint boot failed: {e}"),
             FleetError::NoClasses => write!(f, "catalog needs at least one request class"),
             FleetError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
@@ -109,7 +122,10 @@ impl std::error::Error for FleetError {
             FleetError::AttPlane(e) => Some(e),
             FleetError::Net(e) => Some(e),
             FleetError::Policy(e) => Some(e),
-            FleetError::NoClasses | FleetError::FaultPlan(_) | FleetError::Recovery(_) => None,
+            FleetError::Config(_)
+            | FleetError::NoClasses
+            | FleetError::FaultPlan(_)
+            | FleetError::Recovery(_) => None,
         }
     }
 }
@@ -185,6 +201,7 @@ mod tests {
     #[test]
     fn leaf_errors_have_no_source_but_display() {
         for (err, needle) in [
+            (FleetError::Config("bad mix"), "bad mix"),
             (FleetError::NoClasses, "request class"),
             (FleetError::FaultPlan("bad rate"), "bad rate"),
             (FleetError::Recovery("bad jitter"), "bad jitter"),

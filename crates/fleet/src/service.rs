@@ -1,13 +1,14 @@
 //! The fleet control plane: serving launch traffic over virtual time.
 //!
-//! [`FleetService`] wires the pieces together on top of
-//! [`DesEngine::run_dynamic`]: arrivals are zero-segment marker jobs whose
+//! [`FleetService`] is the single-host driver of the shared serving core:
+//! one request [`Front`], one [`Host`], and "place on host 0", on top of
+//! [`DesEngine::run_dynamic`]. Arrivals are zero-segment marker jobs whose
 //! completion hands control to the service at the arrival instant; the
-//! service then routes each request — warm pool first (if serving that
-//! tier), then admission control — and injects the chosen launch blueprint
-//! as a follow-up job on the shared PSP/CPU resources. Everything is seeded
-//! and runs on the virtual clock, so a `(catalog, config, fault plan)`
-//! triple fully determines the outcome.
+//! front end screens each request (deadline, policy) and the host serves it
+//! — warm pool first (if serving that tier), then admission control — and
+//! injects the chosen launch blueprint as a follow-up job on the PSP/CPU
+//! resources. Everything is seeded and runs on the virtual clock, so a
+//! `(catalog, config, fault plan)` triple fully determines the outcome.
 //!
 //! The three serving tiers mirror the paper's options:
 //!
@@ -34,28 +35,29 @@
 //! dispatches across reset outages. Fault verdicts are drawn statelessly
 //! from the plan, so a fault-free run consumes exactly the same random
 //! stream as a run of the pre-fault control plane.
+//!
+//! What stays fleet-shaped, because the driver holds what the shared core
+//! cannot know: the retry deferral across a known PSP outage (the fleet
+//! holds the one plan every retry will land on; a cluster cannot know the
+//! landing host at retry time), a ready [`FaultPlan`] instead of a derived
+//! per-host one, and the [`VerifierLink`] consulted per dispatch.
 
-use std::collections::BTreeSet;
-
-use sevf_attplane::{AttPlane, AttPlaneConfig, AttPlaneMetrics, Verdict, STEP_RTT};
+use sevf_attplane::{AttPlaneConfig, AttPlaneMetrics};
 use sevf_net::VerifierLink;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
-use sevf_policy::{
-    IsolationTier, Offer, PolicyConfig, PolicyDecision, PolicyEngine, Scheduler, TenantMetrics,
-    TenantRollup, WfqQueue,
-};
-use sevf_psp::TemplateKey;
-use sevf_sim::fault::{AttestFault, FaultKind, FaultPlan};
-use sevf_sim::rng::XorShift64;
-use sevf_sim::{DesEngine, Job, JobOutcome, Nanos, PhaseKind, ResourceClass, ResourceId, RunTrace};
+use sevf_policy::{IsolationTier, PolicyConfig, TenantRollup};
+use sevf_sim::fault::FaultPlan;
+use sevf_sim::{DesEngine, Job, JobOutcome, Nanos, RunTrace};
 use sevf_vmm::machine::HOST_CORES;
 
-use crate::admission::{AdmissionConfig, BoundedQueue, Pending};
-use crate::blueprint::{Blueprint, Catalog, LaunchCache};
+use crate::admission::AdmissionConfig;
+use crate::blueprint::Catalog;
+use crate::front::{Front, ServeJob, Serving};
+use crate::host::Host;
 use crate::metrics::FleetMetrics;
-use crate::pool::WarmPool;
-use crate::recovery::{CircuitBreaker, RecoveryConfig};
-use crate::workload::{open_arrivals, Arrival, RequestMix};
+use crate::recovery::RecoveryConfig;
+use crate::workload::{Arrival, RequestMix};
+use crate::FleetError;
 
 /// Which reuse tier the fleet serves requests from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,18 +156,8 @@ impl FleetConfig {
     /// A closed-loop run with `users` clients and `think` think time.
     pub fn closed_loop(tier: ServingTier, users: usize, think: Nanos, requests: usize) -> Self {
         FleetConfig {
-            tier,
             arrival: Arrival::Closed { users, think },
-            mix: None,
-            requests,
-            seed: 0x5EF0,
-            admission: AdmissionConfig::default(),
-            warm_target: 8,
-            fault: None,
-            recovery: RecoveryConfig::none(),
-            attestation: None,
-            verifier_net: None,
-            policy: None,
+            ..Self::open_loop(tier, 0.0, requests)
         }
     }
 
@@ -180,23 +172,59 @@ impl FleetConfig {
         }
     }
 
-    /// Checks the attestation-plane config, if any, passing the config
-    /// through so sweeps can chain construction.
-    pub fn validated(self) -> Result<Self, crate::FleetError> {
+    /// Checks the mix bound, closed-loop users, recovery, attestation,
+    /// verifier link, and policy knobs against a catalog of
+    /// `catalog_classes` classes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn validate(&self, catalog_classes: usize) -> Result<(), FleetError> {
+        if let Some(mix) = &self.mix {
+            if mix.max_class() >= catalog_classes {
+                return Err(FleetError::Config(
+                    "mix references a class outside the catalog",
+                ));
+            }
+        }
+        if let Arrival::Closed { users: 0, .. } = self.arrival {
+            return Err(FleetError::Config("closed loop needs at least one user"));
+        }
+        self.recovery.validate().map_err(FleetError::Recovery)?;
         if let Some(att) = &self.attestation {
-            att.validate().map_err(crate::FleetError::AttPlane)?;
+            att.validate()?;
         }
         if let Some(link) = &self.verifier_net {
-            link.validate().map_err(crate::FleetError::Net)?;
+            link.validate()?;
         }
         if let Some(policy) = &self.policy {
-            // The catalog is not known here; class-mix bounds are checked
-            // again (strictly) in `FleetService::new`.
-            policy
-                .validate(usize::MAX)
-                .map_err(crate::FleetError::Policy)?;
+            policy.validate(catalog_classes)?;
         }
+        Ok(())
+    }
+
+    /// Checks everything [`FleetConfig::validate`] can without a catalog
+    /// (class bounds are checked again, strictly, in
+    /// [`FleetService::new`]), passing the config through so sweeps can
+    /// chain construction.
+    pub fn validated(self) -> Result<Self, FleetError> {
+        self.validate(usize::MAX)?;
         Ok(self)
+    }
+
+    /// The knobs the shared serving core reads.
+    fn serving(&self) -> Serving<'_> {
+        Serving {
+            tier: self.tier,
+            arrival: self.arrival,
+            mix: self.mix.as_ref(),
+            requests: self.requests,
+            seed: self.seed,
+            admission: self.admission,
+            recovery: &self.recovery,
+            attestation: self.attestation,
+            policy: self.policy.as_ref(),
+        }
     }
 }
 
@@ -221,42 +249,6 @@ pub struct FleetReport {
     pub trace: RunTrace,
 }
 
-/// Verdict decided for a launch when it was dispatched. A PSP reset can
-/// still override it at completion (poisoning strikes work already in
-/// flight).
-#[derive(Debug, Clone, Copy)]
-enum LaunchFate {
-    Ok,
-    Fault(FaultKind),
-}
-
-/// What an engine job index means to the control plane.
-#[derive(Debug, Clone, Copy)]
-enum JobKind {
-    /// Arrival marker for a request (zero segments).
-    Arrival { request: usize },
-    /// The launch (or warm invocation) serving a request. `fill` carries
-    /// the template key this launch is filling (invalidated if it fails);
-    /// `psp` marks launches holding PSP work (poisoned by resets).
-    Launch {
-        request: usize,
-        class: usize,
-        fate: LaunchFate,
-        fill: Option<TemplateKey>,
-        psp: bool,
-    },
-    /// Backoff marker: when it completes, the request re-enters routing.
-    Retry { request: usize },
-    /// Background warm-pool refill for a class.
-    Replenish { class: usize, psp: bool },
-    /// A PSP firmware reset begins (in-flight state dies here).
-    ResetStart,
-    /// A PSP firmware reset outage ends (quiesced work may drain).
-    ResetEnd,
-    /// A warm guest crashes; `idx` indexes the plan's crash schedule.
-    WarmCrash { idx: usize },
-}
-
 /// The control plane: routes a request stream onto the host's resources.
 #[derive(Debug)]
 pub struct FleetService {
@@ -264,103 +256,22 @@ pub struct FleetService {
     config: FleetConfig,
 }
 
-/// Mutable serving state threaded through the DES completion hook.
+/// The shared serving core, single-host: a request front end and one host.
 struct State<'a> {
-    catalog: &'a Catalog,
-    config: &'a FleetConfig,
-    psp: ResourceId,
-    cpu: ResourceId,
-    mix: RequestMix,
-    rng: XorShift64,
-    meta: Vec<JobKind>,
-    req_class: Vec<usize>,
-    arrived: Vec<Nanos>,
-    attempts: Vec<u32>,
-    queue: BoundedQueue,
-    pool: WarmPool,
-    cache: LaunchCache,
-    breakers: Option<Vec<CircuitBreaker>>,
-    /// Job indices of in-flight work holding PSP segments; a firmware reset
-    /// moves them all into `poisoned`.
-    psp_inflight: BTreeSet<usize>,
-    /// Job indices whose completion is a [`FaultKind::PspReset`] failure.
-    poisoned: BTreeSet<usize>,
-    /// Deterministic token stream for stateless fault draws: one token per
-    /// fault-eligible launch, in dispatch order.
-    launch_seq: u64,
-    inflight: usize,
-    issued: usize,
-    metrics: FleetMetrics,
-    /// Attestation control plane, when configured: every fault-free
-    /// dispatch is verified and carries the verifier's latency.
-    plane: Option<AttPlane>,
-    /// Multi-tenant policy layer, when configured.
-    policy: Option<PolicyState>,
-    /// Observability handle. Disabled by default; never touches the RNG,
-    /// the metrics, or job injection, so enabling it cannot change a run.
-    rec: Recorder,
+    front: Front<'a, ServeJob>,
+    host: Host,
 }
-
-/// Live policy-layer state: the engine (specs + quota buckets), the WFQ
-/// queue when the scheduler is [`Scheduler::Wfq`], tenant tags, and
-/// per-tenant terminal accounting.
-///
-/// Tenant tagging draws from its own RNG stream (`seed ^ TENANT_SALT`), so
-/// the arrival and class streams the no-policy path consumes are
-/// untouched — FIFO and WFQ arms of a sweep serve the *same* request
-/// stream, and disabling policy replays older runs byte-identically.
-struct PolicyState {
-    engine: PolicyEngine,
-    wfq: Option<WfqQueue<Pending>>,
-    tenant_rng: XorShift64,
-    /// Per-tenant class mixes (`None` = the catalog-wide mix).
-    mixes: Vec<Option<RequestMix>>,
-    /// Tenant tag per request id.
-    req_tenant: Vec<usize>,
-    /// Per-tenant terminal accounting.
-    tenants: Vec<TenantMetrics>,
-}
-
-/// Salt for the dedicated tenant-tagging RNG stream.
-const TENANT_SALT: u64 = 0x7E4A_917E_5EF0_11AD;
 
 impl FleetService {
     /// Builds a service over a measured catalog.
     ///
     /// # Panics
     ///
-    /// Panics if the config's mix references a class outside the catalog,
-    /// a closed loop has zero users, or the recovery config is invalid
-    /// ([`RecoveryConfig::validate`]).
+    /// Panics with the [`FleetError`]'s text if the config fails
+    /// [`FleetConfig::validate`] against the catalog.
     pub fn new(catalog: Catalog, config: FleetConfig) -> Self {
-        if let Some(mix) = &config.mix {
-            assert!(
-                mix.max_class() < catalog.len(),
-                "mix references class {} but catalog has {}",
-                mix.max_class(),
-                catalog.len()
-            );
-        }
-        if let Arrival::Closed { users, .. } = config.arrival {
-            assert!(users > 0, "closed loop needs at least one user");
-        }
-        if let Err(e) = config.recovery.validate() {
-            panic!("invalid recovery config: {e}");
-        }
-        if let Some(att) = &config.attestation {
-            if let Err(e) = att.validate() {
-                panic!("invalid attestation config: {e}");
-            }
-        }
-        if let Some(link) = &config.verifier_net {
-            if let Err(e) = link.validate() {
-                panic!("invalid verifier link: {e}");
-            }
-        }
-        if let Some(policy) = &config.policy {
-            if let Err(e) = policy.validate(catalog.len()) {
-                panic!("invalid policy config: {e}");
-            }
+        if let Err(e) = config.validate(catalog.len()) {
+            panic!("{e}");
         }
         FleetService { catalog, config }
     }
@@ -379,844 +290,125 @@ impl FleetService {
         self.run_with(Recorder::enabled())
     }
 
-    fn run_with(self, rec: Recorder) -> (FleetReport, TraceLog) {
+    fn run_with(mut self, rec: Recorder) -> (FleetReport, TraceLog) {
         let mut engine = DesEngine::new();
-        let psp = engine.add_resource("psp", 1);
-        let cpu = engine.add_resource("host-cpus", HOST_CORES);
+        let resources = (
+            engine.add_resource("psp", 1),
+            engine.add_resource("host-cpus", HOST_CORES),
+        );
+        let plan = self.config.fault.take();
+        let config = &self.config;
+        let isolation = config.substrate_isolation();
+        let mut front = Front::new(&self.catalog, config.serving(), isolation, 1, rec);
+        front.verifier_link = config.verifier_net.as_ref();
+        let host = Host::new(0, resources, &front, config.warm_target, false, plan);
 
-        let mix = self
-            .config
-            .mix
-            .clone()
-            .unwrap_or_else(|| RequestMix::uniform(self.catalog.len()));
-        let mut state = State {
-            catalog: &self.catalog,
-            config: &self.config,
-            psp,
-            cpu,
-            mix,
-            rng: XorShift64::new(self.config.seed ^ 0x5EF0_F1EE7),
-            meta: Vec::new(),
-            req_class: Vec::new(),
-            arrived: Vec::new(),
-            attempts: Vec::new(),
-            queue: BoundedQueue::new(self.config.admission.queue_bound),
-            pool: WarmPool::prewarmed(
-                self.catalog.len(),
-                if self.config.tier == ServingTier::WarmPool {
-                    self.config.warm_target
-                } else {
-                    0
-                },
-                self.catalog
-                    .classes()
-                    .iter()
-                    .map(|c| c.resident_bytes)
-                    .collect(),
-            ),
-            cache: LaunchCache::new(),
-            breakers: self
-                .config
-                .recovery
-                .breaker
-                .map(|b| vec![CircuitBreaker::new(b); self.catalog.len()]),
-            psp_inflight: BTreeSet::new(),
-            poisoned: BTreeSet::new(),
-            launch_seq: 0,
-            inflight: 0,
-            issued: 0,
-            metrics: FleetMetrics::default(),
-            plane: self
-                .config
-                .attestation
-                .map(|cfg| AttPlane::new(cfg, 1).expect("attestation config validated in new()")),
-            policy: self.config.policy.as_ref().map(|pcfg| {
-                let engine =
-                    PolicyEngine::new(pcfg, self.config.substrate_isolation(), self.catalog.len())
-                        .expect("policy config validated in new()");
-                let wfq = match pcfg.scheduler {
-                    Scheduler::Wfq => Some(
-                        WfqQueue::new(
-                            self.config.admission.queue_bound,
-                            &engine.lane_specs(),
-                            self.config.seed,
-                        )
-                        .expect("policy config validated in new()"),
-                    ),
-                    Scheduler::Fifo => None,
-                };
-                PolicyState {
-                    wfq,
-                    tenant_rng: XorShift64::new(self.config.seed ^ TENANT_SALT),
-                    mixes: pcfg
-                        .tenants
-                        .iter()
-                        .map(|t| {
-                            if t.class_mix.is_empty() {
-                                None
-                            } else {
-                                Some(RequestMix::weighted(t.class_mix.clone()))
-                            }
-                        })
-                        .collect(),
-                    req_tenant: Vec::new(),
-                    tenants: vec![TenantMetrics::default(); pcfg.tenants.len()],
-                    engine,
-                }
-            }),
-            rec,
-        };
-
-        // Warm-pool serving starts with every template live: the pool's
-        // resident guests were launched from them.
-        if self.config.tier == ServingTier::WarmPool {
-            for (idx, class) in self.catalog.classes().iter().enumerate() {
-                state.cache.prefill(class.key, idx);
-            }
-        }
-
-        // Seed the arrival stream: open loops pre-draw every arrival, closed
-        // loops start one marker per user and chain the rest on completions.
         let mut seed_jobs = Vec::new();
-        match self.config.arrival {
-            Arrival::Open { rate_per_sec } => {
-                let times = open_arrivals(rate_per_sec, self.config.requests, &mut state.rng);
-                for at in times {
-                    let request = state.new_request(at);
-                    seed_jobs.push(Job::released_at(at, vec![]));
-                    state.meta.push(JobKind::Arrival { request });
-                }
-            }
-            Arrival::Closed { users, .. } => {
-                for i in 0..users.min(self.config.requests) {
-                    // Tiny stagger keeps user start order deterministic and
-                    // distinct.
-                    let at = Nanos::from_micros(i as u64);
-                    let request = state.new_request(at);
-                    seed_jobs.push(Job::released_at(at, vec![]));
-                    state.meta.push(JobKind::Arrival { request });
-                }
-            }
-        }
+        front.seed_arrivals(&mut seed_jobs, None);
+        host.seed_faults(&mut front, &mut seed_jobs);
 
-        // Seed the fault schedule as marker jobs. Without a plan this adds
-        // nothing, so the fault-free path is byte-identical to the pre-fault
-        // control plane.
-        if let Some(plan) = &self.config.fault {
-            for window in plan.resets() {
-                seed_jobs.push(Job::released_at(window.start, vec![]));
-                state.meta.push(JobKind::ResetStart);
-                seed_jobs.push(Job::released_at(window.end, vec![]));
-                state.meta.push(JobKind::ResetEnd);
-            }
-            for idx in 0..plan.warm_crashes().len() {
-                seed_jobs.push(Job::released_at(plan.warm_crashes()[idx], vec![]));
-                state.meta.push(JobKind::WarmCrash { idx });
-            }
-        }
-
+        let mut state = State { front, host };
         let (_, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
             state.on_event(outcome, inject);
         });
+        let State {
+            mut front,
+            mut host,
+        } = state;
 
-        // Feed the engine's resource occupancy back so PSP/CPU steps land
-        // at their true contended intervals rather than planned durations.
-        if state.rec.on() {
-            for entry in trace.entries() {
-                state.rec.occupy(
-                    engine.resource_name(entry.resource),
-                    entry.job,
-                    entry.start,
-                    entry.end,
-                );
-            }
-        }
-        let log = state.rec.build();
-
-        let mut metrics = state.metrics;
-        metrics.shed = state.queue.shed();
-        metrics.max_queue_depth = state.queue.max_depth();
-        if let Some(wfq) = state.policy.as_ref().and_then(|p| p.wfq.as_ref()) {
-            metrics.shed += wfq.shed();
-            metrics.max_queue_depth = metrics.max_queue_depth.max(wfq.max_depth());
-        }
-        metrics.cache_hits = state.cache.hits();
-        metrics.cache_misses = state.cache.misses();
-        metrics.warm_hits = state.pool.hits();
-        metrics.warm_misses = state.pool.misses();
-        metrics.evicted = state.pool.evicted();
-        metrics.psp_utilization = trace.utilization(psp, 1);
-        metrics.cpu_utilization = trace.utilization(cpu, HOST_CORES);
-        metrics.makespan = trace.makespan();
-        if let Some(breakers) = &state.breakers {
-            metrics.breaker_trips = breakers.iter().map(|b| b.trips()).sum();
-        }
-        if let Some(plan) = &self.config.fault {
+        host.finish_metrics(&trace);
+        let totals = std::mem::take(&mut front.totals);
+        let mut metrics = FleetMetrics {
+            timeouts: totals.timeouts,
+            failed: totals.failed,
+            rejected: totals.rejected,
+            breaker_sheds: totals.breaker_sheds,
+            retries: totals.retries,
+            retries_by_attempt: totals.retries_by_attempt,
+            ..std::mem::take(&mut host.metrics)
+        };
+        if let Some(plan) = &host.plan {
             metrics.time_degraded = plan
                 .resets()
                 .iter()
                 .map(|w| w.end.min(metrics.makespan).saturating_sub(w.start))
                 .sum();
         }
-
-        (
-            FleetReport {
-                tier: self.config.tier,
-                offered_rps: self.config.arrival.offered_rps(),
-                metrics,
-                pool_resident_bytes: state.pool.resident_bytes(),
-                attestation: state.plane.as_ref().map(|p| *p.metrics()),
-                tenants: state.policy.map(|ps| {
-                    let pcfg = self.config.policy.as_ref().expect("state implies config");
-                    pcfg.tenants
-                        .iter()
-                        .zip(ps.tenants)
-                        .map(|(t, metrics)| TenantRollup {
-                            name: t.name,
-                            metrics,
-                        })
-                        .collect()
-                }),
-                trace,
-            },
-            log,
-        )
+        let report = FleetReport {
+            tier: config.tier,
+            offered_rps: config.arrival.offered_rps(),
+            metrics,
+            pool_resident_bytes: host.pool.resident_bytes(),
+            attestation: front.plane.as_ref().map(|p| *p.metrics()),
+            tenants: front.tenant_rollups(),
+            trace,
+        };
+        let log = front.build_log(&engine, &report.trace);
+        (report, log)
     }
 }
 
-impl<'a> State<'a> {
-    /// Allocates a request id, sampling its class (and, with a policy
-    /// layer, its tenant — from a dedicated RNG stream so tagging never
-    /// perturbs the arrival/class streams).
-    fn new_request(&mut self, arrival_hint: Nanos) -> usize {
-        let request = self.req_class.len();
-        let class = if let Some(ps) = self.policy.as_mut() {
-            let pcfg = self.config.policy.as_ref().expect("state implies config");
-            let tenant = pcfg.sample_tenant(&mut ps.tenant_rng);
-            ps.req_tenant.push(tenant);
-            ps.tenants[tenant].issued += 1;
-            match &ps.mixes[tenant] {
-                Some(mix) => mix.sample(&mut self.rng),
-                None => self.mix.sample(&mut self.rng),
-            }
-        } else {
-            self.mix.sample(&mut self.rng)
-        };
-        self.req_class.push(class);
-        self.arrived.push(arrival_hint);
-        self.attempts.push(0);
-        self.issued += 1;
-        request
-    }
-
-    /// Attributes a terminal to `request`'s tenant (no-op without policy).
-    /// Mirrors the global counters so the extended conservation invariant
-    /// (`…+rejected == issued`) holds per tenant.
-    fn tenant_terminal(&mut self, request: usize, outcome: ReqOutcome, now: Nanos) {
-        if let Some(ps) = self.policy.as_mut() {
-            let m = &mut ps.tenants[ps.req_tenant[request]];
-            match outcome {
-                ReqOutcome::Completed => m.complete(now - self.arrived[request]),
-                ReqOutcome::Shed => m.shed += 1,
-                ReqOutcome::BreakerShed => m.breaker_sheds += 1,
-                ReqOutcome::Timeout => m.timeouts += 1,
-                ReqOutcome::Failed => m.failed += 1,
-                ReqOutcome::Rejected => m.rejected += 1,
-            }
-        }
-    }
-
-    /// The fault plan, if any (`&'a` so probing never borrows `self`).
-    fn plan(&self) -> Option<&'a FaultPlan> {
-        self.config.fault.as_ref()
-    }
-
-    /// Whether the PSP is inside a firmware-reset outage at `now`.
-    fn in_outage(&self, now: Nanos) -> bool {
-        self.plan().and_then(|p| p.in_outage(now)).is_some()
-    }
-
-    /// Whether PSP-needing dispatches are being held (resilient fleets
-    /// quiesce across the outage; naive fleets keep dispatching).
-    fn quiesce_hold(&self, now: Nanos) -> bool {
-        self.config.recovery.quiesce && self.in_outage(now)
-    }
-
-    /// Whether `request` has outlived its deadline at `now`.
-    fn past_deadline(&self, request: usize, now: Nanos) -> bool {
-        match self.config.recovery.deadline {
-            Some(d) => now > self.arrived[request] + d,
-            None => false,
-        }
-    }
-
-    /// Current degradation level of `class` at `now` (0 without a breaker).
-    /// Applies the breaker's time-based healing first, so a class tripped
-    /// off the ladder comes back once the cooldown elapses.
-    fn degrade_level(&mut self, class: usize, now: Nanos) -> usize {
-        match &mut self.breakers {
-            Some(breakers) => {
-                breakers[class].heal(now);
-                breakers[class].level()
-            }
-            None => 0,
-        }
-    }
-
+impl State<'_> {
     fn on_event(&mut self, outcome: &JobOutcome, inject: &mut Vec<Job>) {
-        match self.meta[outcome.job] {
-            JobKind::Arrival { request } => {
-                self.arrived[request] = outcome.finish;
-                if self.rec.on() {
-                    let class = self.req_class[request];
-                    self.rec
-                        .arrival(request, &self.catalog.class(class).name, outcome.finish);
-                }
-                self.route(request, outcome.finish, inject);
+        let now = outcome.finish;
+        match self.front.meta[outcome.job] {
+            ServeJob::Arrival { request } => {
+                self.front.on_arrival(request, now);
+                self.route(request, now, inject);
             }
-            JobKind::Launch {
-                request,
-                class,
-                fate,
-                fill,
-                psp,
-            } => {
-                if psp {
-                    self.psp_inflight.remove(&outcome.job);
-                }
-                // A reset that struck while this launch was in flight
-                // overrides whatever verdict dispatch drew.
-                let fate = if self.poisoned.remove(&outcome.job) {
-                    LaunchFate::Fault(FaultKind::PspReset)
+            ServeJob::Retry { request } => self.route(request, now, inject),
+            ServeJob::Launch(launch) => {
+                let settled = self.host.settle(&mut self.front, outcome.job, now, launch);
+                if settled.fault.is_some() {
+                    // No point retrying into a known outage: the resilient
+                    // fleet re-releases at the instant the PSP is back.
+                    let quiesce = self.front.knobs.recovery.quiesce;
+                    let plan = self.host.plan.as_ref().filter(|_| quiesce);
+                    self.front
+                        .handle_failure(settled.request, now, inject, |at| {
+                            plan.and_then(|p| p.in_outage(at)).unwrap_or(at)
+                        });
+                    self.drain(now, inject);
                 } else {
-                    fate
-                };
-                self.inflight = self.inflight.saturating_sub(1);
-                self.rec.attempt_end(outcome.job, outcome.finish);
-                match fate {
-                    LaunchFate::Ok => {
-                        self.metrics
-                            .record_latency(outcome.finish - self.arrived[request]);
-                        self.rec
-                            .terminal(request, ReqOutcome::Completed, outcome.finish);
-                        self.tenant_terminal(request, ReqOutcome::Completed, outcome.finish);
-                        if let Some(breakers) = &mut self.breakers {
-                            breakers[class].on_success(outcome.finish);
-                        }
-                        self.drain_queue(outcome.finish, inject);
-                        self.issue_next_closed(outcome.finish, inject);
-                    }
-                    LaunchFate::Fault(kind) => {
-                        self.metrics.faults.record(kind);
-                        self.rec.fault(kind, Some(request), None, outcome.finish);
-                        if let Some(key) = fill {
-                            // The fill died before finalizing its template:
-                            // the key must not look live.
-                            self.cache.invalidate(&key);
-                        }
-                        if let Some(breakers) = &mut self.breakers {
-                            if breakers[class].on_failure(outcome.finish) {
-                                self.metrics.breaker_trips += 1;
-                                self.rec.marker(
-                                    MarkerKind::BreakerTrip,
-                                    Some(request),
-                                    None,
-                                    outcome.finish,
-                                );
-                            }
-                        }
-                        self.handle_failure(request, outcome.finish, inject);
-                        self.drain_queue(outcome.finish, inject);
-                    }
+                    let latency = self
+                        .front
+                        .finish(settled.request, ReqOutcome::Completed, now);
+                    self.host.metrics.record_latency(latency);
+                    self.drain(now, inject);
+                    self.front.issue_next_closed(now, inject);
                 }
             }
-            JobKind::Retry { request } => {
-                self.route(request, outcome.finish, inject);
+            ServeJob::Replenish { class, psp_ns, .. } => {
+                self.host
+                    .refill_done(&mut self.front, outcome.job, now, class, psp_ns);
             }
-            JobKind::Replenish { class, psp } => {
-                if psp {
-                    self.psp_inflight.remove(&outcome.job);
-                }
-                self.rec.background_end(outcome.job, outcome.finish);
-                if self.poisoned.remove(&outcome.job) {
-                    self.metrics.faults.record(FaultKind::PspReset);
-                    self.rec
-                        .fault(FaultKind::PspReset, None, None, outcome.finish);
-                    self.pool.refill_failed(class);
-                } else {
-                    self.pool.refill_done(class);
-                }
-            }
-            JobKind::ResetStart => {
-                self.rec
-                    .marker(MarkerKind::OutageStart, None, None, outcome.finish);
-                self.on_reset_start();
-            }
-            JobKind::ResetEnd => {
-                self.rec
-                    .marker(MarkerKind::OutageEnd, None, None, outcome.finish);
+            ServeJob::ResetStart { .. } => self.host.reset_start(&mut self.front, now),
+            ServeJob::ResetEnd { .. } => {
                 // The PSP is back (re-initialized): release quiesced work.
-                self.drain_queue(outcome.finish, inject);
+                self.front
+                    .rec
+                    .marker(MarkerKind::OutageEnd, None, None, now);
+                self.drain(now, inject);
             }
-            JobKind::WarmCrash { idx } => self.on_warm_crash(idx, outcome.finish, inject),
+            ServeJob::WarmCrash { idx, .. } => {
+                self.host.warm_crash(&mut self.front, idx, now, inject);
+            }
         }
     }
 
-    /// A PSP firmware reset begins: every in-flight PSP-using job is
-    /// poisoned (its completion becomes a failure), and the template cache
-    /// dies with the firmware — each class re-measures on next use (§6.2).
-    fn on_reset_start(&mut self) {
-        let doomed: Vec<usize> = self.psp_inflight.iter().copied().collect();
-        for job in doomed {
-            self.poisoned.insert(job);
-        }
-        self.psp_inflight.clear();
-        self.cache.invalidate_all();
-    }
-
-    /// A scheduled warm-guest crash: pick a class deterministically from the
-    /// crash index and kill one ready slot if that class has any.
-    fn on_warm_crash(&mut self, idx: usize, now: Nanos, inject: &mut Vec<Job>) {
-        let classes = self.catalog.len();
-        let class = ((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % classes;
-        if self.pool.crash(class) {
-            self.metrics.faults.record(FaultKind::WarmCrash);
-            self.rec.fault(FaultKind::WarmCrash, None, None, now);
-            self.start_refill(class, now, inject);
-        }
-    }
-
-    /// Starts a background refill for `class` if it is below target and the
-    /// refill's PSP work is currently serviceable (no refills are launched
-    /// into a reset outage — the PSP physically accepts nothing).
-    fn start_refill(&mut self, class: usize, now: Nanos, inject: &mut Vec<Job>) {
-        if self.config.tier != ServingTier::WarmPool || !self.pool.wants_refill(class) {
-            return;
-        }
-        let refill: &'a Blueprint = &self.catalog.class(class).template_hit;
-        let psp = refill.psp_work() > Nanos::ZERO;
-        if psp && self.in_outage(now) {
-            return;
-        }
-        self.pool.refill_started(class);
-        inject.push(refill.to_job(now, self.cpu, self.psp));
-        let job = self.meta.len();
-        self.meta.push(JobKind::Replenish { class, psp });
-        if self.rec.on() {
-            self.rec
-                .background(job, &refill.label, None, refill.steps.clone(), now);
-        }
-        if psp {
-            self.psp_inflight.insert(job);
-        }
-    }
-
-    /// Routes a request (fresh arrival or retry): deadline first, then the
-    /// degradation ladder, then warm pool (warm tier), then admission.
+    /// Routes a request (fresh arrival or retry): the front end's screen,
+    /// then the one host.
     fn route(&mut self, request: usize, now: Nanos, inject: &mut Vec<Job>) {
-        let class = self.req_class[request];
-        if self.past_deadline(request, now) {
-            self.metrics.timeouts += 1;
-            self.rec.terminal(request, ReqOutcome::Timeout, now);
-            self.tenant_terminal(request, ReqOutcome::Timeout, now);
-            self.issue_next_closed(now, inject);
-            return;
-        }
-        // The policy choke point: one decision record per routing pass
-        // (fresh arrival or retry), ahead of warm-pool and admission so
-        // *every* dispatch flows through it. Quota is charged per attempt.
-        if let Some(PolicyDecision::Reject { .. }) = self.policy_evaluate(request, now) {
-            self.metrics.rejected += 1;
-            self.rec.terminal(request, ReqOutcome::Rejected, now);
-            self.tenant_terminal(request, ReqOutcome::Rejected, now);
-            self.issue_next_closed(now, inject);
-            return;
-        }
-        let level = self.degrade_level(class, now);
-        let Some(tier) = self.config.tier.degraded(level) else {
-            self.metrics.breaker_sheds += 1;
-            self.rec.terminal(request, ReqOutcome::BreakerShed, now);
-            self.tenant_terminal(request, ReqOutcome::BreakerShed, now);
-            self.issue_next_closed(now, inject);
-            return;
-        };
-        if tier == ServingTier::WarmPool && self.pool.try_take(class) {
-            // Warm hit: no launch, no admission — one vCPU kick. The freed
-            // slot is refilled in the background by a template launch.
-            let blueprint = self.catalog.class(class).warm_invoke.clone();
-            self.inject_launch(request, class, blueprint, None, tier, now, inject);
-            self.start_refill(class, now, inject);
-            return;
-        }
-        self.admit(request, class, now, inject);
-    }
-
-    /// Runs the policy engine for `request`, recording the decision as an
-    /// obs marker and counting degrades. `None` without a policy layer.
-    fn policy_evaluate(&mut self, request: usize, now: Nanos) -> Option<PolicyDecision> {
-        let ps = self.policy.as_mut()?;
-        let tenant = ps.req_tenant[request];
-        let decision = ps.engine.evaluate(tenant, now);
-        let marker = match decision {
-            PolicyDecision::Admit { .. } => MarkerKind::PolicyAdmit,
-            PolicyDecision::Degrade { .. } => {
-                ps.tenants[tenant].degraded += 1;
-                MarkerKind::PolicyDegrade
-            }
-            PolicyDecision::Reject { .. } => MarkerKind::PolicyReject,
-        };
-        self.rec.marker(marker, Some(request), None, now);
-        Some(decision)
-    }
-
-    /// Expected serialized PSP work of the launch `class` would replay at
-    /// `tier` right now (peeks at the cache without counting).
-    fn expected_psp(&self, class: usize, tier: ServingTier) -> Nanos {
-        let cb = self.catalog.class(class);
-        match tier {
-            ServingTier::Cold => cb.cold.psp_work(),
-            ServingTier::Template | ServingTier::WarmPool => {
-                if self.cache.contains(&cb.key) {
-                    cb.template_hit.psp_work()
-                } else {
-                    cb.template_fill.psp_work()
-                }
-            }
+        if self.front.screen(request, now, inject) {
+            self.host.assign(&mut self.front, request, now, inject);
         }
     }
 
-    /// Admission control: dispatch if a slot is free (and the PSP is not
-    /// quiesced), queue if there is room, shed otherwise.
-    fn admit(&mut self, request: usize, class: usize, now: Nanos, inject: &mut Vec<Job>) {
-        let level = self.degrade_level(class, now);
-        let tier = self.config.tier.degraded(level).unwrap_or(self.config.tier);
-        let expected_psp = self.expected_psp(class, tier);
-        let quiesced = expected_psp > Nanos::ZERO && self.quiesce_hold(now);
-        if !quiesced && self.inflight < self.config.admission.max_inflight {
-            self.dispatch(request, class, tier, now, inject);
-            return;
-        }
-        let key = self.catalog.class(class).key;
-        let pending = Pending {
-            request,
-            class,
-            expected_psp,
-            key,
-        };
-        if self.policy.as_ref().is_some_and(|p| p.wfq.is_some()) {
-            // WFQ: enqueue on the tenant's lane; overflow sheds by policy
-            // (batch before latency-sensitive, quota-violators first).
-            let offer = {
-                let ps = self.policy.as_mut().expect("checked above");
-                let tenant = ps.req_tenant[request];
-                let over = ps.engine.over_quota(tenant, now);
-                let wfq = ps.wfq.as_mut().expect("checked above");
-                wfq.set_over_quota(tenant, over);
-                wfq.offer(tenant, pending, expected_psp)
-            };
-            self.metrics.sample_queue_depth(now, self.queue_depth());
-            match offer {
-                Offer::Queued => self.rec.queued(request),
-                Offer::Displaced { item, .. } => {
-                    self.rec.queued(request);
-                    self.rec.terminal(item.request, ReqOutcome::Shed, now);
-                    self.tenant_terminal(item.request, ReqOutcome::Shed, now);
-                    self.issue_next_closed(now, inject);
-                }
-                Offer::Refused(item) => {
-                    self.rec.terminal(item.request, ReqOutcome::Shed, now);
-                    self.tenant_terminal(item.request, ReqOutcome::Shed, now);
-                    self.issue_next_closed(now, inject);
-                }
-            }
-            return;
-        }
-        let admitted = self.queue.offer(pending);
-        self.metrics.sample_queue_depth(now, self.queue.len());
-        if admitted {
-            self.rec.queued(request);
-        } else {
-            // Shed: fail fast. A closed-loop client still comes back.
-            self.rec.terminal(request, ReqOutcome::Shed, now);
-            self.tenant_terminal(request, ReqOutcome::Shed, now);
-            self.issue_next_closed(now, inject);
-        }
+    /// Fills the host's freed dispatch slots from its queue.
+    fn drain(&mut self, now: Nanos, inject: &mut Vec<Job>) {
+        let stray = self.host.drain_queue(&mut self.front, now, inject);
+        debug_assert!(stray.is_none(), "posture placement is off on one host");
     }
-
-    /// Current admission backlog (whichever queue is active).
-    fn queue_depth(&self) -> usize {
-        match self.policy.as_ref().and_then(|p| p.wfq.as_ref()) {
-            Some(wfq) => wfq.len(),
-            None => self.queue.len(),
-        }
-    }
-
-    /// Picks the launch blueprint for a dispatch at `tier` and injects it.
-    fn dispatch(
-        &mut self,
-        request: usize,
-        class: usize,
-        tier: ServingTier,
-        now: Nanos,
-        inject: &mut Vec<Job>,
-    ) {
-        if tier != self.config.tier {
-            self.metrics.degraded_dispatches += 1;
-        }
-        let cb = self.catalog.class(class);
-        let (blueprint, fill) = match tier {
-            ServingTier::Cold => (cb.cold.clone(), None),
-            ServingTier::Template | ServingTier::WarmPool => {
-                if self.cache.lookup_or_fill(cb.key, class) {
-                    (cb.template_hit.clone(), None)
-                } else {
-                    (cb.template_fill.clone(), Some(cb.key))
-                }
-            }
-        };
-        self.inject_launch(request, class, blueprint, fill, tier, now, inject);
-    }
-
-    /// Applies the fault plan to a launch and injects it. Verdicts are
-    /// drawn statelessly per launch token, so the fault-free path consumes
-    /// no randomness at all.
-    #[allow(clippy::too_many_arguments)]
-    fn inject_launch(
-        &mut self,
-        request: usize,
-        class: usize,
-        blueprint: Blueprint,
-        fill: Option<TemplateKey>,
-        tier: ServingTier,
-        now: Nanos,
-        inject: &mut Vec<Job>,
-    ) {
-        let _ = tier;
-        let mut fate = LaunchFate::Ok;
-        let mut blueprint = blueprint;
-        if let Some(plan) = self.plan() {
-            let token = self.launch_seq;
-            self.launch_seq += 1;
-            let (faulted, kind) = apply_launch_faults(blueprint, plan, token, now);
-            blueprint = faulted;
-            if let Some(kind) = kind {
-                fate = LaunchFate::Fault(kind);
-            }
-        }
-        // Every fault-free dispatch carries an attestation verdict: the
-        // verifier's latency (queue wait → cert fetch/hit → batch window →
-        // signature check) rides the launch as pure network delay, and a
-        // revoked chip turns the dispatch into an attestation failure.
-        if matches!(fate, LaunchFate::Ok) {
-            if let Some(plane) = self.plane.as_mut() {
-                let link = self.config.verifier_net.as_ref();
-                if let Some(link) = link {
-                    plane.set_reachable(link.up(now));
-                }
-                let v = plane
-                    .verify_launch(0, now)
-                    .expect("fleet plane always holds host 0");
-                // The round trip is paid only when the verifier was
-                // actually consulted; blackout verdicts are local.
-                if let Some(link) = link {
-                    if plane.is_reachable() && link.rtt > Nanos::ZERO {
-                        blueprint.steps.push(sevf_obs::WorkStep::new(
-                            ResourceClass::Network,
-                            PhaseKind::Attestation,
-                            STEP_RTT,
-                            link.rtt,
-                        ));
-                    }
-                }
-                blueprint.steps.extend(v.steps);
-                match v.verdict {
-                    Verdict::Ok => {}
-                    Verdict::Revoked => fate = LaunchFate::Fault(FaultKind::AttestError),
-                    Verdict::Unavailable => fate = LaunchFate::Fault(FaultKind::AttestTimeout),
-                }
-            }
-        }
-        self.inflight += 1;
-        let psp = blueprint.psp_work() > Nanos::ZERO;
-        inject.push(blueprint.to_job(now, self.cpu, self.psp));
-        let job = self.meta.len();
-        if self.rec.on() {
-            self.rec.attempt_start(
-                request,
-                job,
-                &blueprint.label,
-                None,
-                blueprint.steps.clone(),
-                now,
-            );
-        }
-        self.meta.push(JobKind::Launch {
-            request,
-            class,
-            fate,
-            fill,
-            psp,
-        });
-        if psp {
-            self.psp_inflight.insert(job);
-        }
-    }
-
-    /// A launch failed: retry with backoff if the budget and deadline
-    /// allow, else count the request permanently failed (or timed out).
-    fn handle_failure(&mut self, request: usize, now: Nanos, inject: &mut Vec<Job>) {
-        self.attempts[request] += 1;
-        let failures = self.attempts[request];
-        match self.config.recovery.retry.backoff(failures, request as u64) {
-            None => {
-                self.metrics.failed += 1;
-                self.rec.terminal(request, ReqOutcome::Failed, now);
-                self.tenant_terminal(request, ReqOutcome::Failed, now);
-                self.issue_next_closed(now, inject);
-            }
-            Some(delay) => {
-                let mut at = now + delay;
-                // No point retrying into a known outage: the resilient
-                // fleet re-releases at the instant the PSP is back.
-                if self.config.recovery.quiesce {
-                    if let Some(end) = self.plan().and_then(|p| p.in_outage(at)) {
-                        at = end;
-                    }
-                }
-                if self.past_deadline(request, at) {
-                    self.metrics.timeouts += 1;
-                    self.rec.terminal(request, ReqOutcome::Timeout, now);
-                    self.tenant_terminal(request, ReqOutcome::Timeout, now);
-                    self.issue_next_closed(now, inject);
-                    return;
-                }
-                self.metrics.record_retry(failures);
-                self.rec.retry_wait(request, failures, now, at);
-                inject.push(Job::released_at(at, vec![]));
-                self.meta.push(JobKind::Retry { request });
-            }
-        }
-    }
-
-    /// Fills freed dispatch slots from the queue per the scheduling policy.
-    /// Held entirely while the resilient fleet quiesces an outage.
-    fn drain_queue(&mut self, now: Nanos, inject: &mut Vec<Job>) {
-        if self.quiesce_hold(now) {
-            return;
-        }
-        while self.inflight < self.config.admission.max_inflight {
-            // WFQ pops the globally smallest virtual finish time; the
-            // plain bounded queue picks per the admission policy.
-            let next = match self.policy.as_mut().and_then(|p| p.wfq.as_mut()) {
-                Some(wfq) => wfq.pop().map(|(_, pending)| pending),
-                None => {
-                    let cache = &self.cache;
-                    self.queue
-                        .pick(self.config.admission.policy, |key| cache.contains(key))
-                }
-            };
-            let Some(next) = next else {
-                break;
-            };
-            self.metrics.sample_queue_depth(now, self.queue_depth());
-            if self.past_deadline(next.request, now) {
-                // Expired while waiting: a timeout shed, not a dispatch.
-                self.metrics.timeouts += 1;
-                self.rec.terminal(next.request, ReqOutcome::Timeout, now);
-                self.tenant_terminal(next.request, ReqOutcome::Timeout, now);
-                self.issue_next_closed(now, inject);
-                continue;
-            }
-            let level = self.degrade_level(next.class, now);
-            let Some(tier) = self.config.tier.degraded(level) else {
-                self.metrics.breaker_sheds += 1;
-                self.rec
-                    .terminal(next.request, ReqOutcome::BreakerShed, now);
-                self.tenant_terminal(next.request, ReqOutcome::BreakerShed, now);
-                self.issue_next_closed(now, inject);
-                continue;
-            };
-            self.dispatch(next.request, next.class, tier, now, inject);
-        }
-    }
-
-    /// Closed loops: a completion (or shed) sends the client into think
-    /// time, after which it issues the next request — until the budget runs
-    /// out.
-    fn issue_next_closed(&mut self, now: Nanos, inject: &mut Vec<Job>) {
-        let Arrival::Closed { think, .. } = self.config.arrival else {
-            return;
-        };
-        if self.issued >= self.config.requests {
-            return;
-        }
-        let at = now + think;
-        let request = self.new_request(at);
-        inject.push(Job::released_at(at, vec![]));
-        self.meta.push(JobKind::Arrival { request });
-    }
-}
-
-/// Applies `plan`'s per-launch fault model to a dispatch at `now`, returning
-/// the (possibly rewritten) blueprint and the fault that struck, if any.
-///
-/// This is the single fault-application path shared by [`FleetService`] and
-/// the multi-host cluster layered on it (`sevf-cluster`), so both inject
-/// byte-identical faulted work for the same `(plan, token, now)`:
-///
-/// * PSP-needing work dispatched inside a firmware-reset outage hangs on the
-///   network until the outage ends, then errors ([`FaultKind::PspReset`]) —
-///   no PSP occupancy, the firmware is rebooting.
-/// * Otherwise a stateless per-`token` draw may fail the launch transiently
-///   partway through its work ([`FaultKind::PspTransient`]).
-/// * Launches with an attestation round trip may hang until the client-side
-///   timeout or error immediately ([`FaultKind::AttestTimeout`] /
-///   [`FaultKind::AttestError`]).
-///
-/// Verdicts are stateless per token, so a fault-free plan consumes no
-/// randomness and leaves the blueprint untouched.
-pub fn apply_launch_faults(
-    blueprint: Blueprint,
-    plan: &FaultPlan,
-    token: u64,
-    now: Nanos,
-) -> (Blueprint, Option<FaultKind>) {
-    let psp_work = blueprint.psp_work();
-    if psp_work > Nanos::ZERO {
-        if let Some(end) = plan.in_outage(now) {
-            let dead = Blueprint {
-                label: format!("{} (dead psp)", blueprint.label),
-                steps: vec![sevf_obs::WorkStep::new(
-                    ResourceClass::Network,
-                    PhaseKind::PreEncryption,
-                    "hang on rebooting PSP mailbox",
-                    end.saturating_sub(now),
-                )],
-            };
-            return (dead, Some(FaultKind::PspReset));
-        }
-        if plan.psp_transient(token) {
-            let truncated = blueprint.truncate_frac(plan.transient_progress(token));
-            return (truncated, Some(FaultKind::PspTransient));
-        }
-    }
-    if blueprint.has_network() {
-        match plan.attest_fault(token) {
-            Some(AttestFault::Timeout) => {
-                let mut hung = blueprint;
-                hung.steps.push(sevf_obs::WorkStep::new(
-                    ResourceClass::Network,
-                    PhaseKind::Attestation,
-                    "attestation round trip times out",
-                    plan.config().attest_timeout,
-                ));
-                return (hung, Some(FaultKind::AttestTimeout));
-            }
-            Some(AttestFault::Error) => return (blueprint, Some(FaultKind::AttestError)),
-            None => {}
-        }
-    }
-    (blueprint, None)
 }
 
 #[cfg(test)]

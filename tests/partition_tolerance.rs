@@ -159,6 +159,10 @@ fn every_error_variant_displays_and_chains_to_its_root() {
             true,
         ),
         (FleetError::NoClasses, false),
+        (
+            FleetError::Config("closed loop needs at least one user"),
+            false,
+        ),
         (FleetError::FaultPlan("period must be positive"), false),
         (
             FleetError::Recovery("max_attempts must be at least 1"),

@@ -1,0 +1,187 @@
+//! Differential test of the one serving core under both services.
+//!
+//! `FleetService` and `ClusterService` are thin drivers over the same
+//! request front end and per-host machine (`sevf_fleet::front`,
+//! `sevf_fleet::host`). A 1-host cluster — round-robin placement, every
+//! optional layer off, the fleet's plan generated for fault domain 0 —
+//! must therefore replay the fleet exactly: every terminal counter, every
+//! fault, every cache and warm hit, the makespan, and the full latency
+//! multiset, on one seed, across {cold, template, warm} × {open, closed} ×
+//! {fault-free, transient+resilient, transient+naive, storm+resilient,
+//! storm+naive}.
+//!
+//! The one difference the drivers keep is the fleet's retry deferral: a
+//! resilient (quiescing) fleet holds the single plan every retry will land
+//! on, so it re-releases a retry that would fire inside a known PSP reset
+//! outage at the instant the outage ends. A cluster cannot know the landing
+//! host at retry time and never defers. Only the six storm+resilient cells
+//! (resets × quiesce) can see it; those assert conservation on both sides
+//! instead of equality.
+
+use sevf_cluster::prelude::*;
+use sevf_fleet::blueprint::{Catalog, ClassSpec};
+use sevf_fleet::recovery::RecoveryConfig;
+use sevf_fleet::service::{FleetConfig, FleetService};
+use sevf_fleet::workload::Arrival;
+use sevf_sim::fault::{FaultConfig, FaultPlan};
+use sevf_sim::Nanos;
+
+const SEED: u64 = 0xC0DE;
+const REQUESTS: usize = 320;
+const HORIZON: Nanos = Nanos::from_secs(12);
+
+/// The storm's per-launch faults without its firmware resets.
+fn transient() -> FaultConfig {
+    FaultConfig {
+        psp_reset_period: None,
+        ..FaultConfig::storm()
+    }
+}
+
+/// Everything the two reports must agree on.
+#[derive(Debug, PartialEq)]
+struct Digest {
+    completed: usize,
+    shed: u64,
+    breaker_sheds: u64,
+    timeouts: u64,
+    failed: u64,
+    rejected: u64,
+    retries: u64,
+    faults: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    warm_hits: u64,
+    makespan: Nanos,
+    sorted_latencies_ms: Vec<f64>,
+}
+
+fn sorted(mut ms: Vec<f64>) -> Vec<f64> {
+    ms.sort_by(f64::total_cmp);
+    ms
+}
+
+fn fleet_digest(
+    catalog: &Catalog,
+    tier: ServingTier,
+    arrival: Arrival,
+    fault: Option<&FaultConfig>,
+    recovery: RecoveryConfig,
+) -> Digest {
+    let config = FleetConfig {
+        arrival,
+        seed: SEED,
+        recovery,
+        fault: fault.map(|f| FaultPlan::generate_for_domain(SEED, 0, f.clone(), HORIZON).unwrap()),
+        ..FleetConfig::open_loop(tier, 0.0, REQUESTS)
+    };
+    let m = FleetService::new(catalog.clone(), config).run().metrics;
+    assert_eq!(m.completed + m.lost() as usize, REQUESTS, "fleet conserves");
+    Digest {
+        completed: m.completed,
+        shed: m.shed,
+        breaker_sheds: m.breaker_sheds,
+        timeouts: m.timeouts,
+        failed: m.failed,
+        rejected: m.rejected,
+        retries: m.retries,
+        faults: m.faults.total(),
+        cache_hits: m.cache_hits,
+        cache_misses: m.cache_misses,
+        warm_hits: m.warm_hits,
+        makespan: m.makespan,
+        sorted_latencies_ms: sorted(m.latencies.iter().map(|l| l.as_millis_f64()).collect()),
+    }
+}
+
+fn cluster_digest(
+    catalog: &Catalog,
+    tier: ServingTier,
+    arrival: Arrival,
+    fault: Option<&FaultConfig>,
+    recovery: RecoveryConfig,
+) -> Digest {
+    let config = ClusterConfig {
+        arrival,
+        seed: SEED,
+        recovery,
+        placement: PlacementPolicy::RoundRobin,
+        fault: fault.cloned(),
+        fault_horizon: HORIZON,
+        ..ClusterConfig::open_loop(1, tier, 0.0, REQUESTS)
+    };
+    let m = ClusterService::new(catalog.clone(), config)
+        .unwrap()
+        .run()
+        .metrics;
+    assert!(m.conserved(), "cluster conserves");
+    assert_eq!(m.issued, REQUESTS);
+    Digest {
+        completed: m.completed,
+        shed: m.shed,
+        breaker_sheds: m.breaker_sheds,
+        timeouts: m.timeouts,
+        failed: m.failed,
+        rejected: m.rejected,
+        retries: m.retries,
+        faults: m.faults,
+        cache_hits: m.hosts[0].cache_hits,
+        cache_misses: m.hosts[0].cache_misses,
+        warm_hits: m.hosts[0].warm_hits,
+        makespan: m.makespan,
+        sorted_latencies_ms: sorted(m.latencies_ms),
+    }
+}
+
+#[test]
+fn one_host_cluster_replays_the_fleet_on_the_whole_grid() {
+    let catalog = Catalog::build(17, &ClassSpec::quick_test_classes()).unwrap();
+    let arrivals = [
+        ("open", Arrival::Open { rate_per_sec: 60.0 }),
+        (
+            "closed",
+            Arrival::Closed {
+                users: 24,
+                think: Nanos::from_millis(40),
+            },
+        ),
+    ];
+    let resilient = RecoveryConfig::resilient(SEED);
+    let naive = RecoveryConfig::none();
+    let arms = [
+        ("fault-free", None, resilient),
+        ("transient+resilient", Some(transient()), resilient),
+        ("transient+naive", Some(transient()), naive),
+        ("storm+resilient", Some(FaultConfig::storm()), resilient),
+        ("storm+naive", Some(FaultConfig::storm()), naive),
+    ];
+    let mut exact = 0;
+    let mut faulted = 0;
+    for tier in [
+        ServingTier::Cold,
+        ServingTier::Template,
+        ServingTier::WarmPool,
+    ] {
+        for (loop_name, arrival) in arrivals {
+            for (arm, fault, recovery) in &arms {
+                let fleet = fleet_digest(&catalog, tier, arrival, fault.as_ref(), *recovery);
+                let cluster = cluster_digest(&catalog, tier, arrival, fault.as_ref(), *recovery);
+                faulted += fleet.faults.min(1);
+                let resets = fault.as_ref().is_some_and(|f| f.psp_reset_period.is_some());
+                if resets && recovery.quiesce {
+                    // The retry deferral (module docs) may move retries
+                    // here; both sides conserve, asserted in the digests.
+                    continue;
+                }
+                assert_eq!(fleet, cluster, "{} / {loop_name} / {arm}", tier.name());
+                exact += 1;
+            }
+        }
+    }
+    assert_eq!(exact, 24);
+    // The faulty arms really exercised the failure paths being compared.
+    assert!(
+        faulted >= 20,
+        "only {faulted} of 24 faulty cells saw a fault"
+    );
+}
