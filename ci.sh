@@ -84,17 +84,32 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-for ex in fleet_chaos cluster_scaling trace_explorer attestation_storm \
-          partition_drill perf_sweep tenant_qos autoscale_drill; do
-  replay_gate "$ex"
+# Every replay-gated example, once: `example` or `example:BENCH_file`.
+# All are replayed and golden-diffed; the ones naming a file also record a
+# `--bench --quick` snapshot there.
+gated="fleet_chaos:BENCH_chaos.json cluster_scaling:BENCH_cluster.json
+       trace_explorer attestation_storm:BENCH_attplane.json
+       partition_drill:BENCH_net.json perf_sweep
+       tenant_qos:BENCH_policy.json autoscale_drill:BENCH_autoscale.json"
+for entry in $gated; do
+  replay_gate "${entry%%:*}"
 done
 
-bench_snapshot partition_drill   BENCH_net.json      --quick
-bench_snapshot attestation_storm BENCH_attplane.json --quick
-bench_snapshot fleet_chaos       BENCH_chaos.json    --quick
-bench_snapshot cluster_scaling   BENCH_cluster.json  --quick
-bench_snapshot tenant_qos        BENCH_policy.json   --quick
-bench_snapshot autoscale_drill   BENCH_autoscale.json --quick
+# The shared front end rejects what it does not know: a typo must not fall
+# through to the paper-scale sweep.
+echo "==> flag typo: fleet_chaos --qiuck must exit 2"
+code=0
+cargo run --release --quiet --example fleet_chaos -- --qiuck > /dev/null 2>&1 || code=$?
+if [[ $code != 2 ]]; then
+  echo "fleet_chaos --qiuck exited $code, expected 2"
+  exit 1
+fi
+
+for entry in $gated; do
+  if [[ "$entry" == *:* ]]; then
+    bench_snapshot "${entry%%:*}" "${entry#*:}" --quick
+  fi
+done
 # Full scale on purpose: the perf gate needs the 12M-job workload where
 # the calendar/heap gap is meaningful; quick scale fits in cache and
 # under-reports it.
@@ -133,12 +148,17 @@ fi
 echo "==> benchmark crate: cargo test --release --locked --offline"
 (cd benchmark && cargo test --release --locked --offline -q)
 
-# The serving-core size budget (ISSUE 12): non-test, non-comment lines
-# under the two serving crates.
+# The size budgets (ISSUEs 12 and 13): non-blank, non-comment lines before
+# `#[cfg(test)]`.
+code_lines() {
+  for f in "$@"; do
+    awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*(\/\/|$)/' "$f"
+  done | wc -l
+}
 echo "==> serving-core code lines (crates/fleet/src + crates/cluster/src)"
-for f in $(find crates/fleet/src crates/cluster/src -name '*.rs'); do
-  awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*(\/\/|$)/' "$f"
-done | wc -l
+code_lines $(find crates/fleet/src crates/cluster/src -name '*.rs')
+echo "==> harness code lines (examples/*.rs + crates/bench/src)"
+code_lines examples/*.rs $(find crates/bench/src -name '*.rs')
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

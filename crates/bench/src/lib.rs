@@ -4,16 +4,21 @@
 //! the benches under `benches/` time the experiment drivers and the
 //! from-scratch primitives. This library holds the bits both share: text-
 //! table rendering, a dependency-free JSON emitter whose output
-//! EXPERIMENTS.md is built from, and a small wall-clock timing harness.
+//! EXPERIMENTS.md is built from, a small wall-clock timing harness, and —
+//! in [`document`] and [`experiment`] — the one description of every
+//! serving experiment that the examples and `figures` both render from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod document;
+pub mod experiment;
 pub mod perf;
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
+
+use sevf_obs::json_escape;
 
 /// Renders a fixed-width text table.
 ///
@@ -56,12 +61,14 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// A minimal JSON value for figure dumps.
+/// A minimal JSON value for figure dumps and experiment documents.
 ///
-/// The figure data is plain numbers/strings in arrays of objects; a full
+/// The data is plain numbers/strings in arrays of objects; a full
 /// serialization framework buys nothing here and the repository builds
-/// offline, so this emitter is hand-rolled. Object keys are kept in a
-/// `BTreeMap` so output is deterministic.
+/// offline, so this emitter is hand-rolled. Objects keep insertion order:
+/// [`Json::to_inline`] prints it (the `--json` replay documents), while
+/// [`Json::to_pretty`] sorts keys (the `data/*.json` and `BENCH_*.json`
+/// files), so both outputs are deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -74,8 +81,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object with deterministic key order.
-    Obj(BTreeMap<String, Json>),
+    /// An object, in insertion order.
+    Obj(Vec<(String, Json)>),
 }
 
 impl Json {
@@ -84,7 +91,26 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Serializes with two-space indentation (stable across runs).
+    /// Serializes on one line, objects in insertion order, numbers at full
+    /// precision (`30.0` prints as `30`).
+    pub fn to_inline(&self) -> String {
+        let list = |items: Vec<String>| items.join(", ");
+        match self {
+            Json::Null => "null".into(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(n) => n.to_string(),
+            Json::Str(s) => format!("\"{}\"", json_escape(s)),
+            Json::Arr(items) => format!("[{}]", list(items.iter().map(Json::to_inline).collect())),
+            Json::Obj(pairs) => {
+                let cell =
+                    |(k, v): &(String, Json)| format!("\"{}\": {}", json_escape(k), v.to_inline());
+                format!("{{{}}}", list(pairs.iter().map(cell).collect()))
+            }
+        }
+    }
+
+    /// Serializes with two-space indentation and sorted object keys
+    /// (stable across runs).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -106,7 +132,9 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => write_json_string(out, s),
+            Json::Str(s) => {
+                let _ = write!(out, "\"{}\"", json_escape(s));
+            }
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -124,16 +152,17 @@ impl Json {
                 out.push_str(&pad);
                 out.push(']');
             }
-            Json::Obj(map) => {
-                if map.is_empty() {
+            Json::Obj(pairs) => {
+                if pairs.is_empty() {
                     out.push_str("{}");
                     return;
                 }
+                let mut map: Vec<&(String, Json)> = pairs.iter().collect();
+                map.sort_by(|a, b| a.0.cmp(&b.0));
                 out.push_str("{\n");
                 for (i, (k, v)) in map.iter().enumerate() {
                     out.push_str(&pad_in);
-                    write_json_string(out, k);
-                    out.push_str(": ");
+                    let _ = write!(out, "\"{}\": ", json_escape(k));
                     v.write(out, indent + 1);
                     if i + 1 < map.len() {
                         out.push(',');
@@ -147,22 +176,10 @@ impl Json {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
     }
-    out.push('"');
 }
 
 impl From<f64> for Json {
@@ -302,28 +319,29 @@ impl BenchSnapshot {
 
     /// The snapshot as a [`Json`] object (deterministic key order).
     pub fn to_json(&self) -> Json {
-        let counts: BTreeMap<String, Json> = self
-            .counts
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::from(*v)))
-            .collect();
-        let rates: BTreeMap<String, Json> = self
-            .rates
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::from(*v)))
-            .collect();
+        let counts = self.counts.iter().map(|(k, v)| (k.clone(), Json::from(*v)));
+        let rates = self.rates.iter().map(|(k, v)| (k.clone(), Json::from(*v)));
         Json::obj([
             ("bench", Json::Str(self.bench.clone())),
             ("seed", Json::from(self.seed)),
-            ("counts", Json::Obj(counts)),
+            ("counts", Json::Obj(counts.collect())),
             ("wall_secs", Json::from(self.wall_secs)),
-            ("rates", Json::Obj(rates)),
+            ("rates", Json::Obj(rates.collect())),
         ])
     }
 
     /// Pretty-printed JSON, ready to write to a `BENCH_*.json` file.
     pub fn render(&self) -> String {
         self.to_json().to_pretty()
+    }
+}
+
+/// The `--quick` or the paper-scale value of a config.
+pub fn pick<T>(quick: bool, small: fn() -> T, paper: fn() -> T) -> T {
+    if quick {
+        small()
+    } else {
+        paper()
     }
 }
 
@@ -418,7 +436,7 @@ mod tests {
             .wall(1.25)
             .rate("events_per_sec", 280.0);
         let text = snap.render();
-        // Top-level keys in BTreeMap order; nested maps deterministic too.
+        // Top-level keys print sorted; nested maps deterministic too.
         let bench_pos = text.find("\"bench\"").unwrap();
         let counts_pos = text.find("\"counts\"").unwrap();
         let rates_pos = text.find("\"rates\"").unwrap();

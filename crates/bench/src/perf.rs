@@ -20,6 +20,8 @@
 
 use std::time::Instant;
 
+use crate::document::Document;
+use crate::{pick, render_table};
 use sevf_psp::{
     paged_measure, IncrementalChain, MeasurementChain, PageDigestCache, PageRef, PageType,
 };
@@ -369,7 +371,88 @@ pub fn run_sweep(cfg: PerfConfig) -> PerfSweep {
     }
 }
 
+/// Runs the `--quick` or the full sweep and checks that every path agreed.
+///
+/// # Panics
+///
+/// Panics if the two engines or the measurement paths diverged.
+pub fn run_checked(quick: bool) -> PerfSweep {
+    let sweep = run_sweep(pick(quick, PerfConfig::quick, PerfConfig::full));
+    assert!(
+        sweep.des.engines_agree,
+        "calendar and heap engines diverged on the same workload"
+    );
+    assert!(
+        sweep.hash.incremental_matches_full,
+        "incremental measurement diverged from the full re-hash"
+    );
+    sweep
+}
+
 impl PerfSweep {
+    /// The deterministic facts only — no wall-clock — so the replay gate
+    /// can byte-diff two runs.
+    pub fn document(&self) -> Document {
+        let (d, h) = (&self.des, &self.hash);
+        Document {
+            head: vec![
+                ("des_jobs", d.jobs.into()),
+                ("des_events", d.events.into()),
+                (
+                    "outcome_checksum",
+                    format!("{:#018x}", d.outcome_checksum).into(),
+                ),
+                ("engines_agree", d.engines_agree.into()),
+                ("pages", h.pages.into()),
+                ("dirty_pages", h.dirty.into()),
+                ("full_digest", h.full_digest_hex.clone().into()),
+                (
+                    "incremental_matches_full",
+                    h.incremental_matches_full.into(),
+                ),
+                ("paged_cache_hits", h.paged_cache_hits.into()),
+            ],
+            seed: self.cfg.seed,
+            ..Document::default()
+        }
+    }
+
+    /// The wall-clock tables: both engines, then the three measurement paths.
+    pub fn text(&self) -> String {
+        let (d, h) = (&self.des, &self.hash);
+        let engines = [
+            ("heap (reference)", d.us_per_request_heap(), d.heap_secs),
+            ("calendar", d.us_per_request(), d.calendar_secs),
+        ]
+        .map(|(engine, us, secs)| {
+            vec![
+                engine.to_string(),
+                format!("{us:.3}"),
+                format!("{:.0}", d.events as f64 / secs),
+                format!("{:.2}x", d.heap_secs / secs),
+            ]
+        });
+        let paths = [
+            ("full chain".to_string(), h.full_mb_per_sec()),
+            (
+                format!("incremental ({} of {} pages dirty)", h.dirty, h.pages),
+                h.incremental_mb_per_sec(),
+            ),
+            (
+                format!("paged, warm cache ({} hits)", h.paged_cache_hits),
+                h.paged_warm_mb_per_sec(),
+            ),
+        ]
+        .map(|(path, mb_s)| vec![path, format!("{mb_s:.1}")]);
+        format!(
+            "DES: {} jobs / {} events, identical outcomes from both engines\n{}\n{}",
+            d.jobs,
+            d.events,
+            render_table(&["engine", "us/request", "events/s", "speedup"], &engines),
+            render_table(&["measurement path", "effective MB/s"], &paths)
+        )
+    }
+
     /// The unified wall-clock snapshot (`BENCH_perf.json`).
     pub fn snapshot(&self) -> crate::BenchSnapshot {
         crate::BenchSnapshot::new("perf", self.cfg.seed)

@@ -22,7 +22,7 @@
 //! it. Identical configs produce byte-identical reports.
 
 use sevf_fleet::admission::AdmissionConfig;
-use sevf_fleet::blueprint::{Catalog, ClassSpec};
+use sevf_fleet::blueprint::{Catalog, ClassSpec, MB};
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::service::ServingTier;
 use sevf_fleet::workload::RequestMix;
@@ -31,8 +31,6 @@ use sevf_sim::Nanos;
 use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, HostOutage};
 use crate::ClusterError;
-
-const MB: u64 = 1024 * 1024;
 
 /// Knobs of one cluster sweep.
 #[derive(Debug, Clone)]
@@ -72,13 +70,7 @@ impl ClusterSweepConfig {
         ClusterSweepConfig {
             seed: 0x5EF0,
             classes: ClassSpec::paper_classes(16, 256 * MB),
-            mix: Some(RequestMix::weighted(vec![
-                (0, 5),
-                (1, 3),
-                (2, 1),
-                (3, 1),
-                (4, 2),
-            ])),
+            mix: Some(RequestMix::paper_mix()),
             host_counts: vec![1, 2, 4, 8],
             // Above the ~39 req/s cold PSP ceiling: cold serving saturates
             // and pins there per host, template/warm track the offered rate.
@@ -99,18 +91,14 @@ impl ClusterSweepConfig {
         ClusterSweepConfig {
             seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
-            mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+            mix: Some(RequestMix::quick_test_mix()),
             host_counts: vec![1, 2, 4],
             per_host_rps: 60.0,
             requests_per_host: 100,
             placement_hosts: 3,
             placement_rps: 150.0,
             placement_requests: 300,
-            admission: AdmissionConfig {
-                queue_bound: 128,
-                max_inflight: 96,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig::quick_test(),
             warm_target: 16,
             vnodes: 32,
             recovery: RecoveryConfig::resilient(0x5EF0),

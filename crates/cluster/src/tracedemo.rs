@@ -131,7 +131,7 @@ fn slowest_completed(log: &TraceLog) -> Option<usize> {
 pub fn scenarios(quick: bool) -> Result<TraceScenarios, ClusterError> {
     let catalog = Catalog::build(41, &ClassSpec::quick_test_classes())?;
     let (requests, rps) = sizes(quick);
-    let mix = RequestMix::weighted(vec![(0, 3), (1, 1)]);
+    let mix = RequestMix::quick_test_mix();
 
     // Scenario 1: cold tier on one host. The PSP serializes whole launches,
     // so the slowest completion carries a visible queue-wait share.

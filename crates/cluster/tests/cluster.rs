@@ -14,7 +14,7 @@ fn catalog() -> Catalog {
 
 fn base(hosts: usize, tier: ServingTier) -> ClusterConfig {
     ClusterConfig {
-        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        mix: Some(RequestMix::quick_test_mix()),
         ..ClusterConfig::open_loop(hosts, tier, 120.0, 240)
     }
 }

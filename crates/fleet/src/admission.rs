@@ -68,6 +68,20 @@ impl Default for AdmissionConfig {
     }
 }
 
+impl AdmissionConfig {
+    /// The `--quick` sweeps' knobs. Generous inflight: dispatch is
+    /// completion-gated, so a small slot count would throttle the PSP's
+    /// feed below its own service rate (a convoy effect) and hide the
+    /// ceiling being measured.
+    pub fn quick_test() -> Self {
+        AdmissionConfig {
+            queue_bound: 128,
+            max_inflight: 96,
+            ..AdmissionConfig::default()
+        }
+    }
+}
+
 /// One admitted-but-waiting request.
 #[derive(Debug, Clone, Copy)]
 pub struct Pending {

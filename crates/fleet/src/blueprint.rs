@@ -32,7 +32,8 @@ use sevf_vmm::{BootPolicy, BootReport, Machine, MicroVm, VmConfig};
 
 use crate::FleetError;
 
-const MB: u64 = 1024 * 1024;
+/// One mebibyte: the unit guest-memory sizes are spelled in.
+pub const MB: u64 = 1024 * 1024;
 
 /// The virtual-time shape of one launch, replayable as a DES job.
 ///

@@ -19,13 +19,11 @@ use sevf_sim::fault::{FaultConfig, FaultPlan};
 use sevf_sim::Nanos;
 
 use crate::admission::AdmissionConfig;
-use crate::blueprint::ClassSpec;
+use crate::blueprint::{ClassSpec, MB};
 use crate::recovery::RecoveryConfig;
 use crate::service::{FleetConfig, FleetService, ServingTier};
 use crate::workload::{Arrival, RequestMix};
 use crate::FleetError;
-
-const MB: u64 = 1024 * 1024;
 
 /// How a sweep arm reacts to the storm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,13 +84,7 @@ impl ChaosConfig {
         ChaosConfig {
             seed: 0x5EF0,
             classes: ClassSpec::paper_classes(16, 256 * MB),
-            mix: Some(RequestMix::weighted(vec![
-                (0, 5),
-                (1, 3),
-                (2, 1),
-                (3, 1),
-                (4, 2),
-            ])),
+            mix: Some(RequestMix::paper_mix()),
             tier: ServingTier::Template,
             requests: 300,
             loads_rps: vec![10.0, 25.0, 40.0, 60.0],
@@ -109,15 +101,11 @@ impl ChaosConfig {
         ChaosConfig {
             seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
-            mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+            mix: Some(RequestMix::quick_test_mix()),
             tier: ServingTier::Template,
             requests: 400,
             loads_rps: vec![30.0, 120.0],
-            admission: AdmissionConfig {
-                queue_bound: 128,
-                max_inflight: 96,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig::quick_test(),
             warm_target: 64,
             fault: FaultConfig::storm(),
             recovery: RecoveryConfig::resilient(0x5EF0),

@@ -12,12 +12,10 @@
 use sevf_sim::Nanos;
 
 use crate::admission::AdmissionConfig;
-use crate::blueprint::{Catalog, ClassSpec};
+use crate::blueprint::{Catalog, ClassSpec, MB};
 use crate::service::{FleetConfig, FleetService, ServingTier};
 use crate::workload::RequestMix;
 use crate::FleetError;
-
-const MB: u64 = 1024 * 1024;
 
 /// Knobs of one serving sweep.
 #[derive(Debug, Clone)]
@@ -49,13 +47,7 @@ impl SweepConfig {
             classes: ClassSpec::paper_classes(16, 256 * MB),
             // SNP-heavy, as the paper's evaluation is: the two SNP classes
             // carry most of the traffic (and nearly all the PSP work).
-            mix: Some(RequestMix::weighted(vec![
-                (0, 5), // aws-snp
-                (1, 3), // lupine-snp
-                (2, 1), // ubuntu-es
-                (3, 1), // aws-sev
-                (4, 2), // stock
-            ])),
+            mix: Some(RequestMix::paper_mix()),
             requests: 300,
             loads_rps: vec![2.0, 10.0, 25.0, 40.0, 60.0, 90.0],
             admission: AdmissionConfig::default(),
@@ -74,17 +66,10 @@ impl SweepConfig {
         SweepConfig {
             seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
-            mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+            mix: Some(RequestMix::quick_test_mix()),
             requests: 600,
             loads_rps: vec![20.0, 140.0],
-            // Generous inflight: dispatch is completion-gated, so a small
-            // slot count would throttle the PSP's feed below its own service
-            // rate (a convoy effect) and hide the ceiling being measured.
-            admission: AdmissionConfig {
-                queue_bound: 128,
-                max_inflight: 96,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig::quick_test(),
             warm_target: 64,
         }
     }

@@ -109,6 +109,26 @@ impl RequestMix {
         }
     }
 
+    /// The SNP-heavy mix every paper-scale sweep serves over
+    /// [`ClassSpec::paper_classes`](crate::blueprint::ClassSpec::paper_classes),
+    /// as the paper's evaluation is: the two SNP classes carry most of the
+    /// traffic (and nearly all the PSP work).
+    pub fn paper_mix() -> Self {
+        Self::weighted(vec![
+            (0, 5), // aws-snp
+            (1, 3), // lupine-snp
+            (2, 1), // ubuntu-es
+            (3, 1), // aws-sev
+            (4, 2), // stock
+        ])
+    }
+
+    /// The 3:1 SNP-to-stock mix every `--quick` sweep serves over
+    /// [`ClassSpec::quick_test_classes`](crate::blueprint::ClassSpec::quick_test_classes).
+    pub fn quick_test_mix() -> Self {
+        Self::weighted(vec![(0, 3), (1, 1)])
+    }
+
     /// The `(class, weight)` entries of the mix.
     pub fn entries(&self) -> &[(usize, u64)] {
         &self.entries

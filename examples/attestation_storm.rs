@@ -28,160 +28,47 @@
 //! them). `--bench` instead prints wall-clock throughput JSON, which is
 //! machine-dependent and deliberately excluded from the replay gate.
 
-use sevf_bench::BenchSnapshot;
-use sevf_cluster::attsweep::{att_sweep, AttSweepConfig, AttSweepReport};
+use sevf_bench::experiment::run_example;
+use sevf_bench::pick;
+use sevf_cluster::attsweep::AttSweepConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        AttSweepConfig::quick()
-    } else {
-        AttSweepConfig::paper_attestation()
-    };
+    run_example("attestation_storm", intro, TAKEAWAY);
+}
 
-    if bench {
-        let started = std::time::Instant::now();
-        let report = att_sweep(&cfg).expect("attestation sweep");
-        let elapsed = started.elapsed().as_secs_f64();
-        let requests: usize = report.rows.iter().map(|r| r.completed).sum();
-        let verifications: u64 = report.rows.iter().map(|r| r.verifications).sum();
-        let snap = BenchSnapshot::new("attplane", cfg.seed)
-            .count("hosts", cfg.hosts as u64)
-            .count("requests_completed", requests as u64)
-            .count("verifications", verifications)
-            .wall(elapsed)
-            .rate(
-                "wall_us_per_request",
-                1e6 * elapsed / requests.max(1) as f64,
-            )
-            .rate(
-                "verifications_per_sec",
-                verifications as f64 / elapsed.max(1e-9),
-            );
-        println!("{}", snap.render());
-        return;
-    }
-
-    let report = att_sweep(&cfg).expect("attestation sweep");
-    for row in &report.rows {
-        assert!(
-            row.conserved,
-            "conservation broke in {}/{}",
-            row.arm, row.mode
-        );
-    }
-
-    if json {
-        println!("{}", render_json(&report));
-        return;
-    }
-
+fn intro(quick: bool) {
+    let cfg = pick(
+        quick,
+        AttSweepConfig::quick,
+        AttSweepConfig::paper_attestation,
+    );
+    let v = &cfg.verifier;
     println!("verifying a cluster's launch stream through one attestation plane\n");
     println!(
         "verifier model (seed {:#x}): cert fetch {:.1} ms, batch setup {:.1} ms,",
         cfg.seed,
-        cfg.verifier.cert_fetch.as_millis_f64(),
-        cfg.verifier.batch_setup.as_millis_f64()
+        v.cert_fetch.as_millis_f64(),
+        v.batch_setup.as_millis_f64()
     );
     println!(
         "signature check {:.1} ms, batch window {:.1} ms, cache TTL {:.0} s — so the",
-        cfg.verifier.sig_check.as_millis_f64(),
-        cfg.verifier.batch_window.as_millis_f64(),
-        cfg.verifier.cache_ttl.as_millis_f64() / 1000.0
+        v.sig_check.as_millis_f64(),
+        v.batch_window.as_millis_f64(),
+        v.cache_ttl.as_millis_f64() / 1000.0
     );
-    let naive_ms = (cfg.verifier.cert_fetch + cfg.verifier.batch_setup + cfg.verifier.sig_check)
-        .as_millis_f64();
+    let naive_ms = (v.cert_fetch + v.batch_setup + v.sig_check).as_millis_f64();
     println!(
-        "naive verifier ceiling is ≈{:.0} req/s cluster-wide.\n",
+        "naive verifier ceiling is ≈{:.0} req/s cluster-wide.",
         1000.0 / naive_ms
     );
-    println!(
-        "{:<7} {:<15} {:>6} {:>5} {:>5} {:>8} {:>8} {:>5} {:>6} {:>9} {:>9} {:>9}",
-        "arm",
-        "mode",
-        "req/s",
-        "done",
-        "lost",
-        "failover",
-        "verify",
-        "hit",
-        "joins",
-        "q-wait",
-        "p50(ms)",
-        "p99(ms)"
-    );
-    let mut last_arm = "";
-    for row in &report.rows {
-        if !last_arm.is_empty() && last_arm != row.arm {
-            println!();
-        }
-        last_arm = row.arm;
-        println!(
-            "{:<7} {:<15} {:>6.0} {:>5} {:>5} {:>8} {:>8} {:>4.0}% {:>6} {:>9.2} {:>9.1} {:>9.1}",
-            row.arm,
-            row.mode,
-            row.offered_rps,
-            row.completed,
-            row.shed + row.timeouts + row.failed,
-            row.failovers,
-            row.verifications,
-            row.hit_rate * 100.0,
-            row.batch_joins,
-            row.queue_wait_ms,
-            row.p50_ms,
-            row.p99_ms
-        );
-    }
-
-    println!();
-    println!("takeaway: per-launch verification is a second shared bottleneck next");
-    println!("to the PSP — naive checks re-pay the KDS round trip every launch and");
-    println!("queue without bound past their ceiling, while the VCEK cache removes");
-    println!("the fetch from the steady state and batching amortizes the setup, so");
-    println!("the cached+batched plane tracks the offered load. The TCB rollout");
-    println!("re-keys every cache at once and the plane re-fetches exactly once per");
-    println!("host; when a chip key is revoked its templates die with it and the");
-    println!("survivors re-attest every re-launched guest, conservation intact.");
 }
 
-/// Hand-rolled JSON (the root package deliberately has no serialization
-/// dependency). Field order is fixed and floats print with full precision,
-/// so equal reports render byte-identically.
-fn render_json(report: &AttSweepReport) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"mode\": \"{}\", \"offered_rps\": {}, \
-             \"completed\": {}, \"shed\": {}, \"timeouts\": {}, \"failed\": {}, \
-             \"failovers\": {}, \"retries\": {}, \"verifications\": {}, \
-             \"cert_fetches\": {}, \"cert_hits\": {}, \"hit_rate\": {}, \
-             \"batch_joins\": {}, \"revoked\": {}, \"queue_wait_ms\": {}, \
-             \"p50_ms\": {}, \"p99_ms\": {}, \"conserved\": {}}}{}\n",
-            r.arm,
-            r.mode,
-            r.offered_rps,
-            r.completed,
-            r.shed,
-            r.timeouts,
-            r.failed,
-            r.failovers,
-            r.retries,
-            r.verifications,
-            r.cert_fetches,
-            r.cert_hits,
-            r.hit_rate,
-            r.batch_joins,
-            r.revoked,
-            r.queue_wait_ms,
-            r.p50_ms,
-            r.p99_ms,
-            r.conserved,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
-}
+const TAKEAWAY: &str = "\
+takeaway: per-launch verification is a second shared bottleneck next
+to the PSP — naive checks re-pay the KDS round trip every launch and
+queue without bound past their ceiling, while the VCEK cache removes
+the fetch from the steady state and batching amortizes the setup, so
+the cached+batched plane tracks the offered load. The TCB rollout
+re-keys every cache at once and the plane re-fetches exactly once per
+host; when a chip key is revoked its templates die with it and the
+survivors re-attest every re-launched guest, conservation intact.";

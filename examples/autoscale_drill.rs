@@ -23,54 +23,20 @@
 //! them). `--bench` instead prints wall-clock throughput JSON, which is
 //! machine-dependent and deliberately excluded from the replay gate.
 
-use sevf_bench::BenchSnapshot;
-use sevf_cluster::scalesweep::{scale_sweep, ScaleSweepConfig, ScaleSweepReport};
+use sevf_bench::experiment::run_example;
+use sevf_bench::pick;
+use sevf_cluster::scalesweep::ScaleSweepConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        ScaleSweepConfig::quick()
-    } else {
-        ScaleSweepConfig::paper_scale()
-    };
+    run_example("autoscale_drill", intro, TAKEAWAY);
+}
 
-    if bench {
-        let started = std::time::Instant::now();
-        let report = scale_sweep(&cfg).expect("autoscale sweep");
-        let elapsed = started.elapsed().as_secs_f64();
-        let completed: usize = report.rows.iter().map(|r| r.completed).sum();
-        let ticks: u64 = report.rows.iter().map(|r| r.ticks).sum();
-        let snap = BenchSnapshot::new("autoscale", cfg.seed)
-            .count("arms", report.rows.len() as u64)
-            .count("requests_completed", completed as u64)
-            .count("control_ticks", ticks)
-            .wall(elapsed)
-            .rate(
-                "wall_us_per_request",
-                1e6 * elapsed / completed.max(1) as f64,
-            )
-            .rate("requests_per_sec", completed as f64 / elapsed.max(1e-9));
-        println!("{}", snap.render());
-        return;
-    }
-
-    let report = scale_sweep(&cfg).expect("autoscale sweep");
-    for r in &report.rows {
-        assert!(
-            r.conserved,
-            "cluster conservation broke in the {} arm",
-            r.arm
-        );
-    }
-
-    if json {
-        println!("{}", render_json(&report));
-        return;
-    }
-
+fn intro(quick: bool) {
+    let cfg = pick(
+        quick,
+        ScaleSweepConfig::quick,
+        ScaleSweepConfig::paper_scale,
+    );
     println!("one flash crowd, three provisioning arms\n");
     println!(
         "workload (seed {:#x}): base {:.0} req/s, crowd to {:.0} req/s at",
@@ -83,82 +49,14 @@ fn main() {
         cfg.crowd.decay.as_millis_f64()
     );
     println!(
-        "{}..{} hosts against a {:.0} ms p99 target, static pins {}.\n",
+        "{}..{} hosts against a {:.0} ms p99 target, static pins {}.",
         cfg.min_hosts, cfg.max_hosts, cfg.slo_ms, cfg.max_hosts
     );
-    println!(
-        "{:<12} {:>6} {:>6} {:>5} {:>8} {:>9} {:>8} {:>7} {:>6} {:>5} {:>5}",
-        "arm",
-        "issued",
-        "done",
-        "lost",
-        "p50(ms)",
-        "p99(ms)",
-        "host-s",
-        "out/in",
-        "warm",
-        "live",
-        "slo"
-    );
-    for r in &report.rows {
-        println!(
-            "{:<12} {:>6} {:>6} {:>5} {:>8.2} {:>9.2} {:>8.1} {:>7} {:>6} {:>5} {:>5}",
-            r.arm,
-            r.issued,
-            r.completed,
-            r.lost,
-            r.p50_ms,
-            r.p99_ms,
-            r.host_seconds,
-            format!("{}/{}", r.scale_outs, r.scale_ins),
-            r.prewarms,
-            format!("{}-{}", r.min_live, r.max_live),
-            if r.slo_met { "ok" } else { "MISS" }
-        );
-    }
-
-    println!();
-    println!("takeaway: the static ceiling holds the tail by paying for every host");
-    println!("all run long; reactive scales only after the backlog already hurts,");
-    println!("so the crowd eats the join latency as p99; predictive reads the ramp's");
-    println!("slope, joins warmed spares before the peak, and holds the SLO at a");
-    println!("fraction of static's host-seconds — every arm conserves every request.");
 }
 
-/// Hand-rolled JSON (the root package deliberately has no serialization
-/// dependency). Field order is fixed and floats print with full precision,
-/// so equal reports render byte-identically.
-fn render_json(report: &ScaleSweepReport) -> String {
-    let mut out = String::from("{\n  \"arms\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"hosts_start\": {}, \"issued\": {}, \
-             \"completed\": {}, \"lost\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"goodput_rps\": {}, \"host_seconds\": {}, \"ticks\": {}, \
-             \"scale_outs\": {}, \"scale_ins\": {}, \"prewarms\": {}, \
-             \"min_live\": {}, \"max_live\": {}, \"slo_ms\": {}, \
-             \"slo_met\": {}, \"conserved\": {}}}{}\n",
-            r.arm,
-            r.hosts_start,
-            r.issued,
-            r.completed,
-            r.lost,
-            r.p50_ms,
-            r.p99_ms,
-            r.goodput_rps,
-            r.host_seconds,
-            r.ticks,
-            r.scale_outs,
-            r.scale_ins,
-            r.prewarms,
-            r.min_live,
-            r.max_live,
-            r.slo_ms,
-            r.slo_met,
-            r.conserved,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
-}
+const TAKEAWAY: &str = "\
+takeaway: the static ceiling holds the tail by paying for every host
+all run long; reactive scales only after the backlog already hurts,
+so the crowd eats the join latency as p99; predictive reads the ramp's
+slope, joins warmed spares before the peak, and holds the SLO at a
+fraction of static's host-seconds — every arm conserves every request.";

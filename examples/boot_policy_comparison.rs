@@ -13,14 +13,12 @@
 
 use severifast::experiments::ExperimentScale;
 use severifast::prelude::*;
+use sevf_bench::experiment::parse_cli;
+use sevf_bench::pick;
 
 fn main() -> Result<(), VmmError> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let scale = if quick {
-        ExperimentScale::quick()
-    } else {
-        ExperimentScale::full()
-    };
+    let cli = parse_cli("boot_policy_comparison", &[]);
+    let scale = pick(cli.quick, ExperimentScale::quick, ExperimentScale::full);
     let mut machine = Machine::new(5);
 
     println!(
@@ -60,6 +58,6 @@ fn main() -> Result<(), VmmError> {
     println!("notes:");
     println!("  - boot(ms) is VMM exec → guest init (§6.1); e2e adds attestation");
     println!("  - the lupine config has no networking, so it never attests");
-    println!("  - run with --quick for 16x-scaled images (fast debug runs)");
+    println!("  - the quick flag (header comment) runs 16x-scaled images (fast debug runs)");
     Ok(())
 }

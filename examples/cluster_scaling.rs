@@ -26,157 +26,33 @@
 //! `--bench` instead prints wall-clock throughput JSON, which is
 //! machine-dependent and deliberately excluded from the replay gate.
 
-use sevf_bench::BenchSnapshot;
-use sevf_cluster::experiment::{cluster_sweep, ClusterSweepConfig, ClusterSweepReport};
+use sevf_bench::experiment::run_example;
+use sevf_bench::pick;
+use sevf_cluster::experiment::ClusterSweepConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        ClusterSweepConfig::quick()
-    } else {
-        ClusterSweepConfig::paper_cluster()
-    };
+    run_example("cluster_scaling", intro, TAKEAWAY);
+}
 
-    if bench {
-        let started = std::time::Instant::now();
-        let report = cluster_sweep(&cfg).expect("cluster sweep");
-        let elapsed = started.elapsed().as_secs_f64();
-        let requests: u64 = report.rows.iter().map(|r| r.completed as u64).sum();
-        let failovers: u64 = report.rows.iter().map(|r| r.failovers).sum();
-        let hosts: u64 = report
-            .rows
-            .iter()
-            .map(|r| r.hosts as u64)
-            .max()
-            .unwrap_or(0);
-        let snap = BenchSnapshot::new("cluster", cfg.seed)
-            .count("hosts", hosts)
-            .count("requests_completed", requests)
-            .count("failovers", failovers)
-            .wall(elapsed)
-            .rate(
-                "wall_us_per_request",
-                1e6 * elapsed / requests.max(1) as f64,
-            );
-        println!("{}", snap.render());
-        return;
-    }
-
-    let report = cluster_sweep(&cfg).expect("cluster sweep");
-    for row in &report.rows {
-        assert!(
-            row.conserved,
-            "conservation broke in {}/{}",
-            row.arm, row.label
-        );
-    }
-
-    if json {
-        println!("{}", render_json(&report));
-        return;
-    }
-
+fn intro(quick: bool) {
+    let cfg = pick(
+        quick,
+        ClusterSweepConfig::quick,
+        ClusterSweepConfig::paper_cluster,
+    );
     println!("serving one launch stream across a cluster of PSP-bound hosts\n");
     println!(
-        "per-host cold SEV ceiling ≈{:.0} req/s (seed {:#x}); every request",
-        report.cold_ceiling_rps, cfg.seed
+        "every request stream, placement probe, and fault domain below replays from\n\
+         seed {:#x}; the per-host cold SEV ceiling (req/s) comes first.",
+        cfg.seed
     );
-    println!("stream, placement probe, and fault domain below replays from that seed.\n");
-    println!(
-        "{:<10} {:<15} {:>5} {:>6} {:>5} {:>8} {:>9} {:>5} {:>9} {:>9} {:>9}",
-        "arm",
-        "cell",
-        "hosts",
-        "req/s",
-        "done",
-        "goodput",
-        "per-host",
-        "hit",
-        "failover",
-        "p50(ms)",
-        "p99(ms)"
-    );
-    let mut last_arm = "";
-    for row in &report.rows {
-        if !last_arm.is_empty() && last_arm != row.arm {
-            println!();
-        }
-        last_arm = row.arm;
-        println!(
-            "{:<10} {:<15} {:>5} {:>6.0} {:>5} {:>8.1} {:>9.1} {:>4.0}% {:>9} {:>9.1} {:>9.1}",
-            row.arm,
-            row.label,
-            row.hosts,
-            row.offered_rps,
-            row.completed,
-            row.goodput_rps,
-            row.per_host_goodput,
-            row.cache_hit_rate * 100.0,
-            row.failovers,
-            row.p50_ms,
-            row.p99_ms
-        );
-    }
-
-    println!();
-    println!("takeaway: the PSP bottleneck shards but never pools — cold per-host");
-    println!("goodput is flat no matter how many hosts join, while template and");
-    println!("warm tiers track the offered load. Affinity placement measures each");
-    println!("template once cluster-wide instead of once per host, and when a host");
-    println!("dies mid-stream the resilient cluster re-routes its work, re-measures");
-    println!("its templates on the survivors, and rebalances the warm budget; the");
-    println!("naive cluster just loses everything the dead host was holding.");
 }
 
-/// Hand-rolled JSON (the root package deliberately has no serialization
-/// dependency). Field order is fixed and floats print with full precision,
-/// so equal reports render byte-identically.
-fn render_json(report: &ClusterSweepReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"cold_ceiling_rps\": {},\n  \"rows\": [\n",
-        report.cold_ceiling_rps
-    ));
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"label\": \"{}\", \"hosts\": {}, \
-             \"tier\": \"{}\", \"placement\": \"{}\", \"offered_rps\": {}, \
-             \"completed\": {}, \"goodput_rps\": {}, \"per_host_goodput\": {}, \
-             \"shed\": {}, \"unroutable\": {}, \"breaker_sheds\": {}, \
-             \"timeouts\": {}, \"failed\": {}, \"retries\": {}, \
-             \"failovers\": {}, \"rebalances\": {}, \"faults\": {}, \
-             \"cache_hit_rate\": {}, \"cache_misses\": {}, \"psp_skew\": {}, \
-             \"p50_ms\": {}, \"p99_ms\": {}, \"conserved\": {}}}{}\n",
-            r.arm,
-            r.label,
-            r.hosts,
-            r.tier.name(),
-            r.placement.name(),
-            r.offered_rps,
-            r.completed,
-            r.goodput_rps,
-            r.per_host_goodput,
-            r.shed,
-            r.unroutable,
-            r.breaker_sheds,
-            r.timeouts,
-            r.failed,
-            r.retries,
-            r.failovers,
-            r.rebalances,
-            r.faults,
-            r.cache_hit_rate,
-            r.cache_misses,
-            r.psp_skew,
-            r.p50_ms,
-            r.p99_ms,
-            r.conserved,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
-}
+const TAKEAWAY: &str = "\
+takeaway: the PSP bottleneck shards but never pools — cold per-host
+goodput is flat no matter how many hosts join, while template and
+warm tiers track the offered load. Affinity placement measures each
+template once cluster-wide instead of once per host, and when a host
+dies mid-stream the resilient cluster re-routes its work, re-measures
+its templates on the survivors, and rebalances the warm budget; the
+naive cluster just loses everything the dead host was holding.";

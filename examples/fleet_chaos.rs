@@ -23,121 +23,29 @@
 //! `--bench` instead prints wall-clock throughput JSON, which is
 //! machine-dependent and deliberately excluded from the replay gate.
 
-use sevf_bench::BenchSnapshot;
-use sevf_fleet::chaos::{chaos_sweep, ChaosConfig, ChaosReport};
+use sevf_bench::experiment::run_example;
+use sevf_bench::pick;
+use sevf_fleet::chaos::ChaosConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        ChaosConfig::quick()
-    } else {
-        ChaosConfig::paper_chaos()
-    };
+    run_example("fleet_chaos", intro, TAKEAWAY);
+}
 
-    if bench {
-        let started = std::time::Instant::now();
-        let report = chaos_sweep(&cfg).expect("chaos sweep");
-        let elapsed = started.elapsed().as_secs_f64();
-        let requests: u64 = report.rows.iter().map(|r| r.completed as u64).sum();
-        let faults: u64 = report.rows.iter().map(|r| r.faults).sum();
-        let retries: u64 = report.rows.iter().map(|r| r.retries).sum();
-        let snap = BenchSnapshot::new("chaos", cfg.seed)
-            .count("requests_completed", requests)
-            .count("faults", faults)
-            .count("retries", retries)
-            .wall(elapsed)
-            .rate(
-                "wall_us_per_request",
-                1e6 * elapsed / requests.max(1) as f64,
-            );
-        println!("{}", snap.render());
-        return;
-    }
-
-    let report = chaos_sweep(&cfg).expect("chaos sweep");
-
-    if json {
-        println!("{}", render_json(&report));
-        return;
-    }
-
+fn intro(quick: bool) {
+    let cfg = pick(quick, ChaosConfig::quick, ChaosConfig::paper_chaos);
     println!("serving a launch stream while the substrate misbehaves\n");
     println!(
-        "storm (seed {:#x}): {} PSP firmware resets and {} warm-guest crashes",
-        cfg.seed, report.planned_resets, report.planned_crashes
+        "storm (seed {:#x}): PSP firmware resets and warm-guest crashes planned",
+        cfg.seed
     );
-    println!("planned over the longest run, plus per-command transient and");
-    println!("attestation faults. Both faulted arms replay the exact same plan.\n");
-    println!(
-        "{:<11} {:>7} {:>6} {:>6} {:>6} {:>6} {:>7} {:>8} {:>9} {:>9}",
-        "arm", "req/s", "done", "fail", "t/o", "shed", "retry", "goodput", "p50(ms)", "p99(ms)"
-    );
-    let mut last_load = None;
-    for row in &report.rows {
-        if last_load.is_some() && last_load != Some(row.offered_rps) {
-            println!();
-        }
-        last_load = Some(row.offered_rps);
-        println!(
-            "{:<11} {:>7.0} {:>6} {:>6} {:>6} {:>6} {:>7} {:>8.1} {:>9.1} {:>9.1}",
-            row.arm.name(),
-            row.offered_rps,
-            row.completed,
-            row.failed,
-            row.timeouts,
-            row.shed + row.breaker_sheds,
-            row.retries,
-            row.goodput_rps,
-            row.p50_ms,
-            row.p99_ms
-        );
-    }
-
-    println!();
-    println!("takeaway: with no recovery, every PSP reset burns the in-flight");
-    println!("launches and the template cache, and every transient is a dead");
-    println!("request — goodput collapses. Bounded retries with backoff, deadline");
-    println!("sheds, breaker-driven tier degradation, and quiescing the PSP across");
-    println!("outages hold goodput through the same storm; the bill is the p99,");
-    println!("which absorbs the backoff and re-measurement work.");
+    println!("over the longest run (counted below), plus per-command transient and");
+    println!("attestation faults. Both faulted arms replay the exact same plan.");
 }
 
-/// Hand-rolled JSON (the root package deliberately has no serialization
-/// dependency). Field order is fixed and floats print with full precision,
-/// so equal reports render byte-identically.
-fn render_json(report: &ChaosReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"planned_resets\": {},\n  \"planned_crashes\": {},\n  \"rows\": [\n",
-        report.planned_resets, report.planned_crashes
-    ));
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"offered_rps\": {}, \"completed\": {}, \
-             \"goodput_rps\": {}, \"shed\": {}, \"breaker_sheds\": {}, \
-             \"timeouts\": {}, \"failed\": {}, \"retries\": {}, \"faults\": {}, \
-             \"degraded_dispatches\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"time_degraded_ms\": {}}}{}\n",
-            r.arm.name(),
-            r.offered_rps,
-            r.completed,
-            r.goodput_rps,
-            r.shed,
-            r.breaker_sheds,
-            r.timeouts,
-            r.failed,
-            r.retries,
-            r.faults,
-            r.degraded_dispatches,
-            r.p50_ms,
-            r.p99_ms,
-            r.time_degraded_ms,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
-}
+const TAKEAWAY: &str = "\
+takeaway: with no recovery, every PSP reset burns the in-flight
+launches and the template cache, and every transient is a dead
+request — goodput collapses. Bounded retries with backoff, deadline
+sheds, breaker-driven tier degradation, and quiescing the PSP across
+outages hold goodput through the same storm; the bill is the p99,
+which absorbs the backoff and re-measurement work.";

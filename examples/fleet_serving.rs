@@ -15,54 +15,21 @@
 //! strictly higher load before its p99 blows up and the admission queue
 //! starts shedding.
 
-use sevf_fleet::experiment::{serving_sweep, SweepConfig};
+use sevf_bench::experiment::run_example;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::paper_serving()
-    };
-    let report = serving_sweep(&cfg).expect("fleet sweep");
-
-    println!("serving a mixed launch stream against one PSP core\n");
-    println!(
-        "cold launches serialize {:.1} ms/VM of PSP work for this mix, so the",
-        report.cold_psp_ms
-    );
-    println!(
-        "cold tier cannot sustain more than ~{:.0} req/s no matter how many",
-        report.cold_capacity_rps
-    );
-    println!("host cores are free.\n");
-    println!(
-        "{:<10} {:>7} {:>6} {:>6} {:>9} {:>9} {:>6} {:>6} {:>6}",
-        "tier", "req/s", "done", "shed", "p50(ms)", "p99(ms)", "psp", "cpu", "maxq"
-    );
-    let mut last_tier = None;
-    for row in &report.rows {
-        if last_tier.is_some() && last_tier != Some(row.tier) {
-            println!();
-        }
-        last_tier = Some(row.tier);
-        println!(
-            "{:<10} {:>7.0} {:>6} {:>6} {:>9.1} {:>9.1} {:>6.2} {:>6.2} {:>6}",
-            row.tier.name(),
-            row.offered_rps,
-            row.completed,
-            row.shed,
-            row.p50_ms,
-            row.p99_ms,
-            row.psp_utilization,
-            row.cpu_utilization,
-            row.max_queue_depth
-        );
-    }
-
-    println!();
-    println!("takeaway: the PSP — not CPU — caps cold SEV serving. Templates");
-    println!("raise the ceiling by sharing one measured launch per class; warm");
-    println!("pools remove it on hits, at the cost of resident encrypted memory");
-    println!("that cannot be deduplicated across guests.");
+    run_example("fleet_serving", intro, TAKEAWAY);
 }
+
+fn intro(_quick: bool) {
+    println!("serving a mixed launch stream against one PSP core\n");
+    println!("cold launches serialize their PSP work (ms per VM for this mix, first");
+    println!("line below), so the cold tier cannot sustain more than the req/s on the");
+    println!("second line no matter how many host cores are free.");
+}
+
+const TAKEAWAY: &str = "\
+takeaway: the PSP — not CPU — caps cold SEV serving. Templates
+raise the ceiling by sharing one measured launch per class; warm
+pools remove it on hits, at the cost of resident encrypted memory
+that cannot be deduplicated across guests.";

@@ -29,70 +29,20 @@
 //! them). `--bench` instead prints wall-clock throughput JSON, which is
 //! machine-dependent and deliberately excluded from the replay gate.
 
-use sevf_bench::BenchSnapshot;
-use sevf_cluster::netsweep::{net_sweep, NetSweepConfig, NetSweepReport};
+use sevf_bench::experiment::run_example;
+use sevf_bench::pick;
+use sevf_cluster::netsweep::NetSweepConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        NetSweepConfig::quick()
-    } else {
-        NetSweepConfig::paper_partition()
-    };
+    run_example("partition_drill", intro, TAKEAWAY);
+}
 
-    if bench {
-        let started = std::time::Instant::now();
-        let report = net_sweep(&cfg).expect("partition sweep");
-        let elapsed = started.elapsed().as_secs_f64();
-        let requests: usize = report.rows.iter().map(|r| r.completed).sum();
-        let messages: u64 = report
-            .rows
-            .iter()
-            .map(|r| r.net_lost + r.net_nacks + r.stale_completions)
-            .sum();
-        let snap = BenchSnapshot::new("net", cfg.seed)
-            .count("hosts", cfg.hosts as u64)
-            .count("requests_completed", requests as u64)
-            .count("net_events", messages)
-            .wall(elapsed)
-            .rate(
-                "wall_us_per_request",
-                1e6 * elapsed / requests.max(1) as f64,
-            );
-        println!("{}", snap.render());
-        return;
-    }
-
-    let report = net_sweep(&cfg).expect("partition sweep");
-    for row in &report.rows {
-        assert!(
-            row.conserved,
-            "conservation broke in {}/{}",
-            row.arm, row.policy
-        );
-    }
-    for arm in ["partition", "island", "blackout"] {
-        let get = |policy| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.arm == arm && r.policy == policy)
-                .expect("both policies present")
-        };
-        assert!(
-            get("resilient").completed > get("naive").completed,
-            "{arm}: the resilient policy must beat the naive one"
-        );
-    }
-
-    if json {
-        println!("{}", render_json(&report));
-        return;
-    }
-
+fn intro(quick: bool) {
+    let cfg = pick(
+        quick,
+        NetSweepConfig::quick,
+        NetSweepConfig::paper_partition,
+    );
     println!("serving a launch stream across a faulty network, twice per arm\n");
     println!(
         "link model (seed {:#x}): {:.0} µs latency + [0, {:.0}) µs jitter, {:.2}% loss;",
@@ -108,104 +58,20 @@ fn main() {
         cfg.dispatch_timeout.as_millis_f64()
     );
     println!(
-        "heartbeats every {:.0} ms, leases {:.0} ms renewed every {:.0} ms.\n",
+        "heartbeats every {:.0} ms, leases {:.0} ms renewed every {:.0} ms.",
         cfg.heartbeat_every.as_millis_f64(),
         cfg.lease.duration.as_millis_f64(),
         cfg.lease.renew_every.as_millis_f64()
     );
-    println!(
-        "{:<9} {:<9} {:>5} {:>5} {:>8} {:>8} {:>5} {:>7} {:>6} {:>6} {:>8} {:>8} {:>8}",
-        "arm",
-        "policy",
-        "done",
-        "lost",
-        "failover",
-        "msg-lost",
-        "nacks",
-        "suspect",
-        "parked",
-        "fenced",
-        "stale-ok",
-        "p50(ms)",
-        "p99(ms)"
-    );
-    let mut last_arm = "";
-    for row in &report.rows {
-        if !last_arm.is_empty() && last_arm != row.arm {
-            println!();
-        }
-        last_arm = row.arm;
-        println!(
-            "{:<9} {:<9} {:>5} {:>5} {:>8} {:>8} {:>5} {:>7} {:>6} {:>6} {:>8} {:>8.1} {:>8.1}",
-            row.arm,
-            row.policy,
-            row.completed,
-            row.shed + row.timeouts + row.failed,
-            row.failovers,
-            row.net_lost,
-            row.net_nacks,
-            row.suspicions,
-            row.lease_expiries,
-            row.stale_completions,
-            row.stale_serves,
-            row.p50_ms,
-            row.p99_ms
-        );
-    }
-
-    println!();
-    println!("takeaway: a partition is not an outage — the cut host keeps serving");
-    println!("work it can no longer report, so the naive policy both wastes its");
-    println!("retry budget dispatching into the hole and risks double-serving on");
-    println!("the heal. The resilient plane suspects the silence, fences the island");
-    println!("behind expired leases, fails stranded work over exactly once under");
-    println!("epoch fencing, and keeps the conservation ledger exact through the");
-    println!("split-brain. When the verifier itself goes dark, failing open within");
-    println!("a bounded staleness budget keeps launches flowing where fail-closed");
-    println!("refuses them, and every stale verdict is re-verified on the heal.");
 }
 
-/// Hand-rolled JSON (the root package deliberately has no serialization
-/// dependency). Field order is fixed and floats print with full precision,
-/// so equal reports render byte-identically.
-fn render_json(report: &NetSweepReport) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"policy\": \"{}\", \"completed\": {}, \
-             \"shed\": {}, \"timeouts\": {}, \"failed\": {}, \"failovers\": {}, \
-             \"retries\": {}, \"suspicions\": {}, \"suspicions_cleared\": {}, \
-             \"false_suspicions\": {}, \"lease_expiries\": {}, \"net_lost\": {}, \
-             \"net_timeouts\": {}, \"net_nacks\": {}, \"stale_completions\": {}, \
-             \"double_completion_attempts\": {}, \"stale_serves\": {}, \
-             \"unavailable_refusals\": {}, \"reverifies\": {}, \
-             \"p50_ms\": {}, \"p99_ms\": {}, \"conserved\": {}}}{}\n",
-            r.arm,
-            r.policy,
-            r.completed,
-            r.shed,
-            r.timeouts,
-            r.failed,
-            r.failovers,
-            r.retries,
-            r.suspicions,
-            r.suspicions_cleared,
-            r.false_suspicions,
-            r.lease_expiries,
-            r.net_lost,
-            r.net_timeouts,
-            r.net_nacks,
-            r.stale_completions,
-            r.double_completion_attempts,
-            r.stale_serves,
-            r.unavailable_refusals,
-            r.reverifies,
-            r.p50_ms,
-            r.p99_ms,
-            r.conserved,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
-}
+const TAKEAWAY: &str = "\
+takeaway: a partition is not an outage — the cut host keeps serving
+work it can no longer report, so the naive policy both wastes its
+retry budget dispatching into the hole and risks double-serving on
+the heal. The resilient plane suspects the silence, fences the island
+behind expired leases, fails stranded work over exactly once under
+epoch fencing, and keeps the conservation ledger exact through the
+split-brain. When the verifier itself goes dark, failing open within
+a bounded staleness budget keeps launches flowing where fail-closed
+refuses them, and every stale verdict is re-verified on the heal.";

@@ -23,94 +23,21 @@
 //! that ci.sh appends to the trajectory and gates against the committed
 //! baseline.
 
-use sevf_bench::perf::{run_sweep, PerfConfig};
+use sevf_bench::experiment::{parse_cli, Flag};
+use sevf_bench::perf::run_checked;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        PerfConfig::quick()
-    } else {
-        PerfConfig::full()
-    };
-
-    let sweep = run_sweep(cfg);
-    assert!(
-        sweep.des.engines_agree,
-        "calendar and heap engines diverged on the same workload"
-    );
-    assert!(
-        sweep.hash.incremental_matches_full,
-        "incremental measurement diverged from the full re-hash"
-    );
-
-    if bench {
-        println!("{}", sweep.snapshot().render());
-        return;
+    let cli = parse_cli("perf_sweep", &[Flag::Json, Flag::Bench]);
+    let sweep = run_checked(cli.quick);
+    if cli.bench {
+        return println!("{}", sweep.snapshot().render());
+    }
+    if cli.json {
+        return println!("{}", sweep.document().json_text());
     }
 
-    if json {
-        // Deterministic facts only — no wall-clock — so the replay gate
-        // can byte-diff two runs.
-        let d = &sweep.des;
-        let h = &sweep.hash;
-        println!(
-            "{{\n  \"des_jobs\": {},\n  \"des_events\": {},\n  \
-             \"outcome_checksum\": \"{:#018x}\",\n  \"engines_agree\": {},\n  \
-             \"pages\": {},\n  \"dirty_pages\": {},\n  \
-             \"full_digest\": \"{}\",\n  \"incremental_matches_full\": {},\n  \
-             \"paged_cache_hits\": {}\n}}",
-            d.jobs,
-            d.events,
-            d.outcome_checksum,
-            d.engines_agree,
-            h.pages,
-            h.dirty,
-            h.full_digest_hex,
-            h.incremental_matches_full,
-            h.paged_cache_hits
-        );
-        return;
-    }
-
-    let d = &sweep.des;
-    let h = &sweep.hash;
     println!("harness raw speed, one seeded workload through every path\n");
-    println!(
-        "DES: {} jobs / {} events, identical outcomes from both engines",
-        d.jobs, d.events
-    );
-    println!(
-        "  heap (reference)  {:>9.3} us/request  {:>12.0} events/s",
-        d.us_per_request_heap(),
-        d.events as f64 / d.heap_secs
-    );
-    println!(
-        "  calendar          {:>9.3} us/request  {:>12.0} events/s  ({:.2}x)",
-        d.us_per_request(),
-        d.events_per_sec(),
-        d.speedup()
-    );
-    println!();
-    println!(
-        "hashing: {} pages ({} KiB), {} dirtied before re-measure, one digest",
-        h.pages,
-        h.bytes / 1024,
-        h.dirty
-    );
-    println!("  full chain        {:>9.1} MB/s", h.full_mb_per_sec());
-    println!(
-        "  incremental       {:>9.1} MB/s effective (clean prefix reused)",
-        h.incremental_mb_per_sec()
-    );
-    println!(
-        "  paged, warm cache {:>9.1} MB/s effective ({} cache hits)",
-        h.paged_warm_mb_per_sec(),
-        h.paged_cache_hits
-    );
-    println!();
+    println!("{}", sweep.text());
     println!("takeaway: the simulator's answer never depends on which engine or");
     println!("measurement path ran — only the wall-clock does. The calendar queue");
     println!("turns the event heap's O(log n) pops into O(1) bucket scans, and the");

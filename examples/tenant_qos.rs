@@ -25,64 +25,20 @@
 //! them). `--bench` instead prints wall-clock throughput JSON, which is
 //! machine-dependent and deliberately excluded from the replay gate.
 
-use sevf_bench::BenchSnapshot;
-use sevf_cluster::policysweep::{policy_sweep, PolicySweepConfig, PolicySweepReport};
+use sevf_bench::experiment::run_example;
+use sevf_bench::pick;
+use sevf_cluster::policysweep::PolicySweepConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench = args.iter().any(|a| a == "--bench");
-    let cfg = if quick {
-        PolicySweepConfig::quick()
-    } else {
-        PolicySweepConfig::paper_policy()
-    };
+    run_example("tenant_qos", intro, TAKEAWAY);
+}
 
-    if bench {
-        let started = std::time::Instant::now();
-        let report = policy_sweep(&cfg).expect("policy sweep");
-        let elapsed = started.elapsed().as_secs_f64();
-        let completed: usize = report.arms.iter().map(|a| a.completed).sum();
-        let decisions: usize = report.tenants.iter().map(|t| t.issued).sum();
-        let snap = BenchSnapshot::new("policy", cfg.seed)
-            .count("hosts", cfg.hosts as u64)
-            .count("arms", report.arms.len() as u64)
-            .count("requests_completed", completed as u64)
-            .count("policy_decisions", decisions as u64)
-            .wall(elapsed)
-            .rate(
-                "wall_us_per_request",
-                1e6 * elapsed / completed.max(1) as f64,
-            )
-            .rate("decisions_per_sec", decisions as f64 / elapsed.max(1e-9));
-        println!("{}", snap.render());
-        return;
-    }
-
-    let report = policy_sweep(&cfg).expect("policy sweep");
-    for arm in &report.arms {
-        assert!(arm.conserved, "cluster conservation broke in {}", arm.arm);
-        if arm.posture {
-            assert_eq!(
-                arm.posture_violations, 0,
-                "a strict launch landed below its TCB floor"
-            );
-        }
-    }
-    for t in &report.tenants {
-        assert!(
-            t.conserved,
-            "per-tenant conservation broke for {}/{}",
-            t.arm, t.tenant
-        );
-    }
-
-    if json {
-        println!("{}", render_json(&report));
-        return;
-    }
-
+fn intro(quick: bool) {
+    let cfg = pick(
+        quick,
+        PolicySweepConfig::quick,
+        PolicySweepConfig::paper_policy,
+    );
     println!("three tenants, one cluster, three policy arms\n");
     println!(
         "workload (seed {:#x}): {} req/s over {} hosts — premium trickle",
@@ -97,120 +53,16 @@ fn main() {
         cfg.batch_quota.rate_per_sec
     );
     println!(
-        "starts at {:.0} ms, {:.0} ms stagger).\n",
+        "starts at {:.0} ms, {:.0} ms stagger).",
         cfg.rollout.start.as_millis_f64(),
         cfg.rollout.stagger.as_millis_f64()
     );
-    println!(
-        "{:<12} {:<8} {:>6} {:>6} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>5}",
-        "arm",
-        "tenant",
-        "issued",
-        "done",
-        "shed",
-        "rej",
-        "t/o",
-        "p50(ms)",
-        "p99(ms)",
-        "gput",
-        "slo"
-    );
-    let mut last_arm = "";
-    for t in &report.tenants {
-        if !last_arm.is_empty() && last_arm != t.arm {
-            println!();
-        }
-        last_arm = t.arm;
-        println!(
-            "{:<12} {:<8} {:>6} {:>6} {:>5} {:>5} {:>5} {:>9.1} {:>9.1} {:>9.1} {:>5}",
-            t.arm,
-            t.tenant,
-            t.issued,
-            t.completed,
-            t.shed + t.failed,
-            t.rejected,
-            t.timeouts,
-            t.p50_ms,
-            t.p99_ms,
-            t.goodput_rps,
-            if t.slo_met { "ok" } else { "MISS" }
-        );
-    }
-    println!();
-    for arm in &report.arms {
-        println!(
-            "{:<12} posture checks {:>5}, redirects {:>3}, violations {:>3}",
-            arm.arm, arm.posture_checks, arm.posture_redirects, arm.posture_violations
-        );
-    }
-
-    println!();
-    println!("takeaway: with one FIFO line per PSP the batch flood queues ahead of");
-    println!("the premium trickle and its tail collapses; weighted-fair queueing");
-    println!("gives premium a protected share of every PSP without starving batch");
-    println!("(quota rejects replace queue sheds at saturation), and posture-aware");
-    println!("placement keeps the strict tenant off unpatched firmware through the");
-    println!("whole rollout — zero posture violations, every tenant conserved.");
 }
 
-/// Hand-rolled JSON (the root package deliberately has no serialization
-/// dependency). Field order is fixed and floats print with full precision,
-/// so equal reports render byte-identically.
-fn render_json(report: &PolicySweepReport) -> String {
-    let mut out = String::from("{\n  \"arms\": [\n");
-    for (i, a) in report.arms.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"scheduler\": \"{}\", \"quotas\": {}, \
-             \"posture\": {}, \"completed\": {}, \"lost\": {}, \"rejected\": {}, \
-             \"p50_ms\": {}, \"p99_ms\": {}, \"posture_checks\": {}, \
-             \"posture_redirects\": {}, \"posture_violations\": {}, \
-             \"conserved\": {}}}{}\n",
-            a.arm,
-            a.scheduler,
-            a.quotas,
-            a.posture,
-            a.completed,
-            a.lost,
-            a.rejected,
-            a.p50_ms,
-            a.p99_ms,
-            a.posture_checks,
-            a.posture_redirects,
-            a.posture_violations,
-            a.conserved,
-            if i + 1 < report.arms.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"tenants\": [\n");
-    for (i, t) in report.tenants.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"tenant\": \"{}\", \"issued\": {}, \
-             \"completed\": {}, \"shed\": {}, \"timeouts\": {}, \"failed\": {}, \
-             \"rejected\": {}, \"degraded\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"deadline_ms\": {}, \"slo_met\": {}, \"goodput_rps\": {}, \
-             \"conserved\": {}}}{}\n",
-            t.arm,
-            t.tenant,
-            t.issued,
-            t.completed,
-            t.shed,
-            t.timeouts,
-            t.failed,
-            t.rejected,
-            t.degraded,
-            t.p50_ms,
-            t.p99_ms,
-            t.deadline_ms,
-            t.slo_met,
-            t.goodput_rps,
-            t.conserved,
-            if i + 1 < report.tenants.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
-}
+const TAKEAWAY: &str = "\
+takeaway: with one FIFO line per PSP the batch flood queues ahead of
+the premium trickle and its tail collapses; weighted-fair queueing
+gives premium a protected share of every PSP without starving batch
+(quota rejects replace queue sheds at saturation), and posture-aware
+placement keeps the strict tenant off unpatched firmware through the
+whole rollout — zero posture violations, every tenant conserved.";

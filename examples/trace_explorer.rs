@@ -19,26 +19,21 @@
 //! additionally writes the failover scenario's full span set as a Chrome
 //! `trace_event` file — load it in `chrome://tracing` or Perfetto.
 
-use sevf_cluster::tracedemo::{scenarios, TraceScenarios, TracedRun};
+use sevf_bench::experiment::{parse_cli, trace_document, trace_text, Flag};
+use sevf_cluster::tracedemo::{scenarios, TracedRun};
 use sevf_obs::{chrome_trace_json, prometheus_text};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let chrome = args
-        .iter()
-        .position(|a| a == "--chrome")
-        .and_then(|i| args.get(i + 1).cloned());
-    let s = scenarios(quick).expect("trace scenarios");
+    let cli = parse_cli("trace_explorer", &[Flag::Json, Flag::Chrome]);
+    let s = scenarios(cli.quick).expect("trace scenarios");
 
-    if let Some(path) = &chrome {
+    if let Some(path) = &cli.chrome {
         std::fs::write(path, chrome_trace_json(&s.failover.log)).expect("write chrome trace");
         eprintln!("wrote Chrome trace_event file to {path}");
     }
 
-    if json {
-        println!("{}", render_json(&s));
+    if cli.json {
+        println!("{}", trace_document(&s).json_text());
         return;
     }
 
@@ -55,28 +50,7 @@ fn main() {
 }
 
 fn print_run(run: &TracedRun) {
-    let e = &run.exemplar;
-    println!(
-        "=== {} ===  (request {} of {} completed; {} span(s), {} marker(s))",
-        run.scenario,
-        e.request,
-        run.completed,
-        run.log.spans.len(),
-        run.log.markers.len()
-    );
-    println!(
-        "latency {:.3} ms over {} attempt(s), {} failover hop(s)",
-        e.latency.as_millis_f64(),
-        e.attempts,
-        e.failover_hops
-    );
-    let total = e.latency.as_millis_f64();
-    for (phase, d) in &e.phases {
-        let ms = d.as_millis_f64();
-        println!("  {phase:<22} {ms:>10.3} ms  {:>5.1}%", 100.0 * ms / total);
-    }
-    let sum: f64 = e.phases.iter().map(|(_, d)| d.as_millis_f64()).sum();
-    println!("  {:<22} {sum:>10.3} ms  100.0%", "total");
+    print!("{}", trace_text(run));
     // One unified-registry line as a teaser; the full dump is one call away.
     let text = prometheus_text(&run.registry);
     if let Some(line) = text
@@ -89,39 +63,4 @@ fn print_run(run: &TracedRun) {
         );
     }
     println!();
-}
-
-fn render_json(s: &TraceScenarios) -> String {
-    let mut out = String::from("{\n  \"scenarios\": [\n");
-    let runs = [&s.cold, &s.template, &s.failover];
-    for (i, run) in runs.iter().enumerate() {
-        let e = &run.exemplar;
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"completed\": {}, \"spans\": {}, \
-             \"markers\": {}, \"request\": {}, \"latency_ms\": {}, \
-             \"attempts\": {}, \"failover_hops\": {}, \"phases\": [",
-            run.scenario,
-            run.completed,
-            run.log.spans.len(),
-            run.log.markers.len(),
-            e.request,
-            e.latency.as_millis_f64(),
-            e.attempts,
-            e.failover_hops,
-        ));
-        for (j, (phase, d)) in e.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"phase\": \"{}\", \"ms\": {}}}{}",
-                sevf_obs::json_escape(phase),
-                d.as_millis_f64(),
-                if j + 1 < e.phases.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
 }

@@ -25,7 +25,7 @@ fn catalog() -> Catalog {
 
 fn storm_config(mode: VerifyMode) -> ClusterConfig {
     ClusterConfig {
-        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        mix: Some(RequestMix::quick_test_mix()),
         placement: PlacementPolicy::JsqPsp,
         seed: 0x5EF0,
         recovery: RecoveryConfig::resilient(0x5EF0),

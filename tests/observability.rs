@@ -38,7 +38,7 @@ fn completed_pairs(log: &TraceLog, latencies: &[Nanos]) -> Vec<(usize, Nanos)> {
 #[test]
 fn fleet_fault_free_spans_obey_the_battery() {
     let config = FleetConfig {
-        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        mix: Some(RequestMix::quick_test_mix()),
         ..FleetConfig::open_loop(ServingTier::Cold, 40.0, 60)
     };
     let (report, log) = FleetService::new(catalog(), config).run_traced();
@@ -131,7 +131,7 @@ fn cluster_spans_obey_the_battery_and_match_the_rollup() {
     use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy};
 
     let config = ClusterConfig {
-        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        mix: Some(RequestMix::quick_test_mix()),
         placement: PlacementPolicy::TemplateAffinity,
         seed: 0x5EF0,
         fault: Some(FaultConfig::storm()),

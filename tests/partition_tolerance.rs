@@ -79,7 +79,7 @@ fn split_brain_ledger_is_exact_with_zero_double_counted_completions() {
         end: Nanos::from_millis(1400),
     };
     let config = ClusterConfig {
-        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        mix: Some(RequestMix::quick_test_mix()),
         placement: PlacementPolicy::JsqPsp,
         recovery: RecoveryConfig::resilient(0x4E37),
         net: Some(NetConfig {
