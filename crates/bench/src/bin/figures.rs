@@ -40,6 +40,10 @@ const FIGURES: &[(&str, &str)] = &[
         "Fig. 12 with shared-key template launches (§6.2 future work)",
     ),
     (
+        "ablation",
+        "what-ifs: verifier features, huge-page pvalidate, a faster PSP, SEV generations",
+    ),
+    (
         "fleet",
         "single-host serving: cold vs template vs warm pool",
     ),
@@ -123,7 +127,7 @@ fn parse_args() -> Args {
             }
             "--fig" | "--table" => match args.next() {
                 Some(fig) => figures.push(fig),
-                None => usage_error("--fig takes a value"),
+                None => usage_error(&format!("{arg} takes a value")),
             },
             "--scale" => {
                 quick = match args.next().as_deref() {
@@ -168,6 +172,7 @@ fn main() {
             "mem" => mem_table(),
             "warm" => warm_table(&args.scale),
             "fw12" => fw12(&args.scale),
+            "ablation" => ablation(&args.scale),
             "trace" => trace_table(args.quick),
             "perf" => perf_table(args.quick),
             "headline" => headline(&args.scale),
@@ -575,6 +580,32 @@ fn fw12(scale: &ExperimentScale) -> FigureDump {
     )
 }
 
+fn ablation(scale: &ExperimentScale) -> FigureDump {
+    let rows = exp::ablations(scale).expect("ablation boots");
+    println!("\n=== Ablations: what-ifs on the design choices ===");
+    println!("(virtual time on the calibrated cost model; PSP 1x is Fig. 12 at 50 guests)\n");
+    let row = |r: &exp::AblationRow| {
+        Json::obj([
+            ("study", Json::from(r.study)),
+            ("variant", Json::from(r.variant.clone())),
+            ("measure", Json::from(r.measure)),
+            ("ms", Json::from(r.ms)),
+        ])
+    };
+    const COLS: &[Col] = &[
+        ("study", &["study"], Fmt::Plain),
+        ("variant", &["variant"], Fmt::Plain),
+        ("measure", &["measure"], Fmt::Plain),
+        ("ms", &["ms"], MS),
+    ];
+    table_dump(
+        "ablation",
+        "Ablations of the verifier, page size, PSP speed and SEV generation",
+        COLS,
+        rows.iter().map(row).collect(),
+    )
+}
+
 /// Prints `rows` as one table under `cols` and returns them as the dump, so
 /// a figure names each of its columns once.
 fn table_dump(id: &str, caption: &str, cols: &[Col], rows: Vec<Json>) -> FigureDump {
@@ -620,11 +651,10 @@ fn perf_table(quick: bool) -> FigureDump {
     println!("(same workload through both engines; same image through all three");
     println!(" measurement paths — identical results, different wall-clock)\n");
     println!("{}", sweep.text());
-    println!("{}", sweep.snapshot().render());
     FigureDump {
         id: "perf".into(),
         caption: "Harness raw speed: DES engines and measurement paths".into(),
-        data: sweep.snapshot().to_json(),
+        data: sweep.document().to_json(),
     }
 }
 

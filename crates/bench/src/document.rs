@@ -24,10 +24,6 @@ pub struct Document {
     pub head: Vec<(&'static str, Json)>,
     /// Named row sections, in print order.
     pub sections: Vec<(&'static str, Vec<Row>)>,
-    /// The seed the run replays from (`--bench` reports it; not in the JSON).
-    pub seed: u64,
-    /// What the run processed, for the `--bench` snapshot (not in the JSON).
-    pub counts: Vec<(&'static str, u64)>,
 }
 
 impl Document {
@@ -239,7 +235,6 @@ mod tests {
                     ]),
                 ],
             )],
-            ..Document::default()
         }
     }
 

@@ -1,8 +1,8 @@
 //! The experiment registry and the front end the examples share.
 //!
 //! One [`Experiment`] per serving sweep: its `figures --table` id, its
-//! example, its bench name, and `run(quick)`, which runs the sweep, checks
-//! the invariants the sweep promises, and exports the typed report as a
+//! example, and `run(quick)`, which runs the sweep, checks the invariants
+//! the sweep promises, and exports the typed report as a
 //! [`Document`] — each column named once, by exhaustive destructuring, so
 //! a row field that is not exported does not compile. The `--json` text,
 //! the `figures --out` dump and the text tables all derive from that
@@ -12,8 +12,6 @@
 //! Adding an experiment: write the sweep module next to its service, add
 //! one entry here (run function, views), and an example that is its doc
 //! comment, its prose, and one [`run_example`] call.
-
-use std::time::Instant;
 
 use sevf_cluster::attsweep::{att_sweep, AttRow, AttSweepConfig, AttSweepReport};
 use sevf_cluster::experiment::{cluster_sweep, ClusterRow, ClusterSweepConfig, ClusterSweepReport};
@@ -29,7 +27,7 @@ use sevf_fleet::experiment::{serving_sweep, ServingRow, SweepConfig, SweepReport
 use sevf_fleet::service::ServingTier;
 
 use crate::document::{Document, Fmt, Row, View, MS};
-use crate::{pick, render_table, BenchSnapshot, Json};
+use crate::{pick, render_table, Json};
 
 /// One registered experiment.
 pub struct Experiment {
@@ -37,10 +35,6 @@ pub struct Experiment {
     pub id: &'static str,
     /// The example that runs it (and the stem of its golden file).
     pub example: &'static str,
-    /// The `BENCH_*.json` arm name; `None` if the example takes no `--bench`.
-    pub bench: Option<&'static str>,
-    /// Extra `--bench` rates: `(rate name, count it divides by wall seconds)`.
-    pub per_sec: &'static [(&'static str, &'static str)],
     /// Runs the sweep at `--quick` or paper scale, checks it, exports it.
     pub run: fn(bool) -> Document,
     /// The text tables.
@@ -52,35 +46,11 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id == id)
 }
 
-impl Experiment {
-    /// The `--bench` snapshot of one timed run.
-    fn snapshot(&self, doc: &Document, wall_secs: f64) -> BenchSnapshot {
-        let count = |name: &str| {
-            let found = doc.counts.iter().find(|(k, _)| *k == name);
-            found.map_or(0, |(_, v)| *v)
-        };
-        let bench = self.bench.expect("only bench arms are snapshotted");
-        let mut snap = BenchSnapshot::new(bench, doc.seed).wall(wall_secs).rate(
-            "wall_us_per_request",
-            1e6 * wall_secs / count("requests_completed").max(1) as f64,
-        );
-        for (name, value) in &doc.counts {
-            snap = snap.count(*name, *value);
-        }
-        for (rate, of) in self.per_sec {
-            snap = snap.rate(*rate, count(of) as f64 / wall_secs.max(1e-9));
-        }
-        snap
-    }
-}
-
 /// A flag an example may accept besides `--quick`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flag {
     /// `--json`: the deterministic document.
     Json,
-    /// `--bench`: the wall-clock snapshot.
-    Bench,
     /// `--chrome FILE`: also write a Chrome `trace_event` file.
     Chrome,
 }
@@ -92,8 +62,6 @@ pub struct Cli {
     pub quick: bool,
     /// `--json`: print the deterministic document.
     pub json: bool,
-    /// `--bench`: print the wall-clock snapshot.
-    pub bench: bool,
     /// `--chrome FILE`: also write a Chrome `trace_event` file there.
     pub chrome: Option<String>,
 }
@@ -104,28 +72,23 @@ fn parse(accepts: &[Flag], mut args: impl Iterator<Item = String>) -> Result<Cli
         match arg.as_str() {
             "--quick" => cli.quick = true,
             "--json" if accepts.contains(&Flag::Json) => cli.json = true,
-            "--bench" if accepts.contains(&Flag::Bench) => cli.bench = true,
             "--chrome" if accepts.contains(&Flag::Chrome) => {
                 cli.chrome = Some(args.next().ok_or("--chrome takes a file")?);
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if cli.json && cli.bench {
-        return Err("--json and --bench exclude each other".into());
-    }
     Ok(cli)
 }
 
 /// Parses the process arguments of `example`, which accepts `--quick` and
-/// `accepts`. Anything else — a typo, a flag the example does not take,
-/// `--json` with `--bench` — prints a usage line and exits with code 2.
+/// `accepts`. Anything else — a typo, a flag the example does not take —
+/// prints a usage line and exits with code 2.
 pub fn parse_cli(example: &str, accepts: &[Flag]) -> Cli {
     parse(accepts, std::env::args().skip(1)).unwrap_or_else(|message| {
         let mut usage = format!("usage: {example} [--quick]");
         for (flag, text) in [
             (Flag::Json, " [--json]"),
-            (Flag::Bench, " [--bench]"),
             (Flag::Chrome, " [--chrome FILE]"),
         ] {
             if accepts.contains(&flag) {
@@ -138,8 +101,8 @@ pub fn parse_cli(example: &str, accepts: &[Flag]) -> Cli {
 }
 
 /// The whole `main` of a registered example: parses the flags, runs the
-/// experiment, and prints the `--json` document, the `--bench` snapshot of
-/// the timed run, or `intro(quick)`, the tables and `takeaway`.
+/// experiment, and prints the `--json` document, or `intro(quick)`, the
+/// tables and `takeaway`.
 ///
 /// # Panics
 ///
@@ -147,18 +110,10 @@ pub fn parse_cli(example: &str, accepts: &[Flag]) -> Cli {
 pub fn run_example(example: &str, intro: impl FnOnce(bool), takeaway: &str) {
     let registered = REGISTRY.iter().find(|e| e.example == example);
     let exp = registered.expect("the example is registered");
-    let accepts: &[Flag] = match exp.bench {
-        Some(_) => &[Flag::Json, Flag::Bench],
-        None => &[Flag::Json],
-    };
-    let cli = parse_cli(example, accepts);
-    let started = Instant::now();
+    let cli = parse_cli(example, &[Flag::Json]);
     let doc = (exp.run)(cli.quick);
-    let wall_secs = started.elapsed().as_secs_f64();
     if cli.json {
         println!("{}", doc.json_text());
-    } else if cli.bench {
-        println!("{}", exp.snapshot(&doc, wall_secs).render());
     } else {
         intro(cli.quick);
         println!("\n{}", doc.text(exp.views));
@@ -196,10 +151,6 @@ macro_rules! row {
     };
 }
 
-fn total<T>(rows: &[T], of: impl Fn(&T) -> u64) -> u64 {
-    rows.iter().map(of).sum()
-}
-
 const PLAIN: Fmt = Fmt::Plain;
 
 fn fleet(quick: bool) -> Document {
@@ -229,8 +180,6 @@ fn fleet(quick: bool) -> Document {
             ("cold_capacity_rps", cold_capacity_rps.into()),
         ],
         sections: vec![("rows", rows.iter().map(export).collect())],
-        seed: cfg.seed,
-        counts: Vec::new(),
     }
 }
 
@@ -279,12 +228,6 @@ fn chaos(quick: bool) -> Document {
             ("planned_crashes", planned_crashes.into()),
         ],
         sections: vec![("rows", rows.iter().map(export).collect())],
-        seed: cfg.seed,
-        counts: vec![
-            ("requests_completed", total(&rows, |r| r.completed as u64)),
-            ("faults", total(&rows, |r| r.faults)),
-            ("retries", total(&rows, |r| r.retries)),
-        ],
     }
 }
 
@@ -347,15 +290,6 @@ fn cluster(quick: bool) -> Document {
     Document {
         head: vec![("cold_ceiling_rps", cold_ceiling_rps.into())],
         sections: vec![("rows", rows.iter().map(export).collect())],
-        seed: cfg.seed,
-        counts: vec![
-            (
-                "hosts",
-                rows.iter().map(|r| r.hosts as u64).max().unwrap_or(0),
-            ),
-            ("requests_completed", total(&rows, |r| r.completed as u64)),
-            ("failovers", total(&rows, |r| r.failovers)),
-        ],
     }
 }
 
@@ -412,12 +346,6 @@ fn attplane(quick: bool) -> Document {
     Document {
         head: Vec::new(),
         sections: vec![("rows", rows.iter().map(export).collect())],
-        seed: cfg.seed,
-        counts: vec![
-            ("hosts", cfg.hosts as u64),
-            ("requests_completed", total(&rows, |r| r.completed as u64)),
-            ("verifications", total(&rows, |r| r.verifications)),
-        ],
     }
 }
 
@@ -488,15 +416,6 @@ fn net(quick: bool) -> Document {
     Document {
         head: Vec::new(),
         sections: vec![("rows", rows.iter().map(export).collect())],
-        seed: cfg.seed,
-        counts: vec![
-            ("hosts", cfg.hosts as u64),
-            ("requests_completed", total(&rows, |r| r.completed as u64)),
-            (
-                "net_events",
-                total(&rows, |r| r.net_lost + r.net_nacks + r.stale_completions),
-            ),
-        ],
     }
 }
 
@@ -581,13 +500,6 @@ fn policy(quick: bool) -> Document {
             ("arms", arms.iter().map(export_arm).collect()),
             ("tenants", tenants.iter().map(export_tenant).collect()),
         ],
-        seed: cfg.seed,
-        counts: vec![
-            ("hosts", cfg.hosts as u64),
-            ("arms", arms.len() as u64),
-            ("requests_completed", total(&arms, |a| a.completed as u64)),
-            ("policy_decisions", total(&tenants, |t| t.issued as u64)),
-        ],
     }
 }
 
@@ -659,12 +571,6 @@ fn autoscale(quick: bool) -> Document {
     Document {
         head: Vec::new(),
         sections: vec![("arms", rows.iter().map(export).collect())],
-        seed: cfg.seed,
-        counts: vec![
-            ("arms", rows.len() as u64),
-            ("requests_completed", total(&rows, |r| r.completed as u64)),
-            ("control_ticks", total(&rows, |r| r.ticks)),
-        ],
     }
 }
 
@@ -756,56 +662,42 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment {
         id: "fleet",
         example: "fleet_serving",
-        bench: None,
-        per_sec: &[],
         run: fleet,
         views: &[FLEET_VIEW],
     },
     Experiment {
         id: "chaos",
         example: "fleet_chaos",
-        bench: Some("chaos"),
-        per_sec: &[],
         run: chaos,
         views: &[CHAOS_VIEW],
     },
     Experiment {
         id: "cluster",
         example: "cluster_scaling",
-        bench: Some("cluster"),
-        per_sec: &[],
         run: cluster,
         views: &[CLUSTER_VIEW],
     },
     Experiment {
         id: "attplane",
         example: "attestation_storm",
-        bench: Some("attplane"),
-        per_sec: &[("verifications_per_sec", "verifications")],
         run: attplane,
         views: &[ATTPLANE_VIEW],
     },
     Experiment {
         id: "net",
         example: "partition_drill",
-        bench: Some("net"),
-        per_sec: &[],
         run: net,
         views: &[NET_VIEW],
     },
     Experiment {
         id: "policy",
         example: "tenant_qos",
-        bench: Some("policy"),
-        per_sec: &[("decisions_per_sec", "policy_decisions")],
         run: policy,
         views: &[TENANT_VIEW, ARM_VIEW],
     },
     Experiment {
         id: "autoscale",
         example: "autoscale_drill",
-        bench: Some("autoscale"),
-        per_sec: &[("requests_per_sec", "requests_completed")],
         run: autoscale,
         views: &[AUTOSCALE_VIEW],
     },
@@ -821,42 +713,23 @@ mod tests {
 
     #[test]
     fn accepted_flags_parse() {
-        let all = [Flag::Json, Flag::Bench, Flag::Chrome];
+        let all = [Flag::Json, Flag::Chrome];
         let got = cli(&all, &["--quick", "--chrome", "/tmp/t.json", "--json"]).unwrap();
-        assert!(got.quick && got.json && !got.bench);
+        assert!(got.quick && got.json);
         assert_eq!(got.chrome.as_deref(), Some("/tmp/t.json"));
         assert_eq!(cli(&all, &[]).unwrap(), Cli::default());
-        assert!(cli(&all, &["--bench"]).unwrap().bench);
     }
 
     #[test]
-    fn typos_unaccepted_flags_and_json_with_bench_are_rejected() {
-        let sweep = [Flag::Json, Flag::Bench];
-        assert!(cli(&sweep, &["--qiuck"]).is_err());
-        assert!(cli(&sweep, &["--jsno"]).is_err());
-        assert!(cli(&sweep, &["--json", "--bench"]).is_err());
-        assert!(cli(&sweep, &["--bench", "--json"]).is_err());
-        assert!(cli(&sweep, &["--chrome", "f"]).is_err());
-        assert!(cli(&[Flag::Json], &["--bench"]).is_err());
+    fn typos_and_unaccepted_flags_are_rejected() {
+        // Two typos and a flag no example takes.
+        for unknown in ["qiuck", "jsno", "bench"] {
+            assert!(cli(&[Flag::Json, Flag::Chrome], &[&format!("--{unknown}")]).is_err());
+        }
+        assert!(cli(&[Flag::Json], &["--chrome", "f"]).is_err());
+        assert!(cli(&[Flag::Chrome], &["--json"]).is_err());
         assert!(cli(&[Flag::Chrome], &["--chrome"]).is_err());
         assert!(cli(&[], &["--quick"]).is_ok());
-    }
-
-    #[test]
-    fn snapshot_keeps_the_bench_schema() {
-        let exp = find("attplane").unwrap();
-        let doc = Document {
-            seed: 7,
-            counts: vec![("requests_completed", 200), ("verifications", 50)],
-            ..Document::default()
-        };
-        let snap = exp.snapshot(&doc, 0.5);
-        assert_eq!(snap.bench, "attplane");
-        assert_eq!(snap.seed, 7);
-        assert_eq!(snap.counts.len(), 2);
-        let rate = |name: &str| snap.rates.iter().find(|(k, _)| k == name).unwrap().1;
-        assert_eq!(rate("wall_us_per_request"), 2500.0);
-        assert_eq!(rate("verifications_per_sec"), 100.0);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Shared rendering/serialization helpers for the benchmark harness.
 //!
-//! The `figures` binary regenerates every table and figure of the paper;
-//! the benches under `benches/` time the experiment drivers and the
-//! from-scratch primitives. This library holds the bits both share: text-
-//! table rendering, a dependency-free JSON emitter whose output
-//! EXPERIMENTS.md is built from, a small wall-clock timing harness, and —
-//! in [`document`] and [`experiment`] — the one description of every
-//! serving experiment that the examples and `figures` both render from.
+//! The `figures` binary regenerates every table and figure of the paper on
+//! the virtual clock (wall-clock results come from `benchmark/` alone).
+//! This library holds what it shares with the examples: text-table
+//! rendering, a dependency-free JSON emitter whose output EXPERIMENTS.md is
+//! built from, and — in [`document`] and [`experiment`] — the one
+//! description of every serving experiment that both render from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +15,6 @@ pub mod experiment;
 pub mod perf;
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use sevf_obs::json_escape;
 
@@ -67,8 +65,8 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// serialization framework buys nothing here and the repository builds
 /// offline, so this emitter is hand-rolled. Objects keep insertion order:
 /// [`Json::to_inline`] prints it (the `--json` replay documents), while
-/// [`Json::to_pretty`] sorts keys (the `data/*.json` and `BENCH_*.json`
-/// files), so both outputs are deterministic.
+/// [`Json::to_pretty`] sorts keys (the `data/*.json` files), so both
+/// outputs are deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -253,89 +251,6 @@ pub fn write_dumps(dir: &std::path::Path, dumps: &[FigureDump]) -> std::io::Resu
     Ok(())
 }
 
-/// The unified cross-arm benchmark snapshot (`BENCH_*.json` schema).
-///
-/// Every bench arm — net, attplane, fleet, cluster, perf — emits the same
-/// shape: which bench ran, under which seed, what it counted, total
-/// wall-clock, and the derived rates. ci.sh appends each snapshot to
-/// `BENCH_trajectory.jsonl` (so speedup claims have a history instead of an
-/// overwritten file) and diff-gates `BENCH_perf.json` against the committed
-/// `BENCH_baseline.json`.
-///
-/// # Example
-///
-/// ```
-/// let snap = sevf_bench::BenchSnapshot::new("net", 42)
-///     .count("requests_completed", 1000)
-///     .wall(0.5)
-///     .rate("wall_us_per_request", 500.0);
-/// let text = snap.render();
-/// assert!(text.contains("\"bench\": \"net\""));
-/// assert!(text.contains("\"requests_completed\": 1000"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct BenchSnapshot {
-    /// Bench arm name ("net", "attplane", "fleet", "cluster", "perf").
-    pub bench: String,
-    /// Seed the workload was generated from.
-    pub seed: u64,
-    /// What the run processed (requests, events, pages, ...).
-    pub counts: Vec<(String, u64)>,
-    /// Total wall-clock for the measured section, in seconds.
-    pub wall_secs: f64,
-    /// Derived rates (us-per-request, MB/s, events/s, speedups, ...).
-    pub rates: Vec<(String, f64)>,
-}
-
-impl BenchSnapshot {
-    /// Starts a snapshot for `bench` under `seed`.
-    pub fn new(bench: impl Into<String>, seed: u64) -> Self {
-        BenchSnapshot {
-            bench: bench.into(),
-            seed,
-            counts: Vec::new(),
-            wall_secs: 0.0,
-            rates: Vec::new(),
-        }
-    }
-
-    /// Adds a count (builder style).
-    pub fn count(mut self, name: impl Into<String>, value: u64) -> Self {
-        self.counts.push((name.into(), value));
-        self
-    }
-
-    /// Sets the measured wall-clock seconds (builder style).
-    pub fn wall(mut self, secs: f64) -> Self {
-        self.wall_secs = secs;
-        self
-    }
-
-    /// Adds a derived rate (builder style).
-    pub fn rate(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.rates.push((name.into(), value));
-        self
-    }
-
-    /// The snapshot as a [`Json`] object (deterministic key order).
-    pub fn to_json(&self) -> Json {
-        let counts = self.counts.iter().map(|(k, v)| (k.clone(), Json::from(*v)));
-        let rates = self.rates.iter().map(|(k, v)| (k.clone(), Json::from(*v)));
-        Json::obj([
-            ("bench", Json::Str(self.bench.clone())),
-            ("seed", Json::from(self.seed)),
-            ("counts", Json::Obj(counts.collect())),
-            ("wall_secs", Json::from(self.wall_secs)),
-            ("rates", Json::Obj(rates.collect())),
-        ])
-    }
-
-    /// Pretty-printed JSON, ready to write to a `BENCH_*.json` file.
-    pub fn render(&self) -> String {
-        self.to_json().to_pretty()
-    }
-}
-
 /// The `--quick` or the paper-scale value of a config.
 pub fn pick<T>(quick: bool, small: fn() -> T, paper: fn() -> T) -> T {
     if quick {
@@ -353,30 +268,6 @@ pub fn mib(bytes: u64) -> String {
 /// Formats milliseconds with two decimals.
 pub fn fmt_ms(ms: f64) -> String {
     format!("{ms:.2}")
-}
-
-/// Times `f` over `iters` runs and prints mean/min wall-clock per run.
-///
-/// Replaces the external Criterion harness for the `benches/` entry points:
-/// the repository builds offline, and these benches only need honest
-/// wall-clock numbers next to the virtual-time figures they print.
-pub fn time_it<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) {
-    assert!(iters > 0);
-    let mut best = f64::INFINITY;
-    let mut total = 0.0f64;
-    for _ in 0..iters {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(&out);
-        best = best.min(elapsed);
-        total += elapsed;
-    }
-    println!(
-        "{name:<40} {iters:>3} iters  mean {:>9.3} ms  min {:>9.3} ms",
-        total / iters as f64,
-        best
-    );
 }
 
 #[cfg(test)]
@@ -419,32 +310,5 @@ mod tests {
     fn empty_containers_stay_compact() {
         assert_eq!(Json::Arr(vec![]).to_pretty(), "[]");
         assert_eq!(Json::Obj(Default::default()).to_pretty(), "{}");
-    }
-
-    #[test]
-    fn timer_runs_closure() {
-        let mut calls = 0;
-        time_it("noop", 3, || calls += 1);
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn snapshot_schema_is_stable() {
-        let snap = BenchSnapshot::new("perf", 7)
-            .count("jobs", 100)
-            .count("events", 350)
-            .wall(1.25)
-            .rate("events_per_sec", 280.0);
-        let text = snap.render();
-        // Top-level keys print sorted; nested maps deterministic too.
-        let bench_pos = text.find("\"bench\"").unwrap();
-        let counts_pos = text.find("\"counts\"").unwrap();
-        let rates_pos = text.find("\"rates\"").unwrap();
-        let seed_pos = text.find("\"seed\"").unwrap();
-        let wall_pos = text.find("\"wall_secs\"").unwrap();
-        assert!(bench_pos < counts_pos && counts_pos < rates_pos);
-        assert!(rates_pos < seed_pos && seed_pos < wall_pos);
-        assert!(text.contains("\"events\": 350"));
-        assert!(text.contains("1.25"));
     }
 }

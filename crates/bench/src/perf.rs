@@ -1,12 +1,13 @@
-//! The `perf_sweep` bench arm: raw-speed microbenchmarks for the two hot
-//! paths the simulator lives on.
+//! The `perf_sweep` example's engine: two differential checks over the two
+//! hot paths the simulator lives on, with a wall-clock ratio printed beside
+//! each.
 //!
 //! * **DES engine** — one workload, two engines: the calendar-queue
 //!   [`sevf_sim::DesEngine`] against the heap-based
 //!   [`sevf_sim::reference::HeapEngine`] it replaced. Both must produce
 //!   identical outcomes (checked every run, and checksummed so the `--json`
-//!   replay gate pins the workload); the wall-clock ratio is the honest
-//!   speedup number that `BENCH_perf.json` reports and ci.sh gates.
+//!   replay gate pins the workload); the text table prints the wall-clock
+//!   ratio, the only place the calendar-vs-heap speedup shows.
 //! * **Measurement path** — full SHA-384 launch-digest chaining over a page
 //!   set, against [`sevf_psp::IncrementalChain`] re-measuring with a small
 //!   dirty suffix (the §6.2 template-hit shape) and against the two-level
@@ -14,9 +15,10 @@
 //!
 //! Everything here is deterministic in the seed *except* the wall-clock
 //! fields, which is why the example splits output: `--json` prints only the
-//! deterministic facts (byte-diffable in CI), `--bench` prints the
-//! wall-clock snapshot (appended to the trajectory, gated with a tolerance
-//! band).
+//! deterministic facts (byte-diffable in CI) and the text table prints the
+//! wall-clock ones, for reading only. Wall-clock *results* — anything a
+//! speed claim rests on — come from `benchmark/` (`sim.des_us_per_job`,
+//! `psp.measure_*_mb_s`).
 
 use std::time::Instant;
 
@@ -46,7 +48,7 @@ pub struct PerfConfig {
 }
 
 impl PerfConfig {
-    /// Full-size sweep (the committed baseline's scale).
+    /// Full-size sweep.
     pub fn full() -> Self {
         PerfConfig {
             jobs: 12_000_000,
@@ -96,16 +98,6 @@ impl DesPerf {
     /// Microseconds per simulated request on the heap reference engine.
     pub fn us_per_request_heap(&self) -> f64 {
         self.heap_secs * 1e6 / self.jobs as f64
-    }
-
-    /// Heap-time over calendar-time: the engine-swap speedup.
-    pub fn speedup(&self) -> f64 {
-        self.heap_secs / self.calendar_secs
-    }
-
-    /// Events per second through the calendar engine.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.calendar_secs
     }
 }
 
@@ -354,8 +346,6 @@ pub fn hash_perf(cfg: PerfConfig) -> HashPerf {
 /// One full perf sweep: both microbenches.
 #[derive(Debug, Clone)]
 pub struct PerfSweep {
-    /// The config it ran under.
-    pub cfg: PerfConfig,
     /// DES engine results.
     pub des: DesPerf,
     /// Measurement-path results.
@@ -365,7 +355,6 @@ pub struct PerfSweep {
 /// Runs the whole sweep.
 pub fn run_sweep(cfg: PerfConfig) -> PerfSweep {
     PerfSweep {
-        cfg,
         des: des_perf(cfg),
         hash: hash_perf(cfg),
     }
@@ -412,7 +401,6 @@ impl PerfSweep {
                 ),
                 ("paged_cache_hits", h.paged_cache_hits.into()),
             ],
-            seed: self.cfg.seed,
             ..Document::default()
         }
     }
@@ -452,38 +440,6 @@ impl PerfSweep {
             render_table(&["measurement path", "effective MB/s"], &paths)
         )
     }
-
-    /// The unified wall-clock snapshot (`BENCH_perf.json`).
-    pub fn snapshot(&self) -> crate::BenchSnapshot {
-        crate::BenchSnapshot::new("perf", self.cfg.seed)
-            .count("des_jobs", self.des.jobs)
-            .count("des_events", self.des.events)
-            .count("pages", self.hash.pages)
-            .count("dirty_pages", self.hash.dirty)
-            .wall(
-                self.des.calendar_secs
-                    + self.des.heap_secs
-                    + self.hash.full_secs
-                    + self.hash.incremental_secs
-                    + self.hash.paged_warm_secs,
-            )
-            .rate("wall_us_per_simulated_request", self.des.us_per_request())
-            .rate(
-                "wall_us_per_simulated_request_heap",
-                self.des.us_per_request_heap(),
-            )
-            .rate("des_speedup", self.des.speedup())
-            .rate("des_events_per_sec", self.des.events_per_sec())
-            .rate("hashed_mb_per_sec_full", self.hash.full_mb_per_sec())
-            .rate(
-                "hashed_mb_per_sec_incremental",
-                self.hash.incremental_mb_per_sec(),
-            )
-            .rate(
-                "hashed_mb_per_sec_paged_warm",
-                self.hash.paged_warm_mb_per_sec(),
-            )
-    }
 }
 
 #[cfg(test)]
@@ -522,14 +478,5 @@ mod tests {
         assert_eq!(h.full_digest_hex.len(), 96);
         // Digest is deterministic in the seed.
         assert_eq!(h.full_digest_hex, hash_perf(tiny()).full_digest_hex);
-    }
-
-    #[test]
-    fn snapshot_carries_the_gated_rates() {
-        let sweep = run_sweep(tiny());
-        let text = sweep.snapshot().render();
-        assert!(text.contains("wall_us_per_simulated_request"));
-        assert!(text.contains("hashed_mb_per_sec_full"));
-        assert!(text.contains("des_speedup"));
     }
 }

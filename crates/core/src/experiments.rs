@@ -682,14 +682,108 @@ pub fn ms(n: Nanos) -> f64 {
     n.as_millis_f64()
 }
 
-/// The SEV generations compared by the ablation bench.
-pub fn generations() -> [SevGeneration; 4] {
-    [
-        SevGeneration::None,
+// --------------------------------------------------------------------------
+// Ablations — what-ifs on the design choices DESIGN.md calls out
+// --------------------------------------------------------------------------
+
+/// One row of the ablation table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AblationRow {
+    /// The design choice varied.
+    pub study: &'static str,
+    /// The variant of it.
+    pub variant: String,
+    /// What `ms` measures.
+    pub measure: &'static str,
+    /// Virtual time, ms.
+    pub ms: f64,
+}
+
+/// Four virtual-time what-ifs: what a kitchen-sink verifier (generate
+/// everything in the guest, carry both loaders) costs in pre-encryption;
+/// the §6.1 pvalidate sweep of 256 MB with 4 KiB vs 2 MiB pages; how much
+/// faster the PSP must get before the Fig. 12 bottleneck stops mattering at
+/// 50 concurrent guests; and SEV vs SEV-ES vs SEV-SNP boot cost.
+///
+/// # Errors
+///
+/// Propagates boot failures.
+pub fn ablations(scale: &ExperimentScale) -> Result<Vec<AblationRow>, VmmError> {
+    use sevf_sim::cost::{PAGE_2M, PAGE_4K};
+    use sevf_verifier::binary::VerifierFeatures;
+    let cost = CostModel::calibrated();
+    let mut rows = Vec::new();
+    let mut push = |study, variant: String, measure, ms| {
+        rows.push(AblationRow {
+            study,
+            variant,
+            measure,
+            ms,
+        });
+    };
+    for (name, features) in [
+        ("severifast (bzImage)", VerifierFeatures::severifast()),
+        (
+            "severifast (vmlinux)",
+            VerifierFeatures::severifast_vmlinux(),
+        ),
+        ("kitchen sink", VerifierFeatures::kitchen_sink()),
+    ] {
+        let size = features.binary_size();
+        push(
+            "verifier features",
+            format!("{name}, {size} B"),
+            "pre-encryption",
+            ms(cost.psp_pre_encrypt_bytes(size)),
+        );
+    }
+    for (variant, page) in [("4 KiB pages", PAGE_4K), ("2 MiB pages", PAGE_2M)] {
+        push(
+            "pvalidate 256 MB",
+            variant.into(),
+            "pvalidate sweep",
+            ms(cost.pvalidate_sweep(256 * MB, page)),
+        );
+    }
+    let aws = || scale.kernels().remove(1);
+    for speedup in [1u64, 2, 4, 8] {
+        let mut cost = cost.clone();
+        cost.psp_encrypt_ps_per_byte /= speedup;
+        cost.psp_rmp_init_per_2mb =
+            Nanos::from_nanos(cost.psp_rmp_init_per_2mb.as_nanos() / speedup);
+        let mut machine = Machine::with_cost_model(scale.seed, cost);
+        let mut report = scale.boot(&mut machine, BootPolicy::Severifast, aws())?;
+        report.timeline = report.timeline.filtered(|p| p.counts_as_boot());
+        let mean = concurrent::run_concurrent(&report, 50).summary.mean;
+        let variant = format!("{speedup}x");
+        push("PSP speed", variant.clone(), "mean boot of 50 guests", mean);
+        push(
+            "PSP speed",
+            variant,
+            "PSP busy per guest",
+            ms(report.psp_busy),
+        );
+    }
+    for generation in [
         SevGeneration::Sev,
         SevGeneration::SevEs,
         SevGeneration::SevSnp,
-    ]
+    ] {
+        let mut machine = Machine::new(scale.seed);
+        machine.owner.set_required_generation(generation);
+        let mut config = scale.vm_config(BootPolicy::Severifast, aws());
+        config.generation = generation;
+        let vm = MicroVm::new(config)?;
+        vm.register_expected(&mut machine)?;
+        let report = vm.boot(&mut machine)?;
+        push(
+            "SEV generation",
+            generation.name().into(),
+            "boot",
+            ms(report.boot_time()),
+        );
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -872,5 +966,27 @@ mod tests {
             .unwrap();
         assert_eq!(sevf.binary_bytes, stock.binary_bytes);
         assert_eq!(sevf.overhead_bytes - stock.overhead_bytes, 16 * 1024);
+    }
+
+    #[test]
+    fn ablations_order_every_study_the_way_the_paper_argues() {
+        let rows = ablations(&ExperimentScale::quick()).unwrap();
+        let ms_of = |study: &str, measure: &str| -> Vec<f64> {
+            let picked = rows
+                .iter()
+                .filter(|r| r.study == study && r.measure == measure);
+            picked.map(|r| r.ms).collect()
+        };
+        let rising = |v: &[f64]| v.windows(2).all(|w| w[0] < w[1]);
+        // Bigger verifier, more pre-encryption; SEV < SEV-ES < SEV-SNP.
+        assert!(rising(&ms_of("verifier features", "pre-encryption")));
+        assert!(rising(&ms_of("SEV generation", "boot")));
+        // Huge pages make the sweep cheap (§6.1).
+        let sweep = ms_of("pvalidate 256 MB", "pvalidate sweep");
+        assert!(sweep[0] > 100.0 * sweep[1], "{sweep:?}");
+        // A faster PSP helps at every step, and never by as much as it sped up.
+        let mean = ms_of("PSP speed", "mean boot of 50 guests");
+        assert_eq!(mean.len(), 4);
+        assert!(mean.windows(2).all(|w| w[1] < w[0] && w[1] > w[0] / 2.0));
     }
 }

@@ -1,11 +1,10 @@
 //! Service-level metrics for one fleet run.
 //!
 //! Everything the experiment tables print comes from here: request latency
-//! percentiles (on [`sevf_sim::stats::Summary`]), a coarse latency
-//! histogram, queue depth sampled at every enqueue/dequeue, PSP/CPU
-//! utilization derived from the DES [`sevf_sim::RunTrace`], and the
-//! shed / cache-hit / warm-hit counters that explain *why* the latencies
-//! look the way they do.
+//! percentiles (on [`sevf_sim::stats::Summary`]), queue depth sampled at
+//! every enqueue/dequeue, PSP/CPU utilization derived from the DES
+//! [`sevf_sim::RunTrace`], and the shed / cache-hit / warm-hit counters
+//! that explain *why* the latencies look the way they do.
 
 use sevf_sim::fault::FaultKind;
 use sevf_sim::{Nanos, Summary};
@@ -179,30 +178,6 @@ impl FleetMetrics {
         self.summary().map_or(0.0, |s| s.p99)
     }
 
-    /// The latencies as a shared [`sevf_obs::Histogram`] over
-    /// `bucket_ms`-wide buckets (milliseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_ms` is not positive.
-    pub fn latency_histogram(&self, bucket_ms: f64) -> sevf_obs::Histogram {
-        let mut hist = sevf_obs::Histogram::new(bucket_ms);
-        for l in &self.latencies {
-            hist.record(l.as_millis_f64());
-        }
-        hist
-    }
-
-    /// Latency histogram over `bucket_ms`-wide buckets:
-    /// `(upper bound ms, count)` pairs covering every sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_ms` is not positive.
-    pub fn histogram(&self, bucket_ms: f64) -> Vec<(f64, usize)> {
-        self.latency_histogram(bucket_ms).upper_edge_rows()
-    }
-
     /// Mean queue depth weighted by the time each depth was held.
     pub fn mean_queue_depth(&self) -> f64 {
         sevf_obs::time_weighted_mean(&self.queue_depth)
@@ -237,58 +212,6 @@ impl FleetMetrics {
         }
         reg
     }
-
-    /// Human-readable one-run report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "completed {}  shed {}  (cache {}h/{}m, warm {}h/{}m, evicted {})\n",
-            self.completed,
-            self.shed,
-            self.cache_hits,
-            self.cache_misses,
-            self.warm_hits,
-            self.warm_misses,
-            self.evicted,
-        ));
-        out.push_str(&format!(
-            "latency mean {:.2} ms  p50 {:.2} ms  p99 {:.2} ms\n",
-            self.mean_ms(),
-            self.p50_ms(),
-            self.p99_ms(),
-        ));
-        out.push_str(&format!(
-            "psp {:.0}%  cpu {:.0}%  max queue {}  makespan {}\n",
-            self.psp_utilization * 100.0,
-            self.cpu_utilization * 100.0,
-            self.max_queue_depth,
-            self.makespan,
-        ));
-        if self.faults.total() > 0 || self.lost() > self.shed {
-            let f = &self.faults;
-            out.push_str(&format!(
-                "faults {} (transient {}, reset {}, warm-crash {}, attest {}t/{}e)\n",
-                f.total(),
-                f.psp_transient,
-                f.psp_reset,
-                f.warm_crash,
-                f.attest_timeout,
-                f.attest_error,
-            ));
-            out.push_str(&format!(
-                "retries {}  failed {}  timeouts {}  breaker trips {} (shed {})  \
-                 degraded dispatches {}  time degraded {}\n",
-                self.retries,
-                self.failed,
-                self.timeouts,
-                self.breaker_trips,
-                self.breaker_sheds,
-                self.degraded_dispatches,
-                self.time_degraded,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -301,8 +224,6 @@ mod tests {
         assert!(m.summary().is_none());
         assert_eq!(m.p99_ms(), 0.0);
         assert_eq!(m.mean_queue_depth(), 0.0);
-        assert!(m.histogram(10.0).is_empty());
-        assert!(m.render().contains("completed 0"));
     }
 
     #[test]
@@ -317,25 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_covers_all_samples() {
-        let mut m = FleetMetrics::default();
-        for ms in [1u64, 9, 11, 35] {
-            m.record_latency(Nanos::from_millis(ms));
-        }
-        let hist = m.histogram(10.0);
-        assert_eq!(hist.iter().map(|(_, c)| c).sum::<usize>(), 4);
-        assert_eq!(hist[0], (10.0, 2));
-        assert_eq!(hist.last().unwrap().1, 1);
-    }
-
-    #[test]
     fn single_sample_percentiles_all_equal_it() {
         let mut m = FleetMetrics::default();
         m.record_latency(Nanos::from_millis(42));
         assert!((m.mean_ms() - 42.0).abs() < 1e-9);
         assert!((m.p50_ms() - 42.0).abs() < 1e-9);
         assert!((m.p99_ms() - 42.0).abs() < 1e-9);
-        assert_eq!(m.histogram(10.0).iter().map(|(_, c)| c).sum::<usize>(), 1);
     }
 
     #[test]
@@ -376,7 +284,6 @@ mod tests {
         m.timeouts = 2;
         m.failed = 4;
         assert_eq!(m.lost(), 10);
-        assert!(m.render().contains("faults 4"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! work (bytes hashed, pages encrypted, commands dispatched) into virtual
 //! time. Each constant's doc comment cites the paper measurement it was
 //! derived from, so EXPERIMENTS.md can trace every reproduced number back to
-//! its calibration anchor. All fields are public: the ablation benches tweak
+//! its calibration anchor. All fields are public: the ablation table tweaks
 //! them to explore the design space (e.g. "what if the PSP were 4× faster?").
 //!
 //! Calibration anchors (AMD EPYC 7313P, §6.1 of the paper):

@@ -26,7 +26,7 @@
 //! The pre-calendar heap implementation survives as
 //! [`crate::reference::HeapEngine`]; `tests/engine_equivalence.rs` proves the
 //! two produce identical outcomes (including tie-breaking order) on seeded
-//! random job sets, and the `perf_sweep` bench arm times them against each
+//! random job sets, and the `perf_sweep` example times them against each
 //! other.
 
 use std::borrow::Cow;

@@ -9,10 +9,9 @@
 //!    seeded random job sets that the calendar-queue engine produces
 //!    identical [`JobOutcome`] sequences — including tie-breaking order —
 //!    and identical occupancy traces.
-//! 2. **The perf baseline.** The `perf_sweep` bench arm times both engines
-//!    on the same workload; `BENCH_perf.json`'s `des_speedup` is the ratio.
-//!    Keeping the slow engine compilable keeps that number honest instead
-//!    of anecdotal.
+//! 2. **The perf baseline.** The `perf_sweep` example times both engines
+//!    on the same workload and prints the ratio. Keeping the slow engine
+//!    compilable keeps that number honest instead of anecdotal.
 //!
 //! Do not use this engine in serving paths; it allocates per event and its
 //! heap costs grow with the pending-event set.

@@ -74,7 +74,7 @@ impl VerifierFeatures {
         }
     }
 
-    /// A maximal build (used by ablation benches to show why generating
+    /// A maximal build (used by the ablation table to show why generating
     /// everything in the guest loses: the binary grows past 24 KB).
     pub fn kitchen_sink() -> Self {
         VerifierFeatures {

@@ -4,7 +4,6 @@
 //! cargo run --release --example autoscale_drill            # paper-scale sweep
 //! cargo run --release --example autoscale_drill -- --quick
 //! cargo run --release --example autoscale_drill -- --quick --json
-//! cargo run --release --example autoscale_drill -- --quick --bench
 //! ```
 //!
 //! Every arm serves the *same* flash-crowd arrival trace — a quiet base
@@ -20,8 +19,7 @@
 //!
 //! `--json` prints the full result as deterministic JSON: two runs with
 //! the same flags emit byte-identical output (the CI replay gate diffs
-//! them). `--bench` instead prints wall-clock throughput JSON, which is
-//! machine-dependent and deliberately excluded from the replay gate.
+//! one against `data/golden/`).
 
 use sevf_bench::experiment::run_example;
 use sevf_bench::pick;

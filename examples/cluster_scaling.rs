@@ -22,9 +22,8 @@
 //! rebalances the warm budget, and holds goodput.
 //!
 //! `--json` prints the full result as deterministic JSON: two runs with the
-//! same flags emit byte-identical output (the CI replay gate diffs them).
-//! `--bench` instead prints wall-clock throughput JSON, which is
-//! machine-dependent and deliberately excluded from the replay gate.
+//! same flags emit byte-identical output (the CI replay gate diffs one
+//! against `data/golden/`).
 
 use sevf_bench::experiment::run_example;
 use sevf_bench::pick;

@@ -19,9 +19,8 @@
 //! across reset outages.
 //!
 //! `--json` prints the full result as deterministic JSON: two runs with the
-//! same flags emit byte-identical output (the CI replay gate diffs them).
-//! `--bench` instead prints wall-clock throughput JSON, which is
-//! machine-dependent and deliberately excluded from the replay gate.
+//! same flags emit byte-identical output (the CI replay gate diffs one
+//! against `data/golden/`).
 
 use sevf_bench::experiment::run_example;
 use sevf_bench::pick;

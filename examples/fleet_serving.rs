@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run --release --example fleet_serving          # paper-scale sweep
 //! cargo run --release --example fleet_serving -- --quick
+//! cargo run --release --example fleet_serving -- --quick --json
 //! ```
 //!
 //! Serves the same seeded open-loop request stream — a mix of kernel

@@ -4,7 +4,6 @@
 //! cargo run --release --example perf_sweep            # full-scale sweep
 //! cargo run --release --example perf_sweep -- --quick
 //! cargo run --release --example perf_sweep -- --quick --json
-//! cargo run --release --example perf_sweep -- --quick --bench
 //! ```
 //!
 //! Two microbenchmarks over one seeded workload. **DES**: a fleet-shaped
@@ -19,19 +18,16 @@
 //! `--json` prints only the deterministic facts (job counts, the outcome
 //! checksum, the launch digest, the agreement booleans): two runs with
 //! the same flags emit byte-identical output, so the CI replay gate can
-//! diff them. `--bench` prints the wall-clock `BENCH_perf.json` snapshot
-//! that ci.sh appends to the trajectory and gates against the committed
-//! baseline.
+//! diff them. The text table is the only place the calendar-vs-heap
+//! wall-clock ratio prints; it is for reading, not a result — a speed claim
+//! is checked with `benchmark/run.sh` (see README.md).
 
 use sevf_bench::experiment::{parse_cli, Flag};
 use sevf_bench::perf::run_checked;
 
 fn main() {
-    let cli = parse_cli("perf_sweep", &[Flag::Json, Flag::Bench]);
+    let cli = parse_cli("perf_sweep", &[Flag::Json]);
     let sweep = run_checked(cli.quick);
-    if cli.bench {
-        return println!("{}", sweep.snapshot().render());
-    }
     if cli.json {
         return println!("{}", sweep.document().json_text());
     }

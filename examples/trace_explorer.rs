@@ -15,7 +15,8 @@
 //! the metrics report for that request.
 //!
 //! `--json` prints the result as deterministic JSON (two runs emit
-//! byte-identical output; the CI replay gate diffs them). `--chrome FILE`
+//! byte-identical output; the CI replay gate diffs one against
+//! `data/golden/`). `--chrome FILE`
 //! additionally writes the failover scenario's full span set as a Chrome
 //! `trace_event` file — load it in `chrome://tracing` or Perfetto.
 
