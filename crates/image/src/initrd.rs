@@ -12,8 +12,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use sevf_codec::Codec;
+
 use crate::content::{generate, ContentProfile};
 use crate::cpio::{build, CpioEntry};
+use crate::Component;
 
 const MB: u64 = 1024 * 1024;
 
@@ -39,12 +42,32 @@ pub const INIT_SCRIPT: &str = "#!/bin/sh\n\
 /// # Ok::<(), sevf_image::ImageError>(())
 /// ```
 pub fn build_initrd(total_size: u64) -> Arc<Vec<u8>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<Vec<u8>>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(archive) = cache.lock().expect("initrd cache").get(&total_size) {
-        return Arc::clone(archive);
-    }
+    Arc::clone(staged_initrd(total_size, Codec::None).bytes())
+}
 
+/// The initrd as a boot stages it — [`build_initrd`]'s archive compressed
+/// with `codec` — with the digest taken when it was built (cached per size
+/// and codec; with [`Codec::None`] the bytes are the archive's own buffer).
+pub fn staged_initrd(total_size: u64, codec: Codec) -> Component {
+    static CACHE: OnceLock<Mutex<HashMap<(u64, Codec), Component>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let key = (total_size, codec);
+    if let Some(staged) = cache.lock().expect("initrd cache").get(&key) {
+        return staged.clone();
+    }
+    let staged = Component::new(match codec {
+        Codec::None => archive(total_size),
+        codec => codec.compress(&build_initrd(total_size)),
+    });
+    cache
+        .lock()
+        .expect("initrd cache")
+        .entry(key)
+        .or_insert(staged)
+        .clone()
+}
+
+fn archive(total_size: u64) -> Vec<u8> {
     // Fixed small files; the attestation client and its shared libraries
     // absorb the rest of the size budget.
     let fixed: Vec<CpioEntry> = vec![
@@ -84,12 +107,7 @@ pub fn build_initrd(total_size: u64) -> Arc<Vec<u8>> {
         "bin/busybox",
         generate(profile, busybox, b"busybox"),
     ));
-    let archive = Arc::new(build(&entries));
-    cache
-        .lock()
-        .expect("initrd cache")
-        .insert(total_size, Arc::clone(&archive));
-    archive
+    build(&entries)
 }
 
 #[cfg(test)]

@@ -20,11 +20,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sevf_codec::Codec;
+use sevf_crypto::{sha256, Digest256};
 
 use crate::bzimage;
 use crate::content::{generate, ContentProfile};
 use crate::elf::{ElfImage, Segment, SegmentFlags};
-use crate::ImageError;
+use crate::{Component, ImageError};
 
 const MB: u64 = 1024 * 1024;
 
@@ -139,7 +140,7 @@ impl KernelDescriptor {
 /// A guest kernel configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
-    /// Config name (cache key together with size).
+    /// Config name (seeds the generated content).
     pub name: String,
     /// Target vmlinux size in bytes.
     pub vmlinux_size: u64,
@@ -245,29 +246,51 @@ impl KernelConfig {
     }
 
     /// Builds (or fetches from the process-wide cache) the kernel image.
+    ///
+    /// A hit compares the whole config: every field shapes the bytes (the
+    /// descriptor sits in `.text`), and the digests that travel with the
+    /// image end up in the launch measurement.
     pub fn build(&self) -> Arc<KernelImage> {
-        static CACHE: OnceLock<Mutex<HashMap<String, Arc<KernelImage>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let key = format!("{}:{}", self.name, self.vmlinux_size);
-        if let Some(image) = cache.lock().expect("cache lock").get(&key) {
-            return Arc::clone(image);
+        // A handful of configs per process, and `ContentProfile` holds
+        // `f64`s: a scan with `==`, not a hash map.
+        static CACHE: Mutex<Vec<Arc<KernelImage>>> = Mutex::new(Vec::new());
+        let cached = |cache: &Vec<Arc<KernelImage>>| {
+            cache.iter().find(|image| image.config == *self).cloned()
+        };
+        if let Some(image) = cached(&CACHE.lock().expect("cache lock")) {
+            return image;
         }
         let image = Arc::new(KernelImage::build(self.clone()));
-        cache
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&image));
-        image
+        let mut cache = CACHE.lock().expect("cache lock");
+        // Two threads may have built the same config; every caller must
+        // get the one image the cache keeps.
+        cached(&cache).unwrap_or_else(|| {
+            cache.push(Arc::clone(&image));
+            image
+        })
     }
 }
 
-/// A fully built kernel: the ELF vmlinux plus lazily built bzImages.
+/// SHA-256 of each piece the §5 fw_cfg loader transfers and checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FwCfgDigests {
+    /// The 64-byte ELF header.
+    pub ehdr: Digest256,
+    /// The program header table.
+    pub phdrs: Digest256,
+    /// The loadable segment bytes, in order.
+    pub segments: Digest256,
+}
+
+/// A fully built kernel: the ELF vmlinux plus lazily built staging images,
+/// each with the digest(s) taken when it was built.
 #[derive(Debug)]
 pub struct KernelImage {
     config: KernelConfig,
-    vmlinux: Vec<u8>,
+    vmlinux: Arc<Vec<u8>>,
     elf: ElfImage,
-    bzimages: Mutex<HashMap<Codec, Arc<Vec<u8>>>>,
+    bzimages: Mutex<HashMap<Codec, Component>>,
+    fw_cfg: OnceLock<(Arc<Vec<u8>>, FwCfgDigests)>,
 }
 
 impl KernelImage {
@@ -322,12 +345,13 @@ impl KernelImage {
                 },
             ],
         };
-        let vmlinux = elf.to_bytes();
+        let vmlinux = Arc::new(elf.to_bytes());
         KernelImage {
             config,
             vmlinux,
             elf,
             bzimages: Mutex::new(HashMap::new()),
+            fw_cfg: OnceLock::new(),
         }
     }
 
@@ -341,6 +365,12 @@ impl KernelImage {
         &self.vmlinux
     }
 
+    /// [`KernelImage::vmlinux`] as the image's own shared buffer: a boot
+    /// that holds the kernel file for its duration takes this, not a copy.
+    pub fn vmlinux_shared(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.vmlinux)
+    }
+
     /// The parsed ELF structure.
     pub fn elf(&self) -> &ElfImage {
         &self.elf
@@ -349,13 +379,32 @@ impl KernelImage {
     /// The bzImage with the payload compressed by `codec` (built once and
     /// cached).
     pub fn bzimage(&self, codec: Codec) -> Arc<Vec<u8>> {
+        Arc::clone(self.hashed_bzimage(codec).bytes())
+    }
+
+    /// [`KernelImage::bzimage`] with the whole-file digest taken when it was
+    /// built.
+    pub fn hashed_bzimage(&self, codec: Codec) -> Component {
         let mut cache = self.bzimages.lock().expect("bzimage lock");
-        if let Some(bz) = cache.get(&codec) {
-            return Arc::clone(bz);
-        }
-        let bz = Arc::new(bzimage::build(&self.vmlinux, codec));
-        cache.insert(codec, Arc::clone(&bz));
-        bz
+        cache
+            .entry(codec)
+            .or_insert_with(|| Component::new(bzimage::build(&self.vmlinux, codec)))
+            .clone()
+    }
+
+    /// The vmlinux policy's fw_cfg staging image — `[ehdr][phdrs][segments]`
+    /// back to back — with the three piece digests (built once and cached).
+    pub fn fw_cfg_staged(&self) -> (Arc<Vec<u8>>, FwCfgDigests) {
+        let (bytes, digests) = self.fw_cfg.get_or_init(|| {
+            let (ehdr, phdrs, segs) = self.elf.fw_cfg_pieces();
+            let digests = FwCfgDigests {
+                ehdr: sha256(&ehdr),
+                phdrs: sha256(&phdrs),
+                segments: sha256(&segs),
+            };
+            (Arc::new([ehdr, phdrs, segs].concat()), digests)
+        });
+        (Arc::clone(bytes), *digests)
     }
 
     /// The descriptor embedded at the entry point.
@@ -416,6 +465,47 @@ mod tests {
         let bz1 = a.bzimage(Codec::Lz4);
         let bz2 = b.bzimage(Codec::Lz4);
         assert!(Arc::ptr_eq(&bz1, &bz2));
+    }
+
+    #[test]
+    fn cache_hit_compares_the_whole_config() {
+        // Same name and size, one other field flipped: the descriptor in
+        // `.text` differs, so the image — and every digest that travels
+        // with it — must too.
+        let base = KernelConfig::test_tiny();
+        let variants = [
+            KernelConfig {
+                has_network: false,
+                ..base.clone()
+            },
+            KernelConfig {
+                phases: BootPhases {
+                    late_us: 1,
+                    ..base.phases
+                },
+                ..base.clone()
+            },
+            KernelConfig {
+                profile: ContentProfile::lupine(),
+                ..base.clone()
+            },
+        ];
+        let image = base.build();
+        for variant in variants {
+            let other = variant.build();
+            assert!(!Arc::ptr_eq(&image, &other), "{variant:?} shared an image");
+            let text = &other.elf().segments[0].data;
+            assert_eq!(
+                KernelDescriptor::from_bytes(text).unwrap(),
+                variant.descriptor()
+            );
+            assert_ne!(
+                image.hashed_bzimage(Codec::Lz4).digest(),
+                other.hashed_bzimage(Codec::Lz4).digest()
+            );
+            assert!(Arc::ptr_eq(&other, &variant.build()));
+        }
+        assert!(Arc::ptr_eq(&image, &base.build()));
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   the from-scratch codecs land on Fig. 8's vmlinux/bzImage size pairs;
 //! * an embedded [`kernel::KernelDescriptor`] that tells the guest-kernel
 //!   runtime how long each boot phase takes, standing in for actually
-//!   executing Linux.
+//!   executing Linux;
+//! * the out-of-band hash tool of §4.3: every image a boot stages is hashed
+//!   once, where its cache builds it, and handed out as a [`Component`]
+//!   (bytes + SHA-256), so whoever stages it never hashes it again.
 //!
 //! # Example
 //!
@@ -43,6 +46,39 @@ pub mod initrd;
 pub mod kernel;
 
 use std::fmt;
+use std::sync::Arc;
+
+use sevf_crypto::{sha256, Digest256};
+
+/// A boot component as the VMM stages it: the bytes, and the SHA-256 taken
+/// where they were built (§4.3 — the hash tool runs out of band, once per
+/// image; whoever stages the component is handed the digest with it).
+#[derive(Debug, Clone)]
+pub struct Component {
+    bytes: Arc<Vec<u8>>,
+    digest: Digest256,
+}
+
+impl Component {
+    /// Takes ownership of `bytes` and hashes them, once.
+    pub fn new(bytes: Vec<u8>) -> Self {
+        let digest = sha256(&bytes);
+        Component {
+            bytes: Arc::new(bytes),
+            digest,
+        }
+    }
+
+    /// The component's bytes (shared with the cache that built them).
+    pub fn bytes(&self) -> &Arc<Vec<u8>> {
+        &self.bytes
+    }
+
+    /// SHA-256 of [`Component::bytes`].
+    pub fn digest(&self) -> Digest256 {
+        self.digest
+    }
+}
 
 /// Errors raised when parsing or building boot images.
 #[derive(Debug, Clone, PartialEq, Eq)]

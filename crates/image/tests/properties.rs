@@ -4,10 +4,11 @@
 //! an external property-testing dependency.
 
 use sevf_codec::Codec;
-use sevf_image::bzimage;
+use sevf_crypto::sha256;
 use sevf_image::cpio::{self, CpioEntry};
 use sevf_image::elf::{ElfImage, Segment, SegmentFlags};
-use sevf_image::kernel::{BootPhases, KernelDescriptor};
+use sevf_image::kernel::{BootPhases, KernelConfig, KernelDescriptor};
+use sevf_image::{bzimage, initrd};
 use sevf_sim::rng::XorShift64;
 
 const CASES: u64 = 64;
@@ -181,5 +182,43 @@ fn descriptor_garbage_never_panics() {
     let mut rng = XorShift64::new(0x1A6_0009);
     for _ in 0..CASES {
         let _ = KernelDescriptor::from_bytes(&bytes(&mut rng, 0, 99));
+    }
+}
+
+/// The digests that travel with the staged components (§4.3) are what a
+/// fresh hash of the carried bytes gives: the VMM pre-encrypts them without
+/// looking at the bytes, and the guest re-hashes the bytes against them.
+#[test]
+fn carried_digests_are_honest() {
+    let mut configs: Vec<KernelConfig> = KernelConfig::paper_configs()
+        .into_iter()
+        .map(|c| c.scaled_down(64))
+        .collect();
+    configs.push(KernelConfig::test_tiny());
+    for config in configs {
+        let image = config.build();
+        for codec in Codec::ALL {
+            let bz = image.hashed_bzimage(codec);
+            assert_eq!(bz.digest(), sha256(bz.bytes()), "{} {codec:?}", config.name);
+            assert_eq!(*bz.bytes(), image.bzimage(codec));
+        }
+        let (staged, digests) = image.fw_cfg_staged();
+        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
+        assert_eq!(digests.ehdr, sha256(&ehdr));
+        assert_eq!(digests.phdrs, sha256(&phdrs));
+        assert_eq!(digests.segments, sha256(&segs));
+        assert_eq!(*staged, [ehdr, phdrs, segs].concat());
+    }
+    for size in [0, 1, 4096, 64 * 1024, 300 * 1024] {
+        let raw = initrd::build_initrd(size);
+        for codec in Codec::ALL {
+            let staged = initrd::staged_initrd(size, codec);
+            assert_eq!(staged.digest(), sha256(staged.bytes()), "{size} {codec:?}");
+            if codec == Codec::None {
+                assert!(std::sync::Arc::ptr_eq(staged.bytes(), &raw), "no copy");
+            } else {
+                assert_eq!(codec.decompress(staged.bytes()).unwrap(), *raw);
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use sevf_crypto::XexCipher;
+use sevf_crypto::{sha256, XexCipher};
 use sevf_sim::cost::SevGeneration;
 
 use crate::error::{MemError, VcReason};
@@ -110,10 +110,19 @@ impl GuestMemory {
         self.pages.len()
     }
 
-    /// Guest-physical addresses of the materialized pages, in order
-    /// (untouched pages have no backing and read as zeros).
-    pub fn resident_page_addrs(&self) -> Vec<u64> {
-        self.pages.keys().map(|p| p * PAGE_SIZE).collect()
+    /// SHA-256 of the host's view of every materialized page, in address
+    /// order — what a KSM-style scanner could fingerprint (ciphertext for
+    /// private pages, plaintext for shared ones). Untouched pages have no
+    /// backing and cost a deduplicator nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GuestMemory::host_read`] faults.
+    pub fn host_page_digests(&self) -> Result<Vec<[u8; 32]>, MemError> {
+        self.pages
+            .keys()
+            .map(|p| Ok(sha256(&self.host_read(p * PAGE_SIZE, PAGE_SIZE)?)))
+            .collect()
     }
 
     fn check_range(&self, addr: u64, len: u64) -> Result<(), MemError> {

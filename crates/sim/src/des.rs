@@ -19,9 +19,11 @@
 //! duration)` pairs at submission, so the inner loop walks a flat `Vec`
 //! instead of chasing per-job `Vec<Segment>` allocations, and [`Segment`]
 //! labels are `Cow<'static, str>` so the common static-label case allocates
-//! nothing per dispatch. [`DesEngine::run`] skips occupancy-trace collection
-//! entirely — callers that need utilization accounting use
-//! [`DesEngine::run_traced`] / [`DesEngine::run_dynamic`].
+//! nothing per dispatch. The arena, the job states and the occupancy trace
+//! are reserved once per run, so a run's resident peak is what it writes,
+//! not where reallocation found room. [`DesEngine::run`] skips
+//! occupancy-trace collection entirely — callers that need utilization
+//! accounting use [`DesEngine::run_traced`] / [`DesEngine::run_dynamic`].
 //!
 //! The pre-calendar heap implementation survives as
 //! [`crate::reference::HeapEngine`]; `tests/engine_equivalence.rs` proves the
@@ -262,6 +264,18 @@ struct JobState {
     done: bool,
 }
 
+/// Room a run's big tables get before the first job is admitted: the
+/// segment arena and the occupancy trace [`RESERVED_SEGMENTS`] entries, the
+/// job states [`RESERVED_JOBS`] — more than any serving run here fills (a
+/// 100 000-request elastic run admits 0.3 M jobs of 2.4 M segments), so the
+/// tables never move. A table that doubles its way up to tens of MiB leaves
+/// each outgrown copy behind, and whether the allocator has a hole for the
+/// next one depends on everything that ran before: the same run peaked at
+/// 190 or at 240 MiB resident from one seed to the next. Capacity that is
+/// never written is address space, not memory.
+const RESERVED_SEGMENTS: usize = 1 << 22;
+const RESERVED_JOBS: usize = 1 << 20;
+
 /// Event payloads pack `(job index << 1) | kind`; kind 0 = release,
 /// kind 1 = segment-done.
 const KIND_SEGMENT_DONE: u64 = 1;
@@ -372,9 +386,12 @@ impl DesEngine {
             r.busy = 0;
             r.waiting.clear();
         }
-        let mut arena: Vec<SegLite> = Vec::new();
-        let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
+        let mut arena: Vec<SegLite> = Vec::with_capacity(RESERVED_SEGMENTS);
+        let mut states: Vec<JobState> = Vec::with_capacity(jobs.len().max(RESERVED_JOBS));
         let mut trace = RunTrace::default();
+        if collect_trace {
+            trace.entries.reserve(RESERVED_SEGMENTS);
+        }
         let mut queue = CalendarQueue::new();
         let mut seq = 0u64;
         // Reused across completions so dynamic injection is allocation-free

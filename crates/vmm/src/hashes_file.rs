@@ -1,123 +1,36 @@
-//! Out-of-band component hashing (§4.3).
+//! Out-of-band component hashes (§4.3).
 //!
 //! Hashing the kernel and initrd in the VMM "could add up to 23 ms of boot
 //! time", so SEVeriFast moves it off the critical path: a tool hashes the
-//! components ahead of time and the VMM is handed the hash file. The hashes
-//! end up pre-encrypted (and thus in the launch measurement), so this does
-//! not weaken the trust story. Hash files are cached per component set,
-//! modelling the paper's assumption that thousands of VMs share one kernel.
+//! components ahead of time and the VMM is handed the hash file. Here the
+//! tool is `sevf-image`: every staged component carries the SHA-256 taken
+//! when its bytes were built, once per image. This module only lays those
+//! digests out as the [`HashPage`] the boot pre-encrypts — it is given no
+//! component bytes, so the VMM cannot hash on the boot path. The page is
+//! covered by the launch measurement and the guest re-hashes what was
+//! actually staged against it, so a wrong digest here refuses the boot or
+//! fails attestation; it never weakens the trust story.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
-use sevf_crypto::sha256;
-use sevf_image::elf::{EHDR_SIZE, PHDR_SIZE};
+use sevf_crypto::Digest256;
+use sevf_image::kernel::FwCfgDigests;
 use sevf_verifier::hashes::{HashPage, KernelHashes};
 
-use crate::config::BootPolicy;
-
-/// Computes (or fetches) the hash page for a kernel image + initrd pair
-/// under the given policy.
-///
-/// For bzImage policies the kernel hash covers the whole image file; for
-/// the vmlinux policy it is the three fw_cfg piece hashes (§5).
-///
-/// # Errors
-///
-/// Returns an error if the vmlinux policy is asked to hash a non-ELF image.
-pub fn precomputed_hash_page(
-    policy: BootPolicy,
-    kernel_image: &[u8],
-    initrd: &[u8],
-) -> Result<HashPage, sevf_image::ImageError> {
-    /// Cache key: (kernel digest, initrd digest, vmlinux-mode flag).
-    type HashKey = ([u8; 32], [u8; 32], bool);
-    static CACHE: OnceLock<Mutex<HashMap<HashKey, HashPage>>> = OnceLock::new();
-    let vmlinux_mode = policy == BootPolicy::SeverifastVmlinux;
-    // Key the cache by content digests (cheap relative to re-deriving the
-    // fw_cfg pieces on every boot).
-    let key = (sha256(kernel_image), sha256(initrd), vmlinux_mode);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(page) = cache.lock().expect("hash cache").get(&key) {
-        return Ok(*page);
+/// The hash file of a bzImage boot: one digest over the whole image file.
+pub fn whole_image(kernel: Digest256, initrd: Digest256) -> HashPage {
+    HashPage {
+        kernel: KernelHashes::WholeImage(kernel),
+        initrd,
     }
-    let kernel = if vmlinux_mode {
-        // The staged image is the fw_cfg concatenation
-        // [ehdr][phdrs][segment data] — split it the way the verifier's
-        // loader will consume it.
-        if kernel_image.len() < EHDR_SIZE || &kernel_image[..4] != b"\x7fELF" {
-            return Err(sevf_image::ImageError::BadElf(
-                "staged fw_cfg image lacks an ELF header",
-            ));
-        }
-        let phnum = u16::from_le_bytes(kernel_image[56..58].try_into().expect("2 bytes")) as usize;
-        let phdrs_end = EHDR_SIZE + phnum * PHDR_SIZE;
-        if phnum == 0 || phdrs_end > kernel_image.len() {
-            return Err(sevf_image::ImageError::BadElf(
-                "staged fw_cfg program headers out of bounds",
-            ));
-        }
-        KernelHashes::FwCfg {
-            ehdr: sha256(&kernel_image[..EHDR_SIZE]),
-            phdrs: sha256(&kernel_image[EHDR_SIZE..phdrs_end]),
-            segments: sha256(&kernel_image[phdrs_end..]),
-        }
-    } else {
-        KernelHashes::WholeImage(key.0)
-    };
-    let page = HashPage {
-        kernel,
-        initrd: key.1,
-    };
-    cache.lock().expect("hash cache").insert(key, page);
-    Ok(page)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sevf_codec::Codec;
-    use sevf_image::kernel::KernelConfig;
-
-    #[test]
-    fn bzimage_mode_hashes_whole_file() {
-        let image = KernelConfig::test_tiny().build();
-        let bz = image.bzimage(Codec::Lz4);
-        let page = precomputed_hash_page(BootPolicy::Severifast, &bz, b"initrd").unwrap();
-        assert_eq!(page.kernel, KernelHashes::WholeImage(sha256(&bz)));
-        assert_eq!(page.initrd, sha256(b"initrd"));
-    }
-
-    #[test]
-    fn vmlinux_mode_hashes_three_pieces() {
-        let image = KernelConfig::test_tiny().build();
-        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
-        let mut staged = ehdr.clone();
-        staged.extend_from_slice(&phdrs);
-        staged.extend_from_slice(&segs);
-        let page =
-            precomputed_hash_page(BootPolicy::SeverifastVmlinux, &staged, b"initrd").unwrap();
-        assert_eq!(
-            page.kernel,
-            KernelHashes::FwCfg {
-                ehdr: sha256(&ehdr),
-                phdrs: sha256(&phdrs),
-                segments: sha256(&segs),
-            }
-        );
-    }
-
-    #[test]
-    fn vmlinux_mode_rejects_non_elf() {
-        assert!(precomputed_hash_page(BootPolicy::SeverifastVmlinux, b"not an elf", b"i").is_err());
-    }
-
-    #[test]
-    fn cache_is_consistent() {
-        let image = KernelConfig::test_tiny().build();
-        let bz = image.bzimage(Codec::Lz4);
-        let a = precomputed_hash_page(BootPolicy::Severifast, &bz, b"initrd").unwrap();
-        let b = precomputed_hash_page(BootPolicy::Severifast, &bz, b"initrd").unwrap();
-        assert_eq!(a, b);
+/// The hash file of the vmlinux boot: the three fw_cfg piece digests (§5).
+pub fn fw_cfg(kernel: FwCfgDigests, initrd: Digest256) -> HashPage {
+    HashPage {
+        kernel: KernelHashes::FwCfg {
+            ehdr: kernel.ehdr,
+            phdrs: kernel.phdrs,
+            segments: kernel.segments,
+        },
+        initrd,
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sevf_attest::{expected_measurement, AttestError, GuestAttestClient, MeasuredItem};
-use sevf_codec::Codec;
+use sevf_image::kernel::KernelImage;
 use sevf_image::ImageError;
 use sevf_mem::{GuestMemory, MemError};
 use sevf_ovmf::{OvmfImage, OVMF_BASE};
@@ -12,6 +12,7 @@ use sevf_sim::cost::SevGeneration;
 use sevf_sim::rng::Jitter;
 use sevf_sim::{EventChannel, Nanos, PhaseKind, ResourceClass, Timeline};
 use sevf_verifier::binary::{VerifierBinary, VerifierFeatures};
+use sevf_verifier::hashes::HashPage;
 use sevf_verifier::layout::{
     GuestLayout, BOOT_PARAMS_ADDR, CMDLINE_ADDR, HASH_PAGE_ADDR, MPTABLE_ADDR, VERIFIER_ADDR,
 };
@@ -22,7 +23,7 @@ use crate::boot_params::BootParams;
 use crate::cmdline;
 use crate::config::{BootPolicy, KaslrMode, LaunchMode, VmConfig};
 use crate::guest_kernel::{self, GuestBootError};
-use crate::hashes_file::precomputed_hash_page;
+use crate::hashes_file;
 use crate::machine::Machine;
 use crate::mptable;
 use crate::report::{BootOutcome, BootReport};
@@ -99,13 +100,20 @@ pub(crate) struct LiveGuest {
     pub(crate) kernel_entry: u64,
 }
 
-/// Everything boot needs that is derivable from the config alone.
+/// Everything boot needs that is derivable from the config alone, built
+/// once per boot. Components are the image caches' own buffers, never
+/// image-sized private copies.
 struct Artifacts {
+    image: Arc<KernelImage>,
+    /// The kernel file the policy boots from.
     kernel_bytes: Arc<Vec<u8>>,
-    initrd_bytes: Vec<u8>,
+    initrd_bytes: Arc<Vec<u8>>,
     layout: GuestLayout,
     verifier: Option<VerifierBinary>,
-    ovmf: Option<OvmfImage>,
+    /// The §4.2 pre-encryption plan, in launch order (SEV policies).
+    plan: Vec<MeasuredItem>,
+    /// The launch digest `plan` must produce (SEV policies).
+    measurement: Option<[u8; 48]>,
 }
 
 impl MicroVm {
@@ -124,53 +132,122 @@ impl MicroVm {
         &self.config
     }
 
+    /// The one derivation behind every boot and the §4.2 tools below. The
+    /// kernel and initrd digests in the hash page travel with the images
+    /// (§4.3): nothing here reads a component's bytes.
     fn artifacts(&self) -> Result<Artifacts, VmmError> {
+        let policy = self.config.policy;
         let image = self.config.kernel.build();
-        let kernel_bytes: Arc<Vec<u8>> = match self.config.policy {
+        let initrd =
+            sevf_image::initrd::staged_initrd(self.config.initrd_size, self.config.initrd_codec);
+        let (kernel_bytes, hash_page) = match policy {
             BootPolicy::Severifast | BootPolicy::QemuOvmf => {
-                image.bzimage(self.config.kernel_codec)
+                let bz = image.hashed_bzimage(self.config.kernel_codec);
+                let page = hashes_file::whole_image(bz.digest(), initrd.digest());
+                (Arc::clone(bz.bytes()), Some(page))
             }
             BootPolicy::SeverifastVmlinux => {
-                // fw_cfg staging: [ehdr][phdrs][segments] back to back.
-                let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
-                let mut staged = ehdr;
-                staged.extend_from_slice(&phdrs);
-                staged.extend_from_slice(&segs);
-                Arc::new(staged)
+                let (staged, digests) = image.fw_cfg_staged();
+                (staged, Some(hashes_file::fw_cfg(digests, initrd.digest())))
             }
-            BootPolicy::StockFirecracker => Arc::new(image.vmlinux().to_vec()),
-        };
-        let raw_initrd = sevf_image::initrd::build_initrd(self.config.initrd_size);
-        let initrd_bytes = match self.config.initrd_codec {
-            Codec::None => (*raw_initrd).clone(),
-            codec => codec.compress(&raw_initrd),
+            // Loaded from the ELF segments; only its length is planned for.
+            BootPolicy::StockFirecracker => (image.vmlinux_shared(), None),
         };
         let layout = GuestLayout::plan_with_expansion(
             self.config.mem_size,
             kernel_bytes.len() as u64,
-            initrd_bytes.len() as u64,
-            self.config.policy.uses_bzimage(),
+            initrd.bytes().len() as u64,
+            policy.uses_bzimage(),
         )
         .map_err(VmmError::Layout)?;
-        let (verifier, ovmf) = match self.config.policy {
-            BootPolicy::Severifast => (
-                Some(VerifierBinary::build(VerifierFeatures::severifast())),
-                None,
-            ),
-            BootPolicy::SeverifastVmlinux => (
-                Some(VerifierBinary::build(VerifierFeatures::severifast_vmlinux())),
-                None,
-            ),
-            BootPolicy::QemuOvmf => (None, Some(OvmfImage::build())),
-            BootPolicy::StockFirecracker => (None, None),
+        let verifier = match policy {
+            BootPolicy::Severifast => Some(VerifierFeatures::severifast()),
+            BootPolicy::SeverifastVmlinux => Some(VerifierFeatures::severifast_vmlinux()),
+            BootPolicy::QemuOvmf | BootPolicy::StockFirecracker => None,
+        }
+        .map(VerifierBinary::build);
+        let (plan, measurement) = match hash_page {
+            Some(hash_page) => {
+                let plan = self.plan(verifier.as_ref(), hash_page, &layout);
+                let vmsas = if self.config.generation.encrypts_vmsa() {
+                    self.config.vcpus
+                } else {
+                    0
+                };
+                let measurement = expected_measurement(&plan, vmsas);
+                (plan, Some(measurement))
+            }
+            None => (Vec::new(), None),
         };
         Ok(Artifacts {
+            image,
             kernel_bytes,
-            initrd_bytes,
+            initrd_bytes: Arc::clone(initrd.bytes()),
             layout,
             verifier,
-            ovmf,
+            plan,
+            measurement,
         })
+    }
+
+    /// The ordered pre-encryption plan of a SEV policy: firmware (the boot
+    /// verifier, or OVMF for the one SEV policy without it), hash page,
+    /// boot_params, mptable, cmdline.
+    fn plan(
+        &self,
+        verifier: Option<&VerifierBinary>,
+        hash_page: HashPage,
+        layout: &GuestLayout,
+    ) -> Vec<MeasuredItem> {
+        let firmware = match verifier {
+            Some(verifier) => MeasuredItem {
+                gpa: VERIFIER_ADDR,
+                data: verifier.bytes().to_vec(),
+                label: "boot verifier",
+            },
+            None => {
+                let ovmf = OvmfImage::build();
+                let mut data = ovmf.bytes().to_vec();
+                data.resize(ovmf.pre_encrypted_size() as usize, 0); // metadata pages
+                MeasuredItem {
+                    gpa: OVMF_BASE,
+                    data,
+                    label: "OVMF firmware + SNP metadata",
+                }
+            }
+        };
+        vec![
+            firmware,
+            MeasuredItem {
+                gpa: HASH_PAGE_ADDR,
+                data: hash_page.to_page().to_vec(),
+                label: "kernel/initrd hash page",
+            },
+            MeasuredItem {
+                gpa: BOOT_PARAMS_ADDR,
+                data: BootParams::build(&self.config, layout).to_page().to_vec(),
+                label: "boot_params",
+            },
+            MeasuredItem {
+                gpa: MPTABLE_ADDR,
+                data: mptable::build(self.config.vcpus),
+                label: "mptable",
+            },
+            MeasuredItem {
+                gpa: CMDLINE_ADDR,
+                data: cmdline::to_page(&cmdline::default_cmdline()).to_vec(),
+                label: "kernel command line",
+            },
+        ]
+    }
+
+    /// The plan and the launch digest of a SEV policy's artifacts.
+    fn launch_inputs(&self) -> Result<(Vec<MeasuredItem>, [u8; 48]), VmmError> {
+        let artifacts = self.artifacts()?;
+        let measurement = artifacts
+            .measurement
+            .ok_or(VmmError::Config("non-SEV boots pre-encrypt nothing"))?;
+        Ok((artifacts.plan, measurement))
     }
 
     /// The ordered pre-encryption plan (firmware, hash page, boot_params,
@@ -181,68 +258,7 @@ impl MicroVm {
     ///
     /// [`VmmError::Config`] for non-SEV policies.
     pub fn pre_encryption_plan(&self) -> Result<Vec<MeasuredItem>, VmmError> {
-        if !self.config.policy.is_sev() {
-            return Err(VmmError::Config("non-SEV boots pre-encrypt nothing"));
-        }
-        let artifacts = self.artifacts()?;
-        self.plan_from_artifacts(&artifacts)
-    }
-
-    /// [`MicroVm::pre_encryption_plan`] over artifacts the caller already
-    /// built (the boot path holds them; rebuilding would re-hash the kernel).
-    fn plan_from_artifacts(&self, artifacts: &Artifacts) -> Result<Vec<MeasuredItem>, VmmError> {
-        let mut items = Vec::new();
-        match self.config.policy {
-            BootPolicy::QemuOvmf => {
-                let ovmf = artifacts.ovmf.as_ref().expect("ovmf policy has image");
-                let mut data = ovmf.bytes().to_vec();
-                data.resize(ovmf.pre_encrypted_size() as usize, 0); // metadata pages
-                items.push(MeasuredItem {
-                    gpa: OVMF_BASE,
-                    data,
-                    label: "OVMF firmware + SNP metadata",
-                });
-            }
-            _ => {
-                let verifier = artifacts
-                    .verifier
-                    .as_ref()
-                    .expect("sev policy has verifier");
-                items.push(MeasuredItem {
-                    gpa: VERIFIER_ADDR,
-                    data: verifier.bytes().to_vec(),
-                    label: "boot verifier",
-                });
-            }
-        }
-        let hash_page = precomputed_hash_page(
-            self.config.policy,
-            &artifacts.kernel_bytes,
-            &artifacts.initrd_bytes,
-        )?;
-        items.push(MeasuredItem {
-            gpa: HASH_PAGE_ADDR,
-            data: hash_page.to_page().to_vec(),
-            label: "kernel/initrd hash page",
-        });
-        items.push(MeasuredItem {
-            gpa: BOOT_PARAMS_ADDR,
-            data: BootParams::build(&self.config, &artifacts.layout)
-                .to_page()
-                .to_vec(),
-            label: "boot_params",
-        });
-        items.push(MeasuredItem {
-            gpa: MPTABLE_ADDR,
-            data: mptable::build(self.config.vcpus),
-            label: "mptable",
-        });
-        items.push(MeasuredItem {
-            gpa: CMDLINE_ADDR,
-            data: cmdline::to_page(&cmdline::default_cmdline()).to_vec(),
-            label: "kernel command line",
-        });
-        Ok(items)
+        Ok(self.launch_inputs()?.0)
     }
 
     /// The launch digest a correct boot of this VM must produce (§4.2's
@@ -252,13 +268,7 @@ impl MicroVm {
     ///
     /// [`VmmError::Config`] for non-SEV policies.
     pub fn expected_measurement(&self) -> Result<[u8; 48], VmmError> {
-        let items = self.pre_encryption_plan()?;
-        let vcpus = if self.config.generation.encrypts_vmsa() {
-            self.config.vcpus
-        } else {
-            0
-        };
-        Ok(expected_measurement(&items, vcpus))
+        Ok(self.launch_inputs()?.1)
     }
 
     /// Registers this VM's expected measurement with the machine's guest
@@ -336,28 +346,30 @@ impl MicroVm {
         );
         tl.mark(EventChannel::VmmLog, "vmm-ready");
 
-        if !self.config.policy.is_sev() {
-            return self.boot_stock(machine, tl, jitter, artifacts);
-        }
+        let Some(expected) = artifacts.measurement else {
+            return self.boot_stock(machine, tl, jitter, &artifacts);
+        };
 
         // ---- SEV launch ----------------------------------------------------
         let template = if self.config.launch_mode == LaunchMode::SharedKeyTemplate {
-            machine
-                .templates
-                .get(&self.expected_measurement()?)
-                .copied()
+            machine.templates.get(&expected).copied()
         } else {
             None
         };
         let (guest, mut mem, measurement) = match template {
-            Some(template_guest) => self.launch_shared(
-                machine,
-                &mut tl,
-                &mut jitter,
-                &mut psp_busy,
-                &artifacts,
-                template_guest,
-            )?,
+            Some(template_guest) => {
+                let (guest, mem) = self.launch_shared(
+                    machine,
+                    &mut tl,
+                    &mut jitter,
+                    &mut psp_busy,
+                    &artifacts,
+                    template_guest,
+                )?;
+                // The measurement is the template's: the digest this
+                // config's plan must produce is what the lookup matched.
+                (guest, mem, expected)
+            }
             None => {
                 let launched =
                     self.launch_full(machine, &mut tl, &mut jitter, &mut psp_busy, &artifacts)?;
@@ -427,8 +439,7 @@ impl MicroVm {
             // memory. (Modeled with the machine RNG standing in for the
             // guest's RDRAND; the host never depends on the value.)
             let slide = if self.config.kaslr == KaslrMode::GuestSide {
-                let image = self.config.kernel.build();
-                Self::pick_slide(&mut machine.rng, &image, layout)
+                Self::pick_slide(&mut machine.rng, &artifacts.image, layout)
             } else {
                 0
             };
@@ -567,8 +578,7 @@ impl MicroVm {
         );
 
         // Pre-encrypt the root of trust (the §4.2 plan, in order).
-        let plan = self.plan_from_artifacts(artifacts)?;
-        for item in &plan {
+        for item in &artifacts.plan {
             mem.host_write(item.gpa, &item.data)?;
             let work = machine.psp.launch_update_data(
                 guest,
@@ -624,7 +634,7 @@ impl MicroVm {
         psp_busy: &mut Nanos,
         artifacts: &Artifacts,
         template: sevf_psp::GuestHandle,
-    ) -> Result<(sevf_psp::GuestHandle, GuestMemory, [u8; 48]), VmmError> {
+    ) -> Result<(sevf_psp::GuestHandle, GuestMemory), VmmError> {
         let cost = machine.cost.clone();
         let layout = &artifacts.layout;
         let start = machine.psp.launch_start_shared(template)?;
@@ -654,9 +664,8 @@ impl MicroVm {
 
         // Install the template's attested root-of-trust state: plain copies
         // under the shared key (no PSP involvement).
-        let plan = self.plan_from_artifacts(artifacts)?;
         let mut installed = 0u64;
-        for item in &plan {
+        for item in &artifacts.plan {
             mem.host_write(item.gpa, &item.data)?;
             mem.pre_encrypt(item.gpa, item.data.len() as u64)?;
             installed += item.data.len() as u64;
@@ -670,17 +679,14 @@ impl MicroVm {
             mem.rmp_assign(base, len)?;
         }
         tl.mark(EventChannel::VmmLog, "template-launch-ready");
-
-        // The measurement is the template's; recomputing it locally keeps
-        // the attestation path identical.
-        Ok((start.guest, mem, self.expected_measurement()?))
+        Ok((start.guest, mem))
     }
 
     /// Picks a 2 MiB-aligned KASLR slide that keeps the loaded kernel below
     /// the initrd destination; 0 when there is no room.
     fn pick_slide(
         rng: &mut sevf_sim::rng::XorShift64,
-        image: &sevf_image::kernel::KernelImage,
+        image: &KernelImage,
         layout: &GuestLayout,
     ) -> u64 {
         const ALIGN: u64 = 2 * 1024 * 1024;
@@ -708,18 +714,18 @@ impl MicroVm {
         _machine: &mut Machine,
         mut tl: Timeline,
         mut jitter: Jitter,
-        artifacts: Artifacts,
+        artifacts: &Artifacts,
     ) -> Result<(BootReport, LiveGuest), VmmError> {
         let cost = _machine.cost.clone();
         let layout = &artifacts.layout;
         let mut mem = GuestMemory::new_plain(self.config.mem_size);
-        let image = self.config.kernel.build();
+        let image = &artifacts.image;
 
         // 1. Load the kernel ELF in one operation to where it will run —
         //    with in-monitor KASLR the VMM slides the whole image
         //    (Holmes et al., EuroSys'22; only possible without SEV, §8).
         let slide = if self.config.kaslr == KaslrMode::InMonitor {
-            Self::pick_slide(&mut _machine.rng, &image, layout)
+            Self::pick_slide(&mut _machine.rng, image, layout)
         } else {
             0
         };
@@ -797,7 +803,11 @@ impl MicroVm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sevf_codec::Codec;
+    use sevf_crypto::sha256;
+    use sevf_image::elf::{EHDR_SIZE, PHDR_SIZE};
     use sevf_image::kernel::KernelConfig;
+    use sevf_verifier::hashes::KernelHashes;
 
     fn machine() -> Machine {
         Machine::new(1)
@@ -869,6 +879,55 @@ mod tests {
     }
 
     #[test]
+    fn carried_digests_equal_fresh_hashes_and_every_measurement_agrees() {
+        for policy in [
+            BootPolicy::Severifast,
+            BootPolicy::SeverifastVmlinux,
+            BootPolicy::QemuOvmf,
+        ] {
+            let mut config = VmConfig::test_tiny(policy);
+            config.launch_mode = LaunchMode::SharedKeyTemplate;
+            if policy == BootPolicy::SeverifastVmlinux {
+                config.kernel_codec = Codec::None;
+            }
+            let vm = MicroVm::new(config).unwrap();
+
+            // The hash file the plan carries, against the staged bytes
+            // hashed on the spot.
+            let artifacts = vm.artifacts().unwrap();
+            let kernel = &artifacts.kernel_bytes[..];
+            let fresh = HashPage {
+                kernel: if policy == BootPolicy::SeverifastVmlinux {
+                    let phdrs_end = EHDR_SIZE + artifacts.image.elf().segments.len() * PHDR_SIZE;
+                    KernelHashes::FwCfg {
+                        ehdr: sha256(&kernel[..EHDR_SIZE]),
+                        phdrs: sha256(&kernel[EHDR_SIZE..phdrs_end]),
+                        segments: sha256(&kernel[phdrs_end..]),
+                    }
+                } else {
+                    KernelHashes::WholeImage(sha256(kernel))
+                },
+                initrd: sha256(&artifacts.initrd_bytes),
+            };
+            let plan = vm.pre_encryption_plan().unwrap();
+            let page = plan.iter().find(|i| i.gpa == HASH_PAGE_ADDR).unwrap();
+            assert_eq!(page.data, fresh.to_page(), "{policy}: hash page");
+
+            // One digest, however it is reached: the tool, the plan, a
+            // full launch (the PSP's own chain) and a template hit.
+            let expected = vm.expected_measurement().unwrap();
+            assert_eq!(expected, expected_measurement(&plan, vm.config.vcpus));
+            let mut m = machine();
+            vm.register_expected(&mut m).unwrap();
+            let fill = vm.boot(&mut m).unwrap();
+            let hit = vm.boot(&mut m).unwrap();
+            assert!(hit.psp_busy < fill.psp_busy, "{policy}: second boot hit");
+            assert_eq!(fill.measurement, Some(expected), "{policy}: fill");
+            assert_eq!(hit.measurement, Some(expected), "{policy}: hit");
+        }
+    }
+
+    #[test]
     fn unregistered_measurement_fails_attestation() {
         let mut m = machine();
         let vm = MicroVm::new(VmConfig::test_tiny(BootPolicy::Severifast)).unwrap();
@@ -885,7 +944,6 @@ mod tests {
         let mut m = machine();
         let mut config = VmConfig::test_tiny(BootPolicy::Severifast);
         config.kernel = KernelConfig {
-            name: "tiny-lupine".into(),
             has_network: false,
             ..KernelConfig::test_tiny()
         };

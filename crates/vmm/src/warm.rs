@@ -19,7 +19,6 @@
 //! invocations skip the entire boot path; the experiments quantify the
 //! memory rent this charges.
 
-use sevf_crypto::sha256;
 use sevf_mem::{MemError, PAGE_SIZE};
 use sevf_sim::{CostModel, Nanos};
 
@@ -95,15 +94,7 @@ impl KeepAliveVm {
     /// this is what a KSM-style scanner could see (ciphertext for private
     /// pages, plaintext for shared ones).
     pub fn host_page_digests(&self) -> Result<Vec<[u8; 32]>, MemError> {
-        let mem = &self.live.mem;
-        let mut digests = Vec::new();
-        // Only resident (touched) pages have host backing; untouched pages
-        // are not materialized and cost a deduplicator nothing.
-        for addr in mem.resident_page_addrs() {
-            let page = mem.host_read(addr, PAGE_SIZE)?;
-            digests.push(sha256(&page));
-        }
-        Ok(digests)
+        self.live.mem.host_page_digests()
     }
 
     /// Takes a snapshot of the live guest (memory image + entry point).

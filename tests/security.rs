@@ -70,6 +70,68 @@ fn check_1_swapped_components_detected_by_verifier() {
     ));
 }
 
+/// A §6.2 shared-key guest staged by hand from the VMM's own plan, so the
+/// staged bytes can be tampered with between staging and guest entry. The
+/// plan's hash page holds the digests that travelled with the images.
+fn staged_template_guest() -> (Machine, GuestMemory, GuestLayout) {
+    let mut machine = Machine::new(0x5EC);
+    let mut config = VmConfig::test_tiny(BootPolicy::Severifast);
+    config.launch_mode = severifast::vmm::config::LaunchMode::SharedKeyTemplate;
+    let vm = MicroVm::new(config.clone()).unwrap();
+    vm.register_expected(&mut machine).unwrap();
+    let fill = vm.boot(&mut machine).unwrap();
+    let template = machine.templates[&fill.measurement.unwrap()];
+
+    let start = machine.psp.launch_start_shared(template).unwrap();
+    let mut mem = GuestMemory::new_sev(config.mem_size, start.memory_key, config.generation);
+    let bz = config.kernel.build().bzimage(config.kernel_codec);
+    let rd = initrd::build_initrd(config.initrd_size);
+    let layout =
+        GuestLayout::plan_with_expansion(config.mem_size, bz.len() as u64, rd.len() as u64, true)
+            .unwrap();
+    mem.host_write(layout.kernel_staging, &bz).unwrap();
+    mem.host_write(layout.initrd_staging, &rd).unwrap();
+    for item in vm.pre_encryption_plan().unwrap() {
+        mem.host_write(item.gpa, &item.data).unwrap();
+        mem.pre_encrypt(item.gpa, item.data.len() as u64).unwrap();
+    }
+    for (base, len) in layout.private_ranges() {
+        mem.rmp_assign(base, len).unwrap();
+    }
+    (machine, mem, layout)
+}
+
+#[test]
+fn check_1_holds_on_the_template_path_with_carried_digests() {
+    // A digest that travelled with an image is only what the hash page
+    // says; the guest's own hash of what was actually staged decides.
+    for tampered in [None, Some("kernel"), Some("initrd")] {
+        let (machine, mut mem, layout) = staged_template_guest();
+        let at = match tampered {
+            Some("kernel") => Some(layout.kernel_staging + layout.kernel_size / 2),
+            Some(_) => Some(layout.initrd_staging + layout.initrd_size / 2),
+            None => None,
+        };
+        if let Some(at) = at {
+            let byte = mem.host_read(at, 1).unwrap()[0];
+            mem.host_write(at, &[byte ^ 0x40]).unwrap();
+        }
+        let ran = verify::run(
+            &mut mem,
+            &layout,
+            &machine.cost,
+            VerifierConfig::severifast(),
+        );
+        match (tampered, ran) {
+            (None, Ok(_)) => {}
+            (Some(expected), Err(VerifierError::HashMismatch { component })) => {
+                assert_eq!(component, expected)
+            }
+            (_, other) => panic!("tampered {tampered:?}: {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn check_2_malicious_hashes_detected_by_owner() {
     // A self-consistent malicious boot succeeds locally but its digest is
