@@ -4,6 +4,10 @@
 #   ./ci.sh          # full gate: build, tests, golden replay, lints, clean tree
 #   ./ci.sh quick    # fast inner loop: debug tests + one debug golden replay
 #
+# Re-capture every golden (only for an intended model change):
+#
+#   cargo run --release -p sevf-bench --bin figures -- --all --scale quick --out data/golden
+#
 # Everything must pass offline — the workspace has no external
 # dependencies by design (see DESIGN.md §2, "External crates").
 #
@@ -50,12 +54,18 @@ cargo build --release --workspace
 
 run_tests
 
-# Every example that answers `--json`, replayed against its golden.
-gated="fleet_serving fleet_chaos cluster_scaling trace_explorer
-       attestation_storm partition_drill perf_sweep tenant_qos autoscale_drill"
-for ex in $gated; do
-  replay_gate "$ex"
-done
+# Every registered id (the paper's figures and tables, the serving sweeps)
+# written by the one command that captures goldens, against data/golden/: a
+# drifted file, a missing one and an orphan on either side all fail.
+echo "==> golden replay: figures --all --scale quick --out vs data/golden/"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cargo run --release --quiet -p sevf-bench --bin figures -- \
+  --all --scale quick --out "$tmp" > /dev/null
+diff -r "$tmp" data/golden
+
+# One example through its real binary, so `run_example` is driven too.
+replay_gate fleet_chaos
 
 # The shared front end rejects what it does not know: a typo must not fall
 # through to the paper-scale sweep.
@@ -66,6 +76,12 @@ if [[ $code != 2 ]]; then
   echo "fleet_chaos --qiuck exited $code, expected 2"
   exit 1
 fi
+
+# The two tutorials outside the registry: no example is compiled but never run.
+for ex in quickstart attestation_flow; do
+  echo "==> tutorial: $ex"
+  cargo run --release --quiet --example "$ex" > /dev/null
+done
 
 # The benchmark crate pins public items of every layer (benchmark/README.md,
 # "Public items the benchmark pins"); building and testing it here makes a
@@ -94,6 +110,15 @@ code_lines examples/*.rs $(find crates/bench/src -name '*.rs')
 echo "==> sha256( calls in crates/vmm/src code (same line rule; must be 0)"
 if code_of crates/vmm/src/*.rs | grep 'sha256('; then
   echo "the VMM hashes again: take the digest from the image instead"
+  exit 1
+fi
+echo 0
+
+# A result is a function of the seed: nothing under crates/ reads a wall
+# clock. `benchmark/` (its own workspace) is the one place that does.
+echo "==> Instant/SystemTime uses in crates/*/src code (same line rule; must be 0)"
+if code_of $(find crates/*/src -name '*.rs') | grep -Ew 'Instant|SystemTime'; then
+  echo "a crate reads the wall clock: time it in benchmark/ instead"
   exit 1
 fi
 echo 0

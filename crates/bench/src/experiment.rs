@@ -1,17 +1,26 @@
 //! The experiment registry and the front end the examples share.
 //!
-//! One [`Experiment`] per serving sweep: its `figures --table` id, its
-//! example, and `run(quick)`, which runs the sweep, checks the invariants
-//! the sweep promises, and exports the typed report as a
-//! [`Document`] — each column named once, by exhaustive destructuring, so
-//! a row field that is not exported does not compile. The `--json` text,
-//! the `figures --out` dump and the text tables all derive from that
-//! document ([`crate::document`]); [`run_example`] and `figures` are the
-//! two entry points.
+//! One [`Experiment`] per figure, table and serving sweep: its `figures`
+//! id, title, its example if it has one, and `run(quick)`, which runs the
+//! driver or sweep, checks the invariants it promises, and exports the
+//! typed rows as a [`Document`] — each column named once, by exhaustive
+//! destructuring, so a row field that is not exported does not compile.
+//! The `--json` text, the `figures --out` file, the golden and the text
+//! tables all derive from that document ([`crate::document`]);
+//! [`run_example`] and `figures` are the two entry points.
 //!
-//! Adding an experiment: write the sweep module next to its service, add
-//! one entry here (run function, views), and an example that is its doc
-//! comment, its prose, and one [`run_example`] call.
+//! Adding an experiment: write the driver next to what it drives, add one
+//! entry here (run function, views), and — for a sweep worth narrating —
+//! an example that is its doc comment, its prose, and one [`run_example`]
+//! call.
+
+use std::path::Path;
+
+use severifast::experiments::{
+    self as paper, AblationRow, ConcurrencyRow, ExperimentScale, Fig10Row, Fig11Row, FootprintRow,
+    KernelRow, MeasuredBootRow, PhaseSlice, PreEncryptionPoint, StructureRow, WarmStartRow,
+};
+use severifast::{BootPolicy, Codec};
 
 use sevf_cluster::attsweep::{att_sweep, AttRow, AttSweepConfig, AttSweepReport};
 use sevf_cluster::experiment::{cluster_sweep, ClusterRow, ClusterSweepConfig, ClusterSweepReport};
@@ -21,27 +30,59 @@ use sevf_cluster::policysweep::{
     policy_sweep, ArmRow, PolicySweepConfig, PolicySweepReport, TenantRow,
 };
 use sevf_cluster::scalesweep::{scale_sweep, ScaleRow, ScaleSweepConfig, ScaleSweepReport};
-use sevf_cluster::tracedemo::{TraceScenarios, TracedRun};
+use sevf_cluster::tracedemo::{scenarios, TraceScenarios, TracedRun};
 use sevf_fleet::chaos::{chaos_sweep, ChaosArm, ChaosConfig, ChaosReport, ChaosRow};
 use sevf_fleet::experiment::{serving_sweep, ServingRow, SweepConfig, SweepReport};
 use sevf_fleet::service::ServingTier;
+use sevf_sim::stats::cdf;
+use sevf_sim::Summary;
 
 use crate::document::{Document, Fmt, Row, View, MS};
 use crate::{pick, render_table, Json};
 
 /// One registered experiment.
 pub struct Experiment {
-    /// The `figures --table` id.
+    /// The `figures --fig` / `--table` id.
     pub id: &'static str,
-    /// The example that runs it (and the stem of its golden file).
-    pub example: &'static str,
-    /// Runs the sweep at `--quick` or paper scale, checks it, exports it.
+    /// What it shows, in one line (`figures --list`, the table heading).
+    pub title: &'static str,
+    /// What the paper reports for it, printed under the heading; may be empty.
+    pub note: &'static str,
+    /// The example that narrates it, if one does.
+    pub example: Option<&'static str>,
+    /// Runs it at `--quick` or paper scale, checks it, exports it.
     pub run: fn(bool) -> Document,
     /// The text tables.
     pub views: &'static [View],
 }
 
-/// Looks an experiment up by its `figures --table` id.
+impl Experiment {
+    /// The one name of its result files: the example's where there is one,
+    /// else the id.
+    pub fn stem(&self) -> &'static str {
+        self.example.unwrap_or(self.id)
+    }
+
+    /// The file `figures --out` writes for it and `data/golden/` keeps.
+    pub fn file_name(&self, quick: bool) -> String {
+        let scale = if quick { "quick" } else { "full" };
+        format!("{}_{scale}.json", self.stem())
+    }
+
+    /// Writes `doc` into `dir` under [`Self::file_name`], byte for byte what
+    /// the example's `--json` prints.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn write(&self, dir: &Path, quick: bool, doc: &Document) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        let text = format!("{}\n", doc.json_text());
+        std::fs::write(dir.join(self.file_name(quick)), text)
+    }
+}
+
+/// Looks an experiment up by its `figures` id.
 pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id == id)
 }
@@ -108,7 +149,7 @@ pub fn parse_cli(example: &str, accepts: &[Flag]) -> Cli {
 ///
 /// Panics if `example` is not registered or the run breaks an invariant.
 pub fn run_example(example: &str, intro: impl FnOnce(bool), takeaway: &str) {
-    let registered = REGISTRY.iter().find(|e| e.example == example);
+    let registered = REGISTRY.iter().find(|e| e.example == Some(example));
     let exp = registered.expect("the example is registered");
     let cli = parse_cli(example, &[Flag::Json]);
     let doc = (exp.run)(cli.quick);
@@ -139,6 +180,18 @@ impl From<PlacementPolicy> for Json {
     }
 }
 
+impl From<BootPolicy> for Json {
+    fn from(v: BootPolicy) -> Json {
+        v.name().into()
+    }
+}
+
+impl From<Codec> for Json {
+    fn from(v: Codec) -> Json {
+        v.name().into()
+    }
+}
+
 /// `row!(T { a, b })` is the exporter `&T -> Row` naming columns `a`, `b`
 /// after the fields, in the order listed. The destructuring is exhaustive:
 /// a field of `T` missing from the list is a compile error.
@@ -152,6 +205,322 @@ macro_rules! row {
 }
 
 const PLAIN: Fmt = Fmt::Plain;
+
+/// A document of one headless `rows` section.
+fn rows_of<T>(rows: &[T], export: impl Fn(&T) -> Row) -> Document {
+    Document {
+        head: Vec::new(),
+        sections: vec![("rows", rows.iter().map(export).collect())],
+    }
+}
+
+fn scale(quick: bool) -> ExperimentScale {
+    pick(quick, ExperimentScale::quick, ExperimentScale::full)
+}
+
+fn fig3(quick: bool) -> Document {
+    let slices = paper::fig3_ovmf_phases(&scale(quick)).expect("fig3 boot");
+    let total: f64 = slices.iter().map(|s| s.ms).sum();
+    Document {
+        head: vec![("total_ms", total.into())],
+        ..rows_of(&slices, row!(PhaseSlice { label, ms }))
+    }
+}
+
+const FIG3_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[("phase", &["label"], PLAIN), ("ms", &["ms"], MS)],
+};
+
+fn fig4(_quick: bool) -> Document {
+    let export = row!(PreEncryptionPoint { label, bytes, ms });
+    rows_of(&paper::fig4_preencryption(), export)
+}
+
+const FIG4_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[
+        ("component", &["label"], PLAIN),
+        ("MiB", &["bytes"], Fmt::Mib),
+        ("ms", &["ms"], MS),
+    ],
+};
+
+fn fig5(quick: bool) -> Document {
+    let export = row!(MeasuredBootRow {
+        component,
+        codec,
+        transferred_bytes,
+        copy_ms,
+        hash_ms,
+        decompress_ms,
+    });
+    rows_of(&paper::fig5_measured_direct_boot(&scale(quick)), export)
+}
+
+const FIG5_VIEW: View = View {
+    section: "rows",
+    group_by: Some("component"),
+    cols: &[
+        ("component", &["component"], PLAIN),
+        ("codec", &["codec"], PLAIN),
+        ("MiB", &["transferred_bytes"], Fmt::Mib),
+        ("copy", &["copy_ms"], MS),
+        ("hash", &["hash_ms"], MS),
+        ("decompress", &["decompress_ms"], MS),
+        (
+            "total(ms)",
+            &["copy_ms", "hash_ms", "decompress_ms"],
+            Fmt::Sum(2),
+        ),
+    ],
+};
+
+fn fig7(_quick: bool) -> Document {
+    let export = row!(StructureRow {
+        name,
+        purpose,
+        struct_bytes,
+        code_bytes,
+        decision,
+    });
+    rows_of(&paper::fig7_structures(), export)
+}
+
+const FIG7_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[
+        ("structure", &["name"], PLAIN),
+        ("purpose", &["purpose"], PLAIN),
+        ("struct B", &["struct_bytes"], PLAIN),
+        ("code B", &["code_bytes"], PLAIN),
+        ("decision", &["decision"], PLAIN),
+    ],
+};
+
+fn fig8(quick: bool) -> Document {
+    let export = row!(KernelRow {
+        config,
+        vmlinux_bytes,
+        bzimage_bytes,
+    });
+    rows_of(&paper::fig8_kernels(&scale(quick)), export)
+}
+
+const FIG8_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[
+        ("config", &["config"], PLAIN),
+        ("vmlinux MiB", &["vmlinux_bytes"], Fmt::Mib),
+        ("bzImage MiB", &["bzimage_bytes"], Fmt::Mib),
+    ],
+};
+
+/// Fig. 9: one row per series, its summary flat and its CDF nested inline.
+fn fig9(quick: bool) -> Document {
+    let series = paper::fig9_boot_cdfs(&scale(quick)).expect("fig9 boots");
+    let export = |s: &paper::CdfSeries| {
+        let summary = Summary::from_values(&s.samples_ms);
+        let point = |(x, p): (f64, f64)| Json::Arr(vec![x.into(), p.into()]);
+        let points: Vec<Json> = cdf(&s.samples_ms).into_iter().map(point).collect();
+        Json::obj([
+            ("policy", s.policy.into()),
+            ("kernel", s.kernel.clone().into()),
+            ("mean_ms", summary.mean.into()),
+            ("p50_ms", summary.p50.into()),
+            ("p99_ms", summary.p99.into()),
+            ("stddev_ms", summary.stddev.into()),
+            ("cdf", points.into()),
+        ])
+    };
+    rows_of(&series, export)
+}
+
+const FIG9_VIEW: View = View {
+    section: "rows",
+    group_by: Some("policy"),
+    cols: &[
+        ("policy", &["policy"], PLAIN),
+        ("kernel", &["kernel"], PLAIN),
+        ("mean", &["mean_ms"], MS),
+        ("p50", &["p50_ms"], MS),
+        ("p99", &["p99_ms"], MS),
+        ("σ", &["stddev_ms"], MS),
+    ],
+};
+
+fn fig10(quick: bool) -> Document {
+    let export = row!(Fig10Row {
+        policy,
+        kernel,
+        pre_encryption_ms,
+        firmware_ms,
+    });
+    let rows = paper::fig10_breakdown(&scale(quick)).expect("fig10 boots");
+    rows_of(&rows, export)
+}
+
+const FIG10_VIEW: View = View {
+    section: "rows",
+    group_by: Some("policy"),
+    cols: &[
+        ("policy", &["policy"], PLAIN),
+        ("kernel", &["kernel"], PLAIN),
+        ("pre-encryption ms", &["pre_encryption_ms"], MS),
+        ("firmware/verification ms", &["firmware_ms"], MS),
+    ],
+};
+
+fn fig11(quick: bool) -> Document {
+    let export = row!(Fig11Row {
+        policy,
+        kernel,
+        vmm_ms,
+        verification_ms,
+        loader_ms,
+        linux_ms,
+    });
+    let rows = paper::fig11_breakdown(&scale(quick)).expect("fig11 boots");
+    rows_of(&rows, export)
+}
+
+const FIG11_VIEW: View = View {
+    section: "rows",
+    group_by: Some("policy"),
+    cols: &[
+        ("policy", &["policy"], PLAIN),
+        ("kernel", &["kernel"], PLAIN),
+        ("VMM", &["vmm_ms"], MS),
+        ("verification", &["verification_ms"], MS),
+        ("loader", &["loader_ms"], MS),
+        ("linux", &["linux_ms"], MS),
+        (
+            "total(ms)",
+            &["vmm_ms", "verification_ms", "loader_ms", "linux_ms"],
+            Fmt::Sum(2),
+        ),
+    ],
+};
+
+/// Figs. 12 and `fw12` report the same row and read through the same view.
+fn concurrency(rows: &[ConcurrencyRow]) -> Document {
+    let export = row!(ConcurrencyRow {
+        policy,
+        concurrency,
+        mean_ms,
+        max_ms,
+    });
+    rows_of(rows, export)
+}
+
+fn fig12(quick: bool) -> Document {
+    concurrency(&paper::fig12_concurrency(&scale(quick)).expect("fig12 boots"))
+}
+
+fn fw12(quick: bool) -> Document {
+    let rows = paper::futurework_shared_key_concurrency(&scale(quick));
+    concurrency(&rows.expect("fw12 boots"))
+}
+
+const CONCURRENCY_VIEW: View = View {
+    section: "rows",
+    group_by: Some("policy"),
+    cols: &[
+        ("policy", &["policy"], PLAIN),
+        ("concurrent", &["concurrency"], PLAIN),
+        ("mean ms", &["mean_ms"], MS),
+        ("max ms", &["max_ms"], MS),
+    ],
+};
+
+fn mem(_quick: bool) -> Document {
+    let export = row!(FootprintRow {
+        policy,
+        binary_bytes,
+        overhead_bytes,
+    });
+    rows_of(&paper::footprint_table(), export)
+}
+
+const MEM_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[
+        ("policy", &["policy"], PLAIN),
+        ("binary MiB", &["binary_bytes"], Fmt::Mib),
+        ("runtime overhead B", &["overhead_bytes"], PLAIN),
+    ],
+};
+
+fn warm(quick: bool) -> Document {
+    let export = row!(WarmStartRow {
+        policy,
+        cold_boot_ms,
+        warm_invoke_ms,
+        resident_bytes,
+        dedupable_fraction,
+    });
+    let rows = paper::warm_start_analysis(&scale(quick)).expect("warm boots");
+    rows_of(&rows, export)
+}
+
+const WARM_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[
+        ("policy", &["policy"], PLAIN),
+        ("cold boot ms", &["cold_boot_ms"], MS),
+        ("warm invoke ms", &["warm_invoke_ms"], MS),
+        ("resident MiB", &["resident_bytes"], Fmt::Mib),
+        ("dedupable", &["dedupable_fraction"], Fmt::Percent(1)),
+    ],
+};
+
+fn ablation(quick: bool) -> Document {
+    let export = row!(AblationRow {
+        study,
+        variant,
+        measure,
+        ms,
+    });
+    let rows = paper::ablations(&scale(quick)).expect("ablation boots");
+    rows_of(&rows, export)
+}
+
+const ABLATION_VIEW: View = View {
+    section: "rows",
+    group_by: Some("study"),
+    cols: &[
+        ("study", &["study"], PLAIN),
+        ("variant", &["variant"], PLAIN),
+        ("measure", &["measure"], PLAIN),
+        ("ms", &["ms"], MS),
+    ],
+};
+
+fn headline(quick: bool) -> Document {
+    let export = |(kernel, reduction): &(String, f64)| {
+        Json::obj([
+            ("kernel", kernel.clone().into()),
+            ("reduction", (*reduction).into()),
+        ])
+    };
+    let rows = paper::headline_reductions(&scale(quick)).expect("headline boots");
+    rows_of(&rows, export)
+}
+
+const HEADLINE_VIEW: View = View {
+    section: "rows",
+    group_by: None,
+    cols: &[
+        ("kernel", &["kernel"], PLAIN),
+        ("reduction", &["reduction"], Fmt::Percent(1)),
+    ],
+};
 
 fn fleet(quick: bool) -> Document {
     let cfg = pick(quick, SweepConfig::quick, SweepConfig::paper_serving);
@@ -343,10 +712,7 @@ fn attplane(quick: bool) -> Document {
         p99_ms,
         conserved,
     });
-    Document {
-        head: Vec::new(),
-        sections: vec![("rows", rows.iter().map(export).collect())],
-    }
+    rows_of(&rows, export)
 }
 
 const ATTPLANE_VIEW: View = View {
@@ -413,10 +779,7 @@ fn net(quick: bool) -> Document {
         p99_ms,
         conserved,
     });
-    Document {
-        head: Vec::new(),
-        sections: vec![("rows", rows.iter().map(export).collect())],
-    }
+    rows_of(&rows, export)
 }
 
 const NET_VIEW: View = View {
@@ -593,6 +956,25 @@ const AUTOSCALE_VIEW: View = View {
     ],
 };
 
+fn trace(quick: bool) -> Document {
+    trace_document(&scenarios(quick).expect("trace scenarios"))
+}
+
+const TRACE_VIEW: View = View {
+    section: "scenarios",
+    group_by: None,
+    cols: &[
+        ("scenario", &["scenario"], PLAIN),
+        ("done", &["completed"], PLAIN),
+        ("spans", &["spans"], PLAIN),
+        ("markers", &["markers"], PLAIN),
+        ("request", &["request"], PLAIN),
+        ("latency ms", &["latency_ms"], MS),
+        ("attempts", &["attempts"], PLAIN),
+        ("hops", &["failover_hops"], PLAIN),
+    ],
+};
+
 /// The `trace_explorer` document: one row per scenario, the exemplar's
 /// per-phase critical path nested inline.
 pub fn trace_document(s: &TraceScenarios) -> Document {
@@ -657,49 +1039,191 @@ pub fn trace_text(run: &TracedRun) -> String {
     )
 }
 
-/// Every serving sweep, in `figures --all` order.
+/// Every figure, table and sweep, in `figures --all` order.
 pub const REGISTRY: &[Experiment] = &[
     Experiment {
+        id: "3",
+        title: "OVMF SEV-SNP boot phase breakdown",
+        note: "paper: >3 s total; the Boot Verifier is a small sliver",
+        example: None,
+        run: fig3,
+        views: &[FIG3_VIEW],
+    },
+    Experiment {
+        id: "4",
+        title: "pre-encryption time vs component size",
+        note: "paper: linear; 23 MB vmlinux ≈ 5.65 s, 3.3 MB bzImage ≈ 840 ms",
+        example: None,
+        run: fig4,
+        views: &[FIG4_VIEW],
+    },
+    Experiment {
+        id: "5",
+        title: "measured direct boot step costs per codec",
+        note: "paper: LZ4 bzImage wins for kernels; uncompressed initrd wins",
+        example: None,
+        run: fig5,
+        views: &[FIG5_VIEW],
+    },
+    Experiment {
+        id: "7",
+        title: "pre-encrypt or generate boot structures",
+        note: "paper: pre-encrypt iff the generating code is larger; code 0 B = client-supplied",
+        example: None,
+        run: fig7,
+        views: &[FIG7_VIEW],
+    },
+    Experiment {
+        id: "8",
+        title: "guest kernel configurations",
+        note: "paper: 23/3.3, 43/7.1, 61/15 MB",
+        example: None,
+        run: fig8,
+        views: &[FIG8_VIEW],
+    },
+    Experiment {
+        id: "9",
+        title: "end-to-end boot CDFs including attestation",
+        note: "paper: SEVeriFast reduces means by 93.8/88.5/86.1 %",
+        example: None,
+        run: fig9,
+        views: &[FIG9_VIEW],
+    },
+    Experiment {
+        id: "10",
+        title: "pre-encryption and firmware/boot verification breakdown",
+        note: "paper: QEMU ≈ 287.8 ms / 3.2 s; SEVeriFast ≈ 8.2 ms / 20–33 ms",
+        example: None,
+        run: fig10,
+        views: &[FIG10_VIEW],
+    },
+    Experiment {
+        id: "11",
+        title: "stock Firecracker vs SEVeriFast boot breakdown",
+        note: "paper: SEVeriFast AWS ≈ 4× stock; Linux boot ≈ 2.3× under SNP",
+        example: Some("boot_policy_comparison"),
+        run: fig11,
+        views: &[FIG11_VIEW],
+    },
+    Experiment {
+        id: "12",
+        title: "concurrent launches against the PSP bottleneck",
+        note: "paper: SEV linear, ≈1.8 s avg at 50; non-SEV nearly flat",
+        example: Some("serverless_fleet"),
+        run: fig12,
+        views: &[CONCURRENCY_VIEW],
+    },
+    Experiment {
+        id: "mem",
+        title: "memory footprint of SEV support (§6.3)",
+        note: "paper: +50 KB binary for SEV support; +16 KB per SEV guest",
+        example: None,
+        run: mem,
+        views: &[MEM_VIEW],
+    },
+    Experiment {
+        id: "warm",
+        title: "warm start: keep-alive rent and the dedup wall (§7.1)",
+        note: "paper: keep-alive is functionally correct but pages cannot be deduplicated",
+        example: Some("warm_start"),
+        run: warm,
+        views: &[WARM_VIEW],
+    },
+    Experiment {
+        id: "fw12",
+        title: "Fig. 12 with shared-key template launches (§6.2 future work)",
+        note: "the sketched PSP mitigation: per-launch PSP work collapses to ~1 ms",
+        example: None,
+        run: fw12,
+        views: &[CONCURRENCY_VIEW],
+    },
+    Experiment {
+        id: "ablation",
+        title: "what-ifs: verifier features, huge-page pvalidate, a faster PSP, SEV generations",
+        note: "virtual time on the calibrated cost model; PSP 1x is Fig. 12 at 50 guests",
+        example: None,
+        run: ablation,
+        views: &[ABLATION_VIEW],
+    },
+    Experiment {
         id: "fleet",
-        example: "fleet_serving",
+        title: "single-host serving: cold vs template vs warm pool",
+        note: "",
+        example: Some("fleet_serving"),
         run: fleet,
         views: &[FLEET_VIEW],
     },
     Experiment {
         id: "chaos",
-        example: "fleet_chaos",
+        title: "fleet availability under a seeded fault storm",
+        note: "",
+        example: Some("fleet_chaos"),
         run: chaos,
         views: &[CHAOS_VIEW],
     },
     Experiment {
         id: "cluster",
-        example: "cluster_scaling",
+        title: "multi-host scale-out, placement policies, and an outage drill",
+        note: "",
+        example: Some("cluster_scaling"),
         run: cluster,
         views: &[CLUSTER_VIEW],
     },
     Experiment {
+        id: "trace",
+        title: "per-request critical paths: cold, template hit, failover recovery",
+        note: "one exemplar per scenario; the trace_explorer example prints each per-phase path",
+        example: Some("trace_explorer"),
+        run: trace,
+        views: &[TRACE_VIEW],
+    },
+    Experiment {
         id: "attplane",
-        example: "attestation_storm",
+        title: "attestation plane: naive vs cached vs batched verification, a TCB storm, a revocation drill",
+        note: "",
+        example: Some("attestation_storm"),
         run: attplane,
         views: &[ATTPLANE_VIEW],
     },
     Experiment {
         id: "net",
-        example: "partition_drill",
+        title: "partition tolerance: link faults, failure detection, leases, and a verifier blackout",
+        note: "",
+        example: Some("partition_drill"),
         run: net,
         views: &[NET_VIEW],
     },
     Experiment {
         id: "policy",
-        example: "tenant_qos",
+        title: "multi-tenant QoS: FIFO vs weighted-fair PSP scheduling, quotas, posture placement",
+        note: "",
+        example: Some("tenant_qos"),
         run: policy,
         views: &[TENANT_VIEW, ARM_VIEW],
     },
     Experiment {
         id: "autoscale",
-        example: "autoscale_drill",
+        title: "trace-driven autoscaling: static vs reactive vs predictive over a flash crowd",
+        note: "",
+        example: Some("autoscale_drill"),
         run: autoscale,
         views: &[AUTOSCALE_VIEW],
+    },
+    Experiment {
+        id: "perf",
+        title: "harness differential check: calendar vs heap DES, full vs incremental vs paged hashing",
+        note: "same workload through both engines, same image through all three measurement paths",
+        example: Some("perf_sweep"),
+        run: crate::perf::run,
+        views: &[],
+    },
+    Experiment {
+        id: "headline",
+        title: "cold-start reduction over the QEMU/OVMF baseline",
+        note: "paper abstract: 86–93 %",
+        example: None,
+        run: headline,
+        views: &[HEADLINE_VIEW],
     },
 ];
 
@@ -733,11 +1257,22 @@ mod tests {
     }
 
     #[test]
-    fn ids_and_examples_are_unique() {
+    fn the_registry_lists_every_id_once_under_one_stem() {
+        // What `figures --list` printed before the paper's figures moved in.
+        let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        let listed = "3 4 5 7 8 9 10 11 12 mem warm fw12 ablation fleet chaos cluster trace \
+                      attplane net policy autoscale perf headline";
+        assert_eq!(ids.join(" "), listed);
         for (i, a) in REGISTRY.iter().enumerate() {
+            assert!(!a.title.is_empty());
             for b in &REGISTRY[i + 1..] {
-                assert!(a.id != b.id && a.example != b.example);
+                assert!(a.stem() != b.stem(), "{} and {} share a file", a.id, b.id);
             }
         }
+        assert_eq!(
+            find("12").unwrap().file_name(true),
+            "serverless_fleet_quick.json"
+        );
+        assert_eq!(find("mem").unwrap().file_name(false), "mem_full.json");
     }
 }

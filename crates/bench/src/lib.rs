@@ -3,9 +3,9 @@
 //! The `figures` binary regenerates every table and figure of the paper on
 //! the virtual clock (wall-clock results come from `benchmark/` alone).
 //! This library holds what it shares with the examples: text-table
-//! rendering, a dependency-free JSON emitter whose output EXPERIMENTS.md is
-//! built from, and — in [`document`] and [`experiment`] — the one
-//! description of every serving experiment that both render from.
+//! rendering, a dependency-free JSON emitter, and — in [`document`] and
+//! [`experiment`] — the one description of every figure, table and serving
+//! experiment that both render from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,8 +13,6 @@
 pub mod document;
 pub mod experiment;
 pub mod perf;
-
-use std::fmt::Write as _;
 
 use sevf_obs::json_escape;
 
@@ -59,14 +57,12 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// A minimal JSON value for figure dumps and experiment documents.
+/// A minimal JSON value for experiment documents.
 ///
 /// The data is plain numbers/strings in arrays of objects; a full
 /// serialization framework buys nothing here and the repository builds
-/// offline, so this emitter is hand-rolled. Objects keep insertion order:
-/// [`Json::to_inline`] prints it (the `--json` replay documents), while
-/// [`Json::to_pretty`] sorts keys (the `data/*.json` files), so both
-/// outputs are deterministic.
+/// offline, so this emitter is hand-rolled. Objects keep insertion order
+/// and [`Json::to_inline`] prints it, so the output is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -103,72 +99,6 @@ impl Json {
                 let cell =
                     |(k, v): &(String, Json)| format!("\"{}\": {}", json_escape(k), v.to_inline());
                 format!("{{{}}}", list(pairs.iter().map(cell).collect()))
-            }
-        }
-    }
-
-    /// Serializes with two-space indentation and sorted object keys
-    /// (stable across runs).
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", json_escape(s));
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                let mut map: Vec<&(String, Json)> = pairs.iter().collect();
-                map.sort_by(|a, b| a.0.cmp(&b.0));
-                out.push_str("{\n");
-                for (i, (k, v)) in map.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    let _ = write!(out, "\"{}\": ", json_escape(k));
-                    v.write(out, indent + 1);
-                    if i + 1 < map.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
             }
         }
     }
@@ -216,41 +146,6 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-/// A serialized figure: identifier, caption, and free-form data.
-#[derive(Debug)]
-pub struct FigureDump {
-    /// Figure/table identifier ("fig3", "fig10", "mem", ...).
-    pub id: String,
-    /// What the paper's version shows.
-    pub caption: String,
-    /// The data series, shaped per figure.
-    pub data: Json,
-}
-
-impl FigureDump {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::Str(self.id.clone())),
-            ("caption", Json::Str(self.caption.clone())),
-            ("data", self.data.clone()),
-        ])
-    }
-}
-
-/// Writes figure dumps as pretty JSON into `dir/<id>.json`.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_dumps(dir: &std::path::Path, dumps: &[FigureDump]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for dump in dumps {
-        let path = dir.join(format!("{}.json", dump.id));
-        std::fs::write(&path, dump.to_json().to_pretty())?;
-    }
-    Ok(())
-}
-
 /// The `--quick` or the paper-scale value of a config.
 pub fn pick<T>(quick: bool, small: fn() -> T, paper: fn() -> T) -> T {
     if quick {
@@ -263,11 +158,6 @@ pub fn pick<T>(quick: bool, small: fn() -> T, paper: fn() -> T) -> T {
 /// Formats a byte count in MiB with one decimal.
 pub fn mib(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Formats milliseconds with two decimals.
-pub fn fmt_ms(ms: f64) -> String {
-    format!("{ms:.2}")
 }
 
 #[cfg(test)]
@@ -285,30 +175,5 @@ mod tests {
     #[test]
     fn helpers_format() {
         assert_eq!(mib(1024 * 1024 * 3 / 2), "1.5");
-        assert_eq!(fmt_ms(8.216), "8.22");
-    }
-
-    #[test]
-    fn json_emits_deterministic_pretty_output() {
-        let v = Json::obj([
-            ("b", Json::from(2u64)),
-            (
-                "a",
-                Json::Arr(vec![Json::from("x\n"), Json::Null, Json::Bool(true)]),
-            ),
-            ("c", Json::from(1.5)),
-        ]);
-        let text = v.to_pretty();
-        // Keys are sorted; integral floats print as integers; strings escape.
-        assert!(text.find("\"a\"").unwrap() < text.find("\"b\"").unwrap());
-        assert!(text.contains("\"x\\n\""));
-        assert!(text.contains("2,") || text.contains("2\n"));
-        assert!(text.contains("1.5"));
-    }
-
-    #[test]
-    fn empty_containers_stay_compact() {
-        assert_eq!(Json::Arr(vec![]).to_pretty(), "[]");
-        assert_eq!(Json::Obj(Default::default()).to_pretty(), "{}");
     }
 }

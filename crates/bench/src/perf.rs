@@ -1,29 +1,22 @@
-//! The `perf_sweep` example's engine: two differential checks over the two
-//! hot paths the simulator lives on, with a wall-clock ratio printed beside
-//! each.
+//! The `perf` experiment: two differential checks over the two hot paths
+//! the simulator lives on.
 //!
 //! * **DES engine** — one workload, two engines: the calendar-queue
 //!   [`sevf_sim::DesEngine`] against the heap-based
 //!   [`sevf_sim::reference::HeapEngine`] it replaced. Both must produce
-//!   identical outcomes (checked every run, and checksummed so the `--json`
-//!   replay gate pins the workload); the text table prints the wall-clock
-//!   ratio, the only place the calendar-vs-heap speedup shows.
+//!   identical outcomes (checked every run, and checksummed so the golden
+//!   pins the workload).
 //! * **Measurement path** — full SHA-384 launch-digest chaining over a page
 //!   set, against [`sevf_psp::IncrementalChain`] re-measuring with a small
 //!   dirty suffix (the §6.2 template-hit shape) and against the two-level
 //!   [`sevf_psp::paged_measure`] with a warm [`sevf_psp::PageDigestCache`].
 //!
-//! Everything here is deterministic in the seed *except* the wall-clock
-//! fields, which is why the example splits output: `--json` prints only the
-//! deterministic facts (byte-diffable in CI) and the text table prints the
-//! wall-clock ones, for reading only. Wall-clock *results* — anything a
-//! speed claim rests on — come from `benchmark/` (`sim.des_us_per_job`,
+//! Everything here is deterministic in the seed and nothing reads a clock:
+//! how *fast* each path is comes from `benchmark/` (`sim.des_us_per_job`,
 //! `psp.measure_*_mb_s`).
 
-use std::time::Instant;
-
 use crate::document::Document;
-use crate::{pick, render_table};
+use crate::pick;
 use sevf_psp::{
     paged_measure, IncrementalChain, MeasurementChain, PageDigestCache, PageRef, PageType,
 };
@@ -34,15 +27,12 @@ use sevf_sim::{DesEngine, Job, JobOutcome, Nanos, Segment};
 /// Workload sizes for one perf sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfConfig {
-    /// Jobs in the DES microbench.
+    /// Jobs in the DES check.
     pub jobs: usize,
-    /// 4 KiB pages in the measurement microbench.
+    /// 4 KiB pages in the measurement check.
     pub pages: usize,
     /// Pages dirtied between measurements (template-hit shape).
     pub dirty: usize,
-    /// Timed iterations per engine; the minimum wall-clock is reported,
-    /// which damps first-touch page-fault and scheduling noise.
-    pub iters: usize,
     /// Workload seed.
     pub seed: u64,
 }
@@ -54,7 +44,6 @@ impl PerfConfig {
             jobs: 12_000_000,
             pages: 1024,
             dirty: 32,
-            iters: 2,
             seed: 42,
         }
     }
@@ -65,40 +54,23 @@ impl PerfConfig {
             jobs: 20_000,
             pages: 256,
             dirty: 8,
-            iters: 1,
             seed: 42,
         }
     }
 }
 
-/// Result of the DES engine microbench.
+/// Result of the DES engine check.
 #[derive(Debug, Clone, Copy)]
 pub struct DesPerf {
     /// Jobs simulated.
     pub jobs: u64,
     /// Events the scheduler processed (releases + segment completions).
     pub events: u64,
-    /// Wall-clock of the calendar-queue engine run.
-    pub calendar_secs: f64,
-    /// Wall-clock of the heap reference engine run.
-    pub heap_secs: f64,
     /// Order-sensitive checksum over every outcome (deterministic in the
     /// seed; the `--json` replay gate diffs it).
     pub outcome_checksum: u64,
     /// Whether both engines produced identical outcome sequences.
     pub engines_agree: bool,
-}
-
-impl DesPerf {
-    /// Microseconds of wall-clock per simulated request, calendar engine.
-    pub fn us_per_request(&self) -> f64 {
-        self.calendar_secs * 1e6 / self.jobs as f64
-    }
-
-    /// Microseconds per simulated request on the heap reference engine.
-    pub fn us_per_request_heap(&self) -> f64 {
-        self.heap_secs * 1e6 / self.jobs as f64
-    }
 }
 
 /// Builds one engine of each kind with identical resource tables. Resource
@@ -116,7 +88,7 @@ fn fresh_engines() -> (DesEngine, HeapEngine) {
     (cal, heap)
 }
 
-/// Builds the DES microbench workload: delay-dominated attestation round
+/// Builds the DES workload: delay-dominated attestation round
 /// trips plus a slice of PSP/CPU launches, with releases spread across the
 /// calendar window so the pending-event set stays in the millions (the
 /// regime where the heap engine's log-depth, cache-missing sifts dominate).
@@ -178,85 +150,33 @@ fn checksum(outcomes: &[JobOutcome]) -> u64 {
     acc
 }
 
-/// Runs the DES microbench: the same workload through both engines,
-/// `cfg.iters` times each, keeping the minimum wall-clock per engine.
+/// Runs the DES check: the same workload through both engines.
 pub fn des_perf(cfg: PerfConfig) -> DesPerf {
     let jobs = build_workload(cfg);
     let events: u64 = jobs.iter().map(|j| 1 + j.segments.len() as u64).sum();
-
-    let mut calendar_secs = f64::INFINITY;
-    let mut heap_secs = f64::INFINITY;
-    let mut engines_agree = true;
-    let mut outcome_checksum = 0u64;
-    for _ in 0..cfg.iters.max(1) {
-        let (mut cal, mut heap) = fresh_engines();
-        // Clone outside the timed regions: both engines consume an
-        // identical, pre-built job vec, so neither is charged for the
-        // allocator work of building it.
-        let jobs_for_cal = jobs.clone();
-        let jobs_for_heap = jobs.clone();
-
-        let start = Instant::now();
-        let fast = cal.run(jobs_for_cal);
-        calendar_secs = calendar_secs.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        let slow = heap.run(jobs_for_heap);
-        heap_secs = heap_secs.min(start.elapsed().as_secs_f64());
-
-        engines_agree &= fast == slow;
-        outcome_checksum = checksum(&fast);
-    }
-
+    let (mut cal, mut heap) = fresh_engines();
+    let fast = cal.run(jobs.clone());
     DesPerf {
         jobs: jobs.len() as u64,
         events,
-        calendar_secs,
-        heap_secs,
-        outcome_checksum,
-        engines_agree,
+        outcome_checksum: checksum(&fast),
+        engines_agree: fast == heap.run(jobs),
     }
 }
 
-/// Result of the measurement-path microbench.
+/// Result of the measurement-path check.
 #[derive(Debug, Clone)]
 pub struct HashPerf {
     /// Pages measured.
     pub pages: u64,
-    /// Bytes in the measured image.
-    pub bytes: u64,
     /// Pages dirtied before the incremental re-measure.
     pub dirty: u64,
-    /// Wall-clock of the full chain measurement.
-    pub full_secs: f64,
-    /// Wall-clock of the incremental re-measure (dirty suffix only).
-    pub incremental_secs: f64,
-    /// Wall-clock of the warm two-level paged re-measure.
-    pub paged_warm_secs: f64,
     /// Full-chain digest (hex; deterministic, replay-gated).
     pub full_digest_hex: String,
     /// Whether the incremental digest equals the full re-hash.
     pub incremental_matches_full: bool,
     /// Page-digest cache hits during the warm paged measure.
     pub paged_cache_hits: u64,
-}
-
-impl HashPerf {
-    /// MB/s of the full-chain measurement (the PSP-model hot loop).
-    pub fn full_mb_per_sec(&self) -> f64 {
-        self.bytes as f64 / 1e6 / self.full_secs
-    }
-
-    /// Effective MB/s of the incremental re-measure, counted over the whole
-    /// image it re-validated (the §6.2 payoff metric).
-    pub fn incremental_mb_per_sec(&self) -> f64 {
-        self.bytes as f64 / 1e6 / self.incremental_secs
-    }
-
-    /// Effective MB/s of the warm paged re-measure.
-    pub fn paged_warm_mb_per_sec(&self) -> f64 {
-        self.bytes as f64 / 1e6 / self.paged_warm_secs
-    }
 }
 
 fn refs(pages: &[[u8; 4096]]) -> Vec<PageRef<'_>> {
@@ -279,7 +199,7 @@ fn hex48(d: &[u8; 48]) -> String {
     s
 }
 
-/// Runs the measurement microbench: full chain vs incremental vs paged.
+/// Runs the measurement check: full chain vs incremental vs paged.
 pub fn hash_perf(cfg: PerfConfig) -> HashPerf {
     let mut rng = XorShift64::new(cfg.seed ^ 0xda7a);
     let mut pages: Vec<[u8; 4096]> = (0..cfg.pages)
@@ -294,12 +214,10 @@ pub fn hash_perf(cfg: PerfConfig) -> HashPerf {
     let dirty = cfg.dirty.min(cfg.pages);
 
     // Full chain over the clean image.
-    let start = Instant::now();
     let mut chain = MeasurementChain::new();
     for r in refs(&pages) {
         chain.add_page(r.gpa, r.data);
     }
-    let full_secs = start.elapsed().as_secs_f64();
     let full_digest = chain.finalize();
 
     // Incremental: prime on the clean image, dirty the tail (boot params /
@@ -315,13 +233,8 @@ pub fn hash_perf(cfg: PerfConfig) -> HashPerf {
         p[4095] ^= 0x5a;
     }
 
-    let start = Instant::now();
     let inc_digest = inc.measure(&refs(&pages));
-    let incremental_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
     paged_measure(&refs(&pages), &mut cache);
-    let paged_warm_secs = start.elapsed().as_secs_f64();
 
     // The incremental digest must equal a from-scratch chain of the dirtied
     // image.
@@ -332,113 +245,48 @@ pub fn hash_perf(cfg: PerfConfig) -> HashPerf {
 
     HashPerf {
         pages: cfg.pages as u64,
-        bytes: cfg.pages as u64 * 4096,
         dirty: dirty as u64,
-        full_secs,
-        incremental_secs,
-        paged_warm_secs,
         full_digest_hex: hex48(&full_digest),
         incremental_matches_full: inc_digest == verify.finalize(),
         paged_cache_hits: cache.hits(),
     }
 }
 
-/// One full perf sweep: both microbenches.
-#[derive(Debug, Clone)]
-pub struct PerfSweep {
-    /// DES engine results.
-    pub des: DesPerf,
-    /// Measurement-path results.
-    pub hash: HashPerf,
-}
-
-/// Runs the whole sweep.
-pub fn run_sweep(cfg: PerfConfig) -> PerfSweep {
-    PerfSweep {
-        des: des_perf(cfg),
-        hash: hash_perf(cfg),
-    }
-}
-
-/// Runs the `--quick` or the full sweep and checks that every path agreed.
+/// The `perf` experiment: both checks at `--quick` or full size, exported.
 ///
 /// # Panics
 ///
 /// Panics if the two engines or the measurement paths diverged.
-pub fn run_checked(quick: bool) -> PerfSweep {
-    let sweep = run_sweep(pick(quick, PerfConfig::quick, PerfConfig::full));
+pub fn run(quick: bool) -> Document {
+    let cfg = pick(quick, PerfConfig::quick, PerfConfig::full);
+    let (d, h) = (des_perf(cfg), hash_perf(cfg));
     assert!(
-        sweep.des.engines_agree,
+        d.engines_agree,
         "calendar and heap engines diverged on the same workload"
     );
     assert!(
-        sweep.hash.incremental_matches_full,
+        h.incremental_matches_full,
         "incremental measurement diverged from the full re-hash"
     );
-    sweep
-}
-
-impl PerfSweep {
-    /// The deterministic facts only — no wall-clock — so the replay gate
-    /// can byte-diff two runs.
-    pub fn document(&self) -> Document {
-        let (d, h) = (&self.des, &self.hash);
-        Document {
-            head: vec![
-                ("des_jobs", d.jobs.into()),
-                ("des_events", d.events.into()),
-                (
-                    "outcome_checksum",
-                    format!("{:#018x}", d.outcome_checksum).into(),
-                ),
-                ("engines_agree", d.engines_agree.into()),
-                ("pages", h.pages.into()),
-                ("dirty_pages", h.dirty.into()),
-                ("full_digest", h.full_digest_hex.clone().into()),
-                (
-                    "incremental_matches_full",
-                    h.incremental_matches_full.into(),
-                ),
-                ("paged_cache_hits", h.paged_cache_hits.into()),
-            ],
-            ..Document::default()
-        }
-    }
-
-    /// The wall-clock tables: both engines, then the three measurement paths.
-    pub fn text(&self) -> String {
-        let (d, h) = (&self.des, &self.hash);
-        let engines = [
-            ("heap (reference)", d.us_per_request_heap(), d.heap_secs),
-            ("calendar", d.us_per_request(), d.calendar_secs),
-        ]
-        .map(|(engine, us, secs)| {
-            vec![
-                engine.to_string(),
-                format!("{us:.3}"),
-                format!("{:.0}", d.events as f64 / secs),
-                format!("{:.2}x", d.heap_secs / secs),
-            ]
-        });
-        let paths = [
-            ("full chain".to_string(), h.full_mb_per_sec()),
+    Document {
+        head: vec![
+            ("des_jobs", d.jobs.into()),
+            ("des_events", d.events.into()),
             (
-                format!("incremental ({} of {} pages dirty)", h.dirty, h.pages),
-                h.incremental_mb_per_sec(),
+                "outcome_checksum",
+                format!("{:#018x}", d.outcome_checksum).into(),
             ),
+            ("engines_agree", d.engines_agree.into()),
+            ("pages", h.pages.into()),
+            ("dirty_pages", h.dirty.into()),
+            ("full_digest", h.full_digest_hex.into()),
             (
-                format!("paged, warm cache ({} hits)", h.paged_cache_hits),
-                h.paged_warm_mb_per_sec(),
+                "incremental_matches_full",
+                h.incremental_matches_full.into(),
             ),
-        ]
-        .map(|(path, mb_s)| vec![path, format!("{mb_s:.1}")]);
-        format!(
-            "DES: {} jobs / {} events, identical outcomes from both engines\n{}\n{}",
-            d.jobs,
-            d.events,
-            render_table(&["engine", "us/request", "events/s", "speedup"], &engines),
-            render_table(&["measurement path", "effective MB/s"], &paths)
-        )
+            ("paged_cache_hits", h.paged_cache_hits.into()),
+        ],
+        ..Document::default()
     }
 }
 
@@ -451,7 +299,6 @@ mod tests {
             jobs: 500,
             pages: 16,
             dirty: 3,
-            iters: 1,
             seed: 42,
         }
     }

@@ -1,54 +1,32 @@
-//! Serverless fleet: concurrent cold boots and the PSP bottleneck.
+//! Serverless fleet: concurrent cold boots and the PSP bottleneck (Fig. 12).
 //!
 //! ```text
-//! cargo run --release --example serverless_fleet
+//! cargo run --release --example serverless_fleet            # 1–50 guests
+//! cargo run --release --example serverless_fleet -- --quick
+//! cargo run --release --example serverless_fleet -- --quick --json
 //! ```
 //!
 //! Models a serverless platform cold-starting a burst of function
-//! instances. With SEV, every launch serializes through the machine's
-//! single PSP core, so average boot time grows linearly with the burst size
-//! (Fig. 12); without SEV, the 32-core host absorbs the burst almost flat.
+//! instances. One functional boot per policy gives the per-VM work profile
+//! (boot time to init; attestation is stripped, as in the figure), and the
+//! discrete-event engine replays it at each burst size. With SEV, every
+//! launch serializes through the machine's single PSP core, so average
+//! boot time grows linearly with the burst; without SEV, the 32-core host
+//! absorbs the burst almost flat. This is `figures --fig 12`.
 
-use severifast::prelude::*;
-use severifast::vmm::concurrent;
+use sevf_bench::experiment::run_example;
 
-fn main() -> Result<(), VmmError> {
-    let mut machine = Machine::new(7);
-
-    println!("cold-starting bursts of AWS-kernel microVMs (256 MB, 1 vCPU)\n");
-    println!(
-        "{:<14} {:>6} {:>12} {:>12} {:>12}",
-        "policy", "burst", "mean(ms)", "p99-ish(ms)", "queued PSP"
-    );
-
-    for policy in [BootPolicy::Severifast, BootPolicy::StockFirecracker] {
-        // One functional boot gives the per-VM work profile...
-        let config = VmConfig::paper_default(policy, KernelConfig::aws());
-        let vm = MicroVm::new(config)?;
-        if policy.is_sev() {
-            vm.register_expected(&mut machine)?;
-        }
-        let mut report = vm.boot(&mut machine)?;
-        // Fig. 12 measures boot time (to init), not attestation.
-        report.timeline = report.timeline.filtered(|p| p.counts_as_boot());
-
-        // ...which the discrete-event engine replays at each burst size.
-        for burst in [1usize, 10, 25, 50] {
-            let point = concurrent::run_concurrent(&report, burst);
-            println!(
-                "{:<14} {:>6} {:>12.1} {:>12.1} {:>12}",
-                policy.name(),
-                burst,
-                point.summary.mean,
-                point.summary.p99,
-                format!("{}", report.psp_busy.scale(burst as u64 - 1))
-            );
-        }
-        println!();
-    }
-
-    println!("takeaway: the PSP is the serverless bottleneck — at 50 concurrent");
-    println!("launches an SEV cold start averages seconds, while the same burst");
-    println!("without SEV is flat. (The paper flags fixing this as future work.)");
-    Ok(())
+fn main() {
+    run_example("serverless_fleet", intro, TAKEAWAY);
 }
+
+fn intro(_quick: bool) {
+    println!("cold-starting bursts of AWS-kernel microVMs (256 MB, 1 vCPU)");
+}
+
+const TAKEAWAY: &str = "\
+takeaway: the PSP is the serverless bottleneck — the SEV mean climbs by
+the per-launch PSP time for every guest added (to ~2 s at the paper's 50),
+while the same burst without SEV is flat until the host runs out of cores.
+(The paper flags fixing this as future work; `figures --fig fw12` is the
+shared-key mitigation it sketches.)";

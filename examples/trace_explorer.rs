@@ -14,11 +14,12 @@
 //! phases, retry backoff, and attestation, summing exactly to the latency
 //! the metrics report for that request.
 //!
-//! `--json` prints the result as deterministic JSON (two runs emit
-//! byte-identical output; the CI replay gate diffs one against
-//! `data/golden/`). `--chrome FILE`
-//! additionally writes the failover scenario's full span set as a Chrome
-//! `trace_event` file — load it in `chrome://tracing` or Perfetto.
+//! `--json` prints the registered `trace` document (`figures --table
+//! trace` shows its one-line-per-scenario summary; the golden in
+//! `data/golden/` pins it). This example keeps its own `main` for what a
+//! document cannot carry: the per-phase tables, and `--chrome FILE`, which
+//! writes the failover scenario's full span set as a Chrome `trace_event`
+//! file — load it in `chrome://tracing` or Perfetto.
 
 use sevf_bench::experiment::{parse_cli, trace_document, trace_text, Flag};
 use sevf_cluster::tracedemo::{scenarios, TracedRun};

@@ -1,82 +1,37 @@
-//! Warm start (§7.1) and the shared-key future work (§6.2/§8), live.
+//! Warm start (§7.1): keep-alive latency against its memory rent.
 //!
 //! ```text
 //! cargo run --release --example warm_start
+//! cargo run --release --example warm_start -- --quick
+//! cargo run --release --example warm_start -- --quick --json
 //! ```
 //!
-//! Shows the three regimes the paper discusses:
+//! Boots two identical keep-alive guests per policy and compares the
+//! regimes the paper discusses:
 //!
 //! 1. **Cold boot** — the full SEVeriFast pipeline (what the paper makes
 //!    86–93 % faster, but still ~4× a plain microVM).
 //! 2. **Keep-alive warm invocation** — microseconds, but each kept-alive VM
-//!    holds its working set and, under SEV, *none of it deduplicates*.
-//! 3. **Shared-key template launch** — the paper's sketched PSP-bottleneck
-//!    mitigation: near-cold security posture (same measured state), most of
-//!    the cold-boot path, but almost zero serialized PSP time.
+//!    holds its working set and, under SEV, almost *none of it
+//!    deduplicates*: ciphertext is unique per VM key and page address.
+//!
+//! This is `figures --table warm`. The third regime — shared-key template
+//! launches, the paper's sketched PSP-bottleneck mitigation (§6.2/§8) —
+//! is `figures --fig fw12`; `tests/security.rs` holds its trust caveat
+//! (VMs sharing a key can deduplicate against each other).
 
-use severifast::prelude::*;
-use severifast::vmm::config::LaunchMode;
-use severifast::vmm::warm::dedupable_fraction;
+use sevf_bench::experiment::run_example;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut machine = Machine::new(31);
-
-    // ---------------------------------------------------------------- 1
-    let config = VmConfig::paper_default(BootPolicy::Severifast, KernelConfig::aws());
-    let vm = MicroVm::new(config.clone())?;
-    vm.register_expected(&mut machine)?;
-    let (cold, mut alive_a) = vm.boot_keep_alive(&mut machine)?;
-    println!(
-        "cold boot:             {:>12}   (PSP busy {})",
-        cold.boot_time(),
-        cold.psp_busy
-    );
-
-    // ---------------------------------------------------------------- 2
-    let warm = alive_a.invoke(&machine.cost);
-    println!(
-        "warm invocation:       {:>12}   (kept-alive guest)",
-        warm.latency
-    );
-    let (_, alive_b) = vm.boot_keep_alive(&mut machine)?;
-    let rent = alive_a.resident_bytes() as f64 / (1024.0 * 1024.0);
-    let dedup = dedupable_fraction(&[&alive_a, &alive_b])?;
-    println!(
-        "keep-alive rent:       {rent:>9.1} MiB resident per VM, {:.1}% dedupable (§7.1)",
-        dedup * 100.0
-    );
-
-    // For contrast: plain-text keep-alives dedup well.
-    let plain = MicroVm::new(VmConfig::paper_default(
-        BootPolicy::StockFirecracker,
-        KernelConfig::aws(),
-    ))?;
-    let (_, plain_a) = plain.boot_keep_alive(&mut machine)?;
-    let (_, plain_b) = plain.boot_keep_alive(&mut machine)?;
-    println!(
-        "  (non-SEV contrast:   {:.1}% dedupable)",
-        dedupable_fraction(&[&plain_a, &plain_b])? * 100.0
-    );
-
-    // ---------------------------------------------------------------- 3
-    let mut shared_config = config;
-    shared_config.launch_mode = LaunchMode::SharedKeyTemplate;
-    let shared_vm = MicroVm::new(shared_config)?;
-    shared_vm.register_expected(&mut machine)?;
-    let template = shared_vm.boot(&mut machine)?; // cold: caches the template
-    let shared = shared_vm.boot(&mut machine)?; // warm: shared-key fast path
-    println!(
-        "\nshared-key launch:     {:>12}   (PSP busy {} vs {} cold — §6.2 future work)",
-        shared.boot_time(),
-        shared.psp_busy,
-        template.psp_busy
-    );
-    println!(
-        "  attestation still succeeds: {:?} (same launch measurement)",
-        shared.outcome
-    );
-    println!("  caveat (§8): VMs sharing a key can deduplicate against each other —");
-    println!("  isolation between them is weaker; only same-owner fleets should share.");
-
-    Ok(())
+fn main() {
+    run_example("warm_start", intro, TAKEAWAY);
 }
+
+fn intro(_quick: bool) {
+    println!("one cold boot, one warm invocation and two identical keep-alives per policy");
+}
+
+const TAKEAWAY: &str = "\
+takeaway: a kept-alive guest answers ~1000× faster than even a
+SEVeriFast cold boot, but an SEV keep-alive pays its memory rent in
+full — only the plain-text staging pages dedup, while two identical
+non-SEV guests share half their pages.";
