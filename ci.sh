@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate. Run from the repo root:
 #
-#   ./ci.sh          # full gate: build, tests, golden replay, lints, clean tree
+#   ./ci.sh          # full gate: build, tests, golden replay, lints, docs, clean tree
 #   ./ci.sh quick    # fast inner loop: debug tests + one debug golden replay
 #
 # Re-capture every golden (only for an intended model change):
@@ -128,6 +128,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs name items by intra-doc link; a deleted or renamed item must fail
+# here, not leave a dangling link.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The gate writes no result file: whatever it left behind is a bug here or a
 # missing .gitignore line.

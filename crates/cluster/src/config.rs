@@ -205,6 +205,7 @@ impl ClusterConfig {
                 return Err(ClusterError::Config("closed loop needs at least one user"));
             }
         }
+        self.admission.validate().map_err(ClusterError::Config)?;
         for outage in &self.outages {
             if outage.host >= self.hosts {
                 return Err(ClusterError::Config(

@@ -91,7 +91,6 @@ impl PolicySweepConfig {
             admission: AdmissionConfig {
                 queue_bound: 256,
                 max_inflight: 2,
-                ..AdmissionConfig::default()
             },
             recovery: RecoveryConfig::resilient(0x7E4A),
             verifier: AttPlaneConfig::cached_batched(),
@@ -128,7 +127,6 @@ impl PolicySweepConfig {
             admission: AdmissionConfig {
                 queue_bound: 192,
                 max_inflight: 2,
-                ..AdmissionConfig::default()
             },
             recovery: RecoveryConfig::resilient(0x7E4A),
             verifier: AttPlaneConfig::cached_batched(),

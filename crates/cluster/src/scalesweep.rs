@@ -96,7 +96,6 @@ impl ScaleSweepConfig {
             admission: AdmissionConfig {
                 queue_bound: 256,
                 max_inflight: 2,
-                ..AdmissionConfig::default()
             },
             recovery: RecoveryConfig::resilient(0x5CA1E),
             warm_budget: 48,
@@ -129,7 +128,6 @@ impl ScaleSweepConfig {
             admission: AdmissionConfig {
                 queue_bound: 192,
                 max_inflight: 2,
-                ..AdmissionConfig::default()
             },
             recovery: RecoveryConfig::resilient(0x5CA1E),
             warm_budget: 36,

@@ -363,12 +363,8 @@ impl State<'_> {
                     self.front.issue_next_closed(now, inject);
                 }
             }
-            ServeJob::Replenish {
-                class,
-                host,
-                psp_ns,
-            } => {
-                self.hosts[host].refill_done(&mut self.front, job, now, class, psp_ns);
+            ServeJob::Replenish { class, host } => {
+                self.hosts[host].refill_done(&mut self.front, job, now, class);
                 self.after_refill(host, class, now, inject);
             }
             ServeJob::ResetStart { host } => self.hosts[host].reset_start(&mut self.front, now),

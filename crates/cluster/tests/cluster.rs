@@ -322,6 +322,14 @@ fn invalid_configs_are_rejected_with_chained_errors() {
     };
     assert!(ClusterService::new(catalog(), out_of_range).is_err());
 
+    let mut no_slot = base(2, ServingTier::Template);
+    no_slot.admission.max_inflight = 0;
+    let err = ClusterService::new(catalog(), no_slot).unwrap_err();
+    assert!(matches!(
+        err,
+        ClusterError::Config("max_inflight must be at least 1")
+    ));
+
     let from_fleet = ClusterError::from(sevf_fleet::FleetError::NoClasses);
     assert!(from_fleet.source().is_some());
 }

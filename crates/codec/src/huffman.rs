@@ -132,11 +132,6 @@ impl Encoder {
         }
         writer.write_bits(reversed, len);
     }
-
-    /// Returns the code length for a symbol (0 = no code).
-    pub fn length_of(&self, symbol: usize) -> u8 {
-        self.codes[symbol].1
-    }
 }
 
 /// Assigns canonical codes (MSB-first numeric codes) from lengths.

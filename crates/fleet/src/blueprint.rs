@@ -5,9 +5,9 @@
 //! virtual-time shape of a boot is a property of its *configuration*. So the
 //! control plane boots each request class **once per serving tier** on a
 //! real [`sevf_vmm::Machine`], converts the resulting timeline into a
-//! replayable [`Blueprint`] (the same span-to-segment mapping
-//! [`sevf_vmm::concurrent::boot_job`] uses), and replays that blueprint for
-//! every request of the class.
+//! replayable [`Blueprint`] (placed on the host's resources by
+//! [`Segment::for_class`], as [`sevf_vmm::concurrent::boot_job`] places a
+//! boot), and replays that blueprint for every request of the class.
 //!
 //! Three blueprints per class:
 //!
@@ -80,8 +80,8 @@ impl Blueprint {
         }
     }
 
-    /// Serialized PSP work this blueprint costs per replay — the quantity
-    /// the shortest-expected-PSP-work scheduler orders by.
+    /// Serialized PSP work this blueprint costs per replay — what a WFQ
+    /// lane is charged for it and what JSQ placement sums as backlog.
     pub fn psp_work(&self) -> Nanos {
         self.steps
             .iter()
@@ -130,19 +130,11 @@ impl Blueprint {
     }
 
     /// Converts the blueprint into a DES job released at `release`.
-    ///
-    /// Segment labels are static class names, not the blueprint label: the
-    /// engine never reads them, and this runs once per dispatched request —
-    /// a per-segment `String` clone here was the fleet's hottest allocation.
     pub fn to_job(&self, release: Nanos, cpu: ResourceId, psp: ResourceId) -> Job {
         let segments = self
             .steps
             .iter()
-            .map(|step| match step.class {
-                ResourceClass::Psp => Segment::on(psp, step.duration, "psp"),
-                ResourceClass::HostCpu => Segment::on(cpu, step.duration, "cpu"),
-                ResourceClass::Network => Segment::delay(step.duration, "net"),
-            })
+            .map(|step| Segment::for_class(step.class, step.duration, cpu, psp))
             .collect();
         Job::released_at(release, segments)
     }
@@ -396,8 +388,8 @@ impl LaunchCache {
         }
     }
 
-    /// Whether `key` is live, without touching the counters (used by the
-    /// template-affinity scheduler to peek).
+    /// Whether `key` is live, without touching the counters (how
+    /// `Host::expected_psp` prices a launch before it is dispatched).
     pub fn contains(&self, key: &TemplateKey) -> bool {
         self.live.contains_key(key)
     }

@@ -23,7 +23,7 @@ use sevf_attplane::{AttPlane, AttPlaneConfig};
 use sevf_net::VerifierLink;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
 use sevf_policy::{
-    HostPosture, IsolationTier, PolicyConfig, PolicyDecision, PolicyEngine, Scheduler,
+    HostPosture, IsolationTier, LaneSpec, PolicyConfig, PolicyDecision, PolicyEngine, Scheduler,
     TenantMetrics, TenantRollup,
 };
 use sevf_sim::fault::FaultKind;
@@ -91,9 +91,6 @@ pub struct Launch {
     /// Whether this launch is filling its class's template (the key is
     /// invalidated if it fails).
     pub fill: bool,
-    /// Serialized PSP work the job holds on the host's backlog; non-zero
-    /// marks a launch a firmware reset poisons.
-    pub psp_ns: Nanos,
 }
 
 /// What an engine job index means to the serving core.
@@ -117,8 +114,6 @@ pub enum ServeJob {
         class: usize,
         /// Host the refill runs on.
         host: usize,
-        /// Serialized PSP work the refill holds.
-        psp_ns: Nanos,
     },
     /// `host`'s PSP firmware reset begins (in-flight PSP state dies here).
     ResetStart {
@@ -360,10 +355,17 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
         }
     }
 
-    /// The WFQ lane `request` queues on and whether its tenant is over
-    /// quota at `now` (lane 0, in quota, without a policy layer).
+    /// The policy layer, when the run schedules its host queues by WFQ.
+    fn wfq_policy(&self) -> Option<&PolicyState<'a>> {
+        self.policy
+            .as_ref()
+            .filter(|ps| ps.config.scheduler == Scheduler::Wfq)
+    }
+
+    /// The lane `request` queues on and whether its tenant is over quota at
+    /// `now` (lane 0, in quota, unless the run schedules by WFQ).
     pub fn wfq_lane(&self, request: usize, now: Nanos) -> (usize, bool) {
-        match &self.policy {
+        match self.wfq_policy() {
             Some(ps) => {
                 let tenant = ps.req_tenant[request];
                 (tenant, ps.engine.over_quota(tenant, now))
@@ -372,10 +374,16 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
         }
     }
 
-    /// The per-host WFQ lane specs, when the policy schedules by WFQ.
-    pub fn lane_specs(&self) -> Option<Vec<sevf_policy::LaneSpec>> {
-        let ps = self.policy.as_ref()?;
-        (ps.config.scheduler == Scheduler::Wfq).then(|| ps.engine.lane_specs())
+    /// The lanes of each host's queue: one per tenant when the run
+    /// schedules by WFQ, else a single lane — a bounded FIFO.
+    pub fn lane_specs(&self) -> Vec<LaneSpec> {
+        match self.wfq_policy() {
+            Some(ps) => ps.engine.lane_specs(),
+            None => vec![LaneSpec {
+                weight: 1,
+                latency_sensitive: false,
+            }],
+        }
     }
 
     /// Marks `request` terminal with its outcome and returns its latency.

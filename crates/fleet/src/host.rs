@@ -2,13 +2,14 @@
 //! of the serving machine.
 //!
 //! A host owns what the paper's serving unit owns — a PSP resource
-//! (capacity 1, the Fig. 12 bottleneck), a CPU pool, a bounded admission
-//! queue (FIFO or per-tenant WFQ), a §6.2 template cache, a §7.1 warm pool,
+//! (capacity 1, the Fig. 12 bottleneck), a CPU pool, one bounded admission
+//! queue (a [`WfqQueue`]: a single arrival-order lane unless the run's
+//! policy schedules by WFQ), a §6.2 template cache, a §7.1 warm pool,
 //! per-class circuit breakers, and a [`FaultPlan`] for its fault domain —
 //! plus the bookkeeping a router needs (outstanding expected PSP work) and
-//! the bookkeeping whole-host outages and lease fencing need (every
-//! in-flight engine job on the machine, so all of it can be poisoned at
-//! once).
+//! one ledger of every in-flight engine job on the machine: the PSP work it
+//! holds, and whether a PSP reset, a whole-host outage or a lapsed lease
+//! has struck it since dispatch.
 //!
 //! The serving logic lives here once: degradation ladder → warm pool →
 //! admission → dispatch → fault-and-attestation splice → settle, plus
@@ -16,7 +17,7 @@
 //! the run's shared [`Front`] and the engine's `inject` buffer; a
 //! single-host fleet and an N-host cluster drive exactly the same code.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use sevf_attplane::{Verdict, STEP_RTT};
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, WorkStep};
@@ -25,7 +26,7 @@ use sevf_sim::fault::{AttestFault, FaultKind, FaultPlan};
 use sevf_sim::{Job, Nanos, PhaseKind, ResourceClass, ResourceId, RunTrace};
 use sevf_vmm::machine::HOST_CORES;
 
-use crate::admission::{BoundedQueue, Pending, SchedPolicy};
+use crate::admission::Pending;
 use crate::blueprint::{Blueprint, LaunchCache};
 use crate::front::{Front, Launch, LaunchFate, ServeJob};
 use crate::metrics::FleetMetrics;
@@ -72,29 +73,36 @@ pub struct Host {
     pub committed_psp: Nanos,
     /// Per-host metrics: completions, latencies, faults, queue depth.
     pub metrics: FleetMetrics,
-    /// Bounded admission queue (FIFO; unused when `wfq` is active).
-    queue: BoundedQueue,
-    /// Per-tenant weighted-fair queue in front of this host's PSP, when
-    /// the run's policy schedules by WFQ.
-    wfq: Option<WfqQueue<Pending>>,
+    /// The bounded admission queue in front of this host's PSP: one lane
+    /// per tenant when the run's policy schedules by WFQ, else one lane.
+    queue: WfqQueue<Pending>,
     /// Per-class circuit breakers (resilient recovery only).
     breakers: Option<Vec<CircuitBreaker>>,
-    /// Engine job ids of in-flight work holding this host's PSP; a
-    /// firmware reset poisons them all.
-    psp_inflight: BTreeSet<usize>,
-    /// Engine job ids of *all* in-flight launches/refills on this host.
-    jobs_inflight: BTreeSet<usize>,
-    /// In-flight jobs a PSP reset or a host outage struck: their
-    /// completion is that failure, whatever verdict dispatch drew. (An
-    /// outage overwrites a reset; it also empties `psp_inflight`, so the
-    /// reverse cannot happen.)
-    poisoned: BTreeMap<usize, FaultKind>,
-    /// In-flight jobs the host's lapsed lease fenced: unless poisoned
-    /// above, their completion is a [`FaultKind::NetPartition`] refusal.
-    fenced: BTreeSet<usize>,
+    /// Every in-flight launch and refill on this host, by engine job id.
+    ledger: BTreeMap<usize, InFlight>,
     /// Deterministic token stream for stateless fault draws: one token per
     /// fault-eligible launch, in dispatch order.
     launch_seq: u64,
+}
+
+/// What the host knows about one in-flight engine job.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    /// Serialized PSP work the job holds on the host's backlog. A job
+    /// *holds the PSP* while this is non-zero and it is not doomed.
+    psp_ns: Nanos,
+    /// The PSP reset or host outage that struck the job: its completion is
+    /// that failure, whatever verdict dispatch drew.
+    doom: Option<FaultKind>,
+    /// Whether the host's lease lapsed under the job: unless doomed, its
+    /// completion is a [`FaultKind::NetPartition`] refusal.
+    fenced: bool,
+}
+
+impl InFlight {
+    fn holds_psp(&self) -> bool {
+        self.psp_ns > Nanos::ZERO && self.doom.is_none()
+    }
 }
 
 /// What a settled launch reports back to the driver.
@@ -154,24 +162,18 @@ impl Host {
             inflight: 0,
             committed_psp: Nanos::ZERO,
             metrics: FleetMetrics::default(),
-            queue: BoundedQueue::new(cx.knobs.admission.queue_bound),
-            wfq: cx.lane_specs().map(|specs| {
-                WfqQueue::new(
-                    cx.knobs.admission.queue_bound,
-                    &specs,
-                    cx.knobs.seed.wrapping_add(id as u64),
-                )
-                .expect("policy config validated by the driver")
-            }),
+            queue: WfqQueue::new(
+                cx.knobs.admission.queue_bound,
+                &cx.lane_specs(),
+                cx.knobs.seed.wrapping_add(id as u64),
+            )
+            .expect("policy config validated by the driver"),
             breakers: cx
                 .knobs
                 .recovery
                 .breaker
                 .map(|b| vec![CircuitBreaker::new(b); classes.len()]),
-            psp_inflight: BTreeSet::new(),
-            jobs_inflight: BTreeSet::new(),
-            poisoned: BTreeMap::new(),
-            fenced: BTreeSet::new(),
+            ledger: BTreeMap::new(),
             launch_seq: 0,
         }
     }
@@ -209,22 +211,19 @@ impl Host {
         self.parked || now >= self.lease_until
     }
 
-    /// Requests waiting in the dispatch queue (whichever queue runs).
+    /// Requests waiting in the dispatch queue.
     pub fn queue_len(&self) -> usize {
-        match &self.wfq {
-            Some(wfq) => wfq.len(),
-            None => self.queue.len(),
-        }
+        self.queue.len()
     }
 
     /// In-flight jobs currently holding this host's PSP.
     pub fn psp_holders(&self) -> usize {
-        self.psp_inflight.len()
+        self.ledger.values().filter(|j| j.holds_psp()).count()
     }
 
-    /// In-flight jobs currently doomed to fail.
+    /// In-flight jobs a PSP reset or a host outage has doomed to fail.
     pub fn poisoned(&self) -> usize {
-        self.poisoned.len()
+        self.ledger.values().filter(|j| j.doom.is_some()).count()
     }
 
     /// Current degradation level of `class` at `now` (0 without breakers).
@@ -309,20 +308,13 @@ impl Host {
             request,
             class,
             expected_psp,
-            key: cx.catalog.class(class).key,
         };
-        // WFQ enqueues on the tenant's lane; overflow sheds by policy
-        // (batch before latency-sensitive, quota-violators first) instead
-        // of refusing the newcomer. The plain queue refuses when full.
-        let offer = match &mut self.wfq {
-            Some(wfq) => {
-                let (tenant, over) = cx.wfq_lane(request, now);
-                wfq.set_over_quota(tenant, over);
-                wfq.offer(tenant, pending, expected_psp)
-            }
-            None if self.queue.offer(pending) => Offer::Queued,
-            None => Offer::Refused(pending),
-        };
+        // The request waits on its tenant's lane; overflow sheds by policy
+        // (batch before latency-sensitive, quota-violators first). With one
+        // lane that is the newcomer: no lane out-sheds itself.
+        let (tenant, over) = cx.wfq_lane(request, now);
+        self.queue.set_over_quota(tenant, over);
+        let offer = self.queue.offer(tenant, pending, expected_psp);
         self.metrics.sample_queue_depth(now, self.queue_len());
         let displaced = match offer {
             // Shed: fail fast. A closed-loop client still comes back.
@@ -433,7 +425,6 @@ impl Host {
                 }
             }
         }
-        let psp_ns = blueprint.psp_work();
         self.inflight += 1;
         let job = cx.meta.len();
         if cx.rec.on() {
@@ -453,33 +444,37 @@ impl Host {
             epoch: cx.epoch(request),
             fate,
             fill,
-            psp_ns,
         });
         cx.push(inject, blueprint.to_job(now, self.cpu, self.psp), tag);
-        self.track(job, psp_ns);
+        self.track(job, blueprint.psp_work());
     }
 
     /// Books an injected job against this host: the PSP backlog, and the
-    /// in-flight sets resets and outages poison from.
+    /// ledger resets, outages and lease expiries strike.
     fn track(&mut self, job: usize, psp_ns: Nanos) {
         self.committed_psp += psp_ns;
-        if psp_ns > Nanos::ZERO {
-            self.psp_inflight.insert(job);
-        }
-        self.jobs_inflight.insert(job);
+        let entry = InFlight {
+            psp_ns,
+            doom: None,
+            fenced: false,
+        };
+        self.ledger.insert(job, entry);
     }
 
-    /// Releases a finished job's bookkeeping; returns why it was poisoned
-    /// (outage, then reset, then lapsed lease), and whether it was fenced.
-    fn release(&mut self, job: usize, psp_ns: Nanos) -> (Option<FaultKind>, bool) {
-        if psp_ns > Nanos::ZERO {
-            self.psp_inflight.remove(&job);
-        }
-        self.jobs_inflight.remove(&job);
+    /// Closes a finished job's ledger entry and takes its PSP work off the
+    /// backlog; returns why the job was poisoned (its doom, else a lapsed
+    /// lease) and whether it was fenced.
+    fn release(&mut self, job: usize) -> (Option<FaultKind>, bool) {
+        let InFlight {
+            psp_ns,
+            doom,
+            fenced,
+        } = self
+            .ledger
+            .remove(&job)
+            .expect("every injected launch and refill is tracked until it finishes");
         self.committed_psp = self.committed_psp.saturating_sub(psp_ns);
-        let fenced = self.fenced.remove(&job);
-        let poison = self.poisoned.remove(&job);
-        (poison.or(fenced.then_some(FaultKind::NetPartition)), fenced)
+        (doom.or(fenced.then_some(FaultKind::NetPartition)), fenced)
     }
 
     /// A launch finished: settles the host-side state — poisoning that
@@ -495,7 +490,7 @@ impl Host {
     ) -> Settled {
         let Launch { request, class, .. } = launch;
         cx.rec.attempt_end(job, now);
-        let (poison, fenced) = self.release(job, launch.psp_ns);
+        let (poison, fenced) = self.release(job);
         self.inflight = self.inflight.saturating_sub(1);
         if poison == Some(FaultKind::HostOutage) {
             // The host died under this launch; the request fails over to a
@@ -538,7 +533,7 @@ impl Host {
         }
     }
 
-    /// Fills freed dispatch slots from the queue per the scheduling policy.
+    /// Fills freed dispatch slots from the queue in its pop order.
     /// Held entirely while the host is away, lease-fenced, or quiescing a
     /// PSP outage. Returns a popped request whose host fell below its
     /// posture floor between enqueue and pop (a TCB rollout or revocation
@@ -554,17 +549,7 @@ impl Host {
             return None;
         }
         while self.inflight < cx.knobs.admission.max_inflight {
-            // WFQ pops the globally smallest virtual finish time; the
-            // plain bounded queue picks per the admission policy.
-            let next = match &mut self.wfq {
-                Some(wfq) => wfq.pop().map(|(_, pending)| pending),
-                None => {
-                    let cache = &self.cache;
-                    self.queue
-                        .pick(cx.knobs.admission.policy, |key| cache.contains(key))
-                }
-            };
-            let Some(next) = next else {
+            let Some((_, next)) = self.queue.pop() else {
                 break;
             };
             self.committed_psp = self.committed_psp.saturating_sub(next.expected_psp);
@@ -588,13 +573,10 @@ impl Host {
         None
     }
 
-    /// Empties the backlog (WFQ lanes in pop order, or the FIFO queue) for
-    /// failover or a lease purge, releasing its committed PSP work.
+    /// Empties the backlog, in pop order, for failover or a lease purge,
+    /// releasing its committed PSP work.
     pub fn purge_backlog(&mut self) -> Vec<Pending> {
-        let purged: Vec<Pending> = match &mut self.wfq {
-            Some(wfq) => wfq.drain().into_iter().map(|(_, p)| p).collect(),
-            None => std::iter::from_fn(|| self.queue.pick(SchedPolicy::Fifo, |_| false)).collect(),
-        };
+        let purged: Vec<Pending> = self.queue.drain().into_iter().map(|(_, p)| p).collect();
         for next in &purged {
             self.committed_psp = self.committed_psp.saturating_sub(next.expected_psp);
         }
@@ -634,7 +616,6 @@ impl Host {
         let tag = ServeJob::Replenish {
             class,
             host: self.id,
-            psp_ns,
         };
         cx.push(inject, refill.to_job(now, self.cpu, self.psp), tag);
         self.track(job, psp_ns);
@@ -660,10 +641,9 @@ impl Host {
         job: usize,
         now: Nanos,
         class: usize,
-        psp_ns: Nanos,
     ) {
         cx.rec.background_end(job, now);
-        match self.release(job, psp_ns).0 {
+        match self.release(job).0 {
             Some(kind) => {
                 self.metrics.faults.record(kind);
                 self.pool.refill_failed(class);
@@ -678,8 +658,8 @@ impl Host {
     /// dies with the firmware — each class re-measures on next use (§6.2).
     pub fn reset_start<J: From<ServeJob>>(&mut self, cx: &mut Front<'_, J>, now: Nanos) {
         cx.rec.marker(MarkerKind::OutageStart, None, self.tag, now);
-        for job in std::mem::take(&mut self.psp_inflight) {
-            self.poisoned.insert(job, FaultKind::PspReset);
+        for job in self.ledger.values_mut().filter(|j| j.holds_psp()) {
+            job.doom = Some(FaultKind::PspReset);
         }
         self.cache.invalidate_all();
     }
@@ -705,10 +685,9 @@ impl Host {
     /// The machine dies: every in-flight job is poisoned, the warm pool
     /// crashes, and the template cache dies with it.
     pub fn crash(&mut self, classes: usize) {
-        for job in std::mem::take(&mut self.jobs_inflight) {
-            self.poisoned.insert(job, FaultKind::HostOutage);
+        for job in self.ledger.values_mut() {
+            job.doom = Some(FaultKind::HostOutage);
         }
-        self.psp_inflight.clear();
         for class in 0..classes {
             while self.pool.crash(class) {}
         }
@@ -718,23 +697,17 @@ impl Host {
     /// The host's lease lapsed: in-flight work may no longer complete, only
     /// be refused back to the router.
     pub fn fence(&mut self) {
-        self.fenced.extend(self.jobs_inflight.iter().copied());
+        for job in self.ledger.values_mut() {
+            job.fenced = true;
+        }
     }
 
     /// Folds the end-of-run queue, cache, pool, breaker, and utilization
     /// figures into [`Host::metrics`].
     pub fn finish_metrics(&mut self, trace: &RunTrace) {
         let m = &mut self.metrics;
-        match &self.wfq {
-            Some(wfq) => {
-                m.shed = wfq.shed();
-                m.max_queue_depth = wfq.max_depth();
-            }
-            None => {
-                m.shed = self.queue.shed();
-                m.max_queue_depth = self.queue.max_depth();
-            }
-        }
+        m.shed = self.queue.shed();
+        m.max_queue_depth = self.queue.max_depth();
         m.cache_hits = self.cache.hits();
         m.cache_misses = self.cache.misses();
         m.warm_hits = self.pool.hits();

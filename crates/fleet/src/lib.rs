@@ -16,9 +16,8 @@
 //! * [`blueprint`] — replayable launch blueprints derived from real boots,
 //!   and the content-addressed [`blueprint::LaunchCache`] keyed by
 //!   [`sevf_psp::TemplateKey`].
-//! * [`admission`] — bounded request queue with shed-on-overload and
-//!   pluggable scheduling policies (FIFO, shortest-expected-PSP-work-first,
-//!   template-affinity).
+//! * [`admission`] — the admission knobs: a bounded queue with
+//!   shed-on-overload behind a bounded dispatch window.
 //! * [`pool`] — the §7.1 warm-pool manager with target-size/evict logic.
 //! * [`front`] and [`host`] — the serving core, written once: the request
 //!   front end (request table, tenant tagging, policy choke point, terminal
@@ -67,7 +66,7 @@ pub mod recovery;
 pub mod service;
 pub mod workload;
 
-pub use admission::{AdmissionConfig, BoundedQueue, SchedPolicy};
+pub use admission::AdmissionConfig;
 pub use blueprint::{Blueprint, Catalog, ClassSpec, LaunchCache};
 pub use chaos::{chaos_sweep, ChaosConfig, ChaosReport, ChaosRow};
 pub use experiment::{serving_sweep, ServingRow, SweepConfig, SweepReport};
@@ -156,7 +155,7 @@ impl From<sevf_policy::PolicyError> for FleetError {
 
 /// The common imports for working with the fleet control plane.
 pub mod prelude {
-    pub use crate::admission::{AdmissionConfig, SchedPolicy};
+    pub use crate::admission::AdmissionConfig;
     pub use crate::blueprint::{Catalog, ClassSpec};
     pub use crate::chaos::{chaos_sweep, ChaosConfig, ChaosReport, ChaosRow};
     pub use crate::recovery::{BreakerConfig, RecoveryConfig, RetryPolicy};

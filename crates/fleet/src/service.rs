@@ -190,6 +190,7 @@ impl FleetConfig {
         if let Arrival::Closed { users: 0, .. } = self.arrival {
             return Err(FleetError::Config("closed loop needs at least one user"));
         }
+        self.admission.validate().map_err(FleetError::Config)?;
         self.recovery.validate().map_err(FleetError::Recovery)?;
         if let Some(att) = &self.attestation {
             att.validate()?;
@@ -378,9 +379,9 @@ impl State<'_> {
                     self.front.issue_next_closed(now, inject);
                 }
             }
-            ServeJob::Replenish { class, psp_ns, .. } => {
+            ServeJob::Replenish { class, .. } => {
                 self.host
-                    .refill_done(&mut self.front, outcome.job, now, class, psp_ns);
+                    .refill_done(&mut self.front, outcome.job, now, class);
             }
             ServeJob::ResetStart { .. } => self.host.reset_start(&mut self.front, now),
             ServeJob::ResetEnd { .. } => {
@@ -414,7 +415,6 @@ impl State<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::SchedPolicy;
     use crate::blueprint::ClassSpec;
     use sevf_sim::fault::FaultConfig;
 
@@ -666,24 +666,25 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_policies_all_serve_everything() {
-        for policy in [
-            SchedPolicy::Fifo,
-            SchedPolicy::ShortestPspFirst,
-            SchedPolicy::TemplateAffinity,
-        ] {
-            let mut config = FleetConfig::open_loop(ServingTier::Template, 150.0, 60);
-            config.admission.max_inflight = 2;
-            config.admission.policy = policy;
-            let report = run(config);
-            let m = &report.metrics;
-            assert_eq!(
-                m.completed + m.shed as usize,
-                60,
-                "policy {}",
-                policy.name()
-            );
-        }
+    fn zero_inflight_is_rejected_and_bound_zero_is_dispatch_or_shed() {
+        // No dispatch slot: whatever queued could never drain.
+        let mut config = FleetConfig::open_loop(ServingTier::Template, 100.0, 50);
+        config.admission.max_inflight = 0;
+        config.admission.queue_bound = 8;
+        let err = config.validated().expect_err("nothing could dispatch");
+        assert!(matches!(
+            err,
+            crate::FleetError::Config("max_inflight must be at least 1")
+        ));
+
+        // No queue is legal: a request dispatches or is shed on arrival.
+        let mut config = FleetConfig::open_loop(ServingTier::Cold, 2000.0, 120);
+        config.admission.queue_bound = 0;
+        config.admission.max_inflight = 4;
+        let m = run(config).metrics;
+        assert!(m.completed > 0 && m.shed > 0);
+        assert_eq!(m.completed + m.shed as usize, 120);
+        assert_eq!(m.max_queue_depth, 0);
     }
 
     #[test]

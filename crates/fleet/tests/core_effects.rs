@@ -7,14 +7,17 @@
 //!
 //! * every request handed to the host ends in exactly one of {a launch
 //!   injected for it, queued, a terminal outcome};
-//! * a PSP reset poisons exactly the in-flight PSP holders — they and only
-//!   they settle as [`FaultKind::PspReset`];
+//! * the in-flight ledger: a PSP reset dooms exactly the undoomed PSP
+//!   holders and leaves none; an outage dooms everything in flight and no
+//!   later reset overwrites that; a lapsed lease fences everything in
+//!   flight; every doomed job is still in flight; and each job settles as
+//!   what struck it (outage, else reset, else the lease), never otherwise;
 //! * queue + in-flight never exceed `queue_bound + max_inflight` (warm
 //!   hits bypass admission, so on the warm tier only the queue is bounded);
 //! * every request reaches exactly one terminal state, and tags stay in
 //!   lockstep with injected jobs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
 use sevf_fleet::front::{Front, ServeJob, Serving};
@@ -35,8 +38,10 @@ struct Harness<'a> {
     pending: Vec<usize>,
     /// How many injected jobs `pending` has taken in so far.
     absorbed: usize,
-    /// In-flight PSP holders a reset has doomed.
-    doomed: BTreeSet<usize>,
+    /// The ledger's model: what a reset or an outage doomed each
+    /// in-flight job to, and which jobs a lapsed lease fenced.
+    doomed: BTreeMap<usize, FaultKind>,
+    fenced: BTreeSet<usize>,
     doomed_total: usize,
     admission: AdmissionConfig,
     completed: usize,
@@ -91,10 +96,15 @@ impl Harness<'_> {
             ServeJob::Retry { request } => self.route(request),
             ServeJob::Launch(launch) => {
                 let settled = self.host.settle(&mut self.front, job, self.now, launch);
-                let was_doomed = self.doomed.remove(&job);
-                assert_eq!(settled.poison == Some(FaultKind::PspReset), was_doomed);
-                assert_eq!(settled.fault.is_some(), was_doomed, "no plan, no plane");
-                if was_doomed {
+                let was_fenced = self.fenced.remove(&job);
+                let struck = self
+                    .doomed
+                    .remove(&job)
+                    .or(was_fenced.then_some(FaultKind::NetPartition));
+                assert_eq!(settled.poison, struck);
+                assert_eq!(settled.fenced, was_fenced);
+                assert_eq!(settled.fault, struck, "no plan, no plane");
+                if struck.is_some() {
                     self.front
                         .handle_failure(settled.request, self.now, &mut self.inject, |at| at);
                     self.drain();
@@ -106,10 +116,10 @@ impl Harness<'_> {
                     self.front.issue_next_closed(self.now, &mut self.inject);
                 }
             }
-            ServeJob::Replenish { class, psp_ns, .. } => {
+            ServeJob::Replenish { class, .. } => {
                 self.doomed.remove(&job);
-                self.host
-                    .refill_done(&mut self.front, job, self.now, class, psp_ns);
+                self.fenced.remove(&job);
+                self.host.refill_done(&mut self.front, job, self.now, class);
             }
             ServeJob::ResetStart { .. }
             | ServeJob::ResetEnd { .. }
@@ -119,27 +129,68 @@ impl Harness<'_> {
         }
     }
 
-    /// A firmware reset strikes now: exactly the in-flight PSP holders are
-    /// poisoned.
+    /// The launches and refills in flight on the host.
+    fn in_flight(&self) -> Vec<usize> {
+        let launched = |job: &usize| {
+            matches!(
+                self.front.meta[*job],
+                ServeJob::Launch(_) | ServeJob::Replenish { .. }
+            )
+        };
+        self.pending.iter().copied().filter(launched).collect()
+    }
+
+    /// The undoomed in-flight jobs with work on the PSP, read off the
+    /// injected jobs themselves.
+    fn psp_holders(&self) -> Vec<usize> {
+        let psp = Some(self.host.psp);
+        let on_psp = |job: &usize| {
+            let mut segments = self.inject[*job].segments.iter();
+            segments.any(|s| s.resource == psp && s.duration > Nanos::ZERO)
+        };
+        let mut jobs = self.in_flight();
+        jobs.retain(|job| on_psp(job) && !self.doomed.contains_key(job));
+        jobs
+    }
+
+    /// A firmware reset strikes now: exactly the undoomed PSP holders are
+    /// doomed, and what an earlier outage doomed stays an outage.
     fn reset(&mut self) {
-        let holders: BTreeSet<usize> = self
-            .pending
-            .iter()
-            .copied()
-            .filter(|&job| match self.front.meta[job] {
-                ServeJob::Launch(l) => l.psp_ns > Nanos::ZERO,
-                ServeJob::Replenish { psp_ns, .. } => psp_ns > Nanos::ZERO,
-                _ => false,
-            })
-            .filter(|job| !self.doomed.contains(job))
-            .collect();
-        assert_eq!(self.host.psp_holders(), holders.len());
+        let holders = self.psp_holders();
         let poisoned_before = self.host.poisoned();
         self.host.reset_start(&mut self.front, self.now);
         assert_eq!(self.host.psp_holders(), 0);
         assert_eq!(self.host.poisoned(), poisoned_before + holders.len());
         self.doomed_total += holders.len();
-        self.doomed.extend(holders);
+        for job in holders {
+            self.doomed.insert(job, FaultKind::PspReset);
+        }
+    }
+
+    /// The machine dies and comes straight back: everything in flight is
+    /// doomed, overwriting what a reset had doomed.
+    fn outage(&mut self) {
+        self.host.crash(self.front.catalog.len());
+        for job in self.in_flight() {
+            self.doomed.insert(job, FaultKind::HostOutage);
+        }
+        assert_eq!(self.host.psp_holders(), 0);
+    }
+
+    /// The lease lapses: everything in flight may only be refused.
+    fn fence(&mut self) {
+        self.host.fence();
+        self.fenced.extend(self.in_flight());
+    }
+
+    /// The host's ledger agrees with the model, and the model names only
+    /// jobs still in flight.
+    fn check_ledger(&self) {
+        assert_eq!(self.host.psp_holders(), self.psp_holders().len());
+        assert_eq!(self.host.poisoned(), self.doomed.len());
+        let in_flight: BTreeSet<usize> = self.in_flight().into_iter().collect();
+        assert!(self.doomed.keys().all(|job| in_flight.contains(job)));
+        assert!(self.fenced.is_subset(&in_flight));
     }
 
     fn check_bounds(&self) {
@@ -162,7 +213,6 @@ fn run(catalog: &Catalog, tier: ServingTier, arrival: Arrival, seed: u64) -> (us
     let admission = AdmissionConfig {
         queue_bound: 5,
         max_inflight: 3,
-        policy: SchedPolicy::Fifo,
     };
     let recovery = RecoveryConfig::resilient(seed);
     let knobs = Serving {
@@ -186,7 +236,8 @@ fn run(catalog: &Catalog, tier: ServingTier, arrival: Arrival, seed: u64) -> (us
         inject: Vec::new(),
         pending: Vec::new(),
         absorbed: 0,
-        doomed: BTreeSet::new(),
+        doomed: BTreeMap::new(),
+        fenced: BTreeSet::new(),
         doomed_total: 0,
         admission,
         completed: 0,
@@ -198,14 +249,18 @@ fn run(catalog: &Catalog, tier: ServingTier, arrival: Arrival, seed: u64) -> (us
     let mut rng = XorShift64::new(seed ^ 0x0EFF_EC75);
     while !h.pending.is_empty() {
         h.now += Nanos::from_micros(rng.next_below(30_000));
-        if rng.next_below(12) == 0 {
-            h.reset();
+        match rng.next_below(36) {
+            0..=2 => h.reset(),
+            3 => h.outage(),
+            4 => h.fence(),
+            _ => {}
         }
         let pick = rng.next_below(h.pending.len() as u64) as usize;
         let job = h.pending.swap_remove(pick);
         h.step(job);
         h.absorb();
         h.check_bounds();
+        h.check_ledger();
     }
 
     // Everything drained, and every request ended exactly once (a second
@@ -214,7 +269,7 @@ fn run(catalog: &Catalog, tier: ServingTier, arrival: Arrival, seed: u64) -> (us
     assert!((0..REQUESTS).all(|r| h.front.is_done(r)));
     assert_eq!(h.host.inflight + h.host.queue_len(), 0);
     assert_eq!(h.host.poisoned(), 0);
-    assert!(h.doomed.is_empty());
+    assert!(h.doomed.is_empty() && h.fenced.is_empty());
     h.host.finish_metrics(&Default::default());
     let t = &h.front.totals;
     let lost = h.host.metrics.shed + t.breaker_sheds + t.timeouts + t.failed + t.rejected;

@@ -140,11 +140,6 @@ impl PhiDetector {
         now >= self.deadline(host)
     }
 
-    /// The last heartbeat arrival recorded for `host`.
-    pub fn last_heartbeat(&self, host: usize) -> Nanos {
-        self.last[host]
-    }
-
     fn allowance(&self, host: usize) -> Nanos {
         let a = self.mean_gap(host).scale_f64(self.config.threshold);
         if a == Nanos::ZERO {

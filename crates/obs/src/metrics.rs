@@ -189,11 +189,6 @@ impl Registry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Sets counter `name` to an absolute value.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
-    }
-
     /// Sets gauge `name`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);

@@ -149,8 +149,8 @@ impl Tenant {
 /// Which scheduler fronts each PSP when the policy layer is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Keep the pre-policy single FIFO bounded queue (tenants are tagged
-    /// and accounted, but share one line). The "naive" sweep arm.
+    /// One shared lane: tenants are tagged and accounted, but wait in one
+    /// line in arrival order, as without a policy. The "naive" sweep arm.
     Fifo,
     /// Virtual-finish-time weighted-fair queueing over per-tenant
     /// backlogs with policy-aware shed.

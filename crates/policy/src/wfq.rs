@@ -1,8 +1,8 @@
 //! Deterministic weighted-fair queueing over per-tenant backlogs.
 //!
-//! Replaces the single FIFO bounded queue in front of each PSP. Each
-//! tenant owns a FIFO *lane*; an item enqueued on lane `i` with service
-//! cost `c` (its expected PSP nanos) is stamped with a virtual finish time
+//! The one queue in front of each PSP. Each tenant owns a FIFO *lane*; an
+//! item enqueued on lane `i` with service cost `c` (its expected PSP nanos)
+//! is stamped with a virtual finish time
 //!
 //! ```text
 //! finish = max(V, lane.last_finish) + c·S / weight_i
@@ -18,10 +18,13 @@
 //! Two deliberate deviations from textbook WFQ:
 //!
 //! * **FIFO collapse.** When *every* lane has the same weight the stamp is
-//!   simply the arrival sequence number, so the pop order is byte-identical
-//!   to the plain FIFO queue it replaces. Fairness adds nothing at equal
-//!   weights, and the collapse preserves exact continuity with the
-//!   policy-off path (and is property-tested below).
+//!   simply the arrival sequence number, so the pop order is arrival order.
+//!   Fairness adds nothing at equal weights. The one-lane case *is* the
+//!   policy-off path: a host whose run does not schedule by WFQ queues on a
+//!   single lane, which behaves as a bounded FIFO — a full queue refuses the
+//!   newcomer (its only lane is never strictly more sheddable than itself)
+//!   and draws no randomness, and bound 0 refuses everything. Both are
+//!   property-tested below against a plain bounded `VecDeque`.
 //! * **Policy-aware shed.** On overflow the queue does not blindly refuse
 //!   the newcomer: it ranks lanes by shed priority — batch before
 //!   latency-sensitive, quota-violators first within a class, largest
@@ -109,10 +112,8 @@ pub struct WfqQueue<T> {
 
 impl<T> WfqQueue<T> {
     /// A queue with the given capacity, lane specs, and tie-break seed.
+    /// Bound 0 is dispatch-or-shed: every offer is refused and counted.
     pub fn new(bound: usize, specs: &[LaneSpec], seed: u64) -> Result<Self, PolicyError> {
-        if bound == 0 {
-            return Err(PolicyError::Config("wfq bound must be > 0"));
-        }
         if specs.is_empty() {
             return Err(PolicyError::Config("wfq needs at least one lane"));
         }
@@ -314,9 +315,52 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_typed_errors() {
-        assert!(WfqQueue::<u32>::new(0, &lanes(&[1]), 1).is_err());
         assert!(WfqQueue::<u32>::new(4, &[], 1).is_err());
         assert!(WfqQueue::<u32>::new(4, &lanes(&[1, 0]), 1).is_err());
+    }
+
+    #[test]
+    fn bound_zero_refuses_everything_and_counts_every_shed() {
+        let mut q = WfqQueue::new(0, &lanes(&[1]), 1).unwrap();
+        assert_eq!(q.offer(0, 7u32, ns(10)), Offer::Refused(7));
+        assert_eq!(q.offer(0, 8u32, ns(10)), Offer::Refused(8));
+        assert_eq!((q.shed(), q.len(), q.max_depth()), (2, 0, 0));
+        assert!(q.pop().is_none());
+    }
+
+    /// The policy-off path: a one-lane queue is a bounded FIFO. Drives the
+    /// queue and a plain `VecDeque`-with-a-bound through the same seeded
+    /// operations — same accept/refuse per offer, same pop order, same
+    /// counters, and never a displacement (a lane cannot out-shed itself).
+    #[test]
+    fn one_lane_is_a_bounded_fifo() {
+        for bound in [0usize, 1, 8] {
+            let mut q = WfqQueue::new(bound, &lanes(&[1]), 0xB0D + bound as u64).unwrap();
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let (mut shed, mut max_depth) = (0u64, 0usize);
+            let mut rng = XorShift64::new(0x1A9E ^ bound as u64);
+            for item in 0..2000u64 {
+                if rng.next_below(3) != 0 {
+                    let offer = q.offer(0, item, ns(1 + rng.next_below(1_000_000)));
+                    if model.len() < bound {
+                        model.push_back(item);
+                        max_depth = max_depth.max(model.len());
+                        assert_eq!(offer, Offer::Queued, "bound {bound} item {item}");
+                    } else {
+                        shed += 1;
+                        assert_eq!(offer, Offer::Refused(item), "bound {bound}");
+                    }
+                } else {
+                    assert_eq!(q.pop().map(|(_, got)| got), model.pop_front());
+                }
+                assert_eq!(
+                    (q.len(), q.shed(), q.max_depth()),
+                    (model.len(), shed, max_depth)
+                );
+            }
+            let rest: Vec<u64> = q.drain().into_iter().map(|(_, got)| got).collect();
+            assert_eq!(rest, Vec::from(model));
+        }
     }
 
     /// Satellite: byte-identical pop order to FIFO when all weights are

@@ -124,11 +124,6 @@ impl Psp {
         &self.chip
     }
 
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// How many firmware resets this PSP has been through. Guest handles
     /// issued in an earlier epoch are dead.
     pub fn firmware_epoch(&self) -> u64 {

@@ -64,8 +64,6 @@ pub struct CostModel {
     /// SHA-256 with x86 SHA extensions, ps/B. Anchor: §4.3 "hashing the
     /// kernel/initrd in the VMM could add up to 23 ms" (≈ 60 MB at 2 GB/s).
     pub cpu_sha256_ps_per_byte: u64,
-    /// SHA-384 in software (no SHA-NI for SHA-512 family), ps/B.
-    pub cpu_sha384_ps_per_byte: u64,
     /// Copy from shared to C-bit (encrypted) memory, ps/B: every write takes
     /// an RMP check (§6.2), so this is slower than a plain copy.
     pub cpu_copy_encrypted_ps_per_byte: u64,
@@ -147,7 +145,6 @@ impl CostModel {
             psp_firmware_reset: Nanos::from_millis(50),
 
             cpu_sha256_ps_per_byte: 520,
-            cpu_sha384_ps_per_byte: 667,
             cpu_copy_encrypted_ps_per_byte: 400,
             cpu_copy_plain_ps_per_byte: 100,
             lz4_decompress_ps_per_byte: 357,
@@ -214,11 +211,6 @@ impl CostModel {
     /// SHA-256 over `bytes` on the guest/host CPU.
     pub fn cpu_sha256(&self, bytes: u64) -> Nanos {
         Nanos::from_micros(2) + Self::per_byte(self.cpu_sha256_ps_per_byte, bytes)
-    }
-
-    /// SHA-384 over `bytes` on the CPU (expected-measurement tooling).
-    pub fn cpu_sha384(&self, bytes: u64) -> Nanos {
-        Nanos::from_micros(2) + Self::per_byte(self.cpu_sha384_ps_per_byte, bytes)
     }
 
     /// Copy `bytes` from shared pages into C-bit (encrypted) pages.

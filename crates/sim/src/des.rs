@@ -37,6 +37,7 @@ use std::fmt;
 
 use crate::calendar::{CalEvent, CalendarQueue};
 use crate::time::Nanos;
+use crate::timeline::ResourceClass;
 
 /// Identifies a resource registered with a [`DesEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,6 +85,27 @@ impl Segment {
             resource: None,
             duration,
             label: label.into(),
+        }
+    }
+
+    /// Places `duration` of `class` work on a host: PSP commands serialize
+    /// on `psp`, CPU work takes a slot of `cpu`, a network wait is a pure
+    /// delay. The one span-to-segment mapping every replay shares (Fig. 12's
+    /// boot jobs and the fleet's blueprints), so a class can never land on
+    /// different resources in different experiments.
+    ///
+    /// Labels are static class names: the engine never reads them, and a
+    /// per-segment `String` clone here was the fleet's hottest allocation.
+    pub fn for_class(
+        class: ResourceClass,
+        duration: Nanos,
+        cpu: ResourceId,
+        psp: ResourceId,
+    ) -> Self {
+        match class {
+            ResourceClass::Psp => Segment::on(psp, duration, "psp"),
+            ResourceClass::HostCpu => Segment::on(cpu, duration, "cpu"),
+            ResourceClass::Network => Segment::delay(duration, "net"),
         }
     }
 }

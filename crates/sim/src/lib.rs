@@ -15,7 +15,7 @@
 //! * [`des`] — a discrete-event engine with FIFO resources, used for the
 //!   Fig. 12 concurrency experiment where every launch serializes on the
 //!   single-core PSP. Its scheduler is an indexed [`calendar`] queue; the
-//!   original heap engine survives in [`reference`] for differential tests
+//!   original heap engine survives in [`mod@reference`] for differential tests
 //!   and as the perf baseline.
 //! * [`fault`] — seed-deterministic fault schedules (PSP firmware resets,
 //!   transient command failures, warm-guest crashes, flaky attestation) for

@@ -8,30 +8,24 @@
 //! linearly with concurrency** — the slope is the per-launch PSP time —
 //! while non-SEV boots stay nearly flat.
 
-use sevf_sim::{DesEngine, Job, Nanos, ResourceClass, Segment, Summary};
+use sevf_sim::{DesEngine, Job, Nanos, Segment, Summary};
 
 use crate::machine::HOST_CORES;
 use crate::report::BootReport;
 
 /// Converts a boot report into a DES job.
 ///
-/// Each timeline span carries a typed [`ResourceClass`], set at the call
-/// site that produced the work: PSP launch commands go onto the single-slot
-/// PSP resource, CPU work onto the core pool, and network waits become pure
-/// delays. No label parsing is involved, so renaming a span cannot change
-/// its placement.
+/// Each timeline span carries a typed [`sevf_sim::ResourceClass`], set at
+/// the call site that produced the work, and [`Segment::for_class`] places
+/// it: PSP launch commands go onto the single-slot PSP resource, CPU work
+/// onto the core pool, and network waits become pure delays. No label
+/// parsing is involved, so renaming a span cannot change its placement.
 pub fn boot_job(report: &BootReport, cpu: sevf_sim::ResourceId, psp: sevf_sim::ResourceId) -> Job {
     let segments = report
         .timeline
         .spans()
         .iter()
-        .map(|span| match span.class {
-            // Static labels: the engine never reads them, and cloning the
-            // span label per segment allocated on every replicated job.
-            ResourceClass::Psp => Segment::on(psp, span.duration, "psp"),
-            ResourceClass::HostCpu => Segment::on(cpu, span.duration, "cpu"),
-            ResourceClass::Network => Segment::delay(span.duration, "net"),
-        })
+        .map(|span| Segment::for_class(span.class, span.duration, cpu, psp))
         .collect();
     Job::new(segments)
 }
@@ -79,7 +73,7 @@ mod tests {
     use crate::config::{BootPolicy, VmConfig};
     use crate::machine::Machine;
     use crate::vmm::MicroVm;
-    use sevf_sim::PhaseKind;
+    use sevf_sim::{PhaseKind, ResourceClass};
 
     fn report(policy: BootPolicy) -> BootReport {
         let mut machine = Machine::new(3);

@@ -19,7 +19,7 @@ use sevf_image::kernel::KernelDescriptor;
 use sevf_mem::{GuestMemory, PAGE_SIZE};
 use sevf_sim::cost::{CostModel, SevGeneration};
 use sevf_sim::Nanos;
-use sevf_verifier::layout::{BOOT_PARAMS_ADDR, CMDLINE_ADDR, KERNEL_DEST, MPTABLE_ADDR};
+use sevf_verifier::layout::{BOOT_PARAMS_ADDR, CMDLINE_ADDR, MPTABLE_ADDR};
 use sevf_verifier::loader::Step;
 
 use crate::boot_params::BootParams;
@@ -277,12 +277,6 @@ pub fn run_kernel(
 /// Convenience: the total baseline (non-SEV) kernel boot time for checks.
 pub fn baseline_kernel_time(descriptor: &KernelDescriptor) -> Nanos {
     Nanos::from_micros(descriptor.phases.total_us())
-}
-
-/// The guest kernel's entry point after a bzImage boot is the decompressed
-/// vmlinux base; after a direct boot it is the staged entry.
-pub fn default_entry() -> u64 {
-    KERNEL_DEST
 }
 
 /// Detects whether a staged initrd is wrapped in one of the `sevf-codec`
