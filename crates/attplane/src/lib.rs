@@ -42,7 +42,7 @@ pub use cache::{CacheKey, CacheLookup, CertCache, StaleLookup};
 pub use config::{AttPlaneConfig, FailMode, VerifyMode};
 pub use plane::{
     AttPlane, AttPlaneMetrics, Verdict, Verification, STEP_BATCH_JOIN, STEP_BATCH_SETUP,
-    STEP_CERT_FETCH, STEP_CERT_HIT, STEP_QUEUE_WAIT, STEP_REVOKED, STEP_RTT, STEP_STALE_HIT,
+    STEP_CERT_FETCH, STEP_CERT_HIT, STEP_QUEUE_WAIT, STEP_REVOKED, STEP_STALE_HIT,
     STEP_UNAVAILABLE, STEP_VERIFY,
 };
 

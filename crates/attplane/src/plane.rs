@@ -38,8 +38,6 @@ pub const STEP_STALE_HIT: &str = "att-stale-hit";
 /// Step label: refused because the verifier was unreachable and no
 /// usable cached verdict existed (zero-duration marker).
 pub const STEP_UNAVAILABLE: &str = "att-unavailable";
-/// Step label: network round trip to a remote verifier (fleet wiring).
-pub const STEP_RTT: &str = "att-rtt";
 
 /// The plane's answer for one dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,17 +2,21 @@
 //!
 //! One [`Experiment`] per figure, table and serving sweep: its `figures`
 //! id, title, its example if it has one, and `run(quick)`, which runs the
-//! driver or sweep, checks the invariants it promises, and exports the
-//! typed rows as a [`Document`] — each column named once, by exhaustive
-//! destructuring, so a row field that is not exported does not compile.
-//! The `--json` text, the `figures --out` file, the golden and the text
-//! tables all derive from that document ([`crate::document`]);
+//! driver or sweep, checks the invariants it promises, and exports its one
+//! typed result as a [`Document`], each column named once. A paper figure's
+//! typed result is its row struct, exported by exhaustive destructuring
+//! (`row!`: a field that is not exported does not compile). A serving
+//! sweep's typed result is each cell's own report, and the entry here is
+//! the one list of its columns, in golden order, read straight from the
+//! report. The `--json` text, the `figures --out` file, the golden and the
+//! text tables all derive from that document ([`crate::document`]);
 //! [`run_example`] and `figures` are the two entry points.
 //!
-//! Adding an experiment: write the driver next to what it drives, add one
-//! entry here (run function, views), and — for a sweep worth narrating —
-//! an example that is its doc comment, its prose, and one [`run_example`]
-//! call.
+//! Adding an experiment: write the driver next to what it drives — a
+//! serving sweep returns its labelled reports, nothing projected from them
+//! — add one entry here (run function with the column list, views), and —
+//! for a sweep worth narrating — an example that is its doc comment, its
+//! prose, and one [`run_example`] call.
 
 use std::path::Path;
 
@@ -22,18 +26,16 @@ use severifast::experiments::{
 };
 use severifast::{BootPolicy, Codec};
 
-use sevf_cluster::attsweep::{att_sweep, AttRow, AttSweepConfig, AttSweepReport};
-use sevf_cluster::experiment::{cluster_sweep, ClusterRow, ClusterSweepConfig, ClusterSweepReport};
-use sevf_cluster::netsweep::{net_sweep, NetRow, NetSweepConfig, NetSweepReport};
+use sevf_cluster::attsweep::{att_sweep, AttSweepConfig};
+use sevf_cluster::experiment::{cluster_sweep, ClusterSweepConfig, ClusterSweepReport, SweepCell};
+use sevf_cluster::netsweep::{net_sweep, NetSweepConfig};
 use sevf_cluster::placement::PlacementPolicy;
-use sevf_cluster::policysweep::{
-    policy_sweep, ArmRow, PolicySweepConfig, PolicySweepReport, TenantRow,
-};
-use sevf_cluster::scalesweep::{scale_sweep, ScaleRow, ScaleSweepConfig, ScaleSweepReport};
+use sevf_cluster::policysweep::{policy_sweep, PolicySweepConfig};
+use sevf_cluster::scalesweep::{scale_sweep, ScaleSweepConfig};
 use sevf_cluster::tracedemo::{scenarios, TraceScenarios, TracedRun};
-use sevf_fleet::chaos::{chaos_sweep, ChaosArm, ChaosConfig, ChaosReport, ChaosRow};
-use sevf_fleet::experiment::{serving_sweep, ServingRow, SweepConfig, SweepReport};
-use sevf_fleet::service::ServingTier;
+use sevf_fleet::chaos::{chaos_sweep, ChaosArm, ChaosConfig, ChaosReport};
+use sevf_fleet::experiment::{serving_sweep, SweepConfig, SweepReport};
+use sevf_fleet::service::{FleetReport, ServingTier};
 use sevf_sim::stats::cdf;
 use sevf_sim::Summary;
 
@@ -527,28 +529,31 @@ fn fleet(quick: bool) -> Document {
     let SweepReport {
         cold_psp_ms,
         cold_capacity_rps,
-        rows,
+        reports,
     } = serving_sweep(&cfg).expect("fleet sweep");
-    let export = row!(ServingRow {
-        tier,
-        offered_rps,
-        completed,
-        shed,
-        mean_ms,
-        p50_ms,
-        p99_ms,
-        psp_utilization,
-        cpu_utilization,
-        max_queue_depth,
-        cache_hits,
-        warm_hits,
-    });
+    let export = |r: &FleetReport| {
+        let m = &r.metrics;
+        Json::obj([
+            ("tier", r.tier.into()),
+            ("offered_rps", r.offered_rps.unwrap_or(0.0).into()),
+            ("completed", m.completed.into()),
+            ("shed", m.shed.into()),
+            ("mean_ms", m.mean_ms().into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("psp_utilization", m.psp_utilization.into()),
+            ("cpu_utilization", m.cpu_utilization.into()),
+            ("max_queue_depth", m.max_queue_depth.into()),
+            ("cache_hits", m.cache_hits.into()),
+            ("warm_hits", m.warm_hits.into()),
+        ])
+    };
     Document {
         head: vec![
             ("cold_psp_ms", cold_psp_ms.into()),
             ("cold_capacity_rps", cold_capacity_rps.into()),
         ],
-        sections: vec![("rows", rows.iter().map(export).collect())],
+        sections: vec![("rows", reports.iter().map(export).collect())],
     }
 }
 
@@ -573,30 +578,33 @@ fn chaos(quick: bool) -> Document {
     let ChaosReport {
         planned_resets,
         planned_crashes,
-        rows,
+        cells,
     } = chaos_sweep(&cfg).expect("chaos sweep");
-    let export = row!(ChaosRow {
-        arm,
-        offered_rps,
-        completed,
-        goodput_rps,
-        shed,
-        breaker_sheds,
-        timeouts,
-        failed,
-        retries,
-        faults,
-        degraded_dispatches,
-        p50_ms,
-        p99_ms,
-        time_degraded_ms,
-    });
+    let export = |(arm, r): &(ChaosArm, FleetReport)| {
+        let m = &r.metrics;
+        Json::obj([
+            ("arm", (*arm).into()),
+            ("offered_rps", r.offered_rps.unwrap_or(0.0).into()),
+            ("completed", m.completed.into()),
+            ("goodput_rps", m.goodput_rps().into()),
+            ("shed", m.shed.into()),
+            ("breaker_sheds", m.breaker_sheds.into()),
+            ("timeouts", m.timeouts.into()),
+            ("failed", m.failed.into()),
+            ("retries", m.retries.into()),
+            ("faults", m.faults.total().into()),
+            ("degraded_dispatches", m.degraded_dispatches.into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("time_degraded_ms", m.time_degraded.as_millis_f64().into()),
+        ])
+    };
     Document {
         head: vec![
             ("planned_resets", planned_resets.into()),
             ("planned_crashes", planned_crashes.into()),
         ],
-        sections: vec![("rows", rows.iter().map(export).collect())],
+        sections: vec![("rows", cells.iter().map(export).collect())],
     }
 }
 
@@ -617,6 +625,14 @@ const CHAOS_VIEW: View = View {
     ],
 };
 
+/// Every cell of a cluster-side sweep must conserve its requests.
+fn assert_conserved(cells: &[SweepCell]) {
+    for c in cells {
+        let conserved = c.report.metrics.conserved();
+        assert!(conserved, "conservation broke in {}/{}", c.arm, c.label);
+    }
+}
+
 fn cluster(quick: bool) -> Document {
     let cfg = pick(
         quick,
@@ -625,40 +641,42 @@ fn cluster(quick: bool) -> Document {
     );
     let ClusterSweepReport {
         cold_ceiling_rps,
-        rows,
+        cells,
     } = cluster_sweep(&cfg).expect("cluster sweep");
-    for r in &rows {
-        assert!(r.conserved, "conservation broke in {}/{}", r.arm, r.label);
-    }
-    let export = row!(ClusterRow {
-        arm,
-        label,
-        hosts,
-        tier,
-        placement,
-        offered_rps,
-        completed,
-        goodput_rps,
-        per_host_goodput,
-        shed,
-        unroutable,
-        breaker_sheds,
-        timeouts,
-        failed,
-        retries,
-        failovers,
-        rebalances,
-        faults,
-        cache_hit_rate,
-        cache_misses,
-        psp_skew,
-        p50_ms,
-        p99_ms,
-        conserved,
-    });
+    assert_conserved(&cells);
+    let export = |c: &SweepCell| {
+        let (r, m) = (&c.report, &c.report.metrics);
+        let per_host_goodput = m.goodput_rps() / r.hosts as f64;
+        Json::obj([
+            ("arm", c.arm.into()),
+            ("label", c.label.into()),
+            ("hosts", r.hosts.into()),
+            ("tier", r.tier.into()),
+            ("placement", r.placement.into()),
+            ("offered_rps", r.offered_rps.unwrap_or(0.0).into()),
+            ("completed", m.completed.into()),
+            ("goodput_rps", m.goodput_rps().into()),
+            ("per_host_goodput", per_host_goodput.into()),
+            ("shed", m.shed.into()),
+            ("unroutable", m.unroutable.into()),
+            ("breaker_sheds", m.breaker_sheds.into()),
+            ("timeouts", m.timeouts.into()),
+            ("failed", m.failed.into()),
+            ("retries", m.retries.into()),
+            ("failovers", m.failovers.into()),
+            ("rebalances", m.rebalances.into()),
+            ("faults", m.faults.into()),
+            ("cache_hit_rate", m.cache_hit_rate().into()),
+            ("cache_misses", m.cache_misses().into()),
+            ("psp_skew", m.psp_skew().into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("conserved", m.conserved().into()),
+        ])
+    };
     Document {
         head: vec![("cold_ceiling_rps", cold_ceiling_rps.into())],
-        sections: vec![("rows", rows.iter().map(export).collect())],
+        sections: vec![("rows", cells.iter().map(export).collect())],
     }
 }
 
@@ -687,32 +705,34 @@ fn attplane(quick: bool) -> Document {
         AttSweepConfig::quick,
         AttSweepConfig::paper_attestation,
     );
-    let AttSweepReport { rows } = att_sweep(&cfg).expect("attestation sweep");
-    for r in &rows {
-        assert!(r.conserved, "conservation broke in {}/{}", r.arm, r.mode);
-    }
-    let export = row!(AttRow {
-        arm,
-        mode,
-        offered_rps,
-        completed,
-        shed,
-        timeouts,
-        failed,
-        failovers,
-        retries,
-        verifications,
-        cert_fetches,
-        cert_hits,
-        hit_rate,
-        batch_joins,
-        revoked,
-        queue_wait_ms,
-        p50_ms,
-        p99_ms,
-        conserved,
-    });
-    rows_of(&rows, export)
+    let cells = att_sweep(&cfg).expect("attestation sweep");
+    assert_conserved(&cells);
+    let export = |c: &SweepCell| {
+        let (r, m) = (&c.report, &c.report.metrics);
+        let att = r.attestation.unwrap_or_default();
+        Json::obj([
+            ("arm", c.arm.into()),
+            ("mode", c.label.into()),
+            ("offered_rps", r.offered_rps.unwrap_or(0.0).into()),
+            ("completed", m.completed.into()),
+            ("shed", m.shed.into()),
+            ("timeouts", m.timeouts.into()),
+            ("failed", m.failed.into()),
+            ("failovers", m.failovers.into()),
+            ("retries", m.retries.into()),
+            ("verifications", att.verifications.into()),
+            ("cert_fetches", att.cert_fetches.into()),
+            ("cert_hits", att.cert_hits.into()),
+            ("hit_rate", att.hit_rate().into()),
+            ("batch_joins", att.batch_joins.into()),
+            ("revoked", att.revoked_verdicts.into()),
+            ("queue_wait_ms", att.mean_queue_wait_ms().into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("conserved", m.conserved().into()),
+        ])
+    };
+    rows_of(&cells, export)
 }
 
 const ATTPLANE_VIEW: View = View {
@@ -740,46 +760,51 @@ fn net(quick: bool) -> Document {
         NetSweepConfig::quick,
         NetSweepConfig::paper_partition,
     );
-    let NetSweepReport { rows } = net_sweep(&cfg).expect("partition sweep");
-    for r in &rows {
-        assert!(r.conserved, "conservation broke in {}/{}", r.arm, r.policy);
-    }
+    let cells = net_sweep(&cfg).expect("partition sweep");
+    assert_conserved(&cells);
     for arm in ["partition", "island", "blackout"] {
         let completed = |policy: &str| {
-            let cell = rows.iter().find(|r| r.arm == arm && r.policy == policy);
-            cell.expect("both policies present").completed
+            let cell = SweepCell::find(&cells, arm, policy).expect("both policies present");
+            cell.report.metrics.completed
         };
         assert!(
             completed("resilient") > completed("naive"),
             "{arm}: the resilient policy must beat the naive one"
         );
     }
-    let export = row!(NetRow {
-        arm,
-        policy,
-        completed,
-        shed,
-        timeouts,
-        failed,
-        failovers,
-        retries,
-        suspicions,
-        suspicions_cleared,
-        false_suspicions,
-        lease_expiries,
-        net_lost,
-        net_timeouts,
-        net_nacks,
-        stale_completions,
-        double_completion_attempts,
-        stale_serves,
-        unavailable_refusals,
-        reverifies,
-        p50_ms,
-        p99_ms,
-        conserved,
-    });
-    rows_of(&rows, export)
+    let export = |c: &SweepCell| {
+        let m = &c.report.metrics;
+        let att = c.report.attestation.unwrap_or_default();
+        Json::obj([
+            ("arm", c.arm.into()),
+            ("policy", c.label.into()),
+            ("completed", m.completed.into()),
+            ("shed", m.shed.into()),
+            ("timeouts", m.timeouts.into()),
+            ("failed", m.failed.into()),
+            ("failovers", m.failovers.into()),
+            ("retries", m.retries.into()),
+            ("suspicions", m.suspicions.into()),
+            ("suspicions_cleared", m.suspicions_cleared.into()),
+            ("false_suspicions", m.false_suspicions.into()),
+            ("lease_expiries", m.lease_expiries.into()),
+            ("net_lost", m.net_lost.into()),
+            ("net_timeouts", m.net_timeouts.into()),
+            ("net_nacks", m.net_nacks.into()),
+            ("stale_completions", m.stale_completions.into()),
+            (
+                "double_completion_attempts",
+                m.double_completion_attempts.into(),
+            ),
+            ("stale_serves", att.stale_serves.into()),
+            ("unavailable_refusals", att.unavailable_refusals.into()),
+            ("reverifies", att.reverifies.into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("conserved", m.conserved().into()),
+        ])
+    };
+    rows_of(&cells, export)
 }
 
 const NET_VIEW: View = View {
@@ -808,61 +833,64 @@ fn policy(quick: bool) -> Document {
         PolicySweepConfig::quick,
         PolicySweepConfig::paper_policy,
     );
-    let PolicySweepReport { arms, tenants } = policy_sweep(&cfg).expect("policy sweep");
-    for a in &arms {
-        assert!(a.conserved, "cluster conservation broke in {}", a.arm);
-        if a.posture {
+    let cells = policy_sweep(&cfg).expect("policy sweep");
+    assert_conserved(&cells);
+    let (mut arms, mut tenants) = (Vec::new(), Vec::new());
+    for c in &cells {
+        let p = c.policy.as_ref().expect("policy arms carry their policy");
+        let m = &c.report.metrics;
+        if p.posture {
             assert_eq!(
-                a.posture_violations, 0,
+                m.posture_violations, 0,
                 "a strict launch landed below its TCB floor"
             );
         }
+        arms.push(Json::obj([
+            ("arm", c.arm.into()),
+            ("scheduler", p.scheduler.name().into()),
+            ("quotas", p.quotas.into()),
+            ("posture", p.posture.into()),
+            ("completed", m.completed.into()),
+            ("lost", m.lost().into()),
+            ("rejected", m.rejected.into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("posture_checks", m.posture_checks.into()),
+            ("posture_redirects", m.posture_redirects.into()),
+            ("posture_violations", m.posture_violations.into()),
+            ("conserved", m.conserved().into()),
+        ]));
+        // The rollup is in the policy's tenant order.
+        let rollups = c.report.tenants.as_ref().expect("policy arms roll up");
+        let makespan = m.makespan;
+        for (t, r) in p.tenants.iter().zip(rollups) {
+            let (arm, tenant, m) = (c.arm, r.name, &r.metrics);
+            let conserved = m.conserved();
+            assert!(conserved, "tenant conservation broke in {arm}/{tenant}");
+            let deadline_ms = t.spec.deadline.as_millis_f64();
+            let slo_met = m.completed > 0 && m.p99_ms() <= deadline_ms;
+            tenants.push(Json::obj([
+                ("arm", arm.into()),
+                ("tenant", tenant.into()),
+                ("issued", m.issued.into()),
+                ("completed", m.completed.into()),
+                ("shed", m.shed.into()),
+                ("timeouts", m.timeouts.into()),
+                ("failed", (m.failed + m.breaker_sheds).into()),
+                ("rejected", m.rejected.into()),
+                ("degraded", m.degraded.into()),
+                ("p50_ms", m.p50_ms().into()),
+                ("p99_ms", m.p99_ms().into()),
+                ("deadline_ms", deadline_ms.into()),
+                ("slo_met", slo_met.into()),
+                ("goodput_rps", m.goodput_rps(makespan).into()),
+                ("conserved", conserved.into()),
+            ]));
+        }
     }
-    for t in &tenants {
-        assert!(
-            t.conserved,
-            "per-tenant conservation broke for {}/{}",
-            t.arm, t.tenant
-        );
-    }
-    let export_arm = row!(ArmRow {
-        arm,
-        scheduler,
-        quotas,
-        posture,
-        completed,
-        lost,
-        rejected,
-        p50_ms,
-        p99_ms,
-        posture_checks,
-        posture_redirects,
-        posture_violations,
-        conserved,
-    });
-    let export_tenant = row!(TenantRow {
-        arm,
-        tenant,
-        issued,
-        completed,
-        shed,
-        timeouts,
-        failed,
-        rejected,
-        degraded,
-        p50_ms,
-        p99_ms,
-        deadline_ms,
-        slo_met,
-        goodput_rps,
-        conserved,
-    });
     Document {
         head: Vec::new(),
-        sections: vec![
-            ("arms", arms.iter().map(export_arm).collect()),
-            ("tenants", tenants.iter().map(export_tenant).collect()),
-        ],
+        sections: vec![("arms", arms), ("tenants", tenants)],
     }
 }
 
@@ -907,33 +935,38 @@ fn autoscale(quick: bool) -> Document {
         ScaleSweepConfig::quick,
         ScaleSweepConfig::paper_scale,
     );
-    let ScaleSweepReport { rows, reports: _ } = scale_sweep(&cfg).expect("autoscale sweep");
-    for r in &rows {
-        assert!(r.conserved, "conservation broke in the {} arm", r.arm);
-    }
-    let export = row!(ScaleRow {
-        arm,
-        hosts_start,
-        issued,
-        completed,
-        lost,
-        p50_ms,
-        p99_ms,
-        goodput_rps,
-        host_seconds,
-        ticks,
-        scale_outs,
-        scale_ins,
-        prewarms,
-        min_live,
-        max_live,
-        slo_ms,
-        slo_met,
-        conserved,
-    });
+    let cells = scale_sweep(&cfg).expect("autoscale sweep");
+    assert_conserved(&cells);
+    let export = |c: &SweepCell| {
+        let (r, m) = (&c.report, &c.report.metrics);
+        // The static arm runs no scaler: no decisions, and its fixed fleet
+        // is both live bounds.
+        let auto = r.autoscale.as_ref();
+        let slo_met = m.completed > 0 && m.p99_ms() <= cfg.slo_ms;
+        Json::obj([
+            ("arm", c.arm.into()),
+            ("hosts_start", r.hosts.into()),
+            ("issued", m.issued.into()),
+            ("completed", m.completed.into()),
+            ("lost", m.lost().into()),
+            ("p50_ms", m.p50_ms().into()),
+            ("p99_ms", m.p99_ms().into()),
+            ("goodput_rps", m.goodput_rps().into()),
+            ("host_seconds", m.host_seconds.into()),
+            ("ticks", auto.map_or(0, |a| a.ticks).into()),
+            ("scale_outs", auto.map_or(0, |a| a.scale_outs).into()),
+            ("scale_ins", auto.map_or(0, |a| a.scale_ins).into()),
+            ("prewarms", auto.map_or(0, |a| a.prewarms).into()),
+            ("min_live", auto.map_or(r.hosts, |a| a.min_live).into()),
+            ("max_live", auto.map_or(r.hosts, |a| a.max_live).into()),
+            ("slo_ms", cfg.slo_ms.into()),
+            ("slo_met", slo_met.into()),
+            ("conserved", m.conserved().into()),
+        ])
+    };
     Document {
         head: Vec::new(),
-        sections: vec![("arms", rows.iter().map(export).collect())],
+        sections: vec![("arms", cells.iter().map(export).collect())],
     }
 }
 

@@ -32,6 +32,7 @@ use sevf_fleet::service::ServingTier;
 use sevf_fleet::workload::RequestMix;
 use sevf_sim::Nanos;
 
+use crate::experiment::SweepCell;
 use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, RevocationDrill, TcbRollout};
 use crate::ClusterError;
@@ -124,90 +125,10 @@ impl AttSweepConfig {
     }
 }
 
-/// One cell of the sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttRow {
-    /// Which arm produced the row ("load", "storm", "drill").
-    pub arm: &'static str,
-    /// Verification mode ("none" for the baseline).
-    pub mode: &'static str,
-    /// Aggregate offered load (req/s).
-    pub offered_rps: f64,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Requests shed (admission queues + unroutable arrivals).
-    pub shed: u64,
-    /// Requests shed on deadline.
-    pub timeouts: u64,
-    /// Requests permanently failed after exhausting retries.
-    pub failed: u64,
-    /// Requests displaced off a dead host and re-routed.
-    pub failovers: u64,
-    /// Retry launches dispatched.
-    pub retries: u64,
-    /// Completed signature checks.
-    pub verifications: u64,
-    /// KDS cert-chain fetches (cache misses).
-    pub cert_fetches: u64,
-    /// Cert chains served from cache.
-    pub cert_hits: u64,
-    /// Cert-cache hit rate in `[0, 1]`.
-    pub hit_rate: f64,
-    /// Reports that shared a batch window.
-    pub batch_joins: u64,
-    /// Dispatches refused on a revoked chip.
-    pub revoked: u64,
-    /// Mean verifier queue wait per verification (ms).
-    pub queue_wait_ms: f64,
-    /// Cluster-wide median latency (ms).
-    pub p50_ms: f64,
-    /// Cluster-wide 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Whether the conservation invariant held for the cell.
-    pub conserved: bool,
-}
-
-/// The sweep's result.
-#[derive(Debug, Clone)]
-pub struct AttSweepReport {
-    /// One row per cell: load, then storm, then drill.
-    pub rows: Vec<AttRow>,
-}
-
 fn mode_name(mode: Option<VerifyMode>) -> &'static str {
     match mode {
         None => "none",
         Some(m) => m.name(),
-    }
-}
-
-fn row_from(
-    arm: &'static str,
-    mode: &'static str,
-    report: &crate::service::ClusterReport,
-) -> AttRow {
-    let m = &report.metrics;
-    let att = report.attestation.unwrap_or_default();
-    AttRow {
-        arm,
-        mode,
-        offered_rps: report.offered_rps.unwrap_or(0.0),
-        completed: m.completed,
-        shed: m.shed,
-        timeouts: m.timeouts,
-        failed: m.failed,
-        failovers: m.failovers,
-        retries: m.retries,
-        verifications: att.verifications,
-        cert_fetches: att.cert_fetches,
-        cert_hits: att.cert_hits,
-        hit_rate: att.hit_rate(),
-        batch_joins: att.batch_joins,
-        revoked: att.revoked_verdicts,
-        queue_wait_ms: att.mean_queue_wait_ms(),
-        p50_ms: m.p50_ms(),
-        p99_ms: m.p99_ms(),
-        conserved: m.conserved(),
     }
 }
 
@@ -222,17 +143,19 @@ fn base_config(cfg: &AttSweepConfig, rps: f64, requests: usize) -> ClusterConfig
     }
 }
 
-/// Runs the three-arm attestation sweep over one catalog.
+/// Runs the three-arm attestation sweep over one catalog: one cell per run
+/// (load, then storm, then drill), labelled by verification mode ("none"
+/// for the baseline).
 ///
 /// # Errors
 ///
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
 /// configuration errors, including [`ClusterError::AttPlane`] for an
 /// invalid verifier model.
-pub fn att_sweep(cfg: &AttSweepConfig) -> Result<AttSweepReport, ClusterError> {
+pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
     cfg.verifier.validate().map_err(ClusterError::AttPlane)?;
     let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
 
     // Arm 1: verification modes across load (plus the no-verifier
     // baseline, which shows what the plane itself costs).
@@ -250,7 +173,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<AttSweepReport, ClusterError> {
                 ..cfg.verifier
             });
             let report = ClusterService::new(catalog.clone(), config)?.run();
-            rows.push(row_from("load", mode_name(mode), &report));
+            cells.push(SweepCell::new("load", mode_name(mode), report));
         }
     }
 
@@ -267,7 +190,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<AttSweepReport, ClusterError> {
         });
         config.tcb_rollout = Some(cfg.rollout);
         let report = ClusterService::new(catalog.clone(), config)?.run();
-        rows.push(row_from("storm", mode.name(), &report));
+        cells.push(SweepCell::new("storm", mode.name(), report));
     }
 
     // Arm 3: the key-compromise drill under the full control plane.
@@ -278,9 +201,9 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<AttSweepReport, ClusterError> {
     });
     config.revocation = Some(cfg.drill);
     let report = ClusterService::new(catalog, config)?.run();
-    rows.push(row_from("drill", VerifyMode::CachedBatched.name(), &report));
-
-    Ok(AttSweepReport { rows })
+    let mode = VerifyMode::CachedBatched.name();
+    cells.push(SweepCell::new("drill", mode, report));
+    Ok(cells)
 }
 
 #[cfg(test)]
@@ -292,80 +215,71 @@ mod tests {
         let cfg = AttSweepConfig::quick();
         let a = att_sweep(&cfg).unwrap();
         let b = att_sweep(&cfg).unwrap();
-        assert!(a.rows.iter().all(|r| r.conserved));
-        assert_eq!(a.rows, b.rows);
+        assert!(a.iter().all(|c| c.report.metrics.conserved()));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn cached_batched_sustains_load_where_naive_degrades() {
-        let report = att_sweep(&AttSweepConfig::quick()).unwrap();
-        let top = report
-            .rows
-            .iter()
-            .filter(|r| r.arm == "load")
-            .fold(0.0f64, |acc, r| acc.max(r.offered_rps));
+        let cells = att_sweep(&AttSweepConfig::quick()).unwrap();
+        let top = AttSweepConfig::quick()
+            .loads_rps
+            .into_iter()
+            .fold(0.0f64, f64::max);
         let at_top = |mode: &str| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.arm == "load" && r.mode == mode && r.offered_rps == top)
-                .unwrap()
+            let found = |c: &&SweepCell| {
+                c.arm == "load" && c.label == mode && c.report.offered_rps == Some(top)
+            };
+            &cells.iter().find(found).unwrap().report
         };
-        let naive = at_top("naive");
-        let batched = at_top("cached+batched");
+        let (naive, batched) = (at_top("naive"), at_top("cached+batched"));
+        let (n, b) = (&naive.metrics, &batched.metrics);
         // Past the naive verifier's ceiling the queue stretches every
         // launch: p99 degrades (or the stream sheds on deadline) while
         // the batched plane still tracks the offered load.
         assert!(
-            naive.p99_ms > 2.0 * batched.p99_ms || naive.shed + naive.timeouts > 0,
+            n.p99_ms() > 2.0 * b.p99_ms() || n.shed + n.timeouts > 0,
             "naive p99 {} vs batched {} (naive lost {})",
-            naive.p99_ms,
-            batched.p99_ms,
-            naive.shed + naive.timeouts
+            n.p99_ms(),
+            b.p99_ms(),
+            n.shed + n.timeouts
         );
         assert!(
-            batched.completed as f64 >= 0.9 * naive.completed as f64,
+            b.completed as f64 >= 0.9 * n.completed as f64,
             "batched must not complete less"
         );
-        assert!(batched.queue_wait_ms < naive.queue_wait_ms);
+        let wait = |r: &crate::service::ClusterReport| r.attestation.unwrap().mean_queue_wait_ms();
+        assert!(wait(batched) < wait(naive));
     }
 
     #[test]
     fn storm_refetches_certs_and_batching_absorbs_the_wave() {
-        let report = att_sweep(&AttSweepConfig::quick()).unwrap();
-        let storm = |mode: &str| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.arm == "storm" && r.mode == mode)
-                .unwrap()
-        };
+        let cells = att_sweep(&AttSweepConfig::quick()).unwrap();
+        let storm = |mode: &str| &SweepCell::find(&cells, "storm", mode).unwrap().report;
         let cached = storm("cached");
         // The rollout bumps every host's TCB, so the cached arm refetches
         // at least once per host beyond its initial warmup.
         let hosts = AttSweepConfig::quick().hosts as u64;
+        let fetches = cached.attestation.unwrap().cert_fetches;
         assert!(
-            cached.cert_fetches >= 2 * hosts,
-            "rollout must force refetches, got {}",
-            cached.cert_fetches
+            fetches >= 2 * hosts,
+            "rollout must force refetches, got {fetches}"
         );
         let batched = storm("cached+batched");
-        assert!(batched.batch_joins > 0);
-        assert!(batched.conserved && cached.conserved);
+        assert!(batched.attestation.unwrap().batch_joins > 0);
+        assert!(batched.metrics.conserved() && cached.metrics.conserved());
     }
 
     #[test]
     fn revocation_drill_fails_over_and_conserves() {
-        let report = att_sweep(&AttSweepConfig::quick()).unwrap();
-        let drill = report.rows.iter().find(|r| r.arm == "drill").unwrap();
-        assert!(drill.conserved, "conservation must hold through the drill");
+        let cells = att_sweep(&AttSweepConfig::quick()).unwrap();
+        let drill = &cells.iter().find(|c| c.arm == "drill").unwrap().report;
+        let m = &drill.metrics;
+        assert!(m.conserved(), "conservation must hold through the drill");
+        assert!(m.failovers > 0, "the revoked host's guests must fail over");
+        assert!(m.completed > 0);
         assert!(
-            drill.failovers > 0,
-            "the revoked host's guests must fail over"
-        );
-        assert!(drill.completed > 0);
-        assert!(
-            drill.verifications > 0,
+            drill.attestation.unwrap().verifications > 0,
             "survivors must re-attest the re-launched guests"
         );
     }

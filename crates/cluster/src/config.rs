@@ -83,8 +83,6 @@ pub struct ClusterConfig {
     pub outages: Vec<HostOutage>,
     /// Scheduled graceful membership changes.
     pub events: Vec<HostEvent>,
-    /// Re-spread the warm budget over live hosts on membership changes.
-    pub rebalance: bool,
     /// How requests recover from failures (shared by all hosts).
     pub recovery: RecoveryConfig,
     /// Attestation control plane; `None` = no verifier in the dispatch
@@ -157,7 +155,6 @@ impl ClusterConfig {
             fault_horizon: Nanos::ZERO,
             outages: Vec::new(),
             events: Vec::new(),
-            rebalance: true,
             recovery: RecoveryConfig::none(),
             attestation: None,
             tcb_rollout: None,

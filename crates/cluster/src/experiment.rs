@@ -17,19 +17,23 @@
 //!   hosts (re-measuring the dead host's templates there — §6.2 across
 //!   machines), rebalances the warm budget, and holds goodput.
 //!
-//! Rows carry the conservation invariant (`completed + shed +
-//! breaker_sheds + timeouts + failed == issued`) so the table can assert
-//! it. Identical configs produce byte-identical reports.
+//! A cell of the sweep is its run's own [`ClusterReport`] under the arm and
+//! label that produced it ([`SweepCell`], shared by the attestation, net,
+//! policy and autoscale sweeps); the exporter in `sevf-bench` names the
+//! columns. Every cell must conserve (`completed + shed + breaker_sheds +
+//! timeouts + failed == issued`). Identical configs produce byte-identical
+//! reports.
 
 use sevf_fleet::admission::AdmissionConfig;
 use sevf_fleet::blueprint::{Catalog, ClassSpec, MB};
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::service::ServingTier;
 use sevf_fleet::workload::RequestMix;
+use sevf_policy::PolicyConfig;
 use sevf_sim::Nanos;
 
 use crate::placement::PlacementPolicy;
-use crate::service::{ClusterConfig, ClusterService, HostOutage};
+use crate::service::{ClusterConfig, ClusterReport, ClusterService, HostOutage};
 use crate::ClusterError;
 
 /// Knobs of one cluster sweep.
@@ -106,57 +110,36 @@ impl ClusterSweepConfig {
     }
 }
 
-/// One cell of the sweep.
+/// One cell of a serving sweep: the arm and label that produced it, and the
+/// run's own report.
 #[derive(Debug, Clone)]
-pub struct ClusterRow {
-    /// Which arm produced the row ("scaling", "placement", "outage").
+pub struct SweepCell {
+    /// Which arm of the sweep ran.
     pub arm: &'static str,
-    /// Cell label: the tier (scaling), policy (placement), or drill arm.
-    pub label: String,
-    /// Hosts in the cluster.
-    pub hosts: usize,
-    /// Serving tier.
-    pub tier: ServingTier,
-    /// Placement policy.
-    pub placement: PlacementPolicy,
-    /// Aggregate offered load (req/s).
-    pub offered_rps: f64,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Completed requests per second of makespan, cluster-wide.
-    pub goodput_rps: f64,
-    /// Goodput divided by the host count (the scale-out signal).
-    pub per_host_goodput: f64,
-    /// Requests shed (admission queues + unroutable arrivals).
-    pub shed: u64,
-    /// Of the sheds, arrivals that found no live host.
-    pub unroutable: u64,
-    /// Requests shed past the bottom of the degradation ladder.
-    pub breaker_sheds: u64,
-    /// Requests shed on deadline.
-    pub timeouts: u64,
-    /// Requests permanently failed after exhausting retries.
-    pub failed: u64,
-    /// Retry launches dispatched.
-    pub retries: u64,
-    /// Requests displaced off a dead or departing host and re-routed.
-    pub failovers: u64,
-    /// Warm-budget rebalance passes.
-    pub rebalances: u64,
-    /// Injected-fault occurrences across all hosts.
-    pub faults: u64,
-    /// Cluster template-cache hit rate in `[0, 1]`.
-    pub cache_hit_rate: f64,
-    /// Template fills (measurements) across all hosts.
-    pub cache_misses: u64,
-    /// Per-host PSP utilization spread (max − min).
-    pub psp_skew: f64,
-    /// Cluster-wide median latency (ms).
-    pub p50_ms: f64,
-    /// Cluster-wide 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Whether the conservation invariant held for the cell.
-    pub conserved: bool,
+    /// The cell within the arm — a tier, a placement policy, a verification
+    /// mode, a control-plane policy; empty where an arm is one cell.
+    pub label: &'static str,
+    /// The tenant policy the arm ran under (the policy sweep's arms).
+    pub policy: Option<PolicyConfig>,
+    /// What the run reported.
+    pub report: ClusterReport,
+}
+
+impl SweepCell {
+    /// A cell of an arm that runs no tenant policy.
+    pub fn new(arm: &'static str, label: &'static str, report: ClusterReport) -> Self {
+        SweepCell {
+            arm,
+            label,
+            policy: None,
+            report,
+        }
+    }
+
+    /// The cell `(arm, label)` of `cells`, if present.
+    pub fn find<'a>(cells: &'a [SweepCell], arm: &str, label: &str) -> Option<&'a SweepCell> {
+        cells.iter().find(|c| c.arm == arm && c.label == label)
+    }
 }
 
 /// The sweep's result.
@@ -165,8 +148,8 @@ pub struct ClusterSweepReport {
     /// Mix-weighted cold-launch PSP ceiling of one host (req/s): the
     /// Fig. 12 bound the scaling arm's cold per-host goodput cannot exceed.
     pub cold_ceiling_rps: f64,
-    /// One row per cell: scaling, then placement, then outage.
-    pub rows: Vec<ClusterRow>,
+    /// One cell per run: scaling, then placement, then outage.
+    pub cells: Vec<SweepCell>,
 }
 
 /// Mix-weighted mean cold PSP work per request, inverted to req/s.
@@ -185,40 +168,6 @@ fn cold_ceiling(catalog: &Catalog, mix: &RequestMix) -> f64 {
     }
 }
 
-fn row_from(
-    arm: &'static str,
-    label: String,
-    report: &crate::service::ClusterReport,
-) -> ClusterRow {
-    let m = &report.metrics;
-    ClusterRow {
-        arm,
-        label,
-        hosts: report.hosts,
-        tier: report.tier,
-        placement: report.placement,
-        offered_rps: report.offered_rps.unwrap_or(0.0),
-        completed: m.completed,
-        goodput_rps: m.goodput_rps(),
-        per_host_goodput: m.goodput_rps() / report.hosts as f64,
-        shed: m.shed,
-        unroutable: m.unroutable,
-        breaker_sheds: m.breaker_sheds,
-        timeouts: m.timeouts,
-        failed: m.failed,
-        retries: m.retries,
-        failovers: m.failovers,
-        rebalances: m.rebalances,
-        faults: m.faults,
-        cache_hit_rate: m.cache_hit_rate(),
-        cache_misses: m.cache_misses(),
-        psp_skew: m.psp_skew(),
-        p50_ms: m.p50_ms(),
-        p99_ms: m.p99_ms(),
-        conserved: m.conserved(),
-    }
-}
-
 /// Runs the three-arm sweep over one catalog.
 ///
 /// # Errors
@@ -231,7 +180,7 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
         .mix
         .clone()
         .unwrap_or_else(|| RequestMix::uniform(catalog.len()));
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
 
     // Arm 1: scale-out. Load and requests grow with the host count, so a
     // tier that scales keeps per-host goodput flat at the offered rate.
@@ -247,6 +196,7 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
                 warm_target: cfg.warm_target,
                 placement: PlacementPolicy::JsqPsp,
                 vnodes: cfg.vnodes,
+                seed: cfg.seed,
                 ..ClusterConfig::open_loop(
                     hosts,
                     tier,
@@ -254,12 +204,8 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
                     cfg.requests_per_host * hosts,
                 )
             };
-            let config = ClusterConfig {
-                seed: cfg.seed,
-                ..config
-            };
             let report = ClusterService::new(catalog.clone(), config)?.run();
-            rows.push(row_from("scaling", tier.name().to_string(), &report));
+            cells.push(SweepCell::new("scaling", tier.name(), report));
         }
     }
 
@@ -284,7 +230,7 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
             )
         };
         let report = ClusterService::new(catalog.clone(), config)?.run();
-        rows.push(row_from("placement", placement.name().to_string(), &report));
+        cells.push(SweepCell::new("placement", placement.name(), report));
     }
 
     // Arm 3: outage drill. The host owning the heaviest class dies a third
@@ -333,12 +279,12 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
             )
         };
         let report = ClusterService::new(catalog.clone(), config)?.run();
-        rows.push(row_from("outage", label.to_string(), &report));
+        cells.push(SweepCell::new("outage", label, report));
     }
 
     Ok(ClusterSweepReport {
         cold_ceiling_rps: cold_ceiling(&catalog, &mix),
-        rows,
+        cells,
     })
 }
 
@@ -347,16 +293,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_rows_conserve_and_cover_all_arms() {
+    fn quick_sweep_cells_conserve_and_cover_all_arms() {
         let report = cluster_sweep(&ClusterSweepConfig::quick()).unwrap();
         let cfg = ClusterSweepConfig::quick();
         let expected = cfg.host_counts.len() * 3 + 3 + 3;
-        assert_eq!(report.rows.len(), expected);
-        for row in &report.rows {
+        assert_eq!(report.cells.len(), expected);
+        for cell in &report.cells {
             assert!(
-                row.conserved,
+                cell.report.metrics.conserved(),
                 "conservation broke in {}/{}",
-                row.arm, row.label
+                cell.arm,
+                cell.label
             );
         }
         assert!(report.cold_ceiling_rps > 0.0);
@@ -366,28 +313,19 @@ mod tests {
     fn sweep_is_deterministic() {
         let a = cluster_sweep(&ClusterSweepConfig::quick()).unwrap();
         let b = cluster_sweep(&ClusterSweepConfig::quick()).unwrap();
-        assert_eq!(a.rows.len(), b.rows.len());
-        for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.completed, y.completed);
-            assert_eq!(x.p99_ms, y.p99_ms);
-            assert_eq!(x.cache_misses, y.cache_misses);
-            assert_eq!(x.failovers, y.failovers);
-        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn outage_drill_fails_over_and_remeasures() {
         let report = cluster_sweep(&ClusterSweepConfig::quick()).unwrap();
-        let resilient = report
-            .rows
-            .iter()
-            .find(|r| r.arm == "outage" && r.label == "resilient")
-            .unwrap();
+        let resilient = SweepCell::find(&report.cells, "outage", "resilient").unwrap();
+        let m = &resilient.report.metrics;
         // The drill kills a host mid-stream: its work fails over and the
         // survivors re-measure its classes (more fills than classes).
-        assert!(resilient.failovers > 0, "no failovers in the drill");
+        assert!(m.failovers > 0, "no failovers in the drill");
         assert!(
-            resilient.cache_misses > ClusterSweepConfig::quick().classes.len() as u64,
+            m.cache_misses() > ClusterSweepConfig::quick().classes.len() as u64,
             "no re-measurement after the outage"
         );
     }

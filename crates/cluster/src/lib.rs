@@ -55,14 +55,14 @@ pub mod scalesweep;
 pub mod service;
 pub mod tracedemo;
 
-pub use attsweep::{att_sweep, AttRow, AttSweepConfig, AttSweepReport};
-pub use experiment::{cluster_sweep, ClusterRow, ClusterSweepConfig, ClusterSweepReport};
+pub use attsweep::{att_sweep, AttSweepConfig};
+pub use experiment::{cluster_sweep, ClusterSweepConfig, ClusterSweepReport, SweepCell};
 pub use metrics::{ClusterMetrics, HostRollup};
-pub use netsweep::{net_sweep, NetRow, NetSweepConfig, NetSweepReport};
+pub use netsweep::{net_sweep, NetSweepConfig};
 pub use placement::{PlacementPolicy, Router};
-pub use policysweep::{policy_sweep, ArmRow, PolicySweepConfig, PolicySweepReport, TenantRow};
+pub use policysweep::{policy_sweep, PolicySweepConfig};
 pub use ring::HashRing;
-pub use scalesweep::{scale_sweep, ScaleRow, ScaleSweepConfig, ScaleSweepReport};
+pub use scalesweep::{scale_sweep, ScaleSweepConfig};
 pub use service::{
     AutoscaleRollup, ClusterConfig, ClusterReport, ClusterService, HostEvent, HostEventKind,
     HostOutage, RevocationDrill, ScaleEvent, TcbRollout,
@@ -154,13 +154,13 @@ impl From<sevf_scale::ScaleError> for ClusterError {
 
 /// The common imports for working with the cluster control plane.
 pub mod prelude {
-    pub use crate::attsweep::{att_sweep, AttSweepConfig, AttSweepReport};
-    pub use crate::experiment::{cluster_sweep, ClusterSweepConfig, ClusterSweepReport};
+    pub use crate::attsweep::{att_sweep, AttSweepConfig};
+    pub use crate::experiment::{cluster_sweep, ClusterSweepConfig, ClusterSweepReport, SweepCell};
     pub use crate::metrics::ClusterMetrics;
-    pub use crate::netsweep::{net_sweep, NetSweepConfig, NetSweepReport};
+    pub use crate::netsweep::{net_sweep, NetSweepConfig};
     pub use crate::placement::PlacementPolicy;
-    pub use crate::policysweep::{policy_sweep, PolicySweepConfig, PolicySweepReport};
-    pub use crate::scalesweep::{scale_sweep, ScaleSweepConfig, ScaleSweepReport};
+    pub use crate::policysweep::{policy_sweep, PolicySweepConfig};
+    pub use crate::scalesweep::{scale_sweep, ScaleSweepConfig};
     pub use crate::service::{
         AutoscaleRollup, ClusterConfig, ClusterReport, ClusterService, HostEvent, HostEventKind,
         HostOutage, RevocationDrill, ScaleEvent, TcbRollout,

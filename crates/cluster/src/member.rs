@@ -194,9 +194,7 @@ impl State<'_> {
                 .marker(MarkerKind::Failover, Some(next.request), Some(host), now);
             self.route(next.request, now, inject);
         }
-        if self.config.rebalance {
-            self.rebalance_pools(true, now, inject);
-        }
+        self.rebalance_pools(true, now, inject);
     }
 
     /// A host comes back (outage over) or rejoins (after a departure). An
@@ -228,11 +226,7 @@ impl State<'_> {
             return;
         }
         self.router.host_joined(host);
-        if self.config.rebalance {
-            self.rebalance_pools(false, now, inject);
-        } else {
-            self.hosts[host].kick_refills(&mut self.front, now, inject);
-        }
+        self.rebalance_pools(false, now, inject);
         self.drain(host, now, inject);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! One catalog, three arms, each run twice over the *same* seeded
 //! [`sevf_net::LinkPlan`] — identical latency draws, loss draws, and
-//! partition windows — so the only difference between the two rows of an
+//! partition windows — so the only difference between the two cells of an
 //! arm is the control plane itself:
 //!
 //! * **partition** — one host's router↔host pair is cut mid-stream and
@@ -37,6 +37,7 @@ use sevf_fleet::workload::RequestMix;
 use sevf_net::{DetectorConfig, LeaseConfig, LinkSpec, NetConfig, Partition, PartitionScope};
 use sevf_sim::Nanos;
 
+use crate::experiment::SweepCell;
 use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, TcbRollout};
 use crate::ClusterError;
@@ -167,98 +168,6 @@ impl NetSweepConfig {
     }
 }
 
-/// One cell of the sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetRow {
-    /// Which arm produced the row ("partition", "island", "blackout").
-    pub arm: &'static str,
-    /// Control-plane policy ("naive" or "resilient").
-    pub policy: &'static str,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Requests shed (admission queues + unroutable arrivals).
-    pub shed: u64,
-    /// Requests shed on deadline.
-    pub timeouts: u64,
-    /// Requests permanently failed after exhausting retries.
-    pub failed: u64,
-    /// Requests displaced off a dead or fenced host and re-routed.
-    pub failovers: u64,
-    /// Retry launches dispatched.
-    pub retries: u64,
-    /// Times the failure detector began suspecting a host.
-    pub suspicions: u64,
-    /// Suspicions a later heartbeat cleared.
-    pub suspicions_cleared: u64,
-    /// Failover sweeps that fired after their suspicion had cleared.
-    pub false_suspicions: u64,
-    /// Times a host parked on an expired lease.
-    pub lease_expiries: u64,
-    /// Dispatch messages lost to link loss or a partition.
-    pub net_lost: u64,
-    /// Dispatches the router timed out back into recovery.
-    pub net_timeouts: u64,
-    /// Host refusals (parked, fenced, or dead at delivery).
-    pub net_nacks: u64,
-    /// Outcome messages discarded on a stale dispatch epoch.
-    pub stale_completions: u64,
-    /// Success completions the epoch fence suppressed.
-    pub double_completion_attempts: u64,
-    /// Launches served on a stale cached verdict (fail-open only).
-    pub stale_serves: u64,
-    /// Launches refused while the verifier was dark (fail-closed).
-    pub unavailable_refusals: u64,
-    /// Deferred re-verifications run after the verifier healed.
-    pub reverifies: u64,
-    /// Cluster-wide median latency (ms).
-    pub p50_ms: f64,
-    /// Cluster-wide 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Whether the conservation invariant held for the cell.
-    pub conserved: bool,
-}
-
-/// The sweep's result.
-#[derive(Debug, Clone)]
-pub struct NetSweepReport {
-    /// Two rows (naive, resilient) per arm: partition, island, blackout.
-    pub rows: Vec<NetRow>,
-}
-
-fn row_from(
-    arm: &'static str,
-    policy: &'static str,
-    report: &crate::service::ClusterReport,
-) -> NetRow {
-    let m = &report.metrics;
-    let att = report.attestation.unwrap_or_default();
-    NetRow {
-        arm,
-        policy,
-        completed: m.completed,
-        shed: m.shed,
-        timeouts: m.timeouts,
-        failed: m.failed,
-        failovers: m.failovers,
-        retries: m.retries,
-        suspicions: m.suspicions,
-        suspicions_cleared: m.suspicions_cleared,
-        false_suspicions: m.false_suspicions,
-        lease_expiries: m.lease_expiries,
-        net_lost: m.net_lost,
-        net_timeouts: m.net_timeouts,
-        net_nacks: m.net_nacks,
-        stale_completions: m.stale_completions,
-        double_completion_attempts: m.double_completion_attempts,
-        stale_serves: att.stale_serves,
-        unavailable_refusals: att.unavailable_refusals,
-        reverifies: att.reverifies,
-        p50_ms: m.p50_ms(),
-        p99_ms: m.p99_ms(),
-        conserved: m.conserved(),
-    }
-}
-
 /// The network model of one cell. Both policies share the link model and
 /// partition schedule — the same `(seed, config, hosts)` triple replays
 /// the same delay and loss draws — and differ only in whether the
@@ -286,17 +195,18 @@ fn base_config(cfg: &NetSweepConfig) -> ClusterConfig {
     }
 }
 
-/// Runs the three-arm partition sweep over one catalog.
+/// Runs the three-arm partition sweep over one catalog: two cells per arm
+/// (partition, island, blackout), labelled "naive" then "resilient".
 ///
 /// # Errors
 ///
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
 /// configuration errors, including [`ClusterError::Net`] for an invalid
 /// network model.
-pub fn net_sweep(cfg: &NetSweepConfig) -> Result<NetSweepReport, ClusterError> {
+pub fn net_sweep(cfg: &NetSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
     cfg.verifier.validate().map_err(ClusterError::AttPlane)?;
     let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
 
     for arm in ["partition", "island", "blackout"] {
         for resilient in [false, true] {
@@ -316,27 +226,20 @@ pub fn net_sweep(cfg: &NetSweepConfig) -> Result<NetSweepReport, ClusterError> {
                 config.tcb_rollout = Some(cfg.rollout);
             }
             let report = ClusterService::new(catalog.clone(), config)?.run();
-            rows.push(row_from(
-                arm,
-                if resilient { "resilient" } else { "naive" },
-                &report,
-            ));
+            let policy = if resilient { "resilient" } else { "naive" };
+            cells.push(SweepCell::new(arm, policy, report));
         }
     }
-
-    Ok(NetSweepReport { rows })
+    Ok(cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ClusterReport;
 
-    fn cell<'a>(report: &'a NetSweepReport, arm: &str, policy: &str) -> &'a NetRow {
-        report
-            .rows
-            .iter()
-            .find(|r| r.arm == arm && r.policy == policy)
-            .unwrap()
+    fn cell<'a>(cells: &'a [SweepCell], arm: &str, policy: &str) -> &'a ClusterReport {
+        &SweepCell::find(cells, arm, policy).unwrap().report
     }
 
     #[test]
@@ -344,31 +247,29 @@ mod tests {
         let cfg = NetSweepConfig::quick();
         let a = net_sweep(&cfg).unwrap();
         let b = net_sweep(&cfg).unwrap();
-        assert!(a.rows.iter().all(|r| r.conserved));
-        assert_eq!(a.rows.len(), 6);
-        assert_eq!(a.rows, b.rows);
+        assert!(a.iter().all(|c| c.report.metrics.conserved()));
+        assert_eq!(a.len(), 6);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn resilient_beats_naive_in_every_arm() {
-        let report = net_sweep(&NetSweepConfig::quick()).unwrap();
+        let cells = net_sweep(&NetSweepConfig::quick()).unwrap();
         for arm in ["partition", "island", "blackout"] {
-            let naive = cell(&report, arm, "naive");
-            let resilient = cell(&report, arm, "resilient");
+            let naive = cell(&cells, arm, "naive").metrics.completed;
+            let resilient = cell(&cells, arm, "resilient").metrics.completed;
             assert!(
-                resilient.completed > naive.completed,
-                "{arm}: resilient {} must beat naive {}",
-                resilient.completed,
-                naive.completed
+                resilient > naive,
+                "{arm}: resilient {resilient} must beat naive {naive}"
             );
         }
     }
 
     #[test]
     fn partition_arm_detects_and_fences_the_cut_host() {
-        let report = net_sweep(&NetSweepConfig::quick()).unwrap();
-        let naive = cell(&report, "partition", "naive");
-        let resilient = cell(&report, "partition", "resilient");
+        let cells = net_sweep(&NetSweepConfig::quick()).unwrap();
+        let naive = &cell(&cells, "partition", "naive").metrics;
+        let resilient = &cell(&cells, "partition", "resilient").metrics;
         // Without a detector the router keeps dispatching into the hole.
         assert!(naive.net_lost > 0, "the cut must lose naive dispatches");
         assert_eq!(naive.suspicions, 0);
@@ -384,9 +285,9 @@ mod tests {
 
     #[test]
     fn island_arm_fences_late_completions_exactly_once() {
-        let report = net_sweep(&NetSweepConfig::quick()).unwrap();
-        let resilient = cell(&report, "island", "resilient");
-        assert!(resilient.conserved);
+        let cells = net_sweep(&NetSweepConfig::quick()).unwrap();
+        let resilient = &cell(&cells, "island", "resilient").metrics;
+        assert!(resilient.conserved());
         // The failover sweep re-dispatches the island's stranded work;
         // whatever the island reports after the heal is epoch-fenced.
         assert!(
@@ -397,20 +298,26 @@ mod tests {
 
     #[test]
     fn blackout_arm_fails_open_within_budget() {
-        let report = net_sweep(&NetSweepConfig::quick()).unwrap();
-        let naive = cell(&report, "blackout", "naive");
-        let resilient = cell(&report, "blackout", "resilient");
+        let cells = net_sweep(&NetSweepConfig::quick()).unwrap();
+        let naive = cell(&cells, "blackout", "naive");
+        let resilient = cell(&cells, "blackout", "resilient");
+        let refused = naive.attestation.unwrap().unavailable_refusals;
         assert!(
-            naive.unavailable_refusals > 0,
+            refused > 0,
             "fail-closed must refuse launches during the blackout"
         );
+        // Each refusal fails its launch as an attestation timeout, and
+        // nothing else faults in this arm.
+        assert_eq!(naive.metrics.faults, refused);
+        let open = resilient.attestation.unwrap();
         assert!(
-            resilient.stale_serves > 0,
+            open.stale_serves > 0,
             "fail-open must serve stale cached verdicts"
         );
         assert_eq!(
-            resilient.unavailable_refusals, 0,
+            open.unavailable_refusals, 0,
             "a generous staleness budget covers the whole blackout"
         );
+        assert_eq!(resilient.metrics.faults, 0, "stale serves fail no launch");
     }
 }

@@ -38,8 +38,9 @@ use sevf_policy::{
 };
 use sevf_sim::Nanos;
 
+use crate::experiment::SweepCell;
 use crate::placement::PlacementPolicy;
-use crate::service::{ClusterConfig, ClusterReport, ClusterService, TcbRollout};
+use crate::service::{ClusterConfig, ClusterService, TcbRollout};
 use crate::ClusterError;
 
 /// Knobs of one policy sweep.
@@ -199,152 +200,17 @@ impl PolicySweepConfig {
     }
 }
 
-/// One per-tenant cell of the sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantRow {
-    /// Which arm produced the row ("fifo", "wfq", "wfq+posture").
-    pub arm: &'static str,
-    /// Tenant name.
-    pub tenant: &'static str,
-    /// Requests attributed to the tenant.
-    pub issued: usize,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Queue-overflow / unroutable sheds.
-    pub shed: u64,
-    /// Deadline expirations.
-    pub timeouts: u64,
-    /// Permanent failures (including breaker sheds).
-    pub failed: u64,
-    /// Turned away by policy (quota / isolation / posture).
-    pub rejected: u64,
-    /// Admitted at a degraded isolation tier.
-    pub degraded: u64,
-    /// Median completed latency (ms).
-    pub p50_ms: f64,
-    /// Tail completed latency (ms).
-    pub p99_ms: f64,
-    /// The tenant's SLO deadline target (ms).
-    pub deadline_ms: f64,
-    /// Whether the tail held the deadline target (`p99 <= deadline`,
-    /// only meaningful with completions).
-    pub slo_met: bool,
-    /// Completed requests per second of cluster makespan.
-    pub goodput_rps: f64,
-    /// Whether the tenant's conservation invariant held.
-    pub conserved: bool,
-}
-
-/// Cluster-level summary of one arm.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArmRow {
-    /// Arm name ("fifo", "wfq", "wfq+posture").
-    pub arm: &'static str,
-    /// Scheduler fronting each PSP.
-    pub scheduler: &'static str,
-    /// Whether quotas were enforced.
-    pub quotas: bool,
-    /// Whether posture placement was enforced.
-    pub posture: bool,
-    /// Requests served to completion, cluster-wide.
-    pub completed: usize,
-    /// Requests that left without completing (all shed/reject terms).
-    pub lost: u64,
-    /// Requests the policy engine rejected.
-    pub rejected: u64,
-    /// Cluster-wide median latency (ms).
-    pub p50_ms: f64,
-    /// Cluster-wide 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Posture eligibility checks the filter ran.
-    pub posture_checks: u64,
-    /// Queued requests re-routed on a posture change.
-    pub posture_redirects: u64,
-    /// Launches dispatched onto an ineligible host — must stay 0.
-    pub posture_violations: u64,
-    /// Whether the cluster conservation invariant held.
-    pub conserved: bool,
-}
-
-/// The sweep's result: one [`ArmRow`] per arm plus per-tenant rows.
-#[derive(Debug, Clone)]
-pub struct PolicySweepReport {
-    /// Arm summaries, in arm order.
-    pub arms: Vec<ArmRow>,
-    /// Per-tenant cells: arm-major, tenant order premium/batch/strict.
-    pub tenants: Vec<TenantRow>,
-}
-
-impl PolicySweepReport {
-    /// The per-tenant row for `(arm, tenant)`, if present.
-    pub fn tenant(&self, arm: &str, tenant: &str) -> Option<&TenantRow> {
-        self.tenants
-            .iter()
-            .find(|r| r.arm == arm && r.tenant == tenant)
-    }
-}
-
-fn arm_row(arm: &'static str, policy: &PolicyConfig, report: &ClusterReport) -> ArmRow {
-    let m = &report.metrics;
-    ArmRow {
-        arm,
-        scheduler: policy.scheduler.name(),
-        quotas: policy.quotas,
-        posture: policy.posture,
-        completed: m.completed,
-        lost: m.lost(),
-        rejected: m.rejected,
-        p50_ms: m.p50_ms(),
-        p99_ms: m.p99_ms(),
-        posture_checks: m.posture_checks,
-        posture_redirects: m.posture_redirects,
-        posture_violations: m.posture_violations,
-        conserved: m.conserved(),
-    }
-}
-
-fn tenant_rows(
-    arm: &'static str,
-    tenants: &[Tenant],
-    report: &ClusterReport,
-    out: &mut Vec<TenantRow>,
-) {
-    let rollup = report
-        .tenants
-        .as_ref()
-        .expect("policy arms report per-tenant rollups");
-    let makespan = report.metrics.makespan;
-    for (t, r) in tenants.iter().zip(rollup.iter()) {
-        let m = &r.metrics;
-        let deadline_ms = t.spec.deadline.as_millis_f64();
-        out.push(TenantRow {
-            arm,
-            tenant: r.name,
-            issued: m.issued,
-            completed: m.completed,
-            shed: m.shed,
-            timeouts: m.timeouts,
-            failed: m.failed + m.breaker_sheds,
-            rejected: m.rejected,
-            degraded: m.degraded,
-            p50_ms: m.p50_ms(),
-            p99_ms: m.p99_ms(),
-            deadline_ms,
-            slo_met: m.completed > 0 && m.p99_ms() <= deadline_ms,
-            goodput_rps: m.goodput_rps(makespan),
-            conserved: m.conserved(),
-        });
-    }
-}
-
-/// Runs the three-arm policy sweep over one catalog.
+/// Runs the three-arm policy sweep over one catalog: one cell per arm
+/// ("fifo", "wfq", "wfq+posture"), each carrying the policy it ran under
+/// (whose tenants hold the deadline targets) beside the report (whose
+/// `tenants` rollup is in the same premium/batch/strict order).
 ///
 /// # Errors
 ///
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]),
 /// invalid verifier models ([`ClusterError::AttPlane`]), and tenant
 /// registry mistakes ([`ClusterError::Policy`]).
-pub fn policy_sweep(cfg: &PolicySweepConfig) -> Result<PolicySweepReport, ClusterError> {
+pub fn policy_sweep(cfg: &PolicySweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
     cfg.verifier.validate().map_err(ClusterError::AttPlane)?;
     let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
     let tenants = cfg.tenants();
@@ -363,10 +229,7 @@ pub fn policy_sweep(cfg: &PolicySweepConfig) -> Result<PolicySweepReport, Cluste
         ("wfq+posture", PolicyConfig::enforced(tenants.clone())),
     ];
 
-    let mut report = PolicySweepReport {
-        arms: Vec::new(),
-        tenants: Vec::new(),
-    };
+    let mut cells = Vec::new();
     for (arm, policy) in arms {
         let config = ClusterConfig {
             seed: cfg.seed,
@@ -378,85 +241,110 @@ pub fn policy_sweep(cfg: &PolicySweepConfig) -> Result<PolicySweepReport, Cluste
             policy: Some(policy.clone()),
             ..ClusterConfig::open_loop(cfg.hosts, ServingTier::Template, cfg.rps, cfg.requests)
         };
-        let run = ClusterService::new(catalog.clone(), config)?.run();
-        report.arms.push(arm_row(arm, &policy, &run));
-        tenant_rows(arm, &tenants, &run, &mut report.tenants);
+        let report = ClusterService::new(catalog.clone(), config)?.run();
+        cells.push(SweepCell {
+            policy: Some(policy),
+            ..SweepCell::new(arm, "", report)
+        });
     }
-    Ok(report)
+    Ok(cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sevf_policy::TenantMetrics;
+
+    /// `tenant`'s terminal accounting in `arm`.
+    fn tenant<'a>(cells: &'a [SweepCell], arm: &str, tenant: &str) -> &'a TenantMetrics {
+        let cell = SweepCell::find(cells, arm, "").unwrap();
+        let rollups = cell.report.tenants.as_ref().unwrap();
+        &rollups.iter().find(|t| t.name == tenant).unwrap().metrics
+    }
 
     #[test]
     fn sweep_conserves_every_tenant_in_every_arm_and_replays() {
         let cfg = PolicySweepConfig::quick();
         let a = policy_sweep(&cfg).unwrap();
         let b = policy_sweep(&cfg).unwrap();
-        assert_eq!(a.arms.len(), 3);
-        assert_eq!(a.tenants.len(), 9);
-        assert!(a.arms.iter().all(|r| r.conserved));
-        assert!(a.tenants.iter().all(|r| r.conserved), "{:#?}", a.tenants);
-        assert_eq!(a.arms, b.arms);
-        assert_eq!(a.tenants, b.tenants);
+        assert_eq!(a.len(), 3);
+        for cell in &a {
+            assert!(cell.report.metrics.conserved());
+            let rollups = cell.report.tenants.as_ref().unwrap();
+            assert_eq!(rollups.len(), 3);
+            assert!(
+                rollups.iter().all(|t| t.metrics.conserved()),
+                "{rollups:#?}"
+            );
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn fifo_violates_premium_deadline_and_wfq_holds_it() {
-        let report = policy_sweep(&PolicySweepConfig::quick()).unwrap();
-        let fifo = report.tenant("fifo", "premium").unwrap();
-        let wfq = report.tenant("wfq", "premium").unwrap();
+        let cfg = PolicySweepConfig::quick();
+        let cells = policy_sweep(&cfg).unwrap();
+        let deadline_ms = cfg.premium_deadline_ms as f64;
+        let fifo = tenant(&cells, "fifo", "premium");
+        let wfq = tenant(&cells, "wfq", "premium");
         assert!(
-            !fifo.slo_met,
-            "the batch flood must blow premium's p99 past {} ms under FIFO, got {:.2} ms",
-            fifo.deadline_ms, fifo.p99_ms
+            fifo.p99_ms() > deadline_ms,
+            "the batch flood must blow premium's p99 past {deadline_ms} ms under FIFO, got {:.2} ms",
+            fifo.p99_ms()
         );
         assert!(
-            wfq.slo_met,
-            "WFQ must hold premium's p99 under {} ms, got {:.2} ms",
-            wfq.deadline_ms, wfq.p99_ms
+            wfq.completed > 0 && wfq.p99_ms() <= deadline_ms,
+            "WFQ must hold premium's p99 under {deadline_ms} ms, got {:.2} ms",
+            wfq.p99_ms()
         );
-        assert!(wfq.p99_ms < fifo.p99_ms);
+        assert!(wfq.p99_ms() < fifo.p99_ms());
     }
 
     #[test]
     fn batch_keeps_its_throughput_under_wfq() {
-        let report = policy_sweep(&PolicySweepConfig::quick()).unwrap();
-        let fifo = report.tenant("fifo", "batch").unwrap();
-        let wfq = report.tenant("wfq", "batch").unwrap();
+        let cells = policy_sweep(&PolicySweepConfig::quick()).unwrap();
+        let goodput = |arm: &str| {
+            let makespan = SweepCell::find(&cells, arm, "")
+                .unwrap()
+                .report
+                .metrics
+                .makespan;
+            tenant(&cells, arm, "batch").goodput_rps(makespan)
+        };
         // Protecting premium must not starve batch: goodput within 20%
         // of the FIFO baseline (quota rejects replace queue sheds).
         assert!(
-            wfq.goodput_rps >= 0.8 * fifo.goodput_rps,
+            goodput("wfq") >= 0.8 * goodput("fifo"),
             "batch goodput {:.1} rps vs FIFO {:.1} rps",
-            wfq.goodput_rps,
-            fifo.goodput_rps
+            goodput("wfq"),
+            goodput("fifo")
         );
         // The quota actually bites in the enforced arm.
         assert!(
-            wfq.rejected > 0,
+            tenant(&cells, "wfq", "batch").rejected > 0,
             "batch quota must reject some of the flood"
         );
     }
 
     #[test]
     fn posture_arm_never_violates_the_tcb_floor() {
-        let report = policy_sweep(&PolicySweepConfig::quick()).unwrap();
-        let arm = report.arms.iter().find(|r| r.arm == "wfq+posture").unwrap();
+        let cells = policy_sweep(&PolicySweepConfig::quick()).unwrap();
+        let arm = &SweepCell::find(&cells, "wfq+posture", "")
+            .unwrap()
+            .report
+            .metrics;
         assert!(arm.posture_checks > 0, "the filter must actually run");
         assert_eq!(
             arm.posture_violations, 0,
             "a strict launch landed on a host below its TCB floor"
         );
-        let strict = report.tenant("wfq+posture", "strict").unwrap();
+        let strict = tenant(&cells, "wfq+posture", "strict");
         // Arrivals before any host reaches TCB 1 are rejected, the rest
         // complete on patched hosts only.
         assert!(strict.completed > 0, "{strict:#?}");
-        assert!(strict.conserved);
+        assert!(strict.conserved());
         // The non-posture arms place strict anywhere (nothing enforced),
         // so no rejects for eligibility there.
-        let lax = report.tenant("fifo", "strict").unwrap();
-        assert_eq!(lax.rejected, 0);
+        assert_eq!(tenant(&cells, "fifo", "strict").rejected, 0);
     }
 }

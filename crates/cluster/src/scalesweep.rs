@@ -34,8 +34,9 @@ use sevf_fleet::service::ServingTier;
 use sevf_scale::{AutoscalerConfig, FlashCrowd, ScalePolicy, Workload, WorkloadCurve};
 use sevf_sim::Nanos;
 
+use crate::experiment::SweepCell;
 use crate::placement::PlacementPolicy;
-use crate::service::{ClusterConfig, ClusterReport, ClusterService};
+use crate::service::{ClusterConfig, ClusterService};
 use crate::ClusterError;
 
 /// Knobs of one autoscale sweep.
@@ -158,98 +159,16 @@ impl ScaleSweepConfig {
     }
 }
 
-/// One arm of the cost-vs-p99-vs-shed frontier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleRow {
-    /// Arm name ("static", "reactive", "predictive").
-    pub arm: &'static str,
-    /// Hosts the arm started with.
-    pub hosts_start: usize,
-    /// Requests offered.
-    pub issued: usize,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Requests that left without completing (shed + breaker + timeout +
-    /// failed).
-    pub lost: u64,
-    /// Cluster-wide median latency (ms).
-    pub p50_ms: f64,
-    /// Cluster-wide 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Completed requests per second of makespan.
-    pub goodput_rps: f64,
-    /// Host-seconds of availability — the provisioning cost.
-    pub host_seconds: f64,
-    /// Control ticks the scaler processed (0 for static).
-    pub ticks: u64,
-    /// Scale-out decisions emitted.
-    pub scale_outs: u64,
-    /// Scale-in decisions emitted.
-    pub scale_ins: u64,
-    /// Pre-warm prescriptions emitted.
-    pub prewarms: u64,
-    /// Smallest live-host count observed at a control tick.
-    pub min_live: usize,
-    /// Largest live-host count observed at a control tick.
-    pub max_live: usize,
-    /// The p99 target (ms) scored against.
-    pub slo_ms: f64,
-    /// Whether p99 held the target (meaningful with completions).
-    pub slo_met: bool,
-    /// Whether the conservation invariant held.
-    pub conserved: bool,
-}
-
-/// The sweep's result: one [`ScaleRow`] per arm, plus the raw reports for
-/// callers that want the audit logs.
-#[derive(Debug, Clone)]
-pub struct ScaleSweepReport {
-    /// Arm rows, in static/reactive/predictive order.
-    pub rows: Vec<ScaleRow>,
-    /// The full cluster reports backing the rows, in the same order (the
-    /// invariant battery replays the autoscale audit logs from these).
-    pub reports: Vec<ClusterReport>,
-}
-
-impl ScaleSweepReport {
-    /// The row for `arm`, if present.
-    pub fn arm(&self, arm: &str) -> Option<&ScaleRow> {
-        self.rows.iter().find(|r| r.arm == arm)
-    }
-}
-
-fn row(arm: &'static str, hosts_start: usize, slo_ms: f64, report: &ClusterReport) -> ScaleRow {
-    let m = &report.metrics;
-    let auto = report.autoscale.as_ref();
-    ScaleRow {
-        arm,
-        hosts_start,
-        issued: m.issued,
-        completed: m.completed,
-        lost: m.lost(),
-        p50_ms: m.p50_ms(),
-        p99_ms: m.p99_ms(),
-        goodput_rps: m.goodput_rps(),
-        host_seconds: m.host_seconds,
-        ticks: auto.map_or(0, |a| a.ticks),
-        scale_outs: auto.map_or(0, |a| a.scale_outs),
-        scale_ins: auto.map_or(0, |a| a.scale_ins),
-        prewarms: auto.map_or(0, |a| a.prewarms),
-        min_live: auto.map_or(hosts_start, |a| a.min_live),
-        max_live: auto.map_or(hosts_start, |a| a.max_live),
-        slo_ms,
-        slo_met: m.completed > 0 && m.p99_ms() <= slo_ms,
-        conserved: m.conserved(),
-    }
-}
-
-/// Runs the three-arm autoscale sweep over one catalog.
+/// Runs the three-arm autoscale sweep over one catalog: one cell per arm
+/// ("static", "reactive", "predictive"). `report.hosts` is the count the arm
+/// started with and `report.autoscale` its decision counters and audit log
+/// (`None` for the static arm).
 ///
 /// # Errors
 ///
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
 /// invalid curve/scaler knobs ([`ClusterError::Scale`]).
-pub fn scale_sweep(cfg: &ScaleSweepConfig) -> Result<ScaleSweepReport, ClusterError> {
+pub fn scale_sweep(cfg: &ScaleSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
     let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
     let workload = Workload::FlashCrowd(cfg.crowd);
     workload.validate()?;
@@ -271,10 +190,7 @@ pub fn scale_sweep(cfg: &ScaleSweepConfig) -> Result<ScaleSweepReport, ClusterEr
         ),
     ];
 
-    let mut report = ScaleSweepReport {
-        rows: Vec::new(),
-        reports: Vec::new(),
-    };
+    let mut cells = Vec::new();
     for (arm, hosts, autoscaler) in arms {
         // Every arm spreads the same cluster-wide warm budget over its
         // starting hosts, so no arm begins with an unfair slot advantage.
@@ -293,41 +209,53 @@ pub fn scale_sweep(cfg: &ScaleSweepConfig) -> Result<ScaleSweepReport, ClusterEr
                 cfg.requests,
             )
         };
-        let run = ClusterService::new(catalog.clone(), config)?.run();
-        report.rows.push(row(arm, hosts, cfg.slo_ms, &run));
-        report.reports.push(run);
+        let report = ClusterService::new(catalog.clone(), config)?.run();
+        cells.push(SweepCell::new(arm, "", report));
     }
-    Ok(report)
+    Ok(cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ClusterReport;
+
+    fn arm<'a>(cells: &'a [SweepCell], arm: &str) -> &'a ClusterReport {
+        &SweepCell::find(cells, arm, "").unwrap().report
+    }
 
     #[test]
     fn sweep_conserves_every_arm_and_replays() {
         let cfg = ScaleSweepConfig::quick();
         let a = scale_sweep(&cfg).unwrap();
         let b = scale_sweep(&cfg).unwrap();
-        assert_eq!(a.rows.len(), 3);
-        assert!(a.rows.iter().all(|r| r.conserved), "{:#?}", a.rows);
-        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.len(), 3);
+        for cell in &a {
+            assert!(
+                cell.report.metrics.conserved(),
+                "{:#?}",
+                cell.report.metrics
+            );
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn predictive_holds_the_slo_cheaper_than_static_max() {
-        let report = scale_sweep(&ScaleSweepConfig::quick()).unwrap();
-        let fixed = report.arm("static").unwrap();
-        let predictive = report.arm("predictive").unwrap();
+        let cfg = ScaleSweepConfig::quick();
+        let cells = scale_sweep(&cfg).unwrap();
+        let fixed = &arm(&cells, "static").metrics;
+        let predictive = &arm(&cells, "predictive").metrics;
         assert!(
-            fixed.slo_met,
+            fixed.completed > 0 && fixed.p99_ms() <= cfg.slo_ms,
             "the overprovisioned ceiling must hold the SLO: p99 {:.1} ms",
-            fixed.p99_ms
+            fixed.p99_ms()
         );
         assert!(
-            predictive.slo_met,
+            predictive.completed > 0 && predictive.p99_ms() <= cfg.slo_ms,
             "predictive must hold p99 under {} ms through the ramp, got {:.1} ms",
-            predictive.slo_ms, predictive.p99_ms
+            cfg.slo_ms,
+            predictive.p99_ms()
         );
         assert!(
             predictive.host_seconds < fixed.host_seconds,
@@ -340,41 +268,34 @@ mod tests {
     #[test]
     fn elastic_arms_actually_scale_and_stay_in_bounds() {
         let cfg = ScaleSweepConfig::quick();
-        let report = scale_sweep(&cfg).unwrap();
-        for arm in ["reactive", "predictive"] {
-            let r = report.arm(arm).unwrap();
-            assert!(r.scale_outs > 0, "{arm}: the crowd must force a scale-out");
+        let cells = scale_sweep(&cfg).unwrap();
+        for name in ["reactive", "predictive"] {
+            let r = arm(&cells, name).autoscale.as_ref().unwrap();
+            assert!(r.scale_outs > 0, "{name}: the crowd must force a scale-out");
             assert!(r.ticks > 0);
             assert!(
                 r.min_live >= cfg.min_hosts && r.max_live <= cfg.max_hosts,
-                "{arm}: live hosts [{}, {}] escaped [{}, {}]",
+                "{name}: live hosts [{}, {}] escaped [{}, {}]",
                 r.min_live,
                 r.max_live,
                 cfg.min_hosts,
                 cfg.max_hosts
             );
         }
-        let fixed = report.arm("static").unwrap();
-        assert_eq!(fixed.scale_outs + fixed.scale_ins + fixed.ticks, 0);
+        assert!(arm(&cells, "static").autoscale.is_none());
     }
 
     #[test]
     fn predictive_scales_out_no_later_than_reactive() {
         // The predictive arm's whole advantage is lead time: its first
         // scale-out must land on or before the reactive arm's.
-        let report = scale_sweep(&ScaleSweepConfig::quick()).unwrap();
-        let first_out = |arm: &str| {
-            let idx = report.rows.iter().position(|r| r.arm == arm).unwrap();
-            report.reports[idx]
-                .autoscale
-                .as_ref()
-                .unwrap()
-                .events
-                .iter()
-                .find_map(|e| match e {
-                    crate::service::ScaleEvent::Out { at, added, .. } if *added > 0 => Some(*at),
-                    _ => None,
-                })
+        let cells = scale_sweep(&ScaleSweepConfig::quick()).unwrap();
+        let first_out = |name: &str| {
+            let events = &arm(&cells, name).autoscale.as_ref().unwrap().events;
+            events.iter().find_map(|e| match e {
+                crate::service::ScaleEvent::Out { at, added, .. } if *added > 0 => Some(*at),
+                _ => None,
+            })
         };
         let reactive = first_out("reactive").expect("reactive must scale out");
         let predictive = first_out("predictive").expect("predictive must scale out");

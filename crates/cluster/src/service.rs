@@ -28,10 +28,10 @@
 //!   ([`ClusterConfig::events`]; departures drain their queue through the
 //!   router without poisoning in-flight work), the TCB-rollout and
 //!   revocation drills, and **warm rebalancing**: on any membership change
-//!   the cluster-wide warm budget is re-spread over the live hosts
-//!   ([`ClusterConfig::rebalance`]). SEV guests are keyed to their host's
-//!   PSP and cannot migrate, so rebalancing re-provisions slots via
-//!   template launches on the new hosts rather than moving guests.
+//!   the cluster-wide warm budget is re-spread over the live hosts. SEV
+//!   guests are keyed to their host's PSP and cannot migrate, so
+//!   rebalancing re-provisions slots via template launches on the new
+//!   hosts rather than moving guests.
 //! * `net` — the router↔host↔verifier message plane: dispatch
 //!   epochs, leases, heartbeats, and the failover sweep.
 //! * `autoscale` — the control loop driving membership and warm
@@ -314,6 +314,14 @@ impl ClusterService {
     }
 }
 
+/// The hosts the router may pick from: available and not suspected.
+fn routable<'h>(hosts: &'h [Host], net: Option<&'h NetRuntime>) -> impl Iterator<Item = &'h Host> {
+    let suspected = net.map(|n| n.suspected.as_slice());
+    hosts
+        .iter()
+        .filter(move |h| h.available() && suspected.is_none_or(|s| !s[h.id]))
+}
+
 impl State<'_> {
     fn on_event(&mut self, outcome: &JobOutcome, inject: &mut Vec<Job>) {
         let now = outcome.finish;
@@ -387,10 +395,12 @@ impl State<'_> {
         self.hosts[host].metrics.record_latency(latency);
     }
 
-    /// Sends a failed request back through recovery. The retry instant is
-    /// never deferred: the cluster cannot know the landing host yet.
+    /// Sends a failed request back through recovery. The retry will be
+    /// routed afresh when it fires, so the hosts the router could pick now
+    /// are the candidates [`Front::handle_failure`]'s deferral rule reads.
     pub(crate) fn fail(&mut self, request: usize, now: Nanos, inject: &mut Vec<Job>) {
-        self.front.handle_failure(request, now, inject, |at| at);
+        let candidates = routable(&self.hosts, self.net.as_ref());
+        self.front.handle_failure(request, now, inject, candidates);
     }
 
     /// Fills freed dispatch slots on `host` from its queue, re-routing any
@@ -408,13 +418,8 @@ impl State<'_> {
         if !self.front.screen(request, now, inject) {
             return;
         }
-        let suspected = self.net.as_ref().map(|n| n.suspected.as_slice());
-        let mut live: Vec<usize> = self
-            .hosts
-            .iter()
-            .filter(|h| h.available())
+        let mut live: Vec<usize> = routable(&self.hosts, self.net.as_ref())
             .map(|h| h.id)
-            .filter(|&h| suspected.is_none_or(|s| !s[h]))
             .collect();
         // Posture filter: shrink the candidate set to hosts the tenant's
         // min-TCB / revocation requirements accept, *before* the router

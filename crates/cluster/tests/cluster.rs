@@ -5,7 +5,8 @@ use sevf_cluster::prelude::*;
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::workload::RequestMix;
-use sevf_sim::fault::FaultConfig;
+use sevf_obs::{MarkerKind, SpanKind};
+use sevf_sim::fault::{FaultConfig, FaultPlan};
 use sevf_sim::Nanos;
 
 fn catalog() -> Catalog {
@@ -195,6 +196,65 @@ fn per_host_fault_domains_stay_decorrelated() {
         "all hosts recorded identical fault counts: {counts:?}"
     );
     assert!(report.metrics.faults > 0, "storm injected nothing");
+}
+
+#[test]
+fn a_retry_waits_out_a_psp_outage_only_when_no_routable_host_is_healthy() {
+    // Two hosts, each resetting its PSP on its own domain's schedule. The
+    // plans are a pure function of (seed, domain), so the test rebuilds
+    // them and holds every backoff span of a traced run to the rule: the
+    // retry fires at its backoff instant unless *both* hosts are inside a
+    // known reset outage then, in which case it fires when the first is
+    // back.
+    let fault = FaultConfig {
+        psp_reset_period: Some(Nanos::from_millis(300)),
+        psp_reset_outage: Nanos::from_millis(400),
+        ..FaultConfig::none()
+    };
+    let horizon = Nanos::from_secs(8);
+    let recovery = RecoveryConfig::resilient(11);
+    let config = ClusterConfig {
+        fault: Some(fault.clone()),
+        fault_horizon: horizon,
+        recovery,
+        ..base(2, ServingTier::Cold)
+    };
+    let plan = |host| FaultPlan::generate_for_domain(config.seed, host, fault.clone(), horizon);
+    let plans = [plan(0).unwrap(), plan(1).unwrap()];
+    let (report, log) = ClusterService::new(catalog(), config).unwrap().run_traced();
+    assert!(report.metrics.conserved());
+
+    let (mut one_healthy, mut landed_healthy, mut none_healthy) = (0, 0, 0);
+    for wait in log.spans.iter().filter(|s| s.kind == SpanKind::Backoff) {
+        let request = wait.request.unwrap();
+        let failures: u32 = wait.name.trim_start_matches("backoff #").parse().unwrap();
+        let backoff = recovery.retry.backoff(failures, request as u64).unwrap();
+        let due = wait.start + backoff;
+        match (plans[0].in_outage(due), plans[1].in_outage(due)) {
+            (Some(a), Some(b)) => {
+                none_healthy += 1;
+                assert_eq!(wait.end, a.min(b), "request {request}: the earlier end");
+            }
+            (None, None) => assert_eq!(wait.end, due),
+            (down0, _) => {
+                one_healthy += 1;
+                assert_eq!(wait.end, due, "request {request}: a healthy host suffices");
+                let healthy = usize::from(down0.is_some());
+                let placed = |m: &&sevf_obs::MarkerRec| {
+                    m.request == Some(request)
+                        && m.at == due
+                        && m.kind == MarkerKind::Placement { host: healthy }
+                };
+                landed_healthy += log.markers.iter().filter(placed).count();
+            }
+        }
+    }
+    assert!(none_healthy > 0, "no retry fell due with both PSPs down");
+    assert!(one_healthy > 0, "no retry fell due with one PSP down");
+    assert!(
+        landed_healthy > 0,
+        "no such retry landed on the healthy host"
+    );
 }
 
 #[test]

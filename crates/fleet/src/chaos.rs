@@ -21,7 +21,7 @@ use sevf_sim::Nanos;
 use crate::admission::AdmissionConfig;
 use crate::blueprint::{ClassSpec, MB};
 use crate::recovery::RecoveryConfig;
-use crate::service::{FleetConfig, FleetService, ServingTier};
+use crate::service::{FleetConfig, FleetReport, FleetService, ServingTier};
 use crate::workload::{Arrival, RequestMix};
 use crate::FleetError;
 
@@ -114,40 +114,8 @@ impl ChaosConfig {
     }
 }
 
-/// One `(arm, offered load)` cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosRow {
-    /// Recovery arm.
-    pub arm: ChaosArm,
-    /// Offered load (req/s).
-    pub offered_rps: f64,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Completed requests per second of makespan.
-    pub goodput_rps: f64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Requests shed past the bottom of the degradation ladder.
-    pub breaker_sheds: u64,
-    /// Requests shed on deadline.
-    pub timeouts: u64,
-    /// Requests permanently failed after exhausting retries.
-    pub failed: u64,
-    /// Retry launches dispatched.
-    pub retries: u64,
-    /// Injected-fault occurrences of every kind.
-    pub faults: u64,
-    /// Launches dispatched below the configured tier.
-    pub degraded_dispatches: u64,
-    /// Median latency (ms).
-    pub p50_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Virtual time spent inside PSP reset outages (ms).
-    pub time_degraded_ms: f64,
-}
-
-/// The sweep's result: the storm's shape plus one row per `(arm, load)`.
+/// The sweep's result: the storm's shape plus each `(arm, load)` cell's own
+/// report.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// PSP firmware resets the plan schedules at the *lowest* load's
@@ -155,8 +123,8 @@ pub struct ChaosReport {
     pub planned_resets: usize,
     /// Warm-guest crashes at the lowest load's horizon.
     pub planned_crashes: usize,
-    /// One row per `(arm, offered load)`, loads outermost.
-    pub rows: Vec<ChaosRow>,
+    /// One `(arm, report)` pair per `(arm, offered load)`, loads outermost.
+    pub cells: Vec<(ChaosArm, FleetReport)>,
 }
 
 /// Plan horizon for one load: nominal run length times the slack.
@@ -176,7 +144,7 @@ pub fn chaos_sweep(cfg: &ChaosConfig) -> Result<ChaosReport, FleetError> {
     cfg.recovery.validate().map_err(FleetError::Recovery)?;
     let catalog = crate::blueprint::Catalog::build(cfg.seed, &cfg.classes)?;
 
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     let mut planned_resets = 0;
     let mut planned_crashes = 0;
     for (li, &load) in cfg.loads_rps.iter().enumerate() {
@@ -207,46 +175,32 @@ pub fn chaos_sweep(cfg: &ChaosConfig) -> Result<ChaosReport, FleetError> {
                 fault,
                 recovery,
                 attestation: None,
-                verifier_net: None,
                 policy: None,
             };
-            let report = FleetService::new(catalog.clone(), config).run();
-            let m = &report.metrics;
-            rows.push(ChaosRow {
-                arm,
-                offered_rps: load,
-                completed: m.completed,
-                goodput_rps: m.goodput_rps(),
-                shed: m.shed,
-                breaker_sheds: m.breaker_sheds,
-                timeouts: m.timeouts,
-                failed: m.failed,
-                retries: m.retries,
-                faults: m.faults.total(),
-                degraded_dispatches: m.degraded_dispatches,
-                p50_ms: m.p50_ms(),
-                p99_ms: m.p99_ms(),
-                time_degraded_ms: m.time_degraded.as_millis_f64(),
-            });
+            cells.push((arm, FleetService::new(catalog.clone(), config).run()));
         }
     }
     Ok(ChaosReport {
         planned_resets,
         planned_crashes,
-        rows,
+        cells,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::FleetMetrics;
 
-    fn row(report: &ChaosReport, arm: ChaosArm, load: f64) -> &ChaosRow {
-        report
-            .rows
+    fn cell(report: &ChaosReport, arm: ChaosArm, load: f64) -> &FleetMetrics {
+        let found = |(a, r): &&(ChaosArm, FleetReport)| *a == arm && r.offered_rps == Some(load);
+        &report
+            .cells
             .iter()
-            .find(|r| r.arm == arm && r.offered_rps == load)
+            .find(found)
             .expect("cell exists")
+            .1
+            .metrics
     }
 
     #[test]
@@ -254,14 +208,14 @@ mod tests {
         let cfg = ChaosConfig::quick();
         let report = chaos_sweep(&cfg).unwrap();
         for &load in &cfg.loads_rps {
-            let naive = row(&report, ChaosArm::Naive, load);
-            let resilient = row(&report, ChaosArm::Resilient, load);
+            let naive = cell(&report, ChaosArm::Naive, load);
+            let resilient = cell(&report, ChaosArm::Resilient, load);
             assert!(naive.failed > 0, "storm must hurt the naive arm at {load}");
             assert!(
-                resilient.goodput_rps > naive.goodput_rps,
+                resilient.goodput_rps() > naive.goodput_rps(),
                 "at {load} req/s: resilient {:.1} vs naive {:.1}",
-                resilient.goodput_rps,
-                naive.goodput_rps
+                resilient.goodput_rps(),
+                naive.goodput_rps()
             );
             assert!(
                 resilient.completed > naive.completed,
@@ -278,8 +232,8 @@ mod tests {
         let cfg = ChaosConfig::quick();
         let report = chaos_sweep(&cfg).unwrap();
         for &load in &cfg.loads_rps {
-            let base = row(&report, ChaosArm::FaultFree, load);
-            assert_eq!(base.faults, 0);
+            let base = cell(&report, ChaosArm::FaultFree, load);
+            assert_eq!(base.faults.total(), 0);
             assert_eq!(base.failed, 0);
             assert_eq!(base.retries, 0);
             assert_eq!(base.completed as u64 + base.shed, cfg.requests as u64);
@@ -291,17 +245,7 @@ mod tests {
         let cfg = ChaosConfig::quick();
         let a = chaos_sweep(&cfg).unwrap();
         let b = chaos_sweep(&cfg).unwrap();
-        assert_eq!(a.rows.len(), b.rows.len());
-        for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.arm, y.arm);
-            assert_eq!(x.completed, y.completed);
-            assert_eq!(x.failed, y.failed);
-            assert_eq!(x.timeouts, y.timeouts);
-            assert_eq!(x.retries, y.retries);
-            assert_eq!(x.faults, y.faults);
-            assert!((x.goodput_rps - y.goodput_rps).abs() < 1e-12);
-            assert!((x.p99_ms - y.p99_ms).abs() < 1e-12);
-        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sevf_sim::Nanos;
 
 use crate::admission::AdmissionConfig;
 use crate::blueprint::{Catalog, ClassSpec, MB};
-use crate::service::{FleetConfig, FleetService, ServingTier};
+use crate::service::{FleetConfig, FleetReport, FleetService, ServingTier};
 use crate::workload::RequestMix;
 use crate::FleetError;
 
@@ -75,37 +75,8 @@ impl SweepConfig {
     }
 }
 
-/// One `(tier, offered load)` cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct ServingRow {
-    /// Serving tier.
-    pub tier: ServingTier,
-    /// Offered load (req/s).
-    pub offered_rps: f64,
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Mean latency (ms).
-    pub mean_ms: f64,
-    /// Median latency (ms).
-    pub p50_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// Fraction of the run the PSP was busy.
-    pub psp_utilization: f64,
-    /// Fraction of `makespan × cores` the CPU pool was busy.
-    pub cpu_utilization: f64,
-    /// Deepest the admission queue got.
-    pub max_queue_depth: usize,
-    /// Template-cache hits.
-    pub cache_hits: u64,
-    /// Warm-pool hits.
-    pub warm_hits: u64,
-}
-
-/// The sweep's result: the cold PSP cost that caps throughput, plus one row
-/// per `(tier, load)` cell.
+/// The sweep's result: the cold PSP cost that caps throughput, plus each
+/// `(tier, load)` cell's own report.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Mix-weighted serialized PSP work per cold launch (ms) — the Fig. 12
@@ -113,8 +84,8 @@ pub struct SweepReport {
     pub cold_psp_ms: f64,
     /// The PSP-bound cold-serving ceiling, `1000 / cold_psp_ms` (req/s).
     pub cold_capacity_rps: f64,
-    /// One row per `(tier, offered load)`.
-    pub rows: Vec<ServingRow>,
+    /// One report per `(tier, offered load)` cell, tiers outermost.
+    pub reports: Vec<FleetReport>,
 }
 
 /// Mix-weighted mean of the per-class cold PSP work.
@@ -141,7 +112,7 @@ pub fn serving_sweep(cfg: &SweepConfig) -> Result<SweepReport, FleetError> {
         .unwrap_or_else(|| RequestMix::uniform(catalog.len()));
     let cold_psp_ms = weighted_cold_psp_ms(&catalog, &mix);
 
-    let mut rows = Vec::new();
+    let mut reports = Vec::new();
     for tier in [
         ServingTier::Cold,
         ServingTier::Template,
@@ -159,37 +130,21 @@ pub fn serving_sweep(cfg: &SweepConfig) -> Result<SweepReport, FleetError> {
                 fault: None,
                 recovery: crate::recovery::RecoveryConfig::none(),
                 attestation: None,
-                verifier_net: None,
                 policy: None,
             };
-            let report = FleetService::new(catalog.clone(), config).run();
-            let m = &report.metrics;
-            rows.push(ServingRow {
-                tier,
-                offered_rps: load,
-                completed: m.completed,
-                shed: m.shed,
-                mean_ms: m.mean_ms(),
-                p50_ms: m.p50_ms(),
-                p99_ms: m.p99_ms(),
-                psp_utilization: m.psp_utilization,
-                cpu_utilization: m.cpu_utilization,
-                max_queue_depth: m.max_queue_depth,
-                cache_hits: m.cache_hits,
-                warm_hits: m.warm_hits,
-            });
+            reports.push(FleetService::new(catalog.clone(), config).run());
         }
     }
     Ok(SweepReport {
         cold_psp_ms,
         cold_capacity_rps: 1000.0 / cold_psp_ms,
-        rows,
+        reports,
     })
 }
 
-/// Rows of one tier, in load order (convenience for tests and tables).
-pub fn tier_rows(report: &SweepReport, tier: ServingTier) -> Vec<&ServingRow> {
-    report.rows.iter().filter(|r| r.tier == tier).collect()
+/// Reports of one tier, in load order (convenience for tests and tables).
+pub fn tier_reports(report: &SweepReport, tier: ServingTier) -> Vec<&FleetReport> {
+    report.reports.iter().filter(|r| r.tier == tier).collect()
 }
 
 /// Milliseconds, for callers that want the ceiling as a duration.
@@ -205,14 +160,14 @@ mod tests {
     fn quick_sweep_has_full_grid_and_conserves_requests() {
         let cfg = SweepConfig::quick();
         let report = serving_sweep(&cfg).unwrap();
-        assert_eq!(report.rows.len(), 3 * cfg.loads_rps.len());
-        for row in &report.rows {
+        assert_eq!(report.reports.len(), 3 * cfg.loads_rps.len());
+        for cell in &report.reports {
             assert_eq!(
-                row.completed + row.shed as usize,
+                cell.metrics.completed + cell.metrics.shed as usize,
                 cfg.requests,
-                "{} @ {}",
-                row.tier.name(),
-                row.offered_rps
+                "{} @ {:?}",
+                cell.tier.name(),
+                cell.offered_rps
             );
         }
         assert!(report.cold_psp_ms > 0.0);
@@ -224,20 +179,15 @@ mod tests {
         let cfg = SweepConfig::quick();
         let a = serving_sweep(&cfg).unwrap();
         let b = serving_sweep(&cfg).unwrap();
-        for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.p99_ms, y.p99_ms);
-            assert_eq!(x.shed, y.shed);
-            assert_eq!(x.completed, y.completed);
-        }
-        assert_eq!(a.cold_psp_ms, b.cold_psp_ms);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn psp_utilization_rises_with_cold_load() {
         let cfg = SweepConfig::quick();
         let report = serving_sweep(&cfg).unwrap();
-        let cold = tier_rows(&report, ServingTier::Cold);
-        assert!(cold[0].psp_utilization < cold[1].psp_utilization);
+        let cold = tier_reports(&report, ServingTier::Cold);
+        assert!(cold[0].metrics.psp_utilization < cold[1].metrics.psp_utilization);
     }
 
     #[test]
@@ -245,7 +195,7 @@ mod tests {
         let report = SweepReport {
             cold_psp_ms: 33.0,
             cold_capacity_rps: 1000.0 / 33.0,
-            rows: Vec::new(),
+            reports: Vec::new(),
         };
         assert_eq!(cold_psp_budget(&report), Nanos::from_micros(33_000));
     }

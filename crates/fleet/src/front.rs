@@ -20,7 +20,6 @@
 //! fault-eligible launch per host (in [`crate::host`]).
 
 use sevf_attplane::{AttPlane, AttPlaneConfig};
-use sevf_net::VerifierLink;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
 use sevf_policy::{
     HostPosture, IsolationTier, LaneSpec, PolicyConfig, PolicyDecision, PolicyEngine, Scheduler,
@@ -32,6 +31,7 @@ use sevf_sim::{DesEngine, Job, Nanos, RunTrace};
 
 use crate::admission::AdmissionConfig;
 use crate::blueprint::Catalog;
+use crate::host::Host;
 use crate::metrics::FleetMetrics;
 use crate::recovery::RecoveryConfig;
 use crate::service::ServingTier;
@@ -159,10 +159,6 @@ pub struct Front<'a, J> {
     pub catalog: &'a Catalog,
     /// The serving knobs (tier, admission, recovery, arrival process).
     pub knobs: Serving<'a>,
-    /// The fleet's link to a remote verifier: reachability is set per
-    /// dispatch and a consulted verifier adds its round trip. The cluster
-    /// leaves this `None` and flips reachability from its net layer.
-    pub verifier_link: Option<&'a VerifierLink>,
     /// Whether posture placement is enforced (cluster with a posture
     /// policy; the single-host fleet has nowhere else to place).
     pub posture: bool,
@@ -230,7 +226,6 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
         Front {
             catalog,
             knobs,
-            verifier_link: None,
             posture: false,
             rng: XorShift64::new(knobs.seed ^ 0x5EF0_F1EE7),
             plane: knobs.attestation.map(|cfg| {
@@ -500,15 +495,17 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
 
     /// A launch failed: retry with backoff (fresh routing when the marker
     /// fires) if the budget and deadline allow, else count the request
-    /// failed or timed out. `defer` may push the retry instant later — the
-    /// fleet re-releases at the end of a known PSP outage; the cluster,
-    /// which cannot know the landing host yet, passes the identity.
-    pub fn handle_failure(
+    /// failed or timed out. `candidates` are the hosts the driver could
+    /// route the retry to. Under quiescing recovery, a retry that would
+    /// fire while every one of them is inside a known PSP-reset outage
+    /// waits for the first to be back; one healthy candidate is enough to
+    /// retry on time.
+    pub fn handle_failure<'h>(
         &mut self,
         request: usize,
         now: Nanos,
         inject: &mut Vec<Job>,
-        defer: impl FnOnce(Nanos) -> Nanos,
+        candidates: impl IntoIterator<Item = &'h Host>,
     ) {
         self.attempts[request] += 1;
         let failures = self.attempts[request];
@@ -516,7 +513,13 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
             self.terminal(request, ReqOutcome::Failed, now, inject);
             return;
         };
-        let at = defer(now + delay);
+        let mut at = now + delay;
+        if self.knobs.recovery.quiesce {
+            // `None` (a healthy candidate) orders before every `Some(end)`,
+            // so the minimum is `None` unless all of them are in outage.
+            let ends = candidates.into_iter().map(|h| h.psp_outage_end(at));
+            at = ends.min().flatten().unwrap_or(at);
+        }
         if self.past_deadline(request, at) {
             self.terminal(request, ReqOutcome::Timeout, now, inject);
             return;

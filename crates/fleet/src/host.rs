@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use sevf_attplane::{Verdict, STEP_RTT};
+use sevf_attplane::Verdict;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, WorkStep};
 use sevf_policy::{Offer, WfqQueue};
 use sevf_sim::fault::{AttestFault, FaultKind, FaultPlan};
@@ -200,9 +200,10 @@ impl Host {
         !self.out && !self.departed
     }
 
-    /// Whether this host's PSP is inside a firmware-reset outage at `now`.
-    pub fn in_psp_outage(&self, now: Nanos) -> bool {
-        self.plan.as_ref().and_then(|p| p.in_outage(now)).is_some()
+    /// If this host's PSP is inside a known firmware-reset outage at `at`,
+    /// the instant the outage ends.
+    pub fn psp_outage_end(&self, at: Nanos) -> Option<Nanos> {
+        self.plan.as_ref().and_then(|p| p.in_outage(at))
     }
 
     /// Whether the host is lease-fenced at `now`: parked, or past its
@@ -242,7 +243,7 @@ impl Host {
     /// Whether PSP-needing dispatches are being held (resilient recovery
     /// quiesces across a reset outage; naive keeps dispatching).
     fn quiesce_hold<J>(&self, cx: &Front<'_, J>, now: Nanos) -> bool {
-        cx.knobs.recovery.quiesce && self.in_psp_outage(now)
+        cx.knobs.recovery.quiesce && self.psp_outage_end(now).is_some()
     }
 
     /// Serves `request` here: degradation ladder, then the warm pool (warm
@@ -396,25 +397,9 @@ impl Host {
         // into an attestation failure that retries.
         if matches!(fate, LaunchFate::Ok) {
             if let Some(plane) = cx.plane.as_mut() {
-                let link = cx.verifier_link;
-                if let Some(link) = link {
-                    plane.set_reachable(link.up(now));
-                }
                 let v = plane
                     .verify_launch(self.id, now)
                     .expect("plane sized to the hosts");
-                // The round trip is paid only when the verifier was
-                // actually consulted; blackout verdicts are local.
-                if let Some(link) = link {
-                    if plane.is_reachable() && link.rtt > Nanos::ZERO {
-                        blueprint.steps.push(WorkStep::new(
-                            ResourceClass::Network,
-                            PhaseKind::Attestation,
-                            STEP_RTT,
-                            link.rtt,
-                        ));
-                    }
-                }
                 blueprint.steps.extend(v.steps);
                 match v.verdict {
                     Verdict::Ok => {}
@@ -604,7 +589,7 @@ impl Host {
         let catalog = cx.catalog;
         let refill = &catalog.class(class).template_hit;
         let psp_ns = refill.psp_work();
-        if psp_ns > Nanos::ZERO && self.in_psp_outage(now) {
+        if psp_ns > Nanos::ZERO && self.psp_outage_end(now).is_some() {
             return;
         }
         self.pool.refill_started(class);

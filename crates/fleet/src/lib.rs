@@ -68,8 +68,8 @@ pub mod workload;
 
 pub use admission::AdmissionConfig;
 pub use blueprint::{Blueprint, Catalog, ClassSpec, LaunchCache};
-pub use chaos::{chaos_sweep, ChaosConfig, ChaosReport, ChaosRow};
-pub use experiment::{serving_sweep, ServingRow, SweepConfig, SweepReport};
+pub use chaos::{chaos_sweep, ChaosConfig, ChaosReport};
+pub use experiment::{serving_sweep, SweepConfig, SweepReport};
 pub use front::{Front, ServeJob, Serving};
 pub use host::{apply_launch_faults, Host};
 pub use metrics::{FaultCounters, FleetMetrics};
@@ -157,7 +157,7 @@ impl From<sevf_policy::PolicyError> for FleetError {
 pub mod prelude {
     pub use crate::admission::AdmissionConfig;
     pub use crate::blueprint::{Catalog, ClassSpec};
-    pub use crate::chaos::{chaos_sweep, ChaosConfig, ChaosReport, ChaosRow};
+    pub use crate::chaos::{chaos_sweep, ChaosConfig, ChaosReport};
     pub use crate::recovery::{BreakerConfig, RecoveryConfig, RetryPolicy};
     pub use crate::service::{FleetConfig, FleetReport, FleetService, ServingTier};
     pub use crate::workload::{Arrival, RequestMix};

@@ -36,14 +36,15 @@
 //! from the plan, so a fault-free run consumes exactly the same random
 //! stream as a run of the pre-fault control plane.
 //!
-//! What stays fleet-shaped, because the driver holds what the shared core
-//! cannot know: the retry deferral across a known PSP outage (the fleet
-//! holds the one plan every retry will land on; a cluster cannot know the
-//! landing host at retry time), a ready [`FaultPlan`] instead of a derived
-//! per-host one, and the [`VerifierLink`] consulted per dispatch.
+//! Nothing behavioural stays fleet-shaped: a 1-host `sevf-cluster` run
+//! replays this driver exactly (`tests/serving_core.rs`, all 30 cells),
+//! the retry deferral across a known PSP outage included — that is
+//! [`Front::handle_failure`]'s rule over whatever hosts the driver could
+//! route to, here the one. What differs is the config's shape: a ready
+//! [`FaultPlan`] where the cluster derives one per host from a
+//! `FaultConfig` and a horizon.
 
 use sevf_attplane::{AttPlaneConfig, AttPlaneMetrics};
-use sevf_net::VerifierLink;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
 use sevf_policy::{IsolationTier, PolicyConfig, TenantRollup};
 use sevf_sim::fault::FaultPlan;
@@ -125,9 +126,6 @@ pub struct FleetConfig {
     /// Attestation control plane; `None` = no verifier in the path (the
     /// pre-attestation control plane, byte-identical to older runs).
     pub attestation: Option<AttPlaneConfig>,
-    /// Network link to the remote verifier; `None` = the verifier is
-    /// local and always reachable (byte-identical to older runs).
-    pub verifier_net: Option<VerifierLink>,
     /// Multi-tenant policy layer; `None` = the pre-policy control plane,
     /// byte-identical to older runs (no tenant sampling, no extra RNG
     /// draws, the plain FIFO bounded queue).
@@ -148,7 +146,6 @@ impl FleetConfig {
             fault: None,
             recovery: RecoveryConfig::none(),
             attestation: None,
-            verifier_net: None,
             policy: None,
         }
     }
@@ -172,9 +169,8 @@ impl FleetConfig {
         }
     }
 
-    /// Checks the mix bound, closed-loop users, recovery, attestation,
-    /// verifier link, and policy knobs against a catalog of
-    /// `catalog_classes` classes.
+    /// Checks the mix bound, closed-loop users, recovery, attestation, and
+    /// policy knobs against a catalog of `catalog_classes` classes.
     ///
     /// # Errors
     ///
@@ -194,9 +190,6 @@ impl FleetConfig {
         self.recovery.validate().map_err(FleetError::Recovery)?;
         if let Some(att) = &self.attestation {
             att.validate()?;
-        }
-        if let Some(link) = &self.verifier_net {
-            link.validate()?;
         }
         if let Some(policy) = &self.policy {
             policy.validate(catalog_classes)?;
@@ -301,7 +294,6 @@ impl FleetService {
         let config = &self.config;
         let isolation = config.substrate_isolation();
         let mut front = Front::new(&self.catalog, config.serving(), isolation, 1, rec);
-        front.verifier_link = config.verifier_net.as_ref();
         let host = Host::new(0, resources, &front, config.warm_target, false, plan);
 
         let mut seed_jobs = Vec::new();
@@ -361,14 +353,8 @@ impl State<'_> {
             ServeJob::Launch(launch) => {
                 let settled = self.host.settle(&mut self.front, outcome.job, now, launch);
                 if settled.fault.is_some() {
-                    // No point retrying into a known outage: the resilient
-                    // fleet re-releases at the instant the PSP is back.
-                    let quiesce = self.front.knobs.recovery.quiesce;
-                    let plan = self.host.plan.as_ref().filter(|_| quiesce);
                     self.front
-                        .handle_failure(settled.request, now, inject, |at| {
-                            plan.and_then(|p| p.in_outage(at)).unwrap_or(at)
-                        });
+                        .handle_failure(settled.request, now, inject, [&self.host]);
                     self.drain(now, inject);
                 } else {
                     let latency = self
@@ -443,65 +429,6 @@ mod tests {
 
     fn storm_plan(seed: u64) -> FaultPlan {
         FaultPlan::generate(seed, FaultConfig::storm(), Nanos::from_secs(10)).unwrap()
-    }
-
-    #[test]
-    fn verifier_blackout_degrades_by_the_configured_policy() {
-        use sevf_sim::fault::ResetWindow;
-        // The whole run fits in ~2s at 40 rps; black the verifier out for
-        // a stretch in the middle.
-        let blackout = ResetWindow {
-            start: Nanos::from_millis(400),
-            end: Nanos::from_millis(1200),
-        };
-        let arm = |att: AttPlaneConfig| {
-            let mut config = FleetConfig::open_loop(ServingTier::Cold, 40.0, 80);
-            config.attestation = Some(att);
-            config.verifier_net = Some(VerifierLink {
-                rtt: Nanos::from_micros(400),
-                blackouts: vec![blackout],
-            });
-            run(config)
-        };
-        // Fail-closed: every launch dispatched inside the window dies as
-        // an attestation timeout.
-        let closed = arm(AttPlaneConfig::cached());
-        assert!(closed.metrics.faults.attest_timeout > 0, "blackout missed");
-        assert_eq!(
-            closed.metrics.faults.attest_timeout,
-            closed.attestation.unwrap().unavailable_refusals
-        );
-        // Fail-open: the chip was verified before the blackout, so stale
-        // serves carry the window and strictly more launches survive.
-        let mut open = AttPlaneConfig::cached();
-        open.degrade = sevf_attplane::FailMode::Open {
-            staleness_budget: Nanos::from_secs(120),
-        };
-        let open = arm(open);
-        assert_eq!(open.metrics.faults.attest_timeout, 0);
-        let att = open.attestation.unwrap();
-        assert!(att.stale_serves > 0);
-        assert!(att.reverifies > 0, "heal must trigger re-verification");
-        assert!(open.metrics.completed > closed.metrics.completed);
-    }
-
-    #[test]
-    fn inert_verifier_link_replays_byte_identically() {
-        // `Some(VerifierLink::none())` must not perturb a run relative to
-        // `None`: no RTT steps, no reachability flips, same byte stream.
-        let arm = |link: Option<VerifierLink>| {
-            let mut config = FleetConfig::open_loop(ServingTier::Template, 60.0, 80);
-            config.attestation = Some(AttPlaneConfig::cached_batched());
-            config.verifier_net = link;
-            run(config)
-        };
-        let bare = arm(None);
-        let inert = arm(Some(VerifierLink::none()));
-        assert!(VerifierLink::none().is_none());
-        assert_eq!(
-            format!("{:?}", bare.metrics),
-            format!("{:?}", inert.metrics)
-        );
     }
 
     #[test]

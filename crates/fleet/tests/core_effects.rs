@@ -105,8 +105,12 @@ impl Harness<'_> {
                 assert_eq!(settled.fenced, was_fenced);
                 assert_eq!(settled.fault, struck, "no plan, no plane");
                 if struck.is_some() {
-                    self.front
-                        .handle_failure(settled.request, self.now, &mut self.inject, |at| at);
+                    self.front.handle_failure(
+                        settled.request,
+                        self.now,
+                        &mut self.inject,
+                        [&self.host],
+                    );
                     self.drain();
                 } else {
                     self.front

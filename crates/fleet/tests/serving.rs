@@ -1,7 +1,7 @@
 //! End-to-end serving behavior: the acceptance checks of the fleet
 //! experiment, run at test scale (tiny kernels) for speed.
 
-use sevf_fleet::experiment::{serving_sweep, tier_rows, SweepConfig};
+use sevf_fleet::experiment::{serving_sweep, tier_reports, SweepConfig};
 use sevf_fleet::service::ServingTier;
 
 fn quick_report() -> sevf_fleet::experiment::SweepReport {
@@ -12,10 +12,10 @@ fn quick_report() -> sevf_fleet::experiment::SweepReport {
 fn warm_beats_template_beats_cold_p99_at_high_load() {
     let report = quick_report();
     let high = |tier| {
-        tier_rows(&report, tier)
+        tier_reports(&report, tier)
             .last()
-            .map(|r| r.p99_ms)
-            .expect("rows")
+            .map(|r| r.metrics.p99_ms())
+            .expect("reports")
     };
     let cold = high(ServingTier::Cold);
     let template = high(ServingTier::Template);
@@ -38,14 +38,15 @@ fn warm_beats_template_beats_cold_p99_at_high_load() {
 #[test]
 fn cold_tier_saturates_at_the_psp_ceiling() {
     let report = quick_report();
-    let cold = tier_rows(&report, ServingTier::Cold);
-    let low = cold.first().expect("low load");
+    let cold = tier_reports(&report, ServingTier::Cold);
+    let low = &cold.first().expect("low load").metrics;
     let high = cold.last().expect("high load");
     assert!(
-        high.offered_rps > report.cold_capacity_rps,
+        high.offered_rps.unwrap() > report.cold_capacity_rps,
         "sweep must cross the ceiling ({:.1} req/s)",
         report.cold_capacity_rps
     );
+    let high = &high.metrics;
     // Below the ceiling: healthy. Above: the PSP pins near 100% busy and
     // the tail inflates by an order of magnitude.
     assert!(low.shed == 0, "shed at low load: {}", low.shed);
@@ -54,14 +55,14 @@ fn cold_tier_saturates_at_the_psp_ceiling() {
         "psp {:.2}",
         high.psp_utilization
     );
-    assert!(high.p99_ms > low.p99_ms * 5.0, "no tail blowup");
+    assert!(high.p99_ms() > low.p99_ms() * 5.0, "no tail blowup");
 }
 
 #[test]
 fn overload_sheds_only_after_the_queue_bound_fills() {
     let report = quick_report();
-    let cold = tier_rows(&report, ServingTier::Cold);
-    let high = cold.last().expect("high load");
+    let cold = tier_reports(&report, ServingTier::Cold);
+    let high = &cold.last().expect("high load").metrics;
     let bound = SweepConfig::quick().admission.queue_bound;
     assert!(high.shed > 0, "expected shedding above the ceiling");
     assert_eq!(
@@ -70,16 +71,17 @@ fn overload_sheds_only_after_the_queue_bound_fills() {
     );
     // Reuse tiers absorb the same load without shedding.
     for tier in [ServingTier::Template, ServingTier::WarmPool] {
-        let row = *tier_rows(&report, tier).last().unwrap();
-        assert_eq!(row.shed, 0, "{} shed {}", row.tier.name(), row.shed);
+        let shed = tier_reports(&report, tier).last().unwrap().metrics.shed;
+        assert_eq!(shed, 0, "{} shed {shed}", tier.name());
     }
 }
 
 #[test]
 fn reuse_tiers_actually_reuse() {
     let report = quick_report();
-    let template_high = *tier_rows(&report, ServingTier::Template).last().unwrap();
-    let warm_high = *tier_rows(&report, ServingTier::WarmPool).last().unwrap();
+    let high = |tier| &tier_reports(&report, tier).last().unwrap().metrics;
+    let template_high = high(ServingTier::Template);
+    let warm_high = high(ServingTier::WarmPool);
     // Template: at most one fill per class, the rest are cache hits.
     assert!(
         template_high.cache_hits as usize >= template_high.completed - 2,
@@ -100,14 +102,8 @@ fn reuse_tiers_actually_reuse() {
 fn whole_sweep_is_deterministic_across_processes_of_the_same_seed() {
     // Two full sweeps in-process; combined with the seeded arrival draws
     // and virtual time only, this pins cross-run determinism.
-    let a = quick_report();
-    let b = quick_report();
-    assert_eq!(a.rows.len(), b.rows.len());
-    for (x, y) in a.rows.iter().zip(&b.rows) {
-        assert_eq!(x.completed, y.completed);
-        assert_eq!(x.shed, y.shed);
-        assert_eq!(x.p50_ms, y.p50_ms);
-        assert_eq!(x.p99_ms, y.p99_ms);
-        assert_eq!(x.max_queue_depth, y.max_queue_depth);
-    }
+    assert_eq!(
+        format!("{:?}", quick_report()),
+        format!("{:?}", quick_report())
+    );
 }

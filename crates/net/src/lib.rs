@@ -36,7 +36,7 @@ pub mod link;
 
 pub use detector::{DetectorConfig, DetectorError, PhiDetector};
 pub use lease::{HostLease, LeaseConfig, LeaseError, LeaseLedger};
-pub use link::{LinkId, LinkPlan, LinkSpec, NetConfig, Partition, PartitionScope, VerifierLink};
+pub use link::{LinkId, LinkPlan, LinkSpec, NetConfig, Partition, PartitionScope};
 
 /// Errors from building the network layer.
 #[derive(Debug)]

@@ -12,7 +12,7 @@
 //! buffered until the heal (host→router completions and refusals, which
 //! model reliable-transport retransmission).
 
-use sevf_sim::fault::{unit_draw, ResetWindow};
+use sevf_sim::fault::unit_draw;
 use sevf_sim::Nanos;
 
 use crate::detector::DetectorConfig;
@@ -299,53 +299,6 @@ impl LinkPlan {
     }
 }
 
-/// The fleet-side view of the router↔verifier link: a fixed round trip
-/// spliced onto every verification, plus scheduled blackout windows
-/// during which the verifier is unreachable and the attestation plane
-/// degrades by its configured fail mode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VerifierLink {
-    /// One-way-pair round trip added to every verification.
-    pub rtt: Nanos,
-    /// Windows during which the verifier is unreachable.
-    pub blackouts: Vec<ResetWindow>,
-}
-
-impl VerifierLink {
-    /// A link that adds nothing and never blacks out. Callers bypass the
-    /// link entirely for such a config.
-    pub fn none() -> Self {
-        VerifierLink {
-            rtt: Nanos::ZERO,
-            blackouts: Vec::new(),
-        }
-    }
-
-    /// True if the link can never change a run.
-    pub fn is_none(&self) -> bool {
-        self.rtt == Nanos::ZERO && self.blackouts.is_empty()
-    }
-
-    /// Checks the blackout windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Config`] for an empty or inverted window.
-    pub fn validate(&self) -> Result<(), NetError> {
-        for w in &self.blackouts {
-            if w.start >= w.end {
-                return Err(NetError::Config("blackout must end after it starts"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the verifier is reachable at `at`.
-    pub fn up(&self, at: Nanos) -> bool {
-        !self.blackouts.iter().any(|w| w.contains(at))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,32 +400,5 @@ mod tests {
 
         assert!(NetConfig::none().validate(1).is_ok());
         assert!(faulty_config().validate(4).is_ok());
-    }
-
-    #[test]
-    fn verifier_link_windows_gate_reachability() {
-        let link = VerifierLink {
-            rtt: Nanos::from_micros(400),
-            blackouts: vec![ResetWindow {
-                start: Nanos::from_millis(10),
-                end: Nanos::from_millis(20),
-            }],
-        };
-        link.validate().unwrap();
-        assert!(link.up(Nanos::from_millis(5)));
-        assert!(!link.up(Nanos::from_millis(10)));
-        assert!(!link.up(Nanos::from_millis(19)));
-        assert!(link.up(Nanos::from_millis(20)));
-        assert!(!link.is_none());
-        assert!(VerifierLink::none().is_none());
-
-        let bad = VerifierLink {
-            rtt: Nanos::ZERO,
-            blackouts: vec![ResetWindow {
-                start: Nanos::from_millis(10),
-                end: Nanos::from_millis(10),
-            }],
-        };
-        assert!(bad.validate().is_err());
     }
 }

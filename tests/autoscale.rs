@@ -26,16 +26,20 @@ use sevf_scale::{curve_arrivals, Workload};
 use sevf_sim::rng::XorShift64;
 use sevf_sim::Nanos;
 
-fn quick_sweep() -> (ScaleSweepConfig, sevf_cluster::scalesweep::ScaleSweepReport) {
+/// The quick sweep's config and each arm's report, in static / reactive /
+/// predictive order.
+fn quick_sweep() -> (ScaleSweepConfig, Vec<ClusterReport>) {
     let cfg = ScaleSweepConfig::quick();
-    let report = scale_sweep(&cfg).expect("quick sweep");
-    (cfg, report)
+    let cells = scale_sweep(&cfg).expect("quick sweep");
+    let arms: Vec<&str> = cells.iter().map(|c| c.arm).collect();
+    assert_eq!(arms, ["static", "reactive", "predictive"]);
+    (cfg, cells.into_iter().map(|c| c.report).collect())
 }
 
 #[test]
 fn scale_in_never_drains_a_busy_victim() {
-    let (_, report) = quick_sweep();
-    for arm in &report.reports {
+    let (_, reports) = quick_sweep();
+    for arm in &reports {
         let Some(auto) = arm.autoscale.as_ref() else {
             continue;
         };
@@ -70,8 +74,8 @@ fn scale_in_never_drains_a_busy_victim() {
 /// `div_ceil` spread adds at most one slot per live host on top.
 #[test]
 fn warm_budget_overshoot_stays_bounded() {
-    let (cfg, report) = quick_sweep();
-    for arm in &report.reports {
+    let (cfg, reports) = quick_sweep();
+    for arm in &reports {
         let Some(auto) = arm.autoscale.as_ref() else {
             continue;
         };
@@ -93,12 +97,11 @@ fn warm_budget_overshoot_stays_bounded() {
 
 #[test]
 fn live_host_count_stays_in_bounds() {
-    let (cfg, report) = quick_sweep();
-    for (row, arm) in report.rows.iter().zip(&report.reports) {
+    let (cfg, reports) = quick_sweep();
+    for arm in &reports {
         let Some(auto) = arm.autoscale.as_ref() else {
             // The static arm holds its fixed fleet by construction.
-            assert_eq!(row.min_live, cfg.max_hosts);
-            assert_eq!(row.max_live, cfg.max_hosts);
+            assert_eq!(arm.hosts, cfg.max_hosts);
             continue;
         };
         assert!(
@@ -132,8 +135,8 @@ fn live_host_count_stays_in_bounds() {
 
 #[test]
 fn membership_changes_respect_the_cooldown() {
-    let (cfg, report) = quick_sweep();
-    for arm in &report.reports {
+    let (cfg, reports) = quick_sweep();
+    for arm in &reports {
         let Some(auto) = arm.autoscale.as_ref() else {
             continue;
         };
@@ -163,21 +166,21 @@ fn membership_changes_respect_the_cooldown() {
 
 #[test]
 fn every_arm_conserves_and_the_frontier_holds() {
-    let (_, report) = quick_sweep();
-    for row in &report.rows {
-        assert!(row.conserved, "{} broke conservation", row.arm);
+    let (cfg, reports) = quick_sweep();
+    for (arm, report) in ["static", "reactive", "predictive"].iter().zip(&reports) {
+        let m = &report.metrics;
+        assert!(m.conserved(), "{arm} broke conservation");
         assert_eq!(
-            row.completed as u64 + row.lost,
-            row.issued as u64,
-            "{}: terminal states do not sum to issued",
-            row.arm
+            m.completed as u64 + m.lost(),
+            m.issued as u64,
+            "{arm}: terminal states do not sum to issued"
         );
     }
-    let stat = report.arm("static").unwrap();
-    let pred = report.arm("predictive").unwrap();
-    assert!(stat.slo_met, "static-max must hold the SLO trivially");
+    let (stat, pred) = (&reports[0].metrics, &reports[2].metrics);
+    let slo_met = |m: &sevf_cluster::ClusterMetrics| m.completed > 0 && m.p99_ms() <= cfg.slo_ms;
+    assert!(slo_met(stat), "static-max must hold the SLO trivially");
     assert!(
-        pred.slo_met,
+        slo_met(pred),
         "predictive must hold the SLO through the ramp"
     );
     assert!(

@@ -19,25 +19,23 @@ use sevf_sim::Nanos;
 
 #[test]
 fn resilient_policy_beats_naive_in_every_arm_and_conserves() {
-    let report = net_sweep(&NetSweepConfig::quick()).expect("partition sweep");
-    assert_eq!(report.rows.len(), 6, "three arms, two policies each");
-    for row in &report.rows {
+    let cells = net_sweep(&NetSweepConfig::quick()).expect("partition sweep");
+    assert_eq!(cells.len(), 6, "three arms, two policies each");
+    for cell in &cells {
         assert!(
-            row.conserved,
+            cell.report.metrics.conserved(),
             "conservation broke in {}/{}",
-            row.arm, row.policy
+            cell.arm,
+            cell.label
         );
     }
+    let get = |arm, policy| {
+        let cell = SweepCell::find(&cells, arm, policy);
+        &cell.expect("both policies present").report
+    };
     for arm in ["partition", "island", "blackout"] {
-        let get = |policy| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.arm == arm && r.policy == policy)
-                .expect("both policies present")
-        };
-        let naive = get("naive");
-        let resilient = get("resilient");
+        let naive = &get(arm, "naive").metrics;
+        let resilient = &get(arm, "resilient").metrics;
         assert!(
             resilient.completed > naive.completed,
             "{arm}: resilient completed {} must strictly beat naive {}",
@@ -45,22 +43,14 @@ fn resilient_policy_beats_naive_in_every_arm_and_conserves() {
             naive.completed
         );
         // The naive policy has no detector and no leases, so the
-        // resilient machinery must be provably off in its rows.
+        // resilient machinery must be provably off in its cells.
         assert_eq!(naive.suspicions, 0);
         assert_eq!(naive.lease_expiries, 0);
     }
     // The blackout arm is the degradation story: fail-closed refuses,
     // fail-open serves stale within budget and re-verifies on heal.
-    let closed = report
-        .rows
-        .iter()
-        .find(|r| r.arm == "blackout" && r.policy == "naive")
-        .unwrap();
-    let open = report
-        .rows
-        .iter()
-        .find(|r| r.arm == "blackout" && r.policy == "resilient")
-        .unwrap();
+    let closed = get("blackout", "naive").attestation.unwrap();
+    let open = get("blackout", "resilient").attestation.unwrap();
     assert!(closed.unavailable_refusals > 0);
     assert!(open.stale_serves > 0);
     assert!(open.reverifies > 0, "stale verdicts re-verify on heal");

@@ -10,13 +10,12 @@
 //! {fault-free, transient+resilient, transient+naive, storm+resilient,
 //! storm+naive}.
 //!
-//! The one difference the drivers keep is the fleet's retry deferral: a
-//! resilient (quiescing) fleet holds the single plan every retry will land
-//! on, so it re-releases a retry that would fire inside a known PSP reset
-//! outage at the instant the outage ends. A cluster cannot know the landing
-//! host at retry time and never defers. Only the six storm+resilient cells
-//! (resets × quiesce) can see it; those assert conservation on both sides
-//! instead of equality.
+//! No cell is skipped. The six storm+resilient cells (resets × quiesce)
+//! are where the retry deferral shows: a retry that would fire while every
+//! host the router could pick is inside a known PSP reset outage waits for
+//! the first of them to be back. That rule lives once, in
+//! `Front::handle_failure`; on one host "every candidate" is the one host,
+//! so the cluster defers exactly when the fleet does.
 
 use sevf_cluster::prelude::*;
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
@@ -167,18 +166,12 @@ fn one_host_cluster_replays_the_fleet_on_the_whole_grid() {
                 let fleet = fleet_digest(&catalog, tier, arrival, fault.as_ref(), *recovery);
                 let cluster = cluster_digest(&catalog, tier, arrival, fault.as_ref(), *recovery);
                 faulted += fleet.faults.min(1);
-                let resets = fault.as_ref().is_some_and(|f| f.psp_reset_period.is_some());
-                if resets && recovery.quiesce {
-                    // The retry deferral (module docs) may move retries
-                    // here; both sides conserve, asserted in the digests.
-                    continue;
-                }
                 assert_eq!(fleet, cluster, "{} / {loop_name} / {arm}", tier.name());
                 exact += 1;
             }
         }
     }
-    assert_eq!(exact, 24);
+    assert_eq!(exact, 30);
     // The faulty arms really exercised the failure paths being compared.
     assert!(
         faulted >= 20,
