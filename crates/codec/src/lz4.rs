@@ -27,6 +27,9 @@ const MF_LIMIT: usize = 12;
 /// Spec: the last 5 bytes must be literals.
 const LAST_LITERALS: usize = 5;
 const MAX_DISTANCE: usize = 65_535;
+/// LZ4's largest possible expansion: every input byte decodes to at most
+/// 255 output bytes (a match-length extension byte).
+const MAX_EXPANSION: usize = 255;
 
 fn hash4(data: &[u8], pos: usize) -> usize {
     let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
@@ -133,24 +136,20 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         return Err(CodecError::BadMagic);
     }
     let orig_len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
-    // Cap the up-front reservation: a corrupted header must not be able to
-    // trigger a huge allocation before any payload is validated.
-    let mut out = Vec::with_capacity(orig_len.min(1 << 20));
     let mut input = &data[12..];
-
-    let read_varlen = |input: &mut &[u8], base: usize| -> Result<usize, CodecError> {
-        let mut value = base;
-        if base == 15 {
-            loop {
-                let (&b, rest) = input.split_first().ok_or(CodecError::Truncated)?;
-                *input = rest;
-                value += b as usize;
-                if b != 255 {
-                    break;
-                }
-            }
+    // Reserve once: the declared length, capped at what the payload could
+    // possibly expand to, so a corrupted header cannot force a huge
+    // allocation before any payload is validated.
+    let mut out = Vec::with_capacity(orig_len.min(input.len().saturating_mul(MAX_EXPANSION)));
+    // Refuses a copy of `n` bytes that would pass the declared length.
+    let room = |out: &Vec<u8>, n: usize| -> Result<(), CodecError> {
+        if n > orig_len.saturating_sub(out.len()) {
+            return Err(CodecError::LengthMismatch {
+                expected: orig_len as u64,
+                actual: out.len().saturating_add(n) as u64,
+            });
         }
-        Ok(value)
+        Ok(())
     };
 
     loop {
@@ -160,6 +159,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         if input.len() < lit_len {
             return Err(CodecError::Truncated);
         }
+        room(&out, lit_len)?;
         out.extend_from_slice(&input[..lit_len]);
         input = &input[lit_len..];
         if input.is_empty() {
@@ -175,16 +175,16 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         if offset == 0 || offset > out.len() {
             return Err(CodecError::InvalidBackReference { at: out.len() });
         }
+        room(&out, match_len)?;
+        // An overlapping match (offset < length) repeats the last `offset`
+        // bytes: copy whole periods, each piece up to everything copied so
+        // far, so a long run takes a logarithmic number of copies.
         let start = out.len() - offset;
-        for i in 0..match_len {
-            let b = out[start + i];
-            out.push(b);
-        }
-        if out.len() > orig_len {
-            return Err(CodecError::LengthMismatch {
-                expected: orig_len as u64,
-                actual: out.len() as u64,
-            });
+        let mut left = match_len;
+        while left > 0 {
+            let piece = left.min(out.len() - start);
+            out.extend_from_within(start..start + piece);
+            left -= piece;
         }
     }
     if out.len() != orig_len {
@@ -194,6 +194,22 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         });
     }
     Ok(out)
+}
+
+/// Reads a length whose 4-bit `base` of 15 continues in 255-valued bytes.
+fn read_varlen(input: &mut &[u8], base: usize) -> Result<usize, CodecError> {
+    let mut value = base;
+    if base == 15 {
+        loop {
+            let (&b, rest) = input.split_first().ok_or(CodecError::Truncated)?;
+            *input = rest;
+            value += b as usize;
+            if b != 255 {
+                break;
+            }
+        }
+    }
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -273,6 +289,134 @@ mod tests {
         assert!(matches!(
             decompress(&stream),
             Err(CodecError::InvalidBackReference { .. })
+        ));
+    }
+
+    /// The byte-at-a-time decoder `decompress` replaced: every match byte
+    /// pushed one by one, the declared length checked after each copy.
+    fn reference_decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        if data.len() < 12 || &data[..4] != MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let orig_len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
+        let mut out = Vec::with_capacity(orig_len.min(1 << 20));
+        let mut input = &data[12..];
+        loop {
+            let (&token, rest) = input.split_first().ok_or(CodecError::Truncated)?;
+            input = rest;
+            let lit_len = read_varlen(&mut input, (token >> 4) as usize)?;
+            if input.len() < lit_len {
+                return Err(CodecError::Truncated);
+            }
+            out.extend_from_slice(&input[..lit_len]);
+            input = &input[lit_len..];
+            if input.is_empty() {
+                break;
+            }
+            if input.len() < 2 {
+                return Err(CodecError::Truncated);
+            }
+            let offset = u16::from_le_bytes([input[0], input[1]]) as usize;
+            input = &input[2..];
+            let match_len = read_varlen(&mut input, (token & 0x0f) as usize)? + MIN_MATCH;
+            if offset == 0 || offset > out.len() {
+                return Err(CodecError::InvalidBackReference { at: out.len() });
+            }
+            let start = out.len() - offset;
+            for i in 0..match_len {
+                let b = out[start + i];
+                out.push(b);
+            }
+            if out.len() > orig_len {
+                return Err(CodecError::LengthMismatch {
+                    expected: orig_len as u64,
+                    actual: out.len() as u64,
+                });
+            }
+        }
+        if out.len() != orig_len {
+            return Err(CodecError::LengthMismatch {
+                expected: orig_len as u64,
+                actual: out.len() as u64,
+            });
+        }
+        Ok(out)
+    }
+
+    /// Seeded xorshift bytes.
+    fn noise(state: &mut u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                *state as u8
+            })
+            .collect()
+    }
+
+    /// A hand-built stream: each `(offset, match_len)` follows 16–47 random
+    /// literals; a 5–20 byte literal tail ends it.
+    fn stream(seed: u64, matches: &[(usize, usize)]) -> (Vec<u8>, usize) {
+        let mut state = seed | 1;
+        let mut body = Vec::new();
+        let mut len = 0;
+        for &(offset, match_len) in matches {
+            let n = 16 + noise(&mut state, 1)[0] as usize % 32;
+            emit_sequence(&mut body, &noise(&mut state, n), match_len, offset);
+            len += n + match_len;
+        }
+        let n = 5 + noise(&mut state, 1)[0] as usize % 16;
+        emit_sequence(&mut body, &noise(&mut state, n), 0, 0);
+        len += n;
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&(len as u64).to_le_bytes());
+        out.extend_from_slice(&body);
+        (out, len)
+    }
+
+    #[test]
+    fn slice_copies_match_the_byte_at_a_time_decoder() {
+        let lengths = [4, 15, 19, 270, 70_000];
+        let mut all = Vec::new();
+        for offset in 1..=16 {
+            for (i, &match_len) in lengths.iter().enumerate() {
+                let (packed, len) = stream(offset as u64 * 31 + i as u64, &[(offset, match_len)]);
+                let got = decompress(&packed).unwrap();
+                assert_eq!(got.len(), len, "offset {offset} length {match_len}");
+                assert_eq!(Ok(got), reference_decompress(&packed));
+                all.push((offset, match_len));
+            }
+        }
+        // Every case back to back in one stream.
+        let (packed, _) = stream(0x5EED, &all);
+        assert_eq!(decompress(&packed), reference_decompress(&packed));
+        let data = b"firecracker boots microvms very fast indeed ".repeat(500);
+        assert_eq!(
+            decompress(&compress(&data)),
+            reference_decompress(&compress(&data))
+        );
+    }
+
+    #[test]
+    fn hostile_declared_length_is_an_error_not_an_allocation() {
+        let mut packed = MAGIC.to_vec();
+        packed.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        packed.extend_from_slice(&[0x40, 1, 2, 3, 4, 0x0f, 1, 0]);
+        assert_eq!(packed.len(), 20);
+        assert!(decompress(&packed).is_err());
+    }
+
+    #[test]
+    fn match_past_the_declared_length_is_refused_before_copying() {
+        let mut packed = MAGIC.to_vec();
+        packed.extend_from_slice(&16u64.to_le_bytes());
+        // 4 literals, then a 4 + 15 + 255 + 10 byte match at offset 1.
+        packed.extend_from_slice(&[0x4f, b'a', b'b', b'c', b'd', 1, 0, 255, 10]);
+        packed.extend_from_slice(&[0x50, 1, 2, 3, 4, 5]);
+        assert!(matches!(
+            decompress(&packed),
+            Err(CodecError::LengthMismatch { expected: 16, .. })
         ));
     }
 

@@ -71,7 +71,7 @@ fn codec_from_tag(tag: u8) -> Option<Codec> {
 /// let bz = bzimage::build(&vmlinux, Codec::Lz4);
 /// let (payload, codec) = bzimage::parse(&bz)?;
 /// assert_eq!(codec, Codec::Lz4);
-/// assert_eq!(Codec::Lz4.decompress(&payload)?, vmlinux);
+/// assert_eq!(Codec::Lz4.decompress(payload)?, vmlinux);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn build(vmlinux: &[u8], codec: Codec) -> Vec<u8> {
@@ -107,13 +107,14 @@ pub fn build(vmlinux: &[u8], codec: Codec) -> Vec<u8> {
     image
 }
 
-/// Parses a bzImage, returning the (still compressed) payload and its codec.
+/// Parses a bzImage, returning the (still compressed) payload, borrowed
+/// from `image`, and its codec.
 ///
 /// # Errors
 ///
 /// Returns [`ImageError::BadBzImage`] if the signature, header magic, or
 /// offsets are invalid.
-pub fn parse(image: &[u8]) -> Result<(Vec<u8>, Codec), ImageError> {
+pub fn parse(image: &[u8]) -> Result<(&[u8], Codec), ImageError> {
     if image.len() < 0x260 {
         return Err(ImageError::BadBzImage("shorter than the setup header"));
     }
@@ -144,7 +145,7 @@ pub fn parse(image: &[u8]) -> Result<(Vec<u8>, Codec), ImageError> {
     if end > image.len() {
         return Err(ImageError::BadBzImage("payload out of bounds"));
     }
-    Ok((image[start..end].to_vec(), codec))
+    Ok((&image[start..end], codec))
 }
 
 /// Extracts and decompresses the vmlinux from a bzImage in one step (what
@@ -155,7 +156,7 @@ pub fn parse(image: &[u8]) -> Result<(Vec<u8>, Codec), ImageError> {
 /// Propagates container ([`ImageError::BadBzImage`]) and codec errors.
 pub fn unpack_vmlinux(image: &[u8]) -> Result<Vec<u8>, ImageError> {
     let (payload, codec) = parse(image)?;
-    Ok(codec.decompress(&payload)?)
+    Ok(codec.decompress(payload)?)
 }
 
 #[cfg(test)]
@@ -169,7 +170,7 @@ mod tests {
             let bz = build(&vmlinux, codec);
             let (payload, parsed_codec) = parse(&bz).unwrap();
             assert_eq!(parsed_codec, codec);
-            assert_eq!(codec.decompress(&payload).unwrap(), vmlinux);
+            assert_eq!(codec.decompress(payload).unwrap(), vmlinux);
             assert_eq!(unpack_vmlinux(&bz).unwrap(), vmlinux);
         }
     }

@@ -138,7 +138,7 @@ fn bzimage_roundtrip_any_payload() {
         let bz = bzimage::build(&payload, codec);
         let (compressed, parsed_codec) = bzimage::parse(&bz).unwrap();
         assert_eq!(parsed_codec, codec);
-        assert_eq!(codec.decompress(&compressed).unwrap(), payload);
+        assert_eq!(codec.decompress(compressed).unwrap(), payload);
         assert_eq!(bzimage::unpack_vmlinux(&bz).unwrap(), payload);
     }
 }

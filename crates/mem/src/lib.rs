@@ -28,6 +28,17 @@
 //! guest's own hot path (copy/hash during measured direct boot) at memcpy
 //! speed so large experiments stay fast.
 //!
+//! Pages live in a table indexed by page number: one slot per guest page,
+//! empty until the page is first written, then a heap-allocated 4 KiB page.
+//! An untouched page is read through one static zero page, so reads never
+//! materialize or copy a page. The [`Rmp`] is likewise a dense per-page
+//! table, and a [`MemoryImage`] holds the same page table, its pages shared
+//! copy-on-write (`Arc`) with the live guest: a snapshot or restore is a
+//! table clone, and the first write to a shared page copies that page. The
+//! table is deliberately not one flat allocation of the guest's size: every
+//! boot would then page-fault a fresh mapping of hundreds of megabytes,
+//! where freed page allocations are reused.
+//!
 //! # Example
 //!
 //! ```

@@ -1,6 +1,6 @@
 //! The guest physical memory model.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sevf_crypto::{sha256, XexCipher};
 use sevf_sim::cost::SevGeneration;
@@ -11,21 +11,50 @@ use crate::rmp::Rmp;
 /// Page size used by the RMP, `pvalidate`, and `LAUNCH_UPDATE_DATA`.
 pub const PAGE_SIZE: u64 = 4096;
 
+type Page = [u8; PAGE_SIZE as usize];
+
+/// What every untouched page reads as.
+static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
+
+/// One slot per guest page, `None` until the page is first written. A page
+/// is shared with the snapshots taken of it until either side writes it.
+type PageTable = Vec<Option<Arc<Page>>>;
+
 /// A captured image of a guest's resident pages plus RMP state, used by
 /// warm-start snapshots (§7.1). The content is the internal plaintext
 /// representation; an image is only meaningful back inside the launch
 /// context (key) it came from.
 #[derive(Debug, Clone)]
 pub struct MemoryImage {
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageTable,
     rmp: Rmp,
 }
 
 impl MemoryImage {
     /// Bytes of captured page content.
     pub fn byte_len(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        resident(&self.pages) as u64 * PAGE_SIZE
     }
+}
+
+fn resident(pages: &PageTable) -> usize {
+    pages.iter().filter(|p| p.is_some()).count()
+}
+
+/// Splits `[addr, addr + len)` at page boundaries into
+/// `(page, offset in page, length)` pieces.
+fn spans(addr: u64, len: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = addr + len;
+    let mut cur = addr;
+    std::iter::from_fn(move || {
+        (cur < end).then(|| {
+            let at = cur % PAGE_SIZE;
+            let take = (PAGE_SIZE - at).min(end - cur);
+            let span = (cur / PAGE_SIZE, at as usize, take as usize);
+            cur += take;
+            span
+        })
+    })
 }
 
 /// Simulated guest physical memory with SEV semantics.
@@ -37,7 +66,7 @@ impl MemoryImage {
 /// representation note.
 pub struct GuestMemory {
     size: u64,
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageTable,
     rmp: Rmp,
     engine: Option<XexCipher>,
     generation: SevGeneration,
@@ -48,29 +77,27 @@ impl std::fmt::Debug for GuestMemory {
         f.debug_struct("GuestMemory")
             .field("size", &self.size)
             .field("generation", &self.generation.name())
-            .field("resident_pages", &self.pages.len())
+            .field("resident_pages", &self.resident_pages())
             .field("assigned_pages", &self.rmp.assigned_count())
             .finish()
     }
 }
 
-/// Who is performing an access (used internally to pick enforcement rules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Actor {
-    Host,
-    Guest,
-}
-
 impl GuestMemory {
-    /// Creates unencrypted guest memory (a stock microVM).
-    pub fn new_plain(size: u64) -> Self {
+    fn new(size: u64, engine: Option<XexCipher>, generation: SevGeneration) -> Self {
+        let slots = usize::try_from(size.div_ceil(PAGE_SIZE)).expect("guest memory fits the host");
         GuestMemory {
             size,
-            pages: BTreeMap::new(),
+            pages: vec![None; slots],
             rmp: Rmp::new(),
-            engine: None,
-            generation: SevGeneration::None,
+            engine,
+            generation,
         }
+    }
+
+    /// Creates unencrypted guest memory (a stock microVM).
+    pub fn new_plain(size: u64) -> Self {
+        Self::new(size, None, SevGeneration::None)
     }
 
     /// Creates SEV guest memory with the given memory-encryption key.
@@ -81,13 +108,7 @@ impl GuestMemory {
     /// [`GuestMemory::new_plain`]).
     pub fn new_sev(size: u64, key: [u8; 16], generation: SevGeneration) -> Self {
         assert!(generation.is_sev(), "use new_plain for non-SEV guests");
-        GuestMemory {
-            size,
-            pages: BTreeMap::new(),
-            rmp: Rmp::new(),
-            engine: Some(XexCipher::new(&key)),
-            generation,
-        }
+        Self::new(size, Some(XexCipher::new(&key)), generation)
     }
 
     /// Guest memory size in bytes.
@@ -107,7 +128,7 @@ impl GuestMemory {
 
     /// Number of pages that have been materialized (touched).
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        resident(&self.pages)
     }
 
     /// SHA-256 of the host's view of every materialized page, in address
@@ -119,9 +140,10 @@ impl GuestMemory {
     ///
     /// Propagates [`GuestMemory::host_read`] faults.
     pub fn host_page_digests(&self) -> Result<Vec<[u8; 32]>, MemError> {
-        self.pages
-            .keys()
-            .map(|p| Ok(sha256(&self.host_read(p * PAGE_SIZE, PAGE_SIZE)?)))
+        (0u64..)
+            .zip(&self.pages)
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(p, _)| Ok(sha256(&self.host_read(p * PAGE_SIZE, PAGE_SIZE)?)))
             .collect()
     }
 
@@ -140,17 +162,14 @@ impl GuestMemory {
         addr / PAGE_SIZE
     }
 
-    fn page_plain(&self, page: u64) -> [u8; PAGE_SIZE as usize] {
-        self.pages
-            .get(&page)
-            .map(|p| **p)
-            .unwrap_or([0u8; PAGE_SIZE as usize])
+    /// The stored plaintext of an in-range page.
+    fn page(&self, page: u64) -> &Page {
+        self.pages[page as usize].as_deref().unwrap_or(&ZERO_PAGE)
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
+    /// The page to write, copied first if a snapshot still shares it.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        Arc::make_mut(self.pages[page as usize].get_or_insert_with(|| Arc::new(ZERO_PAGE)))
     }
 
     /// True if the page is private (guest-owned / encrypted).
@@ -195,28 +214,24 @@ impl GuestMemory {
                 }
             }
         }
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let cur = addr + offset as u64;
-            let page = Self::page_of(cur);
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let take = ((PAGE_SIZE as usize) - in_page).min(data.len() - offset);
-            if self.is_private(page) && self.engine.is_some() {
-                // SEV without RMP: the host's bytes become ciphertext; the
-                // guest will observe their decryption. Compute the new
-                // plaintext so every later observer sees consistent bytes.
-                let engine = self.engine.as_ref().expect("checked").clone();
-                let page_addr = page * PAGE_SIZE;
-                let plain = self.page_plain(page);
-                let mut cipher_view = engine.encrypt(page_addr, &plain);
-                cipher_view[in_page..in_page + take].copy_from_slice(&data[offset..offset + take]);
-                let new_plain = engine.decrypt(page_addr, &cipher_view);
-                self.page_mut(page).copy_from_slice(&new_plain);
-            } else {
-                self.page_mut(page)[in_page..in_page + take]
-                    .copy_from_slice(&data[offset..offset + take]);
+        let mut rest = data;
+        for (page, at, take) in spans(addr, data.len() as u64) {
+            let (chunk, tail) = rest.split_at(take);
+            rest = tail;
+            match &self.engine {
+                Some(engine) if self.is_private(page) => {
+                    // SEV without RMP: the host's bytes become ciphertext;
+                    // the guest will observe their decryption. Compute the
+                    // new plaintext so every later observer sees consistent
+                    // bytes.
+                    let page_addr = page * PAGE_SIZE;
+                    let mut cipher_view = engine.encrypt(page_addr, self.page(page));
+                    cipher_view[at..at + take].copy_from_slice(chunk);
+                    let new_plain = engine.decrypt(page_addr, &cipher_view);
+                    self.page_mut(page).copy_from_slice(&new_plain);
+                }
+                _ => self.page_mut(page)[at..at + take].copy_from_slice(chunk),
             }
-            offset += take;
         }
         Ok(())
     }
@@ -230,21 +245,15 @@ impl GuestMemory {
     pub fn host_read(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
         self.check_range(addr, len)?;
         let mut out = Vec::with_capacity(len as usize);
-        let mut cur = addr;
-        let end = addr + len;
-        while cur < end {
-            let page = Self::page_of(cur);
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let take = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min((end - cur) as usize);
-            let plain = self.page_plain(page);
+        for (page, at, take) in spans(addr, len) {
+            let plain = self.page(page);
             if self.is_private(page) {
                 let engine = self.engine.as_ref().expect("private page implies SEV");
-                let cipher = engine.encrypt(page * PAGE_SIZE, &plain);
-                out.extend_from_slice(&cipher[in_page..in_page + take]);
+                let cipher = engine.encrypt(page * PAGE_SIZE, plain);
+                out.extend_from_slice(&cipher[at..at + take]);
             } else {
-                out.extend_from_slice(&plain[in_page..in_page + take]);
+                out.extend_from_slice(&plain[at..at + take]);
             }
-            cur += take as u64;
         }
         Ok(out)
     }
@@ -357,11 +366,13 @@ impl GuestMemory {
     ///   remapped page under SNP.
     pub fn guest_write(&mut self, addr: u64, data: &[u8], encrypted: bool) -> Result<(), MemError> {
         self.guest_check(addr, data.len() as u64, encrypted)?;
-        self.raw_write(
-            addr,
-            data,
-            if encrypted { Actor::Guest } else { Actor::Host },
-        );
+        // Both mappings store into the plaintext representation.
+        let mut rest = data;
+        for (page, at, take) in spans(addr, data.len() as u64) {
+            let (chunk, tail) = rest.split_at(take);
+            rest = tail;
+            self.page_mut(page)[at..at + take].copy_from_slice(chunk);
+        }
         Ok(())
     }
 
@@ -378,15 +389,8 @@ impl GuestMemory {
         if encrypted {
             // Private mapping: plaintext view.
             let mut out = Vec::with_capacity(len as usize);
-            let mut cur = addr;
-            let end = addr + len;
-            while cur < end {
-                let page = Self::page_of(cur);
-                let in_page = (cur % PAGE_SIZE) as usize;
-                let take = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min((end - cur) as usize);
-                let plain = self.page_plain(page);
-                out.extend_from_slice(&plain[in_page..in_page + take]);
-                cur += take as u64;
+            for (page, at, take) in spans(addr, len) {
+                out.extend_from_slice(&self.page(page)[at..at + take]);
             }
             Ok(out)
         } else {
@@ -396,25 +400,11 @@ impl GuestMemory {
         }
     }
 
-    /// Raw write used by guest paths; `actor` Guest = plaintext into the
-    /// private view, Host = raw bytes into the shared view.
-    fn raw_write(&mut self, addr: u64, data: &[u8], actor: Actor) {
-        let _ = actor; // both store into the plaintext representation
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let cur = addr + offset as u64;
-            let page = Self::page_of(cur);
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let take = ((PAGE_SIZE as usize) - in_page).min(data.len() - offset);
-            self.page_mut(page)[in_page..in_page + take]
-                .copy_from_slice(&data[offset..offset + take]);
-            offset += take;
-        }
-    }
-
     // ---- Snapshot support (warm-start exploration, paper §7.1) -------------------
 
-    /// Captures the resident pages and RMP state as a [`MemoryImage`].
+    /// Captures the resident pages and RMP state as a [`MemoryImage`]. The
+    /// image shares the pages copy-on-write: taking it copies the page
+    /// table, not page contents.
     pub fn clone_pages(&self) -> MemoryImage {
         MemoryImage {
             pages: self.pages.clone(),
@@ -426,8 +416,8 @@ impl GuestMemory {
     /// (valid only under the same memory-encryption key — i.e. within the
     /// same PSP launch context). Returns the number of bytes installed.
     pub fn restore_pages(&mut self, image: &MemoryImage) -> u64 {
-        self.pages = image.pages.clone();
-        self.rmp = image.rmp.clone();
+        self.pages.clone_from(&image.pages);
+        self.rmp.clone_from(&image.rmp);
         image.byte_len()
     }
 
@@ -449,16 +439,15 @@ impl GuestMemory {
         if !addr.is_multiple_of(PAGE_SIZE) {
             return Err(MemError::Unaligned { addr });
         }
-        let padded = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        // Saturating: an absurd `len` must fail the range check, not wrap.
+        let padded = len.div_ceil(PAGE_SIZE).saturating_mul(PAGE_SIZE);
         self.check_range(addr, padded)?;
-        let plaintext = {
-            let mut out = Vec::with_capacity(padded as usize);
-            for page in Self::page_of(addr)..Self::page_of(addr + padded) {
-                out.extend_from_slice(&self.page_plain(page));
-            }
-            out
-        };
-        for page in Self::page_of(addr)..Self::page_of(addr + padded) {
+        let pages = Self::page_of(addr)..Self::page_of(addr + padded);
+        let mut plaintext = Vec::with_capacity(padded as usize);
+        for page in pages.clone() {
+            plaintext.extend_from_slice(self.page(page));
+        }
+        for page in pages {
             self.rmp.assign(page);
             self.rmp.validate(page);
         }

@@ -3,9 +3,8 @@
 //! SEV-SNP's system-wide structure tracking, for every physical page, whether
 //! it is assigned to a guest and whether the guest has validated it with
 //! `pvalidate` (§2.2). We keep one table per guest (cross-VM aliasing attacks
-//! are out of the paper's scope) and store entries sparsely.
-
-use std::collections::BTreeMap;
+//! are out of the paper's scope), indexed densely by page number like the
+//! hardware table.
 
 /// The SNP-relevant state of one 4 KiB page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -19,10 +18,13 @@ pub struct PageState {
     pub remapped: bool,
 }
 
-/// A sparse per-guest RMP: untracked pages are shared and unvalidated.
+/// A dense per-guest RMP, one entry per page up to the highest page ever
+/// updated; pages past the end are shared and unvalidated. Updating page
+/// `n` grows the table to `n + 1` entries: [`crate::GuestMemory`] bounds
+/// `n` by the guest's size before it updates.
 #[derive(Debug, Clone, Default)]
 pub struct Rmp {
-    entries: BTreeMap<u64, PageState>,
+    entries: Vec<PageState>,
 }
 
 impl Rmp {
@@ -31,27 +33,38 @@ impl Rmp {
         Self::default()
     }
 
-    /// State of the page with index `page` (sparse default: shared).
+    /// State of the page with index `page` (shared if never updated).
     pub fn state(&self, page: u64) -> PageState {
-        self.entries.get(&page).copied().unwrap_or_default()
+        usize::try_from(page)
+            .ok()
+            .and_then(|i| self.entries.get(i))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The entry of `page`, growing the table to reach it.
+    fn entry(&mut self, page: u64) -> &mut PageState {
+        let i = usize::try_from(page).expect("page index fits the address space");
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, PageState::default());
+        }
+        &mut self.entries[i]
     }
 
     /// Marks a page assigned to the guest (hypervisor `RMPUPDATE`).
     pub fn assign(&mut self, page: u64) {
-        let entry = self.entries.entry(page).or_default();
-        entry.assigned = true;
+        self.entry(page).assigned = true;
     }
 
     /// Returns a page to shared state, clearing validation.
     pub fn unassign(&mut self, page: u64) {
-        let entry = self.entries.entry(page).or_default();
-        *entry = PageState::default();
+        *self.entry(page) = PageState::default();
     }
 
     /// Sets the validated bit (guest `pvalidate`). Returns the previous
     /// validated state so callers can detect double validation.
     pub fn validate(&mut self, page: u64) -> bool {
-        let entry = self.entries.entry(page).or_default();
+        let entry = self.entry(page);
         let was = entry.validated;
         entry.validated = true;
         entry.remapped = false;
@@ -61,7 +74,7 @@ impl Rmp {
     /// Simulates the hypervisor changing a validated page's mapping: the
     /// hardware clears the valid bit, and the next guest access takes #VC.
     pub fn remap_by_host(&mut self, page: u64) {
-        let entry = self.entries.entry(page).or_default();
+        let entry = self.entry(page);
         if entry.validated {
             entry.validated = false;
             entry.remapped = true;
@@ -70,12 +83,12 @@ impl Rmp {
 
     /// Number of pages currently assigned.
     pub fn assigned_count(&self) -> usize {
-        self.entries.values().filter(|e| e.assigned).count()
+        self.entries.iter().filter(|e| e.assigned).count()
     }
 
     /// Number of pages currently validated.
     pub fn validated_count(&self) -> usize {
-        self.entries.values().filter(|e| e.validated).count()
+        self.entries.iter().filter(|e| e.validated).count()
     }
 }
 

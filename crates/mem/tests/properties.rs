@@ -167,3 +167,162 @@ fn sev_host_corruption_scrambles_but_lands() {
         );
     }
 }
+
+#[test]
+fn absent_pages_read_as_zeros_through_every_view() {
+    let mut rng = XorShift64::new(0x3E3_0009);
+    for _ in 0..CASES {
+        let page = rng.next_below(MEM / PAGE_SIZE - 4);
+        let addr = page * PAGE_SIZE + rng.next_below(PAGE_SIZE);
+        let len = rng.next_below(2 * PAGE_SIZE);
+        let mut mem = snp();
+        assert!(mem.host_read(addr, len).unwrap().iter().all(|&b| b == 0));
+        assert!(mem
+            .guest_read(addr, len, false)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
+        let base = page * PAGE_SIZE;
+        let measured = mem.pre_encrypt(base, 3 * PAGE_SIZE).unwrap();
+        assert_eq!(measured, vec![0u8; 3 * PAGE_SIZE as usize]);
+        let private = mem.guest_read(base, 3 * PAGE_SIZE, true).unwrap();
+        assert!(private.iter().all(|&b| b == 0));
+        assert_eq!(mem.resident_pages(), 0, "reading materialized a page");
+    }
+}
+
+#[test]
+fn accesses_straddling_a_page_boundary_roundtrip() {
+    let mut rng = XorShift64::new(0x3E3_000A);
+    let page = 5 * PAGE_SIZE;
+    for at in [page - 1, page, page + 1] {
+        for len in [1, 2, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1] {
+            let data = bytes(&mut rng, len as usize, len as usize);
+            let mut plain = GuestMemory::new_plain(MEM);
+            plain.host_write(at, &data).unwrap();
+            assert_eq!(plain.host_read(at, len).unwrap(), data, "at {at} len {len}");
+            let mut mem = snp();
+            mem.rmp_assign(page - PAGE_SIZE, 3 * PAGE_SIZE).unwrap();
+            mem.pvalidate(page - PAGE_SIZE, 3 * PAGE_SIZE).unwrap();
+            mem.guest_write(at, &data, true).unwrap();
+            assert_eq!(
+                mem.guest_read(at, len, true).unwrap(),
+                data,
+                "at {at} len {len}"
+            );
+            assert_ne!(mem.host_read(at, len).unwrap(), data);
+        }
+    }
+}
+
+#[test]
+fn accesses_at_the_end_of_memory_never_panic() {
+    // A table indexed by `addr / PAGE_SIZE` has no slot at `size`.
+    for size in [MEM, MEM + 100] {
+        for addr in [size, size + 1] {
+            for len in [0, 1] {
+                let mut plain = GuestMemory::new_plain(size);
+                let _ = plain.host_read(addr, len);
+                let _ = plain.host_write(addr, &vec![7; len as usize]);
+                let _ = plain.guest_read(addr, len, false);
+                let mut mem = GuestMemory::new_sev(size, [9u8; 16], SevGeneration::SevSnp);
+                let _ = mem.host_read(addr, len);
+                let _ = mem.host_write(addr, &vec![7; len as usize]);
+                let _ = mem.guest_read(addr, len, true);
+                let _ = mem.guest_write(addr, &vec![7; len as usize], true);
+                let _ = mem.guest_write(addr, &vec![7; len as usize], false);
+                let _ = mem.rmp_assign(addr, len * PAGE_SIZE);
+                let _ = mem.pvalidate(addr, len * PAGE_SIZE);
+                let _ = mem.remap_by_host(addr);
+                let _ = mem.pre_encrypt(addr, len);
+                let _ = mem.pre_encrypt(0, u64::MAX - len);
+                let _ = (mem.is_assigned(addr), mem.is_validated(addr));
+                let beyond = addr > size || (len > 0 && addr >= size);
+                if beyond {
+                    assert!(matches!(
+                        mem.host_read(addr, len),
+                        Err(MemError::OutOfRange { .. })
+                    ));
+                } else {
+                    assert_eq!(mem.host_read(addr, len), Ok(Vec::new()));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn restore_returns_exactly_the_snapshot() {
+    let mut rng = XorShift64::new(0x3E3_000B);
+    for _ in 0..CASES / 4 {
+        let mut mem = snp();
+        let mut written = Vec::new();
+        for _ in 0..1 + rng.next_below(8) {
+            let addr = rng.next_below(MEM / PAGE_SIZE / 2) * PAGE_SIZE;
+            if mem.is_assigned(addr) {
+                continue; // already private: the host can no longer write it
+            }
+            mem.host_write(addr, &bytes(&mut rng, 1, 4096)).unwrap();
+            mem.pre_encrypt(addr, PAGE_SIZE).unwrap();
+            written.push(addr);
+        }
+        let base = MEM / 2;
+        mem.rmp_assign(base, 16 * PAGE_SIZE).unwrap();
+        let before = mem.host_read(0, MEM).unwrap();
+        let resident = mem.resident_pages();
+        let (assigned, validated) = (mem.rmp().assigned_count(), mem.rmp().validated_count());
+        let snapshot = mem.clone_pages();
+        assert_eq!(snapshot.byte_len(), resident as u64 * PAGE_SIZE);
+
+        // Restoring twice shows that writes after a restore leave the
+        // snapshot alone too.
+        for _ in 0..2 {
+            // Dirty snapshotted pages, touch new ones, change RMP state.
+            for &addr in &written {
+                mem.guest_write(addr, &bytes(&mut rng, 1, 4096), true)
+                    .unwrap();
+            }
+            if !mem.is_validated(base) {
+                mem.pvalidate(base, 16 * PAGE_SIZE).unwrap();
+            }
+            mem.guest_write(base, &bytes(&mut rng, 1, 20_000), true)
+                .unwrap();
+            mem.host_write(MEM - 3 * PAGE_SIZE, &bytes(&mut rng, 1, 8192))
+                .unwrap();
+            mem.rmp_assign(MEM - 2 * PAGE_SIZE, PAGE_SIZE).unwrap();
+            assert!(mem.resident_pages() > resident);
+
+            assert_eq!(mem.restore_pages(&snapshot), resident as u64 * PAGE_SIZE);
+            assert_eq!(mem.resident_pages(), resident);
+            assert_eq!(mem.rmp().assigned_count(), assigned);
+            assert_eq!(mem.rmp().validated_count(), validated);
+            assert_eq!(mem.host_read(0, MEM).unwrap(), before);
+        }
+    }
+}
+
+#[test]
+fn host_page_digests_are_in_address_order() {
+    let mut rng = XorShift64::new(0x3E3_000C);
+    for _ in 0..CASES / 4 {
+        let mut mem = snp();
+        let mut pages = std::collections::BTreeSet::new();
+        for _ in 0..1 + rng.next_below(12) {
+            let page = rng.next_below(MEM / PAGE_SIZE);
+            if mem.is_assigned(page * PAGE_SIZE) {
+                continue;
+            }
+            pages.insert(page);
+            mem.host_write(page * PAGE_SIZE, &bytes(&mut rng, 1, 64))
+                .unwrap();
+            if rng.next_below(2) == 0 {
+                mem.pre_encrypt(page * PAGE_SIZE, PAGE_SIZE).unwrap();
+            }
+        }
+        let expected: Vec<[u8; 32]> = pages
+            .iter()
+            .map(|p| sevf_crypto::sha256(&mem.host_read(p * PAGE_SIZE, PAGE_SIZE).unwrap()))
+            .collect();
+        assert_eq!(mem.host_page_digests().unwrap(), expected);
+    }
+}

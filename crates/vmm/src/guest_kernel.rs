@@ -118,7 +118,7 @@ pub fn run_bootstrap_loader_kaslr(
     let image = mem.guest_read(bzimage_addr, bzimage_len, true)?;
     let (payload, codec) = bzimage::parse(&image)?;
     let vmlinux = codec
-        .decompress(&payload)
+        .decompress(payload)
         .map_err(sevf_image::ImageError::from)?;
     steps.push(Step::new(
         format!(

@@ -2,13 +2,14 @@
 //! five checks DESIGN.md commits to.
 
 use severifast::crypto::sha256;
+use severifast::image::elf::{EHDR_SIZE, PHDR_SIZE};
 use severifast::image::{initrd, kernel::KernelConfig};
 use severifast::mem::{GuestMemory, MemError};
 use severifast::prelude::*;
 use severifast::verifier::binary::{VerifierBinary, VerifierFeatures};
 use severifast::verifier::hashes::{HashPage, KernelHashes};
 use severifast::verifier::layout::{GuestLayout, HASH_PAGE_ADDR, VERIFIER_ADDR};
-use severifast::verifier::verify::{self, VerifierConfig};
+use severifast::verifier::verify::{self, KernelKind, VerifierConfig};
 use severifast::verifier::VerifierError;
 
 const MB: u64 = 1024 * 1024;
@@ -73,10 +74,13 @@ fn check_1_swapped_components_detected_by_verifier() {
 /// A §6.2 shared-key guest staged by hand from the VMM's own plan, so the
 /// staged bytes can be tampered with between staging and guest entry. The
 /// plan's hash page holds the digests that travelled with the images.
-fn staged_template_guest() -> (Machine, GuestMemory, GuestLayout) {
+fn staged_template_guest(policy: BootPolicy) -> (Machine, GuestMemory, GuestLayout) {
     let mut machine = Machine::new(0x5EC);
-    let mut config = VmConfig::test_tiny(BootPolicy::Severifast);
+    let mut config = VmConfig::test_tiny(policy);
     config.launch_mode = severifast::vmm::config::LaunchMode::SharedKeyTemplate;
+    if !policy.uses_bzimage() {
+        config.kernel_codec = Codec::None;
+    }
     let vm = MicroVm::new(config.clone()).unwrap();
     vm.register_expected(&mut machine).unwrap();
     let fill = vm.boot(&mut machine).unwrap();
@@ -84,12 +88,21 @@ fn staged_template_guest() -> (Machine, GuestMemory, GuestLayout) {
 
     let start = machine.psp.launch_start_shared(template).unwrap();
     let mut mem = GuestMemory::new_sev(config.mem_size, start.memory_key, config.generation);
-    let bz = config.kernel.build().bzimage(config.kernel_codec);
+    let image = config.kernel.build();
+    let kernel = if policy.uses_bzimage() {
+        image.bzimage(config.kernel_codec)
+    } else {
+        image.fw_cfg_staged().0
+    };
     let rd = initrd::build_initrd(config.initrd_size);
-    let layout =
-        GuestLayout::plan_with_expansion(config.mem_size, bz.len() as u64, rd.len() as u64, true)
-            .unwrap();
-    mem.host_write(layout.kernel_staging, &bz).unwrap();
+    let layout = GuestLayout::plan_with_expansion(
+        config.mem_size,
+        kernel.len() as u64,
+        rd.len() as u64,
+        policy.uses_bzimage(),
+    )
+    .unwrap();
+    mem.host_write(layout.kernel_staging, &kernel).unwrap();
     mem.host_write(layout.initrd_staging, &rd).unwrap();
     for item in vm.pre_encryption_plan().unwrap() {
         mem.host_write(item.gpa, &item.data).unwrap();
@@ -106,7 +119,7 @@ fn check_1_holds_on_the_template_path_with_carried_digests() {
     // A digest that travelled with an image is only what the hash page
     // says; the guest's own hash of what was actually staged decides.
     for tampered in [None, Some("kernel"), Some("initrd")] {
-        let (machine, mut mem, layout) = staged_template_guest();
+        let (machine, mut mem, layout) = staged_template_guest(BootPolicy::Severifast);
         let at = match tampered {
             Some("kernel") => Some(layout.kernel_staging + layout.kernel_size / 2),
             Some(_) => Some(layout.initrd_staging + layout.initrd_size / 2),
@@ -128,6 +141,56 @@ fn check_1_holds_on_the_template_path_with_carried_digests() {
                 assert_eq!(component, expected)
             }
             (_, other) => panic!("tampered {tampered:?}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn check_1_holds_on_the_fw_cfg_vmlinux_path() {
+    // The fw_cfg loader parses only e_entry, e_phnum and each program
+    // header's type, address and sizes; the piece hashes must cover the
+    // bytes it skips. Pieces are staged back to back: [ehdr][phdrs][segs].
+    let image = VmConfig::test_tiny(BootPolicy::SeverifastVmlinux)
+        .kernel
+        .build();
+    let phdrs = EHDR_SIZE as u64;
+    let segs = phdrs + (image.elf().segments.len() * PHDR_SIZE) as u64;
+    let seg0_middle = segs + image.elf().segments[0].data.len() as u64 / 2;
+    let config = VerifierConfig {
+        kind: KernelKind::Vmlinux,
+        firmware_size: VerifierFeatures::severifast_vmlinux().binary_size(),
+        ..VerifierConfig::severifast()
+    };
+    for (piece, expected) in [
+        ("untampered", None),
+        ("e_ident padding", Some("kernel")),
+        ("e_flags", Some("kernel")),
+        ("p_align", Some("kernel")),
+        ("segment", Some("kernel")),
+        ("initrd", Some("initrd")),
+    ] {
+        let (machine, mut mem, layout) = staged_template_guest(BootPolicy::SeverifastVmlinux);
+        let at = match piece {
+            "e_ident padding" => Some(layout.kernel_staging + 12),
+            "e_flags" => Some(layout.kernel_staging + 48),
+            "p_align" => Some(layout.kernel_staging + phdrs + 48),
+            "segment" => Some(layout.kernel_staging + seg0_middle),
+            "initrd" => Some(layout.initrd_staging + layout.initrd_size / 2),
+            _ => None,
+        };
+        if let Some(at) = at {
+            let byte = mem.host_read(at, 1).unwrap()[0];
+            mem.host_write(at, &[byte ^ 0x40]).unwrap();
+        }
+        match (
+            expected,
+            verify::run(&mut mem, &layout, &machine.cost, config),
+        ) {
+            (None, Ok(_)) => {}
+            (Some(expected), Err(VerifierError::HashMismatch { component })) => {
+                assert_eq!(component, expected, "{piece}")
+            }
+            (_, other) => panic!("tampered {piece}: {other:?}"),
         }
     }
 }
