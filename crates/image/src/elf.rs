@@ -123,37 +123,36 @@ impl ElfImage {
             return Err(ImageError::BadElf("not 64-bit"));
         }
         let entry = u64::from_le_bytes(bytes[24..32].try_into().expect("8"));
-        let phoff = u64::from_le_bytes(bytes[32..40].try_into().expect("8")) as usize;
+        let phoff = u64::from_le_bytes(bytes[32..40].try_into().expect("8"));
         let phentsize = u16::from_le_bytes(bytes[54..56].try_into().expect("2")) as usize;
         let phnum = u16::from_le_bytes(bytes[56..58].try_into().expect("2")) as usize;
         if phentsize != PHDR_SIZE {
             return Err(ImageError::BadElf("unexpected program header size"));
         }
-        if phoff + phnum * PHDR_SIZE > bytes.len() {
-            return Err(ImageError::BadElf("program headers out of bounds"));
-        }
+        // Every offset and size below is the file's word: add them checked,
+        // so a hostile one is an error, never a wrapped index.
+        let phdrs = in_bounds(bytes, phoff, (phnum * PHDR_SIZE) as u64)
+            .ok_or(ImageError::BadElf("program headers out of bounds"))?;
         let mut segments = Vec::with_capacity(phnum);
-        for i in 0..phnum {
-            let ph = &bytes[phoff + i * PHDR_SIZE..phoff + (i + 1) * PHDR_SIZE];
+        for ph in phdrs.chunks_exact(PHDR_SIZE) {
             let p_type = u32::from_le_bytes(ph[0..4].try_into().expect("4"));
             if p_type != 1 {
                 continue; // skip non-LOAD
             }
             let flags = u32::from_le_bytes(ph[4..8].try_into().expect("4"));
-            let p_offset = u64::from_le_bytes(ph[8..16].try_into().expect("8")) as usize;
+            let p_offset = u64::from_le_bytes(ph[8..16].try_into().expect("8"));
             let vaddr = u64::from_le_bytes(ph[16..24].try_into().expect("8"));
-            let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8")) as usize;
+            let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8"));
             let memsz = u64::from_le_bytes(ph[40..48].try_into().expect("8"));
-            if p_offset + filesz > bytes.len() {
-                return Err(ImageError::BadElf("segment data out of bounds"));
-            }
-            if memsz < filesz as u64 {
+            let data = in_bounds(bytes, p_offset, filesz)
+                .ok_or(ImageError::BadElf("segment data out of bounds"))?;
+            if memsz < filesz {
                 return Err(ImageError::BadElf("memsz smaller than filesz"));
             }
             segments.push(Segment {
                 vaddr,
-                data: bytes[p_offset..p_offset + filesz].to_vec(),
-                bss: memsz - filesz as u64,
+                data: data.to_vec(),
+                bss: memsz - filesz,
                 flags: SegmentFlags(flags),
             });
         }
@@ -183,6 +182,12 @@ impl ElfImage {
     pub fn loadable_bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.data.len() as u64).sum()
     }
+}
+
+/// `bytes[offset..offset + len]`, or `None` if any of it lies outside.
+fn in_bounds(bytes: &[u8], offset: u64, len: u64) -> Option<&[u8]> {
+    let end = offset.checked_add(len)?;
+    bytes.get(usize::try_from(offset).ok()?..usize::try_from(end).ok()?)
 }
 
 #[cfg(test)]
@@ -237,6 +242,43 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[4] = 1;
         assert!(ElfImage::parse(&bytes).is_err());
+    }
+
+    /// A 120-byte ELF: the file header and one LOAD program header.
+    fn one_header() -> Vec<u8> {
+        let elf = ElfImage {
+            entry: 0x1000,
+            segments: vec![Segment {
+                vaddr: 0x1000,
+                data: Vec::new(),
+                bss: 0,
+                flags: SegmentFlags::R,
+            }],
+        };
+        elf.to_bytes()[..EHDR_SIZE + PHDR_SIZE].to_vec()
+    }
+
+    #[test]
+    fn program_header_offset_past_the_address_space_is_bad_elf() {
+        let mut bytes = one_header();
+        assert_eq!(bytes.len(), 120);
+        bytes[32..40].copy_from_slice(&u64::MAX.to_le_bytes()); // e_phoff
+        assert_eq!(
+            ElfImage::parse(&bytes),
+            Err(ImageError::BadElf("program headers out of bounds"))
+        );
+    }
+
+    #[test]
+    fn segment_offset_past_the_address_space_is_bad_elf() {
+        let mut bytes = one_header();
+        let p_offset = EHDR_SIZE + 8;
+        bytes[p_offset..p_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[EHDR_SIZE + 32..EHDR_SIZE + 40].copy_from_slice(&1u64.to_le_bytes()); // p_filesz
+        assert_eq!(
+            ElfImage::parse(&bytes),
+            Err(ImageError::BadElf("segment data out of bounds"))
+        );
     }
 
     #[test]

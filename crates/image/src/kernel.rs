@@ -48,13 +48,6 @@ pub struct BootPhases {
     pub late_us: u32,
 }
 
-impl BootPhases {
-    /// Total baseline boot time in microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.early_us as u64 + self.drivers_us as u64 + self.late_us as u64
-    }
-}
-
 /// The descriptor embedded at the kernel entry point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelDescriptor {
@@ -521,9 +514,10 @@ mod tests {
     fn boot_phase_ordering_matches_paper() {
         // Lupine < AWS < Ubuntu in baseline boot time; AWS ≈ 31 ms so a
         // stock Firecracker boot lands near the paper's ≈ 40 ms.
-        let l = KernelConfig::lupine().phases.total_us();
-        let a = KernelConfig::aws().phases.total_us();
-        let u = KernelConfig::ubuntu().phases.total_us();
+        let total = |c: KernelConfig| c.phases.early_us + c.phases.drivers_us + c.phases.late_us;
+        let l = total(KernelConfig::lupine());
+        let a = total(KernelConfig::aws());
+        let u = total(KernelConfig::ubuntu());
         assert!(l < a && a < u);
         assert!((28_000..36_000).contains(&a), "aws total {a}");
     }

@@ -27,10 +27,9 @@
 
 use sevf_image::content::{generate, ContentProfile};
 use sevf_mem::GuestMemory;
-use sevf_sim::cost::CostModel;
-use sevf_sim::{Nanos, PhaseKind};
+use sevf_sim::cost::{CostModel, Step, Work};
+use sevf_sim::PhaseKind;
 use sevf_verifier::layout::GuestLayout;
-use sevf_verifier::loader::Step;
 use sevf_verifier::verify::{self, KernelKind, VerifiedBoot, VerifierConfig};
 use sevf_verifier::VerifierError;
 
@@ -74,66 +73,41 @@ impl OvmfImage {
     }
 }
 
-/// One timed UEFI PI phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OvmfPhase {
-    /// Which figure bucket the phase belongs to.
-    pub phase: PhaseKind,
-    /// Phase name per the PI spec.
-    pub name: &'static str,
-    /// Modeled duration.
-    pub duration: Nanos,
-}
-
 /// The four timed phases of Fig. 3, in order. (The PI spec's TSL/RT phases
 /// are where the kernel takes over; their time is accounted to boot
 /// verification and the kernel itself.)
-pub fn pi_phases(cost: &CostModel) -> Vec<OvmfPhase> {
-    vec![
-        OvmfPhase {
-            phase: PhaseKind::OvmfSec,
-            name: "SEC (security)",
-            duration: cost.ovmf_sec,
-        },
-        OvmfPhase {
-            phase: PhaseKind::OvmfPei,
-            name: "PEI (pre-EFI initialization)",
-            duration: cost.ovmf_pei,
-        },
-        OvmfPhase {
-            phase: PhaseKind::OvmfDxe,
-            name: "DXE (driver execution environment)",
-            duration: cost.ovmf_dxe,
-        },
-        OvmfPhase {
-            phase: PhaseKind::OvmfBds,
-            name: "BDS (boot device selection)",
-            duration: cost.ovmf_bds,
-        },
+pub fn pi_phases(cost: &CostModel) -> Vec<Step> {
+    [
+        (PhaseKind::OvmfSec, "SEC (security)", Work::OvmfSec),
+        (
+            PhaseKind::OvmfPei,
+            "PEI (pre-EFI initialization)",
+            Work::OvmfPei,
+        ),
+        (
+            PhaseKind::OvmfDxe,
+            "DXE (driver execution environment)",
+            Work::OvmfDxe,
+        ),
+        (
+            PhaseKind::OvmfBds,
+            "BDS (boot device selection)",
+            Work::OvmfBds,
+        ),
     ]
+    .into_iter()
+    .map(|(phase, label, work)| cost.step(phase, label, work))
+    .collect()
 }
 
 /// Result of the OVMF guest-side boot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OvmfBoot {
     /// The timed PI phases.
-    pub phases: Vec<OvmfPhase>,
+    pub phases: Vec<Step>,
     /// The embedded boot verifier's outcome (the Fig. 3 "Boot Verifier"
     /// sliver).
     pub verified: VerifiedBoot,
-}
-
-impl OvmfBoot {
-    /// Total firmware time: PI phases plus boot verification (the
-    /// "Firmware/Boot Verification" column of Fig. 10).
-    pub fn firmware_total(&self) -> Nanos {
-        self.phases.iter().map(|p| p.duration).sum::<Nanos>() + self.verified.total_time()
-    }
-
-    /// The verifier steps (for timeline rendering).
-    pub fn verifier_steps(&self) -> &[Step] {
-        &self.verified.steps
-    }
 }
 
 /// Runs the OVMF guest boot: the four PI phases, then measured direct boot
@@ -170,6 +144,7 @@ mod tests {
     use sevf_image::kernel::KernelConfig;
     use sevf_mem::PAGE_SIZE;
     use sevf_sim::cost::SevGeneration;
+    use sevf_sim::Nanos;
     use sevf_verifier::hashes::{HashPage, KernelHashes};
     use sevf_verifier::layout::HASH_PAGE_ADDR;
 
@@ -211,6 +186,10 @@ mod tests {
         assert_eq!(OvmfImage::build(), ovmf, "deterministic build");
     }
 
+    fn total(steps: &[Step]) -> Nanos {
+        steps.iter().map(|s| s.duration).sum()
+    }
+
     #[test]
     fn pi_phases_total_matches_fig3() {
         let total: Nanos = pi_phases(&CostModel::calibrated())
@@ -233,9 +212,9 @@ mod tests {
         )
         .unwrap();
         // Fig. 3: firmware dominated by PI phases, > 3 s.
-        assert!(boot.firmware_total().as_secs_f64() > 3.0);
+        assert!(total(&boot.phases).as_secs_f64() > 3.0);
         // The boot-verifier sliver is tiny by comparison.
-        assert!(boot.verified.total_time().as_millis_f64() < 100.0);
+        assert!(total(&boot.verified.steps).as_millis_f64() < 100.0);
         assert_eq!(boot.verified.kernel_entry, layout.kernel_dest);
     }
 
@@ -260,7 +239,7 @@ mod tests {
         let cost = CostModel::calibrated();
         let ovmf = OvmfImage::build();
         let ms = cost
-            .psp_pre_encrypt_bytes(ovmf.pre_encrypted_size())
+            .price(&Work::LaunchUpdateData(ovmf.pre_encrypted_size()))
             .as_millis_f64();
         assert!((260.0..310.0).contains(&ms), "OVMF pre-encryption {ms} ms");
     }

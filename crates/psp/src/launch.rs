@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 use sevf_crypto::sha256;
 use sevf_mem::GuestMemory;
-use sevf_sim::cost::SevGeneration;
-use sevf_sim::{CostModel, Nanos};
+use sevf_sim::cost::{SevGeneration, Work};
+use sevf_sim::{CostModel, Nanos, PhaseKind, Step};
 
 use crate::error::PspError;
 use crate::measurement::MeasurementChain;
@@ -15,13 +15,27 @@ use crate::report::{AttestationReport, ChipIdentity, GuestPolicy};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GuestHandle(u64);
 
-/// The virtual-time cost of one PSP command. All PSP work serializes on the
+/// One PSP command's work and what it cost. All PSP work serializes on the
 /// single PSP core — callers must schedule these durations on the PSP
 /// resource in concurrency experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PspWork {
+    /// What the command did.
+    pub work: Work,
     /// Time the PSP core is busy executing the command.
     pub duration: Nanos,
+}
+
+impl PspWork {
+    /// This command as a step of `phase` on the caller's timeline.
+    pub fn step(self, phase: PhaseKind, label: impl Into<String>) -> Step {
+        Step {
+            phase,
+            label: label.into(),
+            work: self.work,
+            duration: self.duration,
+        }
+    }
 }
 
 /// One executed PSP command, as recorded in the command ledger: which
@@ -148,18 +162,18 @@ impl Psp {
     pub fn firmware_reset(&mut self) -> PspWork {
         self.guests.clear();
         self.firmware_epoch += 1;
-        let duration = self.cost.psp_firmware_reset + self.cost.psp_cmd_dispatch;
-        self.charge("SEV_PLATFORM_INIT", duration)
+        self.charge("SEV_PLATFORM_INIT", Work::FirmwareReset)
     }
 
-    fn charge(&mut self, name: &'static str, duration: Nanos) -> PspWork {
+    fn charge(&mut self, name: &'static str, work: Work) -> PspWork {
+        let duration = self.cost.price(&work);
         self.total_busy += duration;
         self.ledger.push(CommandRecord {
             name,
             duration,
             epoch: self.firmware_epoch,
         });
-        PspWork { duration }
+        PspWork { work, duration }
     }
 
     fn context(&mut self, guest: GuestHandle) -> Result<&mut GuestContext, PspError> {
@@ -195,11 +209,10 @@ impl Psp {
                 memory_key,
             },
         );
-        let duration = self.cost.psp_launch_start + self.cost.psp_cmd_dispatch;
         Ok(LaunchOutcome {
             guest: GuestHandle(handle),
             memory_key,
-            work: self.charge("LAUNCH_START", duration),
+            work: self.charge("LAUNCH_START", Work::LaunchStart),
         })
     }
 
@@ -241,11 +254,10 @@ impl Psp {
         );
         // One mailbox round plus a context copy — no key derivation, no
         // page measurement.
-        let duration = self.cost.psp_cmd_dispatch + Nanos::from_micros(200);
         Ok(LaunchOutcome {
             guest: GuestHandle(handle),
             memory_key: key,
-            work: self.charge("LAUNCH_START(shared)", duration),
+            work: self.charge("LAUNCH_START(shared)", Work::LaunchStartShared),
         })
     }
 
@@ -275,8 +287,8 @@ impl Psp {
         for (i, page) in plaintext.chunks(4096).enumerate() {
             ctx.chain.add_page(addr + i as u64 * 4096, page);
         }
-        let duration = self.cost.psp_pre_encrypt_bytes(plaintext.len() as u64);
-        Ok(self.charge("LAUNCH_UPDATE_DATA", duration))
+        let bytes = plaintext.len() as u64;
+        Ok(self.charge("LAUNCH_UPDATE_DATA", Work::LaunchUpdateData(bytes)))
     }
 
     /// `LAUNCH_UPDATE_VMSA`: encrypts and measures the initial register
@@ -305,8 +317,7 @@ impl Psp {
         for vcpu in 0..vcpus {
             ctx.chain.add_vmsa(vcpu, initial_state);
         }
-        let duration = self.cost.psp_update_vmsas(vcpus);
-        Ok(self.charge("LAUNCH_UPDATE_VMSA", duration))
+        Ok(self.charge("LAUNCH_UPDATE_VMSA", Work::LaunchUpdateVmsa(vcpus)))
     }
 
     /// SNP RMP initialization for the guest's memory: PSP-mediated
@@ -318,12 +329,12 @@ impl Psp {
     /// [`PspError::UnknownGuest`] for a bad handle.
     pub fn rmp_init(&mut self, guest: GuestHandle, mem: &GuestMemory) -> Result<PspWork, PspError> {
         let ctx = self.context(guest)?;
-        let duration = if ctx.policy.generation.has_rmp() {
-            self.cost.psp_rmp_init(mem.size())
+        let bytes = if ctx.policy.generation.has_rmp() {
+            mem.size()
         } else {
-            Nanos::ZERO
+            0
         };
-        Ok(self.charge("RMP_INIT", duration))
+        Ok(self.charge("RMP_INIT", Work::RmpInit(bytes)))
     }
 
     /// `LAUNCH_FINISH`: freezes the measurement; later update commands fail.
@@ -342,10 +353,9 @@ impl Psp {
         ctx.state = LaunchState::Finished;
         let measurement = ctx.chain.finalize();
         ctx.measurement = Some(measurement);
-        let duration = self.cost.psp_launch_finish + self.cost.psp_cmd_dispatch;
         Ok(FinishOutcome {
             measurement,
-            work: self.charge("LAUNCH_FINISH", duration),
+            work: self.charge("LAUNCH_FINISH", Work::LaunchFinish),
         })
     }
 
@@ -362,7 +372,6 @@ impl Psp {
         guest: GuestHandle,
         report_data: [u8; 64],
     ) -> Result<(AttestationReport, PspWork), PspError> {
-        let duration = self.cost.psp_report + self.cost.psp_cmd_dispatch;
         let chip_id = self.chip.chip_id;
         let ctx = self.context(guest)?;
         let Some(measurement) = ctx.measurement else {
@@ -377,7 +386,7 @@ impl Psp {
             signature: [0u8; 48],
         };
         report.signature = self.chip.sign(&report.body_bytes());
-        Ok((report, self.charge("SNP_GUEST_REQUEST", duration)))
+        Ok((report, self.charge("SNP_GUEST_REQUEST", Work::GuestRequest)))
     }
 }
 

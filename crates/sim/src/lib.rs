@@ -9,9 +9,12 @@
 //!
 //! * [`time::Nanos`] — the virtual time unit.
 //! * [`cost::CostModel`] — one struct holding every calibrated constant, each
-//!   documented with the paper number it was derived from.
-//! * [`timeline::Timeline`] — phase spans and debug-port/GHCB event marks,
-//!   reproducing the instrumentation methodology of §6.1.
+//!   documented with the paper number it was derived from, and
+//!   [`CostModel::price`], the one function that reads them: boot code
+//!   records what it did as a [`cost::Work`] and gets back a priced [`Step`].
+//! * [`timeline::Timeline`] — placed steps as phase spans (with the work each
+//!   paid for) and debug-port/GHCB event marks, reproducing the
+//!   instrumentation methodology of §6.1.
 //! * [`des`] — a discrete-event engine with FIFO resources, used for the
 //!   Fig. 12 concurrency experiment where every launch serializes on the
 //!   single-core PSP. Its scheduler is an indexed [`calendar`] queue; the
@@ -26,11 +29,11 @@
 //! # Example
 //!
 //! ```
-//! use sevf_sim::cost::CostModel;
+//! use sevf_sim::cost::{CostModel, Work};
 //!
 //! let model = CostModel::calibrated();
 //! // Pre-encrypting the 1 MiB OVMF image costs ~a quarter second (§3.1).
-//! let t = model.psp_pre_encrypt_bytes(1 << 20);
+//! let t = model.price(&Work::LaunchUpdateData(1 << 20));
 //! assert!(t.as_millis_f64() > 200.0 && t.as_millis_f64() < 320.0);
 //! ```
 
@@ -47,7 +50,7 @@ pub mod stats;
 pub mod time;
 pub mod timeline;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, Step, Work};
 pub use des::{DesEngine, Job, JobOutcome, ResourceId, RunTrace, Segment, TraceEntry};
 pub use fault::{AttestFault, FaultConfig, FaultKind, FaultPlan, ResetWindow};
 pub use stats::Summary;

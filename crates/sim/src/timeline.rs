@@ -5,11 +5,13 @@
 //! before #VC handlers are installed in an SEV-ES/SNP guest — magic values
 //! written to the GHCB MSR are interpreted as timing events. [`Timeline`]
 //! reproduces exactly that: boot code emits [`EventChannel`]-tagged marks,
-//! and phases accumulate into [`Span`]s that the figures later group by
-//! [`PhaseKind`].
+//! and priced [`Step`]s accumulate into [`Span`]s that the figures later
+//! group by [`PhaseKind`].
 
 use std::fmt;
 
+use crate::cost::{Step, Work};
+use crate::rng::Jitter;
 use crate::time::Nanos;
 
 /// The boot-phase buckets the paper's figures group time into.
@@ -88,8 +90,8 @@ pub enum EventChannel {
 /// The concurrency experiments (Fig. 12) and the fleet control plane replay
 /// timelines through the DES engine, where PSP-mediated work serializes on a
 /// single slot while CPU work spreads over the core pool and network waits
-/// overlap freely. Carrying the class *on the span* — set at the call site
-/// that knows what the work is — means the replay can never silently
+/// overlap freely. Carrying the class *on the span* — taken from the span's
+/// [`Work`] by [`Work::class`] — means the replay can never silently
 /// misclassify a span because someone reworded its label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ResourceClass {
@@ -101,17 +103,6 @@ pub enum ResourceClass {
     Psp,
     /// A network/remote wait that overlaps freely across VMs.
     Network,
-}
-
-impl ResourceClass {
-    /// Stable label used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResourceClass::HostCpu => "cpu",
-            ResourceClass::Psp => "psp",
-            ResourceClass::Network => "network",
-        }
-    }
 }
 
 /// One contiguous stretch of work attributed to a phase.
@@ -127,13 +118,6 @@ pub struct Span {
     pub duration: Nanos,
     /// Host resource the work occupies (defaults to [`ResourceClass::HostCpu`]).
     pub class: ResourceClass,
-}
-
-impl Span {
-    /// Instant at which the span ends.
-    pub fn end(&self) -> Nanos {
-        self.start + self.duration
-    }
 }
 
 /// A timestamped instrumentation mark.
@@ -152,17 +136,27 @@ pub struct Event {
 /// # Example
 ///
 /// ```
-/// use sevf_sim::{Nanos, PhaseKind, Timeline};
+/// use sevf_sim::cost::Work;
+/// use sevf_sim::rng::Jitter;
+/// use sevf_sim::{CostModel, PhaseKind, Timeline};
 ///
+/// let cost = CostModel::calibrated();
 /// let mut tl = Timeline::new();
-/// tl.push(PhaseKind::VmmSetup, "spawn", Nanos::from_millis(5));
-/// tl.push(PhaseKind::LinuxBoot, "kernel", Nanos::from_millis(30));
-/// assert_eq!(tl.total(), Nanos::from_millis(35));
-/// assert_eq!(tl.phase_total(PhaseKind::LinuxBoot), Nanos::from_millis(30));
+/// tl.place(
+///     [
+///         cost.step(PhaseKind::VmmSetup, "spawn", Work::FirecrackerSpawn),
+///         cost.step(PhaseKind::LinuxBoot, "kernel", Work::KernelPhase(30_000)),
+///     ],
+///     &mut Jitter::disabled(),
+/// );
+/// assert_eq!(tl.total(), cost.price(&Work::FirecrackerSpawn) + cost.price(&Work::KernelPhase(30_000)));
+/// assert_eq!(tl.work()[1], Work::KernelPhase(30_000));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     spans: Vec<Span>,
+    /// What each span paid for, in span order.
+    work: Vec<Work>,
     events: Vec<Event>,
     cursor: Nanos,
 }
@@ -173,33 +167,22 @@ impl Timeline {
         Self::default()
     }
 
-    /// Current position of the virtual clock.
-    pub fn now(&self) -> Nanos {
-        self.cursor
-    }
-
-    /// Appends a host-CPU span of `duration` starting at the cursor and
-    /// advances it.
-    pub fn push(&mut self, phase: PhaseKind, label: impl Into<String>, duration: Nanos) {
-        self.push_on(phase, label, ResourceClass::HostCpu, duration);
-    }
-
-    /// Appends a span tagged with the resource class it occupies.
-    pub fn push_on(
-        &mut self,
-        phase: PhaseKind,
-        label: impl Into<String>,
-        class: ResourceClass,
-        duration: Nanos,
-    ) {
-        self.spans.push(Span {
-            phase,
-            label: label.into(),
-            start: self.cursor,
-            duration,
-            class,
-        });
-        self.cursor += duration;
+    /// Places `steps` at the cursor in order, advancing it: each becomes a
+    /// span of its phase and label, on the resource its work occupies
+    /// ([`Work::class`]), with one `jitter` draw on its priced duration.
+    pub fn place(&mut self, steps: impl IntoIterator<Item = Step>, jitter: &mut Jitter) {
+        for step in steps {
+            let duration = jitter.apply(step.duration);
+            self.spans.push(Span {
+                phase: step.phase,
+                label: step.label,
+                start: self.cursor,
+                duration,
+                class: step.work.class(),
+            });
+            self.work.push(step.work);
+            self.cursor += duration;
+        }
     }
 
     /// Records an instrumentation mark at the current cursor.
@@ -214,6 +197,11 @@ impl Timeline {
     /// All spans in order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
+    }
+
+    /// The work each span paid for, in span order.
+    pub fn work(&self) -> &[Work] {
+        &self.work
     }
 
     /// All instrumentation events in order.
@@ -244,34 +232,20 @@ impl Timeline {
             .sum()
     }
 
-    /// Appends another timeline's spans and events, shifted to start at this
-    /// timeline's cursor (used when the guest timeline continues the VMM's).
-    pub fn absorb(&mut self, other: Timeline) {
-        let base = self.cursor;
-        for span in other.spans {
-            self.spans.push(Span {
-                start: base + span.start,
-                ..span
-            });
-        }
-        for ev in other.events {
-            self.events.push(Event {
-                at: base + ev.at,
-                ..ev
-            });
-        }
-        self.cursor = base + other.cursor;
-    }
-
-    /// Returns a copy containing only the spans whose phase satisfies
-    /// `keep`, re-packed contiguously from time zero (events are dropped).
-    /// Used e.g. to strip attestation from a boot before replaying it in
-    /// the concurrency experiment.
+    /// Returns a copy containing only the spans (and their work) whose
+    /// phase satisfies `keep`, re-packed contiguously from time zero (events
+    /// are dropped). Used e.g. to strip attestation from a boot before
+    /// replaying it in the concurrency experiment.
     pub fn filtered(&self, keep: impl Fn(PhaseKind) -> bool) -> Timeline {
         let mut out = Timeline::new();
-        for span in &self.spans {
+        for (span, work) in self.spans.iter().zip(&self.work) {
             if keep(span.phase) {
-                out.push_on(span.phase, span.label.clone(), span.class, span.duration);
+                out.spans.push(Span {
+                    start: out.cursor,
+                    ..span.clone()
+                });
+                out.work.push(work.clone());
+                out.cursor += span.duration;
             }
         }
         out
@@ -299,89 +273,117 @@ impl Timeline {
 mod tests {
     use super::*;
 
+    /// A step of `ms` milliseconds of `work`.
+    fn step(phase: PhaseKind, label: &str, work: Work, ms: u64) -> Step {
+        Step {
+            phase,
+            label: label.into(),
+            work,
+            duration: Nanos::from_millis(ms),
+        }
+    }
+
+    fn kernel(phase: PhaseKind, ms: u64) -> Step {
+        step(phase, "kernel", Work::KernelPhase(ms * 1000), ms)
+    }
+
+    fn placed(steps: impl IntoIterator<Item = Step>) -> Timeline {
+        let mut tl = Timeline::new();
+        tl.place(steps, &mut Jitter::disabled());
+        tl
+    }
+
     #[test]
     fn cursor_advances_with_spans() {
-        let mut tl = Timeline::new();
-        assert_eq!(tl.now(), Nanos::ZERO);
-        tl.push(PhaseKind::VmmSetup, "a", Nanos::from_millis(2));
-        tl.push(PhaseKind::PreEncryption, "b", Nanos::from_millis(8));
-        assert_eq!(tl.now(), Nanos::from_millis(10));
+        assert_eq!(Timeline::new().total(), Nanos::ZERO);
+        let tl = placed([
+            kernel(PhaseKind::VmmSetup, 2),
+            kernel(PhaseKind::PreEncryption, 8),
+        ]);
+        assert_eq!(tl.total(), Nanos::from_millis(10));
         assert_eq!(tl.spans()[1].start, Nanos::from_millis(2));
-        assert_eq!(tl.spans()[1].end(), Nanos::from_millis(10));
     }
 
     #[test]
     fn phase_totals_accumulate() {
-        let mut tl = Timeline::new();
-        tl.push(PhaseKind::LinuxBoot, "early", Nanos::from_millis(10));
-        tl.push(PhaseKind::LinuxBoot, "late", Nanos::from_millis(20));
+        let tl = placed([
+            kernel(PhaseKind::LinuxBoot, 10),
+            kernel(PhaseKind::LinuxBoot, 20),
+        ]);
         assert_eq!(tl.phase_total(PhaseKind::LinuxBoot), Nanos::from_millis(30));
         assert_eq!(tl.phase_total(PhaseKind::VmmSetup), Nanos::ZERO);
     }
 
     #[test]
     fn boot_total_excludes_attestation() {
-        let mut tl = Timeline::new();
-        tl.push(PhaseKind::LinuxBoot, "boot", Nanos::from_millis(40));
-        tl.push(PhaseKind::Attestation, "attest", Nanos::from_millis(200));
+        let tl = placed([
+            kernel(PhaseKind::LinuxBoot, 40),
+            kernel(PhaseKind::Attestation, 200),
+        ]);
         assert_eq!(tl.boot_total(), Nanos::from_millis(40));
         assert_eq!(tl.total(), Nanos::from_millis(240));
     }
 
     #[test]
     fn events_carry_cursor_time() {
-        let mut tl = Timeline::new();
-        tl.push(PhaseKind::VmmSetup, "a", Nanos::from_millis(1));
+        let mut tl = placed([kernel(PhaseKind::VmmSetup, 1)]);
         tl.mark(EventChannel::GhcbMsr, "verifier-entry");
         assert_eq!(tl.events()[0].at, Nanos::from_millis(1));
         assert_eq!(tl.events()[0].channel, EventChannel::GhcbMsr);
     }
 
     #[test]
-    fn absorb_shifts_child_timeline() {
-        let mut parent = Timeline::new();
-        parent.push(PhaseKind::VmmSetup, "vmm", Nanos::from_millis(5));
-        let mut child = Timeline::new();
-        child.push(PhaseKind::LinuxBoot, "guest", Nanos::from_millis(30));
-        child.mark(EventChannel::DebugPort, "init");
-        parent.absorb(child);
-        assert_eq!(parent.total(), Nanos::from_millis(35));
-        assert_eq!(parent.spans()[1].start, Nanos::from_millis(5));
-        assert_eq!(parent.events()[0].at, Nanos::from_millis(35));
+    fn jitter_draws_once_per_step_and_keeps_the_work() {
+        let steps = [
+            kernel(PhaseKind::VmmSetup, 5),
+            kernel(PhaseKind::LinuxBoot, 30),
+        ];
+        let mut tl = Timeline::new();
+        tl.place(steps.clone(), &mut Jitter::new(7));
+        let mut draws = Jitter::new(7);
+        for (span, step) in tl.spans().iter().zip(&steps) {
+            assert_eq!(span.duration, draws.apply(step.duration));
+        }
+        let work: Vec<Work> = steps.into_iter().map(|s| s.work).collect();
+        assert_eq!(tl.work(), &work[..]);
     }
 
     #[test]
-    fn resource_class_defaults_and_survives_filtering() {
-        let mut tl = Timeline::new();
-        tl.push(PhaseKind::VmmSetup, "spawn", Nanos::from_millis(1));
-        tl.push_on(
-            PhaseKind::PreEncryption,
-            "SNP_LAUNCH_START",
-            ResourceClass::Psp,
-            Nanos::from_millis(2),
-        );
-        tl.push_on(
-            PhaseKind::Attestation,
-            "owner round trip",
-            ResourceClass::Network,
-            Nanos::from_millis(3),
-        );
+    fn class_comes_from_the_work_and_survives_filtering() {
+        let tl = placed([
+            kernel(PhaseKind::VmmSetup, 1),
+            step(
+                PhaseKind::PreEncryption,
+                "SNP_LAUNCH_START",
+                Work::LaunchStart,
+                2,
+            ),
+            step(
+                PhaseKind::Attestation,
+                "owner round trip",
+                Work::AttestationRoundTrip,
+                3,
+            ),
+        ]);
         assert_eq!(tl.spans()[0].class, ResourceClass::HostCpu);
         assert_eq!(tl.spans()[1].class, ResourceClass::Psp);
+        assert_eq!(tl.spans()[2].class, ResourceClass::Network);
         let kept = tl.filtered(|p| p != PhaseKind::Attestation);
         assert_eq!(kept.spans().len(), 2);
         assert_eq!(kept.spans()[1].class, ResourceClass::Psp);
+        assert_eq!(kept.work(), &tl.work()[..2]);
+        assert_eq!(kept.total(), Nanos::from_millis(3));
     }
 
     #[test]
     fn render_contains_phases() {
-        let mut tl = Timeline::new();
-        tl.push(
+        let text = placed([step(
             PhaseKind::BootVerification,
             "hash kernel",
-            Nanos::from_millis(3),
-        );
-        let text = tl.render();
+            Work::Sha256(1),
+            3,
+        )])
+        .render();
         assert!(text.contains("Boot Verification"));
         assert!(text.contains("hash kernel"));
         assert!(text.contains("total"));

@@ -6,10 +6,25 @@
 //! the engine's own occupancy record is checked against the capacities it
 //! was configured with.
 
-use sevf_sim::rng::XorShift64;
-use sevf_sim::{DesEngine, Job, Nanos, PhaseKind, RunTrace, Segment, Timeline};
+use sevf_sim::rng::{Jitter, XorShift64};
+use sevf_sim::{DesEngine, Job, Nanos, PhaseKind, RunTrace, Segment, Step, Timeline, Work};
 
 const CASES: u64 = 64;
+
+/// A timeline of `durations` (ns), phases taken round-robin from `phases`.
+fn timeline_of(durations: &[u64], phases: &[PhaseKind]) -> Timeline {
+    let mut tl = Timeline::new();
+    tl.place(
+        durations.iter().enumerate().map(|(i, &d)| Step {
+            phase: phases[i % phases.len()],
+            label: "work".into(),
+            work: Work::HashCompare,
+            duration: Nanos::from_nanos(d),
+        }),
+        &mut Jitter::disabled(),
+    );
+    tl
+}
 
 /// Random segment durations in `1..5_000_000` ns, `1..max_segments` long.
 fn random_durations(rng: &mut XorShift64, max_segments: usize) -> Vec<u64> {
@@ -217,15 +232,12 @@ fn timeline_totals_are_span_sums() {
         let durations: Vec<u64> = (0..1 + rng.next_below(29))
             .map(|_| 1 + rng.next_below(9_999_999))
             .collect();
-        let mut tl = Timeline::new();
         let phases = [
             PhaseKind::VmmSetup,
             PhaseKind::LinuxBoot,
             PhaseKind::Attestation,
         ];
-        for (i, &d) in durations.iter().enumerate() {
-            tl.push(phases[i % 3], "work", Nanos::from_nanos(d));
-        }
+        let tl = timeline_of(&durations, &phases);
         let total: u64 = durations.iter().sum();
         assert_eq!(tl.total(), Nanos::from_nanos(total));
         let by_phase: u64 = phases.iter().map(|&p| tl.phase_total(p).as_nanos()).sum();
@@ -248,11 +260,7 @@ fn timeline_filtered_keeps_selected_phases() {
         let durations: Vec<u64> = (0..1 + rng.next_below(19))
             .map(|_| 1 + rng.next_below(999_999))
             .collect();
-        let mut tl = Timeline::new();
-        let phases = [PhaseKind::VmmSetup, PhaseKind::Attestation];
-        for (i, &d) in durations.iter().enumerate() {
-            tl.push(phases[i % 2], "work", Nanos::from_nanos(d));
-        }
+        let tl = timeline_of(&durations, &[PhaseKind::VmmSetup, PhaseKind::Attestation]);
         let filtered = tl.filtered(|p| p.counts_as_boot());
         assert_eq!(filtered.total(), tl.boot_total());
         assert!(filtered

@@ -7,12 +7,11 @@
 //! 1 of §2.6 (host swapping components after their hashes were registered).
 
 use sevf_mem::{GuestMemory, PAGE_SIZE};
-use sevf_sim::cost::{CostModel, PAGE_2M, PAGE_4K};
-use sevf_sim::Nanos;
+use sevf_sim::{CostModel, Step, Work};
 
 use crate::hashes::{HashPage, KernelHashes};
 use crate::layout::{GuestLayout, HASH_PAGE_ADDR, PAGE_TABLE_ADDR};
-use crate::loader::{self, Step};
+use crate::loader::{self, step};
 use crate::pagetable;
 use crate::VerifierError;
 
@@ -59,7 +58,7 @@ impl VerifierConfig {
 }
 
 /// The outcome of a successful verifier run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedBoot {
     /// Where to enter the kernel.
     pub kernel_entry: u64,
@@ -67,17 +66,8 @@ pub struct VerifiedBoot {
     pub initrd_addr: u64,
     /// Initrd length in bytes.
     pub initrd_len: u64,
-    /// Costed steps, in execution order, for the caller's timeline.
+    /// Priced steps, in execution order, for the caller's timeline.
     pub steps: Vec<Step>,
-    /// Number of pages the pvalidate sweep touched.
-    pub pvalidated_pages: u64,
-}
-
-impl VerifiedBoot {
-    /// Total virtual time the verifier spent.
-    pub fn total_time(&self) -> Nanos {
-        self.steps.iter().map(|s| s.duration).sum()
-    }
 }
 
 /// Runs the boot verifier against guest memory prepared by the VMM.
@@ -104,7 +94,7 @@ pub fn run(
 
     // 1. Discover the C-bit position: two cpuid leaves, each a #VC under
     //    SNP (§5).
-    steps.push(Step::new("cpuid C-bit discovery", cost.vc_exit.scale(2)));
+    steps.push(step(cost, "cpuid C-bit discovery", Work::VcExits(2)));
 
     // 2. pvalidate every assigned page the launch firmware did *not*
     //    already validate. The pre-encrypted ranges are skipped by address,
@@ -128,22 +118,26 @@ pub fn run(
             }
         }
     }
-    let sweep_page_size = if config.huge_pages { PAGE_2M } else { PAGE_4K };
-    steps.push(Step::new(
+    steps.push(step(
+        cost,
         format!(
             "pvalidate sweep ({} pages at {} granularity)",
             pvalidated,
             if config.huge_pages { "2MiB" } else { "4KiB" }
         ),
-        cost.pvalidate_sweep(pvalidated * PAGE_SIZE, sweep_page_size),
+        Work::Pvalidate {
+            pages: pvalidated,
+            huge_pages: config.huge_pages,
+        },
     ));
 
     // 3. Build identity-mapped page tables with the C-bit set (§4.2:
     //    generated in C-bit memory, implicitly encrypting them).
     pagetable::build_identity_map(mem, PAGE_TABLE_ADDR, 1 << 30, config.c_bit, true)?;
-    steps.push(Step::new(
+    steps.push(step(
+        cost,
         "build identity-mapped page tables (C-bit set)",
-        cost.page_table_setup,
+        Work::PageTables,
     ));
 
     // 4. Read the pre-encrypted hash page.
@@ -177,34 +171,32 @@ pub fn run(
             component: "kernel",
         });
     }
-    steps.push(Step::new("compare kernel hash", Nanos::from_micros(1)));
+    steps.push(step(cost, "compare kernel hash", Work::HashCompare));
 
     // 6. Measured direct boot: initrd (uncompressed per §3.3).
     let staged_initrd = mem.guest_read(layout.initrd_staging, layout.initrd_size, false)?;
     mem.guest_write(layout.initrd_dest, &staged_initrd, true)?;
     let private_initrd = mem.guest_read(layout.initrd_dest, layout.initrd_size, true)?;
     let initrd_digest = sevf_crypto::sha256(&private_initrd);
-    steps.push(Step::new(
-        format!("copy initrd ({} B) to encrypted memory", layout.initrd_size),
-        cost.cpu_copy_to_encrypted(layout.initrd_size),
+    let bytes = layout.initrd_size;
+    steps.push(step(
+        cost,
+        format!("copy initrd ({bytes} B) to encrypted memory"),
+        Work::CopyEncrypted(bytes),
     ));
-    steps.push(Step::new(
-        "SHA-256 initrd",
-        cost.cpu_sha256(layout.initrd_size),
-    ));
+    steps.push(step(cost, "SHA-256 initrd", Work::Sha256(bytes)));
     if initrd_digest != hash_page.initrd {
         return Err(VerifierError::HashMismatch {
             component: "initrd",
         });
     }
-    steps.push(Step::new("compare initrd hash", Nanos::from_micros(1)));
+    steps.push(step(cost, "compare initrd hash", Work::HashCompare));
 
     Ok(VerifiedBoot {
         kernel_entry: loaded.entry,
         initrd_addr: layout.initrd_dest,
         initrd_len: layout.initrd_size,
         steps,
-        pvalidated_pages: pvalidated,
     })
 }
 
@@ -216,6 +208,7 @@ mod tests {
     use sevf_codec::Codec;
     use sevf_image::kernel::KernelConfig;
     use sevf_sim::cost::SevGeneration;
+    use sevf_sim::PhaseKind;
 
     const MB: u64 = 1024 * 1024;
 
@@ -270,8 +263,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(boot.kernel_entry, layout.kernel_dest);
-        assert!(boot.pvalidated_pages > 0);
-        assert!(boot.total_time() > Nanos::ZERO);
+        assert!(boot
+            .steps
+            .iter()
+            .any(|s| matches!(s.work, Work::Pvalidate { pages, .. } if pages > 0)));
+        assert!(boot
+            .steps
+            .iter()
+            .all(|s| s.phase == PhaseKind::BootVerification));
         // Initrd really is in encrypted memory now.
         let initrd = sevf_image::initrd::build_initrd(64 * 1024);
         assert_eq!(

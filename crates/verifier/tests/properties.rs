@@ -9,7 +9,7 @@ use sevf_image::kernel::KernelConfig;
 use sevf_mem::GuestMemory;
 use sevf_sim::cost::SevGeneration;
 use sevf_sim::rng::XorShift64;
-use sevf_sim::CostModel;
+use sevf_sim::{CostModel, Work};
 use sevf_verifier::binary::{VerifierBinary, VerifierFeatures};
 use sevf_verifier::hashes::{HashPage, KernelHashes};
 use sevf_verifier::layout::{GuestLayout, HASH_PAGE_ADDR, VERIFIER_ADDR};
@@ -126,6 +126,7 @@ fn honest_boot_always_succeeds_regardless_of_sweep_granularity() {
             config,
         )
         .unwrap();
-        assert!(boot.pvalidated_pages > 0);
+        let swept = |s: &sevf_sim::Step| matches!(s.work, Work::Pvalidate { pages, huge_pages: h } if pages > 0 && h == huge_pages);
+        assert!(boot.steps.iter().any(swept));
     }
 }

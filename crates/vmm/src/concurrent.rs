@@ -15,8 +15,8 @@ use crate::report::BootReport;
 
 /// Converts a boot report into a DES job.
 ///
-/// Each timeline span carries a typed [`sevf_sim::ResourceClass`], set at
-/// the call site that produced the work, and [`Segment::for_class`] places
+/// Each timeline span carries a typed [`sevf_sim::ResourceClass`], taken
+/// from the work it paid for, and [`Segment::for_class`] places
 /// it: PSP launch commands go onto the single-slot PSP resource, CPU work
 /// onto the core pool, and network waits become pure delays. No label
 /// parsing is involved, so renaming a span cannot change its placement.

@@ -9,8 +9,9 @@
 //! its marks through a [`DebugChannels`] and the resulting log is exposed
 //! on the final [`crate::report::BootReport`] timeline.
 
-use sevf_sim::cost::SevGeneration;
-use sevf_sim::{CostModel, EventChannel, Nanos, Timeline};
+use sevf_sim::cost::{SevGeneration, Work};
+use sevf_sim::rng::Jitter;
+use sevf_sim::{CostModel, EventChannel, PhaseKind, Timeline};
 
 /// The I/O port the debug device listens on.
 pub const DEBUG_PORT: u16 = 0x80;
@@ -82,15 +83,14 @@ impl DebugChannels {
             EventChannel::GhcbMsr
         };
         // Either path is one world switch.
-        let exit_cost = if self.generation.is_sev() {
-            cost.vc_exit
+        let exit = if self.generation.is_sev() {
+            Work::VcExits(1)
         } else {
-            Nanos::from_micros(2) // plain VM exit
+            Work::PlainExit
         };
-        timeline.push(
-            sevf_sim::PhaseKind::LinuxBoot,
-            "instrumentation exit",
-            exit_cost,
+        timeline.place(
+            [cost.step(PhaseKind::LinuxBoot, "instrumentation exit", exit)],
+            &mut Jitter::disabled(),
         );
         timeline.mark(channel, tag);
         channel
@@ -128,12 +128,13 @@ mod tests {
         let mut tl = Timeline::new();
         let cost = CostModel::calibrated();
         ch.mark(&mut tl, &cost, "x");
-        assert_eq!(tl.total(), cost.vc_exit);
+        let vc_exit = cost.price(&Work::VcExits(1));
+        assert_eq!(tl.total(), vc_exit);
 
         let plain = DebugChannels::at_guest_entry(SevGeneration::None);
         let mut tl2 = Timeline::new();
         plain.mark(&mut tl2, &cost, "x");
-        assert!(tl2.total() < cost.vc_exit);
+        assert!(tl2.total() < vc_exit);
     }
 
     #[test]

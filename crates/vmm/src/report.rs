@@ -81,20 +81,28 @@ impl BootReport {
 mod tests {
     use super::*;
     use crate::config::BootPolicy;
-    use sevf_sim::timeline::Timeline;
+    use sevf_sim::rng::Jitter;
+    use sevf_sim::{Step, Work};
 
     #[test]
     fn report_phase_accessors() {
         let mut tl = Timeline::new();
-        tl.push(PhaseKind::VmmSetup, "spawn", Nanos::from_millis(5));
-        tl.push(PhaseKind::PreEncryption, "launch", Nanos::from_millis(8));
-        tl.push(
-            PhaseKind::BootVerification,
-            "verify",
-            Nanos::from_millis(20),
+        let step = |phase, ms| Step {
+            phase,
+            label: phase.label().into(),
+            work: Work::KernelPhase(ms * 1000),
+            duration: Nanos::from_millis(ms),
+        };
+        tl.place(
+            [
+                step(PhaseKind::VmmSetup, 5),
+                step(PhaseKind::PreEncryption, 8),
+                step(PhaseKind::BootVerification, 20),
+                step(PhaseKind::LinuxBoot, 70),
+                step(PhaseKind::Attestation, 200),
+            ],
+            &mut Jitter::disabled(),
         );
-        tl.push(PhaseKind::LinuxBoot, "kernel", Nanos::from_millis(70));
-        tl.push(PhaseKind::Attestation, "attest", Nanos::from_millis(200));
         let report = BootReport {
             config: VmConfig::test_tiny(BootPolicy::Severifast),
             timeline: tl,

@@ -7,10 +7,10 @@ use sevf_image::kernel::KernelImage;
 use sevf_image::ImageError;
 use sevf_mem::{GuestMemory, MemError};
 use sevf_ovmf::{OvmfImage, OVMF_BASE};
-use sevf_psp::PspError;
-use sevf_sim::cost::SevGeneration;
+use sevf_psp::{GuestHandle, Psp, PspError};
+use sevf_sim::cost::{SevGeneration, Step, Work};
 use sevf_sim::rng::Jitter;
-use sevf_sim::{EventChannel, Nanos, PhaseKind, ResourceClass, Timeline};
+use sevf_sim::{CostModel, EventChannel, Nanos, PhaseKind, Timeline};
 use sevf_verifier::binary::{VerifierBinary, VerifierFeatures};
 use sevf_verifier::hashes::HashPage;
 use sevf_verifier::layout::{
@@ -98,6 +98,15 @@ pub(crate) struct LiveGuest {
     pub(crate) guest: Option<sevf_psp::GuestHandle>,
     /// The loaded kernel's entry point.
     pub(crate) kernel_entry: u64,
+}
+
+/// A launched SEV guest before it runs: its PSP context, memory, launch
+/// digest, and the priced launch steps.
+struct Launch {
+    guest: GuestHandle,
+    mem: GuestMemory,
+    measurement: [u8; 48],
+    steps: Vec<Step>,
 }
 
 /// Everything boot needs that is derivable from the config alone, built
@@ -319,30 +328,27 @@ impl MicroVm {
             None => Jitter::disabled(),
         };
         let mut tl = Timeline::new();
-        let mut psp_busy = Nanos::ZERO;
+        let psp_before = machine.psp.total_busy;
         let artifacts = self.artifacts()?;
         let layout = &artifacts.layout;
 
         // ---- VMM process + KVM setup -------------------------------------
         let spawn = if self.config.policy == BootPolicy::QemuOvmf {
-            cost.qemu_process_spawn
+            Work::QemuSpawn
         } else {
-            cost.fc_process_spawn
+            Work::FirecrackerSpawn
         };
-        tl.push(
-            PhaseKind::VmmSetup,
-            "VMM process spawn + config",
-            jitter.apply(spawn),
-        );
-        tl.push(
-            PhaseKind::VmmSetup,
-            "KVM VM/vCPU setup",
-            jitter.apply(cost.kvm_vm_setup),
-        );
-        tl.push(
-            PhaseKind::VmmSetup,
-            "device setup (serial, virtio, debug port)",
-            jitter.apply(cost.device_setup),
+        tl.place(
+            [
+                ("VMM process spawn + config", spawn),
+                ("KVM VM/vCPU setup", Work::KvmSetup),
+                (
+                    "device setup (serial, virtio, debug port)",
+                    Work::DeviceSetup,
+                ),
+            ]
+            .map(|(label, work)| cost.step(PhaseKind::VmmSetup, label, work)),
+            &mut jitter,
         );
         tl.mark(EventChannel::VmmLog, "vmm-ready");
 
@@ -356,33 +362,33 @@ impl MicroVm {
         } else {
             None
         };
-        let (guest, mut mem, measurement) = match template {
-            Some(template_guest) => {
-                let (guest, mem) = self.launch_shared(
-                    machine,
-                    &mut tl,
-                    &mut jitter,
-                    &mut psp_busy,
-                    &artifacts,
-                    template_guest,
-                )?;
-                // The measurement is the template's: the digest this
-                // config's plan must produce is what the lookup matched.
-                (guest, mem, expected)
-            }
+        let (launch, ready) = match template {
+            // The measurement is the template's: the digest this config's
+            // plan must produce is what the lookup matched.
+            Some(template) => (
+                self.launch_shared(&mut machine.psp, &cost, &artifacts, template, expected)?,
+                "template-launch-ready",
+            ),
             None => {
-                let launched =
-                    self.launch_full(machine, &mut tl, &mut jitter, &mut psp_busy, &artifacts)?;
+                let launch = self.launch_full(&mut machine.psp, &cost, &artifacts)?;
                 if self.config.launch_mode == LaunchMode::SharedKeyTemplate {
-                    machine.templates.insert(launched.2, launched.0);
+                    machine.templates.insert(launch.measurement, launch.guest);
                 }
-                launched
+                (launch, "launch-measurement-frozen")
             }
         };
+        tl.place(launch.steps, &mut jitter);
+        tl.mark(EventChannel::VmmLog, ready);
+        let Launch {
+            guest,
+            mut mem,
+            measurement,
+            ..
+        } = launch;
 
         // ---- Enter the guest -------------------------------------------------
         tl.mark(EventChannel::GhcbMsr, "guest-entry");
-        let verified = match self.config.policy {
+        let (kernel_entry, steps) = match self.config.policy {
             BootPolicy::Severifast | BootPolicy::SeverifastVmlinux => {
                 let vconfig = VerifierConfig {
                     kind: if self.config.policy == BootPolicy::Severifast {
@@ -391,23 +397,15 @@ impl MicroVm {
                         KernelKind::Vmlinux
                     },
                     huge_pages: self.config.huge_pages,
-                    c_bit: sevf_mem::C_BIT_POSITION,
-                    firmware_base: VERIFIER_ADDR,
                     firmware_size: artifacts
                         .verifier
                         .as_ref()
                         .expect("sev policy has verifier")
                         .size(),
+                    ..VerifierConfig::severifast()
                 };
                 let verified = verify::run(&mut mem, layout, &cost, vconfig)?;
-                for step in &verified.steps {
-                    tl.push(
-                        PhaseKind::BootVerification,
-                        step.label.clone(),
-                        jitter.apply(step.duration),
-                    );
-                }
-                verified
+                (verified.kernel_entry, verified.steps)
             }
             BootPolicy::QemuOvmf => {
                 let boot = sevf_ovmf::boot(
@@ -417,20 +415,13 @@ impl MicroVm {
                     KernelKind::Bzimage,
                     self.config.huge_pages,
                 )?;
-                for phase in &boot.phases {
-                    tl.push(phase.phase, phase.name, jitter.apply(phase.duration));
-                }
-                for step in boot.verifier_steps() {
-                    tl.push(
-                        PhaseKind::BootVerification,
-                        step.label.clone(),
-                        jitter.apply(step.duration),
-                    );
-                }
-                boot.verified
+                let mut steps = boot.phases;
+                steps.extend(boot.verified.steps);
+                (boot.verified.kernel_entry, steps)
             }
             BootPolicy::StockFirecracker => unreachable!("handled above"),
         };
+        tl.place(steps, &mut jitter);
         tl.mark(EventChannel::GhcbMsr, "boot-verification-done");
 
         // ---- Bootstrap loader (bzImage policies) ------------------------------
@@ -445,58 +436,41 @@ impl MicroVm {
             };
             let loader = guest_kernel::run_bootstrap_loader_kaslr(
                 &mut mem,
-                verified.kernel_entry,
+                kernel_entry,
                 layout.kernel_size,
                 &cost,
                 slide,
             )?;
-            for step in &loader.steps {
-                tl.push(
-                    PhaseKind::BootstrapLoader,
-                    step.label.clone(),
-                    jitter.apply(step.duration),
-                );
-            }
+            tl.place(loader.steps, &mut jitter);
             tl.mark(EventChannel::DebugPort, "bootstrap-loader-done");
             loader.vmlinux_entry
         } else {
-            verified.kernel_entry
+            kernel_entry
         };
 
         // ---- Linux boot ---------------------------------------------------------
         let stage = guest_kernel::run_kernel(&mut mem, entry, self.config.generation, &cost)?;
-        for step in &stage.steps {
-            tl.push(
-                PhaseKind::LinuxBoot,
-                step.label.clone(),
-                jitter.apply(step.duration),
-            );
-        }
+        tl.place(stage.steps, &mut jitter);
         tl.mark(EventChannel::DebugPort, "init");
 
         // ---- Remote attestation -------------------------------------------------
         let (outcome, secret) = if stage.descriptor.has_network {
             let client = GuestAttestClient::new(&measurement);
             let (report, work) = machine.psp.guest_report(guest, client.report_data())?;
-            psp_busy += work.duration;
-            tl.push_on(
-                PhaseKind::Attestation,
-                "SNP_GUEST_REQUEST (report into encrypted memory)",
-                ResourceClass::Psp,
-                jitter.apply(work.duration),
-            );
-            tl.push_on(
-                PhaseKind::Attestation,
-                "send report; owner validates and wraps secret",
-                ResourceClass::Network,
-                jitter.apply(cost.attestation_network_rtt + cost.attestation_server_validate),
-            );
             let wrapped = machine.owner.handle_report(&report)?;
             let secret = client.unwrap_secret(&wrapped)?;
-            tl.push(
-                PhaseKind::Attestation,
-                "derive session key; unwrap secret",
-                jitter.apply(cost.attestation_guest_crypto),
+            let request = "SNP_GUEST_REQUEST (report into encrypted memory)";
+            tl.place([work.step(PhaseKind::Attestation, request)], &mut jitter);
+            tl.place(
+                [
+                    (
+                        "send report; owner validates and wraps secret",
+                        Work::AttestationRoundTrip,
+                    ),
+                    ("derive session key; unwrap secret", Work::GuestCrypto),
+                ]
+                .map(|(label, work)| cost.step(PhaseKind::Attestation, label, work)),
+                &mut jitter,
             );
             tl.mark(EventChannel::DebugPort, "attested");
             (BootOutcome::Running, Some(secret))
@@ -510,7 +484,7 @@ impl MicroVm {
             outcome,
             measurement: Some(measurement),
             provisioned_secret: secret,
-            psp_busy,
+            psp_busy: machine.psp.total_busy - psp_before,
         };
         Ok((
             report,
@@ -526,125 +500,93 @@ impl MicroVm {
     /// the §4.2 pre-encryption plan, VMSAs, LAUNCH_FINISH.
     fn launch_full(
         &self,
-        machine: &mut Machine,
-        tl: &mut Timeline,
-        jitter: &mut Jitter,
-        psp_busy: &mut Nanos,
+        psp: &mut Psp,
+        cost: &CostModel,
         artifacts: &Artifacts,
-    ) -> Result<(sevf_psp::GuestHandle, GuestMemory, [u8; 48]), VmmError> {
-        let cost = machine.cost.clone();
+    ) -> Result<Launch, VmmError> {
         let layout = &artifacts.layout;
-        let start = machine.psp.launch_start(self.config.generation)?;
-        *psp_busy += start.work.duration;
-        tl.push_on(
-            PhaseKind::PreEncryption,
-            "SNP_LAUNCH_START",
-            ResourceClass::Psp,
-            jitter.apply(start.work.duration),
-        );
+        let start = psp.launch_start(self.config.generation)?;
         let guest = start.guest;
+        let mut steps = vec![start
+            .work
+            .step(PhaseKind::PreEncryption, "SNP_LAUNCH_START")];
         let mut mem = GuestMemory::new_sev(
             self.config.mem_size,
             start.memory_key,
             self.config.generation,
         );
 
-        let rmp = machine.psp.rmp_init(guest, &mem)?;
-        *psp_busy += rmp.duration;
-        tl.push_on(
-            PhaseKind::VmmSetup,
-            "KVM RMP/page-state initialization",
-            ResourceClass::Psp,
-            jitter.apply(rmp.duration),
-        );
-        tl.push(
+        let rmp = psp.rmp_init(guest, &mem)?;
+        steps.push(rmp.step(PhaseKind::VmmSetup, "KVM RMP/page-state initialization"));
+        steps.push(cost.step(
             PhaseKind::VmmSetup,
             "register/pin encrypted memory regions",
-            jitter.apply(cost.sev_kvm_extra),
-        );
+            Work::PinEncryptedMemory,
+        ));
 
         // Stage plain-text components in the shared window.
-        mem.host_write(layout.kernel_staging, &artifacts.kernel_bytes)?;
-        tl.push(
-            PhaseKind::VmmSetup,
-            format!("stage kernel image ({} B)", artifacts.kernel_bytes.len()),
-            jitter.apply(cost.cpu_copy_plain(artifacts.kernel_bytes.len() as u64)),
-        );
-        mem.host_write(layout.initrd_staging, &artifacts.initrd_bytes)?;
-        tl.push(
-            PhaseKind::VmmSetup,
-            format!("stage initrd ({} B)", artifacts.initrd_bytes.len()),
-            jitter.apply(cost.cpu_copy_plain(artifacts.initrd_bytes.len() as u64)),
-        );
+        let (kernel, initrd) = (&artifacts.kernel_bytes, &artifacts.initrd_bytes);
+        for (what, addr, bytes) in [
+            ("kernel image", layout.kernel_staging, kernel),
+            ("initrd", layout.initrd_staging, initrd),
+        ] {
+            mem.host_write(addr, bytes)?;
+            let bytes = bytes.len() as u64;
+            steps.push(cost.step(
+                PhaseKind::VmmSetup,
+                format!("stage {what} ({bytes} B)"),
+                Work::CopyPlain(bytes),
+            ));
+        }
 
         // Pre-encrypt the root of trust (the §4.2 plan, in order).
         for item in &artifacts.plan {
             mem.host_write(item.gpa, &item.data)?;
-            let work = machine.psp.launch_update_data(
-                guest,
-                &mut mem,
-                item.gpa,
-                item.data.len() as u64,
-            )?;
-            *psp_busy += work.duration;
-            tl.push_on(
+            let work = psp.launch_update_data(guest, &mut mem, item.gpa, item.data.len() as u64)?;
+            steps.push(work.step(
                 PhaseKind::PreEncryption,
                 format!("LAUNCH_UPDATE_DATA: {} ({} B)", item.label, item.data.len()),
-                ResourceClass::Psp,
-                jitter.apply(work.duration),
-            );
+            ));
         }
         if self.config.generation.encrypts_vmsa() {
-            let work = machine
-                .psp
-                .launch_update_vmsa(guest, self.config.vcpus, &[0u8; 4096])?;
-            *psp_busy += work.duration;
-            tl.push_on(
+            let work = psp.launch_update_vmsa(guest, self.config.vcpus, &[0u8; 4096])?;
+            steps.push(work.step(
                 PhaseKind::PreEncryption,
                 format!("LAUNCH_UPDATE_VMSA ({} vCPU)", self.config.vcpus),
-                ResourceClass::Psp,
-                jitter.apply(work.duration),
-            );
+            ));
         }
         for (base, len) in layout.private_ranges() {
             mem.rmp_assign(base, len)?;
         }
-        let finish = machine.psp.launch_finish(guest)?;
-        *psp_busy += finish.work.duration;
-        tl.push_on(
-            PhaseKind::PreEncryption,
-            "SNP_LAUNCH_FINISH",
-            ResourceClass::Psp,
-            jitter.apply(finish.work.duration),
+        let finish = psp.launch_finish(guest)?;
+        steps.push(
+            finish
+                .work
+                .step(PhaseKind::PreEncryption, "SNP_LAUNCH_FINISH"),
         );
-        tl.mark(EventChannel::VmmLog, "launch-measurement-frozen");
-        Ok((guest, mem, finish.measurement))
+        Ok(Launch {
+            guest,
+            mem,
+            measurement: finish.measurement,
+            steps,
+        })
     }
 
     /// The shared-key template launch (future work, §6.2/§8): reuse a
-    /// finalized template's key and measurement; install the attested
+    /// finalized template's key and `measurement`; install the attested
     /// template state with plain copies instead of PSP measurement; skip
     /// RMP re-initialization (page states are cloned copy-on-write from the
     /// template).
     fn launch_shared(
         &self,
-        machine: &mut Machine,
-        tl: &mut Timeline,
-        jitter: &mut Jitter,
-        psp_busy: &mut Nanos,
+        psp: &mut Psp,
+        cost: &CostModel,
         artifacts: &Artifacts,
-        template: sevf_psp::GuestHandle,
-    ) -> Result<(sevf_psp::GuestHandle, GuestMemory), VmmError> {
-        let cost = machine.cost.clone();
+        template: GuestHandle,
+        measurement: [u8; 48],
+    ) -> Result<Launch, VmmError> {
         let layout = &artifacts.layout;
-        let start = machine.psp.launch_start_shared(template)?;
-        *psp_busy += start.work.duration;
-        tl.push_on(
-            PhaseKind::PreEncryption,
-            "shared-key template launch (no per-VM measurement)",
-            ResourceClass::Psp,
-            jitter.apply(start.work.duration),
-        );
+        let start = psp.launch_start_shared(template)?;
         let mut mem = GuestMemory::new_sev(
             self.config.mem_size,
             start.memory_key,
@@ -654,13 +596,7 @@ impl MicroVm {
         // Stage the shared-window components exactly as a full launch does.
         mem.host_write(layout.kernel_staging, &artifacts.kernel_bytes)?;
         mem.host_write(layout.initrd_staging, &artifacts.initrd_bytes)?;
-        tl.push(
-            PhaseKind::VmmSetup,
-            "stage kernel image + initrd",
-            jitter.apply(cost.cpu_copy_plain(
-                (artifacts.kernel_bytes.len() + artifacts.initrd_bytes.len()) as u64,
-            )),
-        );
+        let staged = (artifacts.kernel_bytes.len() + artifacts.initrd_bytes.len()) as u64;
 
         // Install the template's attested root-of-trust state: plain copies
         // under the shared key (no PSP involvement).
@@ -670,16 +606,31 @@ impl MicroVm {
             mem.pre_encrypt(item.gpa, item.data.len() as u64)?;
             installed += item.data.len() as u64;
         }
-        tl.push(
-            PhaseKind::VmmSetup,
-            format!("clone template root-of-trust state ({installed} B, CoW)"),
-            jitter.apply(cost.cpu_copy_plain(installed)),
-        );
         for (base, len) in layout.private_ranges() {
             mem.rmp_assign(base, len)?;
         }
-        tl.mark(EventChannel::VmmLog, "template-launch-ready");
-        Ok((start.guest, mem))
+        let steps = vec![
+            start.work.step(
+                PhaseKind::PreEncryption,
+                "shared-key template launch (no per-VM measurement)",
+            ),
+            cost.step(
+                PhaseKind::VmmSetup,
+                "stage kernel image + initrd",
+                Work::CopyPlain(staged),
+            ),
+            cost.step(
+                PhaseKind::VmmSetup,
+                format!("clone template root-of-trust state ({installed} B, CoW)"),
+                Work::CopyPlain(installed),
+            ),
+        ];
+        Ok(Launch {
+            guest: start.guest,
+            mem,
+            measurement,
+            steps,
+        })
     }
 
     /// Picks a 2 MiB-aligned KASLR slide that keeps the loaded kernel below
@@ -711,12 +662,12 @@ impl MicroVm {
     /// no SEV (§2.1's three steps).
     fn boot_stock(
         &self,
-        _machine: &mut Machine,
+        machine: &mut Machine,
         mut tl: Timeline,
         mut jitter: Jitter,
         artifacts: &Artifacts,
     ) -> Result<(BootReport, LiveGuest), VmmError> {
-        let cost = _machine.cost.clone();
+        let cost = &machine.cost;
         let layout = &artifacts.layout;
         let mut mem = GuestMemory::new_plain(self.config.mem_size);
         let image = &artifacts.image;
@@ -725,7 +676,7 @@ impl MicroVm {
         //    with in-monitor KASLR the VMM slides the whole image
         //    (Holmes et al., EuroSys'22; only possible without SEV, §8).
         let slide = if self.config.kaslr == KaslrMode::InMonitor {
-            Self::pick_slide(&mut _machine.rng, image, layout)
+            Self::pick_slide(&mut machine.rng, image, layout)
         } else {
             0
         };
@@ -734,22 +685,7 @@ impl MicroVm {
             mem.host_write(seg.vaddr + slide, &seg.data)?;
             loaded += seg.data.len() as u64;
         }
-        tl.push(
-            PhaseKind::VmmSetup,
-            format!("direct-load vmlinux segments ({loaded} B)"),
-            jitter.apply(
-                cost.cpu_copy_plain(loaded)
-                    + cost
-                        .elf_segment_overhead
-                        .scale(image.elf().segments.len() as u64),
-            ),
-        );
         mem.host_write(layout.initrd_dest, &artifacts.initrd_bytes)?;
-        tl.push(
-            PhaseKind::VmmSetup,
-            "load initrd",
-            jitter.apply(cost.cpu_copy_plain(artifacts.initrd_bytes.len() as u64)),
-        );
 
         // 2. Set up the data structures Linux needs.
         let mut layout_for_bp = layout.clone();
@@ -758,10 +694,22 @@ impl MicroVm {
         mem.host_write(BOOT_PARAMS_ADDR, &bp.to_page())?;
         mem.host_write(MPTABLE_ADDR, &mptable::build(self.config.vcpus))?;
         mem.host_write(CMDLINE_ADDR, &cmdline::to_page(&cmdline::default_cmdline()))?;
-        tl.push(
-            PhaseKind::VmmSetup,
-            "generate boot_params/mptable/cmdline",
-            jitter.apply(Nanos::from_micros(120)),
+        let segments = Work::ElfSegments(image.elf().segments.len() as u64);
+        let initrd = artifacts.initrd_bytes.len() as u64;
+        tl.place(
+            [
+                (
+                    format!("direct-load vmlinux segments ({loaded} B)"),
+                    Work::All(vec![Work::CopyPlain(loaded), segments]),
+                ),
+                ("load initrd".into(), Work::CopyPlain(initrd)),
+                (
+                    "generate boot_params/mptable/cmdline".into(),
+                    Work::BootStructures,
+                ),
+            ]
+            .map(|(label, work): (String, Work)| cost.step(PhaseKind::VmmSetup, label, work)),
+            &mut jitter,
         );
         tl.mark(EventChannel::VmmLog, "direct-boot-entry");
 
@@ -770,15 +718,9 @@ impl MicroVm {
             &mut mem,
             image.elf().entry + slide,
             SevGeneration::None,
-            &cost,
+            cost,
         )?;
-        for step in &stage.steps {
-            tl.push(
-                PhaseKind::LinuxBoot,
-                step.label.clone(),
-                jitter.apply(step.duration),
-            );
-        }
+        tl.place(stage.steps, &mut jitter);
         tl.mark(EventChannel::DebugPort, "init");
 
         let report = BootReport {

@@ -20,7 +20,7 @@
 //! memory rent this charges.
 
 use sevf_mem::{MemError, PAGE_SIZE};
-use sevf_sim::{CostModel, Nanos};
+use sevf_sim::{CostModel, Nanos, Work};
 
 use crate::config::VmConfig;
 use crate::vmm::LiveGuest;
@@ -74,9 +74,8 @@ impl KeepAliveVm {
     /// deliver the request, enter the function. No boot path is executed.
     pub fn invoke(&mut self, cost: &CostModel) -> WarmInvocation {
         self.invocations += 1;
-        // vCPU kick (one exit), request copy, scheduler wakeup.
         WarmInvocation {
-            latency: cost.vc_exit + Nanos::from_micros(180),
+            latency: cost.price(&Work::WarmInvoke),
         }
     }
 
@@ -121,7 +120,7 @@ impl KeepAliveVm {
         );
         let bytes = self.live.mem.restore_pages(&snapshot.mem_image);
         self.live.kernel_entry = snapshot.kernel_entry;
-        Ok(cost.cpu_copy_to_encrypted(bytes))
+        Ok(cost.price(&Work::CopyEncrypted(bytes)))
     }
 }
 

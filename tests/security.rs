@@ -3,7 +3,7 @@
 
 use severifast::crypto::sha256;
 use severifast::image::elf::{EHDR_SIZE, PHDR_SIZE};
-use severifast::image::{initrd, kernel::KernelConfig};
+use severifast::image::{initrd, kernel::KernelConfig, ImageError};
 use severifast::mem::{GuestMemory, MemError};
 use severifast::prelude::*;
 use severifast::verifier::binary::{VerifierBinary, VerifierFeatures};
@@ -156,11 +156,7 @@ fn check_1_holds_on_the_fw_cfg_vmlinux_path() {
     let phdrs = EHDR_SIZE as u64;
     let segs = phdrs + (image.elf().segments.len() * PHDR_SIZE) as u64;
     let seg0_middle = segs + image.elf().segments[0].data.len() as u64 / 2;
-    let config = VerifierConfig {
-        kind: KernelKind::Vmlinux,
-        firmware_size: VerifierFeatures::severifast_vmlinux().binary_size(),
-        ..VerifierConfig::severifast()
-    };
+    let config = vmlinux_verifier();
     for (piece, expected) in [
         ("untampered", None),
         ("e_ident padding", Some("kernel")),
@@ -193,6 +189,32 @@ fn check_1_holds_on_the_fw_cfg_vmlinux_path() {
             (_, other) => panic!("tampered {piece}: {other:?}"),
         }
     }
+}
+
+/// The verifier configured for the fw_cfg vmlinux loader.
+fn vmlinux_verifier() -> VerifierConfig {
+    VerifierConfig {
+        kind: KernelKind::Vmlinux,
+        firmware_size: VerifierFeatures::severifast_vmlinux().binary_size(),
+        ..VerifierConfig::severifast()
+    }
+}
+
+#[test]
+fn fw_cfg_segment_outside_guest_memory_is_a_typed_error() {
+    // The loader acts on a program header before any hash is compared, so
+    // a host-staged `p_memsz` of 1 TiB must be refused before the loader
+    // zeroes (or allocates) its bss.
+    let (machine, mut mem, layout) = staged_template_guest(BootPolicy::SeverifastVmlinux);
+    let p_memsz = layout.kernel_staging + (EHDR_SIZE + 40) as u64;
+    mem.host_write(p_memsz, &(1u64 << 40).to_le_bytes())
+        .unwrap();
+    assert_eq!(
+        verify::run(&mut mem, &layout, &machine.cost, vmlinux_verifier()),
+        Err(VerifierError::Image(ImageError::BadElf(
+            "segment outside guest memory"
+        )))
+    );
 }
 
 #[test]
