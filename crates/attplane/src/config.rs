@@ -77,7 +77,7 @@ pub struct AttPlaneConfig {
 
 impl AttPlaneConfig {
     /// The calibrated verifier model in the given mode.
-    pub fn verifier(mode: VerifyMode) -> Self {
+    pub const fn verifier(mode: VerifyMode) -> Self {
         AttPlaneConfig {
             mode,
             seed: 0x00A7_7E57,
@@ -101,7 +101,7 @@ impl AttPlaneConfig {
     }
 
     /// Cached + batched verification (the full control plane).
-    pub fn cached_batched() -> Self {
+    pub const fn cached_batched() -> Self {
         Self::verifier(VerifyMode::CachedBatched)
     }
 

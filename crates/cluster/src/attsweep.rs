@@ -37,11 +37,15 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, RevocationDrill, TcbRollout};
 use crate::ClusterError;
 
+/// Seed for catalog machines, arrivals, placement, and chips.
+pub const SEED: u64 = 0x5EF0;
+
+/// Verifier cost model; each arm overrides only `mode`.
+pub const VERIFIER: AttPlaneConfig = AttPlaneConfig::cached_batched();
+
 /// Knobs of one attestation sweep.
 #[derive(Debug, Clone)]
 pub struct AttSweepConfig {
-    /// Seed for catalog machines, arrivals, placement, and chips.
-    pub seed: u64,
     /// Request classes to serve (shared catalog for all hosts).
     pub classes: Vec<ClassSpec>,
     /// Mix over those classes; `None` = uniform.
@@ -54,11 +58,6 @@ pub struct AttSweepConfig {
     pub requests: usize,
     /// Per-host admission knobs.
     pub admission: AdmissionConfig,
-    /// Recovery policy (shared by all arms; the drill needs retries to
-    /// fail guests over).
-    pub recovery: RecoveryConfig,
-    /// Verifier cost model; each arm overrides only `mode`.
-    pub verifier: AttPlaneConfig,
     /// Aggregate offered load of the storm and drill arms.
     pub storm_rps: f64,
     /// Requests of the storm and drill arms.
@@ -73,7 +72,6 @@ impl AttSweepConfig {
     /// The headline attestation sweep over the paper mix.
     pub fn paper_attestation() -> Self {
         AttSweepConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             mix: Some(RequestMix::paper_mix()),
             hosts: 4,
@@ -84,8 +82,6 @@ impl AttSweepConfig {
             loads_rps: vec![40.0, 80.0, 160.0],
             requests: 400,
             admission: AdmissionConfig::default(),
-            recovery: RecoveryConfig::resilient(0x5EF0),
-            verifier: AttPlaneConfig::cached_batched(),
             storm_rps: 120.0,
             storm_requests: 360,
             rollout: TcbRollout {
@@ -102,15 +98,12 @@ impl AttSweepConfig {
     /// A fast sweep over the tiny test classes (tests, `--quick`).
     pub fn quick() -> Self {
         AttSweepConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
             mix: Some(RequestMix::quick_test_mix()),
             hosts: 3,
             loads_rps: vec![40.0, 160.0],
             requests: 240,
             admission: AdmissionConfig::quick_test(),
-            recovery: RecoveryConfig::resilient(0x5EF0),
-            verifier: AttPlaneConfig::cached_batched(),
             storm_rps: 100.0,
             storm_requests: 240,
             rollout: TcbRollout {
@@ -132,13 +125,15 @@ fn mode_name(mode: Option<VerifyMode>) -> &'static str {
     }
 }
 
+/// Every arm recovers with retries: the drill needs them to fail guests
+/// over.
 fn base_config(cfg: &AttSweepConfig, rps: f64, requests: usize) -> ClusterConfig {
     ClusterConfig {
         mix: cfg.mix.clone(),
-        seed: cfg.seed,
+        seed: SEED,
         admission: cfg.admission,
         placement: PlacementPolicy::JsqPsp,
-        recovery: cfg.recovery,
+        recovery: RecoveryConfig::resilient(SEED),
         ..ClusterConfig::open_loop(cfg.hosts, ServingTier::Template, rps, requests)
     }
 }
@@ -150,11 +145,9 @@ fn base_config(cfg: &AttSweepConfig, rps: f64, requests: usize) -> ClusterConfig
 /// # Errors
 ///
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
-/// configuration errors, including [`ClusterError::AttPlane`] for an
-/// invalid verifier model.
+/// configuration errors from the cluster builder.
 pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
-    cfg.verifier.validate().map_err(ClusterError::AttPlane)?;
-    let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = Catalog::build(SEED, &cfg.classes)?;
     let mut cells = Vec::new();
 
     // Arm 1: verification modes across load (plus the no-verifier
@@ -170,7 +163,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
             let mut config = base_config(cfg, load, cfg.requests);
             config.attestation = mode.map(|m| AttPlaneConfig {
                 mode: m,
-                ..cfg.verifier
+                ..VERIFIER
             });
             let report = ClusterService::new(catalog.clone(), config)?.run();
             cells.push(SweepCell::new("load", mode_name(mode), report));
@@ -184,10 +177,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
         VerifyMode::CachedBatched,
     ] {
         let mut config = base_config(cfg, cfg.storm_rps, cfg.storm_requests);
-        config.attestation = Some(AttPlaneConfig {
-            mode,
-            ..cfg.verifier
-        });
+        config.attestation = Some(AttPlaneConfig { mode, ..VERIFIER });
         config.tcb_rollout = Some(cfg.rollout);
         let report = ClusterService::new(catalog.clone(), config)?.run();
         cells.push(SweepCell::new("storm", mode.name(), report));
@@ -197,7 +187,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
     let mut config = base_config(cfg, cfg.storm_rps, cfg.storm_requests);
     config.attestation = Some(AttPlaneConfig {
         mode: VerifyMode::CachedBatched,
-        ..cfg.verifier
+        ..VERIFIER
     });
     config.revocation = Some(cfg.drill);
     let report = ClusterService::new(catalog, config)?.run();

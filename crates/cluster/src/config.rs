@@ -102,8 +102,8 @@ pub struct ClusterConfig {
     /// replays pre-policy output byte for byte.
     pub policy: Option<PolicyConfig>,
     /// Trace-driven workload curve shaping open-loop arrivals (diurnal,
-    /// flash crowd, regional failover). `None` uses the fixed-rate
-    /// generator, replaying pre-curve output byte for byte.
+    /// flash crowd). `None` uses the fixed-rate generator, replaying
+    /// pre-curve output byte for byte.
     pub workload: Option<Workload>,
     /// The autoscaler: drives membership and warm-pool targets from load
     /// between `[min_hosts, max_hosts]`, with `hosts` as the starting
@@ -197,11 +197,7 @@ impl ClusterConfig {
                 ));
             }
         }
-        if let Arrival::Closed { users, .. } = self.arrival {
-            if users == 0 {
-                return Err(ClusterError::Config("closed loop needs at least one user"));
-            }
-        }
+        self.arrival.validate().map_err(ClusterError::Config)?;
         self.admission.validate().map_err(ClusterError::Config)?;
         for outage in &self.outages {
             if outage.host >= self.hosts {

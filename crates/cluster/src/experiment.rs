@@ -36,20 +36,18 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterReport, ClusterService, HostOutage};
 use crate::ClusterError;
 
+/// Seed for catalog machines, arrivals, placement, and fault domains.
+pub const SEED: u64 = 0x5EF0;
+
 /// Knobs of one cluster sweep.
 #[derive(Debug, Clone)]
 pub struct ClusterSweepConfig {
-    /// Seed for catalog machines, arrivals, placement, and fault domains.
-    pub seed: u64,
     /// Request classes to serve (shared catalog for all hosts).
     pub classes: Vec<ClassSpec>,
     /// Mix over those classes; `None` = uniform.
     pub mix: Option<RequestMix>,
     /// Host counts of the scaling arm.
     pub host_counts: Vec<usize>,
-    /// Offered load *per host* in the scaling arm (total scales with the
-    /// host count).
-    pub per_host_rps: f64,
     /// Requests *per host* in the scaling arm.
     pub requests_per_host: usize,
     /// Host count of the placement and outage arms.
@@ -64,21 +62,15 @@ pub struct ClusterSweepConfig {
     pub warm_target: usize,
     /// Virtual nodes per host on the affinity ring.
     pub vnodes: usize,
-    /// Recovery policy of the resilient outage arms.
-    pub recovery: RecoveryConfig,
 }
 
 impl ClusterSweepConfig {
     /// The headline cluster sweep over the paper mix.
     pub fn paper_cluster() -> Self {
         ClusterSweepConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             mix: Some(RequestMix::paper_mix()),
             host_counts: vec![1, 2, 4, 8],
-            // Above the ~39 req/s cold PSP ceiling: cold serving saturates
-            // and pins there per host, template/warm track the offered rate.
-            per_host_rps: 60.0,
             requests_per_host: 150,
             placement_hosts: 4,
             placement_rps: 100.0,
@@ -86,18 +78,15 @@ impl ClusterSweepConfig {
             admission: AdmissionConfig::default(),
             warm_target: 8,
             vnodes: 64,
-            recovery: RecoveryConfig::resilient(0x5EF0),
         }
     }
 
     /// A fast sweep over the tiny test classes (tests, `--quick` example).
     pub fn quick() -> Self {
         ClusterSweepConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
             mix: Some(RequestMix::quick_test_mix()),
             host_counts: vec![1, 2, 4],
-            per_host_rps: 60.0,
             requests_per_host: 100,
             placement_hosts: 3,
             placement_rps: 150.0,
@@ -105,7 +94,6 @@ impl ClusterSweepConfig {
             admission: AdmissionConfig::quick_test(),
             warm_target: 16,
             vnodes: 32,
-            recovery: RecoveryConfig::resilient(0x5EF0),
         }
     }
 }
@@ -175,7 +163,7 @@ fn cold_ceiling(catalog: &Catalog, mix: &RequestMix) -> f64 {
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
 /// configuration errors from the cluster builder.
 pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, ClusterError> {
-    let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = Catalog::build(SEED, &cfg.classes)?;
     let mix = cfg
         .mix
         .clone()
@@ -184,6 +172,9 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
 
     // Arm 1: scale-out. Load and requests grow with the host count, so a
     // tier that scales keeps per-host goodput flat at the offered rate.
+    // 60 req/s per host is above the ~39 req/s cold PSP ceiling: cold
+    // serving saturates and pins there per host, template/warm track the
+    // offered rate.
     for &hosts in &cfg.host_counts {
         for tier in [
             ServingTier::Cold,
@@ -196,11 +187,11 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
                 warm_target: cfg.warm_target,
                 placement: PlacementPolicy::JsqPsp,
                 vnodes: cfg.vnodes,
-                seed: cfg.seed,
+                seed: SEED,
                 ..ClusterConfig::open_loop(
                     hosts,
                     tier,
-                    cfg.per_host_rps * hosts as f64,
+                    60.0 * hosts as f64,
                     cfg.requests_per_host * hosts,
                 )
             };
@@ -221,7 +212,7 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
             warm_target: cfg.warm_target,
             placement,
             vnodes: cfg.vnodes,
-            seed: cfg.seed,
+            seed: SEED,
             ..ClusterConfig::open_loop(
                 cfg.placement_hosts,
                 ServingTier::Template,
@@ -239,7 +230,7 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
     // host's classes get a new ring owner that must fill their templates).
     // The ring is a pure function of (seed, vnodes), so the victim the
     // router would route to is computable up front.
-    let mut ring = crate::ring::HashRing::new(cfg.seed, cfg.vnodes);
+    let mut ring = crate::ring::HashRing::new(SEED, cfg.vnodes);
     for host in 0..cfg.placement_hosts {
         ring.insert(host);
     }
@@ -256,10 +247,11 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
         start: Nanos::from_nanos((nominal / 3.0 * 1e9) as u64),
         end: Nanos::from_nanos((nominal * 2.0 / 3.0 * 1e9) as u64),
     };
+    let resilient = RecoveryConfig::resilient(SEED);
     let drill_arms: [(&'static str, ServingTier, RecoveryConfig); 3] = [
         ("naive", ServingTier::Template, RecoveryConfig::none()),
-        ("resilient", ServingTier::Template, cfg.recovery),
-        ("resilient-warm", ServingTier::WarmPool, cfg.recovery),
+        ("resilient", ServingTier::Template, resilient),
+        ("resilient-warm", ServingTier::WarmPool, resilient),
     ];
     for (label, tier, recovery) in drill_arms {
         let config = ClusterConfig {
@@ -268,7 +260,7 @@ pub fn cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, Clu
             warm_target: cfg.warm_target,
             placement: PlacementPolicy::TemplateAffinity,
             vnodes: cfg.vnodes,
-            seed: cfg.seed,
+            seed: SEED,
             outages: vec![outage],
             recovery,
             ..ClusterConfig::open_loop(

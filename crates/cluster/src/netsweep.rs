@@ -42,11 +42,29 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, TcbRollout};
 use crate::ClusterError;
 
-/// Knobs of one partition sweep.
+/// Seed for catalog machines, arrivals, placement, chips, and links.
+pub const SEED: u64 = 0x4E37;
+
+/// Latency/jitter/loss model shared by every link.
+pub const LINK: LinkSpec = LinkSpec::datacenter();
+
+/// Router-side dispatch-ack timeout.
+pub const DISPATCH_TIMEOUT: Nanos = Nanos::from_millis(50);
+
+/// Host heartbeat period (resilient policy only).
+pub const HEARTBEAT_EVERY: Nanos = Nanos::from_millis(50);
+
+/// Lease-ownership knobs (resilient policy only).
+pub const LEASE: LeaseConfig = LeaseConfig {
+    duration: Nanos::from_millis(300),
+    renew_every: Nanos::from_millis(100),
+};
+
+/// Knobs of one partition sweep. Both policies of every arm recover with
+/// [`RecoveryConfig::resilient`], so the network control plane is the only
+/// variable.
 #[derive(Debug, Clone)]
 pub struct NetSweepConfig {
-    /// Seed for catalog machines, arrivals, placement, chips, and links.
-    pub seed: u64,
     /// Request classes to serve (shared catalog for all arms).
     pub classes: Vec<ClassSpec>,
     /// Mix over those classes; `None` = uniform.
@@ -59,30 +77,12 @@ pub struct NetSweepConfig {
     pub requests: usize,
     /// Per-host admission knobs.
     pub admission: AdmissionConfig,
-    /// Recovery policy (shared by both policies of every arm, so the
-    /// network control plane is the only variable).
-    pub recovery: RecoveryConfig,
-    /// Latency/jitter/loss model shared by every link.
-    pub link: LinkSpec,
-    /// Router-side dispatch-ack timeout.
-    pub dispatch_timeout: Nanos,
-    /// Host heartbeat period (resilient policy only).
-    pub heartbeat_every: Nanos,
-    /// Phi-accrual detector knobs (resilient policy only).
-    pub detector: DetectorConfig,
-    /// Lease-ownership knobs (resilient policy only).
-    pub lease: LeaseConfig,
     /// Network-schedule horizon; must outlive the run.
     pub horizon: Nanos,
     /// Instant every arm's partition opens.
     pub cut_start: Nanos,
     /// Instant every arm's partition heals.
     pub cut_end: Nanos,
-    /// Verifier cost model of the blackout arm; the policy overrides
-    /// only `degrade`.
-    pub verifier: AttPlaneConfig,
-    /// Extra age past the cert TTL fail-open may trust (blackout arm).
-    pub staleness_budget: Nanos,
     /// The blackout arm's staggered TCB rollout.
     pub rollout: TcbRollout,
 }
@@ -91,27 +91,15 @@ impl NetSweepConfig {
     /// The headline partition sweep over the paper mix.
     pub fn paper_partition() -> Self {
         NetSweepConfig {
-            seed: 0x4E37,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             mix: Some(RequestMix::paper_mix()),
             hosts: 6,
             rps: 120.0,
             requests: 480,
             admission: AdmissionConfig::default(),
-            recovery: RecoveryConfig::resilient(0x4E37),
-            link: LinkSpec::datacenter(),
-            dispatch_timeout: Nanos::from_millis(50),
-            heartbeat_every: Nanos::from_millis(50),
-            detector: DetectorConfig::default(),
-            lease: LeaseConfig {
-                duration: Nanos::from_millis(300),
-                renew_every: Nanos::from_millis(100),
-            },
             horizon: Nanos::from_secs(60),
             cut_start: Nanos::from_millis(1000),
             cut_end: Nanos::from_millis(4000),
-            verifier: AttPlaneConfig::cached_batched(),
-            staleness_budget: Nanos::from_secs(120),
             rollout: TcbRollout {
                 start: Nanos::from_millis(1500),
                 stagger: Nanos::from_millis(200),
@@ -122,27 +110,15 @@ impl NetSweepConfig {
     /// A fast sweep over the tiny test classes (tests, `--quick`).
     pub fn quick() -> Self {
         NetSweepConfig {
-            seed: 0x4E37,
             classes: ClassSpec::quick_test_classes(),
             mix: Some(RequestMix::quick_test_mix()),
             hosts: 5,
             rps: 80.0,
             requests: 240,
             admission: AdmissionConfig::quick_test(),
-            recovery: RecoveryConfig::resilient(0x4E37),
-            link: LinkSpec::datacenter(),
-            dispatch_timeout: Nanos::from_millis(50),
-            heartbeat_every: Nanos::from_millis(50),
-            detector: DetectorConfig::default(),
-            lease: LeaseConfig {
-                duration: Nanos::from_millis(300),
-                renew_every: Nanos::from_millis(100),
-            },
             horizon: Nanos::from_secs(30),
             cut_start: Nanos::from_millis(500),
             cut_end: Nanos::from_millis(2000),
-            verifier: AttPlaneConfig::cached_batched(),
-            staleness_budget: Nanos::from_secs(120),
             rollout: TcbRollout {
                 start: Nanos::from_millis(900),
                 stagger: Nanos::from_millis(150),
@@ -174,23 +150,23 @@ impl NetSweepConfig {
 /// detector and leases exist.
 fn net_for(cfg: &NetSweepConfig, partitions: Vec<Partition>, resilient: bool) -> NetConfig {
     NetConfig {
-        link: cfg.link,
+        link: LINK,
         partitions,
         horizon: cfg.horizon,
-        dispatch_timeout: cfg.dispatch_timeout,
-        heartbeat_every: cfg.heartbeat_every,
-        detector: resilient.then_some(cfg.detector),
-        lease: resilient.then_some(cfg.lease),
+        dispatch_timeout: DISPATCH_TIMEOUT,
+        heartbeat_every: HEARTBEAT_EVERY,
+        detector: resilient.then_some(DetectorConfig::default()),
+        lease: resilient.then_some(LEASE),
     }
 }
 
 fn base_config(cfg: &NetSweepConfig) -> ClusterConfig {
     ClusterConfig {
         mix: cfg.mix.clone(),
-        seed: cfg.seed,
+        seed: SEED,
         admission: cfg.admission,
         placement: PlacementPolicy::JsqPsp,
-        recovery: cfg.recovery,
+        recovery: RecoveryConfig::resilient(SEED),
         ..ClusterConfig::open_loop(cfg.hosts, ServingTier::Template, cfg.rps, cfg.requests)
     }
 }
@@ -204,8 +180,7 @@ fn base_config(cfg: &NetSweepConfig) -> ClusterConfig {
 /// configuration errors, including [`ClusterError::Net`] for an invalid
 /// network model.
 pub fn net_sweep(cfg: &NetSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
-    cfg.verifier.validate().map_err(ClusterError::AttPlane)?;
-    let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = Catalog::build(SEED, &cfg.classes)?;
     let mut cells = Vec::new();
 
     for arm in ["partition", "island", "blackout"] {
@@ -213,15 +188,17 @@ pub fn net_sweep(cfg: &NetSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
             let mut config = base_config(cfg);
             config.net = Some(net_for(cfg, cfg.windows(arm), resilient));
             if arm == "blackout" {
+                // A generous staleness budget: fail-open covers the whole
+                // blackout.
                 config.attestation = Some(AttPlaneConfig {
                     degrade: if resilient {
                         FailMode::Open {
-                            staleness_budget: cfg.staleness_budget,
+                            staleness_budget: Nanos::from_secs(120),
                         }
                     } else {
                         FailMode::Closed
                     },
-                    ..cfg.verifier
+                    ..AttPlaneConfig::cached_batched()
                 });
                 config.tcb_rollout = Some(cfg.rollout);
             }

@@ -43,27 +43,24 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, TcbRollout};
 use crate::ClusterError;
 
-/// Knobs of one policy sweep.
+/// Seed for catalog machines, arrivals, tenancy tagging, placement, and
+/// WFQ tie-breaks.
+pub const SEED: u64 = 0x7E4A;
+
+/// Knobs of one policy sweep. Every arm serves 420 requests, recovers with
+/// [`RecoveryConfig::resilient`], and runs the calibrated verifier (the
+/// posture arm needs an attestation plane; all arms run it so the
+/// substrate is identical).
 #[derive(Debug, Clone)]
 pub struct PolicySweepConfig {
-    /// Seed for catalog machines, arrivals, tenancy tagging, placement,
-    /// and WFQ tie-breaks.
-    pub seed: u64,
     /// Request classes to serve (shared catalog for all arms).
     pub classes: Vec<ClassSpec>,
     /// Hosts in every arm.
     pub hosts: usize,
     /// Aggregate offered load (req/s), split across tenants by share.
     pub rps: f64,
-    /// Requests per arm.
-    pub requests: usize,
     /// Per-host admission knobs (queue bound is also the WFQ bound).
     pub admission: AdmissionConfig,
-    /// Recovery policy shared by all arms.
-    pub recovery: RecoveryConfig,
-    /// Verifier cost model (the posture arm needs an attestation plane;
-    /// all arms run it so the substrate is identical).
-    pub verifier: AttPlaneConfig,
     /// The staggered TCB rollout the strict tenant rides.
     pub rollout: TcbRollout,
     /// Premium tenant's p99 deadline target (ms) — the SLO the sweep
@@ -71,30 +68,24 @@ pub struct PolicySweepConfig {
     pub premium_deadline_ms: u64,
     /// Batch tenant's token-bucket quota.
     pub batch_quota: QuotaSpec,
-    /// Per-tenant class mixes as `(class, weight)` pairs over
-    /// [`PolicySweepConfig::classes`]: premium, batch, strict.
+    /// Premium tenant's class mix as `(class, weight)` pairs over
+    /// [`PolicySweepConfig::classes`].
     pub premium_mix: Vec<(usize, u64)>,
     /// Batch flood's class mix (Zipf-skewed toward the heaviest class).
     pub batch_mix: Vec<(usize, u64)>,
-    /// Strict tenant's class mix.
-    pub strict_mix: Vec<(usize, u64)>,
 }
 
 impl PolicySweepConfig {
     /// The headline sweep over the paper mix.
     pub fn paper_policy() -> Self {
         PolicySweepConfig {
-            seed: 0x7E4A,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             hosts: 4,
             rps: 140.0,
-            requests: 420,
             admission: AdmissionConfig {
                 queue_bound: 256,
                 max_inflight: 2,
             },
-            recovery: RecoveryConfig::resilient(0x7E4A),
-            verifier: AttPlaneConfig::cached_batched(),
             rollout: TcbRollout {
                 start: Nanos::from_millis(500),
                 stagger: Nanos::from_millis(150),
@@ -105,22 +96,18 @@ impl PolicySweepConfig {
                 burst: 24.0,
             },
             // Premium trickles light classes; the batch flood is
-            // Zipf-skewed toward the heaviest SNP class; the strict
-            // tenant runs SNP only.
+            // Zipf-skewed toward the heaviest SNP class.
             premium_mix: vec![(3, 3), (4, 1)],
             batch_mix: vec![(0, 8), (1, 4), (2, 2), (3, 1), (4, 1)],
-            strict_mix: vec![(0, 1)],
         }
     }
 
     /// A fast sweep over the tiny test classes (tests, `--quick`).
     pub fn quick() -> Self {
         PolicySweepConfig {
-            seed: 0x7E4A,
             classes: ClassSpec::quick_test_classes(),
             hosts: 3,
             rps: 200.0,
-            requests: 420,
             // A tight in-flight window keeps the scheduling decision in
             // the queue (the PSP serializes launches anyway); with a deep
             // window every arrival dispatches immediately and the
@@ -129,8 +116,6 @@ impl PolicySweepConfig {
                 queue_bound: 192,
                 max_inflight: 2,
             },
-            recovery: RecoveryConfig::resilient(0x7E4A),
-            verifier: AttPlaneConfig::cached_batched(),
             rollout: TcbRollout {
                 start: Nanos::from_millis(400),
                 stagger: Nanos::from_millis(100),
@@ -142,14 +127,13 @@ impl PolicySweepConfig {
             },
             premium_mix: vec![(1, 1)],
             batch_mix: vec![(0, 3), (1, 1)],
-            strict_mix: vec![(0, 1)],
         }
     }
 
     /// The three-tenant registry every arm shares: a premium
     /// latency-sensitive trickle (weight 8), a batch flood (weight 1,
     /// quota-capped, sheds first), and a posture-strict tenant pinned to
-    /// TCB ≥ 1 hosts.
+    /// TCB ≥ 1 hosts that launches class 0 only (SNP, in both catalogs).
     pub fn tenants(&self) -> Vec<Tenant> {
         let premium = Tenant {
             name: "premium",
@@ -194,7 +178,7 @@ impl PolicySweepConfig {
                 weight: 4,
                 quota: None,
             },
-            class_mix: self.strict_mix.clone(),
+            class_mix: vec![(0, 1)],
         };
         vec![premium, batch, strict]
     }
@@ -207,12 +191,10 @@ impl PolicySweepConfig {
 ///
 /// # Errors
 ///
-/// Propagates catalog-construction failures ([`ClusterError::Fleet`]),
-/// invalid verifier models ([`ClusterError::AttPlane`]), and tenant
-/// registry mistakes ([`ClusterError::Policy`]).
+/// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
+/// tenant registry mistakes ([`ClusterError::Policy`]).
 pub fn policy_sweep(cfg: &PolicySweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
-    cfg.verifier.validate().map_err(ClusterError::AttPlane)?;
-    let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = Catalog::build(SEED, &cfg.classes)?;
     let tenants = cfg.tenants();
 
     let arms: [(&'static str, PolicyConfig); 3] = [
@@ -232,14 +214,14 @@ pub fn policy_sweep(cfg: &PolicySweepConfig) -> Result<Vec<SweepCell>, ClusterEr
     let mut cells = Vec::new();
     for (arm, policy) in arms {
         let config = ClusterConfig {
-            seed: cfg.seed,
+            seed: SEED,
             admission: cfg.admission,
             placement: PlacementPolicy::JsqPsp,
-            recovery: cfg.recovery,
-            attestation: Some(cfg.verifier),
+            recovery: RecoveryConfig::resilient(SEED),
+            attestation: Some(AttPlaneConfig::cached_batched()),
             tcb_rollout: Some(cfg.rollout),
             policy: Some(policy.clone()),
-            ..ClusterConfig::open_loop(cfg.hosts, ServingTier::Template, cfg.rps, cfg.requests)
+            ..ClusterConfig::open_loop(cfg.hosts, ServingTier::Template, cfg.rps, 420)
         };
         let report = ClusterService::new(catalog.clone(), config)?.run();
         cells.push(SweepCell {

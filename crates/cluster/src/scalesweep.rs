@@ -39,11 +39,13 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService};
 use crate::ClusterError;
 
-/// Knobs of one autoscale sweep.
+/// Seed for catalog machines, arrivals, and placement.
+pub const SEED: u64 = 0x5CA1E;
+
+/// Knobs of one autoscale sweep. Every arm recovers with
+/// [`RecoveryConfig::resilient`].
 #[derive(Debug, Clone)]
 pub struct ScaleSweepConfig {
-    /// Seed for catalog machines, arrivals, and placement.
-    pub seed: u64,
     /// Request classes to serve (shared catalog for all arms).
     pub classes: Vec<ClassSpec>,
     /// Floor of the elastic arms (their starting host count).
@@ -56,8 +58,6 @@ pub struct ScaleSweepConfig {
     pub crowd: FlashCrowd,
     /// Per-host admission knobs.
     pub admission: AdmissionConfig,
-    /// Recovery policy shared by all arms.
-    pub recovery: RecoveryConfig,
     /// Cluster-wide warm slots per class, spread over whoever is live.
     pub warm_budget: usize,
     /// Autoscaler control-loop period.
@@ -66,10 +66,6 @@ pub struct ScaleSweepConfig {
     pub cooldown: Nanos,
     /// Per-host sustainable rate the scaler provisions against (req/s).
     pub host_rps: f64,
-    /// Reactive scale-out threshold (per-host backlog).
-    pub backlog_out: f64,
-    /// Reactive scale-in threshold (per-host backlog).
-    pub backlog_in: f64,
     /// Predictive forecast window (ticks).
     pub window: usize,
     /// Predictive forecast lead.
@@ -82,7 +78,6 @@ impl ScaleSweepConfig {
     /// The headline sweep over the paper mix.
     pub fn paper_scale() -> Self {
         ScaleSweepConfig {
-            seed: 0x5CA1E,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             min_hosts: 2,
             max_hosts: 8,
@@ -98,13 +93,10 @@ impl ScaleSweepConfig {
                 queue_bound: 256,
                 max_inflight: 2,
             },
-            recovery: RecoveryConfig::resilient(0x5CA1E),
             warm_budget: 48,
             tick: Nanos::from_millis(150),
             cooldown: Nanos::from_millis(300),
             host_rps: 90.0,
-            backlog_out: 3.0,
-            backlog_in: 0.5,
             window: 5,
             lead: Nanos::from_millis(1200),
             slo_ms: 500.0,
@@ -114,7 +106,6 @@ impl ScaleSweepConfig {
     /// A fast sweep over the tiny test classes (tests, `--quick`).
     pub fn quick() -> Self {
         ScaleSweepConfig {
-            seed: 0x5CA1E,
             classes: ClassSpec::quick_test_classes(),
             min_hosts: 2,
             max_hosts: 6,
@@ -130,20 +121,19 @@ impl ScaleSweepConfig {
                 queue_bound: 192,
                 max_inflight: 2,
             },
-            recovery: RecoveryConfig::resilient(0x5CA1E),
             warm_budget: 36,
             tick: Nanos::from_millis(100),
             cooldown: Nanos::from_millis(200),
             host_rps: 70.0,
-            backlog_out: 3.0,
-            backlog_in: 0.5,
             window: 4,
             lead: Nanos::from_millis(600),
             slo_ms: 600.0,
         }
     }
 
-    /// The autoscaler the elastic arms run, differing only in policy.
+    /// The autoscaler the elastic arms run, differing only in policy. The
+    /// reactive thresholds are a per-host backlog of 3 to scale out and
+    /// 0.5 to scale in.
     pub fn scaler(&self, policy: ScalePolicy) -> AutoscalerConfig {
         AutoscalerConfig {
             min_hosts: self.min_hosts,
@@ -152,8 +142,8 @@ impl ScaleSweepConfig {
             tick: self.tick,
             cooldown: self.cooldown,
             host_rps: self.host_rps,
-            backlog_out: self.backlog_out,
-            backlog_in: self.backlog_in,
+            backlog_out: 3.0,
+            backlog_in: 0.5,
             warm_budget: self.warm_budget,
         }
     }
@@ -169,7 +159,7 @@ impl ScaleSweepConfig {
 /// Propagates catalog-construction failures ([`ClusterError::Fleet`]) and
 /// invalid curve/scaler knobs ([`ClusterError::Scale`]).
 pub fn scale_sweep(cfg: &ScaleSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
-    let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = Catalog::build(SEED, &cfg.classes)?;
     let workload = Workload::FlashCrowd(cfg.crowd);
     workload.validate()?;
 
@@ -195,9 +185,9 @@ pub fn scale_sweep(cfg: &ScaleSweepConfig) -> Result<Vec<SweepCell>, ClusterErro
         // Every arm spreads the same cluster-wide warm budget over its
         // starting hosts, so no arm begins with an unfair slot advantage.
         let config = ClusterConfig {
-            seed: cfg.seed,
+            seed: SEED,
             admission: cfg.admission,
-            recovery: cfg.recovery,
+            recovery: RecoveryConfig::resilient(SEED),
             warm_target: cfg.warm_budget.div_ceil(hosts),
             placement: PlacementPolicy::WarmReady,
             workload: Some(workload),

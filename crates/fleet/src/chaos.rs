@@ -22,7 +22,7 @@ use crate::admission::AdmissionConfig;
 use crate::blueprint::{ClassSpec, MB};
 use crate::recovery::RecoveryConfig;
 use crate::service::{FleetConfig, FleetReport, FleetService, ServingTier};
-use crate::workload::{Arrival, RequestMix};
+use crate::workload::RequestMix;
 use crate::FleetError;
 
 /// How a sweep arm reacts to the storm.
@@ -47,34 +47,25 @@ impl ChaosArm {
     }
 }
 
-/// Knobs of one chaos sweep.
+/// Seed for catalog machines, arrivals, class sampling, fault plans, and
+/// backoff jitter.
+pub const SEED: u64 = 0x5EF0;
+
+/// Knobs of one chaos sweep. Every arm serves at the template tier; the
+/// naive and resilient arms take the [`FaultConfig::storm`], and the
+/// resilient arm recovers with [`RecoveryConfig::resilient`].
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Seed for catalog machines, arrivals, class sampling, fault plans,
-    /// and backoff jitter.
-    pub seed: u64,
     /// Request classes to serve.
     pub classes: Vec<ClassSpec>,
     /// Mix over those classes; `None` = uniform.
     pub mix: Option<RequestMix>,
-    /// Serving tier every arm runs at.
-    pub tier: ServingTier,
     /// Requests per `(arm, load)` cell.
     pub requests: usize,
     /// Offered loads to sweep (req/s).
     pub loads_rps: Vec<f64>,
     /// Admission-controller knobs.
     pub admission: AdmissionConfig,
-    /// Warm-pool target per class (warm-pool tier only).
-    pub warm_target: usize,
-    /// The storm to inject into the naive and resilient arms.
-    pub fault: FaultConfig,
-    /// Recovery policy of the resilient arm.
-    pub recovery: RecoveryConfig,
-    /// Fault-plan horizon as a multiple of the nominal run length
-    /// (`requests / load`); slack keeps the storm alive through the
-    /// fault-lengthened tail of the run.
-    pub horizon_slack: f64,
 }
 
 impl ChaosConfig {
@@ -82,34 +73,22 @@ impl ChaosConfig {
     /// [`FaultConfig::storm`].
     pub fn paper_chaos() -> Self {
         ChaosConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             mix: Some(RequestMix::paper_mix()),
-            tier: ServingTier::Template,
             requests: 300,
             loads_rps: vec![10.0, 25.0, 40.0, 60.0],
             admission: AdmissionConfig::default(),
-            warm_target: 24,
-            fault: FaultConfig::storm(),
-            recovery: RecoveryConfig::resilient(0x5EF0),
-            horizon_slack: 2.0,
         }
     }
 
     /// A fast sweep over the tiny test classes (tests, `--quick` example).
     pub fn quick() -> Self {
         ChaosConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
             mix: Some(RequestMix::quick_test_mix()),
-            tier: ServingTier::Template,
             requests: 400,
             loads_rps: vec![30.0, 120.0],
             admission: AdmissionConfig::quick_test(),
-            warm_target: 64,
-            fault: FaultConfig::storm(),
-            recovery: RecoveryConfig::resilient(0x5EF0),
-            horizon_slack: 2.0,
         }
     }
 }
@@ -127,33 +106,27 @@ pub struct ChaosReport {
     pub cells: Vec<(ChaosArm, FleetReport)>,
 }
 
-/// Plan horizon for one load: nominal run length times the slack.
-fn horizon(requests: usize, load: f64, slack: f64) -> Nanos {
-    Nanos::from_nanos((requests as f64 / load * slack * 1e9) as u64)
+/// Plan horizon for one load: twice the nominal run length
+/// (`requests / load`), so the storm outlives the run's fault-lengthened
+/// tail.
+fn horizon(requests: usize, load: f64) -> Nanos {
+    Nanos::from_nanos((requests as f64 / load * 2.0 * 1e9) as u64)
 }
 
 /// Runs the full `(arm × load)` grid over one catalog.
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::FaultPlan`] or [`FleetError::Recovery`] when the
-/// storm or recovery knobs are invalid, and propagates catalog-construction
-/// failures.
+/// Propagates catalog-construction and fault-plan failures.
 pub fn chaos_sweep(cfg: &ChaosConfig) -> Result<ChaosReport, FleetError> {
-    cfg.fault.validate().map_err(FleetError::FaultPlan)?;
-    cfg.recovery.validate().map_err(FleetError::Recovery)?;
-    let catalog = crate::blueprint::Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = crate::blueprint::Catalog::build(SEED, &cfg.classes)?;
 
     let mut cells = Vec::new();
     let mut planned_resets = 0;
     let mut planned_crashes = 0;
     for (li, &load) in cfg.loads_rps.iter().enumerate() {
-        let plan = FaultPlan::generate(
-            cfg.seed,
-            cfg.fault.clone(),
-            horizon(cfg.requests, load, cfg.horizon_slack),
-        )
-        .map_err(FleetError::FaultPlan)?;
+        let plan = FaultPlan::generate(SEED, FaultConfig::storm(), horizon(cfg.requests, load))
+            .map_err(FleetError::FaultPlan)?;
         if li == 0 {
             planned_resets = plan.resets().len();
             planned_crashes = plan.warm_crashes().len();
@@ -161,21 +134,20 @@ pub fn chaos_sweep(cfg: &ChaosConfig) -> Result<ChaosReport, FleetError> {
         let arms = [
             (ChaosArm::FaultFree, None, RecoveryConfig::none()),
             (ChaosArm::Naive, Some(plan.clone()), RecoveryConfig::none()),
-            (ChaosArm::Resilient, Some(plan), cfg.recovery),
+            (
+                ChaosArm::Resilient,
+                Some(plan),
+                RecoveryConfig::resilient(SEED),
+            ),
         ];
         for (arm, fault, recovery) in arms {
             let config = FleetConfig {
-                tier: cfg.tier,
-                arrival: Arrival::Open { rate_per_sec: load },
                 mix: cfg.mix.clone(),
-                requests: cfg.requests,
-                seed: cfg.seed,
+                seed: SEED,
                 admission: cfg.admission,
-                warm_target: cfg.warm_target,
                 fault,
                 recovery,
-                attestation: None,
-                policy: None,
+                ..FleetConfig::open_loop(ServingTier::Template, load, cfg.requests)
             };
             cells.push((arm, FleetService::new(catalog.clone(), config).run()));
         }
@@ -246,16 +218,5 @@ mod tests {
         let a = chaos_sweep(&cfg).unwrap();
         let b = chaos_sweep(&cfg).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn invalid_knobs_surface_as_typed_errors() {
-        let mut cfg = ChaosConfig::quick();
-        cfg.fault.psp_transient_rate = 1.5;
-        assert!(matches!(chaos_sweep(&cfg), Err(FleetError::FaultPlan(_))));
-
-        let mut cfg = ChaosConfig::quick();
-        cfg.recovery.retry.max_attempts = 0;
-        assert!(matches!(chaos_sweep(&cfg), Err(FleetError::Recovery(_))));
     }
 }

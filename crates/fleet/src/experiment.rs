@@ -9,19 +9,18 @@
 //! activation, and warm pools (§7.1) skip the PSP entirely on hits, so both
 //! sustain strictly higher load before their tails degrade.
 
-use sevf_sim::Nanos;
-
 use crate::admission::AdmissionConfig;
 use crate::blueprint::{Catalog, ClassSpec, MB};
 use crate::service::{FleetConfig, FleetReport, FleetService, ServingTier};
 use crate::workload::RequestMix;
 use crate::FleetError;
 
+/// Seed for catalog machines, arrivals, and class sampling.
+const SEED: u64 = 0x5EF0;
+
 /// Knobs of one serving sweep.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Seed for catalog machines, arrivals, and class sampling.
-    pub seed: u64,
     /// Request classes to serve.
     pub classes: Vec<ClassSpec>,
     /// Mix over those classes; `None` = uniform.
@@ -43,7 +42,6 @@ impl SweepConfig {
     /// PSP-bound capacity.
     pub fn paper_serving() -> Self {
         SweepConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::paper_classes(16, 256 * MB),
             // SNP-heavy, as the paper's evaluation is: the two SNP classes
             // carry most of the traffic (and nearly all the PSP work).
@@ -64,7 +62,6 @@ impl SweepConfig {
     /// fill its bound and shed rather than just absorb the burst.
     pub fn quick() -> Self {
         SweepConfig {
-            seed: 0x5EF0,
             classes: ClassSpec::quick_test_classes(),
             mix: Some(RequestMix::quick_test_mix()),
             requests: 600,
@@ -105,7 +102,7 @@ fn weighted_cold_psp_ms(catalog: &Catalog, mix: &RequestMix) -> f64 {
 ///
 /// Propagates catalog-construction failures ([`FleetError`]).
 pub fn serving_sweep(cfg: &SweepConfig) -> Result<SweepReport, FleetError> {
-    let catalog = Catalog::build(cfg.seed, &cfg.classes)?;
+    let catalog = Catalog::build(SEED, &cfg.classes)?;
     let mix = cfg
         .mix
         .clone()
@@ -124,7 +121,7 @@ pub fn serving_sweep(cfg: &SweepConfig) -> Result<SweepReport, FleetError> {
                 arrival: crate::workload::Arrival::Open { rate_per_sec: load },
                 mix: Some(mix.clone()),
                 requests: cfg.requests,
-                seed: cfg.seed,
+                seed: SEED,
                 admission: cfg.admission,
                 warm_target: cfg.warm_target,
                 fault: None,
@@ -145,11 +142,6 @@ pub fn serving_sweep(cfg: &SweepConfig) -> Result<SweepReport, FleetError> {
 /// Reports of one tier, in load order (convenience for tests and tables).
 pub fn tier_reports(report: &SweepReport, tier: ServingTier) -> Vec<&FleetReport> {
     report.reports.iter().filter(|r| r.tier == tier).collect()
-}
-
-/// Milliseconds, for callers that want the ceiling as a duration.
-pub fn cold_psp_budget(report: &SweepReport) -> Nanos {
-    Nanos::from_nanos((report.cold_psp_ms * 1e6).round() as u64)
 }
 
 #[cfg(test)]
@@ -188,15 +180,5 @@ mod tests {
         let report = serving_sweep(&cfg).unwrap();
         let cold = tier_reports(&report, ServingTier::Cold);
         assert!(cold[0].metrics.psp_utilization < cold[1].metrics.psp_utilization);
-    }
-
-    #[test]
-    fn budget_round_trips() {
-        let report = SweepReport {
-            cold_psp_ms: 33.0,
-            cold_capacity_rps: 1000.0 / 33.0,
-            reports: Vec::new(),
-        };
-        assert_eq!(cold_psp_budget(&report), Nanos::from_micros(33_000));
     }
 }

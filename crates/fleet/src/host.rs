@@ -495,7 +495,8 @@ impl Host {
             }
             Some(kind) => {
                 self.metrics.faults.record(kind);
-                cx.rec.fault(kind, Some(request), self.tag, now);
+                cx.rec
+                    .marker(MarkerKind::Fault(kind), Some(request), self.tag, now);
                 if launch.fill {
                     // The fill died before finalizing its template: the
                     // key must not look live.
@@ -632,7 +633,7 @@ impl Host {
             Some(kind) => {
                 self.metrics.faults.record(kind);
                 self.pool.refill_failed(class);
-                cx.rec.fault(kind, None, self.tag, now);
+                cx.rec.marker(MarkerKind::Fault(kind), None, self.tag, now);
             }
             None => self.pool.refill_done(class),
         }
@@ -662,7 +663,8 @@ impl Host {
         let class = ((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % classes;
         if self.pool.crash(class) {
             self.metrics.faults.record(FaultKind::WarmCrash);
-            cx.rec.fault(FaultKind::WarmCrash, None, self.tag, now);
+            cx.rec
+                .marker(MarkerKind::Fault(FaultKind::WarmCrash), None, self.tag, now);
             self.start_refill(cx, class, now, inject);
         }
     }

@@ -169,7 +169,7 @@ impl FleetConfig {
         }
     }
 
-    /// Checks the mix bound, closed-loop users, recovery, attestation, and
+    /// Checks the mix bound, arrival shape, recovery, attestation, and
     /// policy knobs against a catalog of `catalog_classes` classes.
     ///
     /// # Errors
@@ -183,9 +183,7 @@ impl FleetConfig {
                 ));
             }
         }
-        if let Arrival::Closed { users: 0, .. } = self.arrival {
-            return Err(FleetError::Config("closed loop needs at least one user"));
-        }
+        self.arrival.validate().map_err(FleetError::Config)?;
         self.admission.validate().map_err(FleetError::Config)?;
         self.recovery.validate().map_err(FleetError::Recovery)?;
         if let Some(att) = &self.attestation {

@@ -47,6 +47,22 @@ impl Arrival {
             Arrival::Closed { .. } => None,
         }
     }
+
+    /// Checks the shape: an open loop needs a finite, positive rate, and a
+    /// closed loop at least one user.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match *self {
+            Arrival::Open { rate_per_sec } if !(rate_per_sec.is_finite() && rate_per_sec > 0.0) => {
+                Err("open-loop arrival rate must be finite and positive")
+            }
+            Arrival::Closed { users: 0, .. } => Err("closed loop needs at least one user"),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Draws one exponential inter-arrival gap for rate `rate_per_sec`.
@@ -207,5 +223,16 @@ mod tests {
             think: Nanos::from_millis(10),
         };
         assert_eq!(closed.offered_rps(), None);
+    }
+
+    #[test]
+    fn validate_refuses_unusable_rates_and_empty_closed_loops() {
+        for rate_per_sec in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(Arrival::Open { rate_per_sec }.validate().is_err());
+        }
+        assert!(Arrival::Open { rate_per_sec: 1e-3 }.validate().is_ok());
+        let think = Nanos::from_millis(10);
+        assert!(Arrival::Closed { users: 0, think }.validate().is_err());
+        assert!(Arrival::Closed { users: 1, think }.validate().is_ok());
     }
 }

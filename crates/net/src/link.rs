@@ -71,7 +71,7 @@ impl LinkSpec {
 
     /// A calibrated datacenter link: 200 µs base, 100 µs jitter, and a
     /// small residual loss rate.
-    pub fn datacenter() -> Self {
+    pub const fn datacenter() -> Self {
         LinkSpec {
             latency: Nanos::from_micros(200),
             jitter: Nanos::from_micros(100),
@@ -265,13 +265,12 @@ impl LinkPlan {
     /// If the router↔host pair for `host` is partitioned at `at`, the
     /// latest instant a covering partition heals.
     pub fn host_cut(&self, host: usize, at: Nanos) -> Option<Nanos> {
-        self.cut_end(at, |scope| scope == PartitionScope::Host(host))
-    }
-
-    /// If the router↔verifier link is partitioned at `at`, the latest
-    /// instant a covering partition heals.
-    pub fn verifier_cut(&self, at: Nanos) -> Option<Nanos> {
-        self.cut_end(at, |scope| scope == PartitionScope::Verifier)
+        self.config
+            .partitions
+            .iter()
+            .filter(|p| p.scope == PartitionScope::Host(host) && p.contains(at))
+            .map(|p| p.end)
+            .max()
     }
 
     /// The scheduled verifier blackout windows, in config order.
@@ -287,15 +286,6 @@ impl LinkPlan {
     /// An upper bound on any single message delay (latency + jitter).
     pub fn max_delay(&self) -> Nanos {
         self.config.link.latency + self.config.link.jitter
-    }
-
-    fn cut_end(&self, at: Nanos, scoped: impl Fn(PartitionScope) -> bool) -> Option<Nanos> {
-        self.config
-            .partitions
-            .iter()
-            .filter(|p| scoped(p.scope) && p.contains(at))
-            .map(|p| p.end)
-            .max()
     }
 }
 
@@ -369,11 +359,8 @@ mod tests {
         let inside = Nanos::from_millis(150);
         assert_eq!(plan.host_cut(1, inside), Some(Nanos::from_millis(300)));
         assert_eq!(plan.host_cut(0, inside), None);
-        assert_eq!(plan.verifier_cut(inside), None);
-        assert_eq!(
-            plan.verifier_cut(Nanos::from_millis(250)),
-            Some(Nanos::from_millis(400))
-        );
+        // The verifier blackout cuts no router↔host pair.
+        assert_eq!(plan.host_cut(0, Nanos::from_millis(250)), None);
         assert_eq!(plan.host_cut(1, Nanos::from_millis(300)), None);
         assert_eq!(plan.verifier_windows().len(), 1);
     }

@@ -151,21 +151,6 @@ impl Histogram {
         let vh = self.value_at(hi);
         vl + (vh - vl) * frac
     }
-
-    /// Dense `(bucket upper edge, count)` rows from bucket 0 through the
-    /// highest touched bucket — the fleet's historical histogram table
-    /// shape. Empty with no samples.
-    pub fn upper_edge_rows(&self) -> Vec<(f64, usize)> {
-        if self.count == 0 {
-            return Vec::new();
-        }
-        let last = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-        self.counts[..=last]
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| ((i + 1) as f64 * self.width, c as usize))
-            .collect()
-    }
 }
 
 /// A string-keyed metrics registry: monotone counters, point-in-time
@@ -314,10 +299,6 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert_eq!(h.counts(), &[2, 1, 0, 1]);
-        assert_eq!(
-            h.upper_edge_rows(),
-            vec![(10.0, 2), (20.0, 1), (30.0, 0), (40.0, 1)]
-        );
         assert!((h.mean() - 14.0).abs() < 1e-12);
     }
 
@@ -325,7 +306,7 @@ mod tests {
     fn empty_and_single_sample_edges() {
         let h = Histogram::new(5.0);
         assert_eq!(h.percentile(50.0), 0.0);
-        assert!(h.upper_edge_rows().is_empty());
+        assert!(h.counts().is_empty());
         let mut one = Histogram::new(5.0);
         one.record(12.0);
         // Single sample: every percentile is its bucket midpoint.

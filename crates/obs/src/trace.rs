@@ -456,17 +456,6 @@ impl Recorder {
         }
     }
 
-    /// An injected fault struck (`request` if it hit an attempt).
-    pub fn fault(
-        &mut self,
-        kind: FaultKind,
-        request: Option<usize>,
-        host: Option<usize>,
-        at: Nanos,
-    ) {
-        self.marker(MarkerKind::Fault(kind), request, host, at);
-    }
-
     /// Feeds one engine occupancy entry back in after the run.
     pub fn occupy(&mut self, resource: &str, job: usize, start: Nanos, end: Nanos) {
         if let Some(inner) = &mut self.inner {
@@ -556,56 +545,9 @@ impl TraceLog {
             .collect()
     }
 
-    /// How many requests terminated with `outcome`.
-    pub fn count_outcome(&self, outcome: Outcome) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|(_, o, _)| *o == outcome)
-            .count()
-    }
-
-    /// How many fault markers of `kind` were recorded.
-    pub fn count_fault(&self, kind: FaultKind) -> usize {
-        self.markers
-            .iter()
-            .filter(|m| m.kind == MarkerKind::Fault(kind))
-            .count()
-    }
-
-    /// Total fault markers of any kind.
-    pub fn total_faults(&self) -> usize {
-        self.markers
-            .iter()
-            .filter(|m| matches!(m.kind, MarkerKind::Fault(_)))
-            .count()
-    }
-
     /// How many markers match `kind` exactly.
     pub fn count_marker(&self, kind: MarkerKind) -> usize {
         self.markers.iter().filter(|m| m.kind == kind).count()
-    }
-
-    /// Failover-hop markers recorded.
-    pub fn failovers(&self) -> usize {
-        self.count_marker(MarkerKind::Failover)
-    }
-
-    /// Retry backoff spans recorded (= retry launches dispatched later).
-    pub fn retry_waits(&self) -> usize {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Backoff)
-            .count()
-    }
-
-    /// Step spans with an exact name, e.g. the attestation-plane steps
-    /// (`att-verify`, `att-cert-fetch`, …). Lets consistency tests pin
-    /// span counts against plane metrics counters.
-    pub fn count_step_label(&self, label: &str) -> usize {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Step && s.name == label)
-            .count()
     }
 }
 
@@ -1014,7 +956,8 @@ mod tests {
             kinds,
             vec![SpanKind::Attempt, SpanKind::Backoff, SpanKind::Attempt]
         );
-        assert_eq!(log.retry_waits(), 1);
+        let backoffs = log.spans.iter().filter(|s| s.kind == SpanKind::Backoff);
+        assert_eq!(backoffs.count(), 1);
         let total: Nanos = log.leaves(3).iter().map(|s| s.duration()).sum();
         assert_eq!(total, root.duration(), "leaves partition the root");
     }
@@ -1027,7 +970,7 @@ mod tests {
         let log = rec.build();
         let root = log.request_root(1).unwrap();
         assert_eq!(root.duration(), Nanos::ZERO);
-        assert_eq!(log.count_outcome(Outcome::Shed), 1);
+        assert_eq!(log.requests_with_outcome(Outcome::Shed), [1]);
         assert!(log.children(root.id).is_empty());
     }
 
@@ -1047,14 +990,14 @@ mod tests {
     #[test]
     fn markers_count_by_kind() {
         let mut rec = Recorder::enabled();
-        rec.fault(FaultKind::PspReset, Some(0), None, ms(1));
-        rec.fault(FaultKind::PspReset, None, Some(2), ms(2));
+        let reset = MarkerKind::Fault(FaultKind::PspReset);
+        rec.marker(reset, Some(0), None, ms(1));
+        rec.marker(reset, None, Some(2), ms(2));
         rec.marker(MarkerKind::Failover, Some(0), Some(1), ms(2));
         rec.marker(MarkerKind::Placement { host: 1 }, Some(0), Some(1), ms(0));
         let log = rec.build();
-        assert_eq!(log.count_fault(FaultKind::PspReset), 2);
-        assert_eq!(log.total_faults(), 2);
-        assert_eq!(log.failovers(), 1);
+        assert_eq!(log.count_marker(reset), 2);
+        assert_eq!(log.count_marker(MarkerKind::Failover), 1);
         assert_eq!(log.count_marker(MarkerKind::Placement { host: 1 }), 1);
     }
 }

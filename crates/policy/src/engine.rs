@@ -14,7 +14,6 @@ use crate::quota::TokenBucket;
 use crate::spec::{IsolationTier, PolicyConfig, PolicySpec, Posture, SloClass};
 use crate::PolicyError;
 use sevf_obs::metrics::percentile_or_zero;
-use sevf_obs::Histogram;
 use sevf_sim::Nanos;
 
 /// What the placement layer knows about a host when policy consults it.
@@ -245,16 +244,6 @@ impl TenantMetrics {
             self.completed as f64 / makespan.as_secs_f64()
         }
     }
-
-    /// Mergeable latency histogram (obs schema) with the given bucket
-    /// width in ms — the per-tenant histograms the sweep tables render.
-    pub fn latency_histogram(&self, width_ms: f64) -> Histogram {
-        let mut h = Histogram::new(width_ms);
-        for &v in &self.latencies_ms {
-            h.record(v);
-        }
-        h
-    }
 }
 
 /// A tenant's name paired with its terminal accounting — the per-tenant
@@ -419,6 +408,5 @@ mod tests {
         assert!(!m.conserved());
         assert!(m.p50_ms() > 0.0);
         assert!(m.p99_ms() >= m.p50_ms());
-        assert_eq!(m.latency_histogram(5.0).count(), 2);
     }
 }

@@ -36,6 +36,7 @@
 //! sequence); the only randomness is the seeded tie-break between equally
 //! sheddable victim lanes.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use crate::PolicyError;
@@ -227,39 +228,35 @@ impl<T> WfqQueue<T> {
 
     /// The most sheddable non-empty lane strictly more sheddable than
     /// `incoming_rank`: lowest shed rank, then largest backlog, seeded
-    /// tie-break.
+    /// tie-break. Two passes over the lanes: the best key and how many
+    /// lanes share it, then the drawn one of those.
     fn pick_victim(&mut self, incoming_rank: u8) -> Option<usize> {
-        let mut best: Option<(u8, usize)> = None;
-        let mut tied: Vec<usize> = Vec::new();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if lane.items.is_empty() {
-                continue;
-            }
-            let key = (lane.shed_rank(), lane.items.len());
+        let key = |lane: &Lane<T>| (lane.shed_rank(), Reverse(lane.items.len()));
+        let queued = self.lanes.iter().enumerate();
+        let queued = queued.filter(|(_, lane)| !lane.items.is_empty());
+        let mut best = None;
+        let mut tied = 0;
+        for (_, lane) in queued.clone() {
+            let k = key(lane);
             match best {
-                None => {
-                    best = Some(key);
-                    tied = vec![i];
-                }
-                Some((rank, len)) => {
-                    if key.0 < rank || (key.0 == rank && key.1 > len) {
-                        best = Some(key);
-                        tied = vec![i];
-                    } else if key.0 == rank && key.1 == len {
-                        tied.push(i);
-                    }
-                }
+                Some(b) if k > b => {}
+                Some(b) if k == b => tied += 1,
+                _ => (best, tied) = (Some(k), 1),
             }
         }
-        let (rank, _) = best?;
-        if rank >= incoming_rank {
+        let best = best?;
+        if best.0 >= incoming_rank {
             return None;
         }
-        if tied.len() == 1 {
-            Some(tied[0])
+        let nth = if tied == 1 {
+            0
         } else {
-            Some(tied[self.rng.next_below(tied.len() as u64) as usize])
-        }
+            self.rng.next_below(tied) as usize
+        };
+        queued
+            .filter(|(_, lane)| key(lane) == best)
+            .nth(nth)
+            .map(|(i, _)| i)
     }
 
     /// Remove and return the item with the globally smallest
@@ -547,6 +544,50 @@ mod tests {
             other => panic!("expected refusal, got {other:?}"),
         }
         assert_eq!(q.shed(), 1);
+    }
+
+    /// The victim sequence of three equally sheddable batch lanes under a
+    /// latency-sensitive newcomer: ties of one, two and three lanes, with
+    /// and without a quota violator. Captured once and hard-coded, so a
+    /// rewrite of the victim choice must pick the same lanes and draw the
+    /// tie-break exactly when the original did.
+    #[test]
+    fn victim_sequence_is_pinned() {
+        let batch = LaneSpec {
+            weight: 1,
+            latency_sensitive: false,
+        };
+        let premium = LaneSpec {
+            weight: 1,
+            latency_sensitive: true,
+        };
+        let mut q = WfqQueue::new(0, &[batch, batch, batch, premium], 0x71C7).unwrap();
+        let mut shape = XorShift64::new(0x5A3E);
+        let mut victims = String::new();
+        for round in 0..300u64 {
+            let counts: Vec<u64> = (0..3).map(|_| 1 + shape.next_below(2)).collect();
+            q.bound = counts.iter().sum::<u64>() as usize;
+            let quota_lane = shape.next_below(6) as usize;
+            for (lane, &count) in counts.iter().enumerate() {
+                q.set_over_quota(lane, lane == quota_lane);
+                for _ in 0..count {
+                    assert!(matches!(q.offer(lane, round, ns(10)), Offer::Queued));
+                }
+            }
+            match q.offer(3, round, ns(10)) {
+                Offer::Displaced { tenant, .. } => victims.push_str(&tenant.to_string()),
+                other => panic!("round {round}: expected displacement, got {other:?}"),
+            }
+            q.drain();
+        }
+        let pinned = concat!(
+            "202001222122122122220210210212102000201200111120111211012221",
+            "012001220200000100211202201112122222211021202121211202000122",
+            "211002200211000010101021111110000111002100212202102000010021",
+            "200010112201022002120011200002011202201220010020222200022222",
+            "000020102002111101120002110110222212121110010112222011112010",
+        );
+        assert_eq!(victims, pinned);
     }
 
     /// A premium trickle overtakes a batch flood that arrived first.

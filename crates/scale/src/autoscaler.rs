@@ -185,14 +185,6 @@ pub struct Decision {
     pub prewarm: Option<usize>,
 }
 
-impl Decision {
-    /// A no-op decision.
-    pub const HOLD: Decision = Decision {
-        action: ScaleAction::Hold,
-        prewarm: None,
-    };
-}
-
 /// Monotone counters of emitted decisions; obs markers must match these
 /// exactly (checked by `tests/observability.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

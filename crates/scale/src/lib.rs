@@ -1,17 +1,16 @@
 //! sevf-scale: trace-driven workload curves and the cluster autoscaler.
 //!
-//! ROADMAP item 1 ("millions of users"): the cluster's membership and
-//! warm-pool targets were static inputs, so no amount of per-request
-//! fast-start machinery could absorb a flash crowd — pre-provisioning,
-//! not per-request speed, is what holds tail latency through a ramp.
-//! This crate supplies both halves:
+//! With static membership and warm-pool targets, no amount of per-request
+//! fast-start machinery absorbs a flash crowd — pre-provisioning, not
+//! per-request speed, is what holds tail latency through a ramp. This
+//! crate supplies both halves:
 //!
 //! * [`workload`] — deterministic arrival-rate curves (diurnal sinusoid,
-//!   flash crowd, regional-failover surge, Zipf tenant skew) as pure
-//!   functions of `(config, t)` behind the [`WorkloadCurve`] trait, with
-//!   non-homogeneous Poisson arrival sampling that consumes exactly one
-//!   RNG draw per arrival for every shape. [`Workload::none`] reproduces
-//!   the old fixed-rate generator byte for byte.
+//!   flash crowd) as pure functions of `(config, t)` behind the
+//!   [`WorkloadCurve`] trait, with non-homogeneous Poisson arrival
+//!   sampling that consumes exactly one RNG draw per arrival for every
+//!   shape. A cluster with no curve keeps the fleet's fixed-rate
+//!   generator.
 //! * [`autoscaler`] — a pure, RNG-free decision engine with a reactive
 //!   (backlog thresholds + cooldown hysteresis) and a predictive
 //!   (windowed rate forecast + pool pre-warming) policy. The cluster
@@ -35,10 +34,7 @@ pub mod workload;
 pub use autoscaler::{
     Autoscaler, AutoscalerConfig, Decision, Observation, ScaleAction, ScaleCounters, ScalePolicy,
 };
-pub use workload::{
-    curve_arrivals, Diurnal, FixedRate, FlashCrowd, RegionalFailover, Workload, WorkloadCurve,
-    ZipfTenants,
-};
+pub use workload::{curve_arrivals, Diurnal, FlashCrowd, Workload, WorkloadCurve};
 
 /// Why a workload curve's shape knobs are unusable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,10 +47,6 @@ pub enum CurveError {
     PeriodZero,
     /// A flash-crowd peak sits below its base rate.
     PeakBelowBase,
-    /// A Zipf sampler over zero tenants.
-    NoTenants,
-    /// A Zipf exponent that is negative or non-finite.
-    BadExponent,
 }
 
 impl fmt::Display for CurveError {
@@ -64,8 +56,6 @@ impl fmt::Display for CurveError {
             CurveError::AmplitudeExceedsBase => "amplitude must be within [0, base]",
             CurveError::PeriodZero => "period, decay, and ramp durations must be positive",
             CurveError::PeakBelowBase => "peak rate must be at least the base rate",
-            CurveError::NoTenants => "at least one tenant is required",
-            CurveError::BadExponent => "zipf exponent must be finite and non-negative",
         };
         write!(f, "{what}")
     }

@@ -2,27 +2,19 @@
 //!
 //! The fixed-rate open-loop generator the fleet ships
 //! (`sevf_fleet::workload::open_arrivals`) models steady offered load; the
-//! "millions of users" scenarios the autoscaler exists for do not look like
-//! that. This module provides the planet-scale shapes as *rate curves* —
-//! pure functions of `(config, t)` — behind one [`WorkloadCurve`] trait:
+//! ramps the autoscaler exists for do not look like that. This module
+//! provides them as *rate curves* — pure functions of `(config, t)` —
+//! behind one [`WorkloadCurve`] trait:
 //!
-//! * [`FixedRate`] — the old generator, verbatim ([`Workload::none`]).
 //! * [`Diurnal`] — a sinusoidal day/night swing around a base rate.
 //! * [`FlashCrowd`] — a fast ramp to a peak at `at`, decaying
 //!   exponentially back toward base (the launch-day / breaking-news
 //!   shape).
-//! * [`RegionalFailover`] — a dead region's traffic folds onto the
-//!   survivors: a linear ramp of `surge` extra req/s that *stays*.
 //!
 //! Arrival instants are drawn by the inverse time-change of a
 //! non-homogeneous Poisson process: unit-rate exponential targets mapped
 //! through the inverse cumulative rate [`Workload::cumulative`]. One RNG
-//! draw per arrival, so every curve consumes the seed stream identically —
-//! and the [`FixedRate`] path reproduces the fleet generator's per-gap
-//! rounding exactly, byte for byte.
-//!
-//! [`ZipfTenants`] covers the *who* instead of the *when*: a tenant-skew
-//! sampler whose top-tenant share is monotone in the exponent.
+//! draw per arrival, so every curve consumes the seed stream identically.
 
 use sevf_sim::rng::XorShift64;
 use sevf_sim::Nanos;
@@ -45,42 +37,6 @@ pub trait WorkloadCurve {
 
     /// Stable display name.
     fn name(&self) -> &'static str;
-
-    /// The constant rate when the curve is flat, else `None`. Flat curves
-    /// take the fleet generator's exact per-gap path so `none()` replays
-    /// the pre-curve arrivals byte for byte.
-    fn fixed_rate(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// The old fixed-rate open-loop generator as a curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedRate {
-    /// Offered load in req/s.
-    pub rate_per_sec: f64,
-}
-
-impl WorkloadCurve for FixedRate {
-    fn rate_at(&self, _t: Nanos) -> f64 {
-        self.rate_per_sec
-    }
-
-    fn cumulative(&self, t: Nanos) -> f64 {
-        self.rate_per_sec * t.as_secs_f64()
-    }
-
-    fn peak_rate(&self) -> f64 {
-        self.rate_per_sec
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn fixed_rate(&self) -> Option<f64> {
-        Some(self.rate_per_sec)
-    }
 }
 
 /// A day/night sinusoid: `base + amplitude * sin(2π t / period)`.
@@ -174,74 +130,17 @@ impl WorkloadCurve for FlashCrowd {
     }
 }
 
-/// A regional failover: at `at` a dead region's `surge` req/s folds onto
-/// the survivors, ramping in linearly over `ramp` and then staying for the
-/// rest of the run (the region does not come back within the horizon).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionalFailover {
-    /// The surviving region's own offered load (req/s).
-    pub base: f64,
-    /// The dead region's folded-over load once fully ramped (req/s).
-    pub surge: f64,
-    /// When the region dies.
-    pub at: Nanos,
-    /// DNS/anycast convergence time: the fold-in ramp duration.
-    pub ramp: Nanos,
-}
-
-impl WorkloadCurve for RegionalFailover {
-    fn rate_at(&self, t: Nanos) -> f64 {
-        if t < self.at {
-            return self.base;
-        }
-        let frac = ((t - self.at).as_secs_f64() / self.ramp.as_secs_f64()).min(1.0);
-        self.base + self.surge * frac
-    }
-
-    fn cumulative(&self, t: Nanos) -> f64 {
-        let base_part = self.base * t.as_secs_f64();
-        if t < self.at {
-            return base_part;
-        }
-        let dt = (t - self.at).as_secs_f64();
-        let ramp = self.ramp.as_secs_f64();
-        if dt < ramp {
-            base_part + self.surge * dt * dt / (2.0 * ramp)
-        } else {
-            base_part + self.surge * (ramp / 2.0 + (dt - ramp))
-        }
-    }
-
-    fn peak_rate(&self) -> f64 {
-        self.base + self.surge
-    }
-
-    fn name(&self) -> &'static str {
-        "regional-failover"
-    }
-}
-
 /// The config-friendly sum of every curve shape (Clone + compare, so it
 /// can sit in a `ClusterConfig` field).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
-    /// Constant rate — the old generator ([`Workload::none`]).
-    Fixed(FixedRate),
     /// Day/night sinusoid.
     Diurnal(Diurnal),
     /// Step + exponential decay.
     FlashCrowd(FlashCrowd),
-    /// Dead-region fold-over surge.
-    RegionalFailover(RegionalFailover),
 }
 
 impl Workload {
-    /// No curve shaping: a flat rate identical to the fleet's fixed-rate
-    /// generator (same draws, same per-gap rounding, same bytes).
-    pub fn none(rate_per_sec: f64) -> Self {
-        Workload::Fixed(FixedRate { rate_per_sec })
-    }
-
     /// Checks the shape's knobs.
     ///
     /// # Errors
@@ -250,11 +149,6 @@ impl Workload {
     pub fn validate(&self) -> Result<(), ScaleError> {
         let bad = |e| Err(ScaleError::Workload(e));
         match self {
-            Workload::Fixed(c) => {
-                if !(c.rate_per_sec.is_finite() && c.rate_per_sec > 0.0) {
-                    return bad(CurveError::RateNotPositive);
-                }
-            }
             Workload::Diurnal(c) => {
                 if !(c.base.is_finite() && c.base > 0.0) {
                     return bad(CurveError::RateNotPositive);
@@ -277,17 +171,6 @@ impl Workload {
                     return bad(CurveError::PeriodZero);
                 }
             }
-            Workload::RegionalFailover(c) => {
-                if !(c.base.is_finite() && c.base > 0.0) {
-                    return bad(CurveError::RateNotPositive);
-                }
-                if !(c.surge.is_finite() && c.surge >= 0.0) {
-                    return bad(CurveError::RateNotPositive);
-                }
-                if c.ramp == Nanos::ZERO {
-                    return bad(CurveError::PeriodZero);
-                }
-            }
         }
         Ok(())
     }
@@ -296,44 +179,29 @@ impl Workload {
 impl WorkloadCurve for Workload {
     fn rate_at(&self, t: Nanos) -> f64 {
         match self {
-            Workload::Fixed(c) => c.rate_at(t),
             Workload::Diurnal(c) => c.rate_at(t),
             Workload::FlashCrowd(c) => c.rate_at(t),
-            Workload::RegionalFailover(c) => c.rate_at(t),
         }
     }
 
     fn cumulative(&self, t: Nanos) -> f64 {
         match self {
-            Workload::Fixed(c) => c.cumulative(t),
             Workload::Diurnal(c) => c.cumulative(t),
             Workload::FlashCrowd(c) => c.cumulative(t),
-            Workload::RegionalFailover(c) => c.cumulative(t),
         }
     }
 
     fn peak_rate(&self) -> f64 {
         match self {
-            Workload::Fixed(c) => c.peak_rate(),
             Workload::Diurnal(c) => c.peak_rate(),
             Workload::FlashCrowd(c) => c.peak_rate(),
-            Workload::RegionalFailover(c) => c.peak_rate(),
         }
     }
 
     fn name(&self) -> &'static str {
         match self {
-            Workload::Fixed(c) => c.name(),
             Workload::Diurnal(c) => c.name(),
             Workload::FlashCrowd(c) => c.name(),
-            Workload::RegionalFailover(c) => c.name(),
-        }
-    }
-
-    fn fixed_rate(&self) -> Option<f64> {
-        match self {
-            Workload::Fixed(c) => c.fixed_rate(),
-            _ => None,
         }
     }
 }
@@ -366,23 +234,8 @@ fn invert_cumulative(curve: &impl WorkloadCurve, target: f64) -> Nanos {
 /// cumulative target, and maps the target through the inverse of
 /// [`WorkloadCurve::cumulative`]. Exactly one `next_f64` per arrival for
 /// every shape — curves never perturb downstream seed streams relative to
-/// each other — and a flat curve short-circuits to the fleet generator's
-/// per-gap formula, reproducing its rounding byte for byte.
+/// each other.
 pub fn curve_arrivals(curve: &Workload, n: usize, rng: &mut XorShift64) -> Vec<Nanos> {
-    if let Some(rate) = curve.fixed_rate() {
-        // The fleet's `open_arrivals` contract: round each gap to nanos,
-        // then sum. Kept gap-exact so `Workload::none` replays the old
-        // generator's arrivals without a single differing byte.
-        let mut t = Nanos::ZERO;
-        return (0..n)
-            .map(|_| {
-                let u = rng.next_f64();
-                let secs = -(1.0 - u).ln() / rate;
-                t += Nanos::from_nanos((secs * 1e9).round() as u64);
-                t
-            })
-            .collect();
-    }
     let mut acc = 0.0;
     let mut last = Nanos::ZERO;
     (0..n)
@@ -395,69 +248,6 @@ pub fn curve_arrivals(curve: &Workload, n: usize, rng: &mut XorShift64) -> Vec<N
             last
         })
         .collect()
-}
-
-/// A Zipf-skewed tenant sampler: tenant `k` (0-based) carries weight
-/// `1 / (k + 1)^exponent`. Exponent 0 is uniform; larger exponents
-/// concentrate the stream on the head tenants — the share of tenant 0 is
-/// strictly monotone in the exponent (property-tested).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZipfTenants {
-    weights: Vec<f64>,
-    total: f64,
-}
-
-impl ZipfTenants {
-    /// Builds the sampler over `tenants` tenants at `exponent` skew.
-    ///
-    /// # Errors
-    ///
-    /// [`ScaleError::Workload`] when there are no tenants or the exponent
-    /// is not a finite non-negative number.
-    pub fn new(tenants: usize, exponent: f64) -> Result<Self, ScaleError> {
-        if tenants == 0 {
-            return Err(ScaleError::Workload(CurveError::NoTenants));
-        }
-        if !exponent.is_finite() || exponent < 0.0 {
-            return Err(ScaleError::Workload(CurveError::BadExponent));
-        }
-        let weights: Vec<f64> = (0..tenants)
-            .map(|k| 1.0 / ((k + 1) as f64).powf(exponent))
-            .collect();
-        let total = weights.iter().sum();
-        Ok(ZipfTenants { weights, total })
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Tenant `k`'s share of the stream, in `[0, 1]`.
-    pub fn share(&self, tenant: usize) -> f64 {
-        self.weights[tenant] / self.total
-    }
-
-    /// Splits a total offered rate into per-tenant rates by share.
-    pub fn rates(&self, total_rate: f64) -> Vec<f64> {
-        self.weights
-            .iter()
-            .map(|w| total_rate * w / self.total)
-            .collect()
-    }
-
-    /// Samples one tenant index, proportionally to Zipf weight. One draw.
-    pub fn sample(&self, rng: &mut XorShift64) -> usize {
-        let ticket = rng.next_f64() * self.total;
-        let mut acc = 0.0;
-        for (tenant, w) in self.weights.iter().enumerate() {
-            acc += w;
-            if ticket < acc {
-                return tenant;
-            }
-        }
-        self.weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -477,7 +267,6 @@ mod tests {
     #[test]
     fn cumulative_matches_numeric_integral_of_rate() {
         let curves = [
-            Workload::none(80.0),
             Workload::Diurnal(Diurnal {
                 base: 100.0,
                 amplitude: 60.0,
@@ -491,12 +280,6 @@ mod tests {
                 at: Nanos::from_secs(1),
                 ramp: Nanos::ZERO,
                 decay: Nanos::from_millis(1500),
-            }),
-            Workload::RegionalFailover(RegionalFailover {
-                base: 50.0,
-                surge: 120.0,
-                at: Nanos::from_secs(1),
-                ramp: Nanos::from_millis(500),
             }),
         ];
         for curve in &curves {
@@ -535,19 +318,32 @@ mod tests {
     fn one_draw_per_arrival_for_every_shape() {
         // Curves must consume the seed stream identically so swapping the
         // shape never perturbs draws made after arrival generation.
-        let shapes = [Workload::none(50.0), flash()];
-        let mut after = Vec::new();
-        for shape in &shapes {
-            let mut rng = XorShift64::new(99);
-            let _ = curve_arrivals(shape, 64, &mut rng);
-            after.push(rng.next_f64());
+        let diurnal = Workload::Diurnal(Diurnal {
+            base: 50.0,
+            amplitude: 30.0,
+            period: Nanos::from_secs(2),
+        });
+        let mut reference = XorShift64::new(99);
+        for _ in 0..64 {
+            reference.next_f64();
         }
-        assert_eq!(after[0], after[1]);
+        let next = reference.next_f64();
+        for shape in [diurnal, flash()] {
+            let mut rng = XorShift64::new(99);
+            let _ = curve_arrivals(&shape, 64, &mut rng);
+            assert_eq!(rng.next_f64(), next, "{} drew off-stream", shape.name());
+        }
     }
 
     #[test]
     fn validation_rejects_each_bad_knob() {
-        assert!(Workload::none(0.0).validate().is_err());
+        assert!(Workload::Diurnal(Diurnal {
+            base: 0.0,
+            amplitude: 0.0,
+            period: Nanos::from_secs(1),
+        })
+        .validate()
+        .is_err());
         assert!(Workload::Diurnal(Diurnal {
             base: 10.0,
             amplitude: 11.0,
@@ -564,25 +360,5 @@ mod tests {
         })
         .validate()
         .is_err());
-        assert!(Workload::RegionalFailover(RegionalFailover {
-            base: 10.0,
-            surge: 5.0,
-            at: Nanos::ZERO,
-            ramp: Nanos::ZERO,
-        })
-        .validate()
-        .is_err());
-        assert!(ZipfTenants::new(0, 1.0).is_err());
-        assert!(ZipfTenants::new(3, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn zipf_shares_sum_to_one_and_rates_split_the_total() {
-        let z = ZipfTenants::new(5, 1.2).unwrap();
-        let total: f64 = (0..5).map(|k| z.share(k)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        let rates = z.rates(200.0);
-        assert!((rates.iter().sum::<f64>() - 200.0).abs() < 1e-9);
-        assert!(rates[0] > rates[4]);
     }
 }

@@ -1,16 +1,12 @@
-//! Seeded property battery over the workload curves and the tenant
-//! sampler.
+//! Seeded property battery over the workload curves.
 //!
 //! Each property runs over a spread of fixed seeds (no ambient
-//! randomness): determinism of the arrival generator, agreement between
-//! issued arrival counts and the analytic rate integral, Zipf skew
-//! monotone in the exponent, and the flash-crowd envelope bounding the
-//! empirical arrival rate.
+//! randomness): determinism of the arrival generator, monotone arrivals,
+//! agreement between issued arrival counts and the analytic rate
+//! integral, and the flash-crowd envelope bounding the empirical arrival
+//! rate.
 
-use sevf_scale::{
-    curve_arrivals, Diurnal, FixedRate, FlashCrowd, RegionalFailover, Workload, WorkloadCurve,
-    ZipfTenants,
-};
+use sevf_scale::{curve_arrivals, Diurnal, FlashCrowd, Workload, WorkloadCurve};
 use sevf_sim::rng::XorShift64;
 use sevf_sim::Nanos;
 
@@ -18,9 +14,6 @@ const SEEDS: [u64; 5] = [1, 0x5CA1E, 0xDEADBEEF, 42, 7_777_777];
 
 fn shapes() -> Vec<Workload> {
     vec![
-        Workload::Fixed(FixedRate {
-            rate_per_sec: 120.0,
-        }),
         Workload::Diurnal(Diurnal {
             base: 150.0,
             amplitude: 90.0,
@@ -39,12 +32,6 @@ fn shapes() -> Vec<Workload> {
             at: Nanos::from_secs(2),
             ramp: Nanos::ZERO,
             decay: Nanos::from_secs(2),
-        }),
-        Workload::RegionalFailover(RegionalFailover {
-            base: 80.0,
-            surge: 240.0,
-            at: Nanos::from_secs(1),
-            ramp: Nanos::from_millis(700),
         }),
     ]
 }
@@ -147,72 +134,5 @@ fn flash_crowd_windowed_rate_respects_the_envelope() {
             busiest as f64 > 3.0 * quiet,
             "seed {seed}: busiest window {busiest} never left the base rate ({quiet:.1})"
         );
-    }
-}
-
-#[test]
-fn zipf_top_share_is_monotone_in_the_exponent() {
-    let exponents = [0.0, 0.4, 0.8, 1.2, 1.6, 2.0];
-    // Analytically: tenant 0's share strictly grows with skew.
-    let mut last = 0.0;
-    for &e in &exponents {
-        let z = ZipfTenants::new(20, e).unwrap();
-        let share = z.share(0);
-        assert!(
-            share > last || (e == 0.0 && share > 0.0),
-            "share {share} did not grow at exponent {e}"
-        );
-        last = share;
-    }
-    // Empirically: sampled head counts grow with skew too, at every seed.
-    for seed in SEEDS {
-        let mut counts = Vec::new();
-        for &e in &exponents {
-            let z = ZipfTenants::new(20, e).unwrap();
-            let mut rng = XorShift64::new(seed);
-            let hits = (0..4000).filter(|_| z.sample(&mut rng) == 0).count();
-            counts.push(hits);
-        }
-        for pair in counts.windows(2) {
-            assert!(
-                pair[1] >= pair[0],
-                "seed {seed}: head-tenant hits fell from {} to {} as skew rose",
-                pair[0],
-                pair[1]
-            );
-        }
-        // Uniform really is uniform-ish, strong skew really concentrates.
-        assert!(
-            counts[0] < 400,
-            "uniform head share too large: {}",
-            counts[0]
-        );
-        assert!(
-            *counts.last().unwrap() > 1500,
-            "strong skew concentrated too little: {}",
-            counts.last().unwrap()
-        );
-    }
-}
-
-/// The fixed-rate short circuit reproduces the documented per-gap
-/// rounding formula exactly — this is the contract that makes
-/// `Workload::none` byte-compatible with the fleet's generator.
-#[test]
-fn fixed_rate_matches_the_per_gap_formula() {
-    for seed in SEEDS {
-        let rate = 85.0;
-        let arrivals = curve_arrivals(&Workload::none(rate), 300, &mut XorShift64::new(seed));
-        let mut rng = XorShift64::new(seed);
-        let mut t = Nanos::ZERO;
-        for (i, &got) in arrivals.iter().enumerate() {
-            let u = rng.next_f64();
-            let secs = -(1.0 - u).ln() / rate;
-            t += Nanos::from_nanos((secs * 1e9).round() as u64);
-            assert_eq!(
-                got, t,
-                "seed {seed}: arrival {i} diverged from the gap formula"
-            );
-        }
     }
 }

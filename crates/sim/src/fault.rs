@@ -254,17 +254,6 @@ fn outage_windows(seed: u64, period: Nanos, length: Nanos, horizon: Nanos) -> Ve
     windows
 }
 
-/// If `at` falls inside one of the sorted, non-overlapping `windows`, the
-/// instant that window ends. `partition_point` finds the first window ending
-/// after `at`, which is the only candidate that can contain it.
-fn window_end(windows: &[ResetWindow], at: Nanos) -> Option<Nanos> {
-    let idx = windows.partition_point(|w| w.end <= at);
-    match windows.get(idx) {
-        Some(w) if w.contains(at) => Some(w.end),
-        _ => None,
-    }
-}
-
 /// Exponential gap with the given mean, floored at 1 ns so schedules advance.
 fn exponential_gap(mean: Nanos, rng: &mut XorShift64) -> Nanos {
     let u = rng.next_f64();
@@ -409,19 +398,14 @@ impl FaultPlan {
     }
 
     /// If `at` falls inside a reset outage, the instant the outage ends.
+    /// `partition_point` finds the first window ending after `at`, the only
+    /// one of the sorted, non-overlapping windows that can contain it.
     pub fn in_outage(&self, at: Nanos) -> Option<Nanos> {
-        window_end(&self.resets, at)
-    }
-
-    /// If `at` falls inside a whole-host outage, the instant the host is back.
-    pub fn in_host_outage(&self, at: Nanos) -> Option<Nanos> {
-        window_end(&self.host_outages, at)
-    }
-
-    /// How many firmware resets have *started* at or before `at`. Two probes
-    /// in different epochs straddle at least one loss of PSP state.
-    pub fn reset_epoch(&self, at: Nanos) -> usize {
-        self.resets.partition_point(|w| w.start <= at)
+        let idx = self.resets.partition_point(|w| w.end <= at);
+        match self.resets.get(idx) {
+            Some(w) if w.contains(at) => Some(w.end),
+            _ => None,
+        }
     }
 
     /// Stateless Bernoulli draw: does PSP-using launch `token` fail
@@ -494,15 +478,6 @@ mod tests {
         );
         assert_eq!(plan.in_outage(w.end), None);
         assert_eq!(plan.in_outage(Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn reset_epoch_counts_starts() {
-        let plan = storm_plan(17);
-        assert_eq!(plan.reset_epoch(Nanos::ZERO), 0);
-        let w = plan.resets()[0];
-        assert_eq!(plan.reset_epoch(w.start), 1);
-        assert_eq!(plan.reset_epoch(plan.horizon()), plan.resets().len());
     }
 
     #[test]
@@ -594,8 +569,6 @@ mod tests {
             assert!(pair[0].end <= pair[1].start, "{pair:?} overlap");
         }
         let w = plan.host_outages()[0];
-        assert_eq!(plan.in_host_outage(w.start), Some(w.end));
-        assert_eq!(plan.in_host_outage(w.end), None);
         // Host outages ride their own stream: resets stay empty here and
         // the existing reset lookup is untouched by the new windows.
         assert!(plan.resets().is_empty());

@@ -27,24 +27,17 @@
 //! one against `data/golden/`).
 
 use sevf_bench::experiment::run_example;
-use sevf_bench::pick;
-use sevf_cluster::attsweep::AttSweepConfig;
+use sevf_cluster::attsweep::{SEED, VERIFIER};
 
 fn main() {
     run_example("attestation_storm", intro, TAKEAWAY);
 }
 
-fn intro(quick: bool) {
-    let cfg = pick(
-        quick,
-        AttSweepConfig::quick,
-        AttSweepConfig::paper_attestation,
-    );
-    let v = &cfg.verifier;
+fn intro(_quick: bool) {
+    let v = VERIFIER;
     println!("verifying a cluster's launch stream through one attestation plane\n");
     println!(
-        "verifier model (seed {:#x}): cert fetch {:.1} ms, batch setup {:.1} ms,",
-        cfg.seed,
+        "verifier model (seed {SEED:#x}): cert fetch {:.1} ms, batch setup {:.1} ms,",
         v.cert_fetch.as_millis_f64(),
         v.batch_setup.as_millis_f64()
     );

@@ -23,7 +23,7 @@
 
 use sevf_bench::experiment::run_example;
 use sevf_bench::pick;
-use sevf_cluster::scalesweep::ScaleSweepConfig;
+use sevf_cluster::scalesweep::{ScaleSweepConfig, SEED};
 
 fn main() {
     run_example("autoscale_drill", intro, TAKEAWAY);
@@ -37,8 +37,8 @@ fn intro(quick: bool) {
     );
     println!("one flash crowd, three provisioning arms\n");
     println!(
-        "workload (seed {:#x}): base {:.0} req/s, crowd to {:.0} req/s at",
-        cfg.seed, cfg.crowd.base, cfg.crowd.peak
+        "workload (seed {SEED:#x}): base {:.0} req/s, crowd to {:.0} req/s at",
+        cfg.crowd.base, cfg.crowd.peak
     );
     println!(
         "{:.1} s over a {:.0} ms ramp (decay {:.0} ms); elastic arms run",

@@ -26,24 +26,17 @@
 //! against `data/golden/`).
 
 use sevf_bench::experiment::run_example;
-use sevf_bench::pick;
-use sevf_cluster::experiment::ClusterSweepConfig;
+use sevf_cluster::experiment::SEED;
 
 fn main() {
     run_example("cluster_scaling", intro, TAKEAWAY);
 }
 
-fn intro(quick: bool) {
-    let cfg = pick(
-        quick,
-        ClusterSweepConfig::quick,
-        ClusterSweepConfig::paper_cluster,
-    );
+fn intro(_quick: bool) {
     println!("serving one launch stream across a cluster of PSP-bound hosts\n");
     println!(
         "every request stream, placement probe, and fault domain below replays from\n\
-         seed {:#x}; the per-host cold SEV ceiling (req/s) comes first.",
-        cfg.seed
+         seed {SEED:#x}; the per-host cold SEV ceiling (req/s) comes first."
     );
 }
 

@@ -23,20 +23,15 @@
 //! against `data/golden/`).
 
 use sevf_bench::experiment::run_example;
-use sevf_bench::pick;
-use sevf_fleet::chaos::ChaosConfig;
+use sevf_fleet::chaos::SEED;
 
 fn main() {
     run_example("fleet_chaos", intro, TAKEAWAY);
 }
 
-fn intro(quick: bool) {
-    let cfg = pick(quick, ChaosConfig::quick, ChaosConfig::paper_chaos);
+fn intro(_quick: bool) {
     println!("serving a launch stream while the substrate misbehaves\n");
-    println!(
-        "storm (seed {:#x}): PSP firmware resets and warm-guest crashes planned",
-        cfg.seed
-    );
+    println!("storm (seed {SEED:#x}): PSP firmware resets and warm-guest crashes planned");
     println!("over the longest run (counted below), plus per-command transient and");
     println!("attestation faults. Both faulted arms replay the exact same plan.");
 }

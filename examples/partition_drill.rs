@@ -29,7 +29,9 @@
 
 use sevf_bench::experiment::run_example;
 use sevf_bench::pick;
-use sevf_cluster::netsweep::NetSweepConfig;
+use sevf_cluster::netsweep::{
+    NetSweepConfig, DISPATCH_TIMEOUT, HEARTBEAT_EVERY, LEASE, LINK, SEED,
+};
 
 fn main() {
     run_example("partition_drill", intro, TAKEAWAY);
@@ -43,23 +45,22 @@ fn intro(quick: bool) {
     );
     println!("serving a launch stream across a faulty network, twice per arm\n");
     println!(
-        "link model (seed {:#x}): {:.0} µs latency + [0, {:.0}) µs jitter, {:.2}% loss;",
-        cfg.seed,
-        cfg.link.latency.as_millis_f64() * 1000.0,
-        cfg.link.jitter.as_millis_f64() * 1000.0,
-        cfg.link.loss * 100.0
+        "link model (seed {SEED:#x}): {:.0} µs latency + [0, {:.0}) µs jitter, {:.2}% loss;",
+        LINK.latency.as_millis_f64() * 1000.0,
+        LINK.jitter.as_millis_f64() * 1000.0,
+        LINK.loss * 100.0
     );
     println!(
         "every arm cuts its links from {:.1} s to {:.1} s; dispatch timeout {:.0} ms,",
         cfg.cut_start.as_secs_f64(),
         cfg.cut_end.as_secs_f64(),
-        cfg.dispatch_timeout.as_millis_f64()
+        DISPATCH_TIMEOUT.as_millis_f64()
     );
     println!(
         "heartbeats every {:.0} ms, leases {:.0} ms renewed every {:.0} ms.",
-        cfg.heartbeat_every.as_millis_f64(),
-        cfg.lease.duration.as_millis_f64(),
-        cfg.lease.renew_every.as_millis_f64()
+        HEARTBEAT_EVERY.as_millis_f64(),
+        LEASE.duration.as_millis_f64(),
+        LEASE.renew_every.as_millis_f64()
     );
 }
 

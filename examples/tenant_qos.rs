@@ -25,7 +25,7 @@
 
 use sevf_bench::experiment::run_example;
 use sevf_bench::pick;
-use sevf_cluster::policysweep::PolicySweepConfig;
+use sevf_cluster::policysweep::{PolicySweepConfig, SEED};
 
 fn main() {
     run_example("tenant_qos", intro, TAKEAWAY);
@@ -39,8 +39,8 @@ fn intro(quick: bool) {
     );
     println!("three tenants, one cluster, three policy arms\n");
     println!(
-        "workload (seed {:#x}): {} req/s over {} hosts — premium trickle",
-        cfg.seed, cfg.rps, cfg.hosts
+        "workload (seed {SEED:#x}): {} req/s over {} hosts — premium trickle",
+        cfg.rps, cfg.hosts
     );
     println!(
         "(LS, weight 8, p99 target {} ms), batch flood (weight 1, quota",

@@ -12,18 +12,10 @@
 //!   by one extra budget;
 //! * live-host counts never leave `[min_hosts, max_hosts]`;
 //! * membership changes respect the cooldown;
-//! * every arm conserves every request;
-//! * and the curve machinery is invisible when unused — a cluster given
-//!   `Workload::none(rate)` reproduces the `workload: None` run byte for
-//!   byte, arrival instants included.
+//! * and every arm conserves every request.
 
 use sevf_cluster::scalesweep::{scale_sweep, ScaleSweepConfig};
-use sevf_cluster::service::{ClusterConfig, ClusterReport, ClusterService, ScaleEvent};
-use sevf_fleet::blueprint::{Catalog, ClassSpec};
-use sevf_fleet::service::ServingTier;
-use sevf_fleet::workload::open_arrivals;
-use sevf_scale::{curve_arrivals, Workload};
-use sevf_sim::rng::XorShift64;
+use sevf_cluster::service::{ClusterReport, ScaleEvent};
 use sevf_sim::Nanos;
 
 /// The quick sweep's config and each arm's report, in static / reactive /
@@ -188,51 +180,5 @@ fn every_arm_conserves_and_the_frontier_holds() {
         "predictive ({:.1} host-s) must undercut static ({:.1} host-s)",
         pred.host_seconds,
         stat.host_seconds
-    );
-}
-
-/// `Workload::none(rate)` must be indistinguishable from no workload at
-/// all — first at the generator (the exact arrival instants), then end to
-/// end (an identical cluster run, latencies included).
-#[test]
-fn none_reproduces_the_fleet_generator_byte_for_byte() {
-    for seed in [3u64, 0x5CA1E, 97] {
-        for rate in [25.0, 160.0, 900.0] {
-            let old = open_arrivals(rate, 512, &mut XorShift64::new(seed));
-            let new = curve_arrivals(&Workload::none(rate), 512, &mut XorShift64::new(seed));
-            assert_eq!(old, new, "arrivals diverged at seed {seed} rate {rate}");
-        }
-    }
-}
-
-fn digest(report: &ClusterReport) -> (usize, usize, u64, Vec<u64>, Nanos) {
-    let m = &report.metrics;
-    (
-        m.issued,
-        m.completed,
-        m.lost(),
-        m.latencies_ms.iter().map(|l| l.to_bits()).collect(),
-        m.makespan,
-    )
-}
-
-#[test]
-fn fixed_workload_run_matches_no_workload_run_exactly() {
-    let catalog = Catalog::build(0x51, &ClassSpec::quick_test_classes()).unwrap();
-    let rate = 140.0;
-    let run = |workload: Option<Workload>| {
-        let config = ClusterConfig {
-            seed: 0x51,
-            workload,
-            ..ClusterConfig::open_loop(3, ServingTier::WarmPool, rate, 300)
-        };
-        ClusterService::new(catalog.clone(), config).unwrap().run()
-    };
-    let plain = run(None);
-    let fixed = run(Some(Workload::none(rate)));
-    assert_eq!(
-        digest(&plain),
-        digest(&fixed),
-        "a flat curve perturbed the run it must be invisible in"
     );
 }

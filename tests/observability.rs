@@ -10,17 +10,36 @@
 //! count (retries, sheds, faults, failovers) to match its counter.
 
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
-use sevf_fleet::chaos::ChaosConfig;
+use sevf_fleet::chaos::{self, ChaosConfig};
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::service::{FleetConfig, FleetService, ServingTier};
 use sevf_fleet::workload::RequestMix;
-use sevf_obs::{invariants, Histogram, MarkerKind, Outcome, TraceLog};
+use sevf_obs::{invariants, Histogram, MarkerKind, MarkerRec, Outcome, SpanKind, TraceLog};
 use sevf_sim::fault::{FaultConfig, FaultKind, FaultPlan};
 use sevf_sim::rng::XorShift64;
 use sevf_sim::{stats, Nanos};
 
 fn catalog() -> Catalog {
     Catalog::build(17, &ClassSpec::quick_test_classes()).unwrap()
+}
+
+/// Requests that terminated with `outcome`.
+fn outcomes(log: &TraceLog, outcome: Outcome) -> usize {
+    log.requests_with_outcome(outcome).len()
+}
+
+/// Retry backoff spans (one per retry dispatched later).
+fn backoffs(log: &TraceLog) -> usize {
+    log.spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Backoff)
+        .count()
+}
+
+/// Fault markers of any kind.
+fn faults(log: &TraceLog) -> usize {
+    let fault = |m: &&MarkerRec| matches!(m.kind, MarkerKind::Fault(_));
+    log.markers.iter().filter(fault).count()
 }
 
 /// Completed requests paired with their metrics latencies. Fleet latencies
@@ -46,8 +65,8 @@ fn fleet_fault_free_spans_obey_the_battery() {
     let pairs = completed_pairs(&log, &report.metrics.latencies);
     invariants::check_completed(&log, &pairs).unwrap();
     // Fault-free run: no fault markers, no retries, no backoff spans.
-    assert_eq!(log.total_faults(), 0);
-    assert_eq!(log.retry_waits(), 0);
+    assert_eq!(faults(&log), 0);
+    assert_eq!(backoffs(&log), 0);
 }
 
 #[test]
@@ -72,14 +91,13 @@ fn fleet_chaos_spans_match_fault_counters_exactly() {
     let requests = 200;
     let load = 60.0;
     let horizon = Nanos::from_nanos((requests as f64 / load * 2.0 * 1e9) as u64);
-    let plan = FaultPlan::generate(chaos.seed, chaos.fault.clone(), horizon).unwrap();
+    let plan = FaultPlan::generate(chaos::SEED, FaultConfig::storm(), horizon).unwrap();
     let config = FleetConfig {
         mix: chaos.mix.clone(),
         admission: chaos.admission,
-        warm_target: chaos.warm_target,
         fault: Some(plan),
-        recovery: chaos.recovery,
-        ..FleetConfig::open_loop(chaos.tier, load, requests)
+        recovery: RecoveryConfig::resilient(chaos::SEED),
+        ..FleetConfig::open_loop(ServingTier::Template, load, requests)
     };
     let (report, log) = FleetService::new(catalog(), config).run_traced();
     let m = &report.metrics;
@@ -87,39 +105,22 @@ fn fleet_chaos_spans_match_fault_counters_exactly() {
 
     // Terminal outcomes, one per issued request (conservation in span form).
     assert_eq!(log.outcomes.len(), requests);
-    assert_eq!(log.count_outcome(Outcome::Completed), m.completed);
-    assert_eq!(log.count_outcome(Outcome::Shed) as u64, m.shed);
-    assert_eq!(
-        log.count_outcome(Outcome::BreakerShed) as u64,
-        m.breaker_sheds
-    );
-    assert_eq!(log.count_outcome(Outcome::Timeout) as u64, m.timeouts);
-    assert_eq!(log.count_outcome(Outcome::Failed) as u64, m.failed);
+    assert_eq!(outcomes(&log, Outcome::Completed), m.completed);
+    assert_eq!(outcomes(&log, Outcome::Shed) as u64, m.shed);
+    assert_eq!(outcomes(&log, Outcome::BreakerShed) as u64, m.breaker_sheds);
+    assert_eq!(outcomes(&log, Outcome::Timeout) as u64, m.timeouts);
+    assert_eq!(outcomes(&log, Outcome::Failed) as u64, m.failed);
     assert_eq!(m.completed + m.lost() as usize, requests);
 
     // Retries and faults, span-side == counter-side, per kind.
-    assert_eq!(log.retry_waits() as u64, m.retries);
-    assert_eq!(log.total_faults() as u64, m.faults.total());
-    assert_eq!(
-        log.count_fault(FaultKind::PspTransient) as u64,
-        m.faults.psp_transient
-    );
-    assert_eq!(
-        log.count_fault(FaultKind::PspReset) as u64,
-        m.faults.psp_reset
-    );
-    assert_eq!(
-        log.count_fault(FaultKind::WarmCrash) as u64,
-        m.faults.warm_crash
-    );
-    assert_eq!(
-        log.count_fault(FaultKind::AttestTimeout) as u64,
-        m.faults.attest_timeout
-    );
-    assert_eq!(
-        log.count_fault(FaultKind::AttestError) as u64,
-        m.faults.attest_error
-    );
+    assert_eq!(backoffs(&log) as u64, m.retries);
+    assert_eq!(faults(&log) as u64, m.faults.total());
+    let fault = |kind| log.count_marker(MarkerKind::Fault(kind)) as u64;
+    assert_eq!(fault(FaultKind::PspTransient), m.faults.psp_transient);
+    assert_eq!(fault(FaultKind::PspReset), m.faults.psp_reset);
+    assert_eq!(fault(FaultKind::WarmCrash), m.faults.warm_crash);
+    assert_eq!(fault(FaultKind::AttestTimeout), m.faults.attest_timeout);
+    assert_eq!(fault(FaultKind::AttestError), m.faults.attest_error);
 
     // Structure still holds under the storm.
     let pairs = completed_pairs(&log, &m.latencies);
@@ -172,18 +173,15 @@ fn cluster_spans_obey_the_battery_and_match_the_rollup() {
 
     // Terminal and marker counts equal the rollup's counters.
     assert_eq!(log.outcomes.len(), m.issued);
-    assert_eq!(log.count_outcome(Outcome::Completed), m.completed);
-    assert_eq!(log.count_outcome(Outcome::Shed) as u64, m.shed);
-    assert_eq!(
-        log.count_outcome(Outcome::BreakerShed) as u64,
-        m.breaker_sheds
-    );
-    assert_eq!(log.count_outcome(Outcome::Timeout) as u64, m.timeouts);
-    assert_eq!(log.count_outcome(Outcome::Failed) as u64, m.failed);
-    assert_eq!(log.retry_waits() as u64, m.retries);
-    assert_eq!(log.failovers() as u64, m.failovers);
+    assert_eq!(outcomes(&log, Outcome::Completed), m.completed);
+    assert_eq!(outcomes(&log, Outcome::Shed) as u64, m.shed);
+    assert_eq!(outcomes(&log, Outcome::BreakerShed) as u64, m.breaker_sheds);
+    assert_eq!(outcomes(&log, Outcome::Timeout) as u64, m.timeouts);
+    assert_eq!(outcomes(&log, Outcome::Failed) as u64, m.failed);
+    assert_eq!(backoffs(&log) as u64, m.retries);
+    assert_eq!(log.count_marker(MarkerKind::Failover) as u64, m.failovers);
     assert_eq!(log.count_marker(MarkerKind::Rebalance) as u64, m.rebalances);
-    assert_eq!(log.total_faults() as u64, m.faults);
+    assert_eq!(faults(&log) as u64, m.faults);
 }
 
 #[test]
@@ -211,18 +209,18 @@ fn tracing_never_changes_the_report() {
 
 #[test]
 fn autoscale_markers_match_the_decision_counters_exactly() {
-    use sevf_cluster::scalesweep::ScaleSweepConfig;
+    use sevf_cluster::scalesweep::{ScaleSweepConfig, SEED};
     use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy};
     use sevf_fleet::blueprint::Catalog;
     use sevf_scale::{ScalePolicy, Workload};
 
     let sweep = ScaleSweepConfig::quick();
-    let catalog = Catalog::build(sweep.seed, &sweep.classes).unwrap();
+    let catalog = Catalog::build(SEED, &sweep.classes).unwrap();
     let workload = Workload::FlashCrowd(sweep.crowd);
     let config = ClusterConfig {
-        seed: sweep.seed,
+        seed: SEED,
         admission: sweep.admission,
-        recovery: sweep.recovery,
+        recovery: RecoveryConfig::resilient(SEED),
         warm_target: sweep.warm_budget.div_ceil(sweep.min_hosts),
         placement: PlacementPolicy::WarmReady,
         workload: Some(workload),
@@ -259,18 +257,18 @@ fn autoscale_markers_match_the_decision_counters_exactly() {
 
 #[test]
 fn autoscaled_tracing_never_changes_the_report() {
-    use sevf_cluster::scalesweep::ScaleSweepConfig;
+    use sevf_cluster::scalesweep::{ScaleSweepConfig, SEED};
     use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy};
     use sevf_fleet::blueprint::Catalog;
     use sevf_scale::{ScalePolicy, Workload};
 
     let sweep = ScaleSweepConfig::quick();
-    let catalog = Catalog::build(sweep.seed, &sweep.classes).unwrap();
+    let catalog = Catalog::build(SEED, &sweep.classes).unwrap();
     let make = || {
         let config = ClusterConfig {
-            seed: sweep.seed,
+            seed: SEED,
             admission: sweep.admission,
-            recovery: sweep.recovery,
+            recovery: RecoveryConfig::resilient(SEED),
             warm_target: sweep.warm_budget.div_ceil(sweep.min_hosts),
             placement: PlacementPolicy::WarmReady,
             workload: Some(Workload::FlashCrowd(sweep.crowd)),
@@ -380,7 +378,6 @@ fn histogram_cumulative_counts_are_monotone() {
 fn shared_stats_helpers_handle_empty_input() {
     assert_eq!(sevf_obs::percentile_or_zero(&[], 99.0), 0.0);
     assert_eq!(sevf_obs::time_weighted_mean(&[]), 0.0);
-    assert!(Histogram::new(1.0).upper_edge_rows().is_empty());
     assert_eq!(Histogram::new(1.0).percentile(50.0), 0.0);
 }
 

@@ -16,12 +16,19 @@
 //! the first of them to be back. That rule lives once, in
 //! `Front::handle_failure`; on one host "every candidate" is the one host,
 //! so the cluster defers exactly when the fleet does.
+//!
+//! Both drivers also refuse the same bad arrival shapes up front: an
+//! open-loop rate that is not finite and positive is a config error, not
+//! a panic halfway through the run.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sevf_cluster::prelude::*;
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::service::{FleetConfig, FleetService};
 use sevf_fleet::workload::Arrival;
+use sevf_fleet::FleetError;
 use sevf_sim::fault::{FaultConfig, FaultPlan};
 use sevf_sim::Nanos;
 
@@ -177,4 +184,34 @@ fn one_host_cluster_replays_the_fleet_on_the_whole_grid() {
         faulted >= 20,
         "only {faulted} of 24 faulty cells saw a fault"
     );
+}
+
+#[test]
+fn unusable_open_loop_rates_are_config_errors_in_both_drivers() {
+    let catalog = Catalog::build(17, &ClassSpec::quick_test_classes()).unwrap();
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let fleet = FleetConfig::open_loop(ServingTier::Template, rate, 10);
+        let refused = fleet.validate(catalog.len());
+        assert!(
+            matches!(refused, Err(FleetError::Config(_))),
+            "fleet took {rate}"
+        );
+        // `FleetService::new` has no `Result`: it panics with the config
+        // text at construction, before any arrival gap is drawn.
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            FleetService::new(catalog.clone(), fleet.clone())
+        }));
+        let text = *built
+            .expect_err("fleet built")
+            .downcast::<String>()
+            .unwrap();
+        assert_eq!(text, refused.unwrap_err().to_string());
+
+        let cluster = ClusterConfig::open_loop(2, ServingTier::Template, rate, 10);
+        let refused = ClusterService::new(catalog.clone(), cluster);
+        assert!(
+            matches!(refused, Err(ClusterError::Config(_))),
+            "cluster took {rate}"
+        );
+    }
 }
