@@ -3,8 +3,8 @@
 //!
 //! The plane is consulted once per dispatch, in dispatch order (which the
 //! DES makes deterministic), and answers with a [`Verification`]: the
-//! verdict plus the network-class work steps the launch must append to
-//! its blueprint. Because the steps are pure delays, they splice into the
+//! verdict plus the network-class work steps that ride after the launch's
+//! blueprint. Because the steps are pure delays, they splice into the
 //! launch's span tree without touching PSP or CPU occupancy — the
 //! verifier's queue is modeled here (`free_at`), not as a DES resource,
 //! exactly like a remote service whose latency the client observes.
@@ -74,7 +74,7 @@ pub struct Verification {
     /// Whether the launch may serve.
     pub verdict: Verdict,
     /// Network-class steps (queue wait → cert fetch/hit → batch window →
-    /// signature check) to append to the launch blueprint.
+    /// signature check) that ride after the launch's blueprint.
     pub steps: Vec<WorkStep>,
     /// Sum of the step durations.
     pub added: Nanos,
@@ -343,23 +343,20 @@ impl AttPlane {
         }
 
         let mut service = Nanos::ZERO;
-        match lookup {
-            CacheLookup::Hit => {
-                self.metrics.cert_hits += 1;
-                steps.push(self.step(STEP_CERT_HIT, Nanos::ZERO));
+        // Revoked returned above: what is left is a hit, a miss or an expiry.
+        if lookup == CacheLookup::Hit {
+            self.metrics.cert_hits += 1;
+            steps.push(self.step(STEP_CERT_HIT, Nanos::ZERO));
+        } else {
+            if lookup == CacheLookup::Expired {
+                self.metrics.expired += 1;
             }
-            CacheLookup::Miss | CacheLookup::Expired => {
-                if lookup == CacheLookup::Expired {
-                    self.metrics.expired += 1;
-                }
-                self.metrics.cert_fetches += 1;
-                steps.push(self.step(STEP_CERT_FETCH, self.config.cert_fetch));
-                service += self.config.cert_fetch;
-                if self.config.mode != VerifyMode::Naive {
-                    self.cache.insert(key, start);
-                }
+            self.metrics.cert_fetches += 1;
+            steps.push(self.step(STEP_CERT_FETCH, self.config.cert_fetch));
+            service += self.config.cert_fetch;
+            if self.config.mode != VerifyMode::Naive {
+                self.cache.insert(key, start);
             }
-            CacheLookup::Revoked => unreachable!("handled above"),
         }
 
         if self.config.mode == VerifyMode::CachedBatched {
@@ -441,7 +438,7 @@ impl AttPlane {
         }
     }
 
-    fn step(&self, label: &str, duration: Nanos) -> WorkStep {
+    fn step(&self, label: &'static str, duration: Nanos) -> WorkStep {
         WorkStep::new(
             ResourceClass::Network,
             PhaseKind::Attestation,

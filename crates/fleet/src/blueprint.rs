@@ -129,14 +129,16 @@ impl Blueprint {
         }
     }
 
-    /// Converts the blueprint into a DES job released at `release`.
-    pub fn to_job(&self, release: Nanos, cpu: ResourceId, psp: ResourceId) -> Job {
+    /// Converts the blueprint, followed by `tail` (an attestation verdict's
+    /// steps; empty for a refill), into a DES job released at `at`.
+    pub fn to_job(&self, tail: &[WorkStep], at: Nanos, cpu: ResourceId, psp: ResourceId) -> Job {
         let segments = self
             .steps
             .iter()
+            .chain(tail)
             .map(|step| Segment::for_class(step.class, step.duration, cpu, psp))
             .collect();
-        Job::released_at(release, segments)
+        Job::released_at(at, segments)
     }
 }
 
@@ -543,7 +545,7 @@ mod tests {
         let mut engine = sevf_sim::DesEngine::new();
         let psp = engine.add_resource("psp", 1);
         let cpu = engine.add_resource("cpu", 4);
-        let outcomes = engine.run(vec![bp.to_job(Nanos::ZERO, cpu, psp)]);
+        let outcomes = engine.run(vec![bp.to_job(&[], Nanos::ZERO, cpu, psp)]);
         assert_eq!(outcomes[0].latency(), bp.service_time());
     }
 }

@@ -17,6 +17,7 @@
 //! the run's shared [`Front`] and the engine's `inject` buffer; a
 //! single-host fleet and an N-host cluster drive exactly the same code.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use sevf_attplane::Verdict;
@@ -264,7 +265,7 @@ impl Host {
         if tier == ServingTier::WarmPool && self.pool.try_take(class) {
             // Warm hit: no launch, no admission — one vCPU kick. The freed
             // slot is refilled in the background by a template launch.
-            let blueprint = cx.catalog.class(class).warm_invoke.clone();
+            let blueprint = &cx.catalog.class(class).warm_invoke;
             self.inject_launch(cx, request, class, blueprint, false, now, inject);
             self.start_refill(cx, class, now, inject);
             return;
@@ -278,13 +279,8 @@ impl Host {
         let cb = cx.catalog.class(class);
         match tier {
             ServingTier::Cold => cb.cold.psp_work(),
-            ServingTier::Template | ServingTier::WarmPool => {
-                if self.cache.contains(&cb.key) {
-                    cb.template_hit.psp_work()
-                } else {
-                    cb.template_fill.psp_work()
-                }
-            }
+            _ if self.cache.contains(&cb.key) => cb.template_hit.psp_work(),
+            _ => cb.template_fill.psp_work(),
         }
     }
 
@@ -333,7 +329,8 @@ impl Host {
         }
     }
 
-    /// Picks the launch blueprint for a dispatch at `tier` and injects it.
+    /// Picks the catalog blueprint for a dispatch at `tier` and injects it;
+    /// a template tier counts one cache hit or miss (a miss fills).
     fn dispatch<J: From<ServeJob>>(
         &mut self,
         cx: &mut Front<'_, J>,
@@ -348,28 +345,25 @@ impl Host {
         }
         let cb = cx.catalog.class(class);
         let (blueprint, fill) = match tier {
-            ServingTier::Cold => (cb.cold.clone(), false),
-            ServingTier::Template | ServingTier::WarmPool => {
-                if self.cache.lookup_or_fill(cb.key, class) {
-                    (cb.template_hit.clone(), false)
-                } else {
-                    (cb.template_fill.clone(), true)
-                }
-            }
+            ServingTier::Cold => (&cb.cold, false),
+            _ if self.cache.lookup_or_fill(cb.key, class) => (&cb.template_hit, false),
+            _ => (&cb.template_fill, true),
         };
         self.inject_launch(cx, request, class, blueprint, fill, now, inject);
     }
 
     /// Applies this host's fault domain and the attestation plane to a
-    /// launch and injects it. Fault verdicts are drawn statelessly per
-    /// launch token, so the fault-free path consumes no randomness at all.
+    /// catalog blueprint and injects it. Fault verdicts are drawn
+    /// statelessly per launch token, so the fault-free path consumes no
+    /// randomness at all, and it replays the blueprint in place: only a
+    /// faulted launch is rewritten into a copy of its own.
     #[allow(clippy::too_many_arguments)]
     fn inject_launch<J: From<ServeJob>>(
         &mut self,
         cx: &mut Front<'_, J>,
         request: usize,
         class: usize,
-        mut blueprint: Blueprint,
+        blueprint: &Blueprint,
         fill: bool,
         now: Nanos,
         inject: &mut Vec<Job>,
@@ -380,47 +374,40 @@ impl Host {
         if !cx.posture_ok(request, self.id) {
             cx.posture_violations += 1;
         }
-        let mut fate = LaunchFate::Ok;
-        if let Some(plan) = &self.plan {
-            let token = self.launch_seq;
-            self.launch_seq += 1;
-            let (faulted, kind) = apply_launch_faults(blueprint, plan, token, now);
-            blueprint = faulted;
-            if let Some(kind) = kind {
-                fate = LaunchFate::Fault(kind);
+        let (blueprint, fault) = match &self.plan {
+            Some(plan) => {
+                let token = self.launch_seq;
+                self.launch_seq += 1;
+                apply_launch_faults(blueprint, plan, token, now)
             }
-        }
+            None => (Cow::Borrowed(blueprint), None),
+        };
+        let mut fate = fault.map_or(LaunchFate::Ok, LaunchFate::Fault);
         // Every fault-free dispatch carries an attestation verdict: the
         // verifier's latency (queue wait → cert fetch/hit → batch window →
-        // signature check) rides the launch as pure network delay (it never
-        // touches the PSP backlog), and a revoked chip turns the dispatch
-        // into an attestation failure that retries.
-        if matches!(fate, LaunchFate::Ok) {
-            if let Some(plane) = cx.plane.as_mut() {
-                let v = plane
-                    .verify_launch(self.id, now)
-                    .expect("plane sized to the hosts");
-                blueprint.steps.extend(v.steps);
-                match v.verdict {
-                    Verdict::Ok => {}
-                    Verdict::Revoked => fate = LaunchFate::Fault(FaultKind::AttestError),
-                    // The verifier was unreachable and the plane ran
-                    // fail-closed: the launch is refused and retries.
-                    Verdict::Unavailable => fate = LaunchFate::Fault(FaultKind::AttestTimeout),
-                }
+        // signature check) rides the launch as a tail of pure network delay
+        // (it never touches the PSP backlog), and a revoked chip turns the
+        // dispatch into an attestation failure that retries.
+        let mut tail = Vec::new();
+        if let (None, Some(plane)) = (fault, cx.plane.as_mut()) {
+            let v = plane
+                .verify_launch(self.id, now)
+                .expect("plane sized to the hosts");
+            tail = v.steps;
+            match v.verdict {
+                Verdict::Ok => {}
+                Verdict::Revoked => fate = LaunchFate::Fault(FaultKind::AttestError),
+                // The verifier was unreachable and the plane ran
+                // fail-closed: the launch is refused and retries.
+                Verdict::Unavailable => fate = LaunchFate::Fault(FaultKind::AttestTimeout),
             }
         }
         self.inflight += 1;
         let job = cx.meta.len();
         if cx.rec.on() {
-            cx.rec.attempt_start(
-                request,
-                job,
-                &blueprint.label,
-                self.tag,
-                blueprint.steps.clone(),
-                now,
-            );
+            let steps = blueprint.steps.iter().chain(&tail).cloned().collect();
+            cx.rec
+                .attempt_start(request, job, &blueprint.label, self.tag, steps, now);
         }
         let tag = ServeJob::Launch(Launch {
             request,
@@ -430,7 +417,8 @@ impl Host {
             fate,
             fill,
         });
-        cx.push(inject, blueprint.to_job(now, self.cpu, self.psp), tag);
+        let work = blueprint.to_job(&tail, now, self.cpu, self.psp);
+        cx.push(inject, work, tag);
         self.track(job, blueprint.psp_work());
     }
 
@@ -603,7 +591,7 @@ impl Host {
             class,
             host: self.id,
         };
-        cx.push(inject, refill.to_job(now, self.cpu, self.psp), tag);
+        cx.push(inject, refill.to_job(&[], now, self.cpu, self.psp), tag);
         self.track(job, psp_ns);
     }
 
@@ -710,7 +698,8 @@ impl Host {
 }
 
 /// Applies `plan`'s per-launch fault model to a dispatch at `now`, returning
-/// the (possibly rewritten) blueprint and the fault that struck, if any.
+/// the blueprint to replay and the fault that struck, if any. A rewrite is
+/// an owned copy; an unchanged blueprint comes back borrowed.
 ///
 /// This is the single fault-application path every host runs — the fleet's
 /// one host and each cluster host alike — so all inject byte-identical
@@ -726,15 +715,14 @@ impl Host {
 ///   [`FaultKind::AttestError`]).
 ///
 /// Verdicts are stateless per token, so a fault-free plan consumes no
-/// randomness and leaves the blueprint untouched.
-pub fn apply_launch_faults(
-    blueprint: Blueprint,
+/// randomness and hands the blueprint back borrowed.
+pub fn apply_launch_faults<'b>(
+    blueprint: &'b Blueprint,
     plan: &FaultPlan,
     token: u64,
     now: Nanos,
-) -> (Blueprint, Option<FaultKind>) {
-    let psp_work = blueprint.psp_work();
-    if psp_work > Nanos::ZERO {
+) -> (Cow<'b, Blueprint>, Option<FaultKind>) {
+    if blueprint.psp_work() > Nanos::ZERO {
         if let Some(end) = plan.in_outage(now) {
             let dead = Blueprint {
                 label: format!("{} (dead psp)", blueprint.label),
@@ -745,28 +733,168 @@ pub fn apply_launch_faults(
                     end.saturating_sub(now),
                 )],
             };
-            return (dead, Some(FaultKind::PspReset));
+            return (Cow::Owned(dead), Some(FaultKind::PspReset));
         }
         if plan.psp_transient(token) {
             let truncated = blueprint.truncate_frac(plan.transient_progress(token));
-            return (truncated, Some(FaultKind::PspTransient));
+            return (Cow::Owned(truncated), Some(FaultKind::PspTransient));
         }
     }
-    if blueprint.has_network() {
-        match plan.attest_fault(token) {
-            Some(AttestFault::Timeout) => {
-                let mut hung = blueprint;
-                hung.steps.push(WorkStep::new(
-                    ResourceClass::Network,
-                    PhaseKind::Attestation,
-                    "attestation round trip times out",
-                    plan.config().attest_timeout,
-                ));
-                return (hung, Some(FaultKind::AttestTimeout));
+    let fault = match plan.attest_fault(token).filter(|_| blueprint.has_network()) {
+        Some(AttestFault::Timeout) => {
+            let mut hung = blueprint.clone();
+            hung.steps.push(WorkStep::new(
+                ResourceClass::Network,
+                PhaseKind::Attestation,
+                "attestation round trip times out",
+                plan.config().attest_timeout,
+            ));
+            return (Cow::Owned(hung), Some(FaultKind::AttestTimeout));
+        }
+        // An immediate error adds no work: the launch replays unchanged.
+        Some(AttestFault::Error) => Some(FaultKind::AttestError),
+        None => None,
+    };
+    (Cow::Borrowed(blueprint), fault)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blueprint::{Catalog, ClassSpec};
+    use sevf_sim::fault::FaultConfig;
+    use PhaseKind::{Attestation, LinuxBoot, PreEncryption};
+    use ResourceClass::{HostCpu, Network, Psp};
+
+    /// A step as the pins spell it: class, phase, label, nanoseconds.
+    type Pin = (ResourceClass, PhaseKind, &'static str, u64);
+
+    const PROBE_STEPS: [Pin; 3] = [
+        (Psp, PreEncryption, "SNP_LAUNCH_UPDATE", 30_000_000),
+        (HostCpu, LinuxBoot, "linux boot", 50_000_000),
+        (Network, Attestation, "attestation rtt", 2_000_000),
+    ];
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn plan(config: FaultConfig) -> FaultPlan {
+        FaultPlan::generate(7, config, Nanos::from_secs(30)).unwrap()
+    }
+
+    /// Applies `plan` as launch token 3 at `now` to a launch every fault
+    /// arm can strike (PSP work, a CPU phase, an attestation round trip),
+    /// and checks the fault, the replayed label and steps, and whether the
+    /// blueprint came back borrowed.
+    #[track_caller]
+    fn assert_strike(
+        plan: &FaultPlan,
+        now: Nanos,
+        fault: Option<FaultKind>,
+        label: &str,
+        steps: &[Pin],
+        borrowed: bool,
+    ) {
+        let probe = Blueprint {
+            label: "probe cold".into(),
+            steps: PROBE_STEPS
+                .iter()
+                .map(|&(class, phase, label, ns)| {
+                    WorkStep::new(class, phase, label, Nanos::from_nanos(ns))
+                })
+                .collect(),
+        };
+        let (bp, got) = apply_launch_faults(&probe, plan, 3, now);
+        let got_steps: Vec<_> = bp
+            .steps
+            .iter()
+            .map(|s| (s.class, s.phase, s.label.as_ref(), s.duration.as_nanos()))
+            .collect();
+        assert_eq!(got, fault);
+        assert_eq!(bp.label, label);
+        assert_eq!(got_steps, steps);
+        let in_place = matches!(bp, Cow::Borrowed(b) if std::ptr::eq(b, &probe));
+        assert_eq!(in_place, borrowed, "borrowed");
+    }
+
+    #[test]
+    fn fault_free_plan_replays_the_catalog_blueprint_in_place() {
+        let catalog = Catalog::build(41, &ClassSpec::quick_test_classes()).unwrap();
+        let none = plan(FaultConfig::none());
+        for class in catalog.classes() {
+            for bp in [&class.cold, &class.template_fill, &class.template_hit] {
+                let (replayed, fault) = apply_launch_faults(bp, &none, 9, ms(700));
+                assert_eq!(fault, None);
+                assert!(matches!(replayed, Cow::Borrowed(b) if std::ptr::eq(b, bp)));
             }
-            Some(AttestFault::Error) => return (blueprint, Some(FaultKind::AttestError)),
-            None => {}
         }
     }
-    (blueprint, None)
+
+    /// The four fault arms, pinned to the blueprints the by-value
+    /// implementation produced: labels, classes, phases and durations.
+    #[test]
+    fn fault_rewrites_are_pinned() {
+        let resets = plan(FaultConfig {
+            psp_reset_period: Some(Nanos::from_secs(2)),
+            psp_reset_outage: ms(500),
+            ..FaultConfig::none()
+        });
+        let now = resets.resets()[0].start + ms(100);
+        let hang = (
+            Network,
+            PreEncryption,
+            "hang on rebooting PSP mailbox",
+            400_000_000,
+        );
+        let label = "probe cold (dead psp)";
+        assert_strike(
+            &resets,
+            now,
+            Some(FaultKind::PspReset),
+            label,
+            &[hang],
+            false,
+        );
+
+        let transient = plan(FaultConfig {
+            psp_transient_rate: 1.0,
+            ..FaultConfig::none()
+        });
+        let aborted = [
+            PROBE_STEPS[0],
+            (HostCpu, LinuxBoot, "linux boot", 10_446_145),
+        ];
+        let (fault, label) = (Some(FaultKind::PspTransient), "probe cold (aborted)");
+        assert_strike(&transient, ms(1), fault, label, &aborted, false);
+
+        let timeout = plan(FaultConfig {
+            attest_timeout_rate: 1.0,
+            ..FaultConfig::none()
+        });
+        let hung = [
+            PROBE_STEPS[0],
+            PROBE_STEPS[1],
+            PROBE_STEPS[2],
+            (
+                Network,
+                Attestation,
+                "attestation round trip times out",
+                1_000_000_000,
+            ),
+        ];
+        let fault = Some(FaultKind::AttestTimeout);
+        assert_strike(&timeout, ms(1), fault, "probe cold", &hung, false);
+
+        // An attestation error adds no work: the launch comes back as it is.
+        let error = plan(FaultConfig {
+            attest_error_rate: 1.0,
+            ..FaultConfig::none()
+        });
+        let fault = Some(FaultKind::AttestError);
+        assert_strike(&error, ms(1), fault, "probe cold", &PROBE_STEPS, true);
+
+        let none = plan(FaultConfig::none());
+        assert_strike(&none, ms(1), None, "probe cold", &PROBE_STEPS, true);
+    }
 }

@@ -49,30 +49,19 @@ impl CpioEntry {
     }
 }
 
-fn hex8(value: u32) -> [u8; 8] {
-    let s = format!("{value:08x}");
-    s.into_bytes().try_into().expect("8 hex digits")
-}
-
 fn pad4(len: usize) -> usize {
     (4 - len % 4) % 4
 }
 
 fn push_record(out: &mut Vec<u8>, ino: u32, name: &str, mode: u32, data: &[u8]) {
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&hex8(ino)); // c_ino
-    out.extend_from_slice(&hex8(mode)); // c_mode
-    out.extend_from_slice(&hex8(0)); // c_uid
-    out.extend_from_slice(&hex8(0)); // c_gid
-    out.extend_from_slice(&hex8(1)); // c_nlink
-    out.extend_from_slice(&hex8(0)); // c_mtime
-    out.extend_from_slice(&hex8(data.len() as u32)); // c_filesize
-    out.extend_from_slice(&hex8(0)); // c_devmajor
-    out.extend_from_slice(&hex8(0)); // c_devminor
-    out.extend_from_slice(&hex8(0)); // c_rdevmajor
-    out.extend_from_slice(&hex8(0)); // c_rdevminor
-    out.extend_from_slice(&hex8(name.len() as u32 + 1)); // c_namesize (inc NUL)
-    out.extend_from_slice(&hex8(0)); // c_check
+    // The thirteen header fields, each eight hex digits: c_ino, c_mode,
+    // c_uid, c_gid, c_nlink, c_mtime, c_filesize, c_devmajor, c_devminor,
+    // c_rdevmajor, c_rdevminor, c_namesize (counting the NUL), c_check.
+    let (filesize, namesize) = (data.len() as u32, name.len() as u32 + 1);
+    for field in [ino, mode, 0, 0, 1, 0, filesize, 0, 0, 0, 0, namesize, 0] {
+        out.extend_from_slice(format!("{field:08x}").as_bytes());
+    }
     out.extend_from_slice(name.as_bytes());
     out.push(0);
     // Name is padded so data starts 4-aligned (header is 110 bytes).
@@ -103,17 +92,21 @@ pub fn build(entries: &[CpioEntry]) -> Vec<u8> {
     out
 }
 
+/// One header field: exactly eight ASCII hex digits. (`from_str_radix`
+/// would also take a leading `+`.)
 fn parse_hex8(bytes: &[u8]) -> Result<u32, ImageError> {
-    let s = std::str::from_utf8(bytes).map_err(|_| ImageError::BadCpio("non-ASCII header"))?;
-    u32::from_str_radix(s, 16).map_err(|_| ImageError::BadCpio("bad hex field"))
+    let hex = |acc: u32, &b: &u8| Some(acc << 4 | (b as char).to_digit(16)?);
+    let value = bytes.iter().try_fold(0, hex);
+    value.ok_or(ImageError::BadCpio("bad hex field"))
 }
 
 /// Parses a newc archive into its entries (trailer excluded).
 ///
 /// # Errors
 ///
-/// Returns [`ImageError::BadCpio`] for bad magic, truncated records, or a
-/// missing trailer.
+/// Returns [`ImageError::BadCpio`] for bad magic, a header field that is not
+/// eight hex digits, a name without its NUL terminator, truncated records,
+/// or a missing trailer.
 pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry>, ImageError> {
     let mut entries = Vec::new();
     let mut pos = 0usize;
@@ -128,14 +121,15 @@ pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry>, ImageError> {
         let mode = field(1)?;
         let filesize = field(6)? as usize;
         let namesize = field(11)? as usize;
-        if namesize == 0 {
-            return Err(ImageError::BadCpio("empty name"));
-        }
         let name_start = pos + 110;
-        if name_start + namesize > archive.len() {
-            return Err(ImageError::BadCpio("name out of bounds"));
+        // `c_namesize` counts the name's NUL terminator, which must be there.
+        let (terminator, name_bytes) = archive
+            .get(name_start..name_start + namesize)
+            .and_then(<[u8]>::split_last)
+            .ok_or(ImageError::BadCpio("empty or out-of-bounds name"))?;
+        if *terminator != 0 {
+            return Err(ImageError::BadCpio("name not NUL-terminated"));
         }
-        let name_bytes = &archive[name_start..name_start + namesize - 1];
         let name = std::str::from_utf8(name_bytes)
             .map_err(|_| ImageError::BadCpio("non-UTF-8 name"))?
             .to_string();
@@ -196,6 +190,37 @@ mod tests {
         for cut in [10, 50, archive.len() - 4] {
             assert!(parse(&archive[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    /// Byte offset of header field `idx` in the first record.
+    fn field_at(idx: usize) -> usize {
+        6 + idx * 8
+    }
+
+    #[test]
+    fn signed_hex_field_rejected() {
+        let mut archive = build(&[CpioEntry::file("a", vec![1, 2, 3])]);
+        let filesize = field_at(6);
+        assert_eq!(&archive[filesize..filesize + 8], b"00000003");
+        archive[filesize] = b'+';
+        assert_eq!(
+            parse(&archive),
+            Err(ImageError::BadCpio("bad hex field")),
+            "`+0000003` is not eight hex digits"
+        );
+    }
+
+    #[test]
+    fn name_without_nul_terminator_rejected() {
+        let mut archive = build(&[CpioEntry::file("ab", vec![1, 2, 3])]);
+        // c_namesize is 3 ("ab" + NUL); the NUL sits at 110 + 3 - 1.
+        assert_eq!(&archive[field_at(11)..field_at(11) + 8], b"00000003");
+        assert_eq!(archive[112], 0);
+        archive[112] = b'c';
+        assert_eq!(
+            parse(&archive),
+            Err(ImageError::BadCpio("name not NUL-terminated"))
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! returns immediately, no allocation, no clock reads — the fault-free
 //! serving path replays byte-identically with recording off.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
 use sevf_sim::fault::FaultKind;
@@ -42,8 +43,9 @@ pub struct WorkStep {
     pub class: ResourceClass,
     /// Boot phase the step belongs to (drives per-phase breakdowns).
     pub phase: PhaseKind,
-    /// Human-readable description (PSP command, boot stage, ...).
-    pub label: String,
+    /// Human-readable description (PSP command, boot stage, ...): borrowed
+    /// when it is a constant, so a per-dispatch step allocates nothing.
+    pub label: Cow<'static, str>,
     /// Planned duration of the step.
     pub duration: Nanos,
 }
@@ -53,7 +55,7 @@ impl WorkStep {
     pub fn new(
         class: ResourceClass,
         phase: PhaseKind,
-        label: impl Into<String>,
+        label: impl Into<Cow<'static, str>>,
         duration: Nanos,
     ) -> Self {
         WorkStep {
@@ -791,7 +793,7 @@ impl Assembler {
                     request,
                     host,
                     SpanKind::Step,
-                    step.label.clone(),
+                    step.label.to_string(),
                     Some(step.phase),
                     Some("network".to_string()),
                     cur,
@@ -825,7 +827,7 @@ impl Assembler {
                         request,
                         host,
                         SpanKind::Step,
-                        step.label.clone(),
+                        step.label.to_string(),
                         Some(step.phase),
                         Some(entry.resource.clone()),
                         entry.start,
@@ -841,7 +843,7 @@ impl Assembler {
                         request,
                         host,
                         SpanKind::Step,
-                        step.label.clone(),
+                        step.label.to_string(),
                         Some(step.phase),
                         None,
                         cur,
@@ -888,7 +890,7 @@ mod tests {
         Nanos::from_millis(v)
     }
 
-    fn psp_step(label: &str, dur: Nanos) -> WorkStep {
+    fn psp_step(label: &'static str, dur: Nanos) -> WorkStep {
         WorkStep::new(ResourceClass::Psp, PhaseKind::PreEncryption, label, dur)
     }
 

@@ -12,7 +12,7 @@ use sevf_attplane::{
     STEP_QUEUE_WAIT, STEP_REVOKED, STEP_VERIFY,
 };
 use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy, RevocationDrill, TcbRollout};
-use sevf_fleet::blueprint::{Catalog, ClassSpec};
+use sevf_fleet::blueprint::{Blueprint, Catalog, ClassSpec};
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::service::ServingTier;
 use sevf_fleet::workload::RequestMix;
@@ -145,4 +145,62 @@ fn tracing_never_changes_an_attested_report() {
     assert_eq!(plain.metrics.completed, traced.metrics.completed);
     assert_eq!(plain.metrics.latencies_ms, traced.metrics.latencies_ms);
     assert_eq!(plain.attestation, traced.attestation);
+}
+
+/// Dispatch replays the catalog's blueprints in place and hands the
+/// verdict's steps over as a tail: every traced attempt records its
+/// catalog blueprint's steps, then that launch's verdict steps, in order.
+#[test]
+fn attested_attempts_record_catalog_steps_then_the_verdict() {
+    let catalog = catalog();
+    let config = storm_config(VerifyMode::CachedBatched);
+    let (report, log) = ClusterService::new(catalog.clone(), config)
+        .unwrap()
+        .run_traced();
+    let replayable: Vec<&Blueprint> = catalog
+        .classes()
+        .iter()
+        .flat_map(|c| [&c.cold, &c.template_fill, &c.template_hit, &c.warm_invoke])
+        .collect();
+    let verdict_steps = [
+        STEP_QUEUE_WAIT,
+        STEP_CERT_FETCH,
+        STEP_CERT_HIT,
+        STEP_BATCH_SETUP,
+        STEP_BATCH_JOIN,
+        STEP_VERIFY,
+        STEP_REVOKED,
+    ];
+    let children = log.child_index();
+    let mut attempts = 0u64;
+    for attempt in log.spans.iter().filter(|s| s.kind == SpanKind::Attempt) {
+        let bp = replayable
+            .iter()
+            .find(|bp| bp.label == attempt.name)
+            .expect("a fault-free run replays catalog blueprints only");
+        let steps: Vec<&str> = children[attempt.id]
+            .iter()
+            .map(|&id| &log.spans[id])
+            .filter(|s| s.kind == SpanKind::Step)
+            .map(|s| s.name.as_str())
+            .collect();
+        let (head, verdict) = steps.split_at(bp.steps.len());
+        let catalog_steps: Vec<&str> = bp.steps.iter().map(|s| s.label.as_ref()).collect();
+        assert_eq!(head, catalog_steps, "{}", attempt.name);
+        assert!(
+            verdict.iter().all(|label| verdict_steps.contains(label)),
+            "{}: {verdict:?}",
+            attempt.name
+        );
+        assert!(
+            matches!(verdict.last(), Some(&STEP_VERIFY | &STEP_REVOKED)),
+            "{}: the verdict closes the attempt, got {verdict:?}",
+            attempt.name
+        );
+        attempts += 1;
+    }
+    // One verdict per attempt, and the run did verify.
+    let att = report.attestation.expect("attestation plane was on");
+    assert!(att.verifications > 0);
+    assert_eq!(attempts, att.verifications + att.revoked_verdicts);
 }
