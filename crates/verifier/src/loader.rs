@@ -38,8 +38,23 @@ pub struct LoadedKernel {
     pub steps: Vec<Step>,
 }
 
-/// Copies the staged bzImage into encrypted memory, hashing it on the way,
-/// and sanity-checks the setup header at the destination.
+/// Copies `len` staged bytes from the shared window at `src` to private
+/// memory at `dst` and returns the private copy, read back. Every digest is
+/// taken over that copy (§2.5 step 5: hashing the shared one would let the
+/// host race the check).
+pub(crate) fn copy_private(
+    mem: &mut GuestMemory,
+    src: u64,
+    dst: u64,
+    len: u64,
+) -> Result<Vec<u8>, VerifierError> {
+    let staged = mem.guest_read(src, len, false)?;
+    mem.guest_write(dst, &staged, true)?;
+    Ok(mem.guest_read(dst, len, true)?)
+}
+
+/// Copies the staged bzImage into encrypted memory, hashes the private
+/// copy, and sanity-checks the setup header at the destination.
 ///
 /// # Errors
 ///
@@ -49,28 +64,33 @@ pub fn load_bzimage(
     layout: &GuestLayout,
     cost: &CostModel,
 ) -> Result<LoadedKernel, VerifierError> {
-    let mut steps = Vec::new();
+    let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
+    let private = copy_private(mem, staging, dest, layout.kernel_size)?;
+    finish_bzimage(&private, sha256(&private), layout, cost)
+}
+
+/// The rest of [`load_bzimage`] once the private copy is made and `digest`
+/// is its SHA-256: checks the setup header and prices the load.
+pub(crate) fn finish_bzimage(
+    private: &[u8],
+    digest: [u8; 32],
+    layout: &GuestLayout,
+    cost: &CostModel,
+) -> Result<LoadedKernel, VerifierError> {
+    sevf_image::bzimage::parse(private)?;
     let size = layout.kernel_size;
-    // Copy from the shared staging window to the private destination.
-    let staged = mem.guest_read(layout.kernel_staging, size, false)?;
-    mem.guest_write(layout.kernel_dest, &staged, true)?;
-    steps.push(step(
-        cost,
-        format!("copy bzImage ({size} B) to encrypted memory"),
-        Work::CopyEncrypted(size),
-    ));
-    // Re-hash the *private* copy (§2.5 step 5: hashing the shared copy
-    // would let the host race the check).
-    let private = mem.guest_read(layout.kernel_dest, size, true)?;
-    let digest = sha256(&private);
-    steps.push(step(cost, "SHA-256 bzImage", Work::Sha256(size)));
-    // Validate the container before handing off.
-    sevf_image::bzimage::parse(&private)?;
-    steps.push(step(cost, "parse setup header", Work::SetupHeader));
     Ok(LoadedKernel {
         entry: layout.kernel_dest,
         computed_hashes: vec![digest],
-        steps,
+        steps: vec![
+            step(
+                cost,
+                format!("copy bzImage ({size} B) to encrypted memory"),
+                Work::CopyEncrypted(size),
+            ),
+            step(cost, "SHA-256 bzImage", Work::Sha256(size)),
+            step(cost, "parse setup header", Work::SetupHeader),
+        ],
     })
 }
 
@@ -87,16 +107,15 @@ pub fn load_vmlinux_fw_cfg(
     let mut steps = Vec::new();
 
     // Piece 1: ELF header → encrypted scratch (reuse the destination base).
-    let ehdr = mem.guest_read(layout.kernel_staging, EHDR_SIZE as u64, false)?;
-    mem.guest_write(layout.kernel_dest, &ehdr, true)?;
-    let ehdr_hash = sha256(&mem.guest_read(layout.kernel_dest, EHDR_SIZE as u64, true)?);
-    let bytes = EHDR_SIZE as u64;
+    let ehdr_len = EHDR_SIZE as u64;
+    let ehdr = copy_private(mem, layout.kernel_staging, layout.kernel_dest, ehdr_len)?;
+    let ehdr_hash = sha256(&ehdr);
     steps.push(step(
         cost,
         "copy + hash ELF header",
         Work::All(vec![
-            Work::CopyEncrypted(bytes),
-            Work::Sha256(bytes),
+            Work::CopyEncrypted(ehdr_len),
+            Work::Sha256(ehdr_len),
             Work::ElfHeader,
         ]),
     ));
@@ -108,10 +127,9 @@ pub fn load_vmlinux_fw_cfg(
 
     // Piece 2: program headers.
     let phdrs_len = (phnum * PHDR_SIZE) as u64;
-    let phdrs = mem.guest_read(layout.kernel_staging + EHDR_SIZE as u64, phdrs_len, false)?;
-    mem.guest_write(layout.kernel_dest + EHDR_SIZE as u64, &phdrs, true)?;
-    let phdrs_hash =
-        sha256(&mem.guest_read(layout.kernel_dest + EHDR_SIZE as u64, phdrs_len, true)?);
+    let staged = layout.kernel_staging + ehdr_len;
+    let phdrs = copy_private(mem, staged, layout.kernel_dest + ehdr_len, phdrs_len)?;
+    let phdrs_hash = sha256(&phdrs);
     steps.push(step(
         cost,
         "copy + hash program headers",
@@ -124,7 +142,7 @@ pub fn load_vmlinux_fw_cfg(
     // Piece 3: loadable segments, staged back to back, copied straight to
     // their run addresses (no intermediate whole-file copy — §5).
     let mut seg_hasher = sevf_crypto::Sha256::new();
-    let mut staged_cursor = layout.kernel_staging + EHDR_SIZE as u64 + phdrs_len;
+    let mut staged_cursor = staged + phdrs_len;
     // Encrypted memory receives each segment with its bss; the hash covers
     // only the bytes that were staged.
     let (mut copied_total, mut hashed_total) = (0u64, 0u64);
@@ -145,10 +163,7 @@ pub fn load_vmlinux_fw_cfg(
         if vaddr.checked_add(memsz).is_none_or(|end| end > mem.size()) {
             return Err(ImageError::BadElf("segment outside guest memory").into());
         }
-        let data = mem.guest_read(staged_cursor, filesz, false)?;
-        mem.guest_write(vaddr, &data, true)?;
-        let private = mem.guest_read(vaddr, filesz, true)?;
-        seg_hasher.update(&private);
+        seg_hasher.update(&copy_private(mem, staged_cursor, vaddr, filesz)?);
         // Zero the bss tail the segment declares.
         if memsz > filesz {
             mem.guest_write(vaddr + filesz, &vec![0u8; (memsz - filesz) as usize], true)?;

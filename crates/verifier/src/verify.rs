@@ -84,6 +84,11 @@ pub struct VerifiedBoot {
 ///   page mid-boot).
 /// * [`VerifierError::BadHashPage`] / [`VerifierError::Image`] — corrupt
 ///   root-of-trust contents.
+///
+/// When several measured-boot checks fail, the first in this order is
+/// reported, although the kernel and initrd are hashed concurrently: a fault
+/// copying the kernel, a malformed kernel image, a hash page of the wrong
+/// mode, the kernel hash, a fault copying the initrd, the initrd hash.
 pub fn run(
     mem: &mut GuestMemory,
     layout: &GuestLayout,
@@ -144,10 +149,31 @@ pub fn run(
     let hash_page_bytes = mem.guest_read(HASH_PAGE_ADDR, PAGE_SIZE, true)?;
     let hash_page = HashPage::from_page(&hash_page_bytes)?;
 
-    // 5. Measured direct boot: kernel.
-    let loaded = match config.kind {
-        KernelKind::Bzimage => loader::load_bzimage(mem, layout, cost)?,
-        KernelKind::Vmlinux => loader::load_vmlinux_fw_cfg(mem, layout, cost)?,
+    // 5. Measured direct boot: kernel, then initrd, each copied into private
+    //    memory and hashed there. The bzImage's digest, a pure function of
+    //    its private copy, is taken on a second thread while this one copies
+    //    and hashes the initrd; the initrd's outcome is held until the
+    //    kernel's checks pass, so verdicts come in the sequential order. The
+    //    fw_cfg loader hashes as it places segments and stays serial.
+    let hash_initrd = |mem: &mut GuestMemory| {
+        let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
+        loader::copy_private(mem, staging, dest, layout.initrd_size)
+            .map(|private| sevf_crypto::sha256(&private))
+    };
+    let (loaded, held_initrd) = match config.kind {
+        KernelKind::Bzimage => {
+            let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
+            let private = loader::copy_private(mem, staging, dest, layout.kernel_size)?;
+            let (digest, initrd) = std::thread::scope(|s| {
+                let kernel = s.spawn(|| sevf_crypto::sha256(&private));
+                let initrd = hash_initrd(mem);
+                (kernel.join(), initrd)
+            });
+            let digest = digest.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            let loaded = loader::finish_bzimage(&private, digest, layout, cost)?;
+            (loaded, Some(initrd))
+        }
+        KernelKind::Vmlinux => (loader::load_vmlinux_fw_cfg(mem, layout, cost)?, None),
     };
     let expected: Vec<[u8; 32]> = match (&hash_page.kernel, config.kind) {
         (KernelHashes::WholeImage(h), KernelKind::Bzimage) => vec![*h],
@@ -174,10 +200,7 @@ pub fn run(
     steps.push(step(cost, "compare kernel hash", Work::HashCompare));
 
     // 6. Measured direct boot: initrd (uncompressed per §3.3).
-    let staged_initrd = mem.guest_read(layout.initrd_staging, layout.initrd_size, false)?;
-    mem.guest_write(layout.initrd_dest, &staged_initrd, true)?;
-    let private_initrd = mem.guest_read(layout.initrd_dest, layout.initrd_size, true)?;
-    let initrd_digest = sevf_crypto::sha256(&private_initrd);
+    let initrd_digest = held_initrd.unwrap_or_else(|| hash_initrd(mem))?;
     let bytes = layout.initrd_size;
     steps.push(step(
         cost,
@@ -348,6 +371,56 @@ mod tests {
         assert!(matches!(
             err,
             VerifierError::HashMismatch { .. } | VerifierError::Image(_)
+        ));
+    }
+
+    /// Runs the verifier on `bz_setup` after the host flipped the staged
+    /// bzImage's byte at `kernel_at` and, if asked, the initrd's middle byte.
+    /// With `remap`, a page the launch firmware validated at the initrd
+    /// destination (the firmware range is what the sweep skips) was then
+    /// remapped by the host, so the initrd copy takes #VC.
+    fn refusal(kernel_at: Option<u64>, swap_initrd: bool, remap: bool) -> VerifierError {
+        let (mut mem, layout) = bz_setup();
+        let mut flip = |at: u64| {
+            let byte = mem.host_read(at, 1).unwrap()[0];
+            mem.host_write(at, &[byte ^ 0x40]).unwrap();
+        };
+        if let Some(at) = kernel_at {
+            flip(layout.kernel_staging + at);
+        }
+        if swap_initrd {
+            flip(layout.initrd_staging + layout.initrd_size / 2);
+        }
+        let mut config = VerifierConfig::severifast();
+        if remap {
+            mem.pre_encrypt(layout.initrd_dest, PAGE_SIZE).unwrap();
+            mem.remap_by_host(layout.initrd_dest).unwrap();
+            config.firmware_base = layout.initrd_dest;
+            config.firmware_size = PAGE_SIZE;
+        }
+        run(&mut mem, &layout, &CostModel::calibrated(), config).unwrap_err()
+    }
+
+    #[test]
+    fn kernel_verdicts_come_before_the_initrd_outcome() {
+        // The initrd is copied and hashed while the bzImage's digest is
+        // computed, but whatever the initrd copy met is reported only once
+        // the kernel has passed every check.
+        let layout = bz_setup().1;
+        let (payload, boot_signature) = (layout.kernel_size / 2, 510);
+        let kernel = VerifierError::HashMismatch {
+            component: "kernel",
+        };
+        assert_eq!(refusal(Some(payload), true, false), kernel);
+        assert!(matches!(
+            refusal(Some(boot_signature), true, false),
+            VerifierError::Image(_)
+        ));
+        assert_eq!(refusal(Some(payload), false, true), kernel);
+        assert!(matches!(
+            refusal(None, false, true),
+            VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. })
+                if page_addr == layout.initrd_dest
         ));
     }
 
