@@ -1243,14 +1243,6 @@ pub const REGISTRY: &[Experiment] = &[
         views: &[AUTOSCALE_VIEW],
     },
     Experiment {
-        id: "perf",
-        title: "harness differential check: calendar vs heap DES, full vs incremental vs paged hashing",
-        note: "same workload through both engines, same image through all three measurement paths",
-        example: Some("perf_sweep"),
-        run: crate::perf::run,
-        views: &[],
-    },
-    Experiment {
         id: "headline",
         title: "cold-start reduction over the QEMU/OVMF baseline",
         note: "paper abstract: 86–93 %",
@@ -1294,7 +1286,7 @@ mod tests {
         // What `figures --list` printed before the paper's figures moved in.
         let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
         let listed = "3 4 5 7 8 9 10 11 12 mem warm fw12 ablation fleet chaos cluster trace \
-                      attplane net policy autoscale perf headline";
+                      attplane net policy autoscale headline";
         assert_eq!(ids.join(" "), listed);
         for (i, a) in REGISTRY.iter().enumerate() {
             assert!(!a.title.is_empty());

@@ -12,7 +12,6 @@
 
 pub mod document;
 pub mod experiment;
-pub mod perf;
 
 use sevf_obs::json_escape;
 

@@ -285,12 +285,13 @@ impl Catalog {
                 .owner
                 .set_required_generation(spec.config.generation);
 
-            // Cold: full launch, fresh key, everything measured.
+            // Cold: full launch, fresh key, everything measured. The guest
+            // stays resident: the warm invoke below is timed in it.
             let cold_vm = MicroVm::new(spec.config.clone())?;
             if spec.config.policy.is_sev() {
                 cold_vm.register_expected(&mut machine)?;
             }
-            let cold_report = cold_vm.boot(&mut machine)?;
+            let (cold_report, mut warm_vm) = cold_vm.boot_keep_alive(&mut machine)?;
             let key = match cold_report.measurement {
                 Some(m) => TemplateKey::from_measurement(m),
                 // Non-SEV classes have no launch measurement; give each a
@@ -314,8 +315,7 @@ impl Catalog {
             let fill_report = template_vm.boot(&mut machine)?;
             let hit_report = template_vm.boot(&mut machine)?;
 
-            // Warm: keep one guest alive and time a vCPU kick into it.
-            let (_, mut warm_vm) = cold_vm.boot_keep_alive(&mut machine)?;
+            // Warm: a vCPU kick into the resident cold guest.
             let invocation = warm_vm.invoke(&machine.cost);
 
             classes.push(ClassBlueprints {

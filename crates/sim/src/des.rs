@@ -28,8 +28,7 @@
 //! The pre-calendar heap implementation survives as
 //! [`crate::reference::HeapEngine`]; `tests/engine_equivalence.rs` proves the
 //! two produce identical outcomes (including tie-breaking order) on seeded
-//! random job sets, and the `perf_sweep` example times them against each
-//! other.
+//! random job sets.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;

@@ -3,15 +3,10 @@
 //! [`HeapEngine`] is the pre-calendar-queue implementation of
 //! [`crate::DesEngine`], preserved byte-for-byte in behavior: same FIFO
 //! resources, same `(time, seq)` event order, same dynamic-injection
-//! semantics. It exists for two reasons:
-//!
-//! 1. **Differential testing.** `tests/engine_equivalence.rs` proves on
-//!    seeded random job sets that the calendar-queue engine produces
-//!    identical [`JobOutcome`] sequences — including tie-breaking order —
-//!    and identical occupancy traces.
-//! 2. **The perf baseline.** The `perf_sweep` example times both engines
-//!    on the same workload and prints the ratio. Keeping the slow engine
-//!    compilable keeps that number honest instead of anecdotal.
+//! semantics. It exists for differential testing:
+//! `tests/engine_equivalence.rs` proves on seeded random job sets that the
+//! calendar-queue engine produces identical [`JobOutcome`] sequences —
+//! including tie-breaking order — and identical occupancy traces.
 //!
 //! Do not use this engine in serving paths; it allocates per event and its
 //! heap costs grow with the pending-event set.

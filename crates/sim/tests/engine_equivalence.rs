@@ -8,11 +8,12 @@
 //! outcome-for-outcome and trace-entry-for-trace-entry, with workloads
 //! crafted to hit the queue's edge paths: simultaneous releases (tie-breaks),
 //! duration ties, far-future events (overflow + rebase), zero-duration
-//! segments, empty jobs, and dynamic injection mid-drain.
+//! segments, empty jobs, dynamic injection mid-drain, and a delay-dominated
+//! batch whose pending set spans thousands of buckets.
 
 use sevf_sim::reference::HeapEngine;
 use sevf_sim::rng::XorShift64;
-use sevf_sim::{DesEngine, Job, Nanos, Segment};
+use sevf_sim::{DesEngine, Job, Nanos, ResourceId, Segment};
 
 /// Resources both engines register, in the same order.
 const RESOURCES: &[(&str, usize)] = &[("psp", 1), ("cpu", 4), ("nic", 2)];
@@ -28,20 +29,22 @@ fn engines() -> (DesEngine, HeapEngine) {
     (cal, heap)
 }
 
+/// The ids an engine that registers `RESOURCES` hands out.
+fn resource_ids() -> Vec<ResourceId> {
+    let mut e = DesEngine::new();
+    RESOURCES
+        .iter()
+        .map(|&(n, c)| e.add_resource(n, c))
+        .collect()
+}
+
 /// A random job: 0–4 segments over the three resources plus pure delays,
 /// with durations drawn from a small lattice so ties are common, and
 /// releases drawn from a range wide enough to cross calendar buckets.
 fn random_job(rng: &mut XorShift64, release_span_ns: u64) -> Job {
     let release = Nanos::from_nanos(rng.next_below(release_span_ns));
     let n_segs = rng.next_below(5) as usize;
-    let ids: Vec<_> = {
-        // Recreate the ids an engine with RESOURCES hands out.
-        let mut e = DesEngine::new();
-        RESOURCES
-            .iter()
-            .map(|&(n, c)| e.add_resource(n, c))
-            .collect()
-    };
+    let ids = resource_ids();
     let segments = (0..n_segs)
         .map(|_| {
             // Lattice of 0/1/2/5/10 µs durations: zero-length segments and
@@ -62,6 +65,33 @@ fn random_batch(seed: u64, n: usize, release_span_ns: u64) -> Vec<Job> {
     let mut rng = XorShift64::new(seed);
     (0..n)
         .map(|_| random_job(&mut rng, release_span_ns))
+        .collect()
+}
+
+/// The delay-dominated shape: 80 % attestation round trips (two network
+/// delays of 1 ms–2 s), 10 % cpu + psp launches, 10 % cpu-only invokes,
+/// releases spread over 4 s. The pending set is mostly in-flight delays
+/// scattered across thousands of calendar buckets, with short resource
+/// segments pushed into the bucket being drained.
+fn delay_dominated_batch(seed: u64, n: usize) -> Vec<Job> {
+    let mut rng = XorShift64::new(seed);
+    let ids = resource_ids();
+    let ns = Nanos::from_nanos;
+    let net =
+        |rng: &mut XorShift64| Segment::delay(ns(1_000_000 + rng.next_below(2_000_000_000)), "net");
+    (0..n)
+        .map(|_| {
+            let release = ns(rng.next_below(4_000_000_000));
+            let segments = match rng.next_below(10) {
+                0..=7 => vec![net(&mut rng), net(&mut rng)],
+                8 => vec![
+                    Segment::on(ids[1], ns(500 + rng.next_below(2_000)), "cpu"),
+                    Segment::on(ids[0], ns(200 + rng.next_below(800)), "psp"),
+                ],
+                _ => vec![Segment::on(ids[1], ns(300 + rng.next_below(700)), "cpu")],
+            };
+            Job::released_at(release, segments)
+        })
         .collect()
 }
 
@@ -120,13 +150,7 @@ fn all_simultaneous_releases_match() {
 
 #[test]
 fn empty_and_zero_duration_jobs_match() {
-    let ids: Vec<_> = {
-        let mut e = DesEngine::new();
-        RESOURCES
-            .iter()
-            .map(|&(n, c)| e.add_resource(n, c))
-            .collect()
-    };
+    let ids = resource_ids();
     let mut jobs = vec![
         Job::released_at(Nanos::from_millis(1), vec![]),
         Job::new(vec![]),
@@ -151,11 +175,7 @@ fn dynamic_injection_matches() {
                    inject: &mut Vec<Job>| {
             out.push((outcome.job, outcome.release, outcome.finish, outcome.queued));
             if outcome.job < 60 {
-                let mut e = DesEngine::new();
-                let ids: Vec<_> = RESOURCES
-                    .iter()
-                    .map(|&(n, c)| e.add_resource(n, c))
-                    .collect();
+                let ids = resource_ids();
                 let which = outcome.job % 3;
                 inject.push(Job::released_at(
                     outcome.finish + Nanos::from_nanos(outcome.job as u64 % 2),
@@ -186,8 +206,9 @@ fn dynamic_injection_matches() {
 
 #[test]
 fn untraced_run_matches_reference() {
-    for seed in 31..=40u64 {
-        let jobs = random_batch(seed, 150, 500_000);
+    let random = (31..=40u64).map(|seed| (seed, random_batch(seed, 150, 500_000)));
+    let delay_dominated = (42, delay_dominated_batch(42, 20_000));
+    for (seed, jobs) in random.chain([delay_dominated]) {
         let (mut cal, mut heap) = engines();
         let fast = cal.run(jobs.clone());
         let slow = heap.run(jobs);

@@ -53,24 +53,8 @@ pub(crate) fn copy_private(
     Ok(mem.guest_read(dst, len, true)?)
 }
 
-/// Copies the staged bzImage into encrypted memory, hashes the private
-/// copy, and sanity-checks the setup header at the destination.
-///
-/// # Errors
-///
-/// Memory faults and malformed images surface as [`VerifierError`]s.
-pub fn load_bzimage(
-    mem: &mut GuestMemory,
-    layout: &GuestLayout,
-    cost: &CostModel,
-) -> Result<LoadedKernel, VerifierError> {
-    let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
-    let private = copy_private(mem, staging, dest, layout.kernel_size)?;
-    finish_bzimage(&private, sha256(&private), layout, cost)
-}
-
-/// The rest of [`load_bzimage`] once the private copy is made and `digest`
-/// is its SHA-256: checks the setup header and prices the load.
+/// Finishes a bzImage load once [`copy_private`] has made the private copy
+/// and `digest` is its SHA-256: checks the setup header and prices the load.
 pub(crate) fn finish_bzimage(
     private: &[u8],
     digest: [u8; 32],
@@ -211,12 +195,22 @@ mod tests {
         (mem, layout)
     }
 
+    /// The bzImage load `verify::run` performs, with the digest taken inline.
+    fn copy_and_finish(
+        mem: &mut GuestMemory,
+        layout: &GuestLayout,
+    ) -> Result<LoadedKernel, VerifierError> {
+        let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
+        let private = copy_private(mem, staging, dest, layout.kernel_size)?;
+        finish_bzimage(&private, sha256(&private), layout, &CostModel::calibrated())
+    }
+
     #[test]
     fn bzimage_load_places_and_hashes() {
         let image = KernelConfig::test_tiny().build();
         let bz = image.bzimage(Codec::Lz4);
         let (mut mem, layout) = staged_guest(&bz, b"initrd");
-        let loaded = load_bzimage(&mut mem, &layout, &CostModel::calibrated()).unwrap();
+        let loaded = copy_and_finish(&mut mem, &layout).unwrap();
         assert_eq!(loaded.entry, layout.kernel_dest);
         assert_eq!(loaded.computed_hashes, vec![sevf_crypto::sha256(&bz)]);
         // The private copy equals the staged image.
@@ -231,7 +225,7 @@ mod tests {
         let junk = vec![0u8; 100_000];
         let (mut mem, layout) = staged_guest(&junk, b"initrd");
         assert!(matches!(
-            load_bzimage(&mut mem, &layout, &CostModel::calibrated()),
+            copy_and_finish(&mut mem, &layout),
             Err(VerifierError::Image(_))
         ));
     }
@@ -278,7 +272,7 @@ mod tests {
         mem.host_write(layout.kernel_staging, &bz).unwrap();
         // No assign/pvalidate of the destination: #VC.
         assert!(matches!(
-            load_bzimage(&mut mem, &layout, &CostModel::calibrated()),
+            copy_and_finish(&mut mem, &layout),
             Err(VerifierError::Memory(_))
         ));
     }

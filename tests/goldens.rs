@@ -41,7 +41,7 @@ fn golden_dir() -> &'static Path {
 
 #[test]
 fn quick_json_is_byte_identical_to_every_golden() {
-    assert_eq!(documents().len(), 23, "every figure, table and sweep");
+    assert_eq!(documents().len(), 22, "every figure, table and sweep");
     for (exp, doc) in documents() {
         let path = golden_dir().join(exp.file_name(true));
         let golden = std::fs::read_to_string(&path)
@@ -58,7 +58,7 @@ fn quick_json_is_byte_identical_to_every_golden() {
     let kept = std::fs::read_dir(golden_dir())
         .expect("data/golden")
         .count();
-    assert_eq!(kept, 23, "data/golden holds one file per id and no orphan");
+    assert_eq!(kept, 22, "data/golden holds one file per id and no orphan");
 }
 
 #[test]
