@@ -283,18 +283,25 @@ impl BigUint {
         if self < divisor {
             return (BigUint::zero(), self.clone());
         }
+        // Shift and subtract in place over two buffers of the dividend's
+        // width: the remainder, and the divisor aligned under the quotient
+        // bit being decided.
         let shift = self.bit_len() - divisor.bit_len();
-        let mut remainder = self.clone();
-        let mut quotient = BigUint::zero();
-        let mut shifted = divisor.shl(shift);
+        let mut remainder = self.limbs.clone();
+        let mut shifted = divisor.shl(shift).limbs;
+        shifted.resize(remainder.len(), 0);
+        let mut quotient = vec![0u64; shift / 64 + 1];
         for i in (0..=shift).rev() {
-            if remainder >= shifted {
-                remainder = remainder.sub(&shifted);
-                quotient.set_bit(i);
+            if remainder.iter().rev().ge(shifted.iter().rev()) {
+                sub_in_place(&mut remainder, &shifted);
+                quotient[i / 64] |= 1 << (i % 64);
             }
-            shifted = shifted.shr(1);
+            shr1_in_place(&mut shifted);
         }
+        let mut quotient = BigUint { limbs: quotient };
+        let mut remainder = BigUint { limbs: remainder };
         quotient.normalize();
+        remainder.normalize();
         (quotient, remainder)
     }
 
@@ -366,6 +373,28 @@ impl BigUint {
     /// Returns the low 64 bits of the value.
     pub fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
+    }
+}
+
+/// `a -= b` over limb buffers of equal width, where `a >= b`.
+fn sub_in_place(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *x = d2;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "sub_in_place would underflow");
+}
+
+/// `a >>= 1` over a limb buffer.
+fn shr1_in_place(a: &mut [u64]) {
+    let mut carry = 0u64;
+    for limb in a.iter_mut().rev() {
+        let low = *limb << 63;
+        *limb = (*limb >> 1) | carry;
+        carry = low;
     }
 }
 
@@ -448,6 +477,17 @@ mod tests {
         let (q, r) = a.div_rem(&b);
         assert!(r < b);
         assert_eq!(q.mul(&b).add(&r), a);
+    }
+
+    #[test]
+    fn div_rem_exact_and_same_width() {
+        let b = BigUint::from_bytes_be(&[0x9d; 20]);
+        let q = BigUint::from_bytes_be(&[0x51; 11]);
+        assert_eq!(q.mul(&b).div_rem(&b), (q, BigUint::zero()));
+        // Dividend and divisor of one bit length: a single quotient bit.
+        let a = b.add(&BigUint::from_u64(5));
+        assert_eq!(a.div_rem(&b), (BigUint::one(), BigUint::from_u64(5)));
+        assert_eq!(b.div_rem(&b), (BigUint::one(), BigUint::zero()));
     }
 
     #[test]

@@ -150,6 +150,22 @@ mod tests {
     }
 
     #[test]
+    fn key_agreement_is_pinned() {
+        // Captured before `BigUint::div_rem` became in-place: the field
+        // arithmetic is exact, so every value stays bit-for-bit the same.
+        let a = DhKeyPair::from_seed(b"alpha");
+        let b = DhKeyPair::from_seed(b"bravo");
+        assert_eq!(
+            crate::hex::to_hex(&a.public_key().0),
+            "1d210ee280c6e92d0ab522168083bd99cc59e9deca30b0f29dbb061e113e531a"
+        );
+        assert_eq!(
+            crate::hex::to_hex(&a.shared_secret(&b.public_key()).0),
+            "96dd99e2bb405f594b527c3ebf0918846b55f4e5c69a72090f83f3507774e7d3"
+        );
+    }
+
+    #[test]
     fn different_peers_different_secrets() {
         let a = DhKeyPair::from_seed(b"alpha");
         let b = DhKeyPair::from_seed(b"bravo");

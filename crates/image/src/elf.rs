@@ -25,33 +25,35 @@ impl SegmentFlags {
     pub const RW: SegmentFlags = SegmentFlags(0b110);
 }
 
-/// One loadable segment.
+/// One loadable segment, its contents owned or borrowed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+pub struct Segment<D = Vec<u8>> {
     /// Virtual/physical load address.
     pub vaddr: u64,
     /// File contents of the segment.
-    pub data: Vec<u8>,
+    pub data: D,
     /// Extra zero-initialized bytes beyond the file contents (bss).
     pub bss: u64,
     /// Permissions.
     pub flags: SegmentFlags,
 }
 
-impl Segment {
+impl<D: AsRef<[u8]>> Segment<D> {
     /// Total in-memory size (file bytes + bss).
     pub fn mem_size(&self) -> u64 {
-        self.data.len() as u64 + self.bss
+        self.data.as_ref().len() as u64 + self.bss
     }
 }
 
-/// A parsed or constructed ELF64 executable.
+/// A parsed or constructed ELF64 executable: segment contents owned, or
+/// (`ElfImage<&[u8]>`, from [`ElfImage::parse_borrowed`]) borrowed from the
+/// file it was parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElfImage {
+pub struct ElfImage<D = Vec<u8>> {
     /// Entry-point virtual address.
     pub entry: u64,
     /// Loadable segments, in program-header order.
-    pub segments: Vec<Segment>,
+    pub segments: Vec<Segment<D>>,
 }
 
 impl ElfImage {
@@ -107,12 +109,33 @@ impl ElfImage {
     }
 
     /// Parses ELF64 bytes produced by [`ElfImage::to_bytes`] (or any simple
-    /// static executable with LOAD segments).
+    /// static executable with LOAD segments): [`ElfImage::parse_borrowed`],
+    /// with each segment's contents copied out.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::BadElf`] on malformed input.
     pub fn parse(bytes: &[u8]) -> Result<Self, ImageError> {
+        let ElfImage { entry, segments } = Self::parse_borrowed(bytes)?;
+        let segments = segments
+            .into_iter()
+            .map(|s| Segment {
+                vaddr: s.vaddr,
+                data: s.data.to_vec(),
+                bss: s.bss,
+                flags: s.flags,
+            })
+            .collect();
+        Ok(ElfImage { entry, segments })
+    }
+
+    /// Walks ELF64 `bytes` to the entry point and the LOAD segments, in
+    /// program-header order, each borrowing its contents from `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::BadElf`] on malformed input.
+    pub fn parse_borrowed(bytes: &[u8]) -> Result<ElfImage<&[u8]>, ImageError> {
         if bytes.len() < EHDR_SIZE {
             return Err(ImageError::BadElf("shorter than the ELF header"));
         }
@@ -151,7 +174,7 @@ impl ElfImage {
             }
             segments.push(Segment {
                 vaddr,
-                data: data.to_vec(),
+                data,
                 bss: memsz - filesz,
                 flags: SegmentFlags(flags),
             });
@@ -219,6 +242,19 @@ mod tests {
         let elf = sample();
         let parsed = ElfImage::parse(&elf.to_bytes()).unwrap();
         assert_eq!(parsed, elf);
+    }
+
+    #[test]
+    fn parsed_segments_borrow_the_input() {
+        let bytes = sample().to_bytes();
+        let elf = ElfImage::parse_borrowed(&bytes).unwrap();
+        assert_eq!((elf.entry, elf.segments.len()), (sample().entry, 2));
+        let file = bytes.as_ptr_range();
+        for (seg, owned) in elf.segments.iter().zip(&sample().segments) {
+            assert_eq!(seg.data, &owned.data[..]);
+            let slice = seg.data.as_ptr_range();
+            assert!(file.start <= slice.start && slice.end <= file.end);
+        }
     }
 
     #[test]

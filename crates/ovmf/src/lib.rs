@@ -110,8 +110,20 @@ pub struct OvmfBoot {
     pub verified: VerifiedBoot,
 }
 
+/// The configuration of OVMF's embedded verifier: the firmware it skips in
+/// the pvalidate sweep is OVMF and its SNP metadata.
+pub fn verifier_config(kind: KernelKind, huge_pages: bool) -> VerifierConfig {
+    VerifierConfig {
+        kind,
+        huge_pages,
+        c_bit: sevf_mem::C_BIT_POSITION,
+        firmware_base: OVMF_BASE,
+        firmware_size: OVMF_IMAGE_SIZE + OVMF_METADATA_SIZE,
+    }
+}
+
 /// Runs the OVMF guest boot: the four PI phases, then measured direct boot
-/// with OVMF's embedded verifier.
+/// with OVMF's embedded verifier ([`verifier_config`]).
 ///
 /// # Errors
 ///
@@ -125,14 +137,7 @@ pub fn boot(
     huge_pages: bool,
 ) -> Result<OvmfBoot, VerifierError> {
     let phases = pi_phases(cost);
-    let config = VerifierConfig {
-        kind,
-        huge_pages,
-        c_bit: sevf_mem::C_BIT_POSITION,
-        firmware_base: OVMF_BASE,
-        firmware_size: OVMF_IMAGE_SIZE + OVMF_METADATA_SIZE,
-    };
-    let verified = verify::run(mem, layout, cost, config)?;
+    let verified = verify::run(mem, layout, cost, verifier_config(kind, huge_pages))?;
     Ok(OvmfBoot { phases, verified })
 }
 

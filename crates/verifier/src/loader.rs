@@ -53,14 +53,14 @@ pub(crate) fn copy_private(
     Ok(mem.guest_read(dst, len, true)?)
 }
 
-/// Finishes a bzImage load once [`copy_private`] has made the private copy
-/// and `digest` is its SHA-256: checks the setup header and prices the load.
+/// Finishes a bzImage load once [`copy_private`] has made the private copy:
+/// hashes it, checks the setup header and prices the load.
 pub(crate) fn finish_bzimage(
     private: &[u8],
-    digest: [u8; 32],
     layout: &GuestLayout,
     cost: &CostModel,
 ) -> Result<LoadedKernel, VerifierError> {
+    let digest = sha256(private);
     sevf_image::bzimage::parse(private)?;
     let size = layout.kernel_size;
     Ok(LoadedKernel {
@@ -195,14 +195,14 @@ mod tests {
         (mem, layout)
     }
 
-    /// The bzImage load `verify::run` performs, with the digest taken inline.
+    /// The bzImage load `verify::run` performs.
     fn copy_and_finish(
         mem: &mut GuestMemory,
         layout: &GuestLayout,
     ) -> Result<LoadedKernel, VerifierError> {
         let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
         let private = copy_private(mem, staging, dest, layout.kernel_size)?;
-        finish_bzimage(&private, sha256(&private), layout, &CostModel::calibrated())
+        finish_bzimage(&private, layout, &CostModel::calibrated())
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! the pre-encrypted hash page — that is the entire defense against attack
 //! 1 of §2.6 (host swapping components after their hashes were registered).
 
+use std::panic::resume_unwind;
+
 use sevf_mem::{GuestMemory, PAGE_SIZE};
 use sevf_sim::{CostModel, Step, Work};
 
@@ -70,7 +72,8 @@ pub struct VerifiedBoot {
     pub steps: Vec<Step>,
 }
 
-/// Runs the boot verifier against guest memory prepared by the VMM.
+/// Runs the boot verifier against guest memory prepared by the VMM: the
+/// continuation-less [`run_then`].
 ///
 /// Preconditions (the VMM's half of the contract):
 /// * the private range (`layout.private_ranges()`) is RMP-assigned;
@@ -86,15 +89,42 @@ pub struct VerifiedBoot {
 ///   root-of-trust contents.
 ///
 /// When several measured-boot checks fail, the first in this order is
-/// reported, although the kernel and initrd are hashed concurrently: a fault
-/// copying the kernel, a malformed kernel image, a hash page of the wrong
-/// mode, the kernel hash, a fault copying the initrd, the initrd hash.
+/// reported, although the initrd is hashed while the kernel is checked: a
+/// fault copying the kernel, a malformed kernel image, a hash page of the
+/// wrong mode, the kernel hash, a fault copying the initrd, the initrd hash.
 pub fn run(
     mem: &mut GuestMemory,
     layout: &GuestLayout,
     cost: &CostModel,
     config: VerifierConfig,
 ) -> Result<VerifiedBoot, VerifierError> {
+    run_then(mem, layout, cost, config, |_, _| Ok::<_, VerifierError>(()))
+        .map(|(verified, ())| verified)
+}
+
+/// [`run`], which also calls `then(mem, kernel_entry)` — for a bzImage, its
+/// bootstrap loader — while the initrd's digest is still being taken.
+///
+/// The kernel and then the initrd are copied into private memory. The
+/// initrd's SHA-256 runs on a second thread while this one hashes the
+/// kernel, checks its setup header, the hash-page mode and the kernel
+/// digest, and then calls `then`: nothing parses the kernel before its
+/// digest is checked, so only the initrd verdict is in flight while `then`
+/// runs. The initrd digest is joined last. The fw_cfg loader hashes a
+/// vmlinux as it places it, and the initrd is copied after that verdict.
+///
+/// # Errors
+///
+/// [`run`]'s, in [`run`]'s order; `then` is not called when the kernel is
+/// refused or the initrd copy faults. `then`'s own error comes after all of
+/// them: a refused initrd discards whatever `then` returned.
+pub fn run_then<T, E: From<VerifierError>>(
+    mem: &mut GuestMemory,
+    layout: &GuestLayout,
+    cost: &CostModel,
+    config: VerifierConfig,
+    then: impl FnOnce(&mut GuestMemory, u64) -> Result<T, E>,
+) -> Result<(VerifiedBoot, T), E> {
     let mut steps = Vec::new();
 
     // 1. Discover the C-bit position: two cpuid leaves, each a #VC under
@@ -116,7 +146,8 @@ pub fn run(
             let mut page = base;
             while page < base + len {
                 if mem.is_assigned(page) && !mem.is_validated(page) && !skipped(page) {
-                    mem.pvalidate(page, PAGE_SIZE)?;
+                    mem.pvalidate(page, PAGE_SIZE)
+                        .map_err(VerifierError::from)?;
                     pvalidated += 1;
                 }
                 page += PAGE_SIZE;
@@ -138,7 +169,8 @@ pub fn run(
 
     // 3. Build identity-mapped page tables with the C-bit set (§4.2:
     //    generated in C-bit memory, implicitly encrypting them).
-    pagetable::build_identity_map(mem, PAGE_TABLE_ADDR, 1 << 30, config.c_bit, true)?;
+    pagetable::build_identity_map(mem, PAGE_TABLE_ADDR, 1 << 30, config.c_bit, true)
+        .map_err(VerifierError::from)?;
     steps.push(step(
         cost,
         "build identity-mapped page tables (C-bit set)",
@@ -146,80 +178,74 @@ pub fn run(
     ));
 
     // 4. Read the pre-encrypted hash page.
-    let hash_page_bytes = mem.guest_read(HASH_PAGE_ADDR, PAGE_SIZE, true)?;
+    let hash_page_bytes = mem
+        .guest_read(HASH_PAGE_ADDR, PAGE_SIZE, true)
+        .map_err(VerifierError::from)?;
     let hash_page = HashPage::from_page(&hash_page_bytes)?;
 
-    // 5. Measured direct boot: kernel, then initrd, each copied into private
-    //    memory and hashed there. The bzImage's digest, a pure function of
-    //    its private copy, is taken on a second thread while this one copies
-    //    and hashes the initrd; the initrd's outcome is held until the
-    //    kernel's checks pass, so verdicts come in the sequential order. The
-    //    fw_cfg loader hashes as it places segments and stays serial.
-    let hash_initrd = |mem: &mut GuestMemory| {
-        let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
-        loader::copy_private(mem, staging, dest, layout.initrd_size)
-            .map(|private| sevf_crypto::sha256(&private))
-    };
-    let (loaded, held_initrd) = match config.kind {
-        KernelKind::Bzimage => {
-            let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
-            let private = loader::copy_private(mem, staging, dest, layout.kernel_size)?;
-            let (digest, initrd) = std::thread::scope(|s| {
-                let kernel = s.spawn(|| sevf_crypto::sha256(&private));
+    // 5. Measured direct boot: each component is copied into private
+    //    memory and hashed there, the initrd (uncompressed per §3.3) on a
+    //    second thread. Its outcome is held until the kernel's checks pass,
+    //    so verdicts come in the sequential order.
+    let refused = |component| Err(VerifierError::HashMismatch { component }.into());
+    std::thread::scope(|s| {
+        let hash_initrd = |mem: &mut GuestMemory| {
+            let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
+            loader::copy_private(mem, staging, dest, layout.initrd_size)
+                .map(|private| s.spawn(move || sevf_crypto::sha256(&private)))
+        };
+        let (loaded, held_initrd) = match config.kind {
+            KernelKind::Bzimage => {
+                let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
+                let private = loader::copy_private(mem, staging, dest, layout.kernel_size)?;
                 let initrd = hash_initrd(mem);
-                (kernel.join(), initrd)
-            });
-            let digest = digest.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            let loaded = loader::finish_bzimage(&private, digest, layout, cost)?;
-            (loaded, Some(initrd))
+                let loaded = loader::finish_bzimage(&private, layout, cost)?;
+                (loaded, Some(initrd))
+            }
+            KernelKind::Vmlinux => (loader::load_vmlinux_fw_cfg(mem, layout, cost)?, None),
+        };
+        let expected = match (hash_page.kernel, config.kind) {
+            (KernelHashes::WholeImage(h), KernelKind::Bzimage) => vec![h],
+            (
+                KernelHashes::FwCfg {
+                    ehdr,
+                    phdrs,
+                    segments,
+                },
+                KernelKind::Vmlinux,
+            ) => vec![ehdr, phdrs, segments],
+            _ => return Err(VerifierError::BadHashPage("hash mode does not match loader").into()),
+        };
+        steps.extend(loaded.steps.iter().cloned());
+        if loaded.computed_hashes != expected {
+            return refused("kernel");
         }
-        KernelKind::Vmlinux => (loader::load_vmlinux_fw_cfg(mem, layout, cost)?, None),
-    };
-    let expected: Vec<[u8; 32]> = match (&hash_page.kernel, config.kind) {
-        (KernelHashes::WholeImage(h), KernelKind::Bzimage) => vec![*h],
-        (
-            KernelHashes::FwCfg {
-                ehdr,
-                phdrs,
-                segments,
-            },
-            KernelKind::Vmlinux,
-        ) => vec![*ehdr, *phdrs, *segments],
-        _ => {
-            return Err(VerifierError::BadHashPage(
-                "hash mode does not match loader",
-            ))
+        steps.push(step(cost, "compare kernel hash", Work::HashCompare));
+
+        // 6. The kernel is verified: run the continuation, then take the
+        //    initrd verdict.
+        let initrd = held_initrd.unwrap_or_else(|| hash_initrd(mem))?;
+        let outcome = then(mem, loaded.entry);
+        let initrd_digest = initrd.join().unwrap_or_else(|panic| resume_unwind(panic));
+        let bytes = layout.initrd_size;
+        steps.push(step(
+            cost,
+            format!("copy initrd ({bytes} B) to encrypted memory"),
+            Work::CopyEncrypted(bytes),
+        ));
+        steps.push(step(cost, "SHA-256 initrd", Work::Sha256(bytes)));
+        if initrd_digest != hash_page.initrd {
+            return refused("initrd");
         }
-    };
-    steps.extend(loaded.steps.iter().cloned());
-    if loaded.computed_hashes != expected {
-        return Err(VerifierError::HashMismatch {
-            component: "kernel",
-        });
-    }
-    steps.push(step(cost, "compare kernel hash", Work::HashCompare));
+        steps.push(step(cost, "compare initrd hash", Work::HashCompare));
 
-    // 6. Measured direct boot: initrd (uncompressed per §3.3).
-    let initrd_digest = held_initrd.unwrap_or_else(|| hash_initrd(mem))?;
-    let bytes = layout.initrd_size;
-    steps.push(step(
-        cost,
-        format!("copy initrd ({bytes} B) to encrypted memory"),
-        Work::CopyEncrypted(bytes),
-    ));
-    steps.push(step(cost, "SHA-256 initrd", Work::Sha256(bytes)));
-    if initrd_digest != hash_page.initrd {
-        return Err(VerifierError::HashMismatch {
-            component: "initrd",
-        });
-    }
-    steps.push(step(cost, "compare initrd hash", Work::HashCompare));
-
-    Ok(VerifiedBoot {
-        kernel_entry: loaded.entry,
-        initrd_addr: layout.initrd_dest,
-        initrd_len: layout.initrd_size,
-        steps,
+        let verified = VerifiedBoot {
+            kernel_entry: loaded.entry,
+            initrd_addr: layout.initrd_dest,
+            initrd_len: layout.initrd_size,
+            steps,
+        };
+        Ok((verified, outcome?))
     })
 }
 
@@ -374,12 +400,16 @@ mod tests {
         ));
     }
 
-    /// Runs the verifier on `bz_setup` after the host flipped the staged
-    /// bzImage's byte at `kernel_at` and, if asked, the initrd's middle byte.
-    /// With `remap`, a page the launch firmware validated at the initrd
-    /// destination (the firmware range is what the sweep skips) was then
-    /// remapped by the host, so the initrd copy takes #VC.
-    fn refusal(kernel_at: Option<u64>, swap_initrd: bool, remap: bool) -> VerifierError {
+    /// `bz_setup` after the host flipped the staged bzImage's byte at
+    /// `kernel_at` and, if asked, the initrd's middle byte. With `remap`, a
+    /// page the launch firmware validated at the initrd destination (the
+    /// firmware range is what the sweep skips) was then remapped by the
+    /// host, so the initrd copy takes #VC.
+    fn tampered(
+        kernel_at: Option<u64>,
+        swap_initrd: bool,
+        remap: bool,
+    ) -> (GuestMemory, GuestLayout, VerifierConfig) {
         let (mut mem, layout) = bz_setup();
         let mut flip = |at: u64| {
             let byte = mem.host_read(at, 1).unwrap()[0];
@@ -398,7 +428,34 @@ mod tests {
             config.firmware_base = layout.initrd_dest;
             config.firmware_size = PAGE_SIZE;
         }
+        (mem, layout, config)
+    }
+
+    /// Runs the verifier on a [`tampered`] guest.
+    fn refusal(kernel_at: Option<u64>, swap_initrd: bool, remap: bool) -> VerifierError {
+        let (mut mem, layout, config) = tampered(kernel_at, swap_initrd, remap);
         run(&mut mem, &layout, &CostModel::calibrated(), config).unwrap_err()
+    }
+
+    /// Runs the verifier on `mem` with a continuation that fails; returns
+    /// the outcome and whether the continuation ran.
+    fn failing_continuation(
+        mut mem: GuestMemory,
+        layout: &GuestLayout,
+        config: VerifierConfig,
+    ) -> (Result<VerifiedBoot, VerifierError>, bool) {
+        let mut ran = false;
+        let outcome = run_then(
+            &mut mem,
+            layout,
+            &CostModel::calibrated(),
+            config,
+            |_, _| {
+                ran = true;
+                Err::<(), _>(VerifierError::BadLayout("the continuation failed"))
+            },
+        );
+        (outcome.map(|(verified, ())| verified), ran)
     }
 
     #[test]
@@ -422,6 +479,84 @@ mod tests {
             VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. })
                 if page_addr == layout.initrd_dest
         ));
+    }
+
+    #[test]
+    fn the_continuation_never_runs_after_a_kernel_refusal() {
+        let layout = bz_setup().1;
+        let (payload, boot_signature) = (layout.kernel_size / 2, 510);
+        for kernel_at in [payload, boot_signature] {
+            let (mem, layout, config) = tampered(Some(kernel_at), false, false);
+            let (outcome, ran) = failing_continuation(mem, &layout, config);
+            assert!(matches!(
+                outcome,
+                Err(VerifierError::HashMismatch {
+                    component: "kernel"
+                } | VerifierError::Image(_))
+            ));
+            assert!(
+                !ran,
+                "the continuation ran on a kernel flipped at {kernel_at}"
+            );
+        }
+        // An honest bzImage under a hash page of the fw_cfg mode.
+        let bz = KernelConfig::test_tiny().build().bzimage(Codec::Lz4);
+        let initrd = sevf_image::initrd::build_initrd(64 * 1024);
+        let digest = sevf_crypto::sha256(&bz);
+        let hashes = KernelHashes::FwCfg {
+            ehdr: digest,
+            phdrs: digest,
+            segments: digest,
+        };
+        let (mem, layout) = prepare(&bz, &initrd, hashes);
+        let (outcome, ran) = failing_continuation(mem, &layout, VerifierConfig::severifast());
+        assert!(matches!(outcome, Err(VerifierError::BadHashPage(_))));
+        assert!(
+            !ran,
+            "the continuation ran under a hash page of the wrong mode"
+        );
+    }
+
+    #[test]
+    fn a_refused_initrd_overrides_the_continuation() {
+        let (mem, layout, config) = tampered(None, true, false);
+        let (outcome, ran) = failing_continuation(mem, &layout, config);
+        assert_eq!(
+            outcome,
+            Err(VerifierError::HashMismatch {
+                component: "initrd"
+            })
+        );
+        assert!(ran, "an honest kernel hands over to the continuation");
+        // An initrd that never reached private memory stops the boot before
+        // the continuation, and its fault is the verdict.
+        let (mem, layout, config) = tampered(None, false, true);
+        let (outcome, ran) = failing_continuation(mem, &layout, config);
+        assert!(matches!(
+            outcome,
+            Err(VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. }))
+                if page_addr == layout.initrd_dest
+        ));
+        assert!(!ran);
+    }
+
+    #[test]
+    fn an_accepted_boot_returns_the_continuation_outcome() {
+        let (mut mem, layout) = bz_setup();
+        let cost = CostModel::calibrated();
+        let config = VerifierConfig::severifast();
+        let (boot, entry) = run_then(&mut mem, &layout, &cost, config, |_, entry| {
+            Ok::<_, VerifierError>(entry)
+        })
+        .unwrap();
+        assert_eq!(entry, boot.kernel_entry);
+        let (mem, layout) = bz_setup();
+        let (outcome, ran) = failing_continuation(mem, &layout, config);
+        assert_eq!(
+            outcome,
+            Err(VerifierError::BadLayout("the continuation failed"))
+        );
+        assert!(ran);
     }
 
     #[test]

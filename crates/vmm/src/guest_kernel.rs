@@ -5,7 +5,13 @@
 //! * **Bootstrap loader** (bzImage boots only, Fig. 11's third bar): the
 //!   setup stub decompresses the payload — really decompressed here, with
 //!   the codec's calibrated throughput — parses the inner ELF, and places
-//!   its segments.
+//!   its segments. The VMM runs it as the verifier's continuation
+//!   ([`sevf_verifier::verify::run_then`]): once the kernel's digest is
+//!   checked, while the initrd's is still being taken on a second host
+//!   thread. Verdicts keep the sequential order — kernel copy fault,
+//!   malformed image, hash-page mode, kernel hash, initrd copy fault, initrd
+//!   hash — and the loader's own outcome comes after all of them: a refused
+//!   initrd discards it.
 //! * **Linux boot**: validates `boot_params`, the mptable, and the command
 //!   line (all read from pre-encrypted memory), unpacks the initrd CPIO and
 //!   checks `/init` is runnable, then replays the boot-phase costs from the
@@ -16,6 +22,7 @@ use sevf_image::bzimage;
 use sevf_image::cpio;
 use sevf_image::elf::ElfImage;
 use sevf_image::kernel::KernelDescriptor;
+use sevf_image::ImageError;
 use sevf_mem::{GuestMemory, PAGE_SIZE};
 use sevf_sim::cost::{CostModel, SevGeneration, Step, Work};
 use sevf_sim::PhaseKind;
@@ -31,7 +38,7 @@ pub enum GuestBootError {
     /// Memory fault while the kernel ran.
     Memory(sevf_mem::MemError),
     /// The bzImage payload failed to decompress or parse.
-    Image(sevf_image::ImageError),
+    Image(ImageError),
     /// A pre-encrypted boot structure failed validation.
     BadStructure(&'static str),
     /// The initrd was unusable (bad CPIO, missing /init).
@@ -57,8 +64,8 @@ impl From<sevf_mem::MemError> for GuestBootError {
     }
 }
 
-impl From<sevf_image::ImageError> for GuestBootError {
-    fn from(e: sevf_image::ImageError) -> Self {
+impl From<ImageError> for GuestBootError {
+    fn from(e: ImageError) -> Self {
         GuestBootError::Image(e)
     }
 }
@@ -108,59 +115,50 @@ pub fn run_bootstrap_loader_kaslr(
     cost: &CostModel,
     slide: u64,
 ) -> Result<LoaderStage, GuestBootError> {
-    assert_eq!(
-        slide % (2 * 1024 * 1024),
-        0,
+    assert!(
+        slide.is_multiple_of(2 * 1024 * 1024),
         "KASLR slide must be 2 MiB aligned"
     );
     let mut steps = Vec::new();
-    let image = mem.guest_read(bzimage_addr, bzimage_len, true)?;
-    let (payload, codec) = bzimage::parse(&image)?;
-    let vmlinux = codec
-        .decompress(payload)
-        .map_err(sevf_image::ImageError::from)?;
-    steps.push(cost.step(
-        PhaseKind::BootstrapLoader,
-        format!(
-            "decompress {} payload ({} → {} B)",
-            codec,
-            payload.len(),
-            vmlinux.len()
-        ),
-        Work::Decompress(codec, vmlinux.len() as u64),
-    ));
-    let elf = ElfImage::parse(&vmlinux)?;
+    // The staged bzImage is dropped once decompressed, and the segments
+    // are placed from slices of the vmlinux: one image-sized buffer at a
+    // time beyond the decompression itself.
+    let vmlinux = {
+        let image = mem.guest_read(bzimage_addr, bzimage_len, true)?;
+        let (payload, codec) = bzimage::parse(&image)?;
+        let vmlinux = codec.decompress(payload).map_err(ImageError::from)?;
+        let (from, to) = (payload.len(), vmlinux.len());
+        steps.push(cost.step(
+            PhaseKind::BootstrapLoader,
+            format!("decompress {codec} payload ({from} → {to} B)"),
+            Work::Decompress(codec, to as u64),
+        ));
+        vmlinux
+    };
+    let ElfImage { entry, segments } = ElfImage::parse_borrowed(&vmlinux)?;
     let mut placed = 0u64;
-    for seg in &elf.segments {
-        mem.guest_write(seg.vaddr + slide, &seg.data, true)?;
+    for seg in &segments {
+        let bss_at = seg.vaddr + slide + seg.data.len() as u64;
+        mem.guest_write(seg.vaddr + slide, seg.data, true)?;
         if seg.bss > 0 {
-            mem.guest_write(
-                seg.vaddr + slide + seg.data.len() as u64,
-                &vec![0u8; seg.bss as usize],
-                true,
-            )?;
+            mem.guest_write(bss_at, &vec![0u8; seg.bss as usize], true)?;
         }
         placed += seg.mem_size();
     }
-    let label = if slide == 0 {
-        format!("place {} ELF segments ({placed} B)", elf.segments.len())
-    } else {
-        format!(
-            "place {} ELF segments ({placed} B, KASLR slide {:#x})",
-            elf.segments.len(),
-            slide
-        )
+    let kaslr = match slide {
+        0 => String::new(),
+        slide => format!(", KASLR slide {slide:#x}"),
     };
     steps.push(cost.step(
         PhaseKind::BootstrapLoader,
-        label,
+        format!("place {} ELF segments ({placed} B{kaslr})", segments.len()),
         Work::All(vec![
             Work::CopyEncrypted(placed),
-            Work::ElfSegments(elf.segments.len() as u64),
+            Work::ElfSegments(segments.len() as u64),
         ]),
     ));
     Ok(LoaderStage {
-        vmlinux_entry: elf.entry + slide,
+        vmlinux_entry: entry + slide,
         steps,
     })
 }

@@ -9,7 +9,7 @@ use sevf_mem::{GuestMemory, MemError};
 use sevf_ovmf::{OvmfImage, OVMF_BASE};
 use sevf_psp::{GuestHandle, Psp, PspError};
 use sevf_sim::cost::{SevGeneration, Step, Work};
-use sevf_sim::rng::Jitter;
+use sevf_sim::rng::{Jitter, XorShift64};
 use sevf_sim::{CostModel, EventChannel, Nanos, PhaseKind, Timeline};
 use sevf_verifier::binary::{VerifierBinary, VerifierFeatures};
 use sevf_verifier::hashes::HashPage;
@@ -22,7 +22,7 @@ use sevf_verifier::VerifierError;
 use crate::boot_params::BootParams;
 use crate::cmdline;
 use crate::config::{BootPolicy, KaslrMode, LaunchMode, VmConfig};
-use crate::guest_kernel::{self, GuestBootError};
+use crate::guest_kernel::{self, GuestBootError, LoaderStage};
 use crate::hashes_file;
 use crate::machine::Machine;
 use crate::mptable;
@@ -330,7 +330,6 @@ impl MicroVm {
         let mut tl = Timeline::new();
         let psp_before = machine.psp.total_busy;
         let artifacts = self.artifacts()?;
-        let layout = &artifacts.layout;
 
         // ---- VMM process + KVM setup -------------------------------------
         let spawn = if self.config.policy == BootPolicy::QemuOvmf {
@@ -388,65 +387,15 @@ impl MicroVm {
 
         // ---- Enter the guest -------------------------------------------------
         tl.mark(EventChannel::GhcbMsr, "guest-entry");
-        let (kernel_entry, steps) = match self.config.policy {
-            BootPolicy::Severifast | BootPolicy::SeverifastVmlinux => {
-                let vconfig = VerifierConfig {
-                    kind: if self.config.policy == BootPolicy::Severifast {
-                        KernelKind::Bzimage
-                    } else {
-                        KernelKind::Vmlinux
-                    },
-                    huge_pages: self.config.huge_pages,
-                    firmware_size: artifacts
-                        .verifier
-                        .as_ref()
-                        .expect("sev policy has verifier")
-                        .size(),
-                    ..VerifierConfig::severifast()
-                };
-                let verified = verify::run(&mut mem, layout, &cost, vconfig)?;
-                (verified.kernel_entry, verified.steps)
-            }
-            BootPolicy::QemuOvmf => {
-                let boot = sevf_ovmf::boot(
-                    &mut mem,
-                    layout,
-                    &cost,
-                    KernelKind::Bzimage,
-                    self.config.huge_pages,
-                )?;
-                let mut steps = boot.phases;
-                steps.extend(boot.verified.steps);
-                (boot.verified.kernel_entry, steps)
-            }
-            BootPolicy::StockFirecracker => unreachable!("handled above"),
-        };
+        let (steps, loader, entry) = self.enter_guest(&mut mem, &artifacts, machine)?;
         tl.place(steps, &mut jitter);
         tl.mark(EventChannel::GhcbMsr, "boot-verification-done");
 
         // ---- Bootstrap loader (bzImage policies) ------------------------------
-        let entry = if self.config.policy.uses_bzimage() {
-            // Guest-side KASLR: the loader draws a slide inside encrypted
-            // memory. (Modeled with the machine RNG standing in for the
-            // guest's RDRAND; the host never depends on the value.)
-            let slide = if self.config.kaslr == KaslrMode::GuestSide {
-                Self::pick_slide(&mut machine.rng, &artifacts.image, layout)
-            } else {
-                0
-            };
-            let loader = guest_kernel::run_bootstrap_loader_kaslr(
-                &mut mem,
-                kernel_entry,
-                layout.kernel_size,
-                &cost,
-                slide,
-            )?;
+        if let Some(loader) = loader {
             tl.place(loader.steps, &mut jitter);
             tl.mark(EventChannel::DebugPort, "bootstrap-loader-done");
-            loader.vmlinux_entry
-        } else {
-            kernel_entry
-        };
+        }
 
         // ---- Linux boot ---------------------------------------------------------
         let stage = guest_kernel::run_kernel(&mut mem, entry, self.config.generation, &cost)?;
@@ -494,6 +443,63 @@ impl MicroVm {
                 kernel_entry: entry,
             },
         ))
+    }
+
+    /// Runs the guest from its pre-encrypted entry to the kernel: the boot
+    /// verifier (OVMF's PI phases first on the baseline) and, for a bzImage,
+    /// the bootstrap loader as the verifier's continuation, which runs while
+    /// the initrd digest is still being taken. Returns the verifier's steps,
+    /// the loader's stage and the kernel entry.
+    ///
+    /// Guest-side KASLR draws its slide inside the guest (modeled with the
+    /// machine RNG standing in for the guest's RDRAND; the host never
+    /// depends on the value). The draw is taken from a copy that is
+    /// committed only when the boot is accepted, so a refused boot leaves
+    /// `machine.rng` as it found it.
+    fn enter_guest(
+        &self,
+        mem: &mut GuestMemory,
+        artifacts: &Artifacts,
+        machine: &mut Machine,
+    ) -> Result<(Vec<Step>, Option<LoaderStage>, u64), VmmError> {
+        let (layout, cost) = (&artifacts.layout, &machine.cost);
+        let (bzimage, huge_pages) = (self.config.policy.uses_bzimage(), self.config.huge_pages);
+        let kind = if bzimage {
+            KernelKind::Bzimage
+        } else {
+            KernelKind::Vmlinux
+        };
+        let (mut steps, vconfig) = match &artifacts.verifier {
+            Some(verifier) => (
+                Vec::new(),
+                VerifierConfig {
+                    kind,
+                    huge_pages,
+                    firmware_size: verifier.size(),
+                    ..VerifierConfig::severifast()
+                },
+            ),
+            None => (
+                sevf_ovmf::pi_phases(cost),
+                sevf_ovmf::verifier_config(kind, huge_pages),
+            ),
+        };
+        let mut slide_rng = machine.rng.clone();
+        let (verified, loader) = verify::run_then(mem, layout, cost, vconfig, |mem, entry| {
+            if !bzimage {
+                return Ok(None);
+            }
+            let slide = self.slide(KaslrMode::GuestSide, &mut slide_rng, artifacts);
+            let size = layout.kernel_size;
+            let loader = guest_kernel::run_bootstrap_loader_kaslr(mem, entry, size, cost, slide)?;
+            Ok::<_, VmmError>(Some(loader))
+        })?;
+        machine.rng = slide_rng;
+        steps.extend(verified.steps);
+        let entry = loader
+            .as_ref()
+            .map_or(verified.kernel_entry, |loader| loader.vmlinux_entry);
+        Ok((steps, loader, entry))
     }
 
     /// The full SEV launch flow (§2.4): LAUNCH_START, RMP init, staging,
@@ -633,26 +639,21 @@ impl MicroVm {
         })
     }
 
-    /// Picks a 2 MiB-aligned KASLR slide that keeps the loaded kernel below
-    /// the initrd destination; 0 when there is no room.
-    fn pick_slide(
-        rng: &mut sevf_sim::rng::XorShift64,
-        image: &KernelImage,
-        layout: &GuestLayout,
-    ) -> u64 {
+    /// Draws a 2 MiB-aligned KASLR slide that keeps the loaded kernel below
+    /// the initrd destination when the config's KASLR mode is `mode`; 0,
+    /// without a draw, when it is not or there is no room.
+    fn slide(&self, mode: KaslrMode, rng: &mut XorShift64, artifacts: &Artifacts) -> u64 {
         const ALIGN: u64 = 2 * 1024 * 1024;
-        let end = image
+        let end = artifacts
+            .image
             .elf()
             .segments
             .iter()
             .map(|s| s.vaddr + s.mem_size())
             .max()
             .unwrap_or(0);
-        if end >= layout.initrd_dest {
-            return 0;
-        }
-        let slots = (layout.initrd_dest - end) / ALIGN;
-        if slots == 0 {
+        let slots = artifacts.layout.initrd_dest.saturating_sub(end) / ALIGN;
+        if self.config.kaslr != mode || slots == 0 {
             return 0;
         }
         rng.next_below(slots) * ALIGN
@@ -675,11 +676,7 @@ impl MicroVm {
         // 1. Load the kernel ELF in one operation to where it will run —
         //    with in-monitor KASLR the VMM slides the whole image
         //    (Holmes et al., EuroSys'22; only possible without SEV, §8).
-        let slide = if self.config.kaslr == KaslrMode::InMonitor {
-            Self::pick_slide(&mut machine.rng, image, layout)
-        } else {
-            0
-        };
+        let slide = self.slide(KaslrMode::InMonitor, &mut machine.rng, artifacts);
         let mut loaded = 0u64;
         for seg in &image.elf().segments {
             mem.host_write(seg.vaddr + slide, &seg.data)?;
@@ -986,6 +983,41 @@ mod tests {
         ]
         .into();
         assert!(distinct.len() > 1, "no slide entropy: {distinct:?}");
+    }
+
+    #[test]
+    fn guest_side_kaslr_draws_only_for_an_accepted_boot() {
+        // The slide is drawn while the initrd digest is still being taken;
+        // a refused initrd must leave the machine RNG where it was.
+        let mut config = VmConfig::test_tiny(BootPolicy::Severifast);
+        config.kaslr = KaslrMode::GuestSide;
+        let vm = MicroVm::new(config).unwrap();
+        let artifacts = vm.artifacts().unwrap();
+        let layout = &artifacts.layout;
+        for swap_initrd in [false, true] {
+            let mut m = machine();
+            let cost = m.cost.clone();
+            let mut mem = vm.launch_full(&mut m.psp, &cost, &artifacts).unwrap().mem;
+            if swap_initrd {
+                let at = layout.initrd_staging + layout.initrd_size / 2;
+                let byte = mem.host_read(at, 1).unwrap()[0];
+                mem.host_write(at, &[byte ^ 0x40]).unwrap();
+            }
+            let mut expected = m.rng.clone();
+            let entered = vm.enter_guest(&mut mem, &artifacts, &mut m);
+            if swap_initrd {
+                let initrd = VerifierError::HashMismatch {
+                    component: "initrd",
+                };
+                assert_eq!(entered.unwrap_err(), VmmError::Verifier(initrd));
+            } else {
+                let slide = vm.slide(KaslrMode::GuestSide, &mut expected, &artifacts);
+                let (_, loader, entry) = entered.unwrap();
+                assert!(loader.is_some());
+                assert_eq!(entry, sevf_image::kernel::KERNEL_BASE + slide);
+            }
+            assert_eq!(m.rng.next_u64(), expected.next_u64(), "swap {swap_initrd}");
+        }
     }
 
     #[test]
