@@ -114,7 +114,7 @@ ceiling 5059 "serving-core (crates/fleet/src + crates/cluster/src)" \
   $(find crates/fleet/src crates/cluster/src -name '*.rs')
 ceiling 1855 "harness (examples/*.rs + crates/bench/src)" \
   examples/*.rs $(find crates/bench/src -name '*.rs')
-ceiling 4320 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
+ceiling 4230 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
   $(find crates/mem/src crates/codec/src crates/image/src crates/verifier/src crates/vmm/src -name '*.rs')
 ceiling 3204 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
   $(find crates/attplane/src crates/net/src crates/policy/src crates/scale/src crates/obs/src -name '*.rs')

@@ -18,6 +18,10 @@ use sevf_vmm::{BootPolicy, BootReport, Machine, MicroVm, VmConfig, VmmError};
 
 const MB: u64 = 1024 * 1024;
 
+/// The one seed of every paper experiment (machine RNG and jitter), for
+/// exact reproducibility.
+pub const SEED: u64 = 0x5EF0;
+
 /// How big to run the experiments.
 #[derive(Debug, Clone)]
 pub struct ExperimentScale {
@@ -27,8 +31,6 @@ pub struct ExperimentScale {
     pub cdf_runs: usize,
     /// Concurrency levels for Fig. 12 (paper: 1–50).
     pub concurrency_levels: Vec<usize>,
-    /// Jitter seed, for exact reproducibility.
-    pub seed: u64,
 }
 
 impl ExperimentScale {
@@ -38,7 +40,6 @@ impl ExperimentScale {
             kernel_div: 1,
             cdf_runs: 100,
             concurrency_levels: vec![1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
-            seed: 0x5EF0,
         }
     }
 
@@ -48,7 +49,6 @@ impl ExperimentScale {
             kernel_div: 16,
             cdf_runs: 20,
             concurrency_levels: vec![1, 5, 10, 20],
-            seed: 0x5EF0,
         }
     }
 
@@ -131,7 +131,7 @@ pub struct PhaseSlice {
 ///
 /// Propagates boot failures.
 pub fn fig3_ovmf_phases(scale: &ExperimentScale) -> Result<Vec<PhaseSlice>, VmmError> {
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let kernel = scale.kernels().remove(1); // AWS config
     let report = scale.boot(&mut machine, BootPolicy::QemuOvmf, kernel)?;
     let mut slices = Vec::new();
@@ -384,7 +384,7 @@ impl CdfSeries {
 ///
 /// Propagates boot failures.
 pub fn fig9_boot_cdfs(scale: &ExperimentScale) -> Result<Vec<CdfSeries>, VmmError> {
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let mut series = Vec::new();
     for policy in [BootPolicy::Severifast, BootPolicy::QemuOvmf] {
         for kernel in scale.kernels() {
@@ -393,7 +393,7 @@ pub fn fig9_boot_cdfs(scale: &ExperimentScale) -> Result<Vec<CdfSeries>, VmmErro
             series.push(CdfSeries {
                 policy,
                 kernel: name,
-                samples_ms: resample_totals(&report, scale.seed ^ policy as u64, scale.cdf_runs),
+                samples_ms: resample_totals(&report, SEED ^ policy as u64, scale.cdf_runs),
             });
         }
     }
@@ -423,7 +423,7 @@ pub struct Fig10Row {
 ///
 /// Propagates boot failures.
 pub fn fig10_breakdown(scale: &ExperimentScale) -> Result<Vec<Fig10Row>, VmmError> {
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let mut rows = Vec::new();
     for policy in [BootPolicy::QemuOvmf, BootPolicy::Severifast] {
         for kernel in scale.kernels() {
@@ -475,7 +475,7 @@ impl Fig11Row {
 ///
 /// Propagates boot failures.
 pub fn fig11_breakdown(scale: &ExperimentScale) -> Result<Vec<Fig11Row>, VmmError> {
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let mut rows = Vec::new();
     for policy in [
         BootPolicy::StockFirecracker,
@@ -523,7 +523,7 @@ pub struct ConcurrencyRow {
 ///
 /// Propagates boot failures.
 pub fn fig12_concurrency(scale: &ExperimentScale) -> Result<Vec<ConcurrencyRow>, VmmError> {
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let mut rows = Vec::new();
     for policy in [BootPolicy::Severifast, BootPolicy::StockFirecracker] {
         let kernel = scale.kernels().remove(1); // AWS config
@@ -554,7 +554,7 @@ pub fn futurework_shared_key_concurrency(
     scale: &ExperimentScale,
 ) -> Result<Vec<ConcurrencyRow>, VmmError> {
     use sevf_vmm::config::LaunchMode;
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let kernel = scale.kernels().remove(1); // AWS config
     let mut config = scale.vm_config(BootPolicy::Severifast, kernel);
     config.launch_mode = LaunchMode::SharedKeyTemplate;
@@ -600,7 +600,7 @@ pub struct WarmStartRow {
 /// Propagates boot and memory failures.
 pub fn warm_start_analysis(scale: &ExperimentScale) -> Result<Vec<WarmStartRow>, VmmError> {
     use sevf_vmm::warm::dedupable_fraction;
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let mut rows = Vec::new();
     for policy in [BootPolicy::Severifast, BootPolicy::StockFirecracker] {
         let kernel = scale.kernels().remove(1); // AWS config
@@ -664,7 +664,7 @@ pub fn footprint_table() -> Vec<FootprintRow> {
 ///
 /// Propagates boot failures.
 pub fn headline_reductions(scale: &ExperimentScale) -> Result<Vec<(String, f64)>, VmmError> {
-    let mut machine = Machine::new(scale.seed);
+    let mut machine = Machine::new(SEED);
     let mut out = Vec::new();
     for kernel in scale.kernels() {
         let name = kernel.name.clone();
@@ -749,8 +749,7 @@ pub fn ablations(scale: &ExperimentScale) -> Result<Vec<AblationRow>, VmmError> 
     }
     let aws = || scale.kernels().remove(1);
     for speedup in [1u64, 2, 4, 8] {
-        let mut machine =
-            Machine::with_cost_model(scale.seed, cost.clone().with_faster_psp(speedup));
+        let mut machine = Machine::with_cost_model(SEED, cost.clone().with_faster_psp(speedup));
         let mut report = scale.boot(&mut machine, BootPolicy::Severifast, aws())?;
         report.timeline = report.timeline.filtered(|p| p.counts_as_boot());
         let mean = concurrent::run_concurrent(&report, 50).summary.mean;
@@ -768,7 +767,7 @@ pub fn ablations(scale: &ExperimentScale) -> Result<Vec<AblationRow>, VmmError> 
         SevGeneration::SevEs,
         SevGeneration::SevSnp,
     ] {
-        let mut machine = Machine::new(scale.seed);
+        let mut machine = Machine::new(SEED);
         machine.owner.set_required_generation(generation);
         let mut config = scale.vm_config(BootPolicy::Severifast, aws());
         config.generation = generation;

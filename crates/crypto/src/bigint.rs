@@ -247,32 +247,6 @@ impl BigUint {
         r
     }
 
-    /// Returns `self >> bits`.
-    pub fn shr(&self, bits: usize) -> BigUint {
-        let limb_shift = bits / 64;
-        if limb_shift >= self.limbs.len() {
-            return BigUint::zero();
-        }
-        let bit_shift = bits % 64;
-        let mut out = Vec::with_capacity(self.limbs.len() - limb_shift);
-        if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs[limb_shift..]);
-        } else {
-            for i in limb_shift..self.limbs.len() {
-                let lo = self.limbs[i] >> bit_shift;
-                let hi = if i + 1 < self.limbs.len() {
-                    self.limbs[i + 1] << (64 - bit_shift)
-                } else {
-                    0
-                };
-                out.push(lo | hi);
-            }
-        }
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
-    }
-
     /// Returns `(self / divisor, self % divisor)` via binary long division.
     ///
     /// # Panics
@@ -488,13 +462,6 @@ mod tests {
         let a = b.add(&BigUint::from_u64(5));
         assert_eq!(a.div_rem(&b), (BigUint::one(), BigUint::from_u64(5)));
         assert_eq!(b.div_rem(&b), (BigUint::one(), BigUint::zero()));
-    }
-
-    #[test]
-    fn shifts_are_inverse_for_multiples() {
-        let a = BigUint::from_bytes_be(&[0xab; 17]);
-        assert_eq!(a.shl(67).shr(67), a);
-        assert_eq!(a.shl(64).shr(64), a);
     }
 
     #[test]

@@ -49,11 +49,8 @@ pub use bigint::BigUint;
 pub use ctr::AesCtr;
 pub use dh::{DhKeyPair, DhPublicKey, DhSharedSecret};
 pub use hmac::{hmac_sha256, hmac_sha384};
-pub use sha2::{sha256, sha384, sha384_batch, sha384_x4, sha512, Sha256, Sha384, Sha512};
+pub use sha2::{sha256, sha384, sha384_batch, sha384_x4, Sha256, Sha384};
 pub use xex::XexCipher;
 
 /// A 256-bit digest produced by [`Sha256`].
 pub type Digest256 = [u8; 32];
-
-/// A 384-bit digest produced by [`Sha384`].
-pub type Digest384 = [u8; 48];

@@ -1,4 +1,4 @@
-//! SHA-256, SHA-384, and SHA-512 (FIPS 180-4).
+//! SHA-256 and SHA-384 (FIPS 180-4).
 //!
 //! The SEVeriFast boot verifier hashes boot components with SHA-256 (the
 //! paper picked the `sha2` crate for its use of the x86 SHA extensions — the
@@ -63,18 +63,6 @@ fn sha256_k() -> &'static [u32; 64] {
             k[i] = root_fraction_bits(p, 3, 32) as u32;
         }
         k
-    })
-}
-
-fn sha512_iv() -> &'static [u64; 8] {
-    static IV: OnceLock<[u64; 8]> = OnceLock::new();
-    IV.get_or_init(|| {
-        let primes = first_primes(8);
-        let mut iv = [0u64; 8];
-        for (i, &p) in primes.iter().enumerate() {
-            iv[i] = root_fraction_bits(p, 2, 64);
-        }
-        iv
     })
 }
 
@@ -231,8 +219,8 @@ fn compress256(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Core SHA-512 family state (SHA-512 and SHA-384 differ only in the IV and
-/// output truncation).
+/// Core SHA-512 family state: SHA-384 is SHA-512 with its own IV and a
+/// truncated output.
 #[derive(Clone, Debug)]
 struct Sha512Core {
     state: [u64; 8],
@@ -488,49 +476,6 @@ pub fn sha384_batch(msgs: &[&[u8]]) -> Vec<[u8; 48]> {
     out
 }
 
-/// Streaming SHA-512 hasher.
-///
-/// # Example
-///
-/// ```
-/// use sevf_crypto::Sha512;
-///
-/// let mut hasher = Sha512::new();
-/// hasher.update(b"abc");
-/// let digest = hasher.finalize();
-/// assert_eq!(digest[0], 0xdd);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Sha512(Sha512Core);
-
-impl Default for Sha512 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha512 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Sha512(Sha512Core::new(*sha512_iv()))
-    }
-
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
-        self.0.update(data);
-    }
-
-    /// Finishes the computation and returns the 64-byte digest.
-    pub fn finalize(self) -> [u8; 64] {
-        let state = self.0.finalize();
-        let mut out = [0u8; 64];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-}
-
 /// Streaming SHA-384 hasher (used for the SEV-SNP launch digest).
 ///
 /// # Example
@@ -595,13 +540,6 @@ pub fn sha384(data: &[u8]) -> [u8; 48] {
     h.finalize()
 }
 
-/// One-shot SHA-512.
-pub fn sha512(data: &[u8]) -> [u8; 64] {
-    let mut h = Sha512::new();
-    h.update(data);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,9 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_sha512_constants_match_fips() {
-        let iv = sha512_iv();
-        assert_eq!(iv[0], 0x6a09e667f3bcc908);
+    fn derived_sha384_constants_match_fips() {
         let k = sha512_k();
         assert_eq!(k[0], 0x428a2f98d728ae22);
         let iv384 = sha384_iv();
@@ -661,16 +597,6 @@ mod tests {
             to_hex(&sha384(b"abc")),
             "cb00753f45a35e8bb5a03d699ac65007272c32ab0eded1631a8b605a43ff5bed\
              8086072ba1e7cc2358baeca134c825a7"
-                .replace(char::is_whitespace, "")
-        );
-    }
-
-    #[test]
-    fn sha512_abc_vector() {
-        assert_eq!(
-            to_hex(&sha512(b"abc")),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
-             2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
                 .replace(char::is_whitespace, "")
         );
     }

@@ -56,11 +56,6 @@ impl Rmp {
         self.entry(page).assigned = true;
     }
 
-    /// Returns a page to shared state, clearing validation.
-    pub fn unassign(&mut self, page: u64) {
-        *self.entry(page) = PageState::default();
-    }
-
     /// Sets the validated bit (guest `pvalidate`). Returns the previous
     /// validated state so callers can detect double validation.
     pub fn validate(&mut self, page: u64) -> bool {
@@ -129,16 +124,6 @@ mod tests {
         rmp.assign(5);
         rmp.remap_by_host(5);
         assert!(!rmp.state(5).remapped);
-    }
-
-    #[test]
-    fn unassign_resets_everything() {
-        let mut rmp = Rmp::new();
-        rmp.assign(9);
-        rmp.validate(9);
-        rmp.unassign(9);
-        assert_eq!(rmp.state(9), PageState::default());
-        assert_eq!(rmp.assigned_count(), 0);
     }
 
     #[test]

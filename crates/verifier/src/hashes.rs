@@ -7,6 +7,7 @@
 //! launch measurement then covers.
 
 use sevf_crypto::Digest256;
+use sevf_image::kernel::FwCfgDigests;
 
 use crate::VerifierError;
 
@@ -20,14 +21,7 @@ pub enum KernelHashes {
     WholeImage(Digest256),
     /// Three hashes for the fw_cfg vmlinux protocol of §5: ELF header,
     /// program headers, and concatenated loadable segments.
-    FwCfg {
-        /// Hash of the 64-byte ELF header.
-        ehdr: Digest256,
-        /// Hash of the program header table.
-        phdrs: Digest256,
-        /// Hash of the loadable segment bytes, in order.
-        segments: Digest256,
-    },
+    FwCfg(FwCfgDigests),
 }
 
 /// The contents of the pre-encrypted hash page.
@@ -49,15 +43,11 @@ impl HashPage {
                 page[4] = 1;
                 page[8..40].copy_from_slice(k);
             }
-            KernelHashes::FwCfg {
-                ehdr,
-                phdrs,
-                segments,
-            } => {
+            KernelHashes::FwCfg(d) => {
                 page[4] = 2;
-                page[8..40].copy_from_slice(ehdr);
-                page[40..72].copy_from_slice(phdrs);
-                page[72..104].copy_from_slice(segments);
+                page[8..40].copy_from_slice(&d.ehdr);
+                page[40..72].copy_from_slice(&d.phdrs);
+                page[72..104].copy_from_slice(&d.segments);
             }
         }
         page[104..136].copy_from_slice(&self.initrd);
@@ -79,11 +69,11 @@ impl HashPage {
         let take32 = |at: usize| -> Digest256 { page[at..at + 32].try_into().expect("32") };
         let kernel = match page[4] {
             1 => KernelHashes::WholeImage(take32(8)),
-            2 => KernelHashes::FwCfg {
+            2 => KernelHashes::FwCfg(FwCfgDigests {
                 ehdr: take32(8),
                 phdrs: take32(40),
                 segments: take32(72),
-            },
+            }),
             _ => return Err(VerifierError::BadHashPage("unknown kernel hash mode")),
         };
         Ok(HashPage {
@@ -97,26 +87,50 @@ impl HashPage {
 mod tests {
     use super::*;
 
-    #[test]
-    fn whole_image_roundtrip() {
-        let hp = HashPage {
+    use sevf_crypto::hex::to_hex;
+
+    fn whole_image() -> HashPage {
+        HashPage {
             kernel: KernelHashes::WholeImage([7u8; 32]),
             initrd: [9u8; 32],
-        };
+        }
+    }
+
+    fn fw_cfg() -> HashPage {
+        HashPage {
+            kernel: KernelHashes::FwCfg(FwCfgDigests {
+                ehdr: [1u8; 32],
+                phdrs: [2u8; 32],
+                segments: [3u8; 32],
+            }),
+            initrd: [4u8; 32],
+        }
+    }
+
+    #[test]
+    fn whole_image_roundtrip() {
+        let hp = whole_image();
         assert_eq!(HashPage::from_page(&hp.to_page()).unwrap(), hp);
     }
 
     #[test]
     fn fw_cfg_roundtrip() {
-        let hp = HashPage {
-            kernel: KernelHashes::FwCfg {
-                ehdr: [1u8; 32],
-                phdrs: [2u8; 32],
-                segments: [3u8; 32],
-            },
-            initrd: [4u8; 32],
-        };
+        let hp = fw_cfg();
         assert_eq!(HashPage::from_page(&hp.to_page()).unwrap(), hp);
+    }
+
+    #[test]
+    fn page_bytes_match_known_answers() {
+        // The launch measurement covers these bytes: the page layout of
+        // both modes is pinned, not just round-tripped.
+        assert_eq!(
+            to_hex(&sevf_crypto::sha256(&whole_image().to_page())),
+            "27e06a5a160e7e40595892fc75f2371332df4e822322c0fe2b4c037d9a8bbf53"
+        );
+        assert_eq!(
+            to_hex(&sevf_crypto::sha256(&fw_cfg().to_page())),
+            "a648418fc32c4bd60666b7df7856682f9d603165ec147d8e3c3cd4472bd6cc12"
+        );
     }
 
     #[test]

@@ -206,14 +206,7 @@ pub fn run_then<T, E: From<VerifierError>>(
         };
         let expected = match (hash_page.kernel, config.kind) {
             (KernelHashes::WholeImage(h), KernelKind::Bzimage) => vec![h],
-            (
-                KernelHashes::FwCfg {
-                    ehdr,
-                    phdrs,
-                    segments,
-                },
-                KernelKind::Vmlinux,
-            ) => vec![ehdr, phdrs, segments],
+            (KernelHashes::FwCfg(d), KernelKind::Vmlinux) => vec![d.ehdr, d.phdrs, d.segments],
             _ => return Err(VerifierError::BadHashPage("hash mode does not match loader").into()),
         };
         steps.extend(loaded.steps.iter().cloned());
@@ -255,7 +248,7 @@ mod tests {
     use crate::binary::{VerifierBinary, VerifierFeatures};
     use crate::layout::VERIFIER_ADDR;
     use sevf_codec::Codec;
-    use sevf_image::kernel::KernelConfig;
+    use sevf_image::kernel::{FwCfgDigests, KernelConfig};
     use sevf_sim::cost::SevGeneration;
     use sevf_sim::PhaseKind;
 
@@ -503,11 +496,11 @@ mod tests {
         let bz = KernelConfig::test_tiny().build().bzimage(Codec::Lz4);
         let initrd = sevf_image::initrd::build_initrd(64 * 1024);
         let digest = sevf_crypto::sha256(&bz);
-        let hashes = KernelHashes::FwCfg {
+        let hashes = KernelHashes::FwCfg(FwCfgDigests {
             ehdr: digest,
             phdrs: digest,
             segments: digest,
-        };
+        });
         let (mem, layout) = prepare(&bz, &initrd, hashes);
         let (outcome, ran) = failing_continuation(mem, &layout, VerifierConfig::severifast());
         assert!(matches!(outcome, Err(VerifierError::BadHashPage(_))));
@@ -570,11 +563,11 @@ mod tests {
         let (mut mem, layout) = prepare(
             &staged,
             &initrd,
-            KernelHashes::FwCfg {
+            KernelHashes::FwCfg(FwCfgDigests {
                 ehdr: sevf_crypto::sha256(&ehdr),
                 phdrs: sevf_crypto::sha256(&phdrs),
                 segments: sevf_crypto::sha256(&segs),
-            },
+            }),
         );
         let config = VerifierConfig {
             kind: KernelKind::Vmlinux,

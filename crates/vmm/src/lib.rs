@@ -27,10 +27,8 @@ pub mod boot_params;
 pub mod cmdline;
 pub mod concurrent;
 pub mod config;
-pub mod devices;
 pub mod footprint;
 pub mod guest_kernel;
-pub mod hashes_file;
 pub mod machine;
 pub mod mptable;
 pub mod report;

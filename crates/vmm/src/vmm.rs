@@ -12,7 +12,7 @@ use sevf_sim::cost::{SevGeneration, Step, Work};
 use sevf_sim::rng::{Jitter, XorShift64};
 use sevf_sim::{CostModel, EventChannel, Nanos, PhaseKind, Timeline};
 use sevf_verifier::binary::{VerifierBinary, VerifierFeatures};
-use sevf_verifier::hashes::HashPage;
+use sevf_verifier::hashes::{HashPage, KernelHashes};
 use sevf_verifier::layout::{
     GuestLayout, BOOT_PARAMS_ADDR, CMDLINE_ADDR, HASH_PAGE_ADDR, MPTABLE_ADDR, VERIFIER_ADDR,
 };
@@ -23,7 +23,6 @@ use crate::boot_params::BootParams;
 use crate::cmdline;
 use crate::config::{BootPolicy, KaslrMode, LaunchMode, VmConfig};
 use crate::guest_kernel::{self, GuestBootError, LoaderStage};
-use crate::hashes_file;
 use crate::machine::Machine;
 use crate::mptable;
 use crate::report::{BootOutcome, BootReport};
@@ -81,6 +80,20 @@ from_err!(Verifier, VerifierError);
 from_err!(Guest, GuestBootError);
 from_err!(Attest, AttestError);
 from_err!(Image, ImageError);
+
+/// The channel of a timing mark made before the guest kernel installs its
+/// #VC handler (§6.1). Under SEV-ES/SNP an `outb` to the debug port would
+/// take a #VC nothing can handle yet, so the mark is a magic value written
+/// to the GHCB MSR, which the VMM always intercepts; plain SEV has no GHCB
+/// and its port writes exit to the VMM directly. Later marks (`init`,
+/// `attested`) always use the debug port.
+fn early_channel(generation: SevGeneration) -> EventChannel {
+    if generation.encrypts_vmsa() {
+        EventChannel::GhcbMsr
+    } else {
+        EventChannel::DebugPort
+    }
+}
 
 /// A configured microVM, ready to boot on a [`Machine`].
 #[derive(Debug, Clone)]
@@ -143,25 +156,31 @@ impl MicroVm {
 
     /// The one derivation behind every boot and the §4.2 tools below. The
     /// kernel and initrd digests in the hash page travel with the images
-    /// (§4.3): nothing here reads a component's bytes.
+    /// (§4.3): nothing here reads a component's bytes. The page is covered
+    /// by the launch measurement and the guest re-hashes what was staged
+    /// against it, so a wrong digest refuses the boot or fails attestation.
     fn artifacts(&self) -> Result<Artifacts, VmmError> {
         let policy = self.config.policy;
         let image = self.config.kernel.build();
         let initrd =
             sevf_image::initrd::staged_initrd(self.config.initrd_size, self.config.initrd_codec);
-        let (kernel_bytes, hash_page) = match policy {
+        let (kernel_bytes, kernel_hashes) = match policy {
             BootPolicy::Severifast | BootPolicy::QemuOvmf => {
                 let bz = image.hashed_bzimage(self.config.kernel_codec);
-                let page = hashes_file::whole_image(bz.digest(), initrd.digest());
-                (Arc::clone(bz.bytes()), Some(page))
+                let digest = KernelHashes::WholeImage(bz.digest());
+                (Arc::clone(bz.bytes()), Some(digest))
             }
             BootPolicy::SeverifastVmlinux => {
                 let (staged, digests) = image.fw_cfg_staged();
-                (staged, Some(hashes_file::fw_cfg(digests, initrd.digest())))
+                (staged, Some(KernelHashes::FwCfg(digests)))
             }
             // Loaded from the ELF segments; only its length is planned for.
             BootPolicy::StockFirecracker => (image.vmlinux_shared(), None),
         };
+        let hash_page = kernel_hashes.map(|kernel| HashPage {
+            kernel,
+            initrd: initrd.digest(),
+        });
         let layout = GuestLayout::plan_with_expansion(
             self.config.mem_size,
             kernel_bytes.len() as u64,
@@ -386,15 +405,16 @@ impl MicroVm {
         } = launch;
 
         // ---- Enter the guest -------------------------------------------------
-        tl.mark(EventChannel::GhcbMsr, "guest-entry");
+        let early = early_channel(self.config.generation);
+        tl.mark(early, "guest-entry");
         let (steps, loader, entry) = self.enter_guest(&mut mem, &artifacts, machine)?;
         tl.place(steps, &mut jitter);
-        tl.mark(EventChannel::GhcbMsr, "boot-verification-done");
+        tl.mark(early, "boot-verification-done");
 
         // ---- Bootstrap loader (bzImage policies) ------------------------------
         if let Some(loader) = loader {
             tl.place(loader.steps, &mut jitter);
-            tl.mark(EventChannel::DebugPort, "bootstrap-loader-done");
+            tl.mark(early, "bootstrap-loader-done");
         }
 
         // ---- Linux boot ---------------------------------------------------------
@@ -685,9 +705,7 @@ impl MicroVm {
         mem.host_write(layout.initrd_dest, &artifacts.initrd_bytes)?;
 
         // 2. Set up the data structures Linux needs.
-        let mut layout_for_bp = layout.clone();
-        layout_for_bp.initrd_size = artifacts.initrd_bytes.len() as u64;
-        let bp = BootParams::build(&self.config, &layout_for_bp);
+        let bp = BootParams::build(&self.config, layout);
         mem.host_write(BOOT_PARAMS_ADDR, &bp.to_page())?;
         mem.host_write(MPTABLE_ADDR, &mptable::build(self.config.vcpus))?;
         mem.host_write(CMDLINE_ADDR, &cmdline::to_page(&cmdline::default_cmdline()))?;
@@ -745,8 +763,7 @@ mod tests {
     use sevf_codec::Codec;
     use sevf_crypto::sha256;
     use sevf_image::elf::{EHDR_SIZE, PHDR_SIZE};
-    use sevf_image::kernel::KernelConfig;
-    use sevf_verifier::hashes::KernelHashes;
+    use sevf_image::kernel::{FwCfgDigests, KernelConfig};
 
     fn machine() -> Machine {
         Machine::new(1)
@@ -838,11 +855,11 @@ mod tests {
             let fresh = HashPage {
                 kernel: if policy == BootPolicy::SeverifastVmlinux {
                     let phdrs_end = EHDR_SIZE + artifacts.image.elf().segments.len() * PHDR_SIZE;
-                    KernelHashes::FwCfg {
+                    KernelHashes::FwCfg(FwCfgDigests {
                         ehdr: sha256(&kernel[..EHDR_SIZE]),
                         phdrs: sha256(&kernel[EHDR_SIZE..phdrs_end]),
                         segments: sha256(&kernel[phdrs_end..]),
-                    }
+                    })
                 } else {
                     KernelHashes::WholeImage(sha256(kernel))
                 },
@@ -923,10 +940,43 @@ mod tests {
         ] {
             assert!(report.phase(phase) > Nanos::ZERO, "missing phase {phase}");
         }
-        // Instrumentation events reached the VMM through both channels.
-        let events = report.timeline.events();
-        assert!(events.iter().any(|e| e.channel == EventChannel::GhcbMsr));
-        assert!(events.iter().any(|e| e.channel == EventChannel::DebugPort));
+    }
+
+    #[test]
+    fn marks_take_the_channel_the_generation_allows() {
+        // Before the kernel's #VC handler, SEV-ES/SNP guests mark through
+        // the GHCB MSR; plain SEV and every later mark use the debug port.
+        // A stock boot has no verifier or loader, so makes no early mark.
+        use EventChannel::{DebugPort as Port, GhcbMsr as Msr};
+        let tags = [
+            "guest-entry",
+            "boot-verification-done",
+            "bootstrap-loader-done",
+            "init",
+            "attested",
+        ];
+        let encrypted_vmsa = [Some(Msr), Some(Msr), Some(Msr), Some(Port), Some(Port)];
+        for (generation, expected) in [
+            (SevGeneration::Sev, [Some(Port); 5]),
+            (SevGeneration::SevEs, encrypted_vmsa),
+            (SevGeneration::SevSnp, encrypted_vmsa),
+            (SevGeneration::None, [None, None, None, Some(Port), None]),
+        ] {
+            let mut m = machine();
+            let report = if generation.is_sev() {
+                m.owner.set_required_generation(generation);
+                let mut config = VmConfig::test_tiny(BootPolicy::Severifast);
+                config.generation = generation;
+                let vm = MicroVm::new(config).unwrap();
+                vm.register_expected(&mut m).unwrap();
+                vm.boot(&mut m).unwrap()
+            } else {
+                booted(BootPolicy::StockFirecracker)
+            };
+            let events = report.timeline.events();
+            let channel = |tag| events.iter().find(|e| e.tag == tag).map(|e| e.channel);
+            assert_eq!(tags.map(channel), expected, "{}", generation.name());
+        }
     }
 
     #[test]
