@@ -159,12 +159,12 @@ pub struct AttPlane {
 
 impl AttPlane {
     /// A plane for `hosts` hosts, deriving each host's chip identity from
-    /// the config seed (the manufacturing-fuse model) and registering it
+    /// [`AttPlaneConfig::SEED`] (the manufacturing-fuse model) and registering it
     /// with the plane's root-of-trust registry.
     pub fn new(config: AttPlaneConfig, hosts: usize) -> Result<Self, AttPlaneError> {
         let chips = (0..hosts)
             .map(|h| {
-                let mut seed = config.seed.to_le_bytes().to_vec();
+                let mut seed = AttPlaneConfig::SEED.to_le_bytes().to_vec();
                 seed.extend_from_slice(&(h as u64).to_le_bytes());
                 ChipIdentity::from_seed(&seed)
             })
@@ -188,7 +188,7 @@ impl AttPlane {
         }
         let hosts = ids.len();
         Ok(AttPlane {
-            cache: CertCache::new(config.cache_ttl),
+            cache: CertCache::new(AttPlaneConfig::CACHE_TTL),
             config,
             registry,
             chips: ids,
@@ -352,30 +352,30 @@ impl AttPlane {
                 self.metrics.expired += 1;
             }
             self.metrics.cert_fetches += 1;
-            steps.push(self.step(STEP_CERT_FETCH, self.config.cert_fetch));
-            service += self.config.cert_fetch;
+            steps.push(self.step(STEP_CERT_FETCH, AttPlaneConfig::CERT_FETCH));
+            service += AttPlaneConfig::CERT_FETCH;
             if self.config.mode != VerifyMode::Naive {
                 self.cache.insert(key, start);
             }
         }
 
         if self.config.mode == VerifyMode::CachedBatched {
-            let epoch = start.as_nanos() / self.config.batch_window.as_nanos();
+            let epoch = start.as_nanos() / AttPlaneConfig::BATCH_WINDOW.as_nanos();
             if self.batch_epoch == Some(epoch) {
                 self.metrics.batch_joins += 1;
                 steps.push(self.step(STEP_BATCH_JOIN, Nanos::ZERO));
             } else {
                 self.batch_epoch = Some(epoch);
                 self.metrics.batch_setups += 1;
-                steps.push(self.step(STEP_BATCH_SETUP, self.config.batch_setup));
-                service += self.config.batch_setup;
+                steps.push(self.step(STEP_BATCH_SETUP, AttPlaneConfig::BATCH_SETUP));
+                service += AttPlaneConfig::BATCH_SETUP;
             }
-            steps.push(self.step(STEP_VERIFY, self.config.sig_check));
-            service += self.config.sig_check;
+            steps.push(self.step(STEP_VERIFY, AttPlaneConfig::SIG_CHECK));
+            service += AttPlaneConfig::SIG_CHECK;
         } else {
             // Unbatched: every report pays its own context setup, folded
             // into the verify step.
-            let check = self.config.batch_setup + self.config.sig_check;
+            let check = AttPlaneConfig::BATCH_SETUP + AttPlaneConfig::SIG_CHECK;
             steps.push(self.step(STEP_VERIFY, check));
             service += check;
         }
@@ -467,6 +467,10 @@ mod tests {
         Nanos::from_millis(v)
     }
 
+    fn secs(v: u64) -> Nanos {
+        Nanos::from_secs(v)
+    }
+
     #[test]
     fn naive_pays_full_pipeline_every_time() {
         let mut plane = AttPlane::new(AttPlaneConfig::naive(), 2).unwrap();
@@ -501,9 +505,7 @@ mod tests {
 
     #[test]
     fn batched_mode_shares_setup_within_a_window() {
-        let mut cfg = AttPlaneConfig::cached_batched();
-        cfg.batch_window = ms(10);
-        let mut plane = AttPlane::new(cfg, 1).unwrap();
+        let mut plane = AttPlane::new(AttPlaneConfig::cached_batched(), 1).unwrap();
         // Prime the cache so only batching differs.
         plane.verify_launch(0, Nanos::ZERO).unwrap();
         // Three verifications land in one window: one setup, two joins.
@@ -579,12 +581,10 @@ mod tests {
 
     #[test]
     fn ttl_expiry_forces_refetch_monotonically() {
-        let mut cfg = AttPlaneConfig::cached();
-        cfg.cache_ttl = ms(30);
-        let mut plane = AttPlane::new(cfg, 1).unwrap();
+        let mut plane = AttPlane::new(AttPlaneConfig::cached(), 1).unwrap();
         plane.verify_launch(0, Nanos::ZERO).unwrap();
-        plane.verify_launch(0, ms(20)).unwrap(); // within TTL: hit
-        plane.verify_launch(0, ms(60)).unwrap(); // lapsed: expired + refetch
+        plane.verify_launch(0, secs(40)).unwrap(); // within the 60 s TTL: hit
+        plane.verify_launch(0, secs(120)).unwrap(); // lapsed: expired + refetch
         let m = plane.metrics();
         assert_eq!(m.cert_hits, 1);
         assert_eq!(m.cert_fetches, 2);
@@ -658,32 +658,31 @@ mod tests {
     #[test]
     fn fail_open_serves_stale_within_budget_and_reverifies_on_heal() {
         let mut cfg = AttPlaneConfig::cached();
-        cfg.cache_ttl = ms(30);
         cfg.degrade = FailMode::Open {
-            staleness_budget: ms(40),
+            staleness_budget: secs(40),
         };
         let mut plane = AttPlane::new(cfg, 2).unwrap();
         plane.verify_launch(0, Nanos::ZERO).unwrap();
         plane.set_reachable(false);
-        // Past the TTL but inside the budget: served stale.
-        let v = plane.verify_launch(0, ms(50)).unwrap();
+        // Past the 60 s TTL but inside the budget: served stale.
+        let v = plane.verify_launch(0, secs(80)).unwrap();
         assert!(v.verdict.is_ok());
         assert_eq!(v.steps.last().unwrap().label, STEP_STALE_HIT);
         // Host 1 was never verified: nothing to go stale on.
         assert_eq!(
-            plane.verify_launch(1, ms(51)).unwrap().verdict,
+            plane.verify_launch(1, secs(81)).unwrap().verdict,
             Verdict::Unavailable
         );
         // Past ttl + budget even host 0 is refused.
         assert_eq!(
-            plane.verify_launch(0, ms(80)).unwrap().verdict,
+            plane.verify_launch(0, secs(110)).unwrap().verdict,
             Verdict::Unavailable
         );
         // Heal: the stale-served host is forced down the full fetch path
         // even though its entry would still probe fresh after re-insert.
         plane.set_reachable(true);
         let fetches = plane.metrics().cert_fetches;
-        assert!(plane.verify_launch(0, ms(90)).unwrap().verdict.is_ok());
+        assert!(plane.verify_launch(0, secs(120)).unwrap().verdict.is_ok());
         let m = plane.metrics();
         assert_eq!(m.cert_fetches, fetches + 1, "heal forces a refetch");
         assert_eq!(m.reverifies, 1);

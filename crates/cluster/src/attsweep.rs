@@ -37,11 +37,9 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, RevocationDrill, TcbRollout};
 use crate::ClusterError;
 
-/// Seed for catalog machines, arrivals, placement, and chips.
+/// Seed for catalog machines, arrivals and placement. Chip identities
+/// come from [`AttPlaneConfig::SEED`].
 pub const SEED: u64 = 0x5EF0;
-
-/// Verifier cost model; each arm overrides only `mode`.
-pub const VERIFIER: AttPlaneConfig = AttPlaneConfig::cached_batched();
 
 /// Knobs of one attestation sweep.
 #[derive(Debug, Clone)]
@@ -161,10 +159,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
     for &load in &cfg.loads_rps {
         for mode in modes {
             let mut config = base_config(cfg, load, cfg.requests);
-            config.attestation = mode.map(|m| AttPlaneConfig {
-                mode: m,
-                ..VERIFIER
-            });
+            config.attestation = mode.map(AttPlaneConfig::verifier);
             let report = ClusterService::new(catalog.clone(), config)?.run();
             cells.push(SweepCell::new("load", mode_name(mode), report));
         }
@@ -177,7 +172,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
         VerifyMode::CachedBatched,
     ] {
         let mut config = base_config(cfg, cfg.storm_rps, cfg.storm_requests);
-        config.attestation = Some(AttPlaneConfig { mode, ..VERIFIER });
+        config.attestation = Some(AttPlaneConfig::verifier(mode));
         config.tcb_rollout = Some(cfg.rollout);
         let report = ClusterService::new(catalog.clone(), config)?.run();
         cells.push(SweepCell::new("storm", mode.name(), report));
@@ -185,10 +180,7 @@ pub fn att_sweep(cfg: &AttSweepConfig) -> Result<Vec<SweepCell>, ClusterError> {
 
     // Arm 3: the key-compromise drill under the full control plane.
     let mut config = base_config(cfg, cfg.storm_rps, cfg.storm_requests);
-    config.attestation = Some(AttPlaneConfig {
-        mode: VerifyMode::CachedBatched,
-        ..VERIFIER
-    });
+    config.attestation = Some(AttPlaneConfig::cached_batched());
     config.revocation = Some(cfg.drill);
     let report = ClusterService::new(catalog, config)?.run();
     let mode = VerifyMode::CachedBatched.name();

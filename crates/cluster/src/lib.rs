@@ -186,24 +186,19 @@ mod tests {
 
     #[test]
     fn cluster_error_chains_to_its_net_source() {
-        let err = ClusterError::from(sevf_net::NetError::from(
-            sevf_net::DetectorError::WindowZero,
-        ));
+        let err = ClusterError::from(sevf_net::NetError::from(sevf_net::LeaseError::DurationZero));
         assert!(err.to_string().contains("network model"));
         let source = err.source().expect("net errors carry their source");
-        assert!(
-            source.source().is_some(),
-            "NetError chains to DetectorError"
-        );
+        assert!(source.source().is_some(), "NetError chains to LeaseError");
     }
 
     #[test]
     fn cluster_error_chains_to_its_attplane_source() {
         let err = ClusterError::from(sevf_attplane::AttPlaneError::Config(
-            "cache_ttl must be > 0",
+            "fail-open staleness budget must be positive",
         ));
         assert!(err.to_string().contains("attestation plane"));
         let source = err.source().expect("attplane errors carry their source");
-        assert!(source.to_string().contains("cache_ttl"));
+        assert!(source.to_string().contains("staleness budget"));
     }
 }

@@ -39,28 +39,22 @@ pub(crate) struct Membership {
 impl Membership {
     /// Opens the ledger (the first `config.hosts` hosts are live from time
     /// zero) and seeds the layer's schedule: per host, its fault domain's
-    /// PSP resets and warm crashes (the serving core's own markers) and
-    /// whole-host outage windows; then the scheduled outages, membership
-    /// events, the staggered TCB rollout, and the revocation drill.
+    /// PSP resets and warm crashes (the serving core's own markers); then
+    /// the scheduled outages, membership events, the staggered TCB
+    /// rollout, and the revocation drill.
     pub(crate) fn new(
         config: &ClusterConfig,
         hosts: &[Host],
         front: &mut Front<'_, JobKind>,
         jobs: &mut Vec<Job>,
     ) -> Self {
-        let outage = |front: &mut Front<'_, JobKind>, jobs: &mut Vec<Job>, host, start, end| {
-            let departure = false;
-            front.mark(jobs, start, MemberJob::HostDown { host, departure });
-            front.mark(jobs, end, MemberJob::HostUp { host, departure });
-        };
         for h in hosts {
             h.seed_faults(front, jobs);
-            for window in h.plan.iter().flat_map(|p| p.host_outages()) {
-                outage(front, jobs, h.id, window.start, window.end);
-            }
         }
         for o in &config.outages {
-            outage(front, jobs, o.host, o.start, o.end);
+            let (host, departure) = (o.host, false);
+            front.mark(jobs, o.start, MemberJob::HostDown { host, departure });
+            front.mark(jobs, o.end, MemberJob::HostUp { host, departure });
         }
         for event in &config.events {
             let (host, departure) = (event.host, true);

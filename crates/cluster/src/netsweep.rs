@@ -42,7 +42,8 @@ use crate::placement::PlacementPolicy;
 use crate::service::{ClusterConfig, ClusterService, TcbRollout};
 use crate::ClusterError;
 
-/// Seed for catalog machines, arrivals, placement, chips, and links.
+/// Seed for catalog machines, arrivals, placement, and links. Chip
+/// identities come from [`AttPlaneConfig::SEED`].
 pub const SEED: u64 = 0x4E37;
 
 /// Latency/jitter/loss model shared by every link.
@@ -155,7 +156,7 @@ fn net_for(cfg: &NetSweepConfig, partitions: Vec<Partition>, resilient: bool) ->
         horizon: cfg.horizon,
         dispatch_timeout: DISPATCH_TIMEOUT,
         heartbeat_every: HEARTBEAT_EVERY,
-        detector: resilient.then_some(DetectorConfig::default()),
+        detector: resilient.then_some(DetectorConfig),
         lease: resilient.then_some(LEASE),
     }
 }

@@ -132,8 +132,8 @@ impl ScaleSweepConfig {
     }
 
     /// The autoscaler the elastic arms run, differing only in policy. The
-    /// reactive thresholds are a per-host backlog of 3 to scale out and
-    /// 0.5 to scale in.
+    /// reactive thresholds are [`sevf_scale::autoscaler::BACKLOG_OUT`] and
+    /// [`sevf_scale::autoscaler::BACKLOG_IN`].
     pub fn scaler(&self, policy: ScalePolicy) -> AutoscalerConfig {
         AutoscalerConfig {
             min_hosts: self.min_hosts,
@@ -142,8 +142,6 @@ impl ScaleSweepConfig {
             tick: self.tick,
             cooldown: self.cooldown,
             host_rps: self.host_rps,
-            backlog_out: 3.0,
-            backlog_in: 0.5,
             warm_budget: self.warm_budget,
         }
     }

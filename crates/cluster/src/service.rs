@@ -17,11 +17,10 @@
 //! adding a layer is one module plus one arm:
 //!
 //! * `member` — **whole-host outages** (scheduled
-//!   [`ClusterConfig::outages`], or drawn from each host's fault domain via
-//!   [`sevf_sim::fault::FaultConfig::host_outage_period`]): the host's
-//!   in-flight launches are poisoned ([`FaultKind::HostOutage`]), its warm
-//!   pool crashes, its template cache dies, and its queued requests **fail
-//!   over** — they re-enter the router and land on surviving hosts. Under
+//!   [`ClusterConfig::outages`]): the host's in-flight launches are
+//!   poisoned ([`FaultKind::HostOutage`]), its warm pool crashes, its
+//!   template cache dies, and its queued requests **fail over** — they
+//!   re-enter the router and land on surviving hosts. Under
 //!   template-affinity placement the dead host's classes get a new ring
 //!   owner, which must re-measure them — the §6.2 trust argument exercised
 //!   *across machines*. Also graceful **membership** changes

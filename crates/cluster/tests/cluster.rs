@@ -176,11 +176,8 @@ fn graceful_leave_drains_without_poisoning() {
 
 #[test]
 fn per_host_fault_domains_stay_decorrelated() {
-    let mut fault = FaultConfig::storm();
-    fault.host_outage_period = Some(Nanos::from_secs(1));
-    fault.host_outage_length = Nanos::from_millis(200);
     let config = ClusterConfig {
-        fault: Some(fault),
+        fault: Some(FaultConfig::storm()),
         fault_horizon: Nanos::from_secs(4),
         recovery: RecoveryConfig::resilient(3),
         ..base(3, ServingTier::Template)
@@ -335,7 +332,7 @@ fn split_brain_conserves_with_zero_double_counted_completions() {
             horizon: Nanos::from_secs(20),
             dispatch_timeout: Nanos::from_millis(50),
             heartbeat_every: Nanos::from_millis(50),
-            detector: Some(DetectorConfig::default()),
+            detector: Some(DetectorConfig),
             lease: Some(LeaseConfig {
                 duration: Nanos::from_millis(300),
                 renew_every: Nanos::from_millis(100),
@@ -390,8 +387,48 @@ fn invalid_configs_are_rejected_with_chained_errors() {
         ClusterError::Config("max_inflight must be at least 1")
     ));
 
+    // Fail-open with no staleness budget would be fail-open forever.
+    let mut att = sevf_attplane::AttPlaneConfig::cached();
+    att.degrade = sevf_attplane::FailMode::Open {
+        staleness_budget: Nanos::ZERO,
+    };
+    let no_budget = ClusterConfig {
+        attestation: Some(att),
+        ..base(1, ServingTier::Cold)
+    };
+    let err = ClusterService::new(catalog(), no_budget).unwrap_err();
+    assert!(matches!(err, ClusterError::AttPlane(_)));
+    assert!(err.source().unwrap().to_string().contains("budget"));
+
     let from_fleet = ClusterError::from(sevf_fleet::FleetError::NoClasses);
     assert!(from_fleet.source().is_some());
+}
+
+#[test]
+fn one_host_verifier_latency_rides_the_launch() {
+    use sevf_attplane::AttPlaneConfig;
+    let attested = |att: Option<AttPlaneConfig>| {
+        run(ClusterConfig {
+            attestation: att,
+            ..ClusterConfig::open_loop(1, ServingTier::Template, 40.0, 60)
+        })
+    };
+    let cached = attested(Some(AttPlaneConfig::cached()));
+    assert!(cached.metrics.conserved());
+    let att = cached.attestation.expect("plane configured");
+    assert!(att.verifications > 0);
+    assert!(att.cert_hits > 0, "one chip should mostly hit");
+
+    // The naive arm pays the full KDS fetch per dispatch and must be
+    // slower end-to-end than no verifier at all.
+    let naive = attested(Some(AttPlaneConfig::naive()));
+    assert!(naive.metrics.conserved());
+    let mean = |r: &ClusterReport| {
+        let l = &r.metrics.latencies_ms;
+        l.iter().sum::<f64>() / l.len() as f64
+    };
+    assert!(mean(&naive) > mean(&attested(None)));
+    assert!(naive.attestation.unwrap().cert_fetches >= att.cert_fetches);
 }
 
 #[test]

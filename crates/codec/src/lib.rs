@@ -42,6 +42,9 @@ pub mod lzss;
 
 use std::fmt;
 
+/// Magic of the stored ([`Codec::None`]) container.
+const STORED_MAGIC: &[u8; 4] = b"SVST";
+
 /// Errors produced when decoding a compressed stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -124,7 +127,7 @@ impl Codec {
         match self {
             Codec::None => {
                 let mut out = Vec::with_capacity(data.len() + 13);
-                out.extend_from_slice(b"SVST");
+                out.extend_from_slice(STORED_MAGIC);
                 out.extend_from_slice(&(data.len() as u64).to_le_bytes());
                 out.extend_from_slice(data);
                 out
@@ -132,6 +135,24 @@ impl Codec {
             Codec::Lz4 => lz4::compress(data),
             Codec::Deflate => lzh::compress(data, lzh::DEFLATE_WINDOW_LOG),
             Codec::Zstd => lzh::compress(data, lzh::ZSTD_WINDOW_LOG),
+        }
+    }
+
+    /// The codec whose container `bytes` is, or `None` for bytes in no
+    /// container (a raw CPIO archive, say).
+    pub fn detect(bytes: &[u8]) -> Option<Codec> {
+        if bytes.len() < 6 {
+            return None;
+        }
+        match &bytes[..4] {
+            m if m == STORED_MAGIC => Some(Codec::None),
+            m if m == lz4::MAGIC => Some(Codec::Lz4),
+            // The window-log byte tells the two LZH profiles apart.
+            m if m == lzh::MAGIC && u32::from(bytes[4]) >= lzh::ZSTD_WINDOW_LOG => {
+                Some(Codec::Zstd)
+            }
+            m if m == lzh::MAGIC => Some(Codec::Deflate),
+            _ => None,
         }
     }
 
@@ -144,7 +165,7 @@ impl Codec {
     pub fn decompress(self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         match self {
             Codec::None => {
-                if data.len() < 12 || &data[..4] != b"SVST" {
+                if data.len() < 12 || &data[..4] != STORED_MAGIC {
                     return Err(CodecError::BadMagic);
                 }
                 let len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
@@ -227,6 +248,18 @@ mod tests {
             zstd <= deflate + deflate / 50,
             "zstd {zstd} vs deflate {deflate}"
         );
+    }
+
+    #[test]
+    fn detect_names_the_codec_of_each_container() {
+        let data = sample();
+        for codec in Codec::ALL {
+            assert_eq!(Codec::detect(&codec.compress(&data)), Some(codec));
+        }
+        // A raw newc CPIO archive starts with its own magic, in no container.
+        let cpio = [b"070701".as_slice(), &[b'0'; 104]].concat();
+        assert_eq!(Codec::detect(&cpio), None);
+        assert_eq!(Codec::detect(&Codec::Lz4.compress(&data)[..5]), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::CodecError;
 
-const MAGIC: &[u8; 4] = b"SVL4";
+pub(crate) const MAGIC: &[u8; 4] = b"SVL4";
 const MIN_MATCH: usize = 4;
 /// Spec: matches must not start within the last 12 bytes of input.
 const MF_LIMIT: usize = 12;

@@ -28,7 +28,7 @@ pub const DEFLATE_WINDOW_LOG: u32 = 15;
 /// Window log for the zstd-class configuration (1 MiB).
 pub const ZSTD_WINDOW_LOG: u32 = 20;
 
-const MAGIC: &[u8; 4] = b"SVLZ";
+pub(crate) const MAGIC: &[u8; 4] = b"SVLZ";
 /// Literal alphabet: 0..=255 literals, 256 end-of-block, then length buckets.
 const EOB: usize = 256;
 

@@ -126,8 +126,6 @@ pub fn serving_sweep(cfg: &SweepConfig) -> Result<SweepReport, FleetError> {
                 warm_target: cfg.warm_target,
                 fault: None,
                 recovery: crate::recovery::RecoveryConfig::none(),
-                attestation: None,
-                policy: None,
             };
             reports.push(FleetService::new(catalog.clone(), config).run());
         }

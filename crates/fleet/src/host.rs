@@ -173,7 +173,7 @@ impl Host {
                 .knobs
                 .recovery
                 .breaker
-                .map(|b| vec![CircuitBreaker::new(b); classes.len()]),
+                .then(|| vec![CircuitBreaker::new(); classes.len()]),
             ledger: BTreeMap::new(),
             launch_seq: 0,
         }

@@ -74,7 +74,7 @@ pub use front::{Front, ServeJob, Serving};
 pub use host::{apply_launch_faults, Host};
 pub use metrics::{FaultCounters, FleetMetrics};
 pub use pool::WarmPool;
-pub use recovery::{BreakerConfig, CircuitBreaker, RecoveryConfig, RetryPolicy};
+pub use recovery::{CircuitBreaker, RecoveryConfig, RetryPolicy};
 pub use service::{FleetConfig, FleetReport, FleetService, ServingTier};
 pub use workload::{Arrival, RequestMix};
 
@@ -91,12 +91,6 @@ pub enum FleetError {
     FaultPlan(&'static str),
     /// A recovery configuration failed validation.
     Recovery(&'static str),
-    /// The attestation control plane rejected its configuration.
-    AttPlane(sevf_attplane::AttPlaneError),
-    /// The verifier network link rejected its configuration.
-    Net(sevf_net::NetError),
-    /// The multi-tenant policy engine rejected its configuration.
-    Policy(sevf_policy::PolicyError),
 }
 
 impl std::fmt::Display for FleetError {
@@ -107,9 +101,6 @@ impl std::fmt::Display for FleetError {
             FleetError::NoClasses => write!(f, "catalog needs at least one request class"),
             FleetError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             FleetError::Recovery(e) => write!(f, "invalid recovery config: {e}"),
-            FleetError::AttPlane(e) => write!(f, "attestation plane failed: {e}"),
-            FleetError::Net(e) => write!(f, "verifier link failed: {e}"),
-            FleetError::Policy(e) => write!(f, "policy engine failed: {e}"),
         }
     }
 }
@@ -118,9 +109,6 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Boot(e) => Some(e),
-            FleetError::AttPlane(e) => Some(e),
-            FleetError::Net(e) => Some(e),
-            FleetError::Policy(e) => Some(e),
             FleetError::Config(_)
             | FleetError::NoClasses
             | FleetError::FaultPlan(_)
@@ -135,30 +123,12 @@ impl From<sevf_vmm::VmmError> for FleetError {
     }
 }
 
-impl From<sevf_attplane::AttPlaneError> for FleetError {
-    fn from(e: sevf_attplane::AttPlaneError) -> Self {
-        FleetError::AttPlane(e)
-    }
-}
-
-impl From<sevf_net::NetError> for FleetError {
-    fn from(e: sevf_net::NetError) -> Self {
-        FleetError::Net(e)
-    }
-}
-
-impl From<sevf_policy::PolicyError> for FleetError {
-    fn from(e: sevf_policy::PolicyError) -> Self {
-        FleetError::Policy(e)
-    }
-}
-
 /// The common imports for working with the fleet control plane.
 pub mod prelude {
     pub use crate::admission::AdmissionConfig;
     pub use crate::blueprint::{Catalog, ClassSpec};
     pub use crate::chaos::{chaos_sweep, ChaosConfig, ChaosReport};
-    pub use crate::recovery::{BreakerConfig, RecoveryConfig, RetryPolicy};
+    pub use crate::recovery::{RecoveryConfig, RetryPolicy};
     pub use crate::service::{FleetConfig, FleetReport, FleetService, ServingTier};
     pub use crate::workload::{Arrival, RequestMix};
     pub use crate::FleetError;
@@ -169,24 +139,6 @@ pub mod prelude {
 mod tests {
     use super::*;
     use std::error::Error;
-
-    #[test]
-    fn attplane_errors_chain_their_source() {
-        let inner = sevf_attplane::AttPlaneError::Config("sig_check must be positive");
-        let outer = FleetError::from(inner);
-        let source = outer.source().expect("AttPlane must expose its cause");
-        assert!(source.to_string().contains("sig_check"));
-        assert!(outer.to_string().contains("attestation plane"));
-    }
-
-    #[test]
-    fn net_errors_chain_their_source() {
-        let inner = sevf_net::NetError::from(sevf_net::LeaseError::DurationZero);
-        let outer = FleetError::from(inner);
-        let source = outer.source().expect("Net must expose its cause");
-        assert!(source.to_string().contains("lease"));
-        assert!(outer.to_string().contains("verifier link"));
-    }
 
     #[test]
     fn boot_errors_chain_their_source() {

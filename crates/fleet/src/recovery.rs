@@ -105,32 +105,13 @@ impl RetryPolicy {
     }
 }
 
-/// Circuit-breaker knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures of a class that trip the breaker one level.
-    pub threshold: u32,
-    /// How long a trip holds before a success may heal a level.
-    pub cooldown: Nanos,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 3,
-            cooldown: Nanos::from_millis(500),
-        }
-    }
-}
-
 /// Per-class circuit breaker driving the degradation ladder.
 ///
 /// `level` counts how many serving tiers the class has fallen: 0 is the
 /// configured tier, each trip adds one (warm → template → cold → shed), and
 /// a success observed after the cooldown heals one level.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     consecutive: u32,
     level: usize,
     open_until: Nanos,
@@ -138,15 +119,14 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
+    /// Consecutive failures of a class that trip the breaker one level.
+    pub const THRESHOLD: u32 = 3;
+    /// How long a trip holds before a success may heal a level.
+    pub const COOLDOWN: Nanos = Nanos::from_millis(500);
+
     /// A closed breaker at level 0.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            consecutive: 0,
-            level: 0,
-            open_until: Nanos::ZERO,
-            trips: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records a failure at `now`; returns `true` when this one tripped the
@@ -162,10 +142,10 @@ impl CircuitBreaker {
             return false;
         }
         self.consecutive += 1;
-        if self.consecutive >= self.config.threshold {
+        if self.consecutive >= Self::THRESHOLD {
             self.consecutive = 0;
             self.level += 1;
-            self.open_until = now + self.config.cooldown;
+            self.open_until = now + Self::COOLDOWN;
             self.trips += 1;
             true
         } else {
@@ -180,7 +160,7 @@ impl CircuitBreaker {
         self.consecutive = 0;
         if self.level > 0 && now >= self.open_until {
             self.level -= 1;
-            self.open_until = now + self.config.cooldown;
+            self.open_until = now + Self::COOLDOWN;
         }
     }
 
@@ -192,7 +172,7 @@ impl CircuitBreaker {
     pub fn heal(&mut self, now: Nanos) {
         while self.level > 0 && now >= self.open_until {
             self.level -= 1;
-            self.open_until += self.config.cooldown;
+            self.open_until += Self::COOLDOWN;
         }
     }
 
@@ -215,8 +195,8 @@ pub struct RecoveryConfig {
     /// Per-request deadline from arrival; past it the request is shed as a
     /// timeout instead of retried or dispatched. `None` = no deadline.
     pub deadline: Option<Nanos>,
-    /// Per-class circuit breaker; `None` disables degradation.
-    pub breaker: Option<BreakerConfig>,
+    /// Per-class [`CircuitBreaker`]s; `false` disables degradation.
+    pub breaker: bool,
     /// Hold PSP-needing dispatches while the PSP is inside a reset outage
     /// (requeue and release at outage end) instead of feeding the dead PSP.
     pub quiesce: bool,
@@ -229,7 +209,7 @@ impl RecoveryConfig {
         RecoveryConfig {
             retry: RetryPolicy::none(),
             deadline: None,
-            breaker: None,
+            breaker: false,
             quiesce: false,
         }
     }
@@ -240,7 +220,7 @@ impl RecoveryConfig {
         RecoveryConfig {
             retry: RetryPolicy::resilient(seed),
             deadline: Some(Nanos::from_secs(10)),
-            breaker: Some(BreakerConfig::default()),
+            breaker: true,
             quiesce: true,
         }
     }
@@ -254,11 +234,6 @@ impl RecoveryConfig {
         self.retry.validate()?;
         if self.deadline == Some(Nanos::ZERO) {
             return Err("deadline must be positive when set");
-        }
-        if let Some(b) = self.breaker {
-            if b.threshold == 0 {
-                return Err("breaker threshold must be at least 1");
-            }
         }
         Ok(())
     }
@@ -349,60 +324,57 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_heals_after_cooldown() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 2,
-            cooldown: Nanos::from_millis(100),
-        });
+        let mut b = CircuitBreaker::new();
         let t0 = Nanos::from_millis(1);
         assert!(!b.on_failure(t0));
-        assert!(b.on_failure(t0), "second consecutive failure trips");
+        assert!(!b.on_failure(t0));
+        assert!(b.on_failure(t0), "third consecutive failure trips");
         assert_eq!(b.level(), 1);
         assert_eq!(b.trips(), 1);
 
-        // Success inside the cooldown clears the streak but does not heal.
+        // Success inside the 500 ms cooldown clears the streak but does not heal.
         b.on_success(Nanos::from_millis(50));
         assert_eq!(b.level(), 1);
 
         // Success after the cooldown heals one level.
-        b.on_success(Nanos::from_millis(200));
+        b.on_success(Nanos::from_millis(600));
         assert_eq!(b.level(), 0);
     }
 
     #[test]
     fn heal_decays_one_level_per_elapsed_cooldown() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 1,
-            cooldown: Nanos::from_millis(100),
-        });
+        let mut b = CircuitBreaker::new();
+        let burst = |b: &mut CircuitBreaker, at: u64| {
+            (0..CircuitBreaker::THRESHOLD)
+                .map(|_| b.on_failure(Nanos::from_millis(at)))
+                .collect::<Vec<_>>()
+        };
         // A failure burst at one instant trips exactly once: while the
         // breaker is open, stragglers from the same fault event are inert.
-        assert!(b.on_failure(Nanos::ZERO));
+        assert_eq!(burst(&mut b, 0), [false, false, true]);
         assert!(!b.on_failure(Nanos::ZERO));
         assert_eq!(b.level(), 1);
 
-        // A failure after the cooldown trips a second rung.
-        assert!(b.on_failure(Nanos::from_millis(100)));
+        // A burst after the 500 ms cooldown trips a second rung.
+        assert_eq!(burst(&mut b, 500), [false, false, true]);
         assert_eq!(b.level(), 2);
 
         // Inside the new cooldown nothing heals — even with no successes.
-        b.heal(Nanos::from_millis(150));
+        b.heal(Nanos::from_millis(750));
         assert_eq!(b.level(), 2);
 
         // One cooldown past the trip: one level back. Two past: fully
         // healed. This is what un-wedges a class that was shedding (and so
         // could never record a success).
-        b.heal(Nanos::from_millis(200));
+        b.heal(Nanos::from_millis(1000));
         assert_eq!(b.level(), 1);
-        b.heal(Nanos::from_millis(450));
+        b.heal(Nanos::from_millis(2250));
         assert_eq!(b.level(), 0);
     }
 
     #[test]
     fn interleaved_failures_do_not_trip_below_threshold() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 3,
-            cooldown: Nanos::from_millis(10),
-        });
+        let mut b = CircuitBreaker::new();
         for i in 0..10u64 {
             assert!(!b.on_failure(Nanos::from_millis(i)));
             b.on_success(Nanos::from_millis(i) + Nanos::from_micros(1));

@@ -4,7 +4,7 @@
 //! one request [`Front`], one [`Host`], and "place on host 0", on top of
 //! [`DesEngine::run_dynamic`]. Arrivals are zero-segment marker jobs whose
 //! completion hands control to the service at the arrival instant; the
-//! front end screens each request (deadline, policy) and the host serves it
+//! front end screens each request (deadline) and the host serves it
 //! — warm pool first (if serving that tier), then admission control — and
 //! injects the chosen launch blueprint as a follow-up job on the PSP/CPU
 //! resources. Everything is seeded and runs on the virtual clock, so a
@@ -42,11 +42,11 @@
 //! [`Front::handle_failure`]'s rule over whatever hosts the driver could
 //! route to, here the one. What differs is the config's shape: a ready
 //! [`FaultPlan`] where the cluster derives one per host from a
-//! `FaultConfig` and a horizon.
+//! `FaultConfig` and a horizon, and no attestation or policy layer (only
+//! the cluster's config carries them).
 
-use sevf_attplane::{AttPlaneConfig, AttPlaneMetrics};
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
-use sevf_policy::{IsolationTier, PolicyConfig, TenantRollup};
+use sevf_policy::IsolationTier;
 use sevf_sim::fault::FaultPlan;
 use sevf_sim::{DesEngine, Job, JobOutcome, Nanos, RunTrace};
 use sevf_vmm::machine::HOST_CORES;
@@ -123,13 +123,6 @@ pub struct FleetConfig {
     pub fault: Option<FaultPlan>,
     /// How the fleet reacts to failures.
     pub recovery: RecoveryConfig,
-    /// Attestation control plane; `None` = no verifier in the path (the
-    /// pre-attestation control plane, byte-identical to older runs).
-    pub attestation: Option<AttPlaneConfig>,
-    /// Multi-tenant policy layer; `None` = the pre-policy control plane,
-    /// byte-identical to older runs (no tenant sampling, no extra RNG
-    /// draws, the plain FIFO bounded queue).
-    pub policy: Option<PolicyConfig>,
 }
 
 impl FleetConfig {
@@ -145,8 +138,6 @@ impl FleetConfig {
             warm_target: 8,
             fault: None,
             recovery: RecoveryConfig::none(),
-            attestation: None,
-            policy: None,
         }
     }
 
@@ -158,19 +149,8 @@ impl FleetConfig {
         }
     }
 
-    /// The isolation tier the substrate provides: SEV-SNP once an
-    /// attestation plane (SNP reports, VCEK chains) is in the path, plain
-    /// SEV otherwise. Policy isolation demands are checked against this.
-    pub fn substrate_isolation(&self) -> IsolationTier {
-        if self.attestation.is_some() {
-            IsolationTier::SevSnp
-        } else {
-            IsolationTier::Sev
-        }
-    }
-
-    /// Checks the mix bound, arrival shape, recovery, attestation, and
-    /// policy knobs against a catalog of `catalog_classes` classes.
+    /// Checks the mix bound, arrival shape, admission and recovery knobs
+    /// against a catalog of `catalog_classes` classes.
     ///
     /// # Errors
     ///
@@ -185,14 +165,7 @@ impl FleetConfig {
         }
         self.arrival.validate().map_err(FleetError::Config)?;
         self.admission.validate().map_err(FleetError::Config)?;
-        self.recovery.validate().map_err(FleetError::Recovery)?;
-        if let Some(att) = &self.attestation {
-            att.validate()?;
-        }
-        if let Some(policy) = &self.policy {
-            policy.validate(catalog_classes)?;
-        }
-        Ok(())
+        self.recovery.validate().map_err(FleetError::Recovery)
     }
 
     /// Checks everything [`FleetConfig::validate`] can without a catalog
@@ -214,8 +187,8 @@ impl FleetConfig {
             seed: self.seed,
             admission: self.admission,
             recovery: &self.recovery,
-            attestation: self.attestation,
-            policy: self.policy.as_ref(),
+            attestation: None,
+            policy: None,
         }
     }
 }
@@ -231,12 +204,6 @@ pub struct FleetReport {
     pub metrics: FleetMetrics,
     /// Memory rent the warm pool held at the end of the run (§7.1).
     pub pool_resident_bytes: u64,
-    /// Attestation-plane counters, when a verifier was configured.
-    pub attestation: Option<AttPlaneMetrics>,
-    /// Per-tenant terminal accounting, when a policy layer was configured.
-    /// The extended conservation invariant holds per row:
-    /// `completed+shed+breaker_sheds+timeouts+failed+rejected == issued`.
-    pub tenants: Option<Vec<TenantRollup>>,
     /// Resource-occupancy trace of the run (for invariant checks).
     pub trace: RunTrace,
 }
@@ -290,8 +257,7 @@ impl FleetService {
         );
         let plan = self.config.fault.take();
         let config = &self.config;
-        let isolation = config.substrate_isolation();
-        let mut front = Front::new(&self.catalog, config.serving(), isolation, 1, rec);
+        let mut front = Front::new(&self.catalog, config.serving(), IsolationTier::Sev, 1, rec);
         let host = Host::new(0, resources, &front, config.warm_target, false, plan);
 
         let mut seed_jobs = Vec::new();
@@ -330,8 +296,6 @@ impl FleetService {
             offered_rps: config.arrival.offered_rps(),
             metrics,
             pool_resident_bytes: host.pool.resident_bytes(),
-            attestation: front.plane.as_ref().map(|p| *p.metrics()),
-            tenants: front.tenant_rollups(),
             trace,
         };
         let log = front.build_log(&engine, &report.trace);
@@ -430,70 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_policy_replays_byte_identically() {
-        use sevf_policy::{PolicySpec, Tenant};
-        // A tag-only policy (FIFO scheduler, no quotas, no posture) must not
-        // perturb a run relative to `None`: tenant sampling draws from its
-        // own salted rng and the bounded queue is untouched.
-        let arm = |policy: Option<PolicyConfig>| {
-            let mut config = FleetConfig::open_loop(ServingTier::Template, 60.0, 80);
-            config.policy = policy;
-            run(config)
-        };
-        let bare = arm(None);
-        let tagged = arm(Some(PolicyConfig::tagged(vec![Tenant::new(
-            "solo",
-            1,
-            PolicySpec::permissive(),
-        )])));
-        assert_eq!(
-            format!("{:?}", bare.metrics),
-            format!("{:?}", tagged.metrics)
-        );
-        assert!(bare.tenants.is_none());
-        let rollup = tagged.tenants.unwrap();
-        assert_eq!(rollup.len(), 1);
-        assert_eq!(rollup[0].metrics.issued, 80);
-        assert!(rollup[0].metrics.conserved());
-    }
-
-    #[test]
-    fn wfq_policy_conserves_per_tenant_and_rejects_over_quota() {
-        use sevf_policy::{PolicySpec, QuotaSpec, SloClass, Tenant};
-        let mut premium_spec = PolicySpec::permissive();
-        premium_spec.weight = 8;
-        let mut batch_spec = PolicySpec::permissive();
-        batch_spec.slo = SloClass::Batch;
-        batch_spec.weight = 1;
-        batch_spec.quota = Some(QuotaSpec {
-            rate_per_sec: 10.0,
-            burst: 4.0,
-        });
-        let mut config = FleetConfig::open_loop(ServingTier::Cold, 120.0, 120);
-        config.policy = Some(PolicyConfig::enforced(vec![
-            Tenant::new("premium", 1, premium_spec),
-            Tenant::new("batch", 3, batch_spec),
-        ]));
-        let report = run(config);
-        let m = &report.metrics;
-        assert_eq!(m.completed + m.lost() as usize, 120);
-        assert!(m.rejected > 0, "quota flood must produce rejects");
-        let rollup = report.tenants.unwrap();
-        let issued: usize = rollup.iter().map(|t| t.metrics.issued).sum();
-        assert_eq!(issued, 120);
-        for t in &rollup {
-            assert!(
-                t.metrics.conserved(),
-                "{} not conserved: {:?}",
-                t.name,
-                t.metrics
-            );
-        }
-        let batch = rollup.iter().find(|t| t.name == "batch").unwrap();
-        assert!(batch.metrics.rejected > 0);
-    }
-
-    #[test]
     fn open_loop_conserves_requests() {
         let report = run(FleetConfig::open_loop(ServingTier::Cold, 30.0, 60));
         let m = &report.metrics;
@@ -517,45 +417,6 @@ mod tests {
         assert_eq!(a.metrics.latencies, b.metrics.latencies);
         assert_eq!(a.metrics.shed, b.metrics.shed);
         assert_eq!(a.metrics.makespan, b.metrics.makespan);
-    }
-
-    #[test]
-    fn attested_runs_conserve_and_are_deterministic() {
-        use sevf_attplane::AttPlaneConfig;
-        let attested = |cfg: AttPlaneConfig| {
-            let mut config = FleetConfig::open_loop(ServingTier::Template, 40.0, 60);
-            config.attestation = Some(cfg);
-            run(config)
-        };
-        let a = attested(AttPlaneConfig::cached());
-        let b = attested(AttPlaneConfig::cached());
-        assert_conserved(&a, 60);
-        assert_eq!(a.metrics.latencies, b.metrics.latencies);
-        assert_eq!(a.attestation, b.attestation);
-        let att = a.attestation.expect("plane configured");
-        assert!(att.verifications > 0);
-        assert!(att.cert_hits > 0, "one chip should mostly hit");
-
-        // The verifier's latency rides the launch: the naive arm pays the
-        // full KDS fetch per dispatch and must be slower end-to-end.
-        let naive = attested(AttPlaneConfig::naive());
-        assert_conserved(&naive, 60);
-        let base = run(FleetConfig::open_loop(ServingTier::Template, 40.0, 60));
-        assert!(naive.metrics.mean_ms() > base.metrics.mean_ms());
-        assert!(naive.attestation.unwrap().cert_fetches >= att.cert_fetches);
-    }
-
-    #[test]
-    fn invalid_attestation_config_is_a_chained_error() {
-        use sevf_attplane::AttPlaneConfig;
-        use std::error::Error;
-        let mut att = AttPlaneConfig::cached();
-        att.cache_ttl = Nanos::ZERO;
-        let mut config = FleetConfig::open_loop(ServingTier::Cold, 10.0, 10);
-        config.attestation = Some(att);
-        let err = config.validated().expect_err("zero TTL must be rejected");
-        assert!(matches!(err, crate::FleetError::AttPlane(_)));
-        assert!(err.source().unwrap().to_string().contains("cache_ttl"));
     }
 
     #[test]

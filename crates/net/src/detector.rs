@@ -3,12 +3,12 @@
 //! The router feeds the detector every heartbeat that survives the lossy
 //! links. Per host it keeps the last arrival instant and a windowed mean
 //! of inter-arrival gaps; a host is *suspected* once the silence since
-//! its last heartbeat exceeds `threshold` mean gaps. That adapts to slow
-//! links the way phi accrual does — a host whose heartbeats consistently
-//! take longer earns a longer allowance — while staying exactly
-//! replayable: state is `Vec`-indexed by host id and the verdict is a
-//! pure function of the arrival history, so it cannot depend on any map
-//! iteration order.
+//! its last heartbeat exceeds [`DetectorConfig::THRESHOLD`] mean gaps.
+//! That adapts to slow links the way phi accrual does — a host whose
+//! heartbeats consistently take longer earns a longer allowance — while
+//! staying exactly replayable: state is `Vec`-indexed by host id and the
+//! verdict is a pure function of the arrival history, so it cannot depend
+//! on any map iteration order.
 //!
 //! Suspicion is a *router belief*, not ground truth: heartbeats lost to
 //! residual link loss can suspect a perfectly live host (false
@@ -16,69 +16,21 @@
 
 use sevf_sim::Nanos;
 
-use crate::NetError;
-
-/// Knobs of the failure detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// How many recent inter-arrival gaps the mean averages over.
-    pub window: usize,
-    /// Suspect after this many mean gaps of silence (≥ 1).
-    pub threshold: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            window: 8,
-            threshold: 3.0,
-        }
-    }
-}
+/// Turns the failure detector on in a [`NetConfig`](crate::NetConfig).
+/// It has no knobs: the window and threshold are its constants.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DetectorConfig;
 
 impl DetectorConfig {
-    /// Checks the knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the specific [`DetectorError`].
-    pub fn validate(&self) -> Result<(), NetError> {
-        if self.window == 0 {
-            return Err(DetectorError::WindowZero.into());
-        }
-        if !self.threshold.is_finite() || self.threshold < 1.0 {
-            return Err(DetectorError::ThresholdTooLow.into());
-        }
-        Ok(())
-    }
+    /// How many recent inter-arrival gaps the mean averages over.
+    pub const WINDOW: usize = 8;
+    /// Suspect after this many mean gaps of silence.
+    pub const THRESHOLD: f64 = 3.0;
 }
-
-/// Why a detector configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorError {
-    /// The gap window must hold at least one sample.
-    WindowZero,
-    /// The suspicion threshold must be a finite multiple ≥ 1.
-    ThresholdTooLow,
-}
-
-impl std::fmt::Display for DetectorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DetectorError::WindowZero => write!(f, "detector window must be positive"),
-            DetectorError::ThresholdTooLow => {
-                write!(f, "detector threshold must be finite and >= 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DetectorError {}
 
 /// Per-host heartbeat history and suspicion verdicts.
 #[derive(Debug, Clone)]
 pub struct PhiDetector {
-    config: DetectorConfig,
     /// Expected gap used before a host has any observed gaps.
     expected: Nanos,
     /// Last heartbeat arrival per host.
@@ -92,9 +44,8 @@ pub struct PhiDetector {
 impl PhiDetector {
     /// A detector for `hosts` hosts that treats every host as having
     /// heartbeated at time zero with the given expected gap.
-    pub fn new(hosts: usize, config: DetectorConfig, expected_gap: Nanos) -> Self {
+    pub fn new(hosts: usize, _: DetectorConfig, expected_gap: Nanos) -> Self {
         PhiDetector {
-            config,
             expected: expected_gap,
             last: vec![Nanos::ZERO; hosts],
             gaps: vec![Vec::new(); hosts],
@@ -110,11 +61,11 @@ impl PhiDetector {
             return;
         }
         let ring = &mut self.gaps[host];
-        if ring.len() < self.config.window {
+        if ring.len() < DetectorConfig::WINDOW {
             ring.push(gap);
         } else {
             ring[self.cursor[host]] = gap;
-            self.cursor[host] = (self.cursor[host] + 1) % self.config.window;
+            self.cursor[host] = (self.cursor[host] + 1) % DetectorConfig::WINDOW;
         }
     }
 
@@ -141,7 +92,7 @@ impl PhiDetector {
     }
 
     fn allowance(&self, host: usize) -> Nanos {
-        let a = self.mean_gap(host).scale_f64(self.config.threshold);
+        let a = self.mean_gap(host).scale_f64(DetectorConfig::THRESHOLD);
         if a == Nanos::ZERO {
             Nanos::from_nanos(1)
         } else {
@@ -170,7 +121,7 @@ mod tests {
         // Property: with threshold 3 and gaps within ±10% of the base,
         // no probe between consecutive arrivals ever suspects the host.
         for seed in [1u64, 7, 42, 0xDEAD] {
-            let mut det = PhiDetector::new(2, DetectorConfig::default(), ms(50));
+            let mut det = PhiDetector::new(2, DetectorConfig, ms(50));
             let mut now = Nanos::ZERO;
             for k in 0..200u64 {
                 let gap = on_time_gap(seed, 0, k, ms(50));
@@ -192,7 +143,7 @@ mod tests {
         // (and forever after) the published deadline, and not before the
         // instant just preceding it.
         for seed in [3u64, 11, 0xBEEF] {
-            let mut det = PhiDetector::new(1, DetectorConfig::default(), ms(50));
+            let mut det = PhiDetector::new(1, DetectorConfig, ms(50));
             let mut now = Nanos::ZERO;
             for k in 0..50u64 {
                 now += on_time_gap(seed, 0, k, ms(50));
@@ -227,7 +178,7 @@ mod tests {
             })
             .collect();
         let feed = |order: &[usize]| {
-            let mut det = PhiDetector::new(4, DetectorConfig::default(), ms(40));
+            let mut det = PhiDetector::new(4, DetectorConfig, ms(40));
             // Round-major on purpose: host h's k-th beat lands between
             // the other hosts' k-th beats, exercising interleaving.
             #[allow(clippy::needless_range_loop)]
@@ -251,7 +202,7 @@ mod tests {
 
     #[test]
     fn slow_links_earn_longer_allowances() {
-        let mut det = PhiDetector::new(2, DetectorConfig::default(), ms(50));
+        let mut det = PhiDetector::new(2, DetectorConfig, ms(50));
         let mut now = Nanos::ZERO;
         for _ in 0..20 {
             now += ms(100); // host 0 consistently arrives slowly
@@ -261,23 +212,5 @@ mod tests {
         assert!(det.deadline(0) >= now + ms(290));
         // Host 1 never beat: its allowance stays at the expected gap.
         assert_eq!(det.mean_gap(1), ms(50));
-    }
-
-    #[test]
-    fn config_validation_names_the_failure() {
-        assert!(DetectorConfig::default().validate().is_ok());
-        let bad = DetectorConfig {
-            window: 0,
-            ..DetectorConfig::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(crate::NetError::Detector(DetectorError::WindowZero))
-        ));
-        let bad = DetectorConfig {
-            threshold: 0.5,
-            ..DetectorConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 }

@@ -34,7 +34,7 @@ pub mod detector;
 pub mod lease;
 pub mod link;
 
-pub use detector::{DetectorConfig, DetectorError, PhiDetector};
+pub use detector::{DetectorConfig, PhiDetector};
 pub use lease::{HostLease, LeaseConfig, LeaseError, LeaseLedger};
 pub use link::{LinkId, LinkPlan, LinkSpec, NetConfig, Partition, PartitionScope};
 
@@ -43,8 +43,6 @@ pub use link::{LinkId, LinkPlan, LinkSpec, NetConfig, Partition, PartitionScope}
 pub enum NetError {
     /// A network configuration knob failed validation.
     Config(&'static str),
-    /// The failure-detector configuration was invalid.
-    Detector(DetectorError),
     /// The lease configuration was invalid.
     Lease(LeaseError),
 }
@@ -53,7 +51,6 @@ impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetError::Config(e) => write!(f, "invalid net config: {e}"),
-            NetError::Detector(e) => write!(f, "invalid failure detector: {e}"),
             NetError::Lease(e) => write!(f, "invalid lease config: {e}"),
         }
     }
@@ -62,16 +59,9 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            NetError::Detector(e) => Some(e),
             NetError::Lease(e) => Some(e),
             NetError::Config(_) => None,
         }
-    }
-}
-
-impl From<DetectorError> for NetError {
-    fn from(e: DetectorError) -> Self {
-        NetError::Detector(e)
     }
 }
 
@@ -96,14 +86,10 @@ mod tests {
 
     #[test]
     fn net_error_chains_to_its_sources() {
-        let err = NetError::from(DetectorError::WindowZero);
-        assert!(err.to_string().contains("failure detector"));
-        let source = err.source().expect("detector errors carry their source");
-        assert!(!source.to_string().is_empty());
-
         let err = NetError::from(LeaseError::DurationZero);
         assert!(err.to_string().contains("lease"));
-        assert!(err.source().is_some());
+        let source = err.source().expect("lease errors carry their source");
+        assert!(!source.to_string().is_empty());
 
         assert!(NetError::Config("x").source().is_none());
     }

@@ -162,8 +162,8 @@ impl NetConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint, chaining detector and lease
-    /// validation errors as [`NetError`] sources.
+    /// Returns the first violated constraint, chaining lease validation
+    /// errors as [`NetError`] sources.
     pub fn validate(&self, hosts: usize) -> Result<(), NetError> {
         if !self.link.loss.is_finite() || !(0.0..=1.0).contains(&self.link.loss) {
             return Err(NetError::Config("link loss outside [0, 1]"));
@@ -192,9 +192,6 @@ impl NetConfig {
                     "net horizon must be positive with a detector or leases",
                 ));
             }
-        }
-        if let Some(det) = &self.detector {
-            det.validate()?;
         }
         if let Some(lease) = &self.lease {
             lease.validate()?;
@@ -380,7 +377,7 @@ mod tests {
         assert!(cfg.validate(4).is_err());
 
         let mut cfg = NetConfig::none();
-        cfg.detector = Some(DetectorConfig::default());
+        cfg.detector = Some(DetectorConfig);
         assert!(cfg.validate(1).is_err(), "detector needs a horizon");
         cfg.horizon = Nanos::from_secs(10);
         assert!(cfg.validate(1).is_ok());

@@ -48,9 +48,9 @@ pub use wfq::{LaneSpec, Offer, WfqQueue};
 
 /// Everything a policy misconfiguration can say for itself.
 ///
-/// `PolicyError` is a chain *leaf*: `FleetError::Policy` and
-/// `ClusterError::Policy` wrap it with `source()` so callers can walk from
-/// a failed sweep down to the exact invalid knob.
+/// `PolicyError` is a chain *leaf*: `ClusterError::Policy` wraps it with
+/// `source()` so callers can walk from a failed sweep down to the exact
+/// invalid knob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
     /// A structurally invalid [`PolicyConfig`] (empty tenant set, zero

@@ -9,8 +9,8 @@
 //! Two policies:
 //!
 //! * **Reactive** scales out when per-host PSP backlog crosses
-//!   `backlog_out` (the queue is already hurting) and scales in when it
-//!   drops under `backlog_in` *and* fewer hosts would still carry the
+//!   [`BACKLOG_OUT`] (the queue is already hurting) and scales in when it
+//!   drops under [`BACKLOG_IN`] *and* fewer hosts would still carry the
 //!   observed rate. Classic threshold control with cooldown hysteresis.
 //! * **Predictive** keeps a sliding window of observed rates, extrapolates
 //!   the ramp `lead` ahead, and provisions for the forecast — pre-warming
@@ -50,8 +50,16 @@ impl ScalePolicy {
     }
 }
 
+/// Per-host committed PSP backlog (queued launch work) above which the
+/// reactive law scales out.
+pub const BACKLOG_OUT: f64 = 3.0;
+
+/// Per-host backlog below which the reactive law considers scale-in.
+pub const BACKLOG_IN: f64 = 0.5;
+
 /// Autoscaler knobs. Build with [`AutoscalerConfig::reactive`] or
-/// [`AutoscalerConfig::predictive`] and adjust fields as needed.
+/// [`AutoscalerConfig::predictive`]; the reactive thresholds are the
+/// constants [`BACKLOG_OUT`] and [`BACKLOG_IN`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Floor on live hosts; scale-in never drains below this.
@@ -67,11 +75,6 @@ pub struct AutoscalerConfig {
     /// Sustainable serving rate of one host (req/s) — the paper's cold
     /// SEV ceiling (~34 req/s/host) unless pools keep boots warm.
     pub host_rps: f64,
-    /// Per-host committed PSP backlog (queued launch work) above which the
-    /// reactive law scales out.
-    pub backlog_out: f64,
-    /// Per-host backlog below which the reactive law considers scale-in.
-    pub backlog_in: f64,
     /// Total warm-slot budget the scaler spreads across live hosts via
     /// pre-warm prescriptions.
     pub warm_budget: usize,
@@ -87,8 +90,6 @@ impl AutoscalerConfig {
             tick: Nanos::from_millis(200),
             cooldown: Nanos::from_millis(400),
             host_rps: 34.0,
-            backlog_out: 3.0,
-            backlog_in: 0.5,
             warm_budget: 8 * max_hosts,
         }
     }
@@ -121,15 +122,6 @@ impl AutoscalerConfig {
         }
         if !(self.host_rps.is_finite() && self.host_rps > 0.0) {
             return Err(ScaleError::Config("host_rps must be positive"));
-        }
-        if !(self.backlog_out.is_finite() && self.backlog_out > 0.0) {
-            return Err(ScaleError::Config("backlog_out must be positive"));
-        }
-        if !self.backlog_in.is_finite()
-            || self.backlog_in < 0.0
-            || self.backlog_in >= self.backlog_out
-        {
-            return Err(ScaleError::Config("backlog_in must be in [0, backlog_out)"));
         }
         if let ScalePolicy::Predictive { window, lead } = self.policy {
             if window == 0 {
@@ -304,11 +296,11 @@ impl Autoscaler {
         let desired = match self.config.policy {
             ScalePolicy::Reactive => {
                 let per_host_backlog = (obs.backlog + obs.queued) as f64 / live as f64;
-                if per_host_backlog > self.config.backlog_out {
+                if per_host_backlog > BACKLOG_OUT {
                     // The queue is already hurting: provision for the
                     // observed rate, but always at least one host more.
                     self.hosts_for(self.observed_rate()).max(obs.live_hosts + 1)
-                } else if per_host_backlog < self.config.backlog_in
+                } else if per_host_backlog < BACKLOG_IN
                     && self.hosts_for(self.observed_rate()) < obs.live_hosts
                 {
                     obs.live_hosts - 1
@@ -523,14 +515,6 @@ mod tests {
             },
             AutoscalerConfig {
                 host_rps: 0.0,
-                ..ok
-            },
-            AutoscalerConfig {
-                backlog_out: 0.0,
-                ..ok
-            },
-            AutoscalerConfig {
-                backlog_in: 5.0,
                 ..ok
             },
             AutoscalerConfig {

@@ -90,12 +90,6 @@ pub struct FaultConfig {
     pub attest_error_rate: f64,
     /// Client-side attestation timeout (how long a hang costs).
     pub attest_timeout: Nanos,
-    /// Mean gap between whole-host outages (`None` = never). Only meaningful
-    /// when a plan models one fault domain of a multi-host cluster: the host
-    /// vanishes for the window — PSP, CPUs, warm pool, and templates all die.
-    pub host_outage_period: Option<Nanos>,
-    /// Outage length per whole-host outage.
-    pub host_outage_length: Nanos,
 }
 
 impl FaultConfig {
@@ -109,8 +103,6 @@ impl FaultConfig {
             attest_timeout_rate: 0.0,
             attest_error_rate: 0.0,
             attest_timeout: Nanos::from_secs(1),
-            host_outage_period: None,
-            host_outage_length: Nanos::ZERO,
         }
     }
 
@@ -127,8 +119,6 @@ impl FaultConfig {
             attest_timeout_rate: 0.02,
             attest_error_rate: 0.03,
             attest_timeout: Nanos::from_secs(1),
-            host_outage_period: None,
-            host_outage_length: Nanos::ZERO,
         }
     }
 
@@ -159,14 +149,6 @@ impl FaultConfig {
         if self.warm_crash_period == Some(Nanos::ZERO) {
             return Err("warm_crash_period must be positive");
         }
-        if let Some(period) = self.host_outage_period {
-            if period == Nanos::ZERO {
-                return Err("host_outage_period must be positive");
-            }
-            if self.host_outage_length == Nanos::ZERO {
-                return Err("host_outage_length must be positive when host outages are on");
-            }
-        }
         Ok(())
     }
 
@@ -177,7 +159,6 @@ impl FaultConfig {
             && self.warm_crash_period.is_none()
             && self.attest_timeout_rate == 0.0
             && self.attest_error_rate == 0.0
-            && self.host_outage_period.is_none()
     }
 }
 
@@ -206,7 +187,6 @@ const DOM_ATTEST: u64 = 0x7E57_FA17_0005;
 // Stream separators for the pre-generated schedules.
 const STREAM_RESETS: u64 = 0xFA17_5EED_0001;
 const STREAM_CRASHES: u64 = 0xFA17_5EED_0002;
-const STREAM_HOST_OUTAGES: u64 = 0xFA17_5EED_0003;
 
 // Domain separator for deriving per-fault-domain (per-host) plan seeds.
 const DOM_FAULT_DOMAIN: u64 = 0x7E57_FA17_0007;
@@ -285,7 +265,6 @@ pub struct FaultPlan {
     horizon: Nanos,
     resets: Vec<ResetWindow>,
     warm_crashes: Vec<Nanos>,
-    host_outages: Vec<ResetWindow>,
 }
 
 impl FaultPlan {
@@ -322,23 +301,12 @@ impl FaultPlan {
             }
         }
 
-        let host_outages = match config.host_outage_period {
-            Some(period) => outage_windows(
-                seed ^ STREAM_HOST_OUTAGES,
-                period,
-                config.host_outage_length,
-                horizon,
-            ),
-            None => Vec::new(),
-        };
-
         Ok(FaultPlan {
             seed,
             config,
             horizon,
             resets,
             warm_crashes,
-            host_outages,
         })
     }
 
@@ -390,11 +358,6 @@ impl FaultPlan {
     /// The warm-guest crash instants, sorted.
     pub fn warm_crashes(&self) -> &[Nanos] {
         &self.warm_crashes
-    }
-
-    /// The whole-host outage windows, sorted and non-overlapping.
-    pub fn host_outages(&self) -> &[ResetWindow] {
-        &self.host_outages
     }
 
     /// If `at` falls inside a reset outage, the instant the outage ends.
@@ -559,27 +522,8 @@ mod tests {
     }
 
     #[test]
-    fn host_outage_windows_sorted_and_disjoint() {
-        let mut cfg = FaultConfig::none();
-        cfg.host_outage_period = Some(Nanos::from_secs(3));
-        cfg.host_outage_length = Nanos::from_secs(1);
-        let plan = FaultPlan::generate(19, cfg, Nanos::from_secs(60)).unwrap();
-        assert!(!plan.host_outages().is_empty(), "60 s must see an outage");
-        for pair in plan.host_outages().windows(2) {
-            assert!(pair[0].end <= pair[1].start, "{pair:?} overlap");
-        }
-        let w = plan.host_outages()[0];
-        // Host outages ride their own stream: resets stay empty here and
-        // the existing reset lookup is untouched by the new windows.
-        assert!(plan.resets().is_empty());
-        assert_eq!(plan.in_outage(w.start), None);
-    }
-
-    #[test]
     fn domain_seeds_decorrelate_hosts() {
-        let mut cfg = FaultConfig::storm();
-        cfg.host_outage_period = Some(Nanos::from_secs(5));
-        cfg.host_outage_length = Nanos::from_secs(1);
+        let cfg = FaultConfig::storm();
         let horizon = Nanos::from_secs(30);
         let a = FaultPlan::generate_for_domain(7, 0, cfg.clone(), horizon).unwrap();
         let b = FaultPlan::generate_for_domain(7, 1, cfg.clone(), horizon).unwrap();
@@ -588,24 +532,6 @@ mod tests {
         assert_ne!(a.resets(), b.resets(), "domains must not share schedules");
         assert_ne!(a.seed(), b.seed());
         assert_eq!(a.seed(), FaultPlan::domain_seed(7, 0));
-    }
-
-    #[test]
-    fn host_outage_config_is_validated() {
-        let mut cfg = FaultConfig::none();
-        cfg.host_outage_period = Some(Nanos::ZERO);
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = FaultConfig::none();
-        cfg.host_outage_period = Some(Nanos::from_secs(1));
-        cfg.host_outage_length = Nanos::ZERO;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = FaultConfig::none();
-        cfg.host_outage_period = Some(Nanos::from_secs(1));
-        cfg.host_outage_length = Nanos::from_millis(200);
-        assert!(cfg.validate().is_ok());
-        assert!(!cfg.is_none());
     }
 
     #[test]

@@ -86,23 +86,13 @@ impl Jitter {
         }
     }
 
-    /// Creates a jitter source with an explicit σ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or not finite.
-    pub fn with_sigma(seed: u64, sigma: f64) -> Self {
-        assert!(sigma.is_finite() && sigma >= 0.0);
-        Jitter {
-            rng: XorShift64::new(seed),
-            sigma,
-        }
-    }
-
     /// A jitter source that applies no noise (σ = 0), for deterministic
     /// single-run breakdowns.
     pub fn disabled() -> Self {
-        Jitter::with_sigma(1, 0.0)
+        Jitter {
+            rng: XorShift64::new(1),
+            sigma: 0.0,
+        }
     }
 
     /// Samples one multiplicative factor.

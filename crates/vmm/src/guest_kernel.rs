@@ -234,7 +234,7 @@ pub fn run_kernel(
     // (the Fig. 5 comparison point; not the recommended configuration) is
     // decompressed first, paying the codec's calibrated cost.
     let staged = mem.guest_read(boot_params.initrd_addr, boot_params.initrd_size, encrypted)?;
-    let initrd = match detect_initrd_codec(&staged) {
+    let initrd = match sevf_codec::Codec::detect(&staged) {
         None => staged,
         Some(codec) => {
             let unpacked = codec
@@ -277,28 +277,6 @@ pub fn run_kernel(
         initrd_files: entries.len(),
         steps,
     })
-}
-
-/// Detects whether a staged initrd is wrapped in one of the `sevf-codec`
-/// containers (`None` = a raw CPIO archive).
-pub fn detect_initrd_codec(bytes: &[u8]) -> Option<sevf_codec::Codec> {
-    use sevf_codec::Codec;
-    if bytes.len() < 6 {
-        return None;
-    }
-    match &bytes[..4] {
-        b"SVST" => Some(Codec::None),
-        b"SVL4" => Some(Codec::Lz4),
-        b"SVLZ" => {
-            // The window-log byte distinguishes the two LZH profiles.
-            if bytes[4] as u32 >= sevf_codec::lzh::ZSTD_WINDOW_LOG {
-                Some(Codec::Zstd)
-            } else {
-                Some(Codec::Deflate)
-            }
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -26,31 +26,31 @@
 //! the same flags emit byte-identical output (the CI replay gate diffs
 //! one against `data/golden/`).
 
+use sevf_attplane::AttPlaneConfig as Verifier;
 use sevf_bench::experiment::run_example;
-use sevf_cluster::attsweep::{SEED, VERIFIER};
 
 fn main() {
     run_example("attestation_storm", intro, TAKEAWAY);
 }
 
 fn intro(_quick: bool) {
-    let v = VERIFIER;
     println!("verifying a cluster's launch stream through one attestation plane\n");
     println!(
-        "verifier model (seed {SEED:#x}): cert fetch {:.1} ms, batch setup {:.1} ms,",
-        v.cert_fetch.as_millis_f64(),
-        v.batch_setup.as_millis_f64()
+        "verifier model (chip seed {:#x}): cert fetch {:.1} ms, batch setup {:.1} ms,",
+        Verifier::SEED,
+        Verifier::CERT_FETCH.as_millis_f64(),
+        Verifier::BATCH_SETUP.as_millis_f64()
     );
     println!(
         "signature check {:.1} ms, batch window {:.1} ms, cache TTL {:.0} s — so the",
-        v.sig_check.as_millis_f64(),
-        v.batch_window.as_millis_f64(),
-        v.cache_ttl.as_millis_f64() / 1000.0
+        Verifier::SIG_CHECK.as_millis_f64(),
+        Verifier::BATCH_WINDOW.as_millis_f64(),
+        Verifier::CACHE_TTL.as_millis_f64() / 1000.0
     );
-    let naive_ms = (v.cert_fetch + v.batch_setup + v.sig_check).as_millis_f64();
+    let naive = Verifier::CERT_FETCH + Verifier::BATCH_SETUP + Verifier::SIG_CHECK;
     println!(
         "naive verifier ceiling is ≈{:.0} req/s cluster-wide.",
-        1000.0 / naive_ms
+        1000.0 / naive.as_millis_f64()
     );
 }
 

@@ -398,3 +398,146 @@ fn registry_absorb_merges_counters_gauges_and_histograms() {
     assert_eq!(hist.counts()[1], 1);
     assert_eq!(hist.counts()[5], 1);
 }
+
+/// A registry exports exactly the named counters and gauges, each equal to
+/// the value it was read from, and one latency histogram per completion.
+fn assert_exports(
+    reg: &sevf_obs::Registry,
+    mut counters: Vec<(&str, u64)>,
+    mut gauges: Vec<(&str, f64)>,
+    latency: (&str, usize),
+) {
+    counters.sort_unstable();
+    gauges.sort_by(|a, b| a.0.cmp(b.0));
+    assert_eq!(reg.counters().collect::<Vec<_>>(), counters);
+    assert_eq!(reg.gauges().collect::<Vec<_>>(), gauges);
+    let histograms: Vec<_> = reg.histograms().map(|(n, h)| (n, h.count())).collect();
+    assert_eq!(histograms, [(latency.0, latency.1 as u64)]);
+}
+
+#[test]
+fn registry_exporters_hold_their_fields() {
+    use sevf_attplane::AttPlaneConfig;
+    use sevf_cluster::policysweep::PolicySweepConfig;
+    use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy};
+    use sevf_net::{DetectorConfig, LeaseConfig, LinkSpec, NetConfig, Partition, PartitionScope};
+    use sevf_policy::PolicyConfig;
+
+    // The fleet under the chaos storm, so the failure counters move.
+    let chaos = ChaosConfig::quick();
+    let horizon = Nanos::from_secs(8);
+    let config = FleetConfig {
+        mix: chaos.mix.clone(),
+        admission: chaos.admission,
+        fault: Some(FaultPlan::generate(chaos::SEED, FaultConfig::storm(), horizon).unwrap()),
+        recovery: RecoveryConfig::resilient(chaos::SEED),
+        ..FleetConfig::open_loop(ServingTier::WarmPool, 60.0, 200)
+    };
+    let m = FleetService::new(catalog(), config).run().metrics;
+    assert!(
+        m.faults.total() > 0 && m.retries > 0,
+        "storm injected nothing"
+    );
+    assert_exports(
+        &m.registry(),
+        vec![
+            ("fleet_completed_total", m.completed as u64),
+            ("fleet_shed_total", m.shed),
+            ("fleet_breaker_sheds_total", m.breaker_sheds),
+            ("fleet_timeouts_total", m.timeouts),
+            ("fleet_failed_total", m.failed),
+            ("fleet_rejected_total", m.rejected),
+            ("fleet_retries_total", m.retries),
+            ("fleet_faults_total", m.faults.total()),
+            ("fleet_degraded_dispatches_total", m.degraded_dispatches),
+            ("fleet_breaker_trips_total", m.breaker_trips),
+            ("fleet_cache_hits_total", m.cache_hits),
+            ("fleet_cache_misses_total", m.cache_misses),
+            ("fleet_warm_hits_total", m.warm_hits),
+            ("fleet_warm_misses_total", m.warm_misses),
+            ("fleet_evicted_total", m.evicted),
+        ],
+        vec![
+            ("fleet_psp_utilization", m.psp_utilization),
+            ("fleet_cpu_utilization", m.cpu_utilization),
+            ("fleet_mean_queue_depth", m.mean_queue_depth()),
+            ("fleet_max_queue_depth", m.max_queue_depth as f64),
+            ("fleet_makespan_ms", m.makespan.as_millis_f64()),
+        ],
+        ("fleet_latency_ms", m.completed),
+    );
+
+    // Three hosts with the verifier, a partitioned network and the
+    // enforced tenant policy, so the layer counters move too.
+    let config = ClusterConfig {
+        mix: Some(RequestMix::quick_test_mix()),
+        placement: PlacementPolicy::JsqPsp,
+        recovery: RecoveryConfig::resilient(0x5EF0),
+        attestation: Some(AttPlaneConfig::cached_batched()),
+        net: Some(NetConfig {
+            link: LinkSpec::datacenter(),
+            partitions: vec![Partition {
+                scope: PartitionScope::Host(2),
+                start: Nanos::from_millis(400),
+                end: Nanos::from_millis(1400),
+            }],
+            horizon: Nanos::from_secs(20),
+            dispatch_timeout: Nanos::from_millis(50),
+            heartbeat_every: Nanos::from_millis(50),
+            detector: Some(DetectorConfig),
+            lease: Some(LeaseConfig {
+                duration: Nanos::from_millis(300),
+                renew_every: Nanos::from_millis(100),
+            }),
+        }),
+        policy: Some(PolicyConfig::enforced(PolicySweepConfig::quick().tenants())),
+        ..ClusterConfig::open_loop(3, ServingTier::Template, 120.0, 240)
+    };
+    let m = ClusterService::new(catalog(), config)
+        .unwrap()
+        .run()
+        .metrics;
+    assert!(
+        m.suspicions > 0 && m.posture_checks > 0,
+        "a layer stayed idle"
+    );
+    assert_exports(
+        &m.registry(),
+        vec![
+            ("cluster_issued_total", m.issued as u64),
+            ("cluster_completed_total", m.completed as u64),
+            ("cluster_shed_total", m.shed),
+            ("cluster_unroutable_total", m.unroutable),
+            ("cluster_breaker_sheds_total", m.breaker_sheds),
+            ("cluster_timeouts_total", m.timeouts),
+            ("cluster_failed_total", m.failed),
+            ("cluster_rejected_total", m.rejected),
+            ("cluster_retries_total", m.retries),
+            ("cluster_failovers_total", m.failovers),
+            ("cluster_rebalances_total", m.rebalances),
+            ("cluster_suspicions_total", m.suspicions),
+            ("cluster_suspicions_cleared_total", m.suspicions_cleared),
+            ("cluster_false_suspicions_total", m.false_suspicions),
+            ("cluster_lease_expiries_total", m.lease_expiries),
+            ("cluster_net_lost_total", m.net_lost),
+            ("cluster_net_timeouts_total", m.net_timeouts),
+            ("cluster_net_nacks_total", m.net_nacks),
+            ("cluster_stale_completions_total", m.stale_completions),
+            (
+                "cluster_double_completion_attempts_total",
+                m.double_completion_attempts,
+            ),
+            ("cluster_faults_total", m.faults),
+            ("cluster_posture_checks_total", m.posture_checks),
+            ("cluster_posture_redirects_total", m.posture_redirects),
+            ("cluster_posture_violations_total", m.posture_violations),
+        ],
+        vec![
+            ("cluster_host_seconds", m.host_seconds),
+            ("cluster_psp_skew", m.psp_skew()),
+            ("cluster_cache_hit_rate", m.cache_hit_rate()),
+            ("cluster_makespan_ms", m.makespan.as_millis_f64()),
+        ],
+        ("cluster_latency_ms", m.completed),
+    );
+}

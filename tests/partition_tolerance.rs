@@ -12,8 +12,8 @@ use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::workload::RequestMix;
 use sevf_fleet::FleetError;
 use sevf_net::{
-    DetectorConfig, DetectorError, LeaseConfig, LeaseError, LinkSpec, NetConfig, NetError,
-    Partition, PartitionScope,
+    DetectorConfig, LeaseConfig, LeaseError, LinkSpec, NetConfig, NetError, Partition,
+    PartitionScope,
 };
 use sevf_sim::Nanos;
 
@@ -78,7 +78,7 @@ fn split_brain_ledger_is_exact_with_zero_double_counted_completions() {
             horizon: Nanos::from_secs(20),
             dispatch_timeout: Nanos::from_millis(50),
             heartbeat_every: Nanos::from_millis(50),
-            detector: Some(DetectorConfig::default()),
+            detector: Some(DetectorConfig),
             lease: Some(LeaseConfig {
                 duration: Nanos::from_millis(300),
                 renew_every: Nanos::from_millis(100),
@@ -123,12 +123,6 @@ fn every_error_variant_displays_and_chains_to_its_root() {
     // NetError: every variant, with sources where they exist.
     let net_cases: Vec<(NetError, bool, &str)> = vec![
         (NetError::Config("horizon must be positive"), false, "net"),
-        (NetError::from(DetectorError::WindowZero), true, "detector"),
-        (
-            NetError::from(DetectorError::ThresholdTooLow),
-            true,
-            "detector",
-        ),
         (NetError::from(LeaseError::DurationZero), true, "lease"),
         (NetError::from(LeaseError::RenewTooSlow), true, "lease"),
     ];
@@ -158,22 +152,6 @@ fn every_error_variant_displays_and_chains_to_its_root() {
             FleetError::Recovery("max_attempts must be at least 1"),
             false,
         ),
-        (
-            FleetError::AttPlane(sevf_attplane::AttPlaneError::Config(
-                "sig_check must be positive",
-            )),
-            true,
-        ),
-        (
-            FleetError::Net(NetError::from(LeaseError::DurationZero)),
-            true,
-        ),
-        (
-            FleetError::Policy(sevf_policy::PolicyError::Config(
-                "tenant weight must be > 0",
-            )),
-            true,
-        ),
     ];
     for (err, has_source) in &fleet_cases {
         walk(err);
@@ -182,7 +160,7 @@ fn every_error_variant_displays_and_chains_to_its_root() {
 
     // AttPlaneError: every variant.
     let att_cases: Vec<sevf_attplane::AttPlaneError> = vec![
-        sevf_attplane::AttPlaneError::Config("cache_ttl must be positive"),
+        sevf_attplane::AttPlaneError::Config("fail-open staleness budget must be positive"),
         sevf_attplane::AttPlaneError::UnknownHost { host: 9, hosts: 4 },
     ];
     for err in &att_cases {
@@ -191,7 +169,7 @@ fn every_error_variant_displays_and_chains_to_its_root() {
     }
 
     // ClusterError: every variant; the net variant chains two deep
-    // (ClusterError -> NetError -> DetectorError).
+    // (ClusterError -> NetError -> LeaseError).
     let cluster_cases: Vec<(ClusterError, usize)> = vec![
         (ClusterError::Config("at least one host"), 1),
         (ClusterError::FaultPlan("period must be positive"), 1),
@@ -202,7 +180,7 @@ fn every_error_variant_displays_and_chains_to_its_root() {
             2,
         ),
         (
-            ClusterError::from(NetError::from(DetectorError::WindowZero)),
+            ClusterError::from(NetError::from(LeaseError::RenewTooSlow)),
             3,
         ),
         (
@@ -210,12 +188,7 @@ fn every_error_variant_displays_and_chains_to_its_root() {
             2,
         ),
         (
-            ClusterError::from(FleetError::Policy(
-                sevf_policy::PolicyError::UnknownTenant {
-                    tenant: 7,
-                    tenants: 2,
-                },
-            )),
+            ClusterError::from(FleetError::Boot(sevf_vmm::VmmError::Config("no kernel"))),
             3,
         ),
         // The autoscaler chains one deep for config knobs and two deep
@@ -240,7 +213,7 @@ fn every_error_variant_displays_and_chains_to_its_root() {
     }
 
     // PolicyError: a chain leaf — depth 1 on its own, depth 2 behind the
-    // fleet wrapper (walked above behind the cluster wrapper at depth 3).
+    // cluster wrapper.
     let policy_cases: Vec<sevf_policy::PolicyError> = vec![
         sevf_policy::PolicyError::Config("quota needs rate > 0 and burst >= 1"),
         sevf_policy::PolicyError::UnknownTenant {
@@ -252,9 +225,9 @@ fn every_error_variant_displays_and_chains_to_its_root() {
         let hops = walk(err);
         assert_eq!(hops.len(), 1, "policy errors are leaves: {err}");
         assert_eq!(
-            walk(&FleetError::Policy(err.clone())).len(),
+            walk(&ClusterError::Policy(err.clone())).len(),
             2,
-            "fleet wrapper adds exactly one hop"
+            "cluster wrapper adds exactly one hop"
         );
     }
 }
