@@ -110,14 +110,25 @@ ceiling() {
     exit 1
   fi
 }
-ceiling 4971 "serving-core (crates/fleet/src + crates/cluster/src)" \
+ceiling 4944 "serving-core (crates/fleet/src + crates/cluster/src)" \
   $(find crates/fleet/src crates/cluster/src -name '*.rs')
 ceiling 1855 "harness (examples/*.rs + crates/bench/src)" \
   examples/*.rs $(find crates/bench/src -name '*.rs')
 ceiling 4227 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
   $(find crates/mem/src crates/codec/src crates/image/src crates/verifier/src crates/vmm/src -name '*.rs')
-ceiling 3126 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
+ceiling 2979 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
   $(find crates/attplane/src crates/net/src crates/policy/src crates/scale/src crates/obs/src -name '*.rs')
+
+# No source file over 1,000 lines (ROADMAP item 5), whole file, tests
+# included. The two it still lists are exempt until they shrink; splitting a
+# file to pass is not a reduction.
+echo "==> .rs files under crates/ longer than 1000 lines (must be none)"
+long=$(find crates -name '*.rs' ! -path crates/bench/src/experiment.rs ! -path crates/vmm/src/vmm.rs \
+  -exec awk 'END { if (NR > 1000) print FILENAME ": " NR " lines" }' {} \;)
+if [[ -n "$long" ]]; then
+  echo "$long"
+  exit 1
+fi
 
 # Component hashing lives with the component: sevf-image hashes each staged
 # image once, when it builds it, and the VMM is handed digests (ISSUE 15,

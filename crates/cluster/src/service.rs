@@ -174,7 +174,7 @@ impl ClusterService {
 
     /// Serves the stream with span recording on: same report (the recorder
     /// never touches the RNG, metrics, or fault plans), plus the assembled
-    /// [`TraceLog`] of causal spans, markers, and resource occupancy.
+    /// [`TraceLog`] of causal spans and markers.
     pub fn run_traced(self) -> (ClusterReport, TraceLog) {
         self.run_with(Recorder::enabled())
     }
@@ -265,9 +265,11 @@ impl ClusterService {
             net,
             scaler,
         };
-        let (_, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
+        let (outcomes, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
             state.on_event(outcome, inject);
         });
+        let log = std::mem::take(&mut state.front.rec).build(&engine, &outcomes, &trace);
+        drop(outcomes);
 
         let makespan = trace.makespan();
         let mut metrics = ClusterMetrics {
@@ -281,7 +283,7 @@ impl ClusterService {
             let util = host.metrics.psp_utilization;
             metrics.absorb_host(host.id, &host.metrics, util);
         }
-        let front = &mut state.front;
+        let front = &state.front;
         metrics.shed += state.unroutable;
         metrics.unroutable = state.unroutable;
         metrics.timeouts += front.totals.timeouts;
@@ -308,7 +310,6 @@ impl ClusterService {
             autoscale: state.scaler.as_ref().map(ScalerState::rollup),
             trace,
         };
-        let log = front.build_log(&engine, &report.trace);
         (report, log)
     }
 }

@@ -20,14 +20,14 @@
 //! fault-eligible launch per host (in [`crate::host`]).
 
 use sevf_attplane::{AttPlane, AttPlaneConfig};
-use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
+use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder};
 use sevf_policy::{
     HostPosture, IsolationTier, LaneSpec, PolicyConfig, PolicyDecision, PolicyEngine, Scheduler,
     TenantMetrics, TenantRollup,
 };
 use sevf_sim::fault::FaultKind;
 use sevf_sim::rng::XorShift64;
-use sevf_sim::{DesEngine, Job, Nanos, RunTrace};
+use sevf_sim::{Job, Nanos};
 
 use crate::admission::AdmissionConfig;
 use crate::blueprint::Catalog;
@@ -524,7 +524,7 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
             self.terminal(request, ReqOutcome::Timeout, now, inject);
             return;
         }
-        self.totals.record_retry(failures);
+        self.totals.retries += 1;
         self.rec.retry_wait(request, failures, now, at);
         self.mark(inject, at, ServeJob::Retry { request });
     }
@@ -542,24 +542,6 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
         let at = now + think;
         let request = self.new_request(at);
         self.mark(inject, at, ServeJob::Arrival { request });
-    }
-
-    /// Feeds the engine's resource occupancy back so PSP/CPU steps land at
-    /// their true contended intervals rather than planned durations, then
-    /// assembles the trace log (empty when recording was off).
-    pub fn build_log(&mut self, engine: &DesEngine, trace: &RunTrace) -> TraceLog {
-        let mut rec = std::mem::replace(&mut self.rec, Recorder::disabled());
-        if rec.on() {
-            for entry in trace.entries() {
-                rec.occupy(
-                    engine.resource_name(entry.resource),
-                    entry.job,
-                    entry.start,
-                    entry.end,
-                );
-            }
-        }
-        rec.build()
     }
 
     /// Per-tenant terminal accounting, when a policy layer ran.

@@ -407,7 +407,7 @@ impl Host {
         if cx.rec.on() {
             let steps = blueprint.steps.iter().chain(&tail).cloned().collect();
             cx.rec
-                .attempt_start(request, job, &blueprint.label, self.tag, steps, now);
+                .launch(Some(request), job, &blueprint.label, self.tag, steps, now);
         }
         let tag = ServeJob::Launch(Launch {
             request,
@@ -462,7 +462,6 @@ impl Host {
         launch: Launch,
     ) -> Settled {
         let Launch { request, class, .. } = launch;
-        cx.rec.attempt_end(job, now);
         let (poison, fenced) = self.release(job);
         self.inflight = self.inflight.saturating_sub(1);
         if poison == Some(FaultKind::HostOutage) {
@@ -584,8 +583,9 @@ impl Host {
         self.pool.refill_started(class);
         let job = cx.meta.len();
         if cx.rec.on() {
+            let steps = refill.steps.clone();
             cx.rec
-                .background(job, &refill.label, self.tag, refill.steps.clone(), now);
+                .launch(None, job, &refill.label, self.tag, steps, now);
         }
         let tag = ServeJob::Replenish {
             class,
@@ -616,7 +616,6 @@ impl Host {
         now: Nanos,
         class: usize,
     ) {
-        cx.rec.background_end(job, now);
         match self.release(job).0 {
             Some(kind) => {
                 self.metrics.faults.record(kind);

@@ -77,9 +77,6 @@ pub struct FleetMetrics {
     pub rejected: u64,
     /// Retry launches dispatched (beyond each request's first attempt).
     pub retries: u64,
-    /// Retry histogram: `retries_by_attempt[k]` counts retries scheduled
-    /// after failure number `k + 1`.
-    pub retries_by_attempt: Vec<u64>,
     /// Injected-fault occurrences by kind.
     pub faults: FaultCounters,
     /// Launches dispatched below the configured tier (degraded ladder).
@@ -124,16 +121,6 @@ impl FleetMetrics {
     pub fn sample_queue_depth(&mut self, at: Nanos, depth: usize) {
         self.queue_depth.push((at, depth));
         self.max_queue_depth = self.max_queue_depth.max(depth);
-    }
-
-    /// Records a retry scheduled after failure number `failures` (1-based).
-    pub fn record_retry(&mut self, failures: u32) {
-        self.retries += 1;
-        let idx = failures.saturating_sub(1) as usize;
-        if self.retries_by_attempt.len() <= idx {
-            self.retries_by_attempt.resize(idx + 1, 0);
-        }
-        self.retries_by_attempt[idx] += 1;
     }
 
     /// Requests that left the system without completing: load sheds,
@@ -257,16 +244,6 @@ mod tests {
         assert!((m.p99_ms() - 7.0).abs() < 1e-9);
         let s = m.summary().unwrap();
         assert_eq!(s.stddev, 0.0);
-    }
-
-    #[test]
-    fn retry_histogram_grows_per_attempt() {
-        let mut m = FleetMetrics::default();
-        m.record_retry(1);
-        m.record_retry(1);
-        m.record_retry(3);
-        assert_eq!(m.retries, 3);
-        assert_eq!(m.retries_by_attempt, vec![2, 0, 1]);
     }
 
     #[test]

@@ -168,15 +168,6 @@ impl FleetConfig {
         self.recovery.validate().map_err(FleetError::Recovery)
     }
 
-    /// Checks everything [`FleetConfig::validate`] can without a catalog
-    /// (class bounds are checked again, strictly, in
-    /// [`FleetService::new`]), passing the config through so sweeps can
-    /// chain construction.
-    pub fn validated(self) -> Result<Self, FleetError> {
-        self.validate(usize::MAX)?;
-        Ok(self)
-    }
-
     /// The knobs the shared serving core reads.
     fn serving(&self) -> Serving<'_> {
         Serving {
@@ -265,13 +256,15 @@ impl FleetService {
         host.seed_faults(&mut front, &mut seed_jobs);
 
         let mut state = State { front, host };
-        let (_, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
+        let (outcomes, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
             state.on_event(outcome, inject);
         });
         let State {
             mut front,
             mut host,
         } = state;
+        let log = std::mem::take(&mut front.rec).build(&engine, &outcomes, &trace);
+        drop(outcomes);
 
         host.finish_metrics(&trace);
         let totals = std::mem::take(&mut front.totals);
@@ -281,7 +274,6 @@ impl FleetService {
             rejected: totals.rejected,
             breaker_sheds: totals.breaker_sheds,
             retries: totals.retries,
-            retries_by_attempt: totals.retries_by_attempt,
             ..std::mem::take(&mut host.metrics)
         };
         if let Some(plan) = &host.plan {
@@ -298,7 +290,6 @@ impl FleetService {
             pool_resident_bytes: host.pool.resident_bytes(),
             trace,
         };
-        let log = front.build_log(&engine, &report.trace);
         (report, log)
     }
 }
@@ -457,7 +448,9 @@ mod tests {
         let mut config = FleetConfig::open_loop(ServingTier::Template, 100.0, 50);
         config.admission.max_inflight = 0;
         config.admission.queue_bound = 8;
-        let err = config.validated().expect_err("nothing could dispatch");
+        let err = config
+            .validate(usize::MAX)
+            .expect_err("nothing could dispatch");
         assert!(matches!(
             err,
             crate::FleetError::Config("max_inflight must be at least 1")
@@ -518,7 +511,7 @@ mod tests {
             assert_eq!(a.metrics.failed, b.metrics.failed);
             assert_eq!(a.metrics.timeouts, b.metrics.timeouts);
             assert_eq!(a.metrics.faults, b.metrics.faults);
-            assert_eq!(a.metrics.retries_by_attempt, b.metrics.retries_by_attempt);
+            assert_eq!(a.metrics.retries, b.metrics.retries);
         }
     }
 

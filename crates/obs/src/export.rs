@@ -218,7 +218,7 @@ pub fn phase_breakdown(log: &TraceLog, request: usize) -> Vec<(String, Nanos)> {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
-    use crate::trace::{Outcome, Recorder, WorkStep};
+    use crate::trace::{build_on_engine, Outcome, Recorder, WorkStep};
     use sevf_sim::{PhaseKind, ResourceClass};
 
     fn ms(v: u64) -> Nanos {
@@ -237,12 +237,9 @@ mod tests {
             ),
             WorkStep::new(ResourceClass::HostCpu, PhaseKind::LinuxBoot, "boot", ms(3)),
         ];
-        rec.attempt_start(0, 0, "tiny cold", None, steps, ms(1));
-        rec.attempt_end(0, ms(6));
+        rec.launch(Some(0), 0, "tiny cold", None, steps.clone(), ms(1));
         rec.terminal(0, Outcome::Completed, ms(6));
-        rec.occupy("psp", 0, ms(1), ms(3));
-        rec.occupy("host-cpus", 0, ms(3), ms(6));
-        rec.build()
+        build_on_engine(rec, &[(ms(1), steps)])
     }
 
     #[test]

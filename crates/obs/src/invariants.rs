@@ -169,7 +169,7 @@ pub fn check_completed(log: &TraceLog, completed: &[(usize, Nanos)]) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Outcome, Recorder, WorkStep};
+    use crate::trace::{build_on_engine, Outcome, Recorder, WorkStep};
     use sevf_sim::{PhaseKind, ResourceClass};
 
     fn ms(v: u64) -> Nanos {
@@ -185,11 +185,9 @@ mod tests {
             "LAUNCH",
             ms(5),
         )];
-        rec.attempt_start(0, 0, "tiny cold", None, steps, ms(0));
-        rec.attempt_end(0, ms(5));
+        rec.launch(Some(0), 0, "tiny cold", None, steps.clone(), ms(0));
         rec.terminal(0, Outcome::Completed, ms(5));
-        rec.occupy("psp", 0, ms(0), ms(5));
-        rec.build()
+        build_on_engine(rec, &[(ms(0), steps)])
     }
 
     #[test]
@@ -218,23 +216,17 @@ mod tests {
 
     #[test]
     fn overlapping_psp_spans_are_caught() {
-        let mut rec = Recorder::enabled();
-        for r in 0..2 {
-            rec.arrival(r, "tiny", ms(0));
-            let steps = vec![WorkStep::new(
-                ResourceClass::Psp,
-                PhaseKind::PreEncryption,
-                "LAUNCH",
-                ms(5),
-            )];
-            rec.attempt_start(r, r, "tiny cold", None, steps, ms(0));
-            rec.attempt_end(r, ms(5));
-            rec.terminal(r, Outcome::Completed, ms(5));
-            // Both jobs claim the psp over the same interval: impossible on
-            // a capacity-1 resource.
-            rec.occupy("psp", r, ms(0), ms(5));
-        }
-        let log = rec.build();
+        let mut log = demo_log();
+        // The engine never runs two jobs on a capacity-1 resource at once,
+        // so forge the overlap: a second copy of the psp step.
+        let mut forged = log
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Step)
+            .unwrap()
+            .clone();
+        forged.id = log.spans.len();
+        log.spans.push(forged);
         assert!(capacity1_serialized(&log, "psp").is_err());
         assert_eq!(capacity1_serialized(&log, "cpus"), Ok(()));
     }

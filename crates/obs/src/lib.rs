@@ -38,6 +38,4 @@ pub use export::{
     chrome_trace_json, critical_path, json_escape, phase_breakdown, prometheus_text, PathSlice,
 };
 pub use metrics::{percentile_or_zero, time_weighted_mean, Histogram, Registry};
-pub use trace::{
-    MarkerKind, MarkerRec, OccEntry, Outcome, Recorder, SpanKind, SpanRec, TraceLog, WorkStep,
-};
+pub use trace::{MarkerKind, MarkerRec, Outcome, Recorder, SpanKind, SpanRec, TraceLog, WorkStep};

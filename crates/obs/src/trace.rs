@@ -1,12 +1,14 @@
 //! Span recording over the shared virtual clock, and causal trace assembly.
 //!
 //! The serving layers (`sevf-fleet`, `sevf-cluster`) narrate a run into a
-//! [`Recorder`] as it executes: request arrivals, queueing, launch-attempt
-//! dispatches with their planned [`WorkStep`]s, retry backoffs, terminal
-//! outcomes, and point markers (faults, failovers, placement decisions).
-//! After the DES run finishes, the caller feeds the engine's resource
-//! occupancy back in ([`Recorder::occupy`]) and calls [`Recorder::build`],
-//! which assembles one causal span tree per request:
+//! [`Recorder`] as it executes: request arrivals, queueing, launches (each
+//! an engine job, with its planned [`WorkStep`]s), retry backoffs, terminal
+//! outcomes, and point markers (faults, failovers, placement decisions) —
+//! only what the engine cannot know. After the DES run finishes the caller
+//! hands [`Recorder::build`] the engine and what its run returned: each
+//! launch ends where its job finished, and its resource-bound steps land on
+//! the job's occupancy entries. The build assembles one causal span tree
+//! per request:
 //!
 //! ```text
 //! request ── queue wait ── attempt ──┬── wait psp
@@ -29,7 +31,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
 use sevf_sim::fault::FaultKind;
-use sevf_sim::{Nanos, PhaseKind, ResourceClass};
+use sevf_sim::{DesEngine, JobOutcome, Nanos, PhaseKind, ResourceClass, RunTrace, TraceEntry};
 
 /// One planned unit of work inside a launch attempt: which resource class
 /// it occupies, which boot phase it belongs to, and for how long.
@@ -182,19 +184,6 @@ pub struct MarkerRec {
     pub at: Nanos,
 }
 
-/// One resource occupancy fed back from the DES engine after the run.
-#[derive(Debug, Clone)]
-pub struct OccEntry {
-    /// Concrete resource name ("psp", "psp3", "host-cpus", ...).
-    pub resource: String,
-    /// Engine job index the occupancy belongs to.
-    pub job: usize,
-    /// Instant the segment started executing.
-    pub start: Nanos,
-    /// Instant the segment finished.
-    pub end: Nanos,
-}
-
 /// What a span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
@@ -258,8 +247,20 @@ impl SpanRec {
     }
 }
 
+/// One launch the recorder lays out: an engine job, a request's attempt or
+/// (with no request) a background job.
+#[derive(Debug)]
+struct LaunchEv {
+    request: Option<usize>,
+    job: usize,
+    label: String,
+    host: Option<usize>,
+    steps: Vec<WorkStep>,
+    at: Nanos,
+}
+
 /// Events the recorder buffers during a run (assembled by [`Recorder::build`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Ev {
     Arrival {
         request: usize,
@@ -269,18 +270,7 @@ enum Ev {
     Queued {
         request: usize,
     },
-    AttemptStart {
-        request: usize,
-        job: usize,
-        label: String,
-        host: Option<usize>,
-        steps: Vec<WorkStep>,
-        at: Nanos,
-    },
-    AttemptEnd {
-        job: usize,
-        at: Nanos,
-    },
+    Launch(LaunchEv),
     RetryWait {
         request: usize,
         attempt: u32,
@@ -292,24 +282,12 @@ enum Ev {
         outcome: Outcome,
         at: Nanos,
     },
-    Background {
-        job: usize,
-        label: String,
-        host: Option<usize>,
-        steps: Vec<WorkStep>,
-        at: Nanos,
-    },
-    BackgroundEnd {
-        job: usize,
-        at: Nanos,
-    },
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Ev>,
     markers: Vec<MarkerRec>,
-    occupancy: Vec<OccEntry>,
 }
 
 /// The recording handle the serving layers thread through a run.
@@ -360,10 +338,13 @@ impl Recorder {
         }
     }
 
-    /// A launch attempt for `request` was injected as engine job `job`.
-    pub fn attempt_start(
+    /// Engine job `job` was injected at `at` to run `steps`: a launch
+    /// attempt for `request`, or a background job (warm-pool refill) when
+    /// there is none. `steps` are the job's segments, in order (its span
+    /// still ends where the engine says the job finished).
+    pub fn launch(
         &mut self,
-        request: usize,
+        request: Option<usize>,
         job: usize,
         label: &str,
         host: Option<usize>,
@@ -371,21 +352,14 @@ impl Recorder {
         at: Nanos,
     ) {
         if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::AttemptStart {
+            inner.events.push(Ev::Launch(LaunchEv {
                 request,
                 job,
                 label: label.to_string(),
                 host,
                 steps,
                 at,
-            });
-        }
-    }
-
-    /// Engine job `job` (a launch attempt) completed.
-    pub fn attempt_end(&mut self, job: usize, at: Nanos) {
-        if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::AttemptEnd { job, at });
+            }));
         }
     }
 
@@ -413,33 +387,6 @@ impl Recorder {
         }
     }
 
-    /// A background job (warm-pool refill) was injected as engine job `job`.
-    pub fn background(
-        &mut self,
-        job: usize,
-        label: &str,
-        host: Option<usize>,
-        steps: Vec<WorkStep>,
-        at: Nanos,
-    ) {
-        if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::Background {
-                job,
-                label: label.to_string(),
-                host,
-                steps,
-                at,
-            });
-        }
-    }
-
-    /// Engine job `job` (a background job) completed.
-    pub fn background_end(&mut self, job: usize, at: Nanos) {
-        if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::BackgroundEnd { job, at });
-        }
-    }
-
     /// Records a point marker.
     pub fn marker(
         &mut self,
@@ -458,39 +405,27 @@ impl Recorder {
         }
     }
 
-    /// Feeds one engine occupancy entry back in after the run.
-    pub fn occupy(&mut self, resource: &str, job: usize, start: Nanos, end: Nanos) {
-        if let Some(inner) = &mut self.inner {
-            inner.occupancy.push(OccEntry {
-                resource: resource.to_string(),
-                job,
-                start,
-                end,
-            });
-        }
-    }
-
-    /// Assembles the recorded events into span trees. Returns an empty log
-    /// for a disabled recorder.
-    pub fn build(self) -> TraceLog {
+    /// Assembles the recorded events into span trees against the run that
+    /// `engine` made: job ends come from `outcomes` (indexed by job) and
+    /// resource-bound steps land on their job's `trace` occupancy entries,
+    /// named by `engine`. Returns an empty log for a disabled recorder.
+    pub fn build(self, engine: &DesEngine, outcomes: &[JobOutcome], trace: &RunTrace) -> TraceLog {
         let inner = match self.inner {
             Some(inner) => *inner,
             None => return TraceLog::default(),
         };
-        Assembler::assemble(inner)
+        Assembler::assemble(inner, engine, outcomes, trace)
     }
 }
 
-/// The assembled trace of one run: span trees, markers, raw occupancy, and
-/// per-request terminal outcomes.
+/// The assembled trace of one run: span trees, markers, and per-request
+/// terminal outcomes.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// All spans; a span's `id` is its index here, parents precede children.
     pub spans: Vec<SpanRec>,
     /// Point markers in recording order.
     pub markers: Vec<MarkerRec>,
-    /// Raw engine occupancy fed in after the run.
-    pub occupancy: Vec<OccEntry>,
     /// `(request, outcome, at)` terminal states in recording order.
     pub outcomes: Vec<(usize, Outcome, Nanos)>,
 }
@@ -553,77 +488,66 @@ impl TraceLog {
     }
 }
 
-/// Turns the flat event list into span trees.
-struct Assembler {
-    occupancy: Vec<OccEntry>,
-    occ_by_job: BTreeMap<usize, VecDeque<usize>>,
-    attempt_ends: BTreeMap<usize, Nanos>,
-    background_ends: BTreeMap<usize, Nanos>,
+/// Turns the flat event list into span trees over one engine run.
+struct Assembler<'a> {
+    engine: &'a DesEngine,
+    outcomes: &'a [JobOutcome],
+    /// Each job's occupancy entries, in order.
+    occ_by_job: BTreeMap<usize, VecDeque<&'a TraceEntry>>,
     spans: Vec<SpanRec>,
 }
 
-impl Assembler {
-    fn assemble(inner: Inner) -> TraceLog {
-        let mut occ_by_job: BTreeMap<usize, VecDeque<usize>> = BTreeMap::new();
-        for (i, entry) in inner.occupancy.iter().enumerate() {
-            occ_by_job.entry(entry.job).or_default().push_back(i);
+impl<'a> Assembler<'a> {
+    fn assemble(
+        inner: Inner,
+        engine: &'a DesEngine,
+        outcomes: &'a [JobOutcome],
+        trace: &'a RunTrace,
+    ) -> TraceLog {
+        let mut occ_by_job: BTreeMap<usize, VecDeque<&TraceEntry>> = BTreeMap::new();
+        for entry in trace.entries() {
+            occ_by_job.entry(entry.job).or_default().push_back(entry);
         }
-        let mut attempt_ends = BTreeMap::new();
-        let mut background_ends = BTreeMap::new();
-        let mut outcomes = Vec::new();
+        let mut terminals = Vec::new();
         let mut per_request: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut backgrounds: Vec<usize> = Vec::new();
+        let mut backgrounds = Vec::new();
         for (i, ev) in inner.events.iter().enumerate() {
             match ev {
                 Ev::Arrival { request, .. }
                 | Ev::Queued { request }
-                | Ev::AttemptStart { request, .. }
+                | Ev::Launch(LaunchEv {
+                    request: Some(request),
+                    ..
+                })
                 | Ev::RetryWait { request, .. } => per_request.entry(*request).or_default().push(i),
-                Ev::AttemptEnd { job, at } => {
-                    attempt_ends.insert(*job, *at);
-                }
                 Ev::Terminal {
                     request,
                     outcome,
                     at,
                 } => {
-                    outcomes.push((*request, *outcome, *at));
+                    terminals.push((*request, *outcome, *at));
                     per_request.entry(*request).or_default().push(i);
                 }
-                Ev::Background { .. } => backgrounds.push(i),
-                Ev::BackgroundEnd { job, at } => {
-                    background_ends.insert(*job, *at);
-                }
+                Ev::Launch(launch) => backgrounds.push(launch),
             }
         }
 
         let mut asm = Assembler {
-            occupancy: inner.occupancy,
+            engine,
+            outcomes,
             occ_by_job,
-            attempt_ends,
-            background_ends,
             spans: Vec::new(),
         };
         for (request, idxs) in &per_request {
             asm.request_tree(*request, idxs, &inner.events);
         }
-        for idx in backgrounds {
-            if let Ev::Background {
-                job,
-                label,
-                host,
-                steps,
-                at,
-            } = &inner.events[idx]
-            {
-                asm.background_tree(*job, label, *host, steps, *at);
-            }
+        for launch in backgrounds {
+            asm.launch(None, launch);
         }
         TraceLog {
             spans: asm.spans,
             markers: inner.markers,
-            occupancy: asm.occupancy,
-            outcomes,
+            outcomes: terminals,
         }
     }
 
@@ -660,7 +584,7 @@ impl Assembler {
     /// clock order within a request).
     fn request_tree(&mut self, request: usize, idxs: &[usize], events: &[Ev]) {
         let Some((arrived, class)) = idxs.iter().find_map(|&i| match &events[i] {
-            Ev::Arrival { at, class, .. } => Some((*at, class.clone())),
+            Ev::Arrival { at, class, .. } => Some((*at, class)),
             _ => None,
         }) else {
             return;
@@ -670,7 +594,7 @@ impl Assembler {
             Some(request),
             None,
             SpanKind::Request,
-            class,
+            class.clone(),
             None,
             None,
             arrived,
@@ -679,9 +603,8 @@ impl Assembler {
         let mut cursor = arrived;
         let mut queued = false;
         for &idx in idxs {
-            match events[idx].clone() {
-                Ev::Arrival { .. } | Ev::AttemptEnd { .. } | Ev::BackgroundEnd { .. } => {}
-                Ev::Background { .. } => {}
+            match &events[idx] {
+                Ev::Arrival { .. } => {}
                 Ev::Queued { .. } => queued = true,
                 Ev::RetryWait {
                     attempt,
@@ -689,7 +612,7 @@ impl Assembler {
                     until,
                     ..
                 } => {
-                    self.gap(root, request, cursor, from, queued);
+                    self.gap(root, request, cursor, *from, queued);
                     self.push_span(
                         Some(root),
                         Some(request),
@@ -698,27 +621,20 @@ impl Assembler {
                         format!("backoff #{attempt}"),
                         None,
                         None,
-                        from,
-                        until,
+                        *from,
+                        *until,
                     );
-                    cursor = until;
+                    cursor = *until;
                     queued = false;
                 }
-                Ev::AttemptStart {
-                    job,
-                    label,
-                    host,
-                    steps,
-                    at,
-                    ..
-                } => {
-                    self.gap(root, request, cursor, at, queued);
-                    cursor = self.attempt(root, request, host, job, &label, &steps, at);
+                Ev::Launch(launch) => {
+                    self.gap(root, request, cursor, launch.at, queued);
+                    cursor = self.launch(Some(root), launch);
                     queued = false;
                 }
                 Ev::Terminal { at, .. } => {
-                    self.gap(root, request, cursor, at, queued);
-                    cursor = at;
+                    self.gap(root, request, cursor, *at, queued);
+                    cursor = *at;
                 }
             }
         }
@@ -744,142 +660,91 @@ impl Assembler {
         }
     }
 
-    /// Builds one attempt span with its step/wait children; returns its end.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &mut self,
-        parent: usize,
-        request: usize,
-        host: Option<usize>,
-        job: usize,
-        label: &str,
-        steps: &[WorkStep],
-        at: Nanos,
-    ) -> Nanos {
-        let attempt = self.push_span(
-            Some(parent),
-            Some(request),
+    /// Builds one launch span — an Attempt under `root`, or a Background
+    /// root when there is none — with its step/wait children, and returns
+    /// where its job finished. Resource-bound steps take the job's
+    /// occupancy entries in order; a gap before an entry's start becomes a
+    /// resource-wait child. Network steps are pure delays and self-place.
+    fn launch(&mut self, root: Option<usize>, launch: &LaunchEv) -> Nanos {
+        let LaunchEv {
+            request,
+            job,
+            ref label,
             host,
-            SpanKind::Attempt,
-            label.to_string(),
-            None,
-            None,
+            ref steps,
             at,
-            at,
-        );
-        let cur = self.steps(attempt, Some(request), host, job, steps, at);
-        let end = self.attempt_ends.get(&job).copied().unwrap_or(cur);
-        self.spans[attempt].end = end;
-        end
-    }
-
-    /// Lays `steps` under `parent`, matching resource-bound steps against
-    /// the job's occupancy entries in order; gaps before an occupancy start
-    /// become resource-wait children. Returns the clock after the last step.
-    fn steps(
-        &mut self,
-        parent: usize,
-        request: Option<usize>,
-        host: Option<usize>,
-        job: usize,
-        steps: &[WorkStep],
-        at: Nanos,
-    ) -> Nanos {
+        } = *launch;
+        let kind = match root {
+            Some(_) => SpanKind::Attempt,
+            None => SpanKind::Background,
+        };
+        let span = self.push_span(root, request, host, kind, label.clone(), None, None, at, at);
+        let engine = self.engine;
         let mut cur = at;
         for step in steps {
-            if step.class == ResourceClass::Network {
-                self.push_span(
-                    Some(parent),
-                    request,
-                    host,
-                    SpanKind::Step,
-                    step.label.to_string(),
-                    Some(step.phase),
-                    Some("network".to_string()),
-                    cur,
-                    cur + step.duration,
-                );
-                cur += step.duration;
-                continue;
-            }
-            let entry = self
-                .occ_by_job
-                .get_mut(&job)
-                .and_then(|queue| queue.pop_front())
-                .map(|i| self.occupancy[i].clone());
-            match entry {
-                Some(entry) => {
-                    if entry.start > cur {
-                        self.push_span(
-                            Some(parent),
-                            request,
-                            host,
-                            SpanKind::Wait,
-                            format!("wait {}", entry.resource),
-                            None,
-                            Some(entry.resource.clone()),
-                            cur,
-                            entry.start,
-                        );
-                    }
+            let (resource, start, end) = if step.class == ResourceClass::Network {
+                ("network", cur, cur + step.duration)
+            } else {
+                let entry = self
+                    .occ_by_job
+                    .get_mut(&job)
+                    .and_then(VecDeque::pop_front)
+                    .expect("every resource-bound step is one of its job's engine segments");
+                let resource = engine.resource_name(entry.resource);
+                if entry.start > cur {
                     self.push_span(
-                        Some(parent),
+                        Some(span),
                         request,
                         host,
-                        SpanKind::Step,
-                        step.label.to_string(),
-                        Some(step.phase),
-                        Some(entry.resource.clone()),
-                        entry.start,
-                        entry.end,
-                    );
-                    cur = entry.end;
-                }
-                None => {
-                    // No occupancy fed back (caller skipped `occupy`): fall
-                    // back to the planned duration so the tree still tiles.
-                    self.push_span(
-                        Some(parent),
-                        request,
-                        host,
-                        SpanKind::Step,
-                        step.label.to_string(),
-                        Some(step.phase),
+                        SpanKind::Wait,
+                        format!("wait {resource}"),
                         None,
+                        Some(resource.to_string()),
                         cur,
-                        cur + step.duration,
+                        entry.start,
                     );
-                    cur += step.duration;
                 }
-            }
+                (resource, entry.start, entry.end)
+            };
+            self.push_span(
+                Some(span),
+                request,
+                host,
+                SpanKind::Step,
+                step.label.to_string(),
+                Some(step.phase),
+                Some(resource.to_string()),
+                start,
+                end,
+            );
+            cur = end;
         }
-        cur
+        let end = self
+            .outcomes
+            .get(job)
+            .expect("every launch is an engine job that finished")
+            .finish;
+        self.spans[span].end = end;
+        end
     }
+}
 
-    /// Builds one background job's tree (no request identity).
-    fn background_tree(
-        &mut self,
-        job: usize,
-        label: &str,
-        host: Option<usize>,
-        steps: &[WorkStep],
-        at: Nanos,
-    ) {
-        let root = self.push_span(
-            None,
-            None,
-            host,
-            SpanKind::Background,
-            label.to_string(),
-            None,
-            None,
-            at,
-            at,
-        );
-        let cur = self.steps(root, None, host, job, steps, at);
-        let end = self.background_ends.get(&job).copied().unwrap_or(cur);
-        self.spans[root].end = end;
-    }
+/// Runs one engine job per `(release, steps)` pair on a tiny host — a
+/// one-slot "psp" and a two-slot "host-cpus" — and builds `rec` against
+/// the run, as the serving drivers do after theirs.
+#[cfg(test)]
+pub(crate) fn build_on_engine(rec: Recorder, jobs: &[(Nanos, Vec<WorkStep>)]) -> TraceLog {
+    use sevf_sim::{Job, Segment};
+    let mut engine = DesEngine::new();
+    let psp = engine.add_resource("psp", 1);
+    let cpu = engine.add_resource("host-cpus", 2);
+    let jobs = jobs.iter().map(|(at, steps)| {
+        let segments = steps.iter();
+        let segments = segments.map(|s| Segment::for_class(s.class, s.duration, cpu, psp));
+        Job::released_at(*at, segments.collect())
+    });
+    let (outcomes, trace) = engine.run_traced(jobs.collect());
+    rec.build(&engine, &outcomes, &trace)
 }
 
 #[cfg(test)]
@@ -900,7 +765,7 @@ mod tests {
         assert!(!rec.on());
         rec.arrival(0, "c", ms(0));
         rec.terminal(0, Outcome::Completed, ms(5));
-        let log = rec.build();
+        let log = build_on_engine(rec, &[]);
         assert!(log.spans.is_empty());
         assert!(log.outcomes.is_empty());
     }
@@ -911,14 +776,18 @@ mod tests {
         rec.arrival(0, "tiny", ms(0));
         rec.queued(0);
         let steps = vec![psp_step("LAUNCH", ms(4))];
-        rec.attempt_start(0, 7, "tiny cold", None, steps, ms(2));
-        rec.attempt_end(7, ms(8));
+        rec.launch(Some(0), 1, "tiny cold", None, steps.clone(), ms(2));
         rec.terminal(0, Outcome::Completed, ms(8));
-        // The psp slot only freed at t=3: one extra wait inside the attempt.
-        rec.occupy("psp", 7, ms(3), ms(7));
-        // Padding the job with trailing cpu-free time up to t=8 is the
-        // attempt-end's business; the step ends at 7, attempt end is 8.
-        let log = rec.build();
+        // Job 0, unrecorded, holds the psp until t=3: one extra wait inside
+        // the attempt. Job 1's engine segments run a 1 ms delay past the
+        // step the recorder was told of: the step ends at 7, and the
+        // attempt at 8, where the engine says the job finished.
+        let tail = WorkStep::new(ResourceClass::Network, PhaseKind::LinuxBoot, "tail", ms(1));
+        let jobs = [
+            (ms(0), vec![psp_step("other", ms(3))]),
+            (ms(2), vec![steps[0].clone(), tail]),
+        ];
+        let log = build_on_engine(rec, &jobs);
 
         let root = log.request_root(0).expect("root");
         assert_eq!(root.kind, SpanKind::Request);
@@ -942,16 +811,13 @@ mod tests {
     #[test]
     fn retry_backoff_appears_between_attempts() {
         let mut rec = Recorder::enabled();
+        let steps = vec![psp_step("L", ms(2))];
         rec.arrival(3, "tiny", ms(0));
-        rec.attempt_start(3, 0, "try 1", None, vec![psp_step("L", ms(2))], ms(0));
-        rec.attempt_end(0, ms(2));
+        rec.launch(Some(3), 0, "try 1", None, steps.clone(), ms(0));
         rec.retry_wait(3, 1, ms(2), ms(5));
-        rec.attempt_start(3, 1, "try 2", None, vec![psp_step("L", ms(2))], ms(5));
-        rec.attempt_end(1, ms(7));
+        rec.launch(Some(3), 1, "try 2", None, steps.clone(), ms(5));
         rec.terminal(3, Outcome::Completed, ms(7));
-        rec.occupy("psp", 0, ms(0), ms(2));
-        rec.occupy("psp", 1, ms(5), ms(7));
-        let log = rec.build();
+        let log = build_on_engine(rec, &[(ms(0), steps.clone()), (ms(5), steps)]);
         let root = log.request_root(3).unwrap();
         let kinds: Vec<SpanKind> = log.children(root.id).iter().map(|s| s.kind).collect();
         assert_eq!(
@@ -969,7 +835,7 @@ mod tests {
         let mut rec = Recorder::enabled();
         rec.arrival(1, "tiny", ms(4));
         rec.terminal(1, Outcome::Shed, ms(4));
-        let log = rec.build();
+        let log = build_on_engine(rec, &[]);
         let root = log.request_root(1).unwrap();
         assert_eq!(root.duration(), Nanos::ZERO);
         assert_eq!(log.requests_with_outcome(Outcome::Shed), [1]);
@@ -979,10 +845,9 @@ mod tests {
     #[test]
     fn background_trees_carry_no_request() {
         let mut rec = Recorder::enabled();
-        rec.background(9, "refill tiny", None, vec![psp_step("L", ms(3))], ms(1));
-        rec.background_end(9, ms(4));
-        rec.occupy("psp", 9, ms(1), ms(4));
-        let log = rec.build();
+        let steps = vec![psp_step("L", ms(3))];
+        rec.launch(None, 0, "refill tiny", None, steps.clone(), ms(1));
+        let log = build_on_engine(rec, &[(ms(1), steps)]);
         let root = log.roots().next().unwrap();
         assert_eq!(root.kind, SpanKind::Background);
         assert_eq!(root.request, None);
@@ -997,7 +862,7 @@ mod tests {
         rec.marker(reset, None, Some(2), ms(2));
         rec.marker(MarkerKind::Failover, Some(0), Some(1), ms(2));
         rec.marker(MarkerKind::Placement { host: 1 }, Some(0), Some(1), ms(0));
-        let log = rec.build();
+        let log = build_on_engine(rec, &[]);
         assert_eq!(log.count_marker(reset), 2);
         assert_eq!(log.count_marker(MarkerKind::Failover), 1);
         assert_eq!(log.count_marker(MarkerKind::Placement { host: 1 }), 1);

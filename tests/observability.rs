@@ -17,7 +17,7 @@ use sevf_fleet::workload::RequestMix;
 use sevf_obs::{invariants, Histogram, MarkerKind, MarkerRec, Outcome, SpanKind, TraceLog};
 use sevf_sim::fault::{FaultConfig, FaultKind, FaultPlan};
 use sevf_sim::rng::XorShift64;
-use sevf_sim::{stats, Nanos};
+use sevf_sim::{stats, Nanos, RunTrace};
 
 fn catalog() -> Catalog {
     Catalog::build(17, &ClassSpec::quick_test_classes()).unwrap()
@@ -294,6 +294,76 @@ fn autoscaled_tracing_never_changes_the_report() {
         (pa.ticks, pa.scale_outs, pa.scale_ins, pa.prewarms),
         (ta.ticks, ta.scale_outs, ta.scale_ins, ta.prewarms)
     );
+}
+
+/// The `(start, end)` pairs of every non-network step span, and of every
+/// engine occupancy entry, each sorted.
+fn step_and_entry_intervals(log: &TraceLog, trace: &RunTrace) -> [Vec<(Nanos, Nanos)>; 2] {
+    let mut steps: Vec<(Nanos, Nanos)> = log
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Step && s.resource.as_deref() != Some("network"))
+        .map(|s| (s.start, s.end))
+        .collect();
+    let mut entries: Vec<(Nanos, Nanos)> =
+        trace.entries().iter().map(|e| (e.start, e.end)).collect();
+    steps.sort();
+    entries.sort();
+    [steps, entries]
+}
+
+#[test]
+fn resource_step_spans_are_exactly_the_engine_occupancy() {
+    use sevf_attplane::AttPlaneConfig;
+    use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy};
+    use sevf_net::{DetectorConfig, LeaseConfig, LinkSpec, NetConfig, Partition, PartitionScope};
+
+    // Every resource-bound step the trace shows is one segment the engine
+    // ran, and every segment the engine ran is shown: under the storm, with
+    // warm-pool refills as background trees.
+    let config = FleetConfig {
+        mix: Some(RequestMix::quick_test_mix()),
+        fault: Some(FaultPlan::generate(7, FaultConfig::storm(), Nanos::from_secs(6)).unwrap()),
+        recovery: RecoveryConfig::resilient(7),
+        ..FleetConfig::open_loop(ServingTier::WarmPool, 80.0, 200)
+    };
+    let (report, log) = FleetService::new(catalog(), config).run_traced();
+    assert!(report.metrics.faults.total() > 0 && report.metrics.retries > 0);
+    let [steps, entries] = step_and_entry_intervals(&log, &report.trace);
+    assert!(!entries.is_empty());
+    assert_eq!(steps, entries);
+
+    // Four hosts, one cut off the network for a second, with the verifier.
+    let config = ClusterConfig {
+        mix: Some(RequestMix::quick_test_mix()),
+        placement: PlacementPolicy::JsqPsp,
+        fault: Some(FaultConfig::storm()),
+        fault_horizon: Nanos::from_secs(8),
+        recovery: RecoveryConfig::resilient(0x5EF0),
+        attestation: Some(AttPlaneConfig::cached_batched()),
+        net: Some(NetConfig {
+            link: LinkSpec::datacenter(),
+            partitions: vec![Partition {
+                scope: PartitionScope::Host(3),
+                start: Nanos::from_millis(400),
+                end: Nanos::from_millis(1400),
+            }],
+            horizon: Nanos::from_secs(20),
+            dispatch_timeout: Nanos::from_millis(50),
+            heartbeat_every: Nanos::from_millis(50),
+            detector: Some(DetectorConfig),
+            lease: Some(LeaseConfig {
+                duration: Nanos::from_millis(300),
+                renew_every: Nanos::from_millis(100),
+            }),
+        }),
+        ..ClusterConfig::open_loop(4, ServingTier::WarmPool, 160.0, 300)
+    };
+    let (report, log) = ClusterService::new(catalog(), config).unwrap().run_traced();
+    assert!(report.metrics.faults > 0 && report.metrics.suspicions > 0);
+    let [steps, entries] = step_and_entry_intervals(&log, &report.trace);
+    assert!(!entries.is_empty());
+    assert_eq!(steps, entries);
 }
 
 // ---- histogram properties on seeded samples --------------------------------
