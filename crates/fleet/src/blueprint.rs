@@ -3,22 +3,23 @@
 //! Serving thousands of requests cannot re-run the full functional boot
 //! (real hashing, real encryption) per request — and does not need to: the
 //! virtual-time shape of a boot is a property of its *configuration*. So the
-//! control plane boots each request class **once per serving tier** on a
-//! real [`sevf_vmm::Machine`], converts the resulting timeline into a
+//! control plane boots each request class **twice** on a real
+//! [`sevf_vmm::Machine`], converts each resulting timeline into a
 //! replayable [`Blueprint`] (placed on the host's resources by
 //! [`Segment::for_class`], as [`sevf_vmm::concurrent::boot_job`] places a
 //! boot), and replays that blueprint for every request of the class.
 //!
-//! Three blueprints per class:
+//! Three blueprints per class, from two boots:
 //!
-//! * **cold** — a full launch: every byte measured by the PSP.
-//! * **template fill / hit** — the §6.2 shared-key path: the first launch of
-//!   a configuration fills the template (full PSP work + registration),
-//!   subsequent identical launches reuse its key and measurement and skip
-//!   almost all PSP work. [`LaunchCache`] decides fill vs hit by
-//!   content-address ([`TemplateKey`] = the launch measurement).
+//! * **cold** — a full launch: every byte measured by the PSP. It is also
+//!   the §6.2 **template fill**: the first shared-key launch of a
+//!   configuration is a full launch that leaves its template behind.
+//! * **template hit** — later identical launches reuse the template's key
+//!   and measurement and skip almost all PSP work. [`LaunchCache`] decides
+//!   fill vs hit by content-address ([`TemplateKey`] = the launch
+//!   measurement).
 //! * **warm invoke** — the §7.1 keep-alive path: no launch at all, just a
-//!   vCPU kick into a resident guest.
+//!   vCPU kick into the resident cold guest.
 
 use std::collections::HashMap;
 
@@ -248,10 +249,9 @@ pub struct ClassBlueprints {
     pub name: String,
     /// Content-address of the class's launch template.
     pub key: TemplateKey,
-    /// Full cold launch.
+    /// Full cold launch; also the template fill, which is the first
+    /// shared-key launch of the class.
     pub cold: Blueprint,
-    /// Template fill: the first shared-key launch (full PSP work).
-    pub template_fill: Blueprint,
     /// Template hit: a launch reusing the filled template.
     pub template_hit: Blueprint,
     /// Warm invocation into a resident keep-alive guest.
@@ -260,8 +260,9 @@ pub struct ClassBlueprints {
     pub resident_bytes: u64,
 }
 
-/// The fleet's class catalog: every class booted once per tier on a real
-/// machine, blueprints extracted for replay.
+/// The fleet's class catalog: every class booted twice on a real machine
+/// (a cold launch that fills the template, then a template hit),
+/// blueprints extracted for replay.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     classes: Vec<ClassBlueprints>,
@@ -285,13 +286,17 @@ impl Catalog {
                 .owner
                 .set_required_generation(spec.config.generation);
 
-            // Cold: full launch, fresh key, everything measured. The guest
-            // stays resident: the warm invoke below is timed in it.
-            let cold_vm = MicroVm::new(spec.config.clone())?;
+            // Cold: a shared-key launch on a machine with no template yet
+            // is a full launch, fresh key, everything measured, and it
+            // fills `machine.templates`. The guest stays resident: the warm
+            // invoke below is timed in it.
+            let mut config = spec.config.clone();
+            config.launch_mode = LaunchMode::SharedKeyTemplate;
+            let vm = MicroVm::new(config)?;
             if spec.config.policy.is_sev() {
-                cold_vm.register_expected(&mut machine)?;
+                vm.register_expected(&mut machine)?;
             }
-            let (cold_report, mut warm_vm) = cold_vm.boot_keep_alive(&mut machine)?;
+            let (cold_report, mut warm_vm) = vm.boot_keep_alive(&mut machine)?;
             let key = match cold_report.measurement {
                 Some(m) => TemplateKey::from_measurement(m),
                 // Non-SEV classes have no launch measurement; give each a
@@ -304,16 +309,8 @@ impl Catalog {
                 }
             };
 
-            // Template pair: same machine, shared-key mode. First boot
-            // fills `machine.templates`, second reuses it.
-            let mut template_config = spec.config.clone();
-            template_config.launch_mode = LaunchMode::SharedKeyTemplate;
-            let template_vm = MicroVm::new(template_config)?;
-            if spec.config.policy.is_sev() {
-                template_vm.register_expected(&mut machine)?;
-            }
-            let fill_report = template_vm.boot(&mut machine)?;
-            let hit_report = template_vm.boot(&mut machine)?;
+            // Template hit: the same launch again reuses the filled template.
+            let hit_report = vm.boot(&mut machine)?;
 
             // Warm: a vCPU kick into the resident cold guest.
             let invocation = warm_vm.invoke(&machine.cost);
@@ -322,10 +319,6 @@ impl Catalog {
                 name: spec.name.clone(),
                 key,
                 cold: Blueprint::from_report(format!("{} cold", spec.name), &cold_report),
-                template_fill: Blueprint::from_report(
-                    format!("{} template-fill", spec.name),
-                    &fill_report,
-                ),
                 template_hit: Blueprint::from_report(
                     format!("{} template-hit", spec.name),
                     &hit_report,
@@ -452,8 +445,9 @@ mod tests {
         let catalog = quick_catalog();
         let snp = catalog.class(0);
         assert!(snp.cold.psp_work() > Nanos::ZERO);
-        // Fill pays full launch work; the hit skips nearly all of it (§6.2).
-        assert!(snp.template_fill.psp_work() > snp.template_hit.psp_work().scale(5));
+        // The fill (a cold launch) pays full launch work; the hit skips
+        // nearly all of it (§6.2).
+        assert!(snp.cold.psp_work() > snp.template_hit.psp_work().scale(5));
         // Warm invocation touches the PSP not at all.
         assert_eq!(snp.warm_invoke.psp_work(), Nanos::ZERO);
     }

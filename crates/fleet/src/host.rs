@@ -280,7 +280,7 @@ impl Host {
         match tier {
             ServingTier::Cold => cb.cold.psp_work(),
             _ if self.cache.contains(&cb.key) => cb.template_hit.psp_work(),
-            _ => cb.template_fill.psp_work(),
+            _ => cb.cold.psp_work(),
         }
     }
 
@@ -330,7 +330,8 @@ impl Host {
     }
 
     /// Picks the catalog blueprint for a dispatch at `tier` and injects it;
-    /// a template tier counts one cache hit or miss (a miss fills).
+    /// a template tier counts one cache hit or miss. A miss fills the
+    /// template, and a fill is a cold launch, so it replays `cold`.
     fn dispatch<J: From<ServeJob>>(
         &mut self,
         cx: &mut Front<'_, J>,
@@ -347,7 +348,7 @@ impl Host {
         let (blueprint, fill) = match tier {
             ServingTier::Cold => (&cb.cold, false),
             _ if self.cache.lookup_or_fill(cb.key, class) => (&cb.template_hit, false),
-            _ => (&cb.template_fill, true),
+            _ => (&cb.cold, true),
         };
         self.inject_launch(cx, request, class, blueprint, fill, now, inject);
     }
@@ -822,7 +823,7 @@ mod tests {
         let catalog = Catalog::build(41, &ClassSpec::quick_test_classes()).unwrap();
         let none = plan(FaultConfig::none());
         for class in catalog.classes() {
-            for bp in [&class.cold, &class.template_fill, &class.template_hit] {
+            for bp in [&class.cold, &class.template_hit] {
                 let (replayed, fault) = apply_launch_faults(bp, &none, 9, ms(700));
                 assert_eq!(fault, None);
                 assert!(matches!(replayed, Cow::Borrowed(b) if std::ptr::eq(b, bp)));

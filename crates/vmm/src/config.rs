@@ -212,6 +212,15 @@ mod tests {
         let mut c = VmConfig::test_tiny(BootPolicy::Severifast);
         c.vcpus = 0;
         assert!(c.validate().is_err());
+
+        let mut c = VmConfig::test_tiny(BootPolicy::Severifast);
+        c.kaslr = KaslrMode::InMonitor;
+        assert!(c.validate().is_err(), "in-monitor KASLR under SEV");
+
+        let mut c = VmConfig::test_tiny(BootPolicy::SeverifastVmlinux);
+        c.kernel_codec = Codec::None;
+        c.kaslr = KaslrMode::GuestSide;
+        assert!(c.validate().is_err(), "guest-side KASLR needs a bzImage");
     }
 
     #[test]

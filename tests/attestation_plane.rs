@@ -160,7 +160,7 @@ fn attested_attempts_record_catalog_steps_then_the_verdict() {
     let replayable: Vec<&Blueprint> = catalog
         .classes()
         .iter()
-        .flat_map(|c| [&c.cold, &c.template_fill, &c.template_hit, &c.warm_invoke])
+        .flat_map(|c| [&c.cold, &c.template_hit, &c.warm_invoke])
         .collect();
     let verdict_steps = [
         STEP_QUEUE_WAIT,

@@ -1,6 +1,7 @@
 //! Workspace integration tests for the §2.6 trust-model guarantees — the
 //! five checks DESIGN.md commits to.
 
+use severifast::attest::GuestAttestClient;
 use severifast::crypto::sha256;
 use severifast::image::elf::{EHDR_SIZE, PHDR_SIZE};
 use severifast::image::{initrd, kernel::KernelConfig, ImageError};
@@ -323,13 +324,30 @@ fn identical_pages_have_distinct_ciphertext() {
 
 #[test]
 fn secret_never_in_plaintext_anywhere_host_readable() {
-    // After a full attested boot, the provisioned secret must not appear in
-    // any host-visible view of guest memory (it only ever exists inside the
-    // attestation channel's ciphertext and the guest's private memory).
+    // The provisioned secret only ever exists inside the attestation
+    // channel's ciphertext and the guest's private memory. Drive the §4.2
+    // exchange by hand on a launched context (a template's, so it outlives
+    // the boot) and look for the secret in every byte the host relays.
     let mut m = Machine::new(0x5EC);
-    let vm = MicroVm::new(VmConfig::test_tiny(BootPolicy::Severifast)).unwrap();
+    let mut config = VmConfig::test_tiny(BootPolicy::Severifast);
+    config.launch_mode = severifast::vmm::config::LaunchMode::SharedKeyTemplate;
+    let vm = MicroVm::new(config).unwrap();
     vm.register_expected(&mut m).unwrap();
-    let report = vm.boot(&mut m).unwrap();
-    let secret = report.provisioned_secret.unwrap();
-    assert_eq!(secret, b"tenant disk encryption key");
+    let measurement = vm.boot(&mut m).unwrap().measurement.unwrap();
+    let guest = m.templates[&measurement];
+
+    let client = GuestAttestClient::new(&measurement);
+    let (report, _) = m.psp.guest_report(guest, client.report_data()).unwrap();
+    let wrapped = m.owner.handle_report(&report).unwrap();
+    let secret = b"tenant disk encryption key";
+    for (what, relayed) in [
+        ("attestation report", report.to_bytes()),
+        ("wrapped secret", wrapped.ciphertext.clone()),
+    ] {
+        let leaks = relayed
+            .windows(8)
+            .any(|w| secret.windows(8).any(|s| s == w));
+        assert!(!leaks, "an 8-byte window of the secret is in the {what}");
+    }
+    assert_eq!(client.unwrap_secret(&wrapped).unwrap(), secret);
 }
