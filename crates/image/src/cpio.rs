@@ -9,15 +9,16 @@ use crate::ImageError;
 const MAGIC: &[u8; 6] = b"070701";
 const TRAILER: &str = "TRAILER!!!";
 
-/// One file in a CPIO archive.
+/// One file in a CPIO archive, its contents owned or (from [`parse`])
+/// borrowed from the archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpioEntry {
+pub struct CpioEntry<D = Vec<u8>> {
     /// Path (no leading slash, as in real initrds).
     pub name: String,
     /// File mode bits (e.g. `0o100755` for an executable).
     pub mode: u32,
     /// File contents.
-    pub data: Vec<u8>,
+    pub data: D,
 }
 
 impl CpioEntry {
@@ -83,10 +84,11 @@ fn push_record(out: &mut Vec<u8>, ino: u32, name: &str, mode: u32, data: &[u8]) 
 /// assert_eq!(entries[0].name, "init");
 /// # Ok::<(), sevf_image::ImageError>(())
 /// ```
-pub fn build(entries: &[CpioEntry]) -> Vec<u8> {
+pub fn build<D: AsRef<[u8]>>(entries: &[CpioEntry<D>]) -> Vec<u8> {
     let mut out = Vec::new();
     for (i, entry) in entries.iter().enumerate() {
-        push_record(&mut out, i as u32 + 1, &entry.name, entry.mode, &entry.data);
+        let data = entry.data.as_ref();
+        push_record(&mut out, i as u32 + 1, &entry.name, entry.mode, data);
     }
     push_record(&mut out, 0, TRAILER, 0, &[]);
     out
@@ -100,14 +102,15 @@ fn parse_hex8(bytes: &[u8]) -> Result<u32, ImageError> {
     value.ok_or(ImageError::BadCpio("bad hex field"))
 }
 
-/// Parses a newc archive into its entries (trailer excluded).
+/// Parses a newc archive into its entries (trailer excluded), each
+/// borrowing its contents from `archive`.
 ///
 /// # Errors
 ///
 /// Returns [`ImageError::BadCpio`] for bad magic, a header field that is not
 /// eight hex digits, a name without its NUL terminator, truncated records,
 /// or a missing trailer.
-pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry>, ImageError> {
+pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry<&[u8]>>, ImageError> {
     let mut entries = Vec::new();
     let mut pos = 0usize;
     loop {
@@ -137,14 +140,10 @@ pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry>, ImageError> {
         if name == TRAILER {
             return Ok(entries);
         }
-        if data_start + filesize > archive.len() {
-            return Err(ImageError::BadCpio("data out of bounds"));
-        }
-        entries.push(CpioEntry {
-            name,
-            mode,
-            data: archive[data_start..data_start + filesize].to_vec(),
-        });
+        let data = archive
+            .get(data_start..data_start + filesize)
+            .ok_or(ImageError::BadCpio("data out of bounds"))?;
+        entries.push(CpioEntry { name, mode, data });
         pos = data_start + filesize + pad4(filesize);
     }
 }
@@ -162,12 +161,20 @@ mod tests {
             CpioEntry::file("odd-size", vec![9; 7]),
         ];
         let archive = build(&entries);
-        assert_eq!(parse(&archive).unwrap(), entries);
+        let parsed = parse(&archive).unwrap();
+        assert_eq!(parsed.len(), entries.len());
+        for (got, want) in parsed.iter().zip(&entries) {
+            assert_eq!(
+                (&got.name, got.mode, got.data),
+                (&want.name, want.mode, &want.data[..])
+            );
+        }
+        assert_eq!(build(&parsed), archive);
     }
 
     #[test]
     fn empty_archive_has_only_trailer() {
-        let archive = build(&[]);
+        let archive = build::<Vec<u8>>(&[]);
         assert_eq!(parse(&archive).unwrap(), vec![]);
     }
 
@@ -227,7 +234,8 @@ mod tests {
     fn large_binary_entries() {
         let blob = vec![0xabu8; 100_000];
         let entries = vec![CpioEntry::executable("bin/attest", blob.clone())];
-        let parsed = parse(&build(&entries)).unwrap();
+        let archive = build(&entries);
+        let parsed = parse(&archive).unwrap();
         assert_eq!(parsed[0].data, blob);
     }
 }

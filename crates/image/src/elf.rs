@@ -5,6 +5,8 @@
 //! protocol of §5 (which serves the ELF header, program headers, and
 //! loadable segments as three separately hashed pieces).
 
+use std::ops::Range;
+
 use crate::ImageError;
 
 /// ELF header size for 64-bit objects.
@@ -46,8 +48,8 @@ impl<D: AsRef<[u8]>> Segment<D> {
 }
 
 /// A parsed or constructed ELF64 executable: segment contents owned, or
-/// (`ElfImage<&[u8]>`, from [`ElfImage::parse_borrowed`]) borrowed from the
-/// file it was parsed from.
+/// (`ElfImage<&[u8]>`, from [`ElfImage::parse`]) borrowed from the file it
+/// was parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElfImage<D = Vec<u8>> {
     /// Entry-point virtual address.
@@ -56,86 +58,117 @@ pub struct ElfImage<D = Vec<u8>> {
     pub segments: Vec<Segment<D>>,
 }
 
-impl ElfImage {
-    /// Serializes to ELF64 bytes (header, program headers, then segment
-    /// contents packed back to back).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let phnum = self.segments.len();
-        let mut offset = (EHDR_SIZE + phnum * PHDR_SIZE) as u64;
-        // Align first segment to a page, as linkers do.
-        offset = (offset + 0xfff) & !0xfff;
-
-        let mut ehdr = Vec::with_capacity(EHDR_SIZE);
-        ehdr.extend_from_slice(&[0x7f, b'E', b'L', b'F', 2, 1, 1, 0]); // ident
-        ehdr.extend_from_slice(&[0u8; 8]); // ident padding
-        ehdr.extend_from_slice(&2u16.to_le_bytes()); // e_type = EXEC
-        ehdr.extend_from_slice(&62u16.to_le_bytes()); // e_machine = x86-64
-        ehdr.extend_from_slice(&1u32.to_le_bytes()); // e_version
-        ehdr.extend_from_slice(&self.entry.to_le_bytes()); // e_entry
-        ehdr.extend_from_slice(&(EHDR_SIZE as u64).to_le_bytes()); // e_phoff
-        ehdr.extend_from_slice(&0u64.to_le_bytes()); // e_shoff
-        ehdr.extend_from_slice(&0u32.to_le_bytes()); // e_flags
-        ehdr.extend_from_slice(&(EHDR_SIZE as u16).to_le_bytes()); // e_ehsize
-        ehdr.extend_from_slice(&(PHDR_SIZE as u16).to_le_bytes()); // e_phentsize
-        ehdr.extend_from_slice(&(phnum as u16).to_le_bytes()); // e_phnum
-        ehdr.extend_from_slice(&0u16.to_le_bytes()); // e_shentsize
-        ehdr.extend_from_slice(&0u16.to_le_bytes()); // e_shnum
-        ehdr.extend_from_slice(&0u16.to_le_bytes()); // e_shstrndx
-        debug_assert_eq!(ehdr.len(), EHDR_SIZE);
-
-        let mut phdrs = Vec::with_capacity(phnum * PHDR_SIZE);
-        let mut seg_offset = offset;
-        for seg in &self.segments {
-            phdrs.extend_from_slice(&1u32.to_le_bytes()); // p_type = LOAD
-            phdrs.extend_from_slice(&seg.flags.0.to_le_bytes()); // p_flags
-            phdrs.extend_from_slice(&seg_offset.to_le_bytes()); // p_offset
-            phdrs.extend_from_slice(&seg.vaddr.to_le_bytes()); // p_vaddr
-            phdrs.extend_from_slice(&seg.vaddr.to_le_bytes()); // p_paddr
-            phdrs.extend_from_slice(&(seg.data.len() as u64).to_le_bytes()); // p_filesz
-            phdrs.extend_from_slice(&seg.mem_size().to_le_bytes()); // p_memsz
-            phdrs.extend_from_slice(&0x1000u64.to_le_bytes()); // p_align
-            seg_offset += seg.data.len() as u64;
+impl<D> ElfImage<D> {
+    /// The same image with each segment's contents replaced by `f` of them.
+    pub(crate) fn map<E>(&self, mut f: impl FnMut(&D) -> E) -> ElfImage<E> {
+        let segment = |seg: &Segment<D>| Segment {
+            vaddr: seg.vaddr,
+            data: f(&seg.data),
+            bss: seg.bss,
+            flags: seg.flags,
+        };
+        ElfImage {
+            entry: self.entry,
+            segments: self.segments.iter().map(segment).collect(),
         }
+    }
+}
 
-        let total = seg_offset as usize;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&ehdr);
-        out.extend_from_slice(&phdrs);
-        out.resize(offset as usize, 0);
-        for seg in &self.segments {
-            out.extend_from_slice(&seg.data);
+impl<D: AsRef<[u8]>> ElfImage<D> {
+    /// File offset of the first segment's contents: the headers, padded
+    /// to a page as linkers align it.
+    fn data_offset(&self) -> usize {
+        (EHDR_SIZE + self.segments.len() * PHDR_SIZE + 0xfff) & !0xfff
+    }
+
+    /// The segment table of `to_bytes`'s output: each segment's contents
+    /// as its file range, from [`ElfImage::data_offset`] back to back.
+    pub(crate) fn layout(&self) -> ElfImage<Range<usize>> {
+        let mut at = self.data_offset();
+        self.map(|data| {
+            let start = at;
+            at += data.as_ref().len();
+            start..at
+        })
+    }
+
+    /// The ELF header followed by the program header table, as
+    /// [`ElfImage::to_bytes`] writes them.
+    fn headers(&self) -> Vec<u8> {
+        let phnum = self.segments.len();
+        let mut out = Vec::with_capacity(EHDR_SIZE + phnum * PHDR_SIZE);
+        out.extend_from_slice(&[0x7f, b'E', b'L', b'F', 2, 1, 1, 0]); // ident
+        out.extend_from_slice(&[0u8; 8]); // ident padding
+        out.extend_from_slice(&2u16.to_le_bytes()); // e_type = EXEC
+        out.extend_from_slice(&62u16.to_le_bytes()); // e_machine = x86-64
+        out.extend_from_slice(&1u32.to_le_bytes()); // e_version
+        out.extend_from_slice(&self.entry.to_le_bytes()); // e_entry
+        out.extend_from_slice(&(EHDR_SIZE as u64).to_le_bytes()); // e_phoff
+        out.extend_from_slice(&0u64.to_le_bytes()); // e_shoff
+        out.extend_from_slice(&0u32.to_le_bytes()); // e_flags
+        out.extend_from_slice(&(EHDR_SIZE as u16).to_le_bytes()); // e_ehsize
+        out.extend_from_slice(&(PHDR_SIZE as u16).to_le_bytes()); // e_phentsize
+        out.extend_from_slice(&(phnum as u16).to_le_bytes()); // e_phnum
+        out.extend_from_slice(&0u16.to_le_bytes()); // e_shentsize
+        out.extend_from_slice(&0u16.to_le_bytes()); // e_shnum
+        out.extend_from_slice(&0u16.to_le_bytes()); // e_shstrndx
+        debug_assert_eq!(out.len(), EHDR_SIZE);
+
+        for seg in self.layout().segments {
+            let (offset, filesz) = (seg.data.start as u64, seg.data.len() as u64);
+            out.extend_from_slice(&1u32.to_le_bytes()); // p_type = LOAD
+            out.extend_from_slice(&seg.flags.0.to_le_bytes()); // p_flags
+            out.extend_from_slice(&offset.to_le_bytes()); // p_offset
+            out.extend_from_slice(&seg.vaddr.to_le_bytes()); // p_vaddr
+            out.extend_from_slice(&seg.vaddr.to_le_bytes()); // p_paddr
+            out.extend_from_slice(&filesz.to_le_bytes()); // p_filesz
+            out.extend_from_slice(&(filesz + seg.bss).to_le_bytes()); // p_memsz
+            out.extend_from_slice(&0x1000u64.to_le_bytes()); // p_align
         }
         out
     }
 
-    /// Parses ELF64 bytes produced by [`ElfImage::to_bytes`] (or any simple
-    /// static executable with LOAD segments): [`ElfImage::parse_borrowed`],
-    /// with each segment's contents copied out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::BadElf`] on malformed input.
-    pub fn parse(bytes: &[u8]) -> Result<Self, ImageError> {
-        let ElfImage { entry, segments } = Self::parse_borrowed(bytes)?;
-        let segments = segments
-            .into_iter()
-            .map(|s| Segment {
-                vaddr: s.vaddr,
-                data: s.data.to_vec(),
-                bss: s.bss,
-                flags: s.flags,
-            })
-            .collect();
-        Ok(ElfImage { entry, segments })
+    /// Serializes to ELF64 bytes (header, program headers, then segment
+    /// contents packed back to back from the first page boundary).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = self.headers();
+        out.resize(self.data_offset(), 0);
+        out.reserve(self.loadable_bytes() as usize);
+        for seg in &self.segments {
+            out.extend_from_slice(seg.data.as_ref());
+        }
+        out
     }
 
-    /// Walks ELF64 `bytes` to the entry point and the LOAD segments, in
-    /// program-header order, each borrowing its contents from `bytes`.
+    /// The three pieces the fw_cfg loader of §5 transfers and hashes
+    /// separately: (ELF header, program headers, concatenated loadable
+    /// segment data), as [`ElfImage::to_bytes`] lays them out.
+    pub fn fw_cfg_pieces(&self) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let mut ehdr = self.headers();
+        let phdrs = ehdr.split_off(EHDR_SIZE);
+        let segs: Vec<&[u8]> = self.segments.iter().map(|s| s.data.as_ref()).collect();
+        (ehdr, phdrs, segs.concat())
+    }
+
+    /// Sum of loadable file bytes (what a loader must copy).
+    pub fn loadable_bytes(&self) -> u64 {
+        self.segments
+            .iter()
+            .map(|s| s.data.as_ref().len() as u64)
+            .sum()
+    }
+}
+
+impl<'a> ElfImage<&'a [u8]> {
+    /// Walks ELF64 `bytes` produced by [`ElfImage::to_bytes`] (or any simple
+    /// static executable with LOAD segments) to the entry point and the LOAD
+    /// segments, in program-header order, each borrowing its contents from
+    /// `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::BadElf`] on malformed input.
-    pub fn parse_borrowed(bytes: &[u8]) -> Result<ElfImage<&[u8]>, ImageError> {
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, ImageError> {
         if bytes.len() < EHDR_SIZE {
             return Err(ImageError::BadElf("shorter than the ELF header"));
         }
@@ -184,27 +217,6 @@ impl ElfImage {
         }
         Ok(ElfImage { entry, segments })
     }
-
-    /// Splits the serialized form into the three pieces the fw_cfg loader
-    /// of §5 transfers and hashes separately: (ELF header, program headers,
-    /// concatenated loadable segment data).
-    pub fn fw_cfg_pieces(&self) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-        let bytes = self.to_bytes();
-        let phnum = self.segments.len();
-        let ehdr = bytes[..EHDR_SIZE].to_vec();
-        let phdrs = bytes[EHDR_SIZE..EHDR_SIZE + phnum * PHDR_SIZE].to_vec();
-        let segs: Vec<u8> = self
-            .segments
-            .iter()
-            .flat_map(|s| s.data.iter().copied())
-            .collect();
-        (ehdr, phdrs, segs)
-    }
-
-    /// Sum of loadable file bytes (what a loader must copy).
-    pub fn loadable_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.data.len() as u64).sum()
-    }
 }
 
 /// `bytes[offset..offset + len]`, or `None` if any of it lies outside.
@@ -239,15 +251,14 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let elf = sample();
-        let parsed = ElfImage::parse(&elf.to_bytes()).unwrap();
-        assert_eq!(parsed, elf);
+        let bytes = sample().to_bytes();
+        assert_eq!(ElfImage::parse(&bytes).unwrap().to_bytes(), bytes);
     }
 
     #[test]
     fn parsed_segments_borrow_the_input() {
         let bytes = sample().to_bytes();
-        let elf = ElfImage::parse_borrowed(&bytes).unwrap();
+        let elf = ElfImage::parse(&bytes).unwrap();
         assert_eq!((elf.entry, elf.segments.len()), (sample().entry, 2));
         let file = bytes.as_ptr_range();
         for (seg, owned) in elf.segments.iter().zip(&sample().segments) {
@@ -318,20 +329,21 @@ mod tests {
     }
 
     #[test]
-    fn fw_cfg_pieces_cover_loadable_data() {
+    fn fw_cfg_pieces_are_the_serialized_headers_and_segments() {
         let elf = sample();
         let (ehdr, phdrs, segs) = elf.fw_cfg_pieces();
-        assert_eq!(ehdr.len(), EHDR_SIZE);
-        assert_eq!(phdrs.len(), 2 * PHDR_SIZE);
+        let bytes = elf.to_bytes();
+        let phdrs_end = EHDR_SIZE + 2 * PHDR_SIZE;
+        assert_eq!(ehdr, bytes[..EHDR_SIZE]);
+        assert_eq!(phdrs, bytes[EHDR_SIZE..phdrs_end]);
+        assert_eq!(segs, bytes[0x1000..]);
         assert_eq!(segs.len() as u64, elf.loadable_bytes());
-        // The pieces are enough to reconstruct a parseable image.
-        let parsed = ElfImage::parse(&elf.to_bytes()).unwrap();
-        assert_eq!(parsed.entry, elf.entry);
     }
 
     #[test]
     fn entry_and_bss_preserved() {
-        let parsed = ElfImage::parse(&sample().to_bytes()).unwrap();
+        let bytes = sample().to_bytes();
+        let parsed = ElfImage::parse(&bytes).unwrap();
         assert_eq!(parsed.entry, 0x1_0000_0000);
         assert_eq!(parsed.segments[1].bss, 0x2000);
         assert_eq!(parsed.segments[1].mem_size(), 3000 + 0x2000);

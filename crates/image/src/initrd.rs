@@ -126,7 +126,7 @@ mod tests {
         assert!(names.contains(&"lib/modules/sev-guest.ko"));
         let init = entries.iter().find(|e| e.name == "init").unwrap();
         assert_eq!(init.mode, 0o100755);
-        assert!(std::str::from_utf8(&init.data)
+        assert!(std::str::from_utf8(init.data)
             .unwrap()
             .contains("sev-attest"));
     }

@@ -17,6 +17,7 @@
 //! Lupine config does not, so it skips attestation; §6.1).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sevf_codec::Codec;
@@ -24,7 +25,7 @@ use sevf_crypto::{sha256, Digest256};
 
 use crate::bzimage;
 use crate::content::{generate, ContentProfile};
-use crate::elf::{ElfImage, Segment, SegmentFlags};
+use crate::elf::{ElfImage, Segment, SegmentFlags, EHDR_SIZE, PHDR_SIZE};
 use crate::{Component, ImageError};
 
 const MB: u64 = 1024 * 1024;
@@ -281,68 +282,48 @@ pub struct FwCfgDigests {
 pub struct KernelImage {
     config: KernelConfig,
     vmlinux: Arc<Vec<u8>>,
-    elf: ElfImage,
+    /// The vmlinux's ELF structure, each segment's contents recorded as its
+    /// byte range in `vmlinux`: the image holds its bytes once.
+    layout: ElfImage<Range<usize>>,
     bzimages: Mutex<HashMap<Codec, Component>>,
     fw_cfg: OnceLock<(Arc<Vec<u8>>, FwCfgDigests)>,
 }
 
 impl KernelImage {
     fn build(config: KernelConfig) -> Self {
-        let descriptor = config.descriptor().to_bytes();
-        // Segment split mimicking a kernel layout: text / rodata / data.
+        // Segment split mimicking a kernel layout: text (the descriptor
+        // first), rodata, then data with the bss the loader must zero.
         let total = config.vmlinux_size as usize;
-        let text_size = total * 55 / 100;
-        let rodata_size = total * 20 / 100;
-        let data_size = total - text_size - rodata_size;
-
-        let mut text = descriptor;
-        let seed = format!("vmlinux-text-{}", config.name);
-        text.extend(generate(
-            config.profile,
-            text_size.saturating_sub(text.len()),
-            seed.as_bytes(),
-        ));
-        let rodata = generate(
-            config.profile,
-            rodata_size,
-            format!("vmlinux-rodata-{}", config.name).as_bytes(),
-        );
-        let data = generate(
-            config.profile,
-            data_size,
-            format!("vmlinux-data-{}", config.name).as_bytes(),
-        );
-
-        let text_len = text.len() as u64;
-        let rodata_len = rodata.len() as u64;
+        let (text, rodata) = (total * 55 / 100, total * 20 / 100);
+        let parts = [
+            ("text", text, SegmentFlags::RX, 0),
+            ("rodata", rodata, SegmentFlags::R, 0),
+            ("data", total - text - rodata, SegmentFlags::RW, 2 * MB),
+        ];
+        let mut head = config.descriptor().to_bytes();
+        let mut vaddr = KERNEL_BASE;
+        let segments = parts.map(|(part, size, flags, bss)| {
+            let mut data = std::mem::take(&mut head);
+            let seed = format!("vmlinux-{part}-{}", config.name);
+            let fill = size.saturating_sub(data.len());
+            data.extend(generate(config.profile, fill, seed.as_bytes()));
+            let segment = Segment {
+                vaddr,
+                data,
+                bss,
+                flags,
+            };
+            vaddr += align_up(segment.data.len() as u64);
+            segment
+        });
         let elf = ElfImage {
             entry: KERNEL_BASE,
-            segments: vec![
-                Segment {
-                    vaddr: KERNEL_BASE,
-                    data: text,
-                    bss: 0,
-                    flags: SegmentFlags::RX,
-                },
-                Segment {
-                    vaddr: KERNEL_BASE + align_up(text_len),
-                    data: rodata,
-                    bss: 0,
-                    flags: SegmentFlags::R,
-                },
-                Segment {
-                    vaddr: KERNEL_BASE + align_up(text_len) + align_up(rodata_len),
-                    data,
-                    bss: 2 * MB, // bss the loader must zero
-                    flags: SegmentFlags::RW,
-                },
-            ],
+            segments: segments.into(),
         };
-        let vmlinux = Arc::new(elf.to_bytes());
         KernelImage {
             config,
-            vmlinux,
-            elf,
+            vmlinux: Arc::new(elf.to_bytes()),
+            layout: elf.layout(),
             bzimages: Mutex::new(HashMap::new()),
             fw_cfg: OnceLock::new(),
         }
@@ -364,9 +345,10 @@ impl KernelImage {
         Arc::clone(&self.vmlinux)
     }
 
-    /// The parsed ELF structure.
-    pub fn elf(&self) -> &ElfImage {
-        &self.elf
+    /// The ELF structure, each segment borrowing its contents from
+    /// [`KernelImage::vmlinux`].
+    pub fn elf(&self) -> ElfImage<&[u8]> {
+        self.layout.map(|range| &self.vmlinux[range.clone()])
     }
 
     /// The bzImage with the payload compressed by `codec` (built once and
@@ -389,20 +371,20 @@ impl KernelImage {
     /// back to back — with the three piece digests (built once and cached).
     pub fn fw_cfg_staged(&self) -> (Arc<Vec<u8>>, FwCfgDigests) {
         let (bytes, digests) = self.fw_cfg.get_or_init(|| {
-            let (ehdr, phdrs, segs) = self.elf.fw_cfg_pieces();
+            // The vmlinux's own bytes: its headers come first and its
+            // segments are its tail, packed back to back.
+            let (vmlinux, elf) = (&self.vmlinux[..], self.elf());
+            let (ehdr, rest) = vmlinux.split_at(EHDR_SIZE);
+            let phdrs = &rest[..elf.segments.len() * PHDR_SIZE];
+            let segs = &vmlinux[vmlinux.len() - elf.loadable_bytes() as usize..];
             let digests = FwCfgDigests {
-                ehdr: sha256(&ehdr),
-                phdrs: sha256(&phdrs),
-                segments: sha256(&segs),
+                ehdr: sha256(ehdr),
+                phdrs: sha256(phdrs),
+                segments: sha256(segs),
             };
             (Arc::new([ehdr, phdrs, segs].concat()), digests)
         });
         (Arc::clone(bytes), *digests)
-    }
-
-    /// The descriptor embedded at the entry point.
-    pub fn descriptor(&self) -> KernelDescriptor {
-        self.config.descriptor()
     }
 }
 
@@ -437,7 +419,7 @@ mod tests {
         assert_eq!(parsed.entry, KERNEL_BASE);
         assert_eq!(parsed.segments.len(), 3);
         // Descriptor is at the entry point (start of the first segment).
-        let d = KernelDescriptor::from_bytes(&parsed.segments[0].data).unwrap();
+        let d = KernelDescriptor::from_bytes(parsed.segments[0].data).unwrap();
         assert_eq!(d.name, "test-tiny");
         assert!(d.has_network);
     }
@@ -487,7 +469,7 @@ mod tests {
         for variant in variants {
             let other = variant.build();
             assert!(!Arc::ptr_eq(&image, &other), "{variant:?} shared an image");
-            let text = &other.elf().segments[0].data;
+            let text = other.elf().segments[0].data;
             assert_eq!(
                 KernelDescriptor::from_bytes(text).unwrap(),
                 variant.descriptor()

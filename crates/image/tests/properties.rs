@@ -62,6 +62,23 @@ fn random_cpio_entry(rng: &mut XorShift64) -> CpioEntry {
     }
 }
 
+/// True if `part` lies inside `whole`: a parser handed out a slice of its
+/// input, not a copy.
+fn borrows_from(part: &[u8], whole: &[u8]) -> bool {
+    let (part, whole) = (part.as_ptr_range(), whole.as_ptr_range());
+    whole.start <= part.start && part.end <= whole.end
+}
+
+/// Random entries with distinct names (archives with duplicate paths are
+/// legal but make the equality check ambiguous).
+fn random_cpio_entries(rng: &mut XorShift64) -> Vec<CpioEntry> {
+    let mut seen = std::collections::HashSet::new();
+    (0..rng.next_below(10))
+        .map(|_| random_cpio_entry(rng))
+        .filter(|e| seen.insert(e.name.clone()))
+        .collect()
+}
+
 #[test]
 fn elf_roundtrip() {
     let mut rng = XorShift64::new(0x1A6_0001);
@@ -70,13 +87,24 @@ fn elf_roundtrip() {
             entry: rng.next_below(1 << 40),
             segments: random_segments(&mut rng),
         };
-        let parsed = ElfImage::parse(&elf.to_bytes()).unwrap();
-        assert_eq!(parsed, elf);
+        let bytes = elf.to_bytes();
+        let parsed = ElfImage::parse(&bytes).unwrap();
+        assert_eq!(parsed.to_bytes(), bytes);
+        assert_eq!(parsed.entry, elf.entry);
+        assert_eq!(parsed.segments.len(), elf.segments.len());
+        for (got, want) in parsed.segments.iter().zip(&elf.segments) {
+            assert_eq!(
+                (got.vaddr, got.bss, got.flags),
+                (want.vaddr, want.bss, want.flags)
+            );
+            assert_eq!(got.data, &want.data[..]);
+            assert!(borrows_from(got.data, &bytes), "segment data copied");
+        }
     }
 }
 
 #[test]
-fn elf_fw_cfg_pieces_cover_data() {
+fn elf_fw_cfg_pieces_are_the_serialized_file() {
     let mut rng = XorShift64::new(0x1A6_0002);
     for _ in 0..CASES {
         let elf = ElfImage {
@@ -87,14 +115,32 @@ fn elf_fw_cfg_pieces_cover_data() {
         assert_eq!(ehdr.len(), 64);
         assert_eq!(phdrs.len(), elf.segments.len() * 56);
         assert_eq!(segs.len() as u64, elf.loadable_bytes());
+        let bytes = elf.to_bytes();
+        assert_eq!(
+            [&ehdr, &phdrs],
+            [&bytes[..64], &bytes[64..64 + phdrs.len()]]
+        );
+        assert!(bytes.ends_with(&segs));
+        // The borrowed image cuts the same pieces.
+        assert_eq!(
+            ElfImage::parse(&bytes).unwrap().fw_cfg_pieces(),
+            (ehdr, phdrs, segs)
+        );
     }
 }
 
 #[test]
-fn elf_garbage_never_panics() {
+fn elf_garbage_and_truncation_never_panic() {
     let mut rng = XorShift64::new(0x1A6_0003);
     for _ in 0..CASES {
-        let _ = ElfImage::parse(&bytes(&mut rng, 0, 499));
+        if let Ok(elf) = ElfImage::parse(&bytes(&mut rng, 0, 499)) {
+            let _ = elf.to_bytes();
+        }
+        // Every cut of a valid file loses segment bytes: an error, not a panic.
+        let segments = random_segments(&mut rng);
+        let file = ElfImage { entry: 0, segments }.to_bytes();
+        let cut = rng.next_below(file.len() as u64) as usize;
+        assert!(ElfImage::parse(&file[..cut]).is_err(), "cut at {cut}");
     }
 }
 
@@ -102,26 +148,28 @@ fn elf_garbage_never_panics() {
 fn cpio_roundtrip() {
     let mut rng = XorShift64::new(0x1A6_0004);
     for _ in 0..CASES {
-        let raw: Vec<CpioEntry> = (0..rng.next_below(10))
-            .map(|_| random_cpio_entry(&mut rng))
-            .collect();
-        // Deduplicate names (archives with duplicate paths are legal but
-        // make the equality check ambiguous).
-        let mut seen = std::collections::HashSet::new();
-        let entries: Vec<CpioEntry> = raw
-            .into_iter()
-            .filter(|e| seen.insert(e.name.clone()))
-            .collect();
+        let entries = random_cpio_entries(&mut rng);
         let archive = cpio::build(&entries);
-        assert_eq!(cpio::parse(&archive).unwrap(), entries);
+        let parsed = cpio::parse(&archive).unwrap();
+        assert_eq!(cpio::build(&parsed), archive);
+        assert_eq!(parsed.len(), entries.len());
+        for (got, want) in parsed.iter().zip(&entries) {
+            assert_eq!((&got.name, got.mode), (&want.name, want.mode));
+            assert_eq!(got.data, &want.data[..]);
+            assert!(borrows_from(got.data, &archive), "entry data copied");
+        }
     }
 }
 
 #[test]
-fn cpio_garbage_never_panics() {
+fn cpio_garbage_and_truncation_never_panic() {
     let mut rng = XorShift64::new(0x1A6_0005);
     for _ in 0..CASES {
         let _ = cpio::parse(&bytes(&mut rng, 0, 399));
+        // Every cut of a valid archive loses the trailer.
+        let archive = cpio::build(&random_cpio_entries(&mut rng));
+        let cut = rng.next_below(archive.len() as u64) as usize;
+        assert!(cpio::parse(&archive[..cut]).is_err(), "cut at {cut}");
     }
 }
 
@@ -185,29 +233,45 @@ fn descriptor_garbage_never_panics() {
     }
 }
 
-/// The digests that travel with the staged components (§4.3) are what a
-/// fresh hash of the carried bytes gives: the VMM pre-encrypts them without
-/// looking at the bytes, and the guest re-hashes the bytes against them.
-#[test]
-fn carried_digests_are_honest() {
+/// Lupine, AWS and Ubuntu (at 1/64 of their size, for debug builds) and
+/// the tiny test kernel.
+fn kernel_configs() -> Vec<KernelConfig> {
     let mut configs: Vec<KernelConfig> = KernelConfig::paper_configs()
         .into_iter()
         .map(|c| c.scaled_down(64))
         .collect();
     configs.push(KernelConfig::test_tiny());
-    for config in configs {
+    configs
+}
+
+/// The fw_cfg staging image, cut from the vmlinux's own bytes, is what the
+/// ELF structure's three pieces give back to back, and each digest is its
+/// piece's.
+#[test]
+fn fw_cfg_staged_is_the_elf_pieces() {
+    for config in kernel_configs() {
+        let image = config.build();
+        let (staged, digests) = image.fw_cfg_staged();
+        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
+        assert_eq!(digests.ehdr, sha256(&ehdr), "{}", config.name);
+        assert_eq!(digests.phdrs, sha256(&phdrs), "{}", config.name);
+        assert_eq!(digests.segments, sha256(&segs), "{}", config.name);
+        assert_eq!(*staged, [ehdr, phdrs, segs].concat(), "{}", config.name);
+    }
+}
+
+/// The digests that travel with the staged components (§4.3) are what a
+/// fresh hash of the carried bytes gives: the VMM pre-encrypts them without
+/// looking at the bytes, and the guest re-hashes the bytes against them.
+#[test]
+fn carried_digests_are_honest() {
+    for config in kernel_configs() {
         let image = config.build();
         for codec in Codec::ALL {
             let bz = image.hashed_bzimage(codec);
             assert_eq!(bz.digest(), sha256(bz.bytes()), "{} {codec:?}", config.name);
             assert_eq!(*bz.bytes(), image.bzimage(codec));
         }
-        let (staged, digests) = image.fw_cfg_staged();
-        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
-        assert_eq!(digests.ehdr, sha256(&ehdr));
-        assert_eq!(digests.phdrs, sha256(&phdrs));
-        assert_eq!(digests.segments, sha256(&segs));
-        assert_eq!(*staged, [ehdr, phdrs, segs].concat());
     }
     for size in [0, 1, 4096, 64 * 1024, 300 * 1024] {
         let raw = initrd::build_initrd(size);

@@ -49,6 +49,9 @@ pub enum MemError {
         /// The misaligned address.
         addr: u64,
     },
+    /// A memory image captured under another launch context (another
+    /// memory-encryption key or SEV generation) was restored into this guest.
+    ForeignImage,
 }
 
 /// Why a #VC was raised.
@@ -95,6 +98,7 @@ impl fmt::Display for MemError {
                 write!(f, "pvalidate is only available to SEV-SNP guests")
             }
             MemError::Unaligned { addr } => write!(f, "address {addr:#x} not page aligned"),
+            MemError::ForeignImage => write!(f, "memory image from another launch context"),
         }
     }
 }

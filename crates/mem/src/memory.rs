@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sevf_crypto::{sha256, XexCipher};
+use sevf_crypto::{sha256, Digest256, XexCipher};
 use sevf_sim::cost::SevGeneration;
 
 use crate::error::{MemError, VcReason};
@@ -20,14 +20,23 @@ static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
 /// is shared with the snapshots taken of it until either side writes it.
 type PageTable = Vec<Option<Arc<Page>>>;
 
+/// The launch context a guest's memory belongs to: a fingerprint of its
+/// memory-encryption key (none for a plain guest) and its SEV generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LaunchContext {
+    key: Option<Digest256>,
+    generation: SevGeneration,
+}
+
 /// A captured image of a guest's resident pages plus RMP state, used by
 /// warm-start snapshots (§7.1). The content is the internal plaintext
-/// representation; an image is only meaningful back inside the launch
-/// context (key) it came from.
+/// representation, so an image restores only into the launch context (key)
+/// it came from.
 #[derive(Debug, Clone)]
 pub struct MemoryImage {
     pages: PageTable,
     rmp: Rmp,
+    context: LaunchContext,
 }
 
 impl MemoryImage {
@@ -69,14 +78,14 @@ pub struct GuestMemory {
     pages: PageTable,
     rmp: Rmp,
     engine: Option<XexCipher>,
-    generation: SevGeneration,
+    context: LaunchContext,
 }
 
 impl std::fmt::Debug for GuestMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GuestMemory")
             .field("size", &self.size)
-            .field("generation", &self.generation.name())
+            .field("generation", &self.context.generation.name())
             .field("resident_pages", &self.resident_pages())
             .field("assigned_pages", &self.rmp.assigned_count())
             .finish()
@@ -84,14 +93,17 @@ impl std::fmt::Debug for GuestMemory {
 }
 
 impl GuestMemory {
-    fn new(size: u64, engine: Option<XexCipher>, generation: SevGeneration) -> Self {
+    fn new(size: u64, key: Option<[u8; 16]>, generation: SevGeneration) -> Self {
         let slots = usize::try_from(size.div_ceil(PAGE_SIZE)).expect("guest memory fits the host");
         GuestMemory {
             size,
             pages: vec![None; slots],
             rmp: Rmp::new(),
-            engine,
-            generation,
+            engine: key.as_ref().map(XexCipher::new),
+            context: LaunchContext {
+                key: key.map(|key| sha256(&key)),
+                generation,
+            },
         }
     }
 
@@ -108,7 +120,7 @@ impl GuestMemory {
     /// [`GuestMemory::new_plain`]).
     pub fn new_sev(size: u64, key: [u8; 16], generation: SevGeneration) -> Self {
         assert!(generation.is_sev(), "use new_plain for non-SEV guests");
-        Self::new(size, Some(XexCipher::new(&key)), generation)
+        Self::new(size, Some(key), generation)
     }
 
     /// Guest memory size in bytes.
@@ -118,7 +130,7 @@ impl GuestMemory {
 
     /// The SEV generation this memory was created with.
     pub fn generation(&self) -> SevGeneration {
-        self.generation
+        self.context.generation
     }
 
     /// Read-only view of the RMP (reports, assertions in tests).
@@ -203,7 +215,7 @@ impl GuestMemory {
     pub fn host_write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
         self.check_range(addr, data.len() as u64)?;
         // SNP: deny if any touched page is guest-owned.
-        if self.generation.has_rmp() {
+        if self.context.generation.has_rmp() {
             let first = Self::page_of(addr);
             let last = Self::page_of(addr + data.len().max(1) as u64 - 1);
             for page in first..=last {
@@ -303,7 +315,7 @@ impl GuestMemory {
     /// * [`MemError::NotAssigned`] if the hypervisor has not assigned a page.
     /// * [`MemError::AlreadyValidated`] on double validation.
     pub fn pvalidate(&mut self, addr: u64, len: u64) -> Result<u64, MemError> {
-        if !self.generation.has_rmp() {
+        if !self.context.generation.has_rmp() {
             return Err(MemError::PvalidateUnsupported);
         }
         if !addr.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) {
@@ -335,7 +347,7 @@ impl GuestMemory {
         if self.engine.is_none() {
             return Err(MemError::EncryptionUnavailable);
         }
-        if self.generation.has_rmp() {
+        if self.context.generation.has_rmp() {
             let first = Self::page_of(addr);
             let last = Self::page_of(addr + len.max(1) - 1);
             for page in first..=last {
@@ -409,16 +421,26 @@ impl GuestMemory {
         MemoryImage {
             pages: self.pages.clone(),
             rmp: self.rmp.clone(),
+            context: self.context,
         }
     }
 
-    /// Replaces this guest's pages and RMP state with a captured image
-    /// (valid only under the same memory-encryption key — i.e. within the
-    /// same PSP launch context). Returns the number of bytes installed.
-    pub fn restore_pages(&mut self, image: &MemoryImage) -> u64 {
+    /// Replaces this guest's pages and RMP state with a captured image.
+    /// Returns the number of bytes installed.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::ForeignImage`] if the image was captured under another
+    /// memory-encryption key or SEV generation: on hardware its ciphertext
+    /// would decrypt to noise under this guest's key, and the RMP state is
+    /// not the host's to move.
+    pub fn restore_pages(&mut self, image: &MemoryImage) -> Result<u64, MemError> {
+        if image.context != self.context {
+            return Err(MemError::ForeignImage);
+        }
         self.pages.clone_from(&image.pages);
         self.rmp.clone_from(&image.rmp);
-        image.byte_len()
+        Ok(image.byte_len())
     }
 
     // ---- PSP-side operation -----------------------------------------------------

@@ -292,7 +292,10 @@ fn restore_returns_exactly_the_snapshot() {
             mem.rmp_assign(MEM - 2 * PAGE_SIZE, PAGE_SIZE).unwrap();
             assert!(mem.resident_pages() > resident);
 
-            assert_eq!(mem.restore_pages(&snapshot), resident as u64 * PAGE_SIZE);
+            assert_eq!(
+                mem.restore_pages(&snapshot),
+                Ok(resident as u64 * PAGE_SIZE)
+            );
             assert_eq!(mem.resident_pages(), resident);
             assert_eq!(mem.rmp().assigned_count(), assigned);
             assert_eq!(mem.rmp().validated_count(), validated);

@@ -37,11 +37,12 @@ use crate::mptable;
 pub enum GuestBootError {
     /// Memory fault while the kernel ran.
     Memory(sevf_mem::MemError),
-    /// The bzImage payload failed to decompress or parse.
+    /// A boot image failed to decompress or parse: the bzImage payload,
+    /// the ELF inside it, or the initrd's CPIO archive.
     Image(ImageError),
     /// A pre-encrypted boot structure failed validation.
     BadStructure(&'static str),
-    /// The initrd was unusable (bad CPIO, missing /init).
+    /// The initrd was unusable (missing or non-executable /init).
     BadInitrd(&'static str),
 }
 
@@ -49,7 +50,7 @@ impl std::fmt::Display for GuestBootError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GuestBootError::Memory(e) => write!(f, "guest memory fault: {e}"),
-            GuestBootError::Image(e) => write!(f, "kernel image error: {e}"),
+            GuestBootError::Image(e) => write!(f, "boot image error: {e}"),
             GuestBootError::BadStructure(w) => write!(f, "boot structure invalid: {w}"),
             GuestBootError::BadInitrd(w) => write!(f, "initrd invalid: {w}"),
         }
@@ -135,7 +136,7 @@ pub fn run_bootstrap_loader_kaslr(
         ));
         vmlinux
     };
-    let ElfImage { entry, segments } = ElfImage::parse_borrowed(&vmlinux)?;
+    let ElfImage { entry, segments } = ElfImage::parse(&vmlinux)?;
     let mut placed = 0u64;
     for seg in &segments {
         let bss_at = seg.vaddr + slide + seg.data.len() as u64;
@@ -237,9 +238,7 @@ pub fn run_kernel(
     let initrd = match sevf_codec::Codec::detect(&staged) {
         None => staged,
         Some(codec) => {
-            let unpacked = codec
-                .decompress(&staged)
-                .map_err(|_| GuestBootError::BadInitrd("initrd decompression failed"))?;
+            let unpacked = codec.decompress(&staged).map_err(ImageError::from)?;
             steps.push(step(
                 format!(
                     "decompress {} initrd ({} → {} B)",
@@ -252,7 +251,7 @@ pub fn run_kernel(
             unpacked
         }
     };
-    let entries = cpio::parse(&initrd).map_err(|_| GuestBootError::BadInitrd("bad CPIO"))?;
+    let entries = cpio::parse(&initrd)?;
     let init = entries
         .iter()
         .find(|e| e.name == "init")
@@ -388,26 +387,44 @@ mod tests {
         assert!(run_kernel(&mut mem, loader.vmlinux_entry, SevGeneration::SevSnp, &cost).is_err());
     }
 
-    #[test]
-    fn missing_init_refuses_boot() {
+    /// Boots the kernel over `initrd` in place of the attestation initrd.
+    fn run_kernel_with_initrd(initrd: &[u8]) -> Result<KernelStage, GuestBootError> {
         let (mut mem, bz_addr, bz_len) = guest_after_verifier();
         let cost = CostModel::calibrated();
         let loader = run_bootstrap_loader(&mut mem, bz_addr, bz_len, &cost).unwrap();
-        // Replace the initrd with a valid CPIO that lacks /init.
+        let bp_bytes = mem.guest_read(BOOT_PARAMS_ADDR, PAGE_SIZE, true).unwrap();
+        let mut bp = BootParams::from_page(&bp_bytes).unwrap();
+        mem.guest_write(bp.initrd_addr, initrd, true).unwrap();
+        bp.initrd_size = initrd.len() as u64;
+        mem.guest_write(BOOT_PARAMS_ADDR, &bp.to_page(), true)
+            .unwrap();
+        run_kernel(&mut mem, loader.vmlinux_entry, SevGeneration::SevSnp, &cost)
+    }
+
+    #[test]
+    fn missing_init_refuses_boot() {
+        // A valid CPIO that lacks /init.
         let bogus = sevf_image::cpio::build(&[sevf_image::cpio::CpioEntry::file(
             "not-init",
             vec![1, 2, 3],
         )]);
-        let bp_bytes = mem.guest_read(BOOT_PARAMS_ADDR, PAGE_SIZE, true).unwrap();
-        let mut bp = BootParams::from_page(&bp_bytes).unwrap();
-        mem.guest_write(bp.initrd_addr, &bogus, true).unwrap();
-        bp.initrd_size = bogus.len() as u64;
-        mem.guest_write(BOOT_PARAMS_ADDR, &bp.to_page(), true)
-            .unwrap();
-        assert!(matches!(
-            run_kernel(&mut mem, loader.vmlinux_entry, SevGeneration::SevSnp, &cost),
-            Err(GuestBootError::BadInitrd(_))
-        ));
+        assert_eq!(
+            run_kernel_with_initrd(&bogus).unwrap_err(),
+            GuestBootError::BadInitrd("missing /init")
+        );
+    }
+
+    #[test]
+    fn corrupt_cpio_header_keeps_the_parser_error() {
+        let mut archive = sevf_image::cpio::build(&[sevf_image::cpio::CpioEntry::executable(
+            "init",
+            b"#!/bin/sh".to_vec(),
+        )]);
+        archive[0] = b'9'; // the first record's magic
+        assert_eq!(
+            run_kernel_with_initrd(&archive).unwrap_err(),
+            GuestBootError::Image(ImageError::BadCpio("bad record magic"))
+        );
     }
 
     #[test]
@@ -424,7 +441,7 @@ mod tests {
         .unwrap();
         let mut mem = GuestMemory::new_plain(config.mem_size);
         for seg in &image.elf().segments {
-            mem.host_write(seg.vaddr, &seg.data).unwrap();
+            mem.host_write(seg.vaddr, seg.data).unwrap();
         }
         mem.host_write(layout.initrd_dest, &initrd).unwrap();
         let bp = BootParams::build(&config, &layout);

@@ -685,17 +685,16 @@ impl MicroVm {
         let cost = &machine.cost;
         let layout = &artifacts.layout;
         let mut mem = GuestMemory::new_plain(self.config.mem_size);
-        let image = &artifacts.image;
 
         // 1. Load the kernel ELF in one operation to where it will run —
         //    with in-monitor KASLR the VMM slides the whole image
         //    (Holmes et al., EuroSys'22; only possible without SEV, §8).
         let slide = self.slide(KaslrMode::InMonitor, &mut machine.rng, artifacts);
-        let mut loaded = 0u64;
-        for seg in &image.elf().segments {
-            mem.host_write(seg.vaddr + slide, &seg.data)?;
-            loaded += seg.data.len() as u64;
+        let elf = artifacts.image.elf();
+        for seg in &elf.segments {
+            mem.host_write(seg.vaddr + slide, seg.data)?;
         }
+        let loaded = elf.loadable_bytes();
         mem.host_write(layout.initrd_dest, &artifacts.initrd_bytes)?;
 
         // 2. Set up the data structures Linux needs.
@@ -703,7 +702,7 @@ impl MicroVm {
         mem.host_write(BOOT_PARAMS_ADDR, &bp.to_page())?;
         mem.host_write(MPTABLE_ADDR, &mptable::build(self.config.vcpus))?;
         mem.host_write(CMDLINE_ADDR, &cmdline::to_page(&cmdline::default_cmdline()))?;
-        let segments = Work::ElfSegments(image.elf().segments.len() as u64);
+        let segments = Work::ElfSegments(elf.segments.len() as u64);
         let initrd = artifacts.initrd_bytes.len() as u64;
         tl.place(
             [
@@ -721,7 +720,7 @@ impl MicroVm {
             jitter,
         );
         tl.mark(EventChannel::VmmLog, "direct-boot-entry");
-        Ok((mem, image.elf().entry + slide))
+        Ok((mem, elf.entry + slide))
     }
 }
 

@@ -111,14 +111,13 @@ impl KeepAliveVm {
     ///
     /// # Errors
     ///
-    /// Propagates memory faults, and rejects snapshots from a different
-    /// configuration.
+    /// [`MemError::ForeignImage`] for a snapshot taken under another
+    /// configuration or launch context; nothing is restored.
     pub fn restore(&mut self, snapshot: &VmSnapshot, cost: &CostModel) -> Result<Nanos, MemError> {
-        assert_eq!(
-            snapshot.config, self.config,
-            "snapshots only restore into their own configuration"
-        );
-        let bytes = self.live.mem.restore_pages(&snapshot.mem_image);
+        if snapshot.config != self.config {
+            return Err(MemError::ForeignImage);
+        }
+        let bytes = self.live.mem.restore_pages(&snapshot.mem_image)?;
         self.live.kernel_entry = snapshot.kernel_entry;
         Ok(cost.price(&Work::CopyEncrypted(bytes)))
     }
@@ -238,12 +237,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "own configuration")]
     fn snapshot_rejects_foreign_configuration() {
         let mut m = Machine::new(71);
         let sev = keep_alive(BootPolicy::Severifast, &mut m);
         let mut plain = keep_alive(BootPolicy::StockFirecracker, &mut m);
+        let before = plain.host_page_digests().unwrap();
         let snapshot = sev.snapshot();
-        let _ = plain.restore(&snapshot, &m.cost);
+        assert_eq!(
+            plain.restore(&snapshot, &m.cost),
+            Err(MemError::ForeignImage)
+        );
+        assert_eq!(plain.host_page_digests().unwrap(), before);
+        // Same configuration, another guest: another memory-encryption key.
+        let mut other = keep_alive(BootPolicy::Severifast, &mut m);
+        assert_eq!(
+            other.restore(&snapshot, &m.cost),
+            Err(MemError::ForeignImage)
+        );
     }
 }

@@ -311,6 +311,37 @@ fn remap_attack_faults_instead_of_reading_stale_data() {
 }
 
 #[test]
+fn memory_image_restores_only_into_its_own_launch_context() {
+    // Guest A validates a page and writes a secret; the host captures A.
+    let secret = b"guest A's secret";
+    let mut a = GuestMemory::new_sev(MB, [1u8; 16], SevGeneration::SevSnp);
+    a.rmp_assign(0, 4096).unwrap();
+    a.pvalidate(0, 4096).unwrap();
+    a.guest_write(0, secret, true).unwrap();
+    let snapshot = a.clone_pages();
+
+    // Guest B has another key: on hardware A's ciphertext would decrypt to
+    // noise there, and the RMP is not the host's to copy. Nothing moves, so
+    // B's page is still unvalidated and B never reads A's plaintext.
+    let mut b = GuestMemory::new_sev(MB, [2u8; 16], SevGeneration::SevSnp);
+    b.rmp_assign(0, 4096).unwrap();
+    assert_eq!(b.restore_pages(&snapshot), Err(MemError::ForeignImage));
+    assert!(!b.is_validated(0));
+    assert!(matches!(
+        b.guest_read(0, secret.len() as u64, true),
+        Err(MemError::VcException { .. })
+    ));
+    // The same key under another generation is another context too.
+    let mut es = GuestMemory::new_sev(MB, [1u8; 16], SevGeneration::SevEs);
+    assert_eq!(es.restore_pages(&snapshot), Err(MemError::ForeignImage));
+
+    // Back into A's own context the image restores.
+    a.guest_write(0, b"overwritten", true).unwrap();
+    assert_eq!(a.restore_pages(&snapshot), Ok(4096));
+    assert_eq!(a.guest_read(0, secret.len() as u64, true).unwrap(), secret);
+}
+
+#[test]
 fn identical_pages_have_distinct_ciphertext() {
     // §6.2/§7.1: the XEX address tweak defeats dedup and replay-by-move.
     let (_machine, mut mem, _layout, _bz) = staged_guest();
