@@ -3,10 +3,12 @@
 //! Keyed by *(chip id, TCB version)*: a TCB/firmware rollout bumps the
 //! version, so every entry minted under the old firmware silently stops
 //! matching — the storm is a wave of misses, not an explicit flush.
-//! Revocation is explicit and absolute: once a chip key is distrusted, a
-//! probe answers [`CacheLookup::Revoked`] no matter what was cached.
+//! The cache holds no trust verdicts: which chips are revoked is recorded
+//! once, in the plane's [`sevf_psp::AmdRootRegistry`], and the plane asks
+//! it before it probes or fills the cache. [`CertCache::revoke`] only
+//! purges what was cached under a distrusted chip.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sevf_sim::Nanos;
 
@@ -28,8 +30,6 @@ pub enum CacheLookup {
     Miss,
     /// An entry existed but its TTL had lapsed; it was evicted.
     Expired,
-    /// The chip key is revoked; nothing cached under it may be used.
-    Revoked,
 }
 
 /// Outcome of a staleness-tolerant probe ([`CertCache::probe_stale`]),
@@ -43,8 +43,6 @@ pub enum StaleLookup {
     Stale,
     /// Nothing usable even with the staleness allowance.
     Miss,
-    /// The chip key is revoked; staleness never overrides revocation.
-    Revoked,
 }
 
 /// The cache itself. TTL runs on the virtual clock, so expiry is
@@ -53,7 +51,6 @@ pub enum StaleLookup {
 #[derive(Debug, Default)]
 pub struct CertCache {
     entries: HashMap<CacheKey, Nanos>,
-    revoked: HashSet<[u8; 32]>,
     ttl: Nanos,
 }
 
@@ -62,18 +59,13 @@ impl CertCache {
     pub fn new(ttl: Nanos) -> Self {
         CertCache {
             entries: HashMap::new(),
-            revoked: HashSet::new(),
             ttl,
         }
     }
 
-    /// Probes for a key at `now`. Revocation wins over any cached entry;
-    /// an expired entry is evicted as a side effect.
+    /// Probes for a key at `now`; an expired entry is evicted as a side
+    /// effect.
     pub fn probe(&mut self, key: CacheKey, now: Nanos) -> CacheLookup {
-        if self.revoked.contains(&key.chip_id) {
-            self.entries.retain(|k, _| k.chip_id != key.chip_id);
-            return CacheLookup::Revoked;
-        }
         match self.entries.get(&key) {
             Some(&inserted) if now.saturating_sub(inserted) < self.ttl => CacheLookup::Hit,
             Some(_) => {
@@ -95,9 +87,6 @@ impl CertCache {
     /// boundaries are exact: `age < ttl` is `Fresh`, `ttl <= age <
     /// ttl + budget` is `Stale`, and anything older is `Miss`.
     pub fn probe_stale(&self, key: CacheKey, now: Nanos, budget: Nanos) -> StaleLookup {
-        if self.revoked.contains(&key.chip_id) {
-            return StaleLookup::Revoked;
-        }
         let horizon = self.ttl + budget;
         if let Some(&inserted) = self.entries.get(&key) {
             let age = now.saturating_sub(inserted);
@@ -120,24 +109,17 @@ impl CertCache {
         }
     }
 
-    /// Records a fetched cert chain / verified report. Ignored for
-    /// revoked chips: distrusted evidence must never re-enter the cache.
+    /// Records a fetched cert chain / verified report. The caller keeps
+    /// distrusted evidence out: the plane refuses a revoked chip before
+    /// it would insert.
     pub fn insert(&mut self, key: CacheKey, now: Nanos) {
-        if !self.revoked.contains(&key.chip_id) {
-            self.entries.insert(key, now);
-        }
+        self.entries.insert(key, now);
     }
 
-    /// Distrusts a chip key and purges everything cached under it, at
-    /// every TCB version.
+    /// Purges everything cached under a distrusted chip key, at every TCB
+    /// version.
     pub fn revoke(&mut self, chip_id: &[u8; 32]) {
-        self.revoked.insert(*chip_id);
         self.entries.retain(|k, _| k.chip_id != *chip_id);
-    }
-
-    /// Whether a chip key has been revoked.
-    pub fn is_revoked(&self, chip_id: &[u8; 32]) -> bool {
-        self.revoked.contains(chip_id)
     }
 
     /// Live entry count.
@@ -198,23 +180,44 @@ mod tests {
     }
 
     #[test]
-    fn revocation_always_wins_over_cached_hit() {
-        let mut cache = CertCache::new(Nanos::from_secs(60));
-        let k = key(2, 3);
-        let now = Nanos::from_millis(5);
-        cache.insert(k, now);
-        assert_eq!(cache.probe(k, now), CacheLookup::Hit);
-        cache.revoke(&k.chip_id);
-        // The hit the entry would have produced is overridden, at every
-        // TCB version, and re-insertion is refused.
-        assert_eq!(cache.probe(k, now), CacheLookup::Revoked);
-        assert_eq!(cache.probe(key(2, 9), now), CacheLookup::Revoked);
-        cache.insert(k, now);
-        assert!(cache.is_empty());
-        assert_eq!(cache.probe(k, now), CacheLookup::Revoked);
-        // Other chips are untouched.
-        cache.insert(key(3, 0), now);
-        assert_eq!(cache.probe(key(3, 0), now), CacheLookup::Hit);
+    fn revoke_purges_every_tcb_of_that_chip_only() {
+        // Chip 2 has evidence cached under two TCB versions, chip 3 under
+        // one; all three entries are past their TTL but inside the
+        // staleness allowance.
+        let ttl = Nanos::from_millis(10);
+        let budget = Nanos::from_millis(50);
+        let mut cache = CertCache::new(ttl);
+        for k in [key(2, 3), key(2, 9), key(3, 0)] {
+            cache.insert(k, Nanos::ZERO);
+        }
+        let now = Nanos::from_millis(20);
+        assert_eq!(
+            cache.probe_stale(key(2, 3), now, budget),
+            StaleLookup::Stale
+        );
+        cache.revoke(&[2; 32]);
+        // Every TCB version of the revoked chip is gone, including the
+        // same-chip fallback the stale probe would otherwise find.
+        assert_eq!(cache.len(), 1);
+        for tcb in [3, 9, 4] {
+            assert_eq!(
+                cache.probe_stale(key(2, tcb), now, budget),
+                StaleLookup::Miss
+            );
+        }
+        // The other chip keeps its entry and its stale allowance.
+        assert_eq!(
+            cache.probe_stale(key(3, 0), now, budget),
+            StaleLookup::Stale
+        );
+        assert_eq!(
+            cache.probe_stale(key(3, 1), now, budget),
+            StaleLookup::Stale
+        );
+        assert_eq!(
+            cache.probe(key(3, 0), Nanos::from_millis(5)),
+            CacheLookup::Hit
+        );
     }
 
     #[test]
@@ -253,39 +256,6 @@ mod tests {
             StaleLookup::Stale
         );
         assert_eq!(cache.probe_stale(k, stale_end, budget), StaleLookup::Miss);
-    }
-
-    #[test]
-    fn revocation_arriving_mid_stale_serve_wins() {
-        // Fail-open is serving chip 8 from a stale entry when the
-        // revocation lands: the very next probe — stale or normal — must
-        // answer Revoked, at every TCB version, with no staleness escape.
-        let ttl = Nanos::from_millis(10);
-        let budget = Nanos::from_millis(50);
-        let mut cache = CertCache::new(ttl);
-        let k = key(8, 0);
-        cache.insert(k, Nanos::ZERO);
-        let mid_blackout = Nanos::from_millis(20);
-        assert_eq!(
-            cache.probe_stale(k, mid_blackout, budget),
-            StaleLookup::Stale
-        );
-        cache.revoke(&k.chip_id);
-        assert_eq!(
-            cache.probe_stale(k, mid_blackout, budget),
-            StaleLookup::Revoked
-        );
-        assert_eq!(
-            cache.probe_stale(key(8, 3), mid_blackout, budget),
-            StaleLookup::Revoked
-        );
-        assert_eq!(cache.probe(k, mid_blackout), CacheLookup::Revoked);
-        // Other chips keep their stale allowance.
-        cache.insert(key(9, 0), Nanos::ZERO);
-        assert_eq!(
-            cache.probe_stale(key(9, 0), mid_blackout, budget),
-            StaleLookup::Stale
-        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! This crate models that service on the shared virtual clock:
 //!
 //! - [`CertCache`] — a VCEK cert-chain + verified-report cache keyed by
-//!   *(chip id, TCB version)*, with a TTL in virtual time and explicit
-//!   revocation that always wins over a cached hit.
+//!   *(chip id, TCB version)*, with a TTL in virtual time. It holds no
+//!   trust verdicts: revocation is asked of the registry first, so it
+//!   always wins over a cached hit.
 //! - [`AttPlane`] — a deterministic single-server verifier queue. Every
 //!   dispatch consults it and receives a [`Verification`]: a verdict plus
 //!   the network-class [`WorkStep`](sevf_obs::WorkStep)s (queue wait →
@@ -24,8 +25,9 @@
 //!
 //! The chip identities are real [`ChipIdentity`](sevf_psp::ChipIdentity)
 //! keys registered in a real [`AmdRootRegistry`](sevf_psp::AmdRootRegistry);
-//! revoking a host here revokes it at the root, so reports the chip signs
-//! stop verifying — and by §6.2, every launch template derived under that
+//! revoking a host here revokes it at the root, and the root is the only
+//! record of it, so reports the chip signs stop verifying and the plane's
+//! own verdicts refuse it — and by §6.2, every launch template derived under that
 //! key must die with it.
 
 #![forbid(unsafe_code)]

@@ -252,11 +252,6 @@ impl AttPlane {
         self.reachable = reachable;
     }
 
-    /// Whether the remote verifier is currently reachable.
-    pub fn is_reachable(&self) -> bool {
-        self.reachable
-    }
-
     /// A TCB/firmware rollout re-measures a host: bump its version so
     /// every cached entry minted under the old firmware stops matching.
     /// Returns the new version.
@@ -281,7 +276,7 @@ impl AttPlane {
     /// Whether a host's chip key has been revoked.
     pub fn is_revoked(&self, host: usize) -> Result<bool, AttPlaneError> {
         self.check_host(host)?;
-        Ok(self.cache.is_revoked(&self.chips[host]))
+        Ok(self.registry.is_revoked(&self.chips[host]))
     }
 
     /// Verifies one dispatch from `host` at virtual time `now`.
@@ -316,19 +311,7 @@ impl AttPlane {
 
         // Revocation wins over everything, including a cached hit, and
         // costs no verifier service time: the refusal is a registry look.
-        // A host owed a re-verification (served stale during a blackout)
-        // is forced down the full fetch path even if its entry is live.
-        let lookup = if self.config.mode == VerifyMode::Naive || self.needs_reverify.contains(&host)
-        {
-            if self.cache.is_revoked(&chip) {
-                CacheLookup::Revoked
-            } else {
-                CacheLookup::Miss
-            }
-        } else {
-            self.cache.probe(key, start)
-        };
-        if lookup == CacheLookup::Revoked {
+        if self.registry.is_revoked(&chip) {
             self.needs_reverify.remove(&host);
             steps.push(self.step(STEP_REVOKED, Nanos::ZERO));
             self.metrics.revoked_verdicts += 1;
@@ -338,12 +321,17 @@ impl AttPlane {
                 steps,
             });
         }
-        if self.needs_reverify.remove(&host) {
-            self.metrics.reverifies += 1;
-        }
+        // A host owed a re-verification (served stale during a blackout)
+        // is forced down the full fetch path even if its entry is live.
+        let reverify = self.needs_reverify.remove(&host);
+        self.metrics.reverifies += u64::from(reverify);
+        let lookup = if reverify || self.config.mode == VerifyMode::Naive {
+            CacheLookup::Miss
+        } else {
+            self.cache.probe(key, start)
+        };
 
         let mut service = Nanos::ZERO;
-        // Revoked returned above: what is left is a hit, a miss or an expiry.
         if lookup == CacheLookup::Hit {
             self.metrics.cert_hits += 1;
             steps.push(self.step(STEP_CERT_HIT, Nanos::ZERO));
@@ -354,6 +342,8 @@ impl AttPlane {
             self.metrics.cert_fetches += 1;
             steps.push(self.step(STEP_CERT_FETCH, AttPlaneConfig::CERT_FETCH));
             service += AttPlaneConfig::CERT_FETCH;
+            // Revoked chips returned above, so no distrusted evidence
+            // enters the cache here.
             if self.config.mode != VerifyMode::Naive {
                 self.cache.insert(key, start);
             }
@@ -390,7 +380,7 @@ impl AttPlane {
 
     /// The blackout path: no verifier queue, no service time, verdicts
     /// from the degradation policy alone. Revocation still wins — the
-    /// CRL is local state, not a verifier round trip.
+    /// registry is local state, not a verifier round trip.
     fn verify_degraded(
         &mut self,
         host: usize,
@@ -398,7 +388,7 @@ impl AttPlane {
         key: CacheKey,
         now: Nanos,
     ) -> Verification {
-        if self.cache.is_revoked(chip) {
+        if self.registry.is_revoked(chip) {
             self.metrics.revoked_verdicts += 1;
             return Verification {
                 verdict: Verdict::Revoked,
@@ -417,14 +407,6 @@ impl AttPlane {
                         verdict: Verdict::Ok,
                         added: Nanos::ZERO,
                         steps: vec![self.step(STEP_STALE_HIT, Nanos::ZERO)],
-                    };
-                }
-                StaleLookup::Revoked => {
-                    self.metrics.revoked_verdicts += 1;
-                    return Verification {
-                        verdict: Verdict::Revoked,
-                        added: Nanos::ZERO,
-                        steps: vec![self.step(STEP_REVOKED, Nanos::ZERO)],
                     };
                 }
                 StaleLookup::Miss => {}
@@ -534,23 +516,48 @@ mod tests {
 
     #[test]
     fn revocation_wins_over_cached_hit_and_costs_no_service() {
-        let mut plane = AttPlane::new(AttPlaneConfig::cached(), 2).unwrap();
-        plane.verify_launch(0, Nanos::ZERO).unwrap();
-        let v = plane.verify_launch(0, ms(50)).unwrap();
-        assert_eq!(plane.metrics().cert_hits, 1);
-        assert!(v.verdict.is_ok());
-        plane.revoke_host(0).unwrap();
-        let v = plane.verify_launch(0, ms(100)).unwrap();
-        assert_eq!(v.verdict, Verdict::Revoked);
-        assert_eq!(v.steps.last().unwrap().label, STEP_REVOKED);
-        // The other host still verifies, and the revoked host never
-        // re-enters the cache.
-        assert!(plane.verify_launch(1, ms(150)).unwrap().verdict.is_ok());
-        assert_eq!(
-            plane.verify_launch(0, ms(200)).unwrap().verdict,
-            Verdict::Revoked
-        );
-        assert_eq!(plane.metrics().revoked_verdicts, 2);
+        for cfg in [
+            AttPlaneConfig::naive(),
+            AttPlaneConfig::cached(),
+            AttPlaneConfig::cached_batched(),
+        ] {
+            let mode = cfg.mode;
+            let mut plane = AttPlane::new(cfg, 2).unwrap();
+            plane.verify_launch(0, Nanos::ZERO).unwrap();
+            assert!(plane.verify_launch(0, ms(50)).unwrap().verdict.is_ok());
+            let hits = u64::from(mode != VerifyMode::Naive);
+            assert_eq!(plane.metrics().cert_hits, hits, "{mode:?}");
+            plane.revoke_host(0).unwrap();
+            assert!(plane.is_revoked(0).unwrap());
+            let served = plane.metrics().verifications;
+            let v = plane.verify_launch(0, ms(100)).unwrap();
+            assert_eq!(v.verdict, Verdict::Revoked, "{mode:?}");
+            assert_eq!(v.steps.last().unwrap().label, STEP_REVOKED);
+            // The other host still verifies. A rollout after the drill
+            // gives the revoked chip a fresh cache key, and it is still
+            // refused: distrust is per chip, not per TCB version.
+            assert!(plane.verify_launch(1, ms(150)).unwrap().verdict.is_ok());
+            plane.bump_tcb(0).unwrap();
+            assert_eq!(
+                plane.verify_launch(0, ms(200)).unwrap().verdict,
+                Verdict::Revoked,
+                "{mode:?}"
+            );
+            let m = plane.metrics();
+            assert_eq!(m.revoked_verdicts, 2, "{mode:?}");
+            assert_eq!(m.verifications, served + 1, "only host 1 was served");
+            // Nothing signed by the revoked chip re-entered the cache, at
+            // any TCB version: the plane's early refusal is the only guard.
+            let chip = *plane.chip_id(0).unwrap();
+            for tcb in 0..=plane.tcb_version(0).unwrap() {
+                let key = CacheKey { chip_id: chip, tcb };
+                assert_eq!(
+                    plane.cache.probe_stale(key, ms(200), secs(3600)),
+                    StaleLookup::Miss,
+                    "{mode:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -638,7 +645,6 @@ mod tests {
         let mut plane = AttPlane::new(AttPlaneConfig::cached(), 2).unwrap();
         plane.verify_launch(0, Nanos::ZERO).unwrap();
         plane.set_reachable(false);
-        assert!(!plane.is_reachable());
         // Even the host with a live cache entry is refused: fail-closed
         // means no fresh verdicts, full stop.
         let v = plane.verify_launch(0, ms(10)).unwrap();

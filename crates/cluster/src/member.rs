@@ -32,8 +32,6 @@ pub(crate) struct Membership {
     live_since: Vec<Option<Nanos>>,
     /// Host-seconds of availability accrued per host.
     host_secs: Vec<f64>,
-    /// Warm-pool rebalance passes triggered by membership changes.
-    pub(crate) rebalances: u64,
 }
 
 impl Membership {
@@ -81,7 +79,6 @@ impl Membership {
                 .map(|h| h.available().then_some(Nanos::ZERO))
                 .collect(),
             host_secs: vec![0.0; hosts.len()],
-            rebalances: 0,
         }
     }
 
@@ -182,7 +179,7 @@ impl State<'_> {
         // Fail over the queue: every waiter re-enters the router and lands
         // on a surviving host (or sheds there).
         for next in self.hosts[host].purge_backlog() {
-            self.failovers += 1;
+            self.metrics.failovers += 1;
             self.front
                 .rec
                 .marker(MarkerKind::Failover, Some(next.request), Some(host), now);
@@ -261,7 +258,7 @@ impl State<'_> {
             };
             h.pool.set_target(target);
         }
-        self.members.rebalances += 1;
+        self.metrics.rebalances += 1;
         self.front
             .rec
             .marker(MarkerKind::Rebalance, None, None, now);

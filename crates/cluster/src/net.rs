@@ -18,7 +18,6 @@ use sevf_net::{LeaseLedger, LinkId, LinkPlan, NetConfig, PhiDetector};
 use sevf_obs::MarkerKind;
 use sevf_sim::{Job, Nanos};
 
-use crate::metrics::ClusterMetrics;
 use crate::service::{JobKind, State};
 
 /// What every router↔host message names: the request, the dispatch epoch
@@ -76,15 +75,6 @@ pub(crate) struct NetRuntime {
     pub(crate) suspected: Vec<bool>,
     /// Per-message token stream for stateless link draws.
     seq: u64,
-    suspicions: u64,
-    suspicions_cleared: u64,
-    false_suspicions: u64,
-    lease_expiries: u64,
-    net_lost: u64,
-    net_timeouts: u64,
-    net_nacks: u64,
-    stale_completions: u64,
-    double_completion_attempts: u64,
 }
 
 /// Token offset for heartbeat draws on the host→router links, so the
@@ -106,15 +96,6 @@ impl NetRuntime {
             outstanding: vec![BTreeSet::new(); hosts],
             suspected: vec![false; hosts],
             seq: 0,
-            suspicions: 0,
-            suspicions_cleared: 0,
-            false_suspicions: 0,
-            lease_expiries: 0,
-            net_lost: 0,
-            net_timeouts: 0,
-            net_nacks: 0,
-            stale_completions: 0,
-            double_completion_attempts: 0,
         }
     }
 
@@ -160,19 +141,6 @@ impl NetRuntime {
         }
     }
 
-    /// Copies the layer's counters into the rollup.
-    pub(crate) fn fill(&self, metrics: &mut ClusterMetrics) {
-        metrics.suspicions = self.suspicions;
-        metrics.suspicions_cleared = self.suspicions_cleared;
-        metrics.false_suspicions = self.false_suspicions;
-        metrics.lease_expiries = self.lease_expiries;
-        metrics.net_lost = self.net_lost;
-        metrics.net_timeouts = self.net_timeouts;
-        metrics.net_nacks = self.net_nacks;
-        metrics.stale_completions = self.stale_completions;
-        metrics.double_completion_attempts = self.double_completion_attempts;
-    }
-
     /// Draws the next per-message link token.
     fn token(&mut self) -> u64 {
         self.seq += 1;
@@ -191,9 +159,8 @@ impl State<'_> {
             NetJob::DispatchLost(msg) => {
                 // The router's dispatch timeout fires for a lost message.
                 if !self.stale(msg) {
-                    let net = self.net();
-                    net.outstanding[msg.host].remove(&msg.request);
-                    net.net_timeouts += 1;
+                    self.net().outstanding[msg.host].remove(&msg.request);
+                    self.metrics.net_timeouts += 1;
                     self.fail(msg.request, now, inject);
                 }
             }
@@ -201,7 +168,7 @@ impl State<'_> {
             NetJob::Nack(msg) => {
                 // A refusal arrives back at the router.
                 if !self.stale(msg) && self.net().outstanding[msg.host].remove(&msg.request) {
-                    self.net().net_nacks += 1;
+                    self.metrics.net_nacks += 1;
                     self.fail(msg.request, now, inject);
                 }
             }
@@ -259,7 +226,7 @@ impl State<'_> {
         let token = net.token();
         let link = LinkId::RouterToHost(host);
         if net.plan.host_cut(host, now).is_some() || net.plan.lost(link, token) {
-            net.net_lost += 1;
+            self.metrics.net_lost += 1;
             let at = now + net.plan.config().dispatch_timeout;
             self.front.mark(inject, at, NetJob::DispatchLost(msg));
         } else {
@@ -330,12 +297,11 @@ impl State<'_> {
             self.front.epoch(request) != epoch,
             self.front.is_done(request),
         );
-        let net = self.net();
-        net.outstanding[host].remove(&request);
+        self.net().outstanding[host].remove(&request);
         if stale_epoch {
-            net.stale_completions += 1;
+            self.metrics.stale_completions += 1;
         } else if done {
-            net.double_completion_attempts += u64::from(ok);
+            self.metrics.double_completion_attempts += u64::from(ok);
         } else if ok {
             self.complete(request, host, now);
             self.front.issue_next_closed(now, inject);
@@ -357,7 +323,7 @@ impl State<'_> {
         det.heartbeat(host, now);
         let deadline = det.deadline(host);
         if std::mem::take(&mut net.suspected[host]) {
-            net.suspicions_cleared += 1;
+            self.metrics.suspicions_cleared += 1;
             self.front
                 .rec
                 .marker(MarkerKind::SuspicionCleared, None, Some(host), now);
@@ -387,7 +353,7 @@ impl State<'_> {
             return;
         }
         net.suspected[host] = true;
-        net.suspicions += 1;
+        self.metrics.suspicions += 1;
         let safe = net.ledger.as_ref().map_or(now, |l| l.safe_at(host));
         let sweep_at = safe.max(now) + Nanos::from_nanos(1);
         self.front
@@ -405,7 +371,7 @@ impl State<'_> {
         if !net.suspected[host] {
             // The host heartbeated before the sweep: a false suspicion
             // that moved no work.
-            net.false_suspicions += 1;
+            self.metrics.false_suspicions += 1;
             return;
         }
         if net.ledger.as_ref().is_some_and(|l| l.safe_at(host) >= now) {
@@ -418,7 +384,7 @@ impl State<'_> {
             if self.front.is_done(request) {
                 continue;
             }
-            self.failovers += 1;
+            self.metrics.failovers += 1;
             self.front
                 .rec
                 .marker(MarkerKind::Failover, Some(request), Some(host), now);
@@ -480,7 +446,7 @@ impl State<'_> {
             return;
         }
         h.parked = true;
-        self.net().lease_expiries += 1;
+        self.metrics.lease_expiries += 1;
         self.front
             .rec
             .marker(MarkerKind::LeaseExpired, None, Some(host), now);

@@ -140,11 +140,12 @@ pub(crate) struct State<'a> {
     pub(crate) front: Front<'a, JobKind>,
     pub(crate) hosts: Vec<Host>,
     pub(crate) router: Router,
-    /// Arrivals the router could not place anywhere (shed fast).
-    unroutable: u64,
-    /// Requests displaced off a dead, departing, or suspected host.
-    pub(crate) failovers: u64,
-    /// Availability accounting and the rebalance counter.
+    /// The run's rollup. The cluster's own counters (unroutable sheds,
+    /// failovers, rebalances, the net layer's) are counted into it where
+    /// each event is observed; the per-host and front totals join at the
+    /// end of the run.
+    pub(crate) metrics: ClusterMetrics,
+    /// Availability accounting.
     pub(crate) members: Membership,
     /// The network layer, when a real config is active.
     pub(crate) net: Option<NetRuntime>,
@@ -259,8 +260,7 @@ impl ClusterService {
             front,
             hosts,
             router: Router::new(config.placement, config.seed, config.hosts, config.vnodes),
-            unroutable: 0,
-            failovers: 0,
+            metrics: ClusterMetrics::default(),
             members,
             net,
             scaler,
@@ -272,33 +272,24 @@ impl ClusterService {
         drop(outcomes);
 
         let makespan = trace.makespan();
-        let mut metrics = ClusterMetrics {
-            issued: state.front.issued(),
-            makespan,
-            host_seconds: state.members.close(makespan),
-            ..ClusterMetrics::default()
-        };
+        let mut metrics = state.metrics;
+        metrics.issued = state.front.issued();
+        metrics.makespan = makespan;
+        metrics.host_seconds = state.members.close(makespan);
         for host in &mut state.hosts {
             host.finish_metrics(&trace);
             let util = host.metrics.psp_utilization;
             metrics.absorb_host(host.id, &host.metrics, util);
         }
         let front = &state.front;
-        metrics.shed += state.unroutable;
-        metrics.unroutable = state.unroutable;
         metrics.timeouts += front.totals.timeouts;
         metrics.failed += front.totals.failed;
         metrics.rejected = front.totals.rejected;
         metrics.breaker_sheds += front.totals.breaker_sheds;
         metrics.retries += front.totals.retries;
-        metrics.failovers = state.failovers;
-        metrics.rebalances = state.members.rebalances;
         metrics.posture_checks = front.posture_checks;
         metrics.posture_redirects = front.posture_redirects;
         metrics.posture_violations = front.posture_violations;
-        if let Some(net) = &state.net {
-            net.fill(&mut metrics);
-        }
         let report = ClusterReport {
             tier: config.tier,
             placement: config.placement,
@@ -352,7 +343,7 @@ impl State<'_> {
                 let settled = self.hosts[host].settle(&mut self.front, job, now, launch);
                 let host_died = settled.poison == Some(FaultKind::HostOutage);
                 if host_died {
-                    self.failovers += 1;
+                    self.metrics.failovers += 1;
                 }
                 if self.net.is_some() && !host_died {
                     // The host settled its local state; the router-side
@@ -448,7 +439,8 @@ impl State<'_> {
         let Some(host) = placed else {
             // Nowhere to run: shed fast (clients of a fully-dark cluster
             // get an immediate error, not an unbounded queue).
-            self.unroutable += 1;
+            self.metrics.unroutable += 1;
+            self.metrics.shed += 1;
             self.front.terminal(request, ReqOutcome::Shed, now, inject);
             return;
         };

@@ -219,7 +219,6 @@ pub struct IncrementalChain {
     prefix: Vec<[u8; 48]>,
     /// Fingerprint of page `i` from the last measurement.
     fps: Vec<(u64, u64)>,
-    rehashed: u64,
     reused: u64,
 }
 
@@ -235,7 +234,6 @@ impl IncrementalChain {
         IncrementalChain {
             prefix: vec![[0u8; 48]],
             fps: Vec::new(),
-            rehashed: 0,
             reused: 0,
         }
     }
@@ -259,14 +257,8 @@ impl IncrementalChain {
             digest = fold_page(&digest, p.gpa, p.data, p.page_type);
             self.fps.push(fingerprint(p.gpa, p.page_type, p.data));
             self.prefix.push(digest);
-            self.rehashed += 1;
         }
         digest
-    }
-
-    /// Pages actually re-hashed across all measurements.
-    pub fn pages_rehashed(&self) -> u64 {
-        self.rehashed
     }
 
     /// Pages skipped via the cached prefix across all measurements.

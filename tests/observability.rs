@@ -129,9 +129,13 @@ fn fleet_chaos_spans_match_fault_counters_exactly() {
 
 #[test]
 fn cluster_spans_obey_the_battery_and_match_the_rollup() {
+    use sevf_cluster::netsweep::{self, NetSweepConfig};
     use sevf_cluster::{ClusterConfig, ClusterService, PlacementPolicy};
+    use sevf_net::{DetectorConfig, NetConfig, Partition, PartitionScope};
 
-    let config = ClusterConfig {
+    // The host-fault storm, then netsweep's quick partition arm under the
+    // resilient detector and leases, so the net layer's counters move.
+    let storm = ClusterConfig {
         mix: Some(RequestMix::quick_test_mix()),
         placement: PlacementPolicy::TemplateAffinity,
         seed: 0x5EF0,
@@ -140,48 +144,89 @@ fn cluster_spans_obey_the_battery_and_match_the_rollup() {
         recovery: RecoveryConfig::resilient(0x5EF0),
         ..ClusterConfig::open_loop(3, ServingTier::Template, 120.0, 240)
     };
-    let (report, log) = ClusterService::new(catalog(), config).unwrap().run_traced();
-    let m = &report.metrics;
-    assert!(m.completed > 0);
-    assert!(m.conserved());
+    let sweep = NetSweepConfig::quick();
+    let partition = ClusterConfig {
+        mix: sweep.mix.clone(),
+        seed: netsweep::SEED,
+        admission: sweep.admission,
+        placement: PlacementPolicy::JsqPsp,
+        recovery: RecoveryConfig::resilient(netsweep::SEED),
+        net: Some(NetConfig {
+            link: netsweep::LINK,
+            partitions: vec![Partition {
+                scope: PartitionScope::Host(sweep.hosts - 1),
+                start: sweep.cut_start,
+                end: sweep.cut_end,
+            }],
+            horizon: sweep.horizon,
+            dispatch_timeout: netsweep::DISPATCH_TIMEOUT,
+            heartbeat_every: netsweep::HEARTBEAT_EVERY,
+            detector: Some(DetectorConfig),
+            lease: Some(netsweep::LEASE),
+        }),
+        ..ClusterConfig::open_loop(
+            sweep.hosts,
+            ServingTier::Template,
+            sweep.rps,
+            sweep.requests,
+        )
+    };
+    for (arm, config) in [("storm", storm), ("partition", partition)] {
+        let (report, log) = ClusterService::new(catalog(), config).unwrap().run_traced();
+        let m = &report.metrics;
+        assert!(m.completed > 0, "{arm}");
+        assert!(m.conserved(), "{arm}");
 
-    // Structural battery over every host's trees at once; the "psp" prefix
-    // covers psp0..pspN, each serialized independently.
-    invariants::spans_nest(&log).unwrap();
-    invariants::children_tile(&log).unwrap();
-    invariants::capacity1_serialized(&log, "psp").unwrap();
-    for request in log.requests_with_outcome(Outcome::Completed) {
-        invariants::single_request_root(&log, request).unwrap();
-        let root = log.request_root(request).unwrap();
-        assert_eq!(
-            invariants::leaf_duration_sum(&log, request),
-            root.duration()
-        );
+        // Structural battery over every host's trees at once; the "psp"
+        // prefix covers psp0..pspN, each serialized independently.
+        invariants::spans_nest(&log).unwrap();
+        invariants::children_tile(&log).unwrap();
+        invariants::capacity1_serialized(&log, "psp").unwrap();
+        for request in log.requests_with_outcome(Outcome::Completed) {
+            invariants::single_request_root(&log, request).unwrap();
+            let root = log.request_root(request).unwrap();
+            assert_eq!(
+                invariants::leaf_duration_sum(&log, request),
+                root.duration()
+            );
+        }
+
+        // Cluster latencies merge per host (not in completion order), so
+        // match them as sorted multisets against the span-side root
+        // durations.
+        let mut span_ms: Vec<f64> = log
+            .requests_with_outcome(Outcome::Completed)
+            .into_iter()
+            .map(|r| log.request_root(r).unwrap().duration().as_millis_f64())
+            .collect();
+        let mut metric_ms = m.latencies_ms.clone();
+        span_ms.sort_by(f64::total_cmp);
+        metric_ms.sort_by(f64::total_cmp);
+        assert_eq!(span_ms, metric_ms, "{arm}");
+
+        // Terminal and marker counts equal the rollup's counters.
+        assert_eq!(log.outcomes.len(), m.issued);
+        assert_eq!(outcomes(&log, Outcome::Completed), m.completed);
+        assert_eq!(outcomes(&log, Outcome::Shed) as u64, m.shed);
+        assert_eq!(outcomes(&log, Outcome::BreakerShed) as u64, m.breaker_sheds);
+        assert_eq!(outcomes(&log, Outcome::Timeout) as u64, m.timeouts);
+        assert_eq!(outcomes(&log, Outcome::Failed) as u64, m.failed);
+        assert_eq!(backoffs(&log) as u64, m.retries);
+        assert_eq!(log.count_marker(MarkerKind::Failover) as u64, m.failovers);
+        assert_eq!(log.count_marker(MarkerKind::Rebalance) as u64, m.rebalances);
+        assert_eq!(faults(&log) as u64, m.faults);
+
+        // The net layer counts into the rollup where it marks the trace.
+        let net = [
+            (MarkerKind::Suspected, m.suspicions),
+            (MarkerKind::SuspicionCleared, m.suspicions_cleared),
+            (MarkerKind::LeaseExpired, m.lease_expiries),
+        ];
+        for (kind, count) in net {
+            assert_eq!(log.count_marker(kind) as u64, count, "{arm} {kind:?}");
+            assert_eq!(count > 0, arm == "partition", "{arm} {kind:?}");
+        }
     }
-
-    // Cluster latencies merge per host (not in completion order), so match
-    // them as sorted multisets against the span-side root durations.
-    let mut span_ms: Vec<f64> = log
-        .requests_with_outcome(Outcome::Completed)
-        .into_iter()
-        .map(|r| log.request_root(r).unwrap().duration().as_millis_f64())
-        .collect();
-    let mut metric_ms = m.latencies_ms.clone();
-    span_ms.sort_by(f64::total_cmp);
-    metric_ms.sort_by(f64::total_cmp);
-    assert_eq!(span_ms, metric_ms);
-
-    // Terminal and marker counts equal the rollup's counters.
-    assert_eq!(log.outcomes.len(), m.issued);
-    assert_eq!(outcomes(&log, Outcome::Completed), m.completed);
-    assert_eq!(outcomes(&log, Outcome::Shed) as u64, m.shed);
-    assert_eq!(outcomes(&log, Outcome::BreakerShed) as u64, m.breaker_sheds);
-    assert_eq!(outcomes(&log, Outcome::Timeout) as u64, m.timeouts);
-    assert_eq!(outcomes(&log, Outcome::Failed) as u64, m.failed);
-    assert_eq!(backoffs(&log) as u64, m.retries);
-    assert_eq!(log.count_marker(MarkerKind::Failover) as u64, m.failovers);
-    assert_eq!(log.count_marker(MarkerKind::Rebalance) as u64, m.rebalances);
-    assert_eq!(faults(&log) as u64, m.faults);
 }
 
 #[test]
