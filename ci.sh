@@ -152,6 +152,18 @@ if code_of $(find crates/fleet/src crates/cluster/src -name '*.rs') \
 fi
 echo 0
 
+# Utilization comes from the busy totals the DES keeps as it runs; the
+# per-segment occupancy log is written only when a span recorder listens, and
+# `sevf-obs` is its one reader. A read of it in a serving layer would sum a
+# log an untraced run no longer has. (`RequestMix::entries` is another API.)
+echo "==> occupancy-log reads in crates/{fleet,cluster}/src code (same line rule; must be 0)"
+if code_of $(find crates/fleet/src crates/cluster/src -name '*.rs') \
+  | grep -E '(trace\.|RunTrace::)entries\b'; then
+  echo "a serving layer reads the occupancy log: use RunTrace::busy_time / utilization"
+  exit 1
+fi
+echo 0
+
 # The image parsers hand out slices of their input: an ELF segment or a CPIO
 # entry borrows the file it was parsed from, so a boot holds each image once.
 # A copy of one would put an image-sized allocation back on the boot path.

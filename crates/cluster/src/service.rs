@@ -82,7 +82,9 @@ pub struct ClusterReport {
     pub tenants: Option<Vec<TenantRollup>>,
     /// Autoscaler decision counters and audit log, when one was configured.
     pub autoscale: Option<AutoscaleRollup>,
-    /// Resource-occupancy trace (per-host PSP/CPU ids interleaved).
+    /// The engine's record of the run (per-host PSP/CPU ids interleaved):
+    /// busy totals and makespan always, the per-segment occupancy entries
+    /// only from [`ClusterService::run_traced`].
     pub trace: RunTrace,
 }
 
@@ -265,8 +267,8 @@ impl ClusterService {
             net,
             scaler,
         };
-        let (outcomes, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
-            state.on_event(outcome, inject);
+        let (outcomes, trace) = engine.run_dynamic(seed_jobs, state.front.rec.on(), |o, inject| {
+            state.on_event(o, inject);
         });
         let log = std::mem::take(&mut state.front.rec).build(&engine, &outcomes, &trace);
         drop(outcomes);

@@ -2,9 +2,10 @@
 //!
 //! Everything the experiment tables print comes from here: request latency
 //! percentiles (on [`sevf_sim::stats::Summary`]), queue depth sampled at
-//! every enqueue/dequeue, PSP/CPU utilization derived from the DES
-//! [`sevf_sim::RunTrace`], and the shed / cache-hit / warm-hit counters
-//! that explain *why* the latencies look the way they do.
+//! every enqueue/dequeue, PSP/CPU utilization read off the busy totals the
+//! DES keeps in its [`sevf_sim::RunTrace`] (a lookup, whether or not the
+//! run recorded occupancy entries), and the shed / cache-hit / warm-hit
+//! counters that explain *why* the latencies look the way they do.
 
 use sevf_sim::fault::FaultKind;
 use sevf_sim::{Nanos, Summary};

@@ -195,7 +195,8 @@ pub struct FleetReport {
     pub metrics: FleetMetrics,
     /// Memory rent the warm pool held at the end of the run (§7.1).
     pub pool_resident_bytes: u64,
-    /// Resource-occupancy trace of the run (for invariant checks).
+    /// The engine's record of the run: busy totals and makespan always, the
+    /// per-segment occupancy entries only from [`FleetService::run_traced`].
     pub trace: RunTrace,
 }
 
@@ -256,8 +257,8 @@ impl FleetService {
         host.seed_faults(&mut front, &mut seed_jobs);
 
         let mut state = State { front, host };
-        let (outcomes, trace) = engine.run_dynamic(seed_jobs, |outcome, inject| {
-            state.on_event(outcome, inject);
+        let (outcomes, trace) = engine.run_dynamic(seed_jobs, state.front.rec.on(), |o, inject| {
+            state.on_event(o, inject);
         });
         let State {
             mut front,

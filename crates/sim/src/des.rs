@@ -19,11 +19,17 @@
 //! duration)` pairs at submission, so the inner loop walks a flat `Vec`
 //! instead of chasing per-job `Vec<Segment>` allocations, and [`Segment`]
 //! labels are `Cow<'static, str>` so the common static-label case allocates
-//! nothing per dispatch. The arena, the job states and the occupancy trace
-//! are reserved once per run, so a run's resident peak is what it writes,
-//! not where reallocation found room. [`DesEngine::run`] skips
-//! occupancy-trace collection entirely — callers that need utilization
-//! accounting use [`DesEngine::run_traced`] / [`DesEngine::run_dynamic`].
+//! nothing per dispatch. The arena and the job states are reserved once per
+//! run, so a run's resident peak is what it writes, not where reallocation
+//! found room.
+//!
+//! Every run keeps one busy total per resource, added where a segment
+//! starts, so [`RunTrace::busy_time`] and [`RunTrace::utilization`] are
+//! lookups. The per-segment occupancy log ([`TraceEntry`], one per
+//! resource-bound segment: 2.1 M of them, 68 MB, in a 100 000-request
+//! serving run) is written only when the caller asks for it —
+//! [`DesEngine::run_traced`], or [`DesEngine::run_dynamic`] with `record`
+//! set, which the serving layers pass only when a span recorder listens.
 //!
 //! The pre-calendar heap implementation survives as
 //! [`crate::reference::HeapEngine`]; `tests/engine_equivalence.rs` proves the
@@ -172,18 +178,35 @@ pub struct TraceEntry {
     pub end: Nanos,
 }
 
-/// Resource-occupancy record of one engine run: every executed
-/// resource-bound segment with its start/end instants, plus the makespan.
-/// Used for utilization accounting (fleet metrics) and for checking the
-/// engine's scheduling invariants.
+/// What one engine run did with its resources: each resource's total busy
+/// time, the makespan, and — when the caller asked for them — every
+/// executed resource-bound segment with its start/end instants. The busy
+/// totals feed utilization accounting (fleet metrics); the entries feed the
+/// span assembler (`sevf-obs`) and the engine's scheduling invariants.
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
     entries: Vec<TraceEntry>,
+    /// Busy time per resource, indexed by [`ResourceId`].
+    busy: Vec<Nanos>,
     makespan: Nanos,
+    /// Whether this run recorded `entries`.
+    recorded: bool,
 }
 
 impl RunTrace {
-    /// All recorded occupancies, in execution-start order.
+    /// A trace for a run over `resources` resources that records entries
+    /// only when `record` is set (crate-internal; engines only).
+    pub(crate) fn new(resources: usize, record: bool) -> Self {
+        RunTrace {
+            entries: Vec::new(),
+            busy: vec![Nanos::ZERO; resources],
+            makespan: Nanos::ZERO,
+            recorded: record,
+        }
+    }
+
+    /// All recorded occupancies, in execution-start order: empty unless the
+    /// run recorded them.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
     }
@@ -193,9 +216,20 @@ impl RunTrace {
         self.makespan
     }
 
-    /// Records an occupancy (crate-internal; engines only).
-    pub(crate) fn push_entry(&mut self, entry: TraceEntry) {
-        self.entries.push(entry);
+    /// Counts a segment of `job` occupying `resource` from `start` for
+    /// `duration`, and records it when the run records entries
+    /// (crate-internal; engines only).
+    #[inline]
+    pub(crate) fn occupy(&mut self, resource: usize, job: usize, start: Nanos, duration: Nanos) {
+        self.busy[resource] += duration;
+        if self.recorded {
+            self.entries.push(TraceEntry {
+                resource: ResourceId(resource),
+                job,
+                start,
+                end: start + duration,
+            });
+        }
     }
 
     /// Sets the makespan (crate-internal; engines only).
@@ -203,13 +237,10 @@ impl RunTrace {
         self.makespan = makespan;
     }
 
-    /// Total busy time accumulated on `resource` across all its slots.
+    /// Total busy time accumulated on `resource` across all its slots (zero
+    /// for a resource the run did not have).
     pub fn busy_time(&self, resource: ResourceId) -> Nanos {
-        self.entries
-            .iter()
-            .filter(|e| e.resource == resource)
-            .map(|e| e.end - e.start)
-            .sum()
+        self.busy.get(resource.0).copied().unwrap_or(Nanos::ZERO)
     }
 
     /// Fraction of `capacity × makespan` the resource spent busy (0 when the
@@ -223,8 +254,12 @@ impl RunTrace {
     }
 
     /// Maximum number of segments simultaneously executing on `resource`
-    /// (a capacity-`c` resource must never exceed `c`).
-    pub fn max_concurrency(&self, resource: ResourceId) -> usize {
+    /// (a capacity-`c` resource must never exceed `c`), or `None` when the
+    /// run did not record entries and so cannot tell.
+    pub fn max_concurrency(&self, resource: ResourceId) -> Option<usize> {
+        if !self.recorded {
+            return None;
+        }
         let mut points: Vec<(Nanos, i64)> = Vec::new();
         for e in self.entries.iter().filter(|e| e.resource == resource) {
             points.push((e.start, 1));
@@ -239,7 +274,7 @@ impl RunTrace {
             current += delta;
             max = max.max(current);
         }
-        max.max(0) as usize
+        Some(max.max(0) as usize)
     }
 }
 
@@ -286,8 +321,9 @@ struct JobState {
 }
 
 /// Room a run's big tables get before the first job is admitted: the
-/// segment arena and the occupancy trace [`RESERVED_SEGMENTS`] entries, the
-/// job states [`RESERVED_JOBS`] — more than any serving run here fills (a
+/// segment arena [`RESERVED_SEGMENTS`] entries, and so does the occupancy
+/// log when the run records it (an unrecorded run reserves none); the job
+/// states [`RESERVED_JOBS`] — more than any serving run here fills (a
 /// 100 000-request elastic run admits 0.3 M jobs of 2.4 M segments), so the
 /// tables never move. A table that doubles its way up to tens of MiB leaves
 /// each outgrown copy behind, and whether the allocator has a hole for the
@@ -355,21 +391,20 @@ impl DesEngine {
     }
 
     /// Runs a batch of jobs to completion and returns their outcomes in job
-    /// order. Skips occupancy-trace collection entirely; use
-    /// [`DesEngine::run_traced`] when utilization accounting is needed.
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if a segment references a resource not registered with this
     /// engine.
     pub fn run(&mut self, jobs: Vec<Job>) -> Vec<JobOutcome> {
-        self.run_inner(jobs, |_, _| {}, false).0
+        self.run_dynamic(jobs, false, |_, _| {}).0
     }
 
-    /// Like [`DesEngine::run`], but also returns the resource-occupancy
-    /// trace for utilization accounting.
+    /// Like [`DesEngine::run`], but also returns the run's [`RunTrace`] with
+    /// every occupancy entry recorded.
     pub fn run_traced(&mut self, jobs: Vec<Job>) -> (Vec<JobOutcome>, RunTrace) {
-        self.run_dynamic(jobs, |_, _| {})
+        self.run_dynamic(jobs, true, |_, _| {})
     }
 
     /// Runs jobs to completion with dynamic injection: every time a job
@@ -382,6 +417,14 @@ impl DesEngine {
     /// on: arrivals are zero-segment marker jobs whose completion hands
     /// control to the caller at the arrival instant.
     ///
+    /// The returned [`RunTrace`] always carries each resource's busy time
+    /// and the makespan; it records the occupancy entries only when
+    /// `record` is set (a span recorder is listening).
+    ///
+    /// Event order is exactly `(time, seq)` — identical to the heap
+    /// reference engine — so every downstream byte-diff replay gate holds
+    /// across the scheduler swap.
+    ///
     /// # Panics
     ///
     /// Panics if a segment references a resource not registered with this
@@ -389,19 +432,8 @@ impl DesEngine {
     pub fn run_dynamic(
         &mut self,
         jobs: Vec<Job>,
-        on_complete: impl FnMut(&JobOutcome, &mut Vec<Job>),
-    ) -> (Vec<JobOutcome>, RunTrace) {
-        self.run_inner(jobs, on_complete, true)
-    }
-
-    /// The engine loop. Event order is exactly `(time, seq)` — identical to
-    /// the heap reference engine — so every downstream byte-diff replay gate
-    /// holds across the scheduler swap.
-    fn run_inner(
-        &mut self,
-        jobs: Vec<Job>,
+        record: bool,
         mut on_complete: impl FnMut(&JobOutcome, &mut Vec<Job>),
-        collect_trace: bool,
     ) -> (Vec<JobOutcome>, RunTrace) {
         for r in &mut self.resources {
             r.busy = 0;
@@ -409,8 +441,8 @@ impl DesEngine {
         }
         let mut arena: Vec<SegLite> = Vec::with_capacity(RESERVED_SEGMENTS);
         let mut states: Vec<JobState> = Vec::with_capacity(jobs.len().max(RESERVED_JOBS));
-        let mut trace = RunTrace::default();
-        if collect_trace {
+        let mut trace = RunTrace::new(self.resources.len(), record);
+        if record {
             trace.entries.reserve(RESERVED_SEGMENTS);
         }
         let mut queue = CalendarQueue::new();
@@ -441,14 +473,7 @@ impl DesEngine {
                             ws.queued_since = NOT_QUEUED;
                         }
                         let dur = arena[ws.cursor as usize].duration;
-                        if collect_trace {
-                            trace.entries.push(TraceEntry {
-                                resource: ResourceId(seg.resource as usize),
-                                job: waiter,
-                                start: now,
-                                end: now + dur,
-                            });
-                        }
+                        trace.occupy(seg.resource as usize, waiter, now, dur);
                         queue.push(CalEvent {
                             time: now + dur,
                             seq,
@@ -499,14 +524,7 @@ impl DesEngine {
                     .expect("segment references unknown resource");
                 if resource.busy < resource.capacity {
                     resource.busy += 1;
-                    if collect_trace {
-                        trace.entries.push(TraceEntry {
-                            resource: ResourceId(seg.resource as usize),
-                            job: job_idx,
-                            start: now,
-                            end: now + seg.duration,
-                        });
-                    }
+                    trace.occupy(seg.resource as usize, job_idx, now, seg.duration);
                     queue.push(CalEvent {
                         time: now + seg.duration,
                         seq,
@@ -701,8 +719,8 @@ mod tests {
         assert_eq!(outcomes.len(), 3);
         assert_eq!(trace.busy_time(psp), Nanos::from_millis(30));
         assert_eq!(trace.busy_time(cpu), Nanos::from_millis(15));
-        assert_eq!(trace.max_concurrency(psp), 1);
-        assert_eq!(trace.max_concurrency(cpu), 3);
+        assert_eq!(trace.max_concurrency(psp), Some(1));
+        assert_eq!(trace.max_concurrency(cpu), Some(3));
         // 3 setups overlap, then 3 serialized launches: makespan 5 + 30.
         assert_eq!(trace.makespan(), Nanos::from_millis(35));
         let util = trace.utilization(psp, 1);
@@ -728,9 +746,17 @@ mod tests {
         a.add_resource("psp", 1);
         let mut b = DesEngine::new();
         b.add_resource("psp", 1);
-        let fast = a.run(build());
-        let (slow, _) = b.run_traced(build());
+        let (fast, totals) = a.run_dynamic(build(), false, |_, _| {});
+        let (slow, log) = b.run_traced(build());
         assert_eq!(fast, slow);
+        // The totals are kept either way; only the log is skipped.
+        let psp = ResourceId(0);
+        assert_eq!(totals.busy_time(psp), log.busy_time(psp));
+        assert_eq!(totals.busy_time(psp), Nanos::from_millis((7..13).sum()));
+        assert_eq!(totals.makespan(), log.makespan());
+        assert!(totals.entries().is_empty());
+        assert_eq!(totals.max_concurrency(psp), None);
+        assert_eq!(log.max_concurrency(psp), Some(1));
     }
 
     #[test]
@@ -743,7 +769,7 @@ mod tests {
             "first",
         )])];
         let mut chained = 0;
-        let (outcomes, trace) = engine.run_dynamic(seed, |outcome, inject| {
+        let (outcomes, trace) = engine.run_dynamic(seed, true, |outcome, inject| {
             if chained < 2 {
                 chained += 1;
                 inject.push(Job::released_at(
@@ -769,7 +795,7 @@ mod tests {
             "first",
         )])];
         let mut injected_once = false;
-        let (outcomes, _) = engine.run_dynamic(seed, |_, inject| {
+        let (outcomes, _) = engine.run_dynamic(seed, false, |_, inject| {
             if !injected_once {
                 injected_once = true;
                 // Asks for the past; runs at the completion instant instead.

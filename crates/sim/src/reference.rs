@@ -6,7 +6,8 @@
 //! semantics. It exists for differential testing:
 //! `tests/engine_equivalence.rs` proves on seeded random job sets that the
 //! calendar-queue engine produces identical [`JobOutcome`] sequences —
-//! including tie-breaking order — and identical occupancy traces.
+//! including tie-breaking order — and identical occupancy traces and busy
+//! totals.
 //!
 //! Do not use this engine in serving paths; it allocates per event and its
 //! heap costs grow with the pending-event set.
@@ -15,7 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-use crate::des::{Job, JobOutcome, ResourceId, RunTrace, TraceEntry};
+use crate::des::{Job, JobOutcome, ResourceId, RunTrace};
 use crate::time::Nanos;
 
 #[derive(Debug)]
@@ -81,7 +82,8 @@ impl HeapEngine {
         self.run_dynamic(jobs, |_, _| {})
     }
 
-    /// Runs jobs with dynamic injection; see [`crate::DesEngine::run_dynamic`].
+    /// Runs jobs with dynamic injection, always recording the occupancy
+    /// entries; see [`crate::DesEngine::run_dynamic`].
     pub fn run_dynamic(
         &mut self,
         jobs: Vec<Job>,
@@ -96,7 +98,7 @@ impl HeapEngine {
         let mut queued_since = vec![None::<Nanos>; jobs.len()];
         let mut queued_total = vec![Nanos::ZERO; jobs.len()];
         let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-        let mut trace = RunTrace::default();
+        let mut trace = RunTrace::new(self.resources.len(), true);
 
         // (time, sequence, job, kind); sequence keeps ordering deterministic.
         let mut calendar: BinaryHeap<Reverse<(Nanos, u64, usize, EventKind)>> = BinaryHeap::new();
@@ -120,12 +122,7 @@ impl HeapEngine {
                             queued_total[waiter] += now - since;
                         }
                         let dur = jobs[waiter].segments[next_segment[waiter]].duration;
-                        trace.push_entry(TraceEntry {
-                            resource: rid,
-                            job: waiter,
-                            start: now,
-                            end: now + dur,
-                        });
+                        trace.occupy(rid.index(), waiter, now, dur);
                         calendar.push(Reverse((now + dur, seq, waiter, EventKind::SegmentDone)));
                         seq += 1;
                     }
@@ -219,12 +216,7 @@ impl HeapEngine {
                     .expect("segment references unknown resource");
                 if resource.busy < resource.capacity {
                     resource.busy += 1;
-                    trace.push_entry(TraceEntry {
-                        resource: rid,
-                        job: job_idx,
-                        start: now,
-                        end: now + segment.duration,
-                    });
+                    trace.occupy(rid.index(), job_idx, now, segment.duration);
                     calendar.push(Reverse((
                         now + segment.duration,
                         *seq,

@@ -5,7 +5,8 @@
 //! scaling, the byte-diff replay gates in ci.sh — rests on the two engines
 //! producing *identical* `(time, seq)` event orders, so these tests compare
 //! [`sevf_sim::DesEngine`] against [`sevf_sim::reference::HeapEngine`]
-//! outcome-for-outcome and trace-entry-for-trace-entry, with workloads
+//! outcome-for-outcome, trace-entry-for-trace-entry and busy total for busy
+//! total, with workloads
 //! crafted to hit the queue's edge paths: simultaneous releases (tie-breaks),
 //! duration ties, far-future events (overflow + rebase), zero-duration
 //! segments, empty jobs, dynamic injection mid-drain, and a delay-dominated
@@ -13,7 +14,7 @@
 
 use sevf_sim::reference::HeapEngine;
 use sevf_sim::rng::XorShift64;
-use sevf_sim::{DesEngine, Job, Nanos, ResourceId, Segment};
+use sevf_sim::{DesEngine, Job, Nanos, ResourceId, RunTrace, Segment};
 
 /// Resources both engines register, in the same order.
 const RESOURCES: &[(&str, usize)] = &[("psp", 1), ("cpu", 4), ("nic", 2)];
@@ -35,6 +36,14 @@ fn resource_ids() -> Vec<ResourceId> {
     RESOURCES
         .iter()
         .map(|&(n, c)| e.add_resource(n, c))
+        .collect()
+}
+
+/// Each resource's busy total in `trace`, in registration order.
+fn busy_totals(trace: &RunTrace) -> Vec<Nanos> {
+    resource_ids()
+        .into_iter()
+        .map(|r| trace.busy_time(r))
         .collect()
 }
 
@@ -97,7 +106,8 @@ fn delay_dominated_batch(seed: u64, n: usize) -> Vec<Job> {
 
 /// Asserts both engines agree on outcomes (order included — outcomes come
 /// back in job order, so equality here also pins queue/finish tie-breaking)
-/// and on the occupancy trace (order of trace entries is event order).
+/// and on the occupancy trace (order of trace entries is event order) and
+/// its busy totals.
 fn assert_equivalent(jobs: Vec<Job>) {
     let (mut cal, mut heap) = engines();
     let (a_out, a_trace) = cal.run_traced(jobs.clone());
@@ -114,6 +124,7 @@ fn assert_equivalent(jobs: Vec<Job>) {
         b_trace.entries(),
         "occupancy trace order"
     );
+    assert_eq!(busy_totals(&a_trace), busy_totals(&b_trace));
     assert_eq!(a_trace.makespan(), b_trace.makespan());
 }
 
@@ -185,7 +196,8 @@ fn dynamic_injection_matches() {
         };
 
         let mut a_seen = Vec::new();
-        let (a_out, a_trace) = cal.run_dynamic(jobs.clone(), |o, inj| run(&mut a_seen, o, inj));
+        let (a_out, a_trace) =
+            cal.run_dynamic(jobs.clone(), true, |o, inj| run(&mut a_seen, o, inj));
         let mut b_seen = Vec::new();
         let (b_out, b_trace) = heap.run_dynamic(jobs, |o, inj| run(&mut b_seen, o, inj));
 
@@ -200,6 +212,7 @@ fn dynamic_injection_matches() {
             );
         }
         assert_eq!(a_trace.entries(), b_trace.entries());
+        assert_eq!(busy_totals(&a_trace), busy_totals(&b_trace));
         assert_eq!(a_trace.makespan(), b_trace.makespan());
     }
 }
@@ -210,8 +223,11 @@ fn untraced_run_matches_reference() {
     let delay_dominated = (42, delay_dominated_batch(42, 20_000));
     for (seed, jobs) in random.chain([delay_dominated]) {
         let (mut cal, mut heap) = engines();
-        let fast = cal.run(jobs.clone());
-        let slow = heap.run(jobs);
+        let (fast, totals) = cal.run_dynamic(jobs.clone(), false, |_, _| {});
+        let (slow, traced) = heap.run_traced(jobs);
+        // The untraced run keeps the busy totals the reference's log sums to.
+        assert_eq!(busy_totals(&totals), busy_totals(&traced), "seed {seed}");
+        assert!(totals.entries().is_empty());
         assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(

@@ -4,7 +4,7 @@
 //! [`XorShift64`], so the sweep is deterministic and needs no external
 //! property-testing dependency. The DES invariants lean on [`RunTrace`]:
 //! the engine's own occupancy record is checked against the capacities it
-//! was configured with.
+//! was configured with, and its busy totals against that record.
 
 use sevf_sim::rng::{Jitter, XorShift64};
 use sevf_sim::{DesEngine, Job, Nanos, PhaseKind, RunTrace, Segment, Step, Timeline, Work};
@@ -118,11 +118,12 @@ fn des_trace_never_exceeds_capacity() {
         let mut engine = DesEngine::new();
         let res = engine.add_resource("r", capacity);
         let (_, trace) = engine.run_traced(jobs_on(res, &specs));
+        let max = trace
+            .max_concurrency(res)
+            .expect("a traced run records its entries");
         assert!(
-            trace.max_concurrency(res) <= capacity,
-            "{} segments overlapped on a capacity-{} resource",
-            trace.max_concurrency(res),
-            capacity
+            max <= capacity,
+            "{max} segments overlapped on a capacity-{capacity} resource"
         );
         if capacity == 1 {
             // Stronger form: sorted by start, each segment begins at or
@@ -204,23 +205,81 @@ fn des_dynamic_injection_keeps_invariants() {
         let demand: u64 =
             seed_specs.iter().flatten().sum::<u64>() + (seed_count * extra) as u64 * follow_up;
         let mut injected = 0usize;
-        let (outcomes, trace): (Vec<_>, RunTrace) = engine.run_dynamic(seeds, |outcome, inject| {
-            // Each seed job fans out `extra` follow-ups at its completion.
-            if outcome.job < seed_count {
-                for _ in 0..extra {
-                    injected += 1;
-                    inject.push(Job::released_at(
-                        outcome.finish,
-                        vec![Segment::on(res, Nanos::from_nanos(follow_up), "chain")],
-                    ));
+        let (outcomes, trace): (Vec<_>, RunTrace) =
+            engine.run_dynamic(seeds, true, |outcome, inject| {
+                // Each seed job fans out `extra` follow-ups at its completion.
+                if outcome.job < seed_count {
+                    for _ in 0..extra {
+                        injected += 1;
+                        inject.push(Job::released_at(
+                            outcome.finish,
+                            vec![Segment::on(res, Nanos::from_nanos(follow_up), "chain")],
+                        ));
+                    }
                 }
-            }
-        });
+            });
         assert_eq!(outcomes.len(), seed_count + injected);
         assert_eq!(trace.busy_time(res), Nanos::from_nanos(demand));
-        assert!(trace.max_concurrency(res) <= 1);
+        assert_eq!(trace.max_concurrency(res), Some(1));
         for outcome in &outcomes {
             assert!(outcome.finish >= outcome.release);
+        }
+    }
+}
+
+/// Recording the occupancy log only observes a run: on seeded dynamic job
+/// sets over two resources and pure delays, the untraced and the traced run
+/// give the same outcomes and makespan, every busy total equals the sum of
+/// the traced run's entries on that resource, and the untraced run records
+/// no entry.
+#[test]
+fn des_untraced_run_keeps_the_traced_totals() {
+    let mut rng = XorShift64::new(0xDE5_0009);
+    for _ in 0..CASES {
+        let specs = random_job_specs(&mut rng, 10, 6);
+        let cpu_slots = 1 + rng.next_below(4) as usize;
+        let follow_ups = rng.next_below(3) as usize;
+        let run = |record: bool| {
+            let mut engine = DesEngine::new();
+            let res = [
+                engine.add_resource("psp", 1),
+                engine.add_resource("cpu", cpu_slots),
+            ];
+            // Segment `i` of a job lands on the psp, the cpu or a delay by
+            // its duration, so both runs place the same work.
+            let segment = |i: usize, d: u64| match d % 3 {
+                0 => Segment::delay(Nanos::from_nanos(d), "net"),
+                r => Segment::on(res[(r as usize + i) % 2], Nanos::from_nanos(d), "seg"),
+            };
+            let jobs = specs
+                .iter()
+                .map(|ds| Job::new(ds.iter().enumerate().map(|(i, &d)| segment(i, d)).collect()));
+            let seeded = specs.len();
+            let (outcomes, trace) = engine.run_dynamic(jobs.collect(), record, |o, inject| {
+                if o.job < seeded {
+                    for k in 0..follow_ups {
+                        let d = 1 + (o.finish.as_nanos() + k as u64) % 2_000_000;
+                        inject.push(Job::released_at(o.finish, vec![segment(k, d)]));
+                    }
+                }
+            });
+            (res, outcomes, trace)
+        };
+        let (res, plain, untraced) = run(false);
+        let (_, logged, traced) = run(true);
+        assert_eq!(plain, logged);
+        assert_eq!(untraced.makespan(), traced.makespan());
+        assert!(untraced.entries().is_empty());
+        for r in res {
+            let summed: Nanos = traced
+                .entries()
+                .iter()
+                .filter(|e| e.resource == r)
+                .map(|e| e.end - e.start)
+                .sum();
+            assert_eq!(untraced.busy_time(r), summed, "{r}");
+            assert_eq!(traced.busy_time(r), summed, "{r}");
+            assert_eq!(untraced.max_concurrency(r), None);
         }
     }
 }

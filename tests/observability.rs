@@ -250,6 +250,16 @@ fn tracing_never_changes_the_report() {
     assert_eq!(plain.metrics.retries, traced.metrics.retries);
     assert_eq!(plain.metrics.faults.total(), traced.metrics.faults.total());
     assert_eq!(plain.metrics.shed, traced.metrics.shed);
+    // Utilization comes from the engine's busy totals, which both runs keep:
+    // bit-equal, though only the traced run wrote the occupancy log.
+    let bits = |m: &sevf_fleet::metrics::FleetMetrics| {
+        (m.psp_utilization.to_bits(), m.cpu_utilization.to_bits())
+    };
+    assert_eq!(bits(&plain.metrics), bits(&traced.metrics));
+    assert!(plain.metrics.psp_utilization > 0.0);
+    assert_eq!(plain.metrics.makespan, traced.metrics.makespan);
+    assert!(plain.trace.entries().is_empty());
+    assert!(!traced.trace.entries().is_empty());
 }
 
 #[test]
@@ -333,6 +343,17 @@ fn autoscaled_tracing_never_changes_the_report() {
     assert_eq!(plain.metrics.completed, traced.metrics.completed);
     assert_eq!(plain.metrics.latencies_ms, traced.metrics.latencies_ms);
     assert_eq!(plain.metrics.host_seconds, traced.metrics.host_seconds);
+    assert_eq!(plain.metrics.makespan, traced.metrics.makespan);
+    let psp_bits = |m: &sevf_cluster::ClusterMetrics| -> Vec<u64> {
+        m.hosts
+            .iter()
+            .map(|h| h.psp_utilization.to_bits())
+            .collect()
+    };
+    assert_eq!(psp_bits(&plain.metrics), psp_bits(&traced.metrics));
+    assert!(plain.metrics.hosts.iter().any(|h| h.psp_utilization > 0.0));
+    assert!(plain.trace.entries().is_empty());
+    assert!(!traced.trace.entries().is_empty());
     let (pa, ta) = (plain.autoscale.unwrap(), traced.autoscale.unwrap());
     assert_eq!(pa.events, ta.events);
     assert_eq!(
