@@ -110,14 +110,70 @@ ceiling() {
     exit 1
   fi
 }
-ceiling 4890 "serving-core (crates/fleet/src + crates/cluster/src)" \
+ceiling 4889 "serving-core (crates/fleet/src + crates/cluster/src)" \
   $(find crates/fleet/src crates/cluster/src -name '*.rs')
 ceiling 1855 "harness (examples/*.rs + crates/bench/src)" \
   examples/*.rs $(find crates/bench/src -name '*.rs')
-ceiling 4194 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
+ceiling 4091 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
   $(find crates/mem/src crates/codec/src crates/image/src crates/verifier/src crates/vmm/src -name '*.rs')
-ceiling 2945 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
+ceiling 2936 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
   $(find crates/attplane/src crates/net/src crates/policy/src crates/scale/src crates/obs/src -name '*.rs')
+
+# A public surface the system uses (ROADMAP item 20): every `pub` fn, type,
+# trait, const or static in non-test crates/*/src code, looked up by name in
+# the non-test code (code_of's rule) of every other file under crates/*/src,
+# src/, examples/ and benchmark/src. A `pub use` re-export names an item
+# without using it, so it does not count. A name two items share counts as
+# used, so both counts are lower bounds. The first is held to a ceiling like
+# the code lines; an item only a test outside its file names is in it, and
+# so is one only a public signature mentions.
+pub_scan() {
+  for f in $(find crates/*/src src examples benchmark/src -name '*.rs' | sort); do
+    awk -v file="$f" '
+      /^#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*(\/\/|$)/ { next }
+      /^[[:space:]]*pub use / { reexport = 1 }
+      {
+        if (file ~ /^crates\// && match($0, /^[[:space:]]*pub (const fn|unsafe fn|fn|struct|enum|trait|type|const|static) +[A-Za-z_][A-Za-z0-9_]*/)) {
+          n = split(substr($0, RSTART, RLENGTH), w, / +/)
+          print "item", file ":" FNR, w[n]
+        }
+        if (!reexport) {
+          line = $0
+          while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            print "word", file, substr(line, RSTART, RLENGTH)
+            line = substr(line, RSTART + RLENGTH)
+          }
+        }
+        if (reexport && /;/) reexport = 0
+      }' "$f"
+  done | awk '
+    $1 == "word" { files[$3] = files[$3] " " $2; next }
+    { n++; at[n] = $2; name[n] = $3 }
+    END {
+      for (i = 1; i <= n; i++) {
+        own = at[i]; sub(/:[0-9]+$/, "", own)
+        other = 0; bench = 0
+        m = split(files[name[i]], u, " ")
+        for (k = 1; k <= m; k++) {
+          if (u[k] == own) continue
+          if (u[k] ~ /^benchmark\//) bench = 1; else other = 1
+        }
+        if (!other) print (bench ? "benchmark-only" : "unused"), at[i], name[i]
+      }
+    }'
+}
+pub_max=67
+scan=$(pub_scan)
+unused=$(grep -c '^unused' <<<"$scan" || true)
+bench_only=$(grep -c '^benchmark-only' <<<"$scan" || true)
+echo "==> pub items with no non-test user outside their file: $unused (ceiling $pub_max)"
+echo "==> pub items whose only outside user is benchmark/: $bench_only"
+if (( unused > pub_max )); then
+  grep '^unused' <<<"$scan"
+  echo "a pub item no other file uses: delete it, or demote it to pub(crate) or private"
+  exit 1
+fi
 
 # No source file over 1,000 lines (ROADMAP item 5), whole file, tests
 # included. The two it still lists are exempt until they shrink; splitting a
@@ -148,6 +204,18 @@ echo "==> catalog blueprint clones in crates/{fleet,cluster}/src code (same line
 if code_of $(find crates/fleet/src crates/cluster/src -name '*.rs') \
   | grep -E '(cold|template_hit|warm_invoke)\.clone\(\)'; then
   echo "a dispatch clones a catalog blueprint: replay it by reference"
+  exit 1
+fi
+echo 0
+
+# A host's lease lives in one place: `Host::lease` holds sevf-net's
+# `HostLease`, whose `renew`, `valid_at` and `park_if_lapsed` the cluster
+# calls. An expiry field or a parked flag in a serving layer would be a
+# second copy of the protocol, one its unit tests do not check.
+echo "==> lease state outside HostLease in crates/{fleet,cluster}/src code (same line rule; must be 0)"
+if code_of $(find crates/fleet/src crates/cluster/src -name '*.rs') \
+  | grep -E '\blease_until\b|\bparked[[:space:]]*:'; then
+  echo "a serving layer keeps its own lease state: hold a sevf_net::HostLease instead"
   exit 1
 fi
 echo 0

@@ -20,7 +20,7 @@ pub struct WrappedSecret {
 
 impl WrappedSecret {
     /// Wraps `secret` under the session derived from `shared`.
-    pub fn seal(
+    pub(crate) fn seal(
         shared: &DhSharedSecret,
         owner_public: DhPublicKey,
         nonce: [u8; 12],

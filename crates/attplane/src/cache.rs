@@ -14,7 +14,7 @@ use sevf_sim::Nanos;
 
 /// Cache key: which chip signed, under which TCB version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// The signing chip's public identifier.
     pub chip_id: [u8; 32],
     /// The TCB/firmware version the evidence was produced under.
@@ -23,7 +23,7 @@ pub struct CacheKey {
 
 /// Outcome of one cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLookup {
+pub(crate) enum CacheLookup {
     /// A live entry: skip the KDS fetch.
     Hit,
     /// No entry for this key.
@@ -35,7 +35,7 @@ pub enum CacheLookup {
 /// Outcome of a staleness-tolerant probe ([`CertCache::probe_stale`]),
 /// used while the verifier is unreachable under a fail-open policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaleLookup {
+pub(crate) enum StaleLookup {
     /// A live entry, within TTL: as good as a fresh verification.
     Fresh,
     /// An entry past its TTL but within the staleness budget — usable
@@ -49,14 +49,14 @@ pub enum StaleLookup {
 /// deterministic and monotone: once a key has expired at time `t`, it
 /// stays expired at every `t' >= t` until re-inserted.
 #[derive(Debug, Default)]
-pub struct CertCache {
+pub(crate) struct CertCache {
     entries: HashMap<CacheKey, Nanos>,
     ttl: Nanos,
 }
 
 impl CertCache {
     /// An empty cache with the given TTL.
-    pub fn new(ttl: Nanos) -> Self {
+    pub(crate) fn new(ttl: Nanos) -> Self {
         CertCache {
             entries: HashMap::new(),
             ttl,
@@ -65,7 +65,7 @@ impl CertCache {
 
     /// Probes for a key at `now`; an expired entry is evicted as a side
     /// effect.
-    pub fn probe(&mut self, key: CacheKey, now: Nanos) -> CacheLookup {
+    pub(crate) fn probe(&mut self, key: CacheKey, now: Nanos) -> CacheLookup {
         match self.entries.get(&key) {
             Some(&inserted) if now.saturating_sub(inserted) < self.ttl => CacheLookup::Hit,
             Some(_) => {
@@ -86,7 +86,7 @@ impl CertCache {
     /// the blackout must not turn the whole fleet into misses). Age
     /// boundaries are exact: `age < ttl` is `Fresh`, `ttl <= age <
     /// ttl + budget` is `Stale`, and anything older is `Miss`.
-    pub fn probe_stale(&self, key: CacheKey, now: Nanos, budget: Nanos) -> StaleLookup {
+    pub(crate) fn probe_stale(&self, key: CacheKey, now: Nanos, budget: Nanos) -> StaleLookup {
         let horizon = self.ttl + budget;
         if let Some(&inserted) = self.entries.get(&key) {
             let age = now.saturating_sub(inserted);
@@ -112,24 +112,14 @@ impl CertCache {
     /// Records a fetched cert chain / verified report. The caller keeps
     /// distrusted evidence out: the plane refuses a revoked chip before
     /// it would insert.
-    pub fn insert(&mut self, key: CacheKey, now: Nanos) {
+    pub(crate) fn insert(&mut self, key: CacheKey, now: Nanos) {
         self.entries.insert(key, now);
     }
 
     /// Purges everything cached under a distrusted chip key, at every TCB
     /// version.
-    pub fn revoke(&mut self, chip_id: &[u8; 32]) {
+    pub(crate) fn revoke(&mut self, chip_id: &[u8; 32]) {
         self.entries.retain(|k, _| k.chip_id != *chip_id);
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -198,7 +188,7 @@ mod tests {
         cache.revoke(&[2; 32]);
         // Every TCB version of the revoked chip is gone, including the
         // same-chip fallback the stale probe would otherwise find.
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
         for tcb in [3, 9, 4] {
             assert_eq!(
                 cache.probe_stale(key(2, tcb), now, budget),

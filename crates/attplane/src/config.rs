@@ -34,7 +34,7 @@ impl VerifyMode {
 /// Fail-closed is the conservative posture: no fresh verdicts means no
 /// launches. Fail-open trades a bounded amount of staleness for
 /// availability: launches whose cert chain was verified recently enough
-/// (within TTL + budget) are served from [`crate::CertCache`] and queued
+/// (within TTL + budget) are served from `CertCache` and queued
 /// for re-verification once the verifier heals. Revocation always wins
 /// over staleness in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,7 +9,7 @@
 //!
 //! This crate models that service on the shared virtual clock:
 //!
-//! - [`CertCache`] — a VCEK cert-chain + verified-report cache keyed by
+//! - `CertCache` — a VCEK cert-chain + verified-report cache keyed by
 //!   *(chip id, TCB version)*, with a TTL in virtual time. It holds no
 //!   trust verdicts: revocation is asked of the registry first, so it
 //!   always wins over a cached hit.
@@ -40,12 +40,10 @@ mod cache;
 mod config;
 mod plane;
 
-pub use cache::{CacheKey, CacheLookup, CertCache, StaleLookup};
 pub use config::{AttPlaneConfig, FailMode, VerifyMode};
 pub use plane::{
     AttPlane, AttPlaneMetrics, Verdict, Verification, STEP_BATCH_JOIN, STEP_BATCH_SETUP,
-    STEP_CERT_FETCH, STEP_CERT_HIT, STEP_QUEUE_WAIT, STEP_REVOKED, STEP_STALE_HIT,
-    STEP_UNAVAILABLE, STEP_VERIFY,
+    STEP_CERT_FETCH, STEP_CERT_HIT, STEP_QUEUE_WAIT, STEP_REVOKED, STEP_VERIFY,
 };
 
 /// Errors from the attestation control plane.
@@ -81,8 +79,8 @@ impl Error for AttPlaneError {}
 /// One-line imports for examples and downstream crates.
 pub mod prelude {
     pub use crate::{
-        AttPlane, AttPlaneConfig, AttPlaneError, AttPlaneMetrics, CertCache, FailMode, StaleLookup,
-        Verdict, Verification, VerifyMode,
+        AttPlane, AttPlaneConfig, AttPlaneError, AttPlaneMetrics, FailMode, Verdict, Verification,
+        VerifyMode,
     };
 }
 

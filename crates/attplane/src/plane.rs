@@ -34,10 +34,10 @@ pub const STEP_VERIFY: &str = "att-verify";
 pub const STEP_REVOKED: &str = "att-revoked";
 /// Step label: served from a stale cache entry while the verifier was
 /// unreachable (fail-open; zero-duration marker).
-pub const STEP_STALE_HIT: &str = "att-stale-hit";
+const STEP_STALE_HIT: &str = "att-stale-hit";
 /// Step label: refused because the verifier was unreachable and no
 /// usable cached verdict existed (zero-duration marker).
-pub const STEP_UNAVAILABLE: &str = "att-unavailable";
+const STEP_UNAVAILABLE: &str = "att-unavailable";
 
 /// The plane's answer for one dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,10 +173,7 @@ impl AttPlane {
     }
 
     /// A plane over explicit chip identities (for wiring real PSPs in).
-    pub fn with_chips(
-        config: AttPlaneConfig,
-        chips: Vec<ChipIdentity>,
-    ) -> Result<Self, AttPlaneError> {
+    fn with_chips(config: AttPlaneConfig, chips: Vec<ChipIdentity>) -> Result<Self, AttPlaneError> {
         config.validate()?;
         if chips.is_empty() {
             return Err(AttPlaneError::Config("plane needs at least one host"));

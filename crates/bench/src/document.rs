@@ -9,7 +9,7 @@
 //!   writes and `data/golden/` keeps (insertion order kept, one row per
 //!   line, floats at full precision),
 //! * [`Document::to_json`] — the same as one [`Json`] value,
-//! * [`Document::text`] — head lines plus one [`render_table`] per
+//! * [`Document::text`] — head lines plus one `render_table` per
 //!   [`View`], a `(header, columns, format)` list over one section.
 
 use crate::{render_table, Json};
@@ -110,10 +110,10 @@ pub enum Fmt {
 }
 
 /// Milliseconds with two decimals, as every latency column prints.
-pub const MS: Fmt = Fmt::Fixed(2);
+pub(crate) const MS: Fmt = Fmt::Fixed(2);
 
 /// One table column: header, the document columns it reads, and how.
-pub type Col = (&'static str, &'static [&'static str], Fmt);
+type Col = (&'static str, &'static [&'static str], Fmt);
 
 /// One text table over one section of a document.
 #[derive(Debug, Clone, Copy)]
@@ -132,7 +132,7 @@ pub struct View {
 ///
 /// Panics if the row lacks it (`tests/goldens.rs` checks every registered
 /// view against its document, so a typo fails there, not in a table).
-pub fn column<'a>(row: &'a Row, name: &str) -> &'a Json {
+fn column<'a>(row: &'a Row, name: &str) -> &'a Json {
     let Json::Obj(pairs) = row else {
         panic!("a row is an object, not {row:?}");
     };

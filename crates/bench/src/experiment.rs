@@ -61,7 +61,7 @@ pub struct Experiment {
 impl Experiment {
     /// The one name of its result files: the example's where there is one,
     /// else the id.
-    pub fn stem(&self) -> &'static str {
+    fn stem(&self) -> &'static str {
         self.example.unwrap_or(self.id)
     }
 

@@ -16,17 +16,7 @@ pub mod experiment;
 use sevf_obs::json_escape;
 
 /// Renders a fixed-width text table.
-///
-/// # Example
-///
-/// ```
-/// let t = sevf_bench::render_table(
-///     &["name", "ms"],
-///     &[vec!["boot".to_string(), "40.0".to_string()]],
-/// );
-/// assert!(t.contains("boot"));
-/// ```
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -61,7 +51,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// The data is plain numbers/strings in arrays of objects; a full
 /// serialization framework buys nothing here and the repository builds
 /// offline, so this emitter is hand-rolled. Objects keep insertion order
-/// and [`Json::to_inline`] prints it, so the output is deterministic.
+/// and `Json::to_inline` prints it, so the output is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -86,7 +76,7 @@ impl Json {
 
     /// Serializes on one line, objects in insertion order, numbers at full
     /// precision (`30.0` prints as `30`).
-    pub fn to_inline(&self) -> String {
+    pub(crate) fn to_inline(&self) -> String {
         let list = |items: Vec<String>| items.join(", ");
         match self {
             Json::Null => "null".into(),

@@ -169,7 +169,7 @@ impl ClusterConfig {
     /// The isolation tier the cluster substrate actually provides: SEV-SNP
     /// when an attestation plane vouches for the hosts (SNP reports, VCEK
     /// chains), plain SEV otherwise.
-    pub fn substrate_isolation(&self) -> IsolationTier {
+    pub(crate) fn substrate_isolation(&self) -> IsolationTier {
         if self.attestation.is_some() {
             IsolationTier::SevSnp
         } else {

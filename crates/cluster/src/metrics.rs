@@ -114,7 +114,7 @@ pub struct ClusterMetrics {
 
 impl ClusterMetrics {
     /// Folds one host's metrics into the rollup.
-    pub fn absorb_host(&mut self, host: usize, m: &FleetMetrics, psp_utilization: f64) {
+    pub(crate) fn absorb_host(&mut self, host: usize, m: &FleetMetrics, psp_utilization: f64) {
         self.completed += m.completed;
         self.shed += m.shed;
         self.breaker_sheds += m.breaker_sheds;

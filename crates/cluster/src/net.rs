@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use sevf_fleet::front::Front;
 use sevf_fleet::host::Settled;
-use sevf_net::{LeaseLedger, LinkId, LinkPlan, NetConfig, PhiDetector};
+use sevf_net::{LeaseConfig, LeaseLedger, LinkId, LinkPlan, NetConfig, PhiDetector};
 use sevf_obs::MarkerKind;
 use sevf_sim::{Job, Nanos};
 
@@ -99,9 +99,9 @@ impl NetRuntime {
         }
     }
 
-    /// How long a granted lease lasts, when leases are on.
-    pub(crate) fn lease_duration(&self) -> Option<Nanos> {
-        self.plan.config().lease.map(|l| l.duration)
+    /// The lease protocol's knobs, when leases are on.
+    pub(crate) fn lease_config(&self) -> Option<LeaseConfig> {
+        self.plan.config().lease
     }
 
     /// Seeds the layer's schedules: heartbeats, detector probes, lease
@@ -417,15 +417,18 @@ impl State<'_> {
     /// A grant lands on the host: the lease is monotone under reordered
     /// grants, and a parked host resumes serving.
     fn on_lease_grant(&mut self, host: usize, now: Nanos, inject: &mut Vec<Job>) {
-        let Some(duration) = self.net().lease_duration() else {
+        let (Some(config), Some(lease)) =
+            (self.net().lease_config(), self.hosts[host].lease.as_mut())
+        else {
             return;
         };
-        let until = now + duration;
-        if until > self.hosts[host].lease_until {
-            self.hosts[host].lease_until = until;
-            self.front.mark(inject, until, NetJob::LeaseExpire { host });
+        let (before, parked) = (lease.expiry(), lease.parked());
+        lease.renew(now, config);
+        if lease.expiry() > before {
+            self.front
+                .mark(inject, lease.expiry(), NetJob::LeaseExpire { host });
         }
-        if std::mem::take(&mut self.hosts[host].parked) {
+        if parked {
             self.drain(host, now, inject);
         }
     }
@@ -435,17 +438,15 @@ impl State<'_> {
     /// any partition — a fenced host may refuse, never complete) and
     /// poisons its in-flight work the same way.
     fn on_lease_expire(&mut self, host: usize, now: Nanos, inject: &mut Vec<Job>) {
-        let net = self.net();
         // Renewal ticks end at the horizon; a lapse past it is the
         // schedule running out, not a lost grant.
-        if net.ledger.is_none() || now >= net.plan.config().horizon {
+        if now >= self.net().plan.config().horizon {
             return;
         }
         let h = &mut self.hosts[host];
-        if h.parked || now < h.lease_until || !h.available() {
+        if !h.available() || !h.lease.as_mut().is_some_and(|l| l.park_if_lapsed(now)) {
             return;
         }
-        h.parked = true;
         self.metrics.lease_expiries += 1;
         self.front
             .rec

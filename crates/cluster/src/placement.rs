@@ -59,7 +59,7 @@ impl PlacementPolicy {
 }
 
 /// The placement router. Membership must be kept in sync by the control
-/// plane: [`Router::host_left`] on outage/departure, [`Router::host_joined`]
+/// plane: `Router::host_left` on outage/departure, `Router::host_joined`
 /// on recovery/join — the ring only ever holds routable hosts.
 #[derive(Debug)]
 pub struct Router {
@@ -91,12 +91,12 @@ impl Router {
     }
 
     /// A host became routable (recovered from an outage, or joined).
-    pub fn host_joined(&mut self, host: usize) {
+    pub(crate) fn host_joined(&mut self, host: usize) {
         self.ring.insert(host);
     }
 
     /// A host stopped being routable (outage or departure).
-    pub fn host_left(&mut self, host: usize) {
+    pub(crate) fn host_left(&mut self, host: usize) {
         self.ring.remove(host);
     }
 

@@ -132,8 +132,8 @@ impl ScaleSweepConfig {
     }
 
     /// The autoscaler the elastic arms run, differing only in policy. The
-    /// reactive thresholds are [`sevf_scale::autoscaler::BACKLOG_OUT`] and
-    /// [`sevf_scale::autoscaler::BACKLOG_IN`].
+    /// reactive thresholds are `sevf_scale::autoscaler::BACKLOG_OUT` and
+    /// `sevf_scale::autoscaler::BACKLOG_IN`.
     pub fn scaler(&self, policy: ScalePolicy) -> AutoscalerConfig {
         AutoscalerConfig {
             min_hosts: self.min_hosts,

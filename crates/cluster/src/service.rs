@@ -44,6 +44,7 @@ use sevf_fleet::blueprint::Catalog;
 use sevf_fleet::front::{Front, ServeJob};
 use sevf_fleet::host::Host;
 use sevf_fleet::service::ServingTier;
+use sevf_net::HostLease;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
 use sevf_policy::TenantRollup;
 use sevf_scale::curve_arrivals;
@@ -200,7 +201,7 @@ impl ClusterService {
             .filter(|n| !n.is_none())
             .map(|cfg| NetRuntime::new(cfg, config.seed, config.hosts));
         // Hosts start the run holding a lease granted at time zero.
-        let initial_lease = net.as_ref().and_then(NetRuntime::lease_duration);
+        let lease = net.as_ref().and_then(NetRuntime::lease_config);
         // With an autoscaler the fleet is built out to max_hosts; hosts
         // beyond the configured starting count begin as cold departed
         // spares (no warm slots, no measured templates) that only the
@@ -228,9 +229,7 @@ impl ClusterService {
                 let spare = id >= config.hosts;
                 let mut host = Host::new(id, resources, &front, config.warm_target, spare, plan);
                 host.tag = Some(id);
-                if let Some(lease) = initial_lease {
-                    host.lease_until = lease;
-                }
+                host.lease = lease.map(HostLease::initial);
                 host
             })
             .collect();

@@ -3,20 +3,8 @@
 use crate::CodecError;
 
 /// Writes bits least-significant-bit first into a byte vector.
-///
-/// # Example
-///
-/// ```
-/// use sevf_codec::bitio::BitWriter;
-///
-/// let mut w = BitWriter::new();
-/// w.write_bits(0b101, 3);
-/// w.write_bits(0b1, 1);
-/// let bytes = w.finish();
-/// assert_eq!(bytes, vec![0b0000_1101]);
-/// ```
 #[derive(Debug, Default, Clone)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     bytes: Vec<u8>,
     current: u8,
     used: u8,
@@ -24,7 +12,7 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -33,7 +21,7 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 32`.
-    pub fn write_bits(&mut self, value: u32, count: u8) {
+    pub(crate) fn write_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
         for i in 0..count {
             let bit = (value >> i) & 1;
@@ -47,13 +35,8 @@ impl BitWriter {
         }
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 + self.used as usize
-    }
-
     /// Flushes the final partial byte (zero-padded) and returns the bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         if self.used > 0 {
             self.bytes.push(self.current);
         }
@@ -62,25 +45,15 @@ impl BitWriter {
 }
 
 /// Reads bits least-significant-bit first from a byte slice.
-///
-/// # Example
-///
-/// ```
-/// use sevf_codec::bitio::BitReader;
-///
-/// let mut r = BitReader::new(&[0b0000_1101]);
-/// assert_eq!(r.read_bits(3).unwrap(), 0b101);
-/// assert_eq!(r.read_bits(1).unwrap(), 1);
-/// ```
 #[derive(Debug, Clone)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     bit_pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         BitReader { bytes, bit_pos: 0 }
     }
 
@@ -89,7 +62,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`] past the end of input.
-    pub fn read_bit(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn read_bit(&mut self) -> Result<u32, CodecError> {
         let byte = self.bit_pos / 8;
         if byte >= self.bytes.len() {
             return Err(CodecError::Truncated);
@@ -108,18 +81,13 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `count > 32`.
-    pub fn read_bits(&mut self, count: u8) -> Result<u32, CodecError> {
+    pub(crate) fn read_bits(&mut self, count: u8) -> Result<u32, CodecError> {
         assert!(count <= 32, "cannot read more than 32 bits at once");
         let mut out = 0u32;
         for i in 0..count {
             out |= self.read_bit()? << i;
         }
         Ok(out)
-    }
-
-    /// Current bit offset from the start of the stream.
-    pub fn bit_pos(&self) -> usize {
-        self.bit_pos
     }
 }
 
@@ -162,12 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn bit_len_tracks_partial_bytes() {
+    fn finish_flushes_the_partial_byte() {
         let mut w = BitWriter::new();
         w.write_bits(0b11, 2);
-        assert_eq!(w.bit_len(), 2);
         w.write_bits(0xff, 8);
-        assert_eq!(w.bit_len(), 10);
-        assert_eq!(w.finish().len(), 2);
+        assert_eq!(w.finish(), vec![0xff, 0b11]);
     }
 }

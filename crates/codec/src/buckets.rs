@@ -11,7 +11,7 @@ use crate::CodecError;
 
 /// A generated bucket table mapping values to (symbol, extra bits).
 #[derive(Debug, Clone)]
-pub struct BucketTable {
+pub(crate) struct BucketTable {
     /// (base_value, extra_bits) per bucket symbol.
     buckets: Vec<(u32, u8)>,
     min_value: u32,
@@ -28,7 +28,7 @@ impl BucketTable {
     /// # Panics
     ///
     /// Panics if `max_value < min_value` or `per_tier == 0`.
-    pub fn new(min_value: u32, max_value: u32, unary: u32, per_tier: u32) -> Self {
+    pub(crate) fn new(min_value: u32, max_value: u32, unary: u32, per_tier: u32) -> Self {
         assert!(max_value >= min_value);
         assert!(per_tier > 0);
         let mut buckets = Vec::new();
@@ -59,18 +59,8 @@ impl BucketTable {
     }
 
     /// Number of bucket symbols.
-    pub fn symbol_count(&self) -> usize {
+    pub(crate) fn symbol_count(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// Largest encodable value.
-    pub fn max_value(&self) -> u32 {
-        self.max_value
-    }
-
-    /// Smallest encodable value.
-    pub fn min_value(&self) -> u32 {
-        self.min_value
     }
 
     /// Maps a value to its bucket symbol.
@@ -78,7 +68,7 @@ impl BucketTable {
     /// # Panics
     ///
     /// Panics if `value` is outside `min_value..=max_value`.
-    pub fn symbol_for(&self, value: u32) -> usize {
+    pub(crate) fn symbol_for(&self, value: u32) -> usize {
         assert!(
             value >= self.min_value && value <= self.max_value,
             "value {value} out of range {}..={}",
@@ -93,7 +83,7 @@ impl BucketTable {
     }
 
     /// Writes the extra bits for `value` (after its symbol has been coded).
-    pub fn write_extra(&self, writer: &mut BitWriter, value: u32) {
+    pub(crate) fn write_extra(&self, writer: &mut BitWriter, value: u32) {
         let sym = self.symbol_for(value);
         let (base, extra) = self.buckets[sym];
         if extra > 0 {
@@ -107,7 +97,11 @@ impl BucketTable {
     ///
     /// Returns [`CodecError::CorruptStream`] for an unknown symbol, or
     /// [`CodecError::Truncated`] if the stream ends inside the extra bits.
-    pub fn read_value(&self, reader: &mut BitReader<'_>, symbol: usize) -> Result<u32, CodecError> {
+    pub(crate) fn read_value(
+        &self,
+        reader: &mut BitReader<'_>,
+        symbol: usize,
+    ) -> Result<u32, CodecError> {
         let &(base, extra) = self
             .buckets
             .get(symbol)
@@ -149,7 +143,7 @@ mod tests {
             .chain([3, 5, 1000, 65_535, (1 << 20)])
             .collect();
         for v in probe {
-            let v = v.min(t.max_value()).max(t.min_value());
+            let v = v.min(t.max_value).max(t.min_value);
             let sym = t.symbol_for(v);
             let mut w = BitWriter::new();
             t.write_extra(&mut w, v);
@@ -165,7 +159,7 @@ mod tests {
         for v in 3..11u32 {
             let mut w = BitWriter::new();
             t.write_extra(&mut w, v);
-            assert_eq!(w.bit_len(), 0, "value {v}");
+            assert!(w.finish().is_empty(), "value {v}");
         }
     }
 

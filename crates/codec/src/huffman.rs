@@ -14,21 +14,13 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::CodecError;
 
 /// Maximum code length in bits.
-pub const MAX_CODE_LEN: u8 = 15;
+const MAX_CODE_LEN: u8 = 15;
 
 /// Builds length-limited Huffman code lengths for the given frequencies.
 ///
 /// Symbols with zero frequency get length 0 (no code). If only one symbol
 /// has nonzero frequency it is assigned length 1 so the stream is decodable.
-///
-/// # Example
-///
-/// ```
-/// let lengths = sevf_codec::huffman::build_code_lengths(&[10, 1, 1, 0]);
-/// assert_eq!(lengths[0], 1);       // most frequent symbol: shortest code
-/// assert_eq!(lengths[3], 0);       // absent symbol: no code
-/// ```
-pub fn build_code_lengths(freqs: &[u64]) -> Vec<u8> {
+pub(crate) fn build_code_lengths(freqs: &[u64]) -> Vec<u8> {
     let mut freqs = freqs.to_vec();
     loop {
         let lengths = build_unlimited(&freqs);
@@ -105,13 +97,13 @@ fn build_unlimited(freqs: &[u64]) -> Vec<u8> {
 
 /// Canonical Huffman encoder: maps symbols to (code, length).
 #[derive(Debug, Clone)]
-pub struct Encoder {
+pub(crate) struct Encoder {
     codes: Vec<(u32, u8)>,
 }
 
 impl Encoder {
     /// Builds an encoder from canonical code lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
+    pub(crate) fn from_lengths(lengths: &[u8]) -> Self {
         let codes = assign_canonical(lengths);
         Encoder { codes }
     }
@@ -121,7 +113,7 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if `symbol` has no code (zero frequency at build time).
-    pub fn encode(&self, writer: &mut BitWriter, symbol: usize) {
+    pub(crate) fn encode(&self, writer: &mut BitWriter, symbol: usize) {
         let (code, len) = self.codes[symbol];
         assert!(len > 0, "symbol {symbol} has no Huffman code");
         // Canonical codes are MSB-first; emit them bit-reversed so the
@@ -161,7 +153,7 @@ fn assign_canonical(lengths: &[u8]) -> Vec<(u32, u8)> {
 
 /// Canonical Huffman decoder.
 #[derive(Debug, Clone)]
-pub struct Decoder {
+pub(crate) struct Decoder {
     /// first_code[len] = numeric value of the first code of that length.
     first_code: Vec<u32>,
     /// first_index[len] = index into `symbols` of the first code of that length.
@@ -180,7 +172,7 @@ impl Decoder {
     ///
     /// Returns [`CodecError::CorruptStream`] if the lengths describe an
     /// over-subscribed code (more codes than a prefix tree can hold).
-    pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
+    pub(crate) fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         if max_len > MAX_CODE_LEN {
             return Err(CodecError::CorruptStream("code length exceeds limit"));
@@ -233,7 +225,7 @@ impl Decoder {
     /// Returns [`CodecError::Truncated`] at end of input or
     /// [`CodecError::CorruptStream`] if the bits match no code.
     #[allow(clippy::needless_range_loop)]
-    pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u32, CodecError> {
+    pub(crate) fn decode(&self, reader: &mut BitReader<'_>) -> Result<u32, CodecError> {
         let mut code = 0u32;
         for len in 1..=self.max_len as usize {
             code = (code << 1) | reader.read_bit()?;

@@ -33,12 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitio;
-pub mod buckets;
-pub mod huffman;
+mod bitio;
+mod buckets;
+mod huffman;
 pub mod lz4;
 pub mod lzh;
-pub mod lzss;
+mod lzss;
 
 use std::fmt;
 

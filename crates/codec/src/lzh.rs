@@ -1,6 +1,6 @@
 //! The LZSS + canonical-Huffman container ("SVLZ").
 //!
-//! Architecturally a DEFLATE sibling: the [`crate::lzss`] token stream is
+//! Architecturally a DEFLATE sibling: the `lzss` token stream is
 //! entropy-coded with two canonical Huffman alphabets — literals/lengths and
 //! distances — whose code lengths are stored in the header (4 bits each).
 //! One container holds one block.

@@ -7,7 +7,7 @@
 
 /// One LZSS token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A single literal byte.
     Literal(u8),
     /// A back-reference: copy `length` bytes starting `distance` bytes back.
@@ -20,11 +20,11 @@ pub enum Token {
 }
 
 /// Minimum match length worth emitting.
-pub const MIN_MATCH: u32 = 3;
+pub(crate) const MIN_MATCH: u32 = 3;
 /// Maximum match length for the deflate-class configuration (DEFLATE's cap).
-pub const DEFLATE_MAX_MATCH: u32 = 258;
+pub(crate) const DEFLATE_MAX_MATCH: u32 = 258;
 /// Maximum match length for the zstd-class configuration.
-pub const ZSTD_MAX_MATCH: u32 = 4096;
+pub(crate) const ZSTD_MAX_MATCH: u32 = 4096;
 /// Candidates examined per position before giving up.
 const CHAIN_DEPTH: usize = 32;
 
@@ -36,19 +36,10 @@ fn hash4(data: &[u8], pos: usize) -> usize {
 /// Finds LZSS tokens over `data` with a `1 << window_log` byte window and
 /// matches capped at `max_match` bytes.
 ///
-/// # Example
-///
-/// ```
-/// use sevf_codec::lzss::{tokenize, Token, DEFLATE_MAX_MATCH};
-///
-/// let tokens = tokenize(b"abcabcabcabc", 15, DEFLATE_MAX_MATCH);
-/// assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `max_match < MIN_MATCH`.
-pub fn tokenize(data: &[u8], window_log: u32, max_match: u32) -> Vec<Token> {
+pub(crate) fn tokenize(data: &[u8], window_log: u32, max_match: u32) -> Vec<Token> {
     assert!(max_match >= MIN_MATCH);
     let window = 1usize << window_log;
     let mut tokens = Vec::new();
@@ -161,45 +152,33 @@ fn find_match(
     best
 }
 
-/// Reconstructs the original bytes from a token stream (used in tests and by
-/// the [`crate::lzh`] decoder core).
-///
-/// # Example
-///
-/// ```
-/// use sevf_codec::lzss::{apply, tokenize, DEFLATE_MAX_MATCH};
-///
-/// let data = b"the quick brown fox, the quick brown fox";
-/// assert_eq!(apply(&tokenize(data, 15, DEFLATE_MAX_MATCH)).unwrap(), data.to_vec());
-/// ```
-///
-/// # Errors
-///
-/// Returns `None` if a match refers past the start of the output.
-pub fn apply(tokens: &[Token]) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    for token in tokens {
-        match *token {
-            Token::Literal(b) => out.push(b),
-            Token::Match { length, distance } => {
-                let dist = distance as usize;
-                if dist == 0 || dist > out.len() {
-                    return None;
-                }
-                let start = out.len() - dist;
-                for i in 0..length as usize {
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reconstructs the original bytes from a token stream: the oracle
+    /// every tokenizer test checks against. `None` if a match refers past
+    /// the start of the output.
+    fn apply(tokens: &[Token]) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        for token in tokens {
+            match *token {
+                Token::Literal(b) => out.push(b),
+                Token::Match { length, distance } => {
+                    let dist = distance as usize;
+                    if dist == 0 || dist > out.len() {
+                        return None;
+                    }
+                    let start = out.len() - dist;
+                    for i in 0..length as usize {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        Some(out)
+    }
 
     #[test]
     fn roundtrip_text() {

@@ -98,7 +98,7 @@ impl ExperimentScale {
 /// Draws `runs` jittered end-to-end samples from a deterministic boot by
 /// re-noising each span (the Fig. 9 methodology: same boot, run-to-run
 /// variance from the host).
-pub fn resample_totals(report: &BootReport, seed: u64, runs: usize) -> Vec<f64> {
+fn resample_totals(report: &BootReport, seed: u64, runs: usize) -> Vec<f64> {
     let mut jitter = Jitter::new(seed);
     (0..runs)
         .map(|_| {

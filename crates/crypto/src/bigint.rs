@@ -96,7 +96,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if the value does not fit in `len` bytes.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
         let raw = self.to_bytes_be();
         assert!(raw.len() <= len, "value does not fit in {len} bytes");
         let mut out = vec![0u8; len - raw.len()];
@@ -117,7 +117,7 @@ impl BigUint {
     }
 
     /// Returns true if the value is zero.
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
@@ -139,7 +139,7 @@ impl BigUint {
     }
 
     /// Sets bit `i` to one, growing the representation as needed.
-    pub fn set_bit(&mut self, i: usize) {
+    fn set_bit(&mut self, i: usize) {
         let limb = i / 64;
         if limb >= self.limbs.len() {
             self.limbs.resize(limb + 1, 0);
@@ -223,7 +223,7 @@ impl BigUint {
     }
 
     /// Returns `self << bits`.
-    pub fn shl(&self, bits: usize) -> BigUint {
+    pub(crate) fn shl(&self, bits: usize) -> BigUint {
         if self.is_zero() {
             return BigUint::zero();
         }
@@ -280,12 +280,12 @@ impl BigUint {
     }
 
     /// Returns `self % modulus`.
-    pub fn rem(&self, modulus: &BigUint) -> BigUint {
+    pub(crate) fn rem(&self, modulus: &BigUint) -> BigUint {
         self.div_rem(modulus).1
     }
 
     /// Returns `(self * other) % modulus`.
-    pub fn mulmod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
+    fn mulmod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         self.mul(other).rem(modulus)
     }
 
@@ -294,7 +294,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `modulus` is zero.
-    pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+    pub(crate) fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus == &BigUint::one() {
             return BigUint::zero();
@@ -345,7 +345,7 @@ impl BigUint {
     }
 
     /// Returns the low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
+    pub(crate) fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
     }
 }

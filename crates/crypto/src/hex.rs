@@ -20,14 +20,8 @@ pub fn to_hex(bytes: &[u8]) -> String {
 /// # Errors
 ///
 /// Returns `None` if the string has odd length or contains a non-hex digit.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(sevf_crypto::hex::from_hex("dead"), Some(vec![0xde, 0xad]));
-/// assert_eq!(sevf_crypto::hex::from_hex("xz"), None);
-/// ```
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+#[cfg(test)]
+pub(crate) fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }

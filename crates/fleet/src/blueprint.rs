@@ -6,7 +6,7 @@
 //! control plane boots each request class **twice** on a real
 //! [`sevf_vmm::Machine`], converts each resulting timeline into a
 //! replayable [`Blueprint`] (placed on the host's resources by
-//! [`Segment::for_class`], as [`sevf_vmm::concurrent::boot_job`] places a
+//! [`Segment::for_class`], as `sevf_vmm::concurrent::boot_job` places a
 //! boot), and replays that blueprint for every request of the class.
 //!
 //! Three blueprints per class, from two boots:
@@ -53,7 +53,7 @@ pub struct Blueprint {
 impl Blueprint {
     /// Extracts the blueprint of a boot report's timeline, preserving each
     /// span's phase and label.
-    pub fn from_report(label: impl Into<String>, report: &BootReport) -> Self {
+    fn from_report(label: impl Into<String>, report: &BootReport) -> Self {
         Blueprint {
             label: label.into(),
             steps: report
@@ -68,7 +68,7 @@ impl Blueprint {
     }
 
     /// A single-step CPU blueprint (used for warm invocations).
-    pub fn cpu_step(label: impl Into<String>, duration: Nanos) -> Self {
+    fn cpu_step(label: impl Into<String>, duration: Nanos) -> Self {
         let label = label.into();
         Blueprint {
             steps: vec![WorkStep::new(
@@ -107,7 +107,7 @@ impl Blueprint {
     /// The prefix of this blueprint consuming `frac` of its service time —
     /// the work a launch burns before a transient fault kills it. The last
     /// step is cut partially; `frac` is clamped to `[0, 1]`.
-    pub fn truncate_frac(&self, frac: f64) -> Blueprint {
+    pub(crate) fn truncate_frac(&self, frac: f64) -> Blueprint {
         let frac = frac.clamp(0.0, 1.0);
         let mut budget = self.service_time().scale_f64(frac);
         let mut steps = Vec::new();
@@ -132,7 +132,13 @@ impl Blueprint {
 
     /// Converts the blueprint, followed by `tail` (an attestation verdict's
     /// steps; empty for a refill), into a DES job released at `at`.
-    pub fn to_job(&self, tail: &[WorkStep], at: Nanos, cpu: ResourceId, psp: ResourceId) -> Job {
+    pub(crate) fn to_job(
+        &self,
+        tail: &[WorkStep],
+        at: Nanos,
+        cpu: ResourceId,
+        psp: ResourceId,
+    ) -> Job {
         let segments = self
             .steps
             .iter()
@@ -372,7 +378,7 @@ impl LaunchCache {
 
     /// Looks up `key`, recording a hit or a miss. On miss the key is
     /// inserted (the fill launch that follows makes it live).
-    pub fn lookup_or_fill(&mut self, key: TemplateKey, class: usize) -> bool {
+    pub(crate) fn lookup_or_fill(&mut self, key: TemplateKey, class: usize) -> bool {
         if self.live.contains_key(&key) {
             self.hits += 1;
             true
@@ -391,13 +397,13 @@ impl LaunchCache {
 
     /// Pre-fills the cache (warm-pool serving starts with every class's
     /// template live, since the pool itself was built from them).
-    pub fn prefill(&mut self, key: TemplateKey, class: usize) {
+    pub(crate) fn prefill(&mut self, key: TemplateKey, class: usize) {
         self.live.insert(key, class);
     }
 
     /// Drops one key (a fill launch that died before finalizing its
     /// template must not leave the key looking live).
-    pub fn invalidate(&mut self, key: &TemplateKey) {
+    pub(crate) fn invalidate(&mut self, key: &TemplateKey) {
         self.live.remove(key);
     }
 

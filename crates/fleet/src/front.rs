@@ -343,7 +343,7 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
     }
 
     /// Whether `request` has outlived its deadline at `now`.
-    pub fn past_deadline(&self, request: usize, now: Nanos) -> bool {
+    pub(crate) fn past_deadline(&self, request: usize, now: Nanos) -> bool {
         match self.knobs.recovery.deadline {
             Some(d) => now > self.arrived[request] + d,
             None => false,
@@ -359,7 +359,7 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
 
     /// The lane `request` queues on and whether its tenant is over quota at
     /// `now` (lane 0, in quota, unless the run schedules by WFQ).
-    pub fn wfq_lane(&self, request: usize, now: Nanos) -> (usize, bool) {
+    pub(crate) fn wfq_lane(&self, request: usize, now: Nanos) -> (usize, bool) {
         match self.wfq_policy() {
             Some(ps) => {
                 let tenant = ps.req_tenant[request];

@@ -21,6 +21,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use sevf_attplane::Verdict;
+use sevf_net::HostLease;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, WorkStep};
 use sevf_policy::{Offer, WfqQueue};
 use sevf_sim::fault::{AttestFault, FaultKind, FaultPlan};
@@ -54,12 +55,11 @@ pub struct Host {
     /// Autoscale-joined spare warming its pool before taking traffic: up
     /// (and billing host-seconds) but not yet routable.
     pub warming: bool,
-    /// Lease-based ownership: virtual time the current lease expires.
-    /// `u64::MAX` nanoseconds when leases are off (never fences itself).
-    pub lease_until: Nanos,
-    /// Whether the host has parked itself after its lease expired: it
-    /// purged its queue and refuses new work until a fresh grant arrives.
-    pub parked: bool,
+    /// Lease-based ownership: the host's [`HostLease`], `None` when leases
+    /// are off (the host never fences itself). A lapsed lease parks: the
+    /// host purged its queue and refuses new work until a fresh grant
+    /// arrives.
+    pub lease: Option<HostLease>,
     /// §7.1 warm pool.
     pub pool: WarmPool,
     /// §6.2 content-addressed template cache. Dies with the host: an outage
@@ -151,8 +151,7 @@ impl Host {
             out: false,
             departed: spare,
             warming: false,
-            lease_until: Nanos::from_nanos(u64::MAX),
-            parked: false,
+            lease: None,
             pool: WarmPool::prewarmed(
                 classes.len(),
                 if stocked { warm_target } else { 0 },
@@ -203,14 +202,14 @@ impl Host {
 
     /// If this host's PSP is inside a known firmware-reset outage at `at`,
     /// the instant the outage ends.
-    pub fn psp_outage_end(&self, at: Nanos) -> Option<Nanos> {
+    pub(crate) fn psp_outage_end(&self, at: Nanos) -> Option<Nanos> {
         self.plan.as_ref().and_then(|p| p.in_outage(at))
     }
 
-    /// Whether the host is lease-fenced at `now`: parked, or past its
-    /// expiry. Never true with leases off (the expiry is `u64::MAX`).
+    /// Whether the host is lease-fenced at `now`: its lease is parked or
+    /// past its expiry. Never true with leases off.
     pub fn lease_blocked(&self, now: Nanos) -> bool {
-        self.parked || now >= self.lease_until
+        self.lease.is_some_and(|lease| !lease.valid_at(now))
     }
 
     /// Requests waiting in the dispatch queue.
@@ -716,7 +715,7 @@ impl Host {
 ///
 /// Verdicts are stateless per token, so a fault-free plan consumes no
 /// randomness and hands the blueprint back borrowed.
-pub fn apply_launch_faults<'b>(
+fn apply_launch_faults<'b>(
     blueprint: &'b Blueprint,
     plan: &FaultPlan,
     token: u64,

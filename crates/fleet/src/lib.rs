@@ -71,10 +71,10 @@ pub use blueprint::{Blueprint, Catalog, ClassSpec, LaunchCache};
 pub use chaos::{chaos_sweep, ChaosConfig, ChaosReport};
 pub use experiment::{serving_sweep, SweepConfig, SweepReport};
 pub use front::{Front, ServeJob, Serving};
-pub use host::{apply_launch_faults, Host};
+pub use host::Host;
 pub use metrics::{FaultCounters, FleetMetrics};
 pub use pool::WarmPool;
-pub use recovery::{CircuitBreaker, RecoveryConfig, RetryPolicy};
+pub use recovery::{RecoveryConfig, RetryPolicy};
 pub use service::{FleetConfig, FleetReport, FleetService, ServingTier};
 pub use workload::{Arrival, RequestMix};
 

@@ -119,7 +119,7 @@ impl FleetMetrics {
     }
 
     /// Records a queue-depth transition.
-    pub fn sample_queue_depth(&mut self, at: Nanos, depth: usize) {
+    pub(crate) fn sample_queue_depth(&mut self, at: Nanos, depth: usize) {
         self.queue_depth.push((at, depth));
         self.max_queue_depth = self.max_queue_depth.max(depth);
     }

@@ -26,14 +26,13 @@ pub struct WarmPool {
     hits: u64,
     misses: u64,
     evicted: u64,
-    crashed: u64,
 }
 
 impl WarmPool {
     /// A pool over `classes` request classes, pre-warmed to
     /// `target_per_class` ready slots each. `resident_bytes_per_slot[c]` is
     /// the memory rent one resident guest of class `c` charges.
-    pub fn prewarmed(
+    pub(crate) fn prewarmed(
         classes: usize,
         target_per_class: usize,
         resident_bytes_per_slot: Vec<u64>,
@@ -52,7 +51,6 @@ impl WarmPool {
             hits: 0,
             misses: 0,
             evicted: 0,
-            crashed: 0,
         }
     }
 
@@ -71,13 +69,13 @@ impl WarmPool {
 
     /// Whether `class` is below target counting in-flight refills; call
     /// before starting a refill so concurrent refills do not overshoot.
-    pub fn wants_refill(&self, class: usize) -> bool {
+    pub(crate) fn wants_refill(&self, class: usize) -> bool {
         let slot = &self.slots[class];
         slot.ready + slot.refilling < self.target_per_class
     }
 
     /// Records a refill launch started for `class`.
-    pub fn refill_started(&mut self, class: usize) {
+    pub(crate) fn refill_started(&mut self, class: usize) {
         self.slots[class].refilling += 1;
     }
 
@@ -95,27 +93,21 @@ impl WarmPool {
 
     /// Records a refill that failed (e.g. its launch died in a PSP reset):
     /// the in-flight count drops but no slot becomes ready.
-    pub fn refill_failed(&mut self, class: usize) {
+    pub(crate) fn refill_failed(&mut self, class: usize) {
         let slot = &mut self.slots[class];
         slot.refilling = slot.refilling.saturating_sub(1);
     }
 
-    /// A warm guest of `class` crashes. Returns `true` (and counts it) when
-    /// a ready slot actually existed to die; an empty class absorbs nothing.
+    /// A warm guest of `class` crashes. Returns `true` when a ready slot
+    /// actually existed to die; an empty class absorbs nothing.
     pub fn crash(&mut self, class: usize) -> bool {
         let slot = &mut self.slots[class];
         if slot.ready > 0 {
             slot.ready -= 1;
-            self.crashed += 1;
             true
         } else {
             false
         }
-    }
-
-    /// Warm guests lost to crashes so far.
-    pub fn crashed(&self) -> u64 {
-        self.crashed
     }
 
     /// Ready slots for `class`.
@@ -218,7 +210,6 @@ mod tests {
         let mut p = pool();
         assert!(p.crash(0));
         assert_eq!(p.ready(0), 1);
-        assert_eq!(p.crashed(), 1);
         assert!(p.wants_refill(0));
 
         // A refill that dies must release its in-flight lease, or the class
@@ -232,7 +223,6 @@ mod tests {
         // Draining the class: crashes on an empty class are no-ops.
         assert!(p.crash(0));
         assert!(!p.crash(0));
-        assert_eq!(p.crashed(), 2);
     }
 
     #[test]

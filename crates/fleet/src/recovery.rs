@@ -9,7 +9,7 @@
 //!   identical schedules regardless of event interleaving.
 //! * Per-request deadlines — a retry that cannot land before the deadline is
 //!   shed as a timeout rather than queued forever.
-//! * [`CircuitBreaker`] — per request class. Consecutive failures trip it,
+//! * `CircuitBreaker` — per request class. Consecutive failures trip it,
 //!   each trip drops the class one serving tier (warm → template → cold →
 //!   shed), and a success after the cooldown heals one level.
 //! * PSP quiesce — while the PSP is inside a firmware-reset outage, the
@@ -111,7 +111,7 @@ impl RetryPolicy {
 /// configured tier, each trip adds one (warm → template → cold → shed), and
 /// a success observed after the cooldown heals one level.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     consecutive: u32,
     level: usize,
     open_until: Nanos,
@@ -120,12 +120,12 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// Consecutive failures of a class that trip the breaker one level.
-    pub const THRESHOLD: u32 = 3;
+    pub(crate) const THRESHOLD: u32 = 3;
     /// How long a trip holds before a success may heal a level.
-    pub const COOLDOWN: Nanos = Nanos::from_millis(500);
+    const COOLDOWN: Nanos = Nanos::from_millis(500);
 
     /// A closed breaker at level 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -137,7 +137,7 @@ impl CircuitBreaker {
     /// poisoning every in-flight launch of a class — lands a *burst* of
     /// failures, and counting the whole burst would slam the class several
     /// rungs down the ladder at once. One trip per cooldown window.
-    pub fn on_failure(&mut self, now: Nanos) -> bool {
+    pub(crate) fn on_failure(&mut self, now: Nanos) -> bool {
         if now < self.open_until {
             return false;
         }
@@ -156,7 +156,7 @@ impl CircuitBreaker {
     /// Records a success at `now`: clears the consecutive-failure streak and,
     /// once the cooldown has passed, heals one degradation level (re-arming
     /// the cooldown so healing is paced, not instant).
-    pub fn on_success(&mut self, now: Nanos) {
+    pub(crate) fn on_success(&mut self, now: Nanos) {
         self.consecutive = 0;
         if self.level > 0 && now >= self.open_until {
             self.level -= 1;
@@ -169,7 +169,7 @@ impl CircuitBreaker {
     /// the bottom of the ladder would shed forever — shedding launches
     /// nothing, so no success could ever heal it (no half-open probes in a
     /// success-only breaker).
-    pub fn heal(&mut self, now: Nanos) {
+    pub(crate) fn heal(&mut self, now: Nanos) {
         while self.level > 0 && now >= self.open_until {
             self.level -= 1;
             self.open_until += Self::COOLDOWN;
@@ -177,12 +177,12 @@ impl CircuitBreaker {
     }
 
     /// Current degradation level (0 = healthy).
-    pub fn level(&self) -> usize {
+    pub(crate) fn level(&self) -> usize {
         self.level
     }
 
     /// How many times the breaker has tripped.
-    pub fn trips(&self) -> u64 {
+    pub(crate) fn trips(&self) -> u64 {
         self.trips
     }
 }
@@ -195,7 +195,7 @@ pub struct RecoveryConfig {
     /// Per-request deadline from arrival; past it the request is shed as a
     /// timeout instead of retried or dispatched. `None` = no deadline.
     pub deadline: Option<Nanos>,
-    /// Per-class [`CircuitBreaker`]s; `false` disables degradation.
+    /// Per-class `CircuitBreaker`s; `false` disables degradation.
     pub breaker: bool,
     /// Hold PSP-needing dispatches while the PSP is inside a reset outage
     /// (requeue and release at outage end) instead of feeding the dead PSP.

@@ -81,7 +81,7 @@ pub fn exponential_gap(rate_per_sec: f64, rng: &mut XorShift64) -> Nanos {
 }
 
 /// Cumulative Poisson arrival instants for `n` open-loop requests.
-pub fn open_arrivals(rate_per_sec: f64, n: usize, rng: &mut XorShift64) -> Vec<Nanos> {
+pub(crate) fn open_arrivals(rate_per_sec: f64, n: usize, rng: &mut XorShift64) -> Vec<Nanos> {
     let mut t = Nanos::ZERO;
     (0..n)
         .map(|_| {

@@ -25,7 +25,7 @@ const MB: u64 = 1024 * 1024;
 pub const FULL_SIZE: u64 = 14 * MB;
 
 /// The `/init` script shipped in every attestation initrd.
-pub const INIT_SCRIPT: &str = "#!/bin/sh\n\
+const INIT_SCRIPT: &str = "#!/bin/sh\n\
     # SEVeriFast attestation initrd\n\
     insmod /lib/modules/sev-guest.ko\n\
     exec /bin/sev-attest --server \"$ATTEST_SERVER\" --wrap-key dh\n";

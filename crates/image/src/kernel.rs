@@ -35,7 +35,7 @@ const MB: u64 = 1024 * 1024;
 pub const KERNEL_BASE: u64 = 0x100_0000;
 
 /// Magic identifying an embedded kernel descriptor.
-pub const DESCRIPTOR_MAGIC: &[u8; 4] = b"SVKD";
+const DESCRIPTOR_MAGIC: &[u8; 4] = b"SVKD";
 
 /// Guest-kernel boot phase durations on a *non-SEV* baseline, microseconds.
 /// The SNP multiplier from the cost model is applied by the runtime.
@@ -64,7 +64,7 @@ pub struct KernelDescriptor {
 
 impl KernelDescriptor {
     /// Serialized size cap.
-    pub const MAX_SIZE: usize = 64;
+    const MAX_SIZE: usize = 64;
 
     /// Serializes to the on-image byte format.
     ///

@@ -71,7 +71,7 @@ impl PhiDetector {
 
     /// The windowed mean inter-arrival gap for `host` (the expected gap
     /// until the first observed one).
-    pub fn mean_gap(&self, host: usize) -> Nanos {
+    fn mean_gap(&self, host: usize) -> Nanos {
         let ring = &self.gaps[host];
         if ring.is_empty() {
             return self.expected;

@@ -70,10 +70,15 @@ impl std::fmt::Display for LeaseError {
 impl std::error::Error for LeaseError {}
 
 /// The host side of one lease: valid until the last delivered grant plus
-/// the duration.
+/// the duration, and not parked.
+///
+/// A lease that lapses with no grant extending it *parks* (the host
+/// empties its queue and refuses work) and stays parked until the next
+/// grant lands; repeated expiry checks park it once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostLease {
     until: Nanos,
+    parked: bool,
 }
 
 impl HostLease {
@@ -81,24 +86,43 @@ impl HostLease {
     pub fn initial(config: LeaseConfig) -> Self {
         HostLease {
             until: config.duration,
+            parked: false,
         }
     }
 
     /// A grant delivered at `at` extends the lease to `at + duration`
     /// (grants can arrive out of order through jittered links; the lease
-    /// is monotone).
+    /// is monotone) and unparks it.
     pub fn renew(&mut self, at: Nanos, config: LeaseConfig) {
         self.until = self.until.max(at + config.duration);
+        self.parked = false;
     }
 
     /// Whether the host may accept and complete dispatches at `now`.
     pub fn valid_at(&self, now: Nanos) -> bool {
-        now < self.until
+        !self.parked && now < self.until
     }
 
     /// The instant the lease lapses.
     pub fn expiry(&self) -> Nanos {
         self.until
+    }
+
+    /// Whether the lease is parked: it lapsed, and no grant has landed
+    /// since.
+    pub fn parked(&self) -> bool {
+        self.parked
+    }
+
+    /// An expiry check at `now`: a lease that has lapsed parks. Returns
+    /// whether it parked now — false if it is still valid or was already
+    /// parked.
+    pub fn park_if_lapsed(&mut self, now: Nanos) -> bool {
+        if self.parked || now < self.until {
+            return false;
+        }
+        self.parked = true;
+        true
     }
 }
 
@@ -159,6 +183,43 @@ mod tests {
         // A straggler grant from earlier must not shrink the lease.
         lease.renew(Nanos::from_millis(100), cfg());
         assert_eq!(lease.expiry(), Nanos::from_millis(500));
+    }
+
+    #[test]
+    fn a_lapsed_lease_parks_once() {
+        let mut lease = HostLease::initial(cfg());
+        assert!(lease.park_if_lapsed(Nanos::from_millis(300)));
+        assert!(lease.parked());
+        // A second check, at the same instant or later, parks nothing new.
+        assert!(!lease.park_if_lapsed(Nanos::from_millis(300)));
+        assert!(!lease.park_if_lapsed(Nanos::from_millis(900)));
+    }
+
+    #[test]
+    fn a_parked_lease_is_invalid_until_a_grant_unparks_it() {
+        let mut lease = HostLease::initial(cfg());
+        assert!(lease.park_if_lapsed(Nanos::from_millis(350)));
+        // Parked means refused, at every instant, whatever the expiry says.
+        assert!(!lease.valid_at(Nanos::ZERO));
+        assert!(!lease.valid_at(Nanos::from_millis(200)));
+        assert!(!lease.valid_at(Nanos::from_millis(400)));
+        lease.renew(Nanos::from_millis(400), cfg());
+        assert!(!lease.parked());
+        assert_eq!(lease.expiry(), Nanos::from_millis(700));
+        assert!(lease.valid_at(Nanos::from_millis(400)));
+        assert!(!lease.valid_at(Nanos::from_millis(700)));
+    }
+
+    #[test]
+    fn an_early_expiry_check_does_not_park() {
+        let mut lease = HostLease::initial(cfg());
+        lease.renew(Nanos::from_millis(200), cfg());
+        // The check scheduled for the initial expiry fires after a grant
+        // moved it: the lease is still valid and stays unparked.
+        assert!(!lease.park_if_lapsed(Nanos::from_millis(300)));
+        assert!(!lease.parked());
+        assert!(lease.valid_at(Nanos::from_millis(300)));
+        assert!(lease.park_if_lapsed(Nanos::from_millis(500)));
     }
 
     #[test]

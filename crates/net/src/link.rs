@@ -61,7 +61,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// A link that delivers instantly and never loses anything.
-    pub fn ideal() -> Self {
+    fn ideal() -> Self {
         LinkSpec {
             latency: Nanos::ZERO,
             jitter: Nanos::ZERO,

@@ -12,7 +12,7 @@
 //! - [`prometheus_text`]: Prometheus text exposition of a [`Registry`] —
 //!   counters, gauges, and cumulative `_bucket`/`_sum`/`_count` rows per
 //!   histogram.
-//! - [`critical_path`] / [`phase_breakdown`]: per-request summaries. The
+//! - `critical_path` / [`phase_breakdown`]: per-request summaries. The
 //!   leaves of a request's span tree partition its latency exactly, so the
 //!   slices (and the per-phase rollup) sum to the reported latency to the
 //!   nanosecond.
@@ -148,7 +148,7 @@ pub fn prometheus_text(registry: &Registry) -> String {
 
 /// One leaf of a request's critical path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathSlice {
+struct PathSlice {
     /// Phase bucket the slice rolls up under ("Pre-encryption", "queue
     /// wait", "backoff", ...).
     pub phase: String,
@@ -182,7 +182,7 @@ fn slice_phase(span: &SpanRec) -> String {
 /// The request's critical path: its leaf spans in start order. Because
 /// children tile their parents, the slice durations sum to the request's
 /// latency exactly.
-pub fn critical_path(log: &TraceLog, request: usize) -> Vec<PathSlice> {
+fn critical_path(log: &TraceLog, request: usize) -> Vec<PathSlice> {
     log.leaves(request)
         .iter()
         .map(|span| PathSlice {
@@ -194,7 +194,7 @@ pub fn critical_path(log: &TraceLog, request: usize) -> Vec<PathSlice> {
         .collect()
 }
 
-/// Rolls [`critical_path`] up by phase bucket, preserving first-seen
+/// Rolls `critical_path` up by phase bucket, preserving first-seen
 /// order along the path. The durations still sum to the latency exactly.
 pub fn phase_breakdown(log: &TraceLog, request: usize) -> Vec<(String, Nanos)> {
     let mut order: Vec<String> = Vec::new();

@@ -431,11 +431,6 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Root spans (requests and background jobs).
-    pub fn roots(&self) -> impl Iterator<Item = &SpanRec> {
-        self.spans.iter().filter(|s| s.parent.is_none())
-    }
-
     /// The root span of `request`'s tree, if it arrived.
     pub fn request_root(&self, request: usize) -> Option<&SpanRec> {
         self.spans
@@ -848,7 +843,7 @@ mod tests {
         let steps = vec![psp_step("L", ms(3))];
         rec.launch(None, 0, "refill tiny", None, steps.clone(), ms(1));
         let log = build_on_engine(rec, &[(ms(1), steps)]);
-        let root = log.roots().next().unwrap();
+        let root = log.spans.iter().find(|s| s.parent.is_none()).unwrap();
         assert_eq!(root.kind, SpanKind::Background);
         assert_eq!(root.request, None);
         assert_eq!(root.duration(), ms(3));

@@ -22,7 +22,7 @@
 //! * [`PolicyEngine::evaluate`] — the single choke point every dispatch
 //!   flows through, returning a [`PolicyDecision`] record
 //!   (admit / degrade / reject) ([`engine`]);
-//! * [`TokenBucket`] — deterministic per-tenant quota on virtual time
+//! * `TokenBucket` — deterministic per-tenant quota on virtual time
 //!   ([`quota`]);
 //! * [`WfqQueue`] — virtual-finish-time weighted-fair queueing over
 //!   per-tenant backlogs with policy-aware shed ([`wfq`]).
@@ -40,7 +40,6 @@ pub mod wfq;
 pub use engine::{
     HostPosture, PolicyDecision, PolicyEngine, RejectReason, TenantMetrics, TenantRollup,
 };
-pub use quota::TokenBucket;
 pub use spec::{
     IsolationTier, PolicyConfig, PolicySpec, Posture, QuotaSpec, Scheduler, SloClass, Tenant,
 };
@@ -83,7 +82,6 @@ pub mod prelude {
     pub use crate::engine::{
         HostPosture, PolicyDecision, PolicyEngine, RejectReason, TenantMetrics, TenantRollup,
     };
-    pub use crate::quota::TokenBucket;
     pub use crate::spec::{
         IsolationTier, PolicyConfig, PolicySpec, Posture, QuotaSpec, Scheduler, SloClass, Tenant,
     };

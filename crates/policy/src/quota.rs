@@ -10,7 +10,7 @@ use sevf_sim::Nanos;
 
 /// A continuously-refilling token bucket on virtual time.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_per_sec: f64,
     burst: f64,
     tokens: f64,
@@ -19,7 +19,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A bucket that starts full at virtual time `start`.
-    pub fn new(spec: QuotaSpec, start: Nanos) -> Self {
+    pub(crate) fn new(spec: QuotaSpec, start: Nanos) -> Self {
         TokenBucket {
             rate_per_sec: spec.rate_per_sec,
             burst: spec.burst,
@@ -38,7 +38,7 @@ impl TokenBucket {
 
     /// Take one token if available. Returns whether the request is within
     /// quota.
-    pub fn try_take(&mut self, now: Nanos) -> bool {
+    pub(crate) fn try_take(&mut self, now: Nanos) -> bool {
         self.refill(now);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -51,7 +51,7 @@ impl TokenBucket {
     /// Current token level after refilling to `now` (read-only peek used
     /// for shed-order demotion: a tenant whose bucket is dry is a
     /// quota-violator and sheds first within its SLO class).
-    pub fn peek(&self, now: Nanos) -> f64 {
+    pub(crate) fn peek(&self, now: Nanos) -> f64 {
         let dt = now.as_nanos().saturating_sub(self.last.as_nanos()) as f64 / 1e9;
         (self.tokens + dt * self.rate_per_sec).min(self.burst)
     }

@@ -69,7 +69,7 @@ impl SloClass {
     }
 }
 
-/// Token-bucket quota parameters (see [`crate::TokenBucket`]).
+/// Token-bucket quota parameters (see `TokenBucket`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuotaSpec {
     /// Sustained admission rate, requests per virtual second.

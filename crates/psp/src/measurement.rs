@@ -219,7 +219,6 @@ pub struct IncrementalChain {
     prefix: Vec<[u8; 48]>,
     /// Fingerprint of page `i` from the last measurement.
     fps: Vec<(u64, u64)>,
-    reused: u64,
 }
 
 impl Default for IncrementalChain {
@@ -234,7 +233,6 @@ impl IncrementalChain {
         IncrementalChain {
             prefix: vec![[0u8; 48]],
             fps: Vec::new(),
-            reused: 0,
         }
     }
 
@@ -249,7 +247,6 @@ impl IncrementalChain {
             }
             keep += 1;
         }
-        self.reused += keep as u64;
         self.fps.truncate(keep);
         self.prefix.truncate(keep + 1);
         let mut digest = self.prefix[keep];
@@ -259,11 +256,6 @@ impl IncrementalChain {
             self.prefix.push(digest);
         }
         digest
-    }
-
-    /// Pages skipped via the cached prefix across all measurements.
-    pub fn pages_reused(&self) -> u64 {
-        self.reused
     }
 }
 
@@ -493,14 +485,6 @@ mod tests {
             }
             let got = inc.measure(&refs(&dirtied));
             assert_eq!(got, full_chain(&dirtied), "mask {mask:06b}");
-
-            // Strict-chain reuse: exactly the clean prefix is skipped.
-            let clean_prefix = (0..N).take_while(|i| mask & (1 << i) == 0).count() as u64;
-            assert_eq!(
-                inc.pages_reused(),
-                clean_prefix,
-                "mask {mask:06b}: prefix reuse"
-            );
         }
     }
 

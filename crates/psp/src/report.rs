@@ -35,7 +35,7 @@ impl GuestPolicy {
     }
 
     /// Policy for an arbitrary generation, no debug.
-    pub fn for_generation(generation: SevGeneration) -> Self {
+    pub(crate) fn for_generation(generation: SevGeneration) -> Self {
         GuestPolicy {
             generation,
             debug_allowed: false,
@@ -106,7 +106,7 @@ pub struct AttestationReport {
 
 impl AttestationReport {
     /// Serializes the signed portion of the report.
-    pub fn body_bytes(&self) -> Vec<u8> {
+    pub(crate) fn body_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + 2 + 48 + 64 + 32);
         out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&self.policy.encode());

@@ -27,7 +27,7 @@ impl TemplateKey {
     }
 
     /// Abbreviated hex form (first 8 bytes) for reports and logs.
-    pub fn short_hex(&self) -> String {
+    fn short_hex(&self) -> String {
         self.0[..8].iter().map(|b| format!("{b:02x}")).collect()
     }
 }

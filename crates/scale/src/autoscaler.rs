@@ -9,8 +9,8 @@
 //! Two policies:
 //!
 //! * **Reactive** scales out when per-host PSP backlog crosses
-//!   [`BACKLOG_OUT`] (the queue is already hurting) and scales in when it
-//!   drops under [`BACKLOG_IN`] *and* fewer hosts would still carry the
+//!   `BACKLOG_OUT` (the queue is already hurting) and scales in when it
+//!   drops under `BACKLOG_IN` *and* fewer hosts would still carry the
 //!   observed rate. Classic threshold control with cooldown hysteresis.
 //! * **Predictive** keeps a sliding window of observed rates, extrapolates
 //!   the ramp `lead` ahead, and provisions for the forecast — pre-warming
@@ -52,14 +52,14 @@ impl ScalePolicy {
 
 /// Per-host committed PSP backlog (queued launch work) above which the
 /// reactive law scales out.
-pub const BACKLOG_OUT: f64 = 3.0;
+const BACKLOG_OUT: f64 = 3.0;
 
 /// Per-host backlog below which the reactive law considers scale-in.
-pub const BACKLOG_IN: f64 = 0.5;
+const BACKLOG_IN: f64 = 0.5;
 
 /// Autoscaler knobs. Build with [`AutoscalerConfig::reactive`] or
 /// [`AutoscalerConfig::predictive`]; the reactive thresholds are the
-/// constants [`BACKLOG_OUT`] and [`BACKLOG_IN`].
+/// constants `BACKLOG_OUT` and `BACKLOG_IN`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Floor on live hosts; scale-in never drains below this.
@@ -233,12 +233,6 @@ impl Autoscaler {
         self.counters
     }
 
-    /// The most recent warm prescription, for budget rebalancing after
-    /// membership churn the scaler itself caused.
-    pub fn last_prewarm(&self) -> Option<usize> {
-        self.last_prewarm
-    }
-
     /// Observed rate in req/s over the window (reactive: the last tick).
     fn observed_rate(&self) -> f64 {
         if self.rates.is_empty() {
@@ -249,7 +243,7 @@ impl Autoscaler {
 
     /// Linear-trend forecast `lead` ahead of now, floored at the current
     /// windowed rate so a falling edge never under-provisions mid-ramp.
-    fn forecast(&self, window: usize, lead: Nanos) -> f64 {
+    fn forecast(&self, lead: Nanos) -> f64 {
         let mean = self.observed_rate();
         if self.rates.len() < 2 {
             return mean;
@@ -266,7 +260,6 @@ impl Autoscaler {
         }
         let slope_per_tick = if den > 0.0 { num / den } else { 0.0 };
         let lead_ticks = lead.as_secs_f64() / self.config.tick.as_secs_f64();
-        let _ = window;
         (mean + slope_per_tick * ((n - 1.0) / 2.0 + lead_ticks)).max(mean)
     }
 
@@ -308,7 +301,7 @@ impl Autoscaler {
                     obs.live_hosts
                 }
             }
-            ScalePolicy::Predictive { window, lead } => self.hosts_for(self.forecast(window, lead)),
+            ScalePolicy::Predictive { lead, .. } => self.hosts_for(self.forecast(lead)),
         };
         let desired = desired.clamp(self.config.min_hosts, self.config.max_hosts);
 

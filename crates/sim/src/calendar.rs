@@ -37,7 +37,7 @@ const WINDOW: usize = 1 << 13;
 /// One scheduled event. `seq` is unique, so `(time, seq)` totally orders
 /// events; `payload` is opaque to the queue (the engine packs job + kind).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalEvent {
+pub(crate) struct CalEvent {
     /// Virtual instant the event fires.
     pub time: Nanos,
     /// Monotone push sequence number (tie-break; unique).
@@ -66,22 +66,8 @@ impl Ord for CalEvent {
 }
 
 /// The calendar queue. See the module docs for the design.
-///
-/// # Example
-///
-/// ```
-/// use sevf_sim::calendar::{CalEvent, CalendarQueue};
-/// use sevf_sim::Nanos;
-///
-/// let mut q = CalendarQueue::new();
-/// q.push(CalEvent { time: Nanos::from_millis(5), seq: 0, payload: 1 });
-/// q.push(CalEvent { time: Nanos::from_millis(2), seq: 1, payload: 2 });
-/// assert_eq!(q.pop().unwrap().payload, 2);
-/// assert_eq!(q.pop().unwrap().payload, 1);
-/// assert!(q.pop().is_none());
-/// ```
 #[derive(Debug)]
-pub struct CalendarQueue {
+pub(crate) struct CalendarQueue {
     /// The active window: `buckets[i]` holds events in bucket `base + i`.
     buckets: Vec<Vec<CalEvent>>,
     /// Absolute bucket index of `buckets[0]`.
@@ -104,7 +90,7 @@ impl Default for CalendarQueue {
 
 impl CalendarQueue {
     /// Creates an empty queue with the window based at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CalendarQueue {
             buckets: vec![Vec::new(); WINDOW],
             base: 0,
@@ -115,16 +101,6 @@ impl CalendarQueue {
         }
     }
 
-    /// Total pending events.
-    pub fn len(&self) -> usize {
-        self.in_window + self.overflow.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     #[inline]
     fn bucket_of(time: Nanos) -> u64 {
         time.as_nanos() >> BUCKET_SHIFT
@@ -133,7 +109,7 @@ impl CalendarQueue {
     /// Schedules an event. Events must not be scheduled before the last
     /// popped event's time (the clock only moves forward); pushing earlier
     /// within the *current* bucket is fine and keeps exact order.
-    pub fn push(&mut self, ev: CalEvent) {
+    pub(crate) fn push(&mut self, ev: CalEvent) {
         let bucket = Self::bucket_of(ev.time);
         // Behind the window base can only happen before the first pop of a
         // fresh window (base starts at 0 / rebases onto the earliest event);
@@ -161,7 +137,7 @@ impl CalendarQueue {
     }
 
     /// Pops the earliest event by `(time, seq)`.
-    pub fn pop(&mut self) -> Option<CalEvent> {
+    pub(crate) fn pop(&mut self) -> Option<CalEvent> {
         if self.in_window == 0 && !self.rebase() {
             return None;
         }
@@ -306,18 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn len_tracks_both_window_and_overflow() {
+    fn pops_from_both_window_and_overflow() {
         let mut q = CalendarQueue::new();
-        assert!(q.is_empty());
-        q.push(ev(1, 0));
-        q.push(CalEvent {
+        assert_eq!(q.pop(), None);
+        let far = CalEvent {
             time: Nanos::from_secs(1000),
             seq: 1,
             payload: 1,
-        });
-        assert_eq!(q.len(), 2);
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
+        };
+        q.push(ev(1, 0));
+        q.push(far);
+        assert_eq!(q.pop(), Some(ev(1, 0)));
+        assert_eq!(q.pop(), Some(far));
+        assert_eq!(q.pop(), None);
     }
 }

@@ -13,7 +13,7 @@
 //! # Engine internals (the raw-speed pass)
 //!
 //! The event scheduler is an indexed calendar queue
-//! ([`crate::calendar::CalendarQueue`]) instead of a binary heap: pushes into
+//! (`calendar::CalendarQueue`) instead of a binary heap: pushes into
 //! the active window are O(1) and only the bucket being drained is ever
 //! sorted. Job segments are flattened into one arena of `(resource,
 //! duration)` pairs at submission, so the inner loop walks a flat `Vec`

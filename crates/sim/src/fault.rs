@@ -314,12 +314,12 @@ impl FaultPlan {
     /// of a cluster) from a cluster-level seed. Distinct domains get
     /// independent schedules and per-event draws; the same `(seed, domain)`
     /// always maps to the same derived seed.
-    pub fn domain_seed(seed: u64, domain: u64) -> u64 {
+    fn domain_seed(seed: u64, domain: u64) -> u64 {
         mix(seed, DOM_FAULT_DOMAIN, domain)
     }
 
     /// [`FaultPlan::generate`] for one fault domain of a multi-domain system:
-    /// the plan is generated from [`FaultPlan::domain_seed`]`(seed, domain)`,
+    /// the plan is generated from `FaultPlan::domain_seed(seed, domain)`,
     /// so each domain replays its own independent schedule while the whole
     /// ensemble stays a pure function of the cluster seed.
     ///

@@ -17,7 +17,7 @@
 //!   instrumentation methodology of §6.1.
 //! * [`des`] — a discrete-event engine with FIFO resources, used for the
 //!   Fig. 12 concurrency experiment where every launch serializes on the
-//!   single-core PSP. Its scheduler is an indexed [`calendar`] queue; the
+//!   single-core PSP. Its scheduler is an indexed `calendar` queue; the
 //!   original heap engine survives in [`mod@reference`] for differential tests
 //!   and as the perf baseline.
 //! * [`fault`] — seed-deterministic fault schedules (PSP firmware resets,
@@ -40,7 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
+mod calendar;
 pub mod cost;
 pub mod des;
 pub mod fault;

@@ -50,7 +50,7 @@ impl XorShift64 {
     }
 
     /// Approximately standard-normal value (Irwin–Hall with n = 12).
-    pub fn next_gaussian(&mut self) -> f64 {
+    fn next_gaussian(&mut self) -> f64 {
         let sum: f64 = (0..12).map(|_| self.next_f64()).sum();
         sum - 6.0
     }

@@ -52,7 +52,7 @@ impl Nanos {
     }
 
     /// Value in microseconds (floating point).
-    pub fn as_micros_f64(self) -> f64 {
+    fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 

@@ -15,21 +15,21 @@ use sevf_image::content::{generate, ContentProfile};
 /// "about 13 KB" total of §4.1).
 pub mod code_size {
     /// Entry stub, GHCB MSR protocol, #VC plumbing, panic handler.
-    pub const BASE_RUNTIME: u64 = 3_200;
+    pub(crate) const BASE_RUNTIME: u64 = 3_200;
     /// SHA-256 (sha2 crate with x86 SHA intrinsics).
-    pub const SHA256: u64 = 2_500;
+    pub(crate) const SHA256: u64 = 2_500;
     /// Measured-direct-boot driver (copy, hash, compare, refuse).
-    pub const MEASURED_BOOT: u64 = 1_800;
+    pub(crate) const MEASURED_BOOT: u64 = 1_800;
     /// pvalidate sweep over guest memory.
-    pub const PVALIDATE: u64 = 800;
+    pub(crate) const PVALIDATE: u64 = 800;
     /// Identity-mapped page-table construction with the C-bit (Fig. 7:
     /// "2.4KB" — generated because the code is smaller than pre-encrypting
     /// tables built by the VMM).
     pub const PAGE_TABLES: u64 = 2_400;
     /// bzImage setup-header parsing and placement (§4.4: small).
-    pub const BZIMAGE_LOADER: u64 = 2_100;
+    pub(crate) const BZIMAGE_LOADER: u64 = 2_100;
     /// ELF parsing + fw_cfg three-piece load protocol (§5, optional).
-    pub const VMLINUX_LOADER: u64 = 2_600;
+    pub(crate) const VMLINUX_LOADER: u64 = 2_600;
     /// mptable generation (Fig. 7: ≈ 4 KB — larger than the 304 B table, so
     /// the paper pre-encrypts the table instead).
     pub const MPTABLE_GEN: u64 = 4_096;
@@ -106,7 +106,7 @@ impl VerifierFeatures {
 }
 
 /// Magic prefix of a verifier binary blob.
-pub const VERIFIER_MAGIC: &[u8; 4] = b"SVBV";
+const VERIFIER_MAGIC: &[u8; 4] = b"SVBV";
 
 /// The built verifier binary: a deterministic blob of exactly
 /// [`VerifierFeatures::binary_size`] bytes whose first bytes encode the
@@ -156,21 +156,6 @@ impl VerifierBinary {
     pub fn size(&self) -> u64 {
         self.blob.len() as u64
     }
-
-    /// Decodes the feature byte from a blob in guest memory; `None` if the
-    /// blob is not a verifier binary.
-    pub fn sniff_features(blob: &[u8]) -> Option<VerifierFeatures> {
-        if blob.len() < 6 || &blob[..4] != VERIFIER_MAGIC || blob[4] != 1 {
-            return None;
-        }
-        let f = blob[5];
-        Some(VerifierFeatures {
-            bzimage_loader: f & 1 != 0,
-            vmlinux_loader: f & 2 != 0,
-            generate_mptable: f & 4 != 0,
-            generate_boot_params: f & 8 != 0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -215,21 +200,5 @@ mod tests {
         let a = VerifierBinary::build(VerifierFeatures::severifast());
         let b = VerifierBinary::build(VerifierFeatures::severifast_vmlinux());
         assert_ne!(a.bytes()[..64], b.bytes()[..64]);
-    }
-
-    #[test]
-    fn sniff_roundtrips() {
-        for features in [
-            VerifierFeatures::severifast(),
-            VerifierFeatures::severifast_vmlinux(),
-            VerifierFeatures::kitchen_sink(),
-        ] {
-            let binary = VerifierBinary::build(features);
-            assert_eq!(
-                VerifierBinary::sniff_features(binary.bytes()),
-                Some(features)
-            );
-        }
-        assert_eq!(VerifierBinary::sniff_features(b"junk"), None);
     }
 }

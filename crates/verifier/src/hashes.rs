@@ -12,7 +12,7 @@ use sevf_image::kernel::FwCfgDigests;
 use crate::VerifierError;
 
 /// Magic prefix of a serialized hash page.
-pub const HASH_PAGE_MAGIC: &[u8; 4] = b"SVHP";
+const HASH_PAGE_MAGIC: &[u8; 4] = b"SVHP";
 
 /// How the kernel image is hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

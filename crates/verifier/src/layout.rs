@@ -19,9 +19,9 @@ pub const CMDLINE_ADDR: u64 = 0xA000;
 /// Fixed address the boot verifier binary is pre-encrypted at.
 pub const VERIFIER_ADDR: u64 = 0x10000;
 /// Fixed base of the page-table region the verifier builds.
-pub const PAGE_TABLE_ADDR: u64 = 0x10_0000;
+pub(crate) const PAGE_TABLE_ADDR: u64 = 0x10_0000;
 /// Kernel load base (matches `sevf_image::kernel::KERNEL_BASE`).
-pub const KERNEL_DEST: u64 = 0x100_0000;
+const KERNEL_DEST: u64 = 0x100_0000;
 
 /// The complete per-boot address map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl GuestLayout {
     /// by firmware, so the verifier's pvalidate sweep must skip them).
     /// `fw_base`/`fw_size` locate the initial firmware blob — the ~13 KB
     /// SEVeriFast verifier at [`VERIFIER_ADDR`] or the 1 MB OVMF image.
-    pub fn pre_encrypted_ranges(&self, fw_base: u64, fw_size: u64) -> Vec<(u64, u64)> {
+    pub(crate) fn pre_encrypted_ranges(&self, fw_base: u64, fw_size: u64) -> Vec<(u64, u64)> {
         vec![
             (HASH_PAGE_ADDR, PAGE_SIZE),
             (BOOT_PARAMS_ADDR, PAGE_SIZE),

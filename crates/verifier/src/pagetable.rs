@@ -9,14 +9,14 @@
 use sevf_mem::{GuestMemory, MemError, PAGE_SIZE};
 
 /// Entry flag: present.
-pub const PTE_PRESENT: u64 = 1 << 0;
+const PTE_PRESENT: u64 = 1 << 0;
 /// Entry flag: writable.
-pub const PTE_WRITABLE: u64 = 1 << 1;
+const PTE_WRITABLE: u64 = 1 << 1;
 /// Entry flag: page size (2 MiB leaf in a PD entry).
-pub const PTE_HUGE: u64 = 1 << 7;
+const PTE_HUGE: u64 = 1 << 7;
 
 /// Size mapped by one PD entry.
-pub const HUGE_PAGE: u64 = 2 * 1024 * 1024;
+const HUGE_PAGE: u64 = 2 * 1024 * 1024;
 
 /// Where each table lands relative to the page-table region base.
 const PML4_OFF: u64 = 0;
@@ -48,7 +48,7 @@ pub struct PageTableStats {
 /// Panics if `map_size` exceeds 512 GiB (PDPT fan-out limit of this
 /// single-PML4E builder) or `c_bit < 52` is violated in reverse (c_bit must
 /// be ≥ 32 to stay clear of the address bits used here).
-pub fn build_identity_map(
+pub(crate) fn build_identity_map(
     mem: &mut GuestMemory,
     region_base: u64,
     map_size: u64,
@@ -97,61 +97,59 @@ pub fn build_identity_map(
     })
 }
 
-/// Result of a simulated page walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Translation {
-    /// Physical address the virtual address maps to.
-    pub phys: u64,
-    /// Whether the walk saw the C-bit set at the leaf.
-    pub encrypted: bool,
-}
-
-/// Walks the tables at `region_base` for virtual address `vaddr` (reads
-/// through the same mapping they were written with).
-///
-/// # Errors
-///
-/// Returns `Ok(None)` for unmapped addresses and `Err` for memory faults.
-pub fn walk(
-    mem: &GuestMemory,
-    region_base: u64,
-    vaddr: u64,
-    c_bit: u32,
-    encrypted: bool,
-) -> Result<Option<Translation>, MemError> {
-    let c_mask = 1u64 << c_bit;
-    let addr_mask = ((1u64 << 52) - 1) & !0xfff & !c_mask;
-    let read_entry = |addr: u64| -> Result<u64, MemError> {
-        let bytes = mem.guest_read(addr, 8, encrypted)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-    };
-    let pml4e = read_entry(region_base + PML4_OFF + ((vaddr >> 39) & 0x1ff) * 8)?;
-    if pml4e & PTE_PRESENT == 0 {
-        return Ok(None);
-    }
-    let pdpt = pml4e & addr_mask;
-    let pdpte = read_entry(pdpt + ((vaddr >> 30) & 0x1ff) * 8)?;
-    if pdpte & PTE_PRESENT == 0 {
-        return Ok(None);
-    }
-    let pd = pdpte & addr_mask;
-    let pde = read_entry(pd + ((vaddr >> 21) & 0x1ff) * 8)?;
-    if pde & PTE_PRESENT == 0 {
-        return Ok(None);
-    }
-    debug_assert!(pde & PTE_HUGE != 0, "only 2 MiB leaves are built");
-    let base = pde & addr_mask & !(HUGE_PAGE - 1);
-    Ok(Some(Translation {
-        phys: base + (vaddr & (HUGE_PAGE - 1)),
-        encrypted: pde & c_mask != 0,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sevf_mem::C_BIT_POSITION;
     use sevf_sim::cost::SevGeneration;
+
+    /// Result of a simulated page walk.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Translation {
+        /// Physical address the virtual address maps to.
+        phys: u64,
+        /// Whether the walk saw the C-bit set at the leaf.
+        encrypted: bool,
+    }
+
+    /// Walks the tables at `region_base` for virtual address `vaddr` (reads
+    /// through the same mapping they were written with): the oracle the
+    /// tests check a built map against. `Ok(None)` for unmapped addresses,
+    /// `Err` for memory faults.
+    fn walk(
+        mem: &GuestMemory,
+        region_base: u64,
+        vaddr: u64,
+        c_bit: u32,
+        encrypted: bool,
+    ) -> Result<Option<Translation>, MemError> {
+        let c_mask = 1u64 << c_bit;
+        let addr_mask = ((1u64 << 52) - 1) & !0xfff & !c_mask;
+        let read_entry = |addr: u64| -> Result<u64, MemError> {
+            let bytes = mem.guest_read(addr, 8, encrypted)?;
+            Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        };
+        let pml4e = read_entry(region_base + PML4_OFF + ((vaddr >> 39) & 0x1ff) * 8)?;
+        if pml4e & PTE_PRESENT == 0 {
+            return Ok(None);
+        }
+        let pdpt = pml4e & addr_mask;
+        let pdpte = read_entry(pdpt + ((vaddr >> 30) & 0x1ff) * 8)?;
+        if pdpte & PTE_PRESENT == 0 {
+            return Ok(None);
+        }
+        let pd = pdpte & addr_mask;
+        let pde = read_entry(pd + ((vaddr >> 21) & 0x1ff) * 8)?;
+        if pde & PTE_PRESENT == 0 {
+            return Ok(None);
+        }
+        debug_assert!(pde & PTE_HUGE != 0, "only 2 MiB leaves are built");
+        let base = pde & addr_mask & !(HUGE_PAGE - 1);
+        Ok(Some(Translation {
+            phys: base + (vaddr & (HUGE_PAGE - 1)),
+            encrypted: pde & c_mask != 0,
+        }))
+    }
 
     const MB: u64 = 1024 * 1024;
 

@@ -10,7 +10,7 @@ use crate::config::VmConfig;
 use sevf_verifier::layout::{GuestLayout, CMDLINE_ADDR};
 
 /// Magic identifying our boot_params page.
-pub const BOOT_PARAMS_MAGIC: u32 = 0x53_56_42_50; // "SVBP"
+const BOOT_PARAMS_MAGIC: u32 = 0x53_56_42_50; // "SVBP"
 
 /// One e820-style memory range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct E820Entry {
 
 /// The decoded boot_params contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BootParams {
+pub(crate) struct BootParams {
     /// Guest-physical pointer to the command line.
     pub cmdline_ptr: u64,
     /// Guest-physical address of the (verified, encrypted) initrd.
@@ -40,7 +40,7 @@ pub struct BootParams {
 
 impl BootParams {
     /// Builds boot_params for a VM configuration and layout.
-    pub fn build(config: &VmConfig, layout: &GuestLayout) -> Self {
+    pub(crate) fn build(config: &VmConfig, layout: &GuestLayout) -> Self {
         BootParams {
             cmdline_ptr: CMDLINE_ADDR,
             initrd_addr: layout.initrd_dest,
@@ -72,7 +72,7 @@ impl BootParams {
     /// # Panics
     ///
     /// Panics if more than 128 e820 entries are present.
-    pub fn to_page(&self) -> [u8; 4096] {
+    pub(crate) fn to_page(&self) -> [u8; 4096] {
         assert!(self.e820.len() <= 128);
         let mut page = [0u8; 4096];
         page[..4].copy_from_slice(&BOOT_PARAMS_MAGIC.to_le_bytes());
@@ -96,7 +96,7 @@ impl BootParams {
     /// # Errors
     ///
     /// Returns a static description of the first corruption found.
-    pub fn from_page(page: &[u8]) -> Result<Self, &'static str> {
+    pub(crate) fn from_page(page: &[u8]) -> Result<Self, &'static str> {
         if page.len() < 40 {
             return Err("boot_params shorter than header");
         }
@@ -125,15 +125,6 @@ impl BootParams {
             vcpus: u32::from_le_bytes(page[32..36].try_into().expect("4")),
             e820,
         })
-    }
-
-    /// Total usable RAM per the e820 map.
-    pub fn usable_ram(&self) -> u64 {
-        self.e820
-            .iter()
-            .filter(|e| e.kind == 1)
-            .map(|e| e.len)
-            .sum()
     }
 }
 
@@ -166,7 +157,7 @@ mod tests {
     fn e820_covers_most_of_memory() {
         let bp = sample();
         let config = VmConfig::test_tiny(BootPolicy::Severifast);
-        let usable = bp.usable_ram();
+        let usable: u64 = bp.e820.iter().filter(|e| e.kind == 1).map(|e| e.len).sum();
         assert!(usable > config.mem_size * 9 / 10);
         assert!(usable < config.mem_size);
     }

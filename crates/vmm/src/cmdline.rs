@@ -5,11 +5,11 @@
 //! is cheaper than adding hash-and-verify plumbing for it.
 
 /// Maximum command line length Linux accepts.
-pub const CMDLINE_MAX: usize = 4096;
+const CMDLINE_MAX: usize = 4096;
 
 /// The Firecracker-style default command line used throughout the paper's
 /// experiments (sized to the 155 bytes Fig. 7 reports).
-pub fn default_cmdline() -> String {
+pub(crate) fn default_cmdline() -> String {
     let mut cmdline = "console=ttyS0 reboot=k panic=1 pci=off nomodule 8250.nr_uarts=0 \
          i8042.noaux i8042.nomux i8042.nopnp i8042.dumbkbd tsc=reliable ipv6.disable=1 \
          quiet"

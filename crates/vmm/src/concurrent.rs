@@ -20,7 +20,7 @@ use crate::report::BootReport;
 /// it: PSP launch commands go onto the single-slot PSP resource, CPU work
 /// onto the core pool, and network waits become pure delays. No label
 /// parsing is involved, so renaming a span cannot change its placement.
-pub fn boot_job(report: &BootReport, cpu: sevf_sim::ResourceId, psp: sevf_sim::ResourceId) -> Job {
+fn boot_job(report: &BootReport, cpu: sevf_sim::ResourceId, psp: sevf_sim::ResourceId) -> Job {
     let segments = report
         .timeline
         .spans()

@@ -10,18 +10,18 @@ const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
 
 /// Stock Firecracker binary size.
-pub const FC_BINARY_BASE: u64 = 4 * MB + 150 * KB;
+const FC_BINARY_BASE: u64 = 4 * MB + 150 * KB;
 /// Binary growth from the SEV support module (§6.3: "about 50K").
-pub const SEV_BINARY_DELTA: u64 = 50 * KB;
+const SEV_BINARY_DELTA: u64 = 50 * KB;
 /// Runtime (pmap minus binary minus guest memory) overhead of a stock VM —
 /// Firecracker's ~3 MB working overhead.
-pub const VMM_RUNTIME_OVERHEAD: u64 = 3 * MB;
+const VMM_RUNTIME_OVERHEAD: u64 = 3 * MB;
 /// Extra runtime overhead of an SEV guest (§6.3: "about 16K").
-pub const SEV_RUNTIME_DELTA: u64 = 16 * KB;
+const SEV_RUNTIME_DELTA: u64 = 16 * KB;
 /// QEMU's footprint, for contrast (two orders of magnitude heavier).
-pub const QEMU_BINARY: u64 = 38 * MB;
+const QEMU_BINARY: u64 = 38 * MB;
 /// QEMU per-VM runtime overhead.
-pub const QEMU_RUNTIME_OVERHEAD: u64 = 90 * MB;
+const QEMU_RUNTIME_OVERHEAD: u64 = 90 * MB;
 
 /// The pmap-style decomposition of one running VM's host memory use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,14 +67,6 @@ impl MemoryFootprint {
     }
 }
 
-/// How many VMs of this configuration fit in `host_bytes` of RAM (binary
-/// counted once — it is shared).
-pub fn density(config: &VmConfig, host_bytes: u64) -> u64 {
-    let fp = MemoryFootprint::of(config);
-    let per_vm = fp.runtime_overhead + fp.guest_memory;
-    host_bytes.saturating_sub(fp.binary) / per_vm.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,21 +90,15 @@ mod tests {
     fn density_nearly_unchanged_by_sev() {
         // §6.3: "the number of guests that can run concurrently with our
         // design is roughly the same as the number of stock Firecracker VMs".
-        let host = 128 * 1024 * MB; // the paper machine's 128 GB
-        let stock = density(
-            &VmConfig::paper_default(
-                BootPolicy::StockFirecracker,
-                sevf_image::kernel::KernelConfig::aws(),
-            ),
-            host,
-        );
-        let sevf = density(
-            &VmConfig::paper_default(
-                BootPolicy::Severifast,
-                sevf_image::kernel::KernelConfig::aws(),
-            ),
-            host,
-        );
+        // How many VMs fit in the paper machine's 128 GB, the binary
+        // counted once (it is shared).
+        let density = |policy| {
+            let config = VmConfig::paper_default(policy, sevf_image::kernel::KernelConfig::aws());
+            let fp = MemoryFootprint::of(&config);
+            (128 * 1024 * MB - fp.binary) / (fp.runtime_overhead + fp.guest_memory)
+        };
+        let stock = density(BootPolicy::StockFirecracker);
+        let sevf = density(BootPolicy::Severifast);
         assert!(stock > 0 && sevf > 0);
         let loss = (stock - sevf) as f64 / stock as f64;
         assert!(loss < 0.001, "density loss {loss}");

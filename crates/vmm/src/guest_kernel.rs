@@ -109,7 +109,7 @@ pub fn run_bootstrap_loader(
 /// # Panics
 ///
 /// Panics if `slide` is not 2 MiB aligned.
-pub fn run_bootstrap_loader_kaslr(
+pub(crate) fn run_bootstrap_loader_kaslr(
     mem: &mut GuestMemory,
     bzimage_addr: u64,
     bzimage_len: u64,

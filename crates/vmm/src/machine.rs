@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use sevf_psp::{AmdRootRegistry, GuestHandle, Psp, PspWork};
+use sevf_psp::{AmdRootRegistry, GuestHandle, Psp};
 use sevf_sim::rng::XorShift64;
 use sevf_sim::CostModel;
 
@@ -58,17 +58,6 @@ impl Machine {
             rng: XorShift64::new(machine_seed ^ 0x4b41_534c_5221),
         }
     }
-
-    /// PSP firmware reset at machine scope: the PSP reboots
-    /// ([`Psp::firmware_reset`]) and every cached shared-key template dies
-    /// with it — the handles in [`Machine::templates`] point at launch
-    /// contexts the reset just destroyed, so keeping them would hand out
-    /// dead handles. The next template-mode boot re-measures from scratch
-    /// and must reproduce the identical launch digest.
-    pub fn reset_psp(&mut self) -> PspWork {
-        self.templates.clear();
-        self.psp.firmware_reset()
-    }
 }
 
 #[cfg(test)]
@@ -112,11 +101,12 @@ mod tests {
         let hit = vm.boot(&mut m).unwrap();
         assert!(hit.psp_busy < fill.psp_busy);
 
-        // Firmware reset: the cached template is gone with the PSP state.
+        // Firmware reset: the cached template handle dies with the PSP
+        // state, so the machine forgets it too.
         let epoch = m.psp.firmware_epoch();
-        m.reset_psp();
+        m.psp.firmware_reset();
+        m.templates.clear();
         assert_eq!(m.psp.firmware_epoch(), epoch + 1);
-        assert!(m.templates.is_empty());
 
         // The next boot re-measures from scratch: full fill-grade PSP work
         // again, and the launch digest is bit-identical to the pre-reset one

@@ -79,11 +79,6 @@ impl KeepAliveVm {
         }
     }
 
-    /// Number of warm invocations served.
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-
     /// The running kernel's entry point (differs across boots under KASLR).
     pub fn kernel_entry(&self) -> u64 {
         self.live.kernel_entry
@@ -129,13 +124,6 @@ pub struct VmSnapshot {
     config: VmConfig,
     mem_image: sevf_mem::MemoryImage,
     kernel_entry: u64,
-}
-
-impl VmSnapshot {
-    /// Size of the captured image in bytes.
-    pub fn image_bytes(&self) -> u64 {
-        self.mem_image.byte_len()
-    }
 }
 
 /// Fraction of host-visible page content shared by at least two of the
@@ -191,7 +179,7 @@ mod tests {
         let (cold, mut warm_vm) = vm.boot_keep_alive(&mut m).unwrap();
         let warm = warm_vm.invoke(&m.cost);
         assert!(cold.boot_time() > warm.latency.scale(100));
-        assert_eq!(warm_vm.invocations(), 1);
+        assert_eq!(warm_vm.invocations, 1);
     }
 
     #[test]
@@ -227,7 +215,7 @@ mod tests {
         let mut m = Machine::new(71);
         let mut vm = keep_alive(BootPolicy::Severifast, &mut m);
         let snapshot = vm.snapshot();
-        assert!(snapshot.image_bytes() > 0);
+        assert!(snapshot.mem_image.byte_len() > 0);
         // Mutate the live guest, then restore.
         let before = vm.host_page_digests().unwrap();
         vm.invoke(&m.cost);
