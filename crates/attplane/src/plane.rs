@@ -198,22 +198,6 @@ impl AttPlane {
         })
     }
 
-    /// How many hosts the plane covers.
-    pub fn hosts(&self) -> usize {
-        self.chips.len()
-    }
-
-    /// The plane's verification mode.
-    pub fn mode(&self) -> VerifyMode {
-        self.config.mode
-    }
-
-    /// A host's chip id.
-    pub fn chip_id(&self, host: usize) -> Result<&[u8; 32], AttPlaneError> {
-        self.check_host(host)?;
-        Ok(&self.chips[host])
-    }
-
     /// A host's current TCB version.
     pub fn tcb_version(&self, host: usize) -> Result<u32, AttPlaneError> {
         self.check_host(host)?;
@@ -545,7 +529,7 @@ mod tests {
             assert_eq!(m.verifications, served + 1, "only host 1 was served");
             // Nothing signed by the revoked chip re-entered the cache, at
             // any TCB version: the plane's early refusal is the only guard.
-            let chip = *plane.chip_id(0).unwrap();
+            let chip = plane.chips[0];
             for tcb in 0..=plane.tcb_version(0).unwrap() {
                 let key = CacheKey { chip_id: chip, tcb };
                 assert_eq!(

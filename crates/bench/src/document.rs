@@ -162,7 +162,7 @@ impl View {
 /// # Panics
 ///
 /// Panics if a row lacks a column `cols` or `group_by` reads.
-pub fn table(rows: &[Row], group_by: Option<&str>, cols: &[Col]) -> String {
+fn table(rows: &[Row], group_by: Option<&str>, cols: &[Col]) -> String {
     let mut cells: Vec<Vec<String>> = Vec::new();
     let mut last = None;
     for row in rows {

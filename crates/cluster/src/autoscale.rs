@@ -189,7 +189,7 @@ impl State<'_> {
                 // that runs when membership actually changes.
                 for &h in &live {
                     let target = self.hosts[h].pool.target_per_class().max(per_host);
-                    self.hosts[h].pool.set_target(target);
+                    self.hosts[h].set_warm_target(target);
                 }
                 for &h in &live {
                     self.hosts[h].kick_refills(&mut self.front, now, inject);
@@ -305,7 +305,7 @@ impl State<'_> {
     fn begin_warming(&mut self, host: usize, target: usize, now: Nanos, inject: &mut Vec<Job>) {
         self.hosts[host].warming = true;
         self.members.open(host, now);
-        self.hosts[host].pool.set_target(target);
+        self.hosts[host].set_warm_target(target);
         self.hosts[host].kick_refills(&mut self.front, now, inject);
     }
 

@@ -121,7 +121,7 @@ impl State<'_> {
                 if let Some(plane) = self.front.plane.as_mut() {
                     plane.bump_tcb(host).expect("plane sized to cluster hosts");
                 }
-                self.hosts[host].cache.invalidate_all();
+                self.hosts[host].templates.clear();
             }
             MemberJob::Revoke { host } => {
                 // Key compromise: distrust the chip at the root, then treat
@@ -256,7 +256,7 @@ impl State<'_> {
             } else {
                 per_host
             };
-            h.pool.set_target(target);
+            h.set_warm_target(target);
         }
         self.metrics.rebalances += 1;
         self.front

@@ -53,7 +53,7 @@ impl ExperimentScale {
     }
 
     /// The paper's three kernel configs at this scale.
-    pub fn kernels(&self) -> Vec<KernelConfig> {
+    fn kernels(&self) -> Vec<KernelConfig> {
         KernelConfig::paper_configs()
             .into_iter()
             .map(|k| {
@@ -218,13 +218,6 @@ pub struct MeasuredBootRow {
     pub hash_ms: f64,
     /// Decompression time, ms.
     pub decompress_ms: f64,
-}
-
-impl MeasuredBootRow {
-    /// Total measured-direct-boot cost.
-    pub fn total_ms(&self) -> f64 {
-        self.copy_ms + self.hash_ms + self.decompress_ms
-    }
 }
 
 /// Fig. 5: per-codec copy/hash/decompress costs for each kernel and for the
@@ -462,13 +455,6 @@ pub struct Fig11Row {
     pub linux_ms: f64,
 }
 
-impl Fig11Row {
-    /// Total boot time (attestation excluded, as in the figure).
-    pub fn total_ms(&self) -> f64 {
-        self.vmm_ms + self.verification_ms + self.loader_ms + self.linux_ms
-    }
-}
-
 /// Fig. 11: the cost SEVeriFast adds over a non-SEV microVM boot.
 ///
 /// # Errors
@@ -608,7 +594,7 @@ pub fn warm_start_analysis(scale: &ExperimentScale) -> Result<Vec<WarmStartRow>,
         if policy.is_sev() {
             vm.register_expected(&mut machine)?;
         }
-        let (cold_a, mut alive_a) = vm.boot_keep_alive(&mut machine)?;
+        let (cold_a, alive_a) = vm.boot_keep_alive(&mut machine)?;
         let (_cold_b, alive_b) = vm.boot_keep_alive(&mut machine)?;
         let warm = alive_a.invoke(&machine.cost);
         rows.push(WarmStartRow {
@@ -827,8 +813,8 @@ mod tests {
             let of = |codec: Codec| {
                 rows.iter()
                     .find(|r| r.component == component && r.codec == codec)
+                    .map(|r| r.copy_ms + r.hash_ms + r.decompress_ms)
                     .unwrap()
-                    .total_ms()
             };
             assert!(of(Codec::Lz4) < of(Codec::None), "{kernel}: lz4 vs none");
             assert!(
@@ -840,8 +826,8 @@ mod tests {
         let initrd = |codec: Codec| {
             rows.iter()
                 .find(|r| r.component == "initrd" && r.codec == codec)
+                .map(|r| r.copy_ms + r.hash_ms + r.decompress_ms)
                 .unwrap()
-                .total_ms()
         };
         assert!(initrd(Codec::None) < initrd(Codec::Lz4), "raw initrd wins");
         assert!(initrd(Codec::None) < initrd(Codec::Deflate));

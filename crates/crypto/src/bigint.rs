@@ -51,7 +51,7 @@ impl fmt::Debug for BigUint {
 
 impl BigUint {
     /// The value zero.
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         BigUint { limbs: Vec::new() }
     }
 
@@ -130,7 +130,7 @@ impl BigUint {
     }
 
     /// Returns bit `i` (little-endian bit order).
-    pub fn bit(&self, i: usize) -> bool {
+    fn bit(&self, i: usize) -> bool {
         let limb = i / 64;
         if limb >= self.limbs.len() {
             return false;

@@ -1,4 +1,4 @@
-//! Launch blueprints, the class catalog, and the content-addressed cache.
+//! Launch blueprints and the class catalog.
 //!
 //! Serving thousands of requests cannot re-run the full functional boot
 //! (real hashing, real encryption) per request — and does not need to: the
@@ -15,13 +15,11 @@
 //!   the §6.2 **template fill**: the first shared-key launch of a
 //!   configuration is a full launch that leaves its template behind.
 //! * **template hit** — later identical launches reuse the template's key
-//!   and measurement and skip almost all PSP work. [`LaunchCache`] decides
-//!   fill vs hit by content-address ([`TemplateKey`] = the launch
-//!   measurement).
+//!   and measurement and skip almost all PSP work. A host's template set
+//!   ([`crate::host::Host::templates`]) decides fill vs hit by
+//!   content-address ([`TemplateKey`] = the launch measurement).
 //! * **warm invoke** — the §7.1 keep-alive path: no launch at all, just a
 //!   vCPU kick into the resident cold guest.
-
-use std::collections::HashMap;
 
 use sevf_image::kernel::KernelConfig;
 use sevf_obs::WorkStep;
@@ -302,7 +300,7 @@ impl Catalog {
             if spec.config.policy.is_sev() {
                 vm.register_expected(&mut machine)?;
             }
-            let (cold_report, mut warm_vm) = vm.boot_keep_alive(&mut machine)?;
+            let (cold_report, warm_vm) = vm.boot_keep_alive(&mut machine)?;
             let key = match cold_report.measurement {
                 Some(m) => TemplateKey::from_measurement(m),
                 // Non-SEV classes have no launch measurement; give each a
@@ -357,73 +355,6 @@ impl Catalog {
     /// One class by index.
     pub fn class(&self, idx: usize) -> &ClassBlueprints {
         &self.classes[idx]
-    }
-}
-
-/// Content-addressed launch cache: which template measurements are live on
-/// the machine. A hit replays the cheap template-hit blueprint; a miss pays
-/// the full fill.
-#[derive(Debug, Clone, Default)]
-pub struct LaunchCache {
-    live: HashMap<TemplateKey, usize>,
-    hits: u64,
-    misses: u64,
-}
-
-impl LaunchCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up `key`, recording a hit or a miss. On miss the key is
-    /// inserted (the fill launch that follows makes it live).
-    pub(crate) fn lookup_or_fill(&mut self, key: TemplateKey, class: usize) -> bool {
-        if self.live.contains_key(&key) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            self.live.insert(key, class);
-            false
-        }
-    }
-
-    /// Whether `key` is live, without touching the counters (how
-    /// `Host::expected_psp` prices a launch before it is dispatched).
-    pub fn contains(&self, key: &TemplateKey) -> bool {
-        self.live.contains_key(key)
-    }
-
-    /// Pre-fills the cache (warm-pool serving starts with every class's
-    /// template live, since the pool itself was built from them).
-    pub(crate) fn prefill(&mut self, key: TemplateKey, class: usize) {
-        self.live.insert(key, class);
-    }
-
-    /// Drops one key (a fill launch that died before finalizing its
-    /// template must not leave the key looking live).
-    pub(crate) fn invalidate(&mut self, key: &TemplateKey) {
-        self.live.remove(key);
-    }
-
-    /// Drops every live template — a PSP firmware reset destroyed the
-    /// launch contexts they address, so each class must re-measure from
-    /// scratch (§6.2 under failure). Returns how many templates died.
-    pub fn invalidate_all(&mut self) -> usize {
-        let n = self.live.len();
-        self.live.clear();
-        n
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -491,18 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_counts_fill_then_hits() {
-        let mut cache = LaunchCache::new();
-        let key = TemplateKey::from_measurement([3u8; 48]);
-        assert!(!cache.lookup_or_fill(key, 0));
-        assert!(cache.lookup_or_fill(key, 0));
-        assert!(cache.lookup_or_fill(key, 0));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert!(cache.contains(&key));
-    }
-
-    #[test]
     fn truncate_frac_takes_a_prefix_of_the_work() {
         let catalog = quick_catalog();
         let bp = &catalog.class(0).cold;
@@ -519,23 +438,6 @@ mod tests {
         assert!(bp.truncate_frac(0.0).steps.is_empty());
         assert_eq!(bp.truncate_frac(1.0).service_time(), bp.service_time());
         assert_eq!(bp.truncate_frac(7.0).service_time(), bp.service_time());
-    }
-
-    #[test]
-    fn cache_invalidation_forces_refills() {
-        let mut cache = LaunchCache::new();
-        let a = TemplateKey::from_measurement([1u8; 48]);
-        let b = TemplateKey::from_measurement([2u8; 48]);
-        assert!(!cache.lookup_or_fill(a, 0));
-        assert!(!cache.lookup_or_fill(b, 1));
-        assert!(cache.lookup_or_fill(a, 0));
-
-        cache.invalidate(&a);
-        assert!(!cache.contains(&a));
-        assert!(cache.contains(&b));
-
-        assert_eq!(cache.invalidate_all(), 1);
-        assert!(!cache.lookup_or_fill(b, 1), "post-reset lookups re-fill");
     }
 
     #[test]

@@ -16,20 +16,28 @@
 //! refill, drain, PSP reset, and warm-crash handling. Every function takes
 //! the run's shared [`Front`] and the engine's `inject` buffer; a
 //! single-host fleet and an N-host cluster drive exactly the same code.
+//!
+//! The host counts and its parts only decide. The queue answers each offer
+//! with an [`Offer`], the pool a take with hit or miss and a refill or a
+//! target change with what it evicted, a breaker a failure with whether it
+//! tripped, the template set a lookup with whether the key was live; the
+//! host counts each answer into [`Host::metrics`] on the line where it acts
+//! on it.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use sevf_attplane::Verdict;
 use sevf_net::HostLease;
 use sevf_obs::{MarkerKind, Outcome as ReqOutcome, WorkStep};
 use sevf_policy::{Offer, WfqQueue};
+use sevf_psp::TemplateKey;
 use sevf_sim::fault::{AttestFault, FaultKind, FaultPlan};
 use sevf_sim::{Job, Nanos, PhaseKind, ResourceClass, ResourceId, RunTrace};
 use sevf_vmm::machine::HOST_CORES;
 
 use crate::admission::Pending;
-use crate::blueprint::{Blueprint, LaunchCache};
+use crate::blueprint::Blueprint;
 use crate::front::{Front, Launch, LaunchFate, ServeJob};
 use crate::metrics::FleetMetrics;
 use crate::pool::WarmPool;
@@ -62,9 +70,10 @@ pub struct Host {
     pub lease: Option<HostLease>,
     /// §7.1 warm pool.
     pub pool: WarmPool,
-    /// §6.2 content-addressed template cache. Dies with the host: an outage
-    /// forces every class to re-measure wherever it lands next.
-    pub cache: LaunchCache,
+    /// §6.2 content-addressed template cache: the keys whose templates are
+    /// live on this machine. Dies with the host: an outage forces every
+    /// class to re-measure wherever it lands next.
+    pub templates: HashSet<TemplateKey>,
     /// This host's fault domain.
     pub plan: Option<FaultPlan>,
     /// Launches currently dispatched (admission slot accounting).
@@ -72,7 +81,8 @@ pub struct Host {
     /// Expected serialized PSP work admitted but not yet completed (queued
     /// plus in flight) — the backlog signal JSQ placement samples.
     pub committed_psp: Nanos,
-    /// Per-host metrics: completions, latencies, faults, queue depth.
+    /// Per-host metrics: completions, latencies, faults, and every count
+    /// of the host's parts' answers.
     pub metrics: FleetMetrics,
     /// The bounded admission queue in front of this host's PSP: one lane
     /// per tenant when the run's policy schedules by WFQ, else one lane.
@@ -137,12 +147,11 @@ impl Host {
     ) -> Self {
         let classes = cx.catalog.classes();
         let stocked = cx.knobs.tier == ServingTier::WarmPool && !spare;
-        let mut cache = LaunchCache::new();
-        if stocked {
-            for (idx, class) in classes.iter().enumerate() {
-                cache.prefill(class.key, idx);
-            }
-        }
+        let templates = if stocked {
+            classes.iter().map(|class| class.key).collect()
+        } else {
+            HashSet::new()
+        };
         Host {
             id,
             psp,
@@ -157,7 +166,7 @@ impl Host {
                 if stocked { warm_target } else { 0 },
                 classes.iter().map(|c| c.resident_bytes).collect(),
             ),
-            cache,
+            templates,
             plan,
             inflight: 0,
             committed_psp: Nanos::ZERO,
@@ -261,24 +270,29 @@ impl Host {
             cx.terminal(request, ReqOutcome::BreakerShed, now, inject);
             return;
         };
-        if tier == ServingTier::WarmPool && self.pool.try_take(class) {
-            // Warm hit: no launch, no admission — one vCPU kick. The freed
-            // slot is refilled in the background by a template launch.
-            let blueprint = &cx.catalog.class(class).warm_invoke;
-            self.inject_launch(cx, request, class, blueprint, false, now, inject);
-            self.start_refill(cx, class, now, inject);
-            return;
+        if tier == ServingTier::WarmPool {
+            if self.pool.try_take(class) {
+                // Warm hit: no launch, no admission — one vCPU kick. The
+                // freed slot is refilled in the background by a template
+                // launch.
+                self.metrics.warm_hits += 1;
+                let blueprint = &cx.catalog.class(class).warm_invoke;
+                self.inject_launch(cx, request, class, blueprint, false, now, inject);
+                self.start_refill(cx, class, now, inject);
+                return;
+            }
+            self.metrics.warm_misses += 1;
         }
         self.admit(cx, request, class, tier, now, inject);
     }
 
     /// Expected serialized PSP work of the launch `class` would replay at
-    /// `tier` right now (peeks at the cache without counting).
+    /// `tier` right now (peeks at the template set without counting).
     fn expected_psp<J>(&self, cx: &Front<'_, J>, class: usize, tier: ServingTier) -> Nanos {
         let cb = cx.catalog.class(class);
         match tier {
             ServingTier::Cold => cb.cold.psp_work(),
-            _ if self.cache.contains(&cb.key) => cb.template_hit.psp_work(),
+            _ if self.templates.contains(&cb.key) => cb.template_hit.psp_work(),
             _ => cb.cold.psp_work(),
         }
     }
@@ -310,19 +324,20 @@ impl Host {
         // lane that is the newcomer: no lane out-sheds itself.
         let (tenant, over) = cx.wfq_lane(request, now);
         self.queue.set_over_quota(tenant, over);
-        let offer = self.queue.offer(tenant, pending, expected_psp);
-        self.metrics.sample_queue_depth(now, self.queue_len());
-        let displaced = match offer {
+        let displaced = match self.queue.offer(tenant, pending, expected_psp) {
             // Shed: fail fast. A closed-loop client still comes back.
             Offer::Refused(item) => {
-                return cx.terminal(item.request, ReqOutcome::Shed, now, inject)
+                self.metrics.shed += 1;
+                return cx.terminal(item.request, ReqOutcome::Shed, now, inject);
             }
             Offer::Queued => None,
             Offer::Displaced { item, .. } => Some(item),
         };
+        self.metrics.max_queue_depth = self.metrics.max_queue_depth.max(self.queue_len());
         self.committed_psp += expected_psp;
         cx.rec.queued(request);
         if let Some(item) = displaced {
+            self.metrics.shed += 1;
             self.committed_psp = self.committed_psp.saturating_sub(item.expected_psp);
             cx.terminal(item.request, ReqOutcome::Shed, now, inject);
         }
@@ -330,7 +345,8 @@ impl Host {
 
     /// Picks the catalog blueprint for a dispatch at `tier` and injects it;
     /// a template tier counts one cache hit or miss. A miss fills the
-    /// template, and a fill is a cold launch, so it replays `cold`.
+    /// template (the fill launch makes its key live), and a fill is a cold
+    /// launch, so it replays `cold`.
     fn dispatch<J: From<ServeJob>>(
         &mut self,
         cx: &mut Front<'_, J>,
@@ -344,10 +360,14 @@ impl Host {
             self.metrics.degraded_dispatches += 1;
         }
         let cb = cx.catalog.class(class);
-        let (blueprint, fill) = match tier {
-            ServingTier::Cold => (&cb.cold, false),
-            _ if self.cache.lookup_or_fill(cb.key, class) => (&cb.template_hit, false),
-            _ => (&cb.cold, true),
+        let (blueprint, fill) = if tier == ServingTier::Cold {
+            (&cb.cold, false)
+        } else if self.templates.insert(cb.key) {
+            self.metrics.cache_misses += 1;
+            (&cb.cold, true)
+        } else {
+            self.metrics.cache_hits += 1;
+            (&cb.template_hit, false)
         };
         self.inject_launch(cx, request, class, blueprint, fill, now, inject);
     }
@@ -487,10 +507,11 @@ impl Host {
                 if launch.fill {
                     // The fill died before finalizing its template: the
                     // key must not look live.
-                    self.cache.invalidate(&cx.catalog.class(class).key);
+                    self.templates.remove(&cx.catalog.class(class).key);
                 }
                 if let Some(breakers) = &mut self.breakers {
                     if breakers[class].on_failure(now) {
+                        self.metrics.breaker_trips += 1;
                         cx.rec
                             .marker(MarkerKind::BreakerTrip, Some(request), self.tag, now);
                     }
@@ -526,7 +547,6 @@ impl Host {
                 break;
             };
             self.committed_psp = self.committed_psp.saturating_sub(next.expected_psp);
-            self.metrics.sample_queue_depth(now, self.queue_len());
             if cx.past_deadline(next.request, now) {
                 // Expired while waiting: a timeout shed, not a dispatch.
                 cx.terminal(next.request, ReqOutcome::Timeout, now, inject);
@@ -622,8 +642,18 @@ impl Host {
                 self.pool.refill_failed(class);
                 cx.rec.marker(MarkerKind::Fault(kind), None, self.tag, now);
             }
-            None => self.pool.refill_done(class),
+            None => {
+                if self.pool.refill_done(class) {
+                    self.metrics.evicted += 1;
+                }
+            }
         }
+    }
+
+    /// Moves the warm pool's per-class target; a shrink evicts the surplus
+    /// ready slots at once, and they are counted here.
+    pub fn set_warm_target(&mut self, target_per_class: usize) {
+        self.metrics.evicted += self.pool.set_target(target_per_class);
     }
 
     /// A PSP firmware reset begins: every in-flight PSP-using job is
@@ -634,7 +664,7 @@ impl Host {
         for job in self.ledger.values_mut().filter(|j| j.holds_psp()) {
             job.doom = Some(FaultKind::PspReset);
         }
-        self.cache.invalidate_all();
+        self.templates.clear();
     }
 
     /// A scheduled warm-guest crash: pick a class deterministically from the
@@ -665,7 +695,7 @@ impl Host {
         for class in 0..classes {
             while self.pool.crash(class) {}
         }
-        self.cache.invalidate_all();
+        self.templates.clear();
     }
 
     /// The host's lease lapsed: in-flight work may no longer complete, only
@@ -676,23 +706,13 @@ impl Host {
         }
     }
 
-    /// Folds the end-of-run queue, cache, pool, breaker, and utilization
-    /// figures into [`Host::metrics`].
+    /// Sets what only the run's trace knows: PSP and CPU utilization and
+    /// the makespan. Every other figure was counted as the run went.
     pub fn finish_metrics(&mut self, trace: &RunTrace) {
         let m = &mut self.metrics;
-        m.shed = self.queue.shed();
-        m.max_queue_depth = self.queue.max_depth();
-        m.cache_hits = self.cache.hits();
-        m.cache_misses = self.cache.misses();
-        m.warm_hits = self.pool.hits();
-        m.warm_misses = self.pool.misses();
-        m.evicted = self.pool.evicted();
         m.psp_utilization = trace.utilization(self.psp, 1);
         m.cpu_utilization = trace.utilization(self.cpu, HOST_CORES);
         m.makespan = trace.makespan();
-        if let Some(breakers) = &self.breakers {
-            m.breaker_trips = breakers.iter().map(|b| b.trips()).sum();
-        }
     }
 }
 

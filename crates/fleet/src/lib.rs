@@ -8,14 +8,13 @@
 //! those one-shot experiments into a *service*: a host agent that accepts a
 //! stream of launch requests, admits and schedules them onto the host's DES
 //! resources, reuses template measurements through a content-addressed
-//! launch cache, keeps a warm pool topped up, and reports service-level
+//! template set, keeps a warm pool topped up, and reports service-level
 //! metrics.
 //!
 //! * [`workload`] — seeded open-loop (Poisson) and closed-loop arrival
 //!   processes over a configurable request mix.
 //! * [`blueprint`] — replayable launch blueprints derived from real boots,
-//!   and the content-addressed [`blueprint::LaunchCache`] keyed by
-//!   [`sevf_psp::TemplateKey`].
+//!   each class addressed by its [`sevf_psp::TemplateKey`].
 //! * [`admission`] — the admission knobs: a bounded queue with
 //!   shed-on-overload behind a bounded dispatch window.
 //! * [`pool`] — the §7.1 warm-pool manager with target-size/evict logic.
@@ -27,7 +26,7 @@
 //!   with N hosts behind a router.
 //! * [`service`] — the single-host control plane: one front, one host, on
 //!   [`sevf_sim::DesEngine::run_dynamic`].
-//! * [`metrics`] — latency percentiles/histograms, queue depth over time,
+//! * [`metrics`] — latency percentiles, the deepest the queue got,
 //!   PSP/CPU utilization, shed/hit/miss counters, fault and availability
 //!   accounting.
 //! * [`recovery`] — retry backoff, per-request deadlines, per-class circuit
@@ -67,7 +66,7 @@ pub mod service;
 pub mod workload;
 
 pub use admission::AdmissionConfig;
-pub use blueprint::{Blueprint, Catalog, ClassSpec, LaunchCache};
+pub use blueprint::{Blueprint, Catalog, ClassSpec};
 pub use chaos::{chaos_sweep, ChaosConfig, ChaosReport};
 pub use experiment::{serving_sweep, SweepConfig, SweepReport};
 pub use front::{Front, ServeJob, Serving};

@@ -1,11 +1,17 @@
 //! Service-level metrics for one fleet run.
 //!
 //! Everything the experiment tables print comes from here: request latency
-//! percentiles (on [`sevf_sim::stats::Summary`]), queue depth sampled at
-//! every enqueue/dequeue, PSP/CPU utilization read off the busy totals the
-//! DES keeps in its [`sevf_sim::RunTrace`] (a lookup, whether or not the
-//! run recorded occupancy entries), and the shed / cache-hit / warm-hit
-//! counters that explain *why* the latencies look the way they do.
+//! percentiles (on [`sevf_sim::stats::Summary`]), the deepest the admission
+//! queue got, PSP/CPU utilization read off the busy totals the DES keeps in
+//! its [`sevf_sim::RunTrace`] (a lookup, whether or not the run recorded
+//! occupancy entries), and the shed / cache-hit / warm-hit counters that
+//! explain *why* the latencies look the way they do.
+//!
+//! The host counts; its parts only decide. The warm pool, the admission
+//! queue, the circuit breakers and the template set hold no counter: the
+//! host counts each of their answers here on the line where it acts on
+//! it, and the end of a run adds only what the trace alone knows
+//! (utilization and makespan).
 
 use sevf_sim::fault::FaultKind;
 use sevf_sim::{Nanos, Summary};
@@ -99,8 +105,6 @@ pub struct FleetMetrics {
     pub evicted: u64,
     /// Per-request latency, arrival to completion.
     pub latencies: Vec<Nanos>,
-    /// `(instant, depth)` samples taken at every queue transition.
-    pub queue_depth: Vec<(Nanos, usize)>,
     /// Deepest the admission queue ever got.
     pub max_queue_depth: usize,
     /// Fraction of the run the PSP spent busy.
@@ -116,12 +120,6 @@ impl FleetMetrics {
     pub fn record_latency(&mut self, latency: Nanos) {
         self.completed += 1;
         self.latencies.push(latency);
-    }
-
-    /// Records a queue-depth transition.
-    pub(crate) fn sample_queue_depth(&mut self, at: Nanos, depth: usize) {
-        self.queue_depth.push((at, depth));
-        self.max_queue_depth = self.max_queue_depth.max(depth);
     }
 
     /// Requests that left the system without completing: load sheds,
@@ -143,7 +141,7 @@ impl FleetMetrics {
     }
 
     /// Latency summary; `None` when nothing completed.
-    pub fn summary(&self) -> Option<Summary> {
+    fn summary(&self) -> Option<Summary> {
         if self.latencies.is_empty() {
             None
         } else {
@@ -164,11 +162,6 @@ impl FleetMetrics {
     /// 99th-percentile latency in ms (0 when nothing completed).
     pub fn p99_ms(&self) -> f64 {
         self.summary().map_or(0.0, |s| s.p99)
-    }
-
-    /// Mean queue depth weighted by the time each depth was held.
-    pub fn mean_queue_depth(&self) -> f64 {
-        sevf_obs::time_weighted_mean(&self.queue_depth)
     }
 
     /// Exports the run's counters, gauges, and latency histogram into a
@@ -192,7 +185,6 @@ impl FleetMetrics {
         reg.inc("fleet_evicted_total", self.evicted);
         reg.set_gauge("fleet_psp_utilization", self.psp_utilization);
         reg.set_gauge("fleet_cpu_utilization", self.cpu_utilization);
-        reg.set_gauge("fleet_mean_queue_depth", self.mean_queue_depth());
         reg.set_gauge("fleet_max_queue_depth", self.max_queue_depth as f64);
         reg.set_gauge("fleet_makespan_ms", self.makespan.as_millis_f64());
         for l in &self.latencies {
@@ -211,7 +203,6 @@ mod tests {
         let m = FleetMetrics::default();
         assert!(m.summary().is_none());
         assert_eq!(m.p99_ms(), 0.0);
-        assert_eq!(m.mean_queue_depth(), 0.0);
     }
 
     #[test]
@@ -271,16 +262,5 @@ mod tests {
         m.completed = 30;
         m.makespan = Nanos::from_secs(2);
         assert!((m.goodput_rps() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn queue_depth_time_weighting() {
-        let mut m = FleetMetrics::default();
-        m.sample_queue_depth(Nanos::ZERO, 0);
-        m.sample_queue_depth(Nanos::from_millis(10), 2);
-        m.sample_queue_depth(Nanos::from_millis(30), 0);
-        // Depth 0 for 10 ms, depth 2 for 20 ms → mean 4/3.
-        assert!((m.mean_queue_depth() - 4.0 / 3.0).abs() < 1e-9);
-        assert_eq!(m.max_queue_depth, 2);
     }
 }

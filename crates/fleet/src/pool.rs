@@ -9,6 +9,10 @@
 //! the pool converges back to target. Slots returned above target are
 //! evicted (the rent is the point: §7.1's warning is that resident SEV
 //! guests cannot even be deduplicated).
+//!
+//! The pool only decides: a take answers hit or miss, and a refill or a
+//! target change answers what it evicted. The host counts those answers
+//! into its metrics where it acts on them, so the pool holds no counter.
 
 /// Per-class warm-slot accounting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,9 +27,6 @@ pub struct WarmPool {
     target_per_class: usize,
     slots: Vec<ClassSlots>,
     resident_bytes_per_slot: Vec<u64>,
-    hits: u64,
-    misses: u64,
-    evicted: u64,
 }
 
 impl WarmPool {
@@ -48,9 +49,6 @@ impl WarmPool {
                 classes
             ],
             resident_bytes_per_slot,
-            hits: 0,
-            misses: 0,
-            evicted: 0,
         }
     }
 
@@ -59,10 +57,8 @@ impl WarmPool {
         let slot = &mut self.slots[class];
         if slot.ready > 0 {
             slot.ready -= 1;
-            self.hits += 1;
             true
         } else {
-            self.misses += 1;
             false
         }
     }
@@ -80,15 +76,16 @@ impl WarmPool {
     }
 
     /// Records a refill completion: the new guest becomes a ready slot, or
-    /// is evicted immediately if the class is already at target.
-    pub fn refill_done(&mut self, class: usize) {
+    /// is evicted immediately if the class is already at target. Returns
+    /// whether it was evicted.
+    pub(crate) fn refill_done(&mut self, class: usize) -> bool {
         let slot = &mut self.slots[class];
         slot.refilling = slot.refilling.saturating_sub(1);
-        if slot.ready < self.target_per_class {
+        let evicted = slot.ready >= self.target_per_class;
+        if !evicted {
             slot.ready += 1;
-        } else {
-            self.evicted += 1;
         }
+        evicted
     }
 
     /// Records a refill that failed (e.g. its launch died in a PSP reset):
@@ -121,15 +118,16 @@ impl WarmPool {
     }
 
     /// Shrinks (or grows) the per-class target; shrinking evicts surplus
-    /// ready slots immediately.
-    pub fn set_target(&mut self, target_per_class: usize) {
+    /// ready slots immediately. Returns how many it evicted.
+    pub(crate) fn set_target(&mut self, target_per_class: usize) -> u64 {
         self.target_per_class = target_per_class;
+        let mut evicted = 0;
         for slot in &mut self.slots {
-            while slot.ready > target_per_class {
-                slot.ready -= 1;
-                self.evicted += 1;
-            }
+            let surplus = slot.ready.saturating_sub(target_per_class);
+            slot.ready -= surplus;
+            evicted += surplus as u64;
         }
+        evicted
     }
 
     /// Total memory rent the ready slots charge right now (§7.1).
@@ -139,21 +137,6 @@ impl WarmPool {
             .zip(&self.resident_bytes_per_slot)
             .map(|(slot, &bytes)| slot.ready as u64 * bytes)
             .sum()
-    }
-
-    /// Warm hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Warm misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Guests evicted (returned or refilled above target).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 }
 
@@ -170,9 +153,8 @@ mod tests {
         let mut p = pool();
         assert!(p.try_take(0));
         assert!(p.try_take(0));
-        assert!(!p.try_take(0));
-        assert_eq!(p.hits(), 2);
-        assert_eq!(p.misses(), 1);
+        assert!(!p.try_take(0), "a drained class misses");
+        assert!(p.try_take(1), "the other class still hits");
     }
 
     #[test]
@@ -182,27 +164,25 @@ mod tests {
         assert!(p.wants_refill(1));
         p.refill_started(1);
         assert!(!p.wants_refill(1), "in-flight refill counts toward target");
-        p.refill_done(1);
+        assert!(!p.refill_done(1), "a refill below target is kept");
         assert_eq!(p.ready(1), 2);
-        assert_eq!(p.evicted(), 0);
     }
 
     #[test]
     fn refill_above_target_evicts() {
         let mut p = pool();
         p.refill_started(0);
-        p.refill_done(0); // class 0 already at target
+        assert!(p.refill_done(0), "class 0 is already at target");
         assert_eq!(p.ready(0), 2);
-        assert_eq!(p.evicted(), 1);
     }
 
     #[test]
     fn shrinking_target_evicts_surplus() {
         let mut p = pool();
-        p.set_target(1);
+        assert_eq!(p.set_target(1), 2);
         assert_eq!(p.ready(0), 1);
         assert_eq!(p.ready(1), 1);
-        assert_eq!(p.evicted(), 2);
+        assert_eq!(p.set_target(3), 0, "growing evicts nothing");
     }
 
     #[test]

@@ -115,7 +115,6 @@ pub(crate) struct CircuitBreaker {
     consecutive: u32,
     level: usize,
     open_until: Nanos,
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -146,7 +145,6 @@ impl CircuitBreaker {
             self.consecutive = 0;
             self.level += 1;
             self.open_until = now + Self::COOLDOWN;
-            self.trips += 1;
             true
         } else {
             false
@@ -179,11 +177,6 @@ impl CircuitBreaker {
     /// Current degradation level (0 = healthy).
     pub(crate) fn level(&self) -> usize {
         self.level
-    }
-
-    /// How many times the breaker has tripped.
-    pub(crate) fn trips(&self) -> u64 {
-        self.trips
     }
 }
 
@@ -330,7 +323,6 @@ mod tests {
         assert!(!b.on_failure(t0));
         assert!(b.on_failure(t0), "third consecutive failure trips");
         assert_eq!(b.level(), 1);
-        assert_eq!(b.trips(), 1);
 
         // Success inside the 500 ms cooldown clears the streak but does not heal.
         b.on_success(Nanos::from_millis(50));
@@ -376,10 +368,9 @@ mod tests {
     fn interleaved_failures_do_not_trip_below_threshold() {
         let mut b = CircuitBreaker::new();
         for i in 0..10u64 {
-            assert!(!b.on_failure(Nanos::from_millis(i)));
+            assert!(!b.on_failure(Nanos::from_millis(i)), "no trip");
             b.on_success(Nanos::from_millis(i) + Nanos::from_micros(1));
         }
         assert_eq!(b.level(), 0);
-        assert_eq!(b.trips(), 0);
     }
 }

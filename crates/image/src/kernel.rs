@@ -230,7 +230,7 @@ impl KernelConfig {
     }
 
     /// The descriptor this config embeds.
-    pub fn descriptor(&self) -> KernelDescriptor {
+    fn descriptor(&self) -> KernelDescriptor {
         KernelDescriptor {
             name: self.name.clone(),
             phases: self.phases,

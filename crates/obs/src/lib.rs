@@ -35,5 +35,5 @@ pub mod metrics;
 pub mod trace;
 
 pub use export::{chrome_trace_json, json_escape, phase_breakdown, prometheus_text};
-pub use metrics::{percentile_or_zero, time_weighted_mean, Histogram, Registry};
+pub use metrics::{percentile_or_zero, Histogram, Registry};
 pub use trace::{MarkerKind, MarkerRec, Outcome, Recorder, SpanKind, SpanRec, TraceLog, WorkStep};

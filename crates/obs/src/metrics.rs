@@ -12,8 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use sevf_sim::Nanos;
-
 /// A fixed-bucket-width latency histogram.
 ///
 /// Bucket `i` counts samples in `[i·width, (i+1)·width)`. Buckets grow on
@@ -264,27 +262,6 @@ pub fn percentile_or_zero(values: &[f64], pct: f64) -> f64 {
     }
 }
 
-/// Mean of a step series weighted by how long each value was held:
-/// `samples` are `(instant, value)` points, each value holding until the
-/// next instant. 0 with fewer than two points or a zero-length window.
-pub fn time_weighted_mean(samples: &[(Nanos, usize)]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let mut weighted = 0.0;
-    let mut span = 0.0;
-    for pair in samples.windows(2) {
-        let dt = (pair[1].0 - pair[0].0).as_nanos() as f64;
-        weighted += pair[0].1 as f64 * dt;
-        span += dt;
-    }
-    if span == 0.0 {
-        0.0
-    } else {
-        weighted / span
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,21 +384,5 @@ mod tests {
         let flat = [4.0, 4.0, 4.0, 4.0];
         assert_eq!(percentile_or_zero(&flat, 50.0), 4.0);
         assert_eq!(percentile_or_zero(&flat, 99.0), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_edge_cases() {
-        assert_eq!(time_weighted_mean(&[]), 0.0);
-        assert_eq!(time_weighted_mean(&[(Nanos::from_millis(1), 5)]), 0.0);
-        // Depth 2 held for 3 ms, depth 4 held for 1 ms → (2·3 + 4·1)/4.
-        let series = [
-            (Nanos::from_millis(0), 2),
-            (Nanos::from_millis(3), 4),
-            (Nanos::from_millis(4), 0),
-        ];
-        assert!((time_weighted_mean(&series) - 2.5).abs() < 1e-12);
-        // Zero-length window: all samples at one instant.
-        let degenerate = [(Nanos::from_millis(1), 3), (Nanos::from_millis(1), 9)];
-        assert_eq!(time_weighted_mean(&degenerate), 0.0);
     }
 }

@@ -438,11 +438,6 @@ impl TraceLog {
             .find(|s| s.parent.is_none() && s.request == Some(request))
     }
 
-    /// Direct children of span `id`, in start order.
-    pub fn children(&self, id: usize) -> Vec<&SpanRec> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
-    }
-
     /// `children[i]` = direct child ids of span `i` (single pass).
     pub fn child_index(&self) -> Vec<Vec<usize>> {
         let mut index = vec![Vec::new(); self.spans.len()];
@@ -750,6 +745,11 @@ mod tests {
         Nanos::from_millis(v)
     }
 
+    /// Direct children of span `id`, in start order.
+    fn children_of(log: &TraceLog, id: usize) -> Vec<&SpanRec> {
+        log.spans.iter().filter(|s| s.parent == Some(id)).collect()
+    }
+
     fn psp_step(label: &'static str, dur: Nanos) -> WorkStep {
         WorkStep::new(ResourceClass::Psp, PhaseKind::PreEncryption, label, dur)
     }
@@ -788,7 +788,7 @@ mod tests {
         assert_eq!(root.kind, SpanKind::Request);
         assert_eq!(root.start, ms(0));
         assert_eq!(root.end, ms(8));
-        let children = log.children(root.id);
+        let children = children_of(&log, root.id);
         assert_eq!(children.len(), 2, "queue wait + attempt");
         assert_eq!(children[0].kind, SpanKind::Wait);
         assert_eq!(children[0].name, "queue wait");
@@ -796,7 +796,7 @@ mod tests {
         let attempt = children[1];
         assert_eq!(attempt.kind, SpanKind::Attempt);
         assert_eq!((attempt.start, attempt.end), (ms(2), ms(8)));
-        let inner = log.children(attempt.id);
+        let inner = children_of(&log, attempt.id);
         assert_eq!(inner.len(), 2, "resource wait + step");
         assert_eq!(inner[0].name, "wait psp");
         assert_eq!(inner[1].resource.as_deref(), Some("psp"));
@@ -814,7 +814,7 @@ mod tests {
         rec.terminal(3, Outcome::Completed, ms(7));
         let log = build_on_engine(rec, &[(ms(0), steps.clone()), (ms(5), steps)]);
         let root = log.request_root(3).unwrap();
-        let kinds: Vec<SpanKind> = log.children(root.id).iter().map(|s| s.kind).collect();
+        let kinds: Vec<SpanKind> = children_of(&log, root.id).iter().map(|s| s.kind).collect();
         assert_eq!(
             kinds,
             vec![SpanKind::Attempt, SpanKind::Backoff, SpanKind::Attempt]
@@ -834,7 +834,7 @@ mod tests {
         let root = log.request_root(1).unwrap();
         assert_eq!(root.duration(), Nanos::ZERO);
         assert_eq!(log.requests_with_outcome(Outcome::Shed), [1]);
-        assert!(log.children(root.id).is_empty());
+        assert!(children_of(&log, root.id).is_empty());
     }
 
     #[test]

@@ -105,15 +105,13 @@ pub struct WfqQueue<T> {
     virt: u128,
     seq: u64,
     len: usize,
-    shed: u64,
-    max_depth: usize,
     rng: XorShift64,
     lanes: Vec<Lane<T>>,
 }
 
 impl<T> WfqQueue<T> {
     /// A queue with the given capacity, lane specs, and tie-break seed.
-    /// Bound 0 is dispatch-or-shed: every offer is refused and counted.
+    /// Bound 0 is dispatch-or-shed: every offer is refused.
     pub fn new(bound: usize, specs: &[LaneSpec], seed: u64) -> Result<Self, PolicyError> {
         if specs.is_empty() {
             return Err(PolicyError::Config("wfq needs at least one lane"));
@@ -128,8 +126,6 @@ impl<T> WfqQueue<T> {
             virt: 0,
             seq: 0,
             len: 0,
-            shed: 0,
-            max_depth: 0,
             rng: XorShift64::new(seed ^ 0x5EF0_u64.rotate_left(32)),
             lanes: specs
                 .iter()
@@ -160,21 +156,6 @@ impl<T> WfqQueue<T> {
         self.len == 0
     }
 
-    /// Items shed at this queue (refused or displaced on overflow).
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// High-water mark of the total backlog.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// Current backlog of one lane.
-    pub fn backlog(&self, tenant: usize) -> usize {
-        self.lanes[tenant].items.len()
-    }
-
     fn stamp(&mut self, tenant: usize, cost: Nanos) -> u128 {
         if self.uniform {
             // Equal weights: collapse to FIFO (arrival order).
@@ -200,13 +181,9 @@ impl<T> WfqQueue<T> {
                     let entry = lane.items.pop_back().expect("victim lane non-empty");
                     lane.last_finish = lane.items.back().map(|e| e.finish).unwrap_or(0);
                     self.len -= 1;
-                    self.shed += 1;
                     Some((victim, entry.item))
                 }
-                None => {
-                    self.shed += 1;
-                    return Offer::Refused(item);
-                }
+                None => return Offer::Refused(item),
             }
         } else {
             None
@@ -219,7 +196,6 @@ impl<T> WfqQueue<T> {
         lane.items.push_back(Entry { item, finish, seq });
         lane.last_finish = finish;
         self.len += 1;
-        self.max_depth = self.max_depth.max(self.len);
         match displaced {
             Some((tenant, item)) => Offer::Displaced { tenant, item },
             None => Offer::Queued,
@@ -317,31 +293,34 @@ mod tests {
     }
 
     #[test]
-    fn bound_zero_refuses_everything_and_counts_every_shed() {
+    fn bound_zero_refuses_everything() {
         let mut q = WfqQueue::new(0, &lanes(&[1]), 1).unwrap();
         assert_eq!(q.offer(0, 7u32, ns(10)), Offer::Refused(7));
         assert_eq!(q.offer(0, 8u32, ns(10)), Offer::Refused(8));
-        assert_eq!((q.shed(), q.len(), q.max_depth()), (2, 0, 0));
+        assert!(q.is_empty());
         assert!(q.pop().is_none());
     }
 
     /// The policy-off path: a one-lane queue is a bounded FIFO. Drives the
     /// queue and a plain `VecDeque`-with-a-bound through the same seeded
-    /// operations — same accept/refuse per offer, same pop order, same
-    /// counters, and never a displacement (a lane cannot out-shed itself).
+    /// operations — same accept/refuse per offer, same pop order, as many
+    /// `Refused` + `Displaced` offers as the model sheds, and never a
+    /// displacement (a lane cannot out-shed itself).
     #[test]
     fn one_lane_is_a_bounded_fifo() {
         for bound in [0usize, 1, 8] {
             let mut q = WfqQueue::new(bound, &lanes(&[1]), 0xB0D + bound as u64).unwrap();
             let mut model: VecDeque<u64> = VecDeque::new();
-            let (mut shed, mut max_depth) = (0u64, 0usize);
+            let (mut shed, mut offers_shed) = (0u64, 0u64);
             let mut rng = XorShift64::new(0x1A9E ^ bound as u64);
             for item in 0..2000u64 {
                 if rng.next_below(3) != 0 {
                     let offer = q.offer(0, item, ns(1 + rng.next_below(1_000_000)));
+                    if matches!(offer, Offer::Refused(_) | Offer::Displaced { .. }) {
+                        offers_shed += 1;
+                    }
                     if model.len() < bound {
                         model.push_back(item);
-                        max_depth = max_depth.max(model.len());
                         assert_eq!(offer, Offer::Queued, "bound {bound} item {item}");
                     } else {
                         shed += 1;
@@ -350,10 +329,7 @@ mod tests {
                 } else {
                     assert_eq!(q.pop().map(|(_, got)| got), model.pop_front());
                 }
-                assert_eq!(
-                    (q.len(), q.shed(), q.max_depth()),
-                    (model.len(), shed, max_depth)
-                );
+                assert_eq!((q.len(), offers_shed), (model.len(), shed));
             }
             let rest: Vec<u64> = q.drain().into_iter().map(|(_, got)| got).collect();
             assert_eq!(rest, Vec::from(model));
@@ -487,7 +463,7 @@ mod tests {
                     trace.push((3, t as u64, item));
                 }
             }
-            (trace, q.shed(), q.max_depth())
+            trace
         };
         assert_eq!(run(77), run(77));
         assert_eq!(run(1), run(1));
@@ -543,7 +519,7 @@ mod tests {
             Offer::Refused(item) => assert_eq!(item, 3),
             other => panic!("expected refusal, got {other:?}"),
         }
-        assert_eq!(q.shed(), 1);
+        assert_eq!(q.len(), 2);
     }
 
     /// The victim sequence of three equally sheddable batch lanes under a

@@ -38,21 +38,6 @@ impl PspWork {
     }
 }
 
-/// One executed PSP command, as recorded in the command ledger: which
-/// mailbox command ran, how long the PSP core was busy, and the firmware
-/// epoch it ran in. The ledger is the ground truth the observability
-/// layer checks span trees against — the sum of its durations is exactly
-/// [`Psp::total_busy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommandRecord {
-    /// Mailbox command name (`"LAUNCH_START"`, `"SNP_GUEST_REQUEST"`, ...).
-    pub name: &'static str,
-    /// Time the PSP core was busy executing it.
-    pub duration: Nanos,
-    /// Firmware epoch the command executed in.
-    pub epoch: u64,
-}
-
 /// Result of `LAUNCH_START`.
 #[derive(Debug)]
 pub struct LaunchOutcome {
@@ -112,7 +97,6 @@ pub struct Psp {
     next_handle: u64,
     key_counter: u64,
     firmware_epoch: u64,
-    ledger: Vec<CommandRecord>,
     /// Total PSP-busy time issued so far (observability for experiments).
     pub total_busy: Nanos,
 }
@@ -127,7 +111,6 @@ impl Psp {
             next_handle: 1,
             key_counter: 0,
             firmware_epoch: 0,
-            ledger: Vec::new(),
             total_busy: Nanos::ZERO,
         }
     }
@@ -144,14 +127,6 @@ impl Psp {
         self.firmware_epoch
     }
 
-    /// The command ledger: every command this PSP has executed, in issue
-    /// order. Survives firmware resets (it is the host's log, not PSP
-    /// volatile state); the `SEV_PLATFORM_INIT` entry a reset charges is
-    /// recorded in the *new* epoch.
-    pub fn ledger(&self) -> &[CommandRecord] {
-        &self.ledger
-    }
-
     /// Firmware reset: the PSP reboots and loses **all** volatile state —
     /// every guest launch context (in-flight or finalized) is destroyed, so
     /// old handles now fail with [`PspError::UnknownGuest`] and shared-key
@@ -162,17 +137,13 @@ impl Psp {
     pub fn firmware_reset(&mut self) -> PspWork {
         self.guests.clear();
         self.firmware_epoch += 1;
-        self.charge("SEV_PLATFORM_INIT", Work::FirmwareReset)
+        self.charge(Work::FirmwareReset)
     }
 
-    fn charge(&mut self, name: &'static str, work: Work) -> PspWork {
+    /// Prices one mailbox command's work and books it on the PSP core.
+    fn charge(&mut self, work: Work) -> PspWork {
         let duration = self.cost.price(&work);
         self.total_busy += duration;
-        self.ledger.push(CommandRecord {
-            name,
-            duration,
-            epoch: self.firmware_epoch,
-        });
         PspWork { work, duration }
     }
 
@@ -212,7 +183,7 @@ impl Psp {
         Ok(LaunchOutcome {
             guest: GuestHandle(handle),
             memory_key,
-            work: self.charge("LAUNCH_START", Work::LaunchStart),
+            work: self.charge(Work::LaunchStart),
         })
     }
 
@@ -257,7 +228,7 @@ impl Psp {
         Ok(LaunchOutcome {
             guest: GuestHandle(handle),
             memory_key: key,
-            work: self.charge("LAUNCH_START(shared)", Work::LaunchStartShared),
+            work: self.charge(Work::LaunchStartShared),
         })
     }
 
@@ -288,7 +259,7 @@ impl Psp {
             ctx.chain.add_page(addr + i as u64 * 4096, page);
         }
         let bytes = plaintext.len() as u64;
-        Ok(self.charge("LAUNCH_UPDATE_DATA", Work::LaunchUpdateData(bytes)))
+        Ok(self.charge(Work::LaunchUpdateData(bytes)))
     }
 
     /// `LAUNCH_UPDATE_VMSA`: encrypts and measures the initial register
@@ -317,7 +288,7 @@ impl Psp {
         for vcpu in 0..vcpus {
             ctx.chain.add_vmsa(vcpu, initial_state);
         }
-        Ok(self.charge("LAUNCH_UPDATE_VMSA", Work::LaunchUpdateVmsa(vcpus)))
+        Ok(self.charge(Work::LaunchUpdateVmsa(vcpus)))
     }
 
     /// SNP RMP initialization for the guest's memory: PSP-mediated
@@ -334,7 +305,7 @@ impl Psp {
         } else {
             0
         };
-        Ok(self.charge("RMP_INIT", Work::RmpInit(bytes)))
+        Ok(self.charge(Work::RmpInit(bytes)))
     }
 
     /// `LAUNCH_FINISH`: freezes the measurement; later update commands fail.
@@ -355,7 +326,7 @@ impl Psp {
         ctx.measurement = Some(measurement);
         Ok(FinishOutcome {
             measurement,
-            work: self.charge("LAUNCH_FINISH", Work::LaunchFinish),
+            work: self.charge(Work::LaunchFinish),
         })
     }
 
@@ -386,7 +357,7 @@ impl Psp {
             signature: [0u8; 48],
         };
         report.signature = self.chip.sign(&report.body_bytes());
-        Ok((report, self.charge("SNP_GUEST_REQUEST", Work::GuestRequest)))
+        Ok((report, self.charge(Work::GuestRequest)))
     }
 }
 
@@ -558,34 +529,37 @@ mod tests {
     }
 
     #[test]
-    fn ledger_records_every_command_and_sums_to_total_busy() {
+    fn every_command_books_its_work_on_total_busy() {
         let (mut psp, guest, mut mem) = setup();
+        let started = psp.total_busy;
+        assert!(started > Nanos::ZERO, "LAUNCH_START is charged");
         mem.host_write(0, b"payload").unwrap();
-        psp.launch_update_data(guest, &mut mem, 0, 4096).unwrap();
-        psp.launch_update_vmsa(guest, 2, &[0u8; 4096]).unwrap();
-        psp.rmp_init(guest, &mem).unwrap();
-        psp.launch_finish(guest).unwrap();
-        psp.guest_report(guest, [4u8; 64]).unwrap();
-        psp.firmware_reset();
+        let mut works = vec![
+            psp.launch_update_data(guest, &mut mem, 0, 4096).unwrap(),
+            psp.launch_update_vmsa(guest, 2, &[0u8; 4096]).unwrap(),
+            psp.rmp_init(guest, &mem).unwrap(),
+            psp.launch_finish(guest).unwrap().work,
+            psp.guest_report(guest, [4u8; 64]).unwrap().1,
+        ];
+        assert_eq!(psp.firmware_epoch(), 0);
+        works.push(psp.firmware_reset());
+        // The reset's PLATFORM_INIT is charged in the epoch it creates.
+        assert_eq!(psp.firmware_epoch(), 1);
 
-        let names: Vec<&str> = psp.ledger().iter().map(|c| c.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "LAUNCH_START",
-                "LAUNCH_UPDATE_DATA",
-                "LAUNCH_UPDATE_VMSA",
-                "RMP_INIT",
-                "LAUNCH_FINISH",
-                "SNP_GUEST_REQUEST",
-                "SEV_PLATFORM_INIT",
+        let kinds: Vec<Work> = works.iter().map(|w| w.work.clone()).collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                Work::LaunchUpdateData(4096),
+                Work::LaunchUpdateVmsa(2),
+                Work::RmpInit(_),
+                Work::LaunchFinish,
+                Work::GuestRequest,
+                Work::FirmwareReset,
             ]
-        );
-        let sum: Nanos = psp.ledger().iter().map(|c| c.duration).sum();
-        assert_eq!(sum, psp.total_busy, "ledger is the total_busy breakdown");
-        // The reset's PLATFORM_INIT is logged in the epoch it creates.
-        assert_eq!(psp.ledger().last().unwrap().epoch, 1);
-        assert!(psp.ledger()[..6].iter().all(|c| c.epoch == 0));
+        ));
+        let sum: Nanos = works.iter().map(|w| w.duration).sum();
+        assert_eq!(started + sum, psp.total_busy, "total_busy is every charge");
     }
 
     #[test]

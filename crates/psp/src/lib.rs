@@ -45,7 +45,7 @@ mod report;
 mod template;
 
 pub use error::PspError;
-pub use launch::{CommandRecord, FinishOutcome, GuestHandle, LaunchOutcome, Psp, PspWork};
+pub use launch::{FinishOutcome, GuestHandle, LaunchOutcome, Psp, PspWork};
 pub use measurement::{
     measure_region, paged_measure, IncrementalChain, MeasurementChain, PageDigestCache, PageRef,
     PageType,

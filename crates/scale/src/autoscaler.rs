@@ -57,9 +57,8 @@ const BACKLOG_OUT: f64 = 3.0;
 /// Per-host backlog below which the reactive law considers scale-in.
 const BACKLOG_IN: f64 = 0.5;
 
-/// Autoscaler knobs. Build with [`AutoscalerConfig::reactive`] or
-/// [`AutoscalerConfig::predictive`]; the reactive thresholds are the
-/// constants `BACKLOG_OUT` and `BACKLOG_IN`.
+/// Autoscaler knobs. The reactive thresholds are the constants
+/// `BACKLOG_OUT` and `BACKLOG_IN`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Floor on live hosts; scale-in never drains below this.
@@ -81,30 +80,6 @@ pub struct AutoscalerConfig {
 }
 
 impl AutoscalerConfig {
-    /// A reactive scaler over `[min_hosts, max_hosts]`.
-    pub fn reactive(min_hosts: usize, max_hosts: usize) -> Self {
-        AutoscalerConfig {
-            min_hosts,
-            max_hosts,
-            policy: ScalePolicy::Reactive,
-            tick: Nanos::from_millis(200),
-            cooldown: Nanos::from_millis(400),
-            host_rps: 34.0,
-            warm_budget: 8 * max_hosts,
-        }
-    }
-
-    /// A predictive scaler over `[min_hosts, max_hosts]`.
-    pub fn predictive(min_hosts: usize, max_hosts: usize) -> Self {
-        AutoscalerConfig {
-            policy: ScalePolicy::Predictive {
-                window: 5,
-                lead: Nanos::from_millis(600),
-            },
-            ..AutoscalerConfig::reactive(min_hosts, max_hosts)
-        }
-    }
-
     /// Checks the knobs.
     ///
     /// # Errors
@@ -368,6 +343,32 @@ impl Autoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AutoscalerConfig {
+        /// A reactive scaler over `[min_hosts, max_hosts]`.
+        fn reactive(min_hosts: usize, max_hosts: usize) -> Self {
+            AutoscalerConfig {
+                min_hosts,
+                max_hosts,
+                policy: ScalePolicy::Reactive,
+                tick: Nanos::from_millis(200),
+                cooldown: Nanos::from_millis(400),
+                host_rps: 34.0,
+                warm_budget: 8 * max_hosts,
+            }
+        }
+
+        /// A predictive scaler over `[min_hosts, max_hosts]`.
+        fn predictive(min_hosts: usize, max_hosts: usize) -> Self {
+            AutoscalerConfig {
+                policy: ScalePolicy::Predictive {
+                    window: 5,
+                    lead: Nanos::from_millis(600),
+                },
+                ..AutoscalerConfig::reactive(min_hosts, max_hosts)
+            }
+        }
+    }
 
     fn obs(now_ms: u64, live: usize, arrivals: usize, backlog: usize) -> Observation {
         Observation {

@@ -114,7 +114,6 @@ const VERIFIER_MAGIC: &[u8; 4] = b"SVBV";
 /// attack 3 of §2.6).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifierBinary {
-    features: VerifierFeatures,
     blob: Vec<u8>,
 }
 
@@ -132,7 +131,7 @@ impl VerifierBinary {
             size - blob.len(),
             body_seed.as_bytes(),
         ));
-        VerifierBinary { features, blob }
+        VerifierBinary { blob }
     }
 
     fn encode_features(f: VerifierFeatures) -> u8 {
@@ -140,11 +139,6 @@ impl VerifierBinary {
             | (f.vmlinux_loader as u8) << 1
             | (f.generate_mptable as u8) << 2
             | (f.generate_boot_params as u8) << 3
-    }
-
-    /// The feature set compiled in.
-    pub fn features(&self) -> VerifierFeatures {
-        self.features
     }
 
     /// The binary image to pre-encrypt.

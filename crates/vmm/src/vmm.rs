@@ -105,10 +105,6 @@ pub struct MicroVm {
 pub(crate) struct LiveGuest {
     /// The guest's memory, exactly as left at `init`.
     pub(crate) mem: GuestMemory,
-    /// The PSP launch context (SEV boots) — kept alive so the PSP retains
-    /// the guest's key for the duration of a keep-alive window.
-    #[allow(dead_code)]
-    pub(crate) guest: Option<sevf_psp::GuestHandle>,
     /// The loaded kernel's entry point.
     pub(crate) kernel_entry: u64,
 }
@@ -452,7 +448,6 @@ impl MicroVm {
             report,
             LiveGuest {
                 mem,
-                guest: launched.map(|(guest, _)| guest),
                 kernel_entry: entry,
             },
         ))
