@@ -152,6 +152,12 @@ fn warm_budget_rebalances_across_membership_changes() {
         "expected rebalance passes on both membership edges, got {}",
         report.metrics.rebalances
     );
+    // The return shrinks the survivors' targets back: refills they started
+    // for the dead host's share land above target and are evicted.
+    assert!(
+        report.metrics.evicted > 0,
+        "no rebalance evicted a warm guest"
+    );
 }
 
 #[test]
