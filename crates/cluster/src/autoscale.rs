@@ -10,10 +10,11 @@ use sevf_sim::{Job, Nanos};
 
 use crate::service::{JobKind, State};
 
-/// What the autoscaler did over one run: monotone decision counters (the
-/// obs markers must match them exactly) plus the full audit log of applied
-/// membership and warm-pool changes, which the invariant battery replays.
-#[derive(Debug, Clone)]
+/// What the autoscaler did over one run: the decisions the cluster applied,
+/// counted on the lines that place their obs markers (so the marker counts
+/// equal them exactly), plus the full audit log of applied membership and
+/// warm-pool changes, which the invariant battery replays.
+#[derive(Debug, Clone, Default)]
 pub struct AutoscaleRollup {
     /// The policy that ran ("reactive" or "predictive").
     pub policy: &'static str,
@@ -84,17 +85,15 @@ pub(crate) enum ScaleJob {
     Tick,
 }
 
-/// Live autoscaler state: the pure decision engine plus the cluster-side
-/// bookkeeping its Observations and the audit log are built from.
+/// Live autoscaler state: the pure decision engine, the arrivals its next
+/// Observation reads, and the run's rollup, which the cluster counts into
+/// as it applies each decision and hands over whole at the end.
 pub(crate) struct ScalerState {
     pub(crate) auto: Autoscaler,
     /// Requests that arrived since the previous control tick.
     pub(crate) arrivals_since: usize,
-    /// Applied changes, in virtual-time order.
-    events: Vec<ScaleEvent>,
-    /// Live-host extrema observed at control ticks.
-    min_live: usize,
-    max_live: usize,
+    /// The run's rollup, counted into as each decision is applied.
+    pub(crate) rollup: AutoscaleRollup,
 }
 
 impl ScalerState {
@@ -117,24 +116,12 @@ impl ScalerState {
         ScalerState {
             auto: Autoscaler::new(*cfg).expect("autoscaler config validated in new()"),
             arrivals_since: 0,
-            events: Vec::new(),
-            min_live: hosts,
-            max_live: hosts,
-        }
-    }
-
-    /// The run's decision counters and audit log.
-    pub(crate) fn rollup(&self) -> AutoscaleRollup {
-        let counters = self.auto.counters();
-        AutoscaleRollup {
-            policy: self.auto.config().policy.name(),
-            ticks: counters.ticks,
-            scale_outs: counters.scale_outs,
-            scale_ins: counters.scale_ins,
-            prewarms: counters.prewarms,
-            min_live: self.min_live,
-            max_live: self.max_live,
-            events: self.events.clone(),
+            rollup: AutoscaleRollup {
+                policy: cfg.policy.name(),
+                min_live: hosts,
+                max_live: hosts,
+                ..AutoscaleRollup::default()
+            },
         }
     }
 }
@@ -149,7 +136,8 @@ impl State<'_> {
     /// One autoscaler control tick: build the Observation, run the pure
     /// decision engine, apply the result through the existing graceful
     /// membership paths. One obs marker per emitted decision — never per
-    /// host — so marker counts equal the engine's counters exactly.
+    /// host — counted into the rollup on the same line, so marker counts
+    /// equal the rollup's counts exactly.
     fn on_autoscale_tick(&mut self, now: Nanos, inject: &mut Vec<Job>) {
         let live: Vec<usize> = self
             .hosts
@@ -174,6 +162,7 @@ impl State<'_> {
             queued,
         };
         let decision = sc.auto.tick(&obs);
+        sc.rollup.ticks += 1;
         let min_hosts = sc.auto.config().min_hosts;
         let warm_budget = sc.auto.config().warm_budget;
         let warm_tier = self.config.tier == ServingTier::WarmPool;
@@ -182,6 +171,7 @@ impl State<'_> {
         // refills are already in flight when the new hosts take traffic.
         if let Some(per_host) = decision.prewarm {
             self.front.rec.marker(MarkerKind::PreWarm, None, None, now);
+            self.scale_rollup().prewarms += 1;
             if warm_tier {
                 // Raise-only: a prescription sized for the post-change
                 // fleet must not evict a serving host's slots while the
@@ -202,16 +192,13 @@ impl State<'_> {
                 live: live.len(),
                 warm_sum: self.warm_target_sum(),
             };
-            self.scaler
-                .as_mut()
-                .expect("checked above")
-                .events
-                .push(event);
+            self.scale_rollup().events.push(event);
         }
 
         match decision.action {
             ScaleAction::ScaleOut { add } => {
                 self.front.rec.marker(MarkerKind::ScaleOut, None, None, now);
+                self.scale_rollup().scale_outs += 1;
                 // Lowest-id cold spares join first: deterministic order,
                 // and a spare felled by a scheduled outage stays out.
                 let spares: Vec<usize> = self
@@ -247,6 +234,7 @@ impl State<'_> {
             }
             ScaleAction::ScaleIn { remove } => {
                 self.front.rec.marker(MarkerKind::ScaleIn, None, None, now);
+                self.scale_rollup().scale_ins += 1;
                 // Highest-id idle victims drain first; a host with
                 // in-flight launches or an undrained queue never drains
                 // (the invariant battery replays this from the audit log).
@@ -283,10 +271,19 @@ impl State<'_> {
     /// current live count into the observed extrema.
     fn record_scale(&mut self, event: Option<ScaleEvent>) {
         let live_now = self.live_count();
-        let sc = self.scaler.as_mut().expect("scale jobs imply a scaler");
-        sc.events.extend(event);
-        sc.min_live = sc.min_live.min(live_now);
-        sc.max_live = sc.max_live.max(live_now);
+        let rollup = self.scale_rollup();
+        rollup.events.extend(event);
+        rollup.min_live = rollup.min_live.min(live_now);
+        rollup.max_live = rollup.max_live.max(live_now);
+    }
+
+    /// The rollup the tick in hand counts into.
+    fn scale_rollup(&mut self) -> &mut AutoscaleRollup {
+        &mut self
+            .scaler
+            .as_mut()
+            .expect("scale jobs imply a scaler")
+            .rollup
     }
 
     /// Provisioned hosts: routable plus warming spares. This is the count

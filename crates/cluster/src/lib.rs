@@ -57,7 +57,7 @@ pub mod tracedemo;
 
 pub use attsweep::{att_sweep, AttSweepConfig};
 pub use experiment::{cluster_sweep, ClusterSweepConfig, ClusterSweepReport, SweepCell};
-pub use metrics::{ClusterMetrics, HostRollup};
+pub use metrics::ClusterMetrics;
 pub use netsweep::{net_sweep, NetSweepConfig};
 pub use placement::{PlacementPolicy, Router};
 pub use policysweep::{policy_sweep, PolicySweepConfig};

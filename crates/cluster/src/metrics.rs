@@ -1,14 +1,16 @@
-//! Cluster-level metric rollups over the per-host [`FleetMetrics`].
+//! The cluster's report of one run: the hosts' own [`FleetMetrics`], kept
+//! whole, and the cluster-wide figures over them.
 //!
-//! Each host keeps its own counters and latency samples during the run; at
-//! the end they are merged into one [`ClusterMetrics`], beside the
-//! request-level counts the shared front end kept (breaker sheds,
-//! timeouts, failures, rejections, retries): aggregate goodput,
-//! cluster-wide p50/p99 over the merged latency samples (computed with
-//! [`sevf_obs::percentile_or_zero`], which wraps the tree's single
-//! percentile implementation in `sevf_sim::stats`), per-host PSP
-//! utilization skew, the cluster cache
-//! hit-rate, and the conservation invariant every run must satisfy:
+//! Each host counts into its own `FleetMetrics` during the run; at the end
+//! each record moves into [`ClusterMetrics::hosts`] unchanged, and the
+//! cluster sums what hosts count (completions, sheds, faults, evictions,
+//! latencies) beside the request-level counts the shared front end kept
+//! (breaker sheds, timeouts, failures, rejections, retries). From these
+//! come aggregate goodput, cluster-wide p50/p99 over the merged latency
+//! samples (computed with [`sevf_obs::percentile_or_zero`], which wraps
+//! the tree's single percentile implementation in `sevf_sim::stats`),
+//! per-host PSP utilization skew, the cluster cache hit-rate, and the
+//! conservation invariant every run must satisfy:
 //!
 //! ```text
 //! completed + shed + breaker_sheds + timeouts + failed + rejected == issued
@@ -17,27 +19,6 @@
 use sevf_fleet::metrics::FleetMetrics;
 use sevf_obs::percentile_or_zero;
 use sevf_sim::Nanos;
-
-/// Per-host slice of the rollup, for skew tables and debugging.
-#[derive(Debug, Clone)]
-pub struct HostRollup {
-    /// Host id.
-    pub host: usize,
-    /// Requests this host served to completion.
-    pub completed: usize,
-    /// Requests this host's admission queue shed.
-    pub shed: u64,
-    /// Template-cache hits on this host.
-    pub cache_hits: u64,
-    /// Template-cache misses (fills / re-measurements) on this host.
-    pub cache_misses: u64,
-    /// Warm-pool hits on this host.
-    pub warm_hits: u64,
-    /// This host's PSP busy fraction over the cluster makespan.
-    pub psp_utilization: f64,
-    /// Injected-fault occurrences recorded on this host.
-    pub faults: u64,
-}
 
 /// The cluster-wide rollup of one run.
 #[derive(Debug, Clone, Default)]
@@ -113,32 +94,27 @@ pub struct ClusterMetrics {
     pub host_seconds: f64,
     /// End of the last completion on the shared clock.
     pub makespan: Nanos,
-    /// Per-host slices.
-    pub hosts: Vec<HostRollup>,
+    /// Each host's own record of the run, in host-id order: every counter
+    /// it kept (warm misses, degraded dispatches, breaker trips, the
+    /// deepest its queue got, faults by kind), its latencies, and what
+    /// the run's end set (utilization, makespan, time degraded). The
+    /// request-level counts on it are 0: the front end keeps those.
+    pub hosts: Vec<FleetMetrics>,
 }
 
 impl ClusterMetrics {
-    /// Folds one host's metrics into the rollup: what a host counts
-    /// (completions, admission sheds, faults, evictions, cache and warm
-    /// hits) and its PSP utilization. The request-level counts are the
-    /// front end's, not the hosts'.
-    pub(crate) fn absorb_host(&mut self, host: usize, m: &FleetMetrics) {
+    /// Sums what a host counts (completions, admission sheds, faults,
+    /// evictions, latencies) into the cluster's figures and keeps the
+    /// host's record itself. The request-level counts are the front end's,
+    /// not the hosts'.
+    pub(crate) fn absorb_host(&mut self, m: FleetMetrics) {
         self.completed += m.completed;
         self.shed += m.shed;
         self.faults += m.faults.total();
         self.evicted += m.evicted;
         self.latencies_ms
             .extend(m.latencies.iter().map(|n| n.as_millis_f64()));
-        self.hosts.push(HostRollup {
-            host,
-            completed: m.completed,
-            shed: m.shed,
-            cache_hits: m.cache_hits,
-            cache_misses: m.cache_misses,
-            warm_hits: m.warm_hits,
-            psp_utilization: m.psp_utilization,
-            faults: m.faults.total(),
-        });
+        self.hosts.push(m);
     }
 
     /// Completed requests per second of makespan, summed over hosts.
@@ -296,6 +272,8 @@ mod tests {
             cache_hits: 4,
             cache_misses: 2,
             evicted: 3,
+            breaker_trips: 2,
+            max_queue_depth: 7,
             psp_utilization: 0.9,
             ..FleetMetrics::default()
         };
@@ -306,11 +284,12 @@ mod tests {
             completed: 2,
             timeouts: 1,
             evicted: 1,
+            warm_misses: 5,
             psp_utilization: 0.3,
             ..FleetMetrics::default()
         };
-        m.absorb_host(0, &a);
-        m.absorb_host(1, &b);
+        m.absorb_host(a);
+        m.absorb_host(b);
         m.issued = 6;
         assert_eq!(m.completed, 5);
         assert_eq!(m.shed, 1);
@@ -319,6 +298,15 @@ mod tests {
         assert_eq!(m.latencies_ms.len(), 1);
         assert!((m.psp_skew() - 0.6).abs() < 1e-12);
         assert!((m.cache_hit_rate() - 4.0 / 6.0).abs() < 1e-12);
+        assert_eq!(m.cache_misses(), 2);
         assert!(m.conserved());
+        // Each host's record survives whole, counters no cluster figure sums
+        // included.
+        assert_eq!(m.hosts.len(), 2);
+        assert_eq!(m.hosts[0].breaker_trips, 2);
+        assert_eq!(m.hosts[0].max_queue_depth, 7);
+        assert_eq!(m.hosts[0].latencies, [Nanos::from_millis(10)]);
+        assert_eq!(m.hosts[1].warm_misses, 5);
+        assert_eq!(m.hosts[1].timeouts, 1);
     }
 }

@@ -145,8 +145,8 @@ pub(crate) struct State<'a> {
     pub(crate) router: Router,
     /// The run's rollup. The cluster's own counters (unroutable sheds,
     /// failovers, rebalances, the net layer's) are counted into it where
-    /// each event is observed; the per-host and front totals join at the
-    /// end of the run.
+    /// each event is observed; the hosts' records and the front's counts
+    /// join at the end of the run.
     pub(crate) metrics: ClusterMetrics,
     /// Availability accounting.
     pub(crate) members: Membership,
@@ -279,14 +279,14 @@ impl ClusterService {
         metrics.host_seconds = state.members.close(makespan);
         for host in &mut state.hosts {
             host.finish_metrics(&trace);
-            metrics.absorb_host(host.id, &host.metrics);
+            metrics.absorb_host(std::mem::take(&mut host.metrics));
         }
         let front = &state.front;
-        metrics.timeouts = front.totals.timeouts;
-        metrics.failed = front.totals.failed;
-        metrics.rejected = front.totals.rejected;
-        metrics.breaker_sheds = front.totals.breaker_sheds;
-        metrics.retries = front.totals.retries;
+        metrics.timeouts = front.timeouts;
+        metrics.failed = front.failed;
+        metrics.rejected = front.rejected;
+        metrics.breaker_sheds = front.breaker_sheds;
+        metrics.retries = front.retries;
         metrics.posture_checks = front.posture_checks;
         metrics.posture_redirects = front.posture_redirects;
         metrics.posture_violations = front.posture_violations;
@@ -298,7 +298,7 @@ impl ClusterService {
             metrics,
             attestation: front.plane.as_ref().map(|p| *p.metrics()),
             tenants: front.tenant_rollups(),
-            autoscale: state.scaler.as_ref().map(ScalerState::rollup),
+            autoscale: state.scaler.map(|s| s.rollup),
             trace,
         };
         (report, log)

@@ -174,7 +174,8 @@ fn graceful_leave_drains_without_poisoning() {
     assert!(report.metrics.conserved());
     // A departure never records outage faults: in-flight work finishes.
     assert_eq!(
-        report.metrics.hosts[2].faults, 0,
+        report.metrics.hosts[2].faults.total(),
+        0,
         "graceful leave poisoned in-flight work"
     );
     assert!(report.metrics.completed > 0);
@@ -192,7 +193,12 @@ fn per_host_fault_domains_stay_decorrelated() {
     assert!(report.metrics.conserved());
     // Domain-derived plans differ per host, so fault counts should not be
     // identical across all three hosts (same plan everywhere would be).
-    let counts: Vec<u64> = report.metrics.hosts.iter().map(|h| h.faults).collect();
+    let counts: Vec<u64> = report
+        .metrics
+        .hosts
+        .iter()
+        .map(|h| h.faults.total())
+        .collect();
     assert!(
         !(counts[0] == counts[1] && counts[1] == counts[2] && counts[0] > 0)
             || report.metrics.faults == 0,

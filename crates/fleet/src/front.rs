@@ -32,7 +32,6 @@ use sevf_sim::{Job, Nanos};
 use crate::admission::AdmissionConfig;
 use crate::blueprint::Catalog;
 use crate::host::Host;
-use crate::metrics::FleetMetrics;
 use crate::recovery::RecoveryConfig;
 use crate::service::ServingTier;
 use crate::workload::{open_arrivals, Arrival, RequestMix};
@@ -172,9 +171,19 @@ pub struct Front<'a, J> {
     pub rec: Recorder,
     /// What each engine job index means; index == injection order.
     pub meta: Vec<J>,
-    /// Request-level counters: timeouts, failed, rejected, breaker sheds,
-    /// retries (host-level counters live on each host's own metrics).
-    pub totals: FleetMetrics,
+    /// Requests shed past the bottom of a class's degradation ladder. This
+    /// and the next four are the request-level counts; a host counts what
+    /// happens on it into its own `FleetMetrics`.
+    pub breaker_sheds: u64,
+    /// Requests shed on deadline (at retry scheduling or while queued).
+    pub timeouts: u64,
+    /// Requests permanently failed after exhausting the retry budget.
+    pub failed: u64,
+    /// Requests the policy engine turned away (quota, isolation, or no
+    /// posture-eligible host).
+    pub rejected: u64,
+    /// Retry launches scheduled beyond each request's first attempt.
+    pub retries: u64,
     /// Posture eligibility checks run (placement plus dispatch re-checks).
     pub posture_checks: u64,
     /// Queued requests re-routed because their host's posture changed.
@@ -233,7 +242,11 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
             }),
             rec,
             meta: Vec::new(),
-            totals: FleetMetrics::default(),
+            breaker_sheds: 0,
+            timeouts: 0,
+            failed: 0,
+            rejected: 0,
+            retries: 0,
             posture_checks: 0,
             posture_redirects: 0,
             posture_violations: 0,
@@ -398,10 +411,10 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
         let latency = now - self.arrived[request];
         match outcome {
             ReqOutcome::Completed | ReqOutcome::Shed => {}
-            ReqOutcome::BreakerShed => self.totals.breaker_sheds += 1,
-            ReqOutcome::Timeout => self.totals.timeouts += 1,
-            ReqOutcome::Failed => self.totals.failed += 1,
-            ReqOutcome::Rejected => self.totals.rejected += 1,
+            ReqOutcome::BreakerShed => self.breaker_sheds += 1,
+            ReqOutcome::Timeout => self.timeouts += 1,
+            ReqOutcome::Failed => self.failed += 1,
+            ReqOutcome::Rejected => self.rejected += 1,
         }
         self.rec.terminal(request, outcome, now);
         if let Some(ps) = self.policy.as_mut() {
@@ -524,7 +537,7 @@ impl<'a, J: From<ServeJob>> Front<'a, J> {
             self.terminal(request, ReqOutcome::Timeout, now, inject);
             return;
         }
-        self.totals.retries += 1;
+        self.retries += 1;
         self.rec.retry_wait(request, failures, now, at);
         self.mark(inject, at, ServeJob::Retry { request });
     }

@@ -706,13 +706,22 @@ impl Host {
         }
     }
 
-    /// Sets what only the run's trace knows: PSP and CPU utilization and
-    /// the makespan. Every other figure was counted as the run went.
+    /// Sets what only the run's end knows: PSP and CPU utilization and the
+    /// makespan from the trace, and the time this host's PSP spent inside
+    /// its plan's firmware-reset outages (clipped to the makespan). Every
+    /// other figure was counted as the run went.
     pub fn finish_metrics(&mut self, trace: &RunTrace) {
         let m = &mut self.metrics;
         m.psp_utilization = trace.utilization(self.psp, 1);
         m.cpu_utilization = trace.utilization(self.cpu, HOST_CORES);
         m.makespan = trace.makespan();
+        if let Some(plan) = &self.plan {
+            m.time_degraded = plan
+                .resets()
+                .iter()
+                .map(|w| w.end.min(m.makespan).saturating_sub(w.start))
+                .sum();
+        }
     }
 }
 

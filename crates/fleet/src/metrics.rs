@@ -10,8 +10,10 @@
 //! The host counts; its parts only decide. The warm pool, the admission
 //! queue, the circuit breakers and the template set hold no counter: the
 //! host counts each of their answers here on the line where it acts on
-//! it, and the end of a run adds only what the trace alone knows
-//! (utilization and makespan).
+//! it, and the end of a run adds only what the run's end alone knows
+//! (utilization and makespan from the trace, time degraded from the
+//! host's fault plan clipped to the makespan). The front end counts the
+//! request-level outcomes in its own fields; a driver assigns them here.
 
 use sevf_sim::fault::FaultKind;
 use sevf_sim::{Nanos, Summary};
@@ -64,8 +66,10 @@ impl FaultCounters {
     }
 }
 
-/// Metrics collected over one [`crate::service::FleetService`] run.
-#[derive(Debug, Clone, Default)]
+/// One host's record of a run: the report of a
+/// [`crate::service::FleetService`] run, and each of a cluster report's
+/// per-host records.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetMetrics {
     /// Requests that completed a launch (or warm invocation).
     pub completed: usize,

@@ -268,22 +268,14 @@ impl FleetService {
         drop(outcomes);
 
         host.finish_metrics(&trace);
-        let totals = std::mem::take(&mut front.totals);
-        let mut metrics = FleetMetrics {
-            timeouts: totals.timeouts,
-            failed: totals.failed,
-            rejected: totals.rejected,
-            breaker_sheds: totals.breaker_sheds,
-            retries: totals.retries,
+        let metrics = FleetMetrics {
+            timeouts: front.timeouts,
+            failed: front.failed,
+            rejected: front.rejected,
+            breaker_sheds: front.breaker_sheds,
+            retries: front.retries,
             ..std::mem::take(&mut host.metrics)
         };
-        if let Some(plan) = &host.plan {
-            metrics.time_degraded = plan
-                .resets()
-                .iter()
-                .map(|w| w.end.min(metrics.makespan).saturating_sub(w.start))
-                .sum();
-        }
         let report = FleetReport {
             tier: config.tier,
             offered_rps: config.arrival.offered_rps(),

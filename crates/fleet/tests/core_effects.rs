@@ -459,8 +459,8 @@ fn run(catalog: &Catalog, tier: ServingTier, arrival: Arrival, seed: u64) -> (us
     assert_eq!(h.host.inflight + h.host.queue_len(), 0);
     assert_eq!(h.host.poisoned(), 0);
     assert!(h.doomed.is_empty() && h.fenced.is_empty());
-    let t = &h.front.totals;
-    let lost = h.host.metrics.shed + t.breaker_sheds + t.timeouts + t.failed + t.rejected;
+    let f = &h.front;
+    let lost = h.host.metrics.shed + f.breaker_sheds + f.timeouts + f.failed + f.rejected;
     assert_eq!(h.completed + lost as usize, REQUESTS, "conservation");
     (h.doomed_total, h.seen)
 }

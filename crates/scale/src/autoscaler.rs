@@ -17,9 +17,11 @@
 //!   pools on the hosts it is about to need, because a warm boot is ~free
 //!   while a cold SEV launch is pinned at the measured per-host ceiling.
 //!
-//! Decisions are deterministic (no RNG anywhere in this module) and every
-//! emitted non-hold decision increments exactly one counter, so obs marker
-//! counts can be checked against the counters exactly.
+//! Decisions are deterministic (no RNG anywhere in this module), and the
+//! engine keeps no counters: its state is only what the next decision
+//! reads (the rate window, the last change, the last prescription), so
+//! two runs through the same decisions end in the same state. The cluster
+//! counts each decision it applies, on the line that places its obs marker.
 
 use sevf_sim::Nanos;
 
@@ -152,20 +154,6 @@ pub struct Decision {
     pub prewarm: Option<usize>,
 }
 
-/// Monotone counters of emitted decisions; obs markers must match these
-/// exactly (checked by `tests/observability.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScaleCounters {
-    /// Control ticks processed.
-    pub ticks: u64,
-    /// Scale-out decisions emitted.
-    pub scale_outs: u64,
-    /// Scale-in decisions emitted.
-    pub scale_ins: u64,
-    /// Pre-warm prescriptions emitted.
-    pub prewarms: u64,
-}
-
 /// The decision engine. Deterministic, RNG-free; all cluster state arrives
 /// through [`Observation`]s.
 #[derive(Debug, Clone)]
@@ -178,7 +166,6 @@ pub struct Autoscaler {
     last_change: Option<Nanos>,
     /// Last per-host warm prescription emitted, to avoid re-prescribing.
     last_prewarm: Option<usize>,
-    counters: ScaleCounters,
 }
 
 impl Autoscaler {
@@ -194,18 +181,12 @@ impl Autoscaler {
             rates: Vec::new(),
             last_change: None,
             last_prewarm: None,
-            counters: ScaleCounters::default(),
         })
     }
 
     /// The validated knobs.
     pub fn config(&self) -> &AutoscalerConfig {
         &self.config
-    }
-
-    /// Decision counters so far.
-    pub fn counters(&self) -> ScaleCounters {
-        self.counters
     }
 
     /// Observed rate in req/s over the window (reactive: the last tick).
@@ -245,10 +226,8 @@ impl Autoscaler {
         need.clamp(self.config.min_hosts, self.config.max_hosts)
     }
 
-    /// Processes one control tick. Exactly one counter increments per
-    /// emitted non-hold action and per emitted prescription.
+    /// Processes one control tick.
     pub fn tick(&mut self, obs: &Observation) -> Decision {
-        self.counters.ticks += 1;
         let tick_secs = self.config.tick.as_secs_f64();
         let rate = obs.arrivals as f64 / tick_secs;
         let window = match self.config.policy {
@@ -321,19 +300,8 @@ impl Autoscaler {
             }
         };
 
-        match action {
-            ScaleAction::ScaleOut { .. } => {
-                self.counters.scale_outs += 1;
-                self.last_change = Some(obs.now);
-            }
-            ScaleAction::ScaleIn { .. } => {
-                self.counters.scale_ins += 1;
-                self.last_change = Some(obs.now);
-            }
-            ScaleAction::Hold => {}
-        }
-        if prewarm.is_some() {
-            self.counters.prewarms += 1;
+        if action != ScaleAction::Hold {
+            self.last_change = Some(obs.now);
         }
 
         Decision { action, prewarm }
@@ -429,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_match_emitted_decisions_exactly() {
+    fn reactive_scales_out_back_in_and_re_prescribes_warm_slots() {
         let mut auto = Autoscaler::new(AutoscalerConfig::reactive(1, 6)).unwrap();
         let mut outs = 0u64;
         let mut ins = 0u64;
@@ -454,11 +422,6 @@ mod tests {
                 warms += 1;
             }
         }
-        let c = auto.counters();
-        assert_eq!(c.ticks, 40);
-        assert_eq!(c.scale_outs, outs);
-        assert_eq!(c.scale_ins, ins);
-        assert_eq!(c.prewarms, warms);
         assert!(outs > 0 && ins > 0 && warms > 0);
     }
 

@@ -11,16 +11,16 @@
 //!   sampling that consumes exactly one RNG draw per arrival for every
 //!   shape. A cluster with no curve keeps the fleet's fixed-rate
 //!   generator.
-//! * [`autoscaler`] — a pure, RNG-free decision engine with a reactive
-//!   (backlog thresholds + cooldown hysteresis) and a predictive
-//!   (windowed rate forecast + pool pre-warming) policy. The cluster
-//!   layer applies its [`Decision`]s through the existing graceful
-//!   join/leave paths.
+//! * [`autoscaler`] — a pure, RNG-free decision engine that keeps no
+//!   counters, with a reactive (backlog thresholds + cooldown
+//!   hysteresis) and a predictive (windowed rate forecast + pool
+//!   pre-warming) policy. The cluster layer applies its [`Decision`]s
+//!   through the existing graceful join/leave paths.
 //!
 //! Deliberately dependency-light: sevf-sim only, for time and RNG —
-//! obs markers (ScaleOut/ScaleIn/PreWarm) are emitted by the cluster
-//! layer when it applies decisions, so this crate sits under
-//! `sevf-cluster` without cycles.
+//! obs markers (ScaleOut/ScaleIn/PreWarm) are emitted, and the decisions
+//! counted, by the cluster layer when it applies them, so this crate sits
+//! under `sevf-cluster` without cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +32,7 @@ pub mod autoscaler;
 pub mod workload;
 
 pub use autoscaler::{
-    Autoscaler, AutoscalerConfig, Decision, Observation, ScaleAction, ScaleCounters, ScalePolicy,
+    Autoscaler, AutoscalerConfig, Decision, Observation, ScaleAction, ScalePolicy,
 };
 pub use workload::{curve_arrivals, Diurnal, FlashCrowd, Workload, WorkloadCurve};
 

@@ -164,7 +164,12 @@ fn breaker_trips_equal_their_markers_in_the_fleet_and_a_one_host_cluster() {
         report.metrics.completed, completed,
         "the cluster replays the fleet"
     );
-    assert_eq!(log.count_marker(MarkerKind::BreakerTrip) as u64, trips);
+    let host_trips = report.metrics.hosts[0].breaker_trips;
+    assert_eq!(
+        host_trips, trips,
+        "the cluster's host record keeps its trips"
+    );
+    assert_eq!(log.count_marker(MarkerKind::BreakerTrip) as u64, host_trips);
 }
 
 #[test]

@@ -4,8 +4,10 @@
 //! request front end and per-host machine (`sevf_fleet::front`,
 //! `sevf_fleet::host`). A 1-host cluster — round-robin placement, every
 //! optional layer off, the fleet's plan generated for fault domain 0 —
-//! must therefore replay the fleet exactly: every terminal counter, every
-//! fault, every cache and warm hit, the makespan, and the full latency
+//! must therefore replay the fleet exactly: every terminal counter, the
+//! host's whole `FleetMetrics` record (faults by kind, cache and warm hits
+//! and misses, evictions, degraded dispatches, breaker trips, the deepest
+//! queue, time degraded, utilization), the makespan, and the full latency
 //! multiset, on one seed, across {cold, template, warm} × {open, closed} ×
 //! {fault-free, transient+resilient, transient+naive, storm+resilient,
 //! storm+naive}.
@@ -25,6 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sevf_cluster::prelude::*;
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
+use sevf_fleet::metrics::FleetMetrics;
 use sevf_fleet::recovery::RecoveryConfig;
 use sevf_fleet::service::{FleetConfig, FleetService};
 use sevf_fleet::workload::Arrival;
@@ -55,11 +58,24 @@ struct Digest {
     rejected: u64,
     retries: u64,
     faults: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    warm_hits: u64,
     makespan: Nanos,
     sorted_latencies_ms: Vec<f64>,
+    /// The one host's own record: the fleet's report with the front end's
+    /// counts taken out, or the cluster's `hosts[0]`.
+    host: FleetMetrics,
+}
+
+/// The fleet's report as the host alone kept it: the request-level counts
+/// the front end keeps are 0 on a cluster host's record.
+fn host_record(m: &FleetMetrics) -> FleetMetrics {
+    FleetMetrics {
+        breaker_sheds: 0,
+        timeouts: 0,
+        failed: 0,
+        rejected: 0,
+        retries: 0,
+        ..m.clone()
+    }
 }
 
 fn sorted(mut ms: Vec<f64>) -> Vec<f64> {
@@ -92,11 +108,9 @@ fn fleet_digest(
         rejected: m.rejected,
         retries: m.retries,
         faults: m.faults.total(),
-        cache_hits: m.cache_hits,
-        cache_misses: m.cache_misses,
-        warm_hits: m.warm_hits,
         makespan: m.makespan,
         sorted_latencies_ms: sorted(m.latencies.iter().map(|l| l.as_millis_f64()).collect()),
+        host: host_record(&m),
     }
 }
 
@@ -131,10 +145,8 @@ fn cluster_digest(
         rejected: m.rejected,
         retries: m.retries,
         faults: m.faults,
-        cache_hits: m.hosts[0].cache_hits,
-        cache_misses: m.hosts[0].cache_misses,
-        warm_hits: m.hosts[0].warm_hits,
         makespan: m.makespan,
+        host: m.hosts[0].clone(),
         sorted_latencies_ms: sorted(m.latencies_ms),
     }
 }
@@ -163,6 +175,10 @@ fn one_host_cluster_replays_the_fleet_on_the_whole_grid() {
     ];
     let mut exact = 0;
     let mut faulted = 0;
+    // Trips, degraded dispatches, warm misses, queue depth, and cells with
+    // time degraded: the host counters compared below are not all zero.
+    // (No cell evicts a warm guest: targets never shrink here.)
+    let mut exercised = [0u64; 5];
     for tier in [
         ServingTier::Cold,
         ServingTier::Template,
@@ -173,12 +189,22 @@ fn one_host_cluster_replays_the_fleet_on_the_whole_grid() {
                 let fleet = fleet_digest(&catalog, tier, arrival, fault.as_ref(), *recovery);
                 let cluster = cluster_digest(&catalog, tier, arrival, fault.as_ref(), *recovery);
                 faulted += fleet.faults.min(1);
+                let h = &fleet.host;
+                exercised[0] += h.breaker_trips;
+                exercised[1] += h.degraded_dispatches;
+                exercised[2] += h.warm_misses;
+                exercised[3] += h.max_queue_depth as u64;
+                exercised[4] += u64::from(h.time_degraded > Nanos::ZERO);
                 assert_eq!(fleet, cluster, "{} / {loop_name} / {arm}", tier.name());
                 exact += 1;
             }
         }
     }
     assert_eq!(exact, 30);
+    assert!(
+        exercised.iter().all(|&n| n > 0),
+        "a host counter stayed 0 on every cell: {exercised:?}"
+    );
     // The faulty arms really exercised the failure paths being compared.
     assert!(
         faulted >= 20,
