@@ -262,6 +262,7 @@ impl ClusterConfig {
         }
         if let Some(curve) = &self.workload {
             curve.validate()?;
+            curve.check_covers(self.requests)?;
             if !matches!(self.arrival, Arrival::Open { .. }) {
                 return Err(ClusterError::Config(
                     "workload curves shape open-loop arrivals only",

@@ -417,6 +417,29 @@ fn invalid_configs_are_rejected_with_chained_errors() {
 }
 
 #[test]
+fn a_curve_too_sparse_for_its_requests_is_refused() {
+    use sevf_scale::{CurveError, Diurnal, ScaleError, Workload};
+    // Valid knobs, but under 0.02 expected arrivals over the whole clock:
+    // the generator would issue all 240 requests at the clock's end.
+    let sparse = ClusterConfig {
+        workload: Some(Workload::Diurnal(Diurnal {
+            base: 1e-12,
+            amplitude: 0.0,
+            period: Nanos::from_secs(1),
+        })),
+        ..base(2, ServingTier::Template)
+    };
+    let err = ClusterService::new(catalog(), sparse).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Scale(ScaleError::Workload(CurveError::TooSparse))
+        ),
+        "{err}"
+    );
+}
+
+#[test]
 fn one_host_verifier_latency_rides_the_launch() {
     use sevf_attplane::AttPlaneConfig;
     let attested = |att: Option<AttPlaneConfig>| {

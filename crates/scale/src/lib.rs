@@ -43,10 +43,16 @@ pub enum CurveError {
     RateNotPositive,
     /// A diurnal amplitude exceeds its base (the rate would go negative).
     AmplitudeExceedsBase,
-    /// A period, decay, or ramp duration is zero.
+    /// A diurnal period or a flash-crowd decay is zero (a zero ramp is a
+    /// valid instantaneous step).
     PeriodZero,
     /// A flash-crowd peak sits below its base rate.
     PeakBelowBase,
+    /// A flash crowd's `at + ramp` is past the clock's end.
+    RampEndOverflows,
+    /// The curve's expected arrivals before the clock's end fall short of
+    /// the requests asked of it.
+    TooSparse,
 }
 
 impl fmt::Display for CurveError {
@@ -54,8 +60,12 @@ impl fmt::Display for CurveError {
         let what = match self {
             CurveError::RateNotPositive => "rate must be positive and finite",
             CurveError::AmplitudeExceedsBase => "amplitude must be within [0, base]",
-            CurveError::PeriodZero => "period, decay, and ramp durations must be positive",
+            CurveError::PeriodZero => "period and decay durations must be positive",
             CurveError::PeakBelowBase => "peak rate must be at least the base rate",
+            CurveError::RampEndOverflows => "at + ramp must fall within the clock",
+            CurveError::TooSparse => {
+                "curve cannot offer the requested arrivals before the clock ends"
+            }
         };
         write!(f, "{what}")
     }
