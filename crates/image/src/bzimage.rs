@@ -15,6 +15,8 @@
 //! compressed the payload (real kernels encode this in the payload's own
 //! magic; a dedicated field keeps the loader honest and simple).
 
+use std::ops::Range;
+
 use sevf_codec::Codec;
 
 use crate::content::{generate, ContentProfile};
@@ -107,6 +109,10 @@ pub fn build(vmlinux: &[u8], codec: Codec) -> Vec<u8> {
     image
 }
 
+/// Bytes at the start of a bzImage that hold every setup-header field
+/// [`payload_range`] reads.
+pub const HEADER_LEN: usize = 0x260;
+
 /// Parses a bzImage, returning the (still compressed) payload, borrowed
 /// from `image`, and its codec.
 ///
@@ -115,37 +121,49 @@ pub fn build(vmlinux: &[u8], codec: Codec) -> Vec<u8> {
 /// Returns [`ImageError::BadBzImage`] if the signature, header magic, or
 /// offsets are invalid.
 pub fn parse(image: &[u8]) -> Result<(&[u8], Codec), ImageError> {
-    if image.len() < 0x260 {
+    let (payload, codec) = payload_range(image, image.len())?;
+    Ok((&image[payload], codec))
+}
+
+/// [`parse`] of a bzImage of `image_len` bytes from its first bytes alone
+/// (`head`, at least [`HEADER_LEN`] of them, or the whole image): the
+/// payload's byte range in the image, and its codec.
+///
+/// # Errors
+///
+/// Those of [`parse`].
+pub fn payload_range(head: &[u8], image_len: usize) -> Result<(Range<usize>, Codec), ImageError> {
+    if head.len() < HEADER_LEN || image_len < HEADER_LEN {
         return Err(ImageError::BadBzImage("shorter than the setup header"));
     }
-    if image[510] != 0x55 || image[511] != 0xaa {
+    if head[510] != 0x55 || head[511] != 0xaa {
         return Err(ImageError::BadBzImage("missing 0x55AA boot signature"));
     }
-    if &image[HDRS_OFFSET..HDRS_OFFSET + 4] != b"HdrS" {
+    if &head[HDRS_OFFSET..HDRS_OFFSET + 4] != b"HdrS" {
         return Err(ImageError::BadBzImage("missing HdrS magic"));
     }
-    let setup_sects = image[SETUP_SECTS_OFFSET] as usize;
+    let setup_sects = head[SETUP_SECTS_OFFSET] as usize;
     let pm_start = 512 + setup_sects * 512;
     let payload_offset = u32::from_le_bytes(
-        image[PAYLOAD_OFFSET_OFFSET..PAYLOAD_OFFSET_OFFSET + 4]
+        head[PAYLOAD_OFFSET_OFFSET..PAYLOAD_OFFSET_OFFSET + 4]
             .try_into()
             .expect("4 bytes"),
     ) as usize;
     let payload_length = u32::from_le_bytes(
-        image[PAYLOAD_LENGTH_OFFSET..PAYLOAD_LENGTH_OFFSET + 4]
+        head[PAYLOAD_LENGTH_OFFSET..PAYLOAD_LENGTH_OFFSET + 4]
             .try_into()
             .expect("4 bytes"),
     ) as usize;
-    let codec = codec_from_tag(image[CODEC_TAG_OFFSET])
+    let codec = codec_from_tag(head[CODEC_TAG_OFFSET])
         .ok_or(ImageError::BadBzImage("unknown payload codec tag"))?;
     let start = pm_start + payload_offset;
     let end = start
         .checked_add(payload_length)
         .ok_or(ImageError::BadBzImage("payload range overflows"))?;
-    if end > image.len() {
+    if end > image_len {
         return Err(ImageError::BadBzImage("payload out of bounds"));
     }
-    Ok((&image[start..end], codec))
+    Ok((start..end, codec))
 }
 
 /// Extracts and decompresses the vmlinux from a bzImage in one step (what

@@ -39,6 +39,14 @@
 //! boot would then page-fault a fresh mapping of hundreds of megabytes,
 //! where freed page allocations are reused.
 //!
+//! The verifier's private copy of a staged component
+//! ([`GuestMemory::copy_to_private`]) shares the staged pages the same
+//! way: each whole page of the private copy is the staged page itself until
+//! either side is written, and the copy comes back as a [`PageView`] the
+//! verifier hashes page by page. A host write to the staging window after
+//! the copy therefore lands in a fresh page and never reaches the private
+//! copy or its digest, exactly as with a byte copy.
+//!
 //! # Example
 //!
 //! ```
@@ -63,7 +71,7 @@ mod memory;
 mod rmp;
 
 pub use error::MemError;
-pub use memory::{GuestMemory, MemoryImage, PAGE_SIZE};
+pub use memory::{GuestMemory, MemoryImage, PageView, PAGE_SIZE};
 pub use rmp::{PageState, Rmp};
 
 /// The canonical C-bit position reported by CPUID leaf 0x8000001F on the

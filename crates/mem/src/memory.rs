@@ -1,5 +1,6 @@
 //! The guest physical memory model.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sevf_crypto::{sha256, Digest256, XexCipher};
@@ -43,6 +44,20 @@ impl MemoryImage {
     /// Bytes of captured page content.
     pub fn byte_len(&self) -> u64 {
         resident(&self.pages) as u64 * PAGE_SIZE
+    }
+}
+
+/// The private copy [`GuestMemory::copy_to_private`] made: its pages, shared
+/// copy-on-write with guest memory. A later write to either side copies the
+/// page first, so the view keeps the bytes that were copied. It is `Send`,
+/// so a digest of it can run on another thread.
+#[derive(Debug, Clone)]
+pub struct PageView(Vec<(Arc<Page>, Range<usize>)>);
+
+impl PageView {
+    /// The copied bytes, one slice per page, in address order.
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.0.iter().map(|(page, bytes)| &page[bytes.clone()])
     }
 }
 
@@ -179,9 +194,15 @@ impl GuestMemory {
         self.pages[page as usize].as_deref().unwrap_or(&ZERO_PAGE)
     }
 
-    /// The page to write, copied first if a snapshot still shares it.
+    /// The page's slot, materialized as a zero page if it was untouched.
+    fn slot_mut(&mut self, page: u64) -> &mut Arc<Page> {
+        self.pages[page as usize].get_or_insert_with(|| Arc::new(ZERO_PAGE))
+    }
+
+    /// The page to write, copied first if a snapshot or a view still
+    /// shares it.
     fn page_mut(&mut self, page: u64) -> &mut Page {
-        Arc::make_mut(self.pages[page as usize].get_or_insert_with(|| Arc::new(ZERO_PAGE)))
+        Arc::make_mut(self.slot_mut(page))
     }
 
     /// True if the page is private (guest-owned / encrypted).
@@ -410,6 +431,48 @@ impl GuestMemory {
             // private pages).
             self.host_read(addr, len)
         }
+    }
+
+    /// Guest copy of `len` bytes from the shared mapping at `src` to the
+    /// private mapping at `dst`: what [`GuestMemory::guest_read`] of `src`
+    /// (`encrypted = false`) then [`GuestMemory::guest_write`] of the bytes
+    /// to `dst` (`encrypted = true`) would do, with the same checks in the
+    /// same order. Returns a view of the private copy.
+    ///
+    /// A whole destination page whose source is a whole shared page takes
+    /// that page copy-on-write (an untouched source gives a fresh zero
+    /// page, so as many pages are resident as after a byte copy). Partial
+    /// pages, private sources (read as ciphertext) and overlapping ranges
+    /// are copied byte by byte.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`GuestMemory::guest_read`] on `src`, then those of
+    /// [`GuestMemory::guest_write`] on `dst`; nothing is copied on an
+    /// error.
+    pub fn copy_to_private(&mut self, src: u64, dst: u64, len: u64) -> Result<PageView, MemError> {
+        self.guest_check(src, len, false)?;
+        self.guest_check(dst, len, true)?;
+        if src.abs_diff(dst) < len {
+            let staged = self.host_read(src, len)?;
+            self.guest_write(dst, &staged, true)?;
+        } else {
+            for (page, at, take) in spans(dst, len) {
+                let from = src + (page * PAGE_SIZE + at as u64 - dst);
+                let whole = take == PAGE_SIZE as usize && from.is_multiple_of(PAGE_SIZE);
+                if whole && !self.is_private(Self::page_of(from)) {
+                    // An untouched source empties the slot, and taking the
+                    // view below gives it a fresh zero page.
+                    self.pages[page as usize] = self.pages[Self::page_of(from) as usize].clone();
+                } else {
+                    let bytes = self.host_read(from, take as u64)?;
+                    self.page_mut(page)[at..at + take].copy_from_slice(&bytes);
+                }
+            }
+        }
+        let view = spans(dst, len)
+            .map(|(page, at, take)| (Arc::clone(self.slot_mut(page)), at..at + take));
+        Ok(PageView(view.collect()))
     }
 
     // ---- Snapshot support (warm-start exploration, paper §7.1) -------------------

@@ -3,7 +3,7 @@
 //! Seeded XorShift64 case generation keeps the sweep deterministic without
 //! an external property-testing dependency.
 
-use sevf_mem::{GuestMemory, MemError, PAGE_SIZE};
+use sevf_mem::{GuestMemory, MemError, PageState, PAGE_SIZE};
 use sevf_sim::cost::SevGeneration;
 use sevf_sim::rng::XorShift64;
 
@@ -328,4 +328,136 @@ fn host_page_digests_are_in_address_order() {
             .collect();
         assert_eq!(mem.host_page_digests().unwrap(), expected);
     }
+}
+
+/// Everything an observer can tell about `mem`: the resident page count,
+/// the host's view of every resident page, the RMP state of every page and
+/// the host's view of the whole of memory.
+fn observed(mem: &GuestMemory) -> (usize, Vec<[u8; 32]>, Vec<PageState>, Vec<u8>) {
+    let pages = mem.size() / PAGE_SIZE;
+    (
+        mem.resident_pages(),
+        mem.host_page_digests().unwrap(),
+        (0..pages).map(|p| mem.rmp().state(p)).collect(),
+        mem.host_read(0, mem.size()).unwrap(),
+    )
+}
+
+/// The copy `copy_to_private` replaced: read the shared mapping, write the
+/// private one, read it back.
+fn read_write_read_back(
+    mem: &mut GuestMemory,
+    src: u64,
+    dst: u64,
+    len: u64,
+) -> Result<Vec<u8>, MemError> {
+    let staged = mem.guest_read(src, len, false)?;
+    mem.guest_write(dst, &staged, true)?;
+    mem.guest_read(dst, len, true)
+}
+
+#[test]
+fn copy_to_private_is_the_read_write_read_back_it_replaced() {
+    // A small guest: 32 pages, the upper half private. Source pages are
+    // written by the host, left untouched, or made private (read through
+    // the shared mapping as ciphertext); ranges start at any offset, may
+    // share their page offset (the shared-page path) and may overlap.
+    const PAGES: u64 = 32;
+    let generations = [
+        SevGeneration::Sev,
+        SevGeneration::SevEs,
+        SevGeneration::SevSnp,
+    ];
+    let mut rng = XorShift64::new(0x3E3_00C0);
+    let (mut shared_pages, mut faults) = (0, 0);
+    for case in 0..3 * CASES {
+        let generation = generations[(case % 3) as usize];
+        let mut mem = GuestMemory::new_sev(PAGES * PAGE_SIZE, [3u8; 16], generation);
+        for page in 0..PAGES / 2 {
+            if rng.next_below(3) > 0 {
+                let data = bytes(&mut rng, PAGE_SIZE as usize, PAGE_SIZE as usize);
+                mem.host_write(page * PAGE_SIZE, &data).unwrap();
+            }
+        }
+        let private = PAGES / 2 * PAGE_SIZE;
+        mem.rmp_assign(private, private).unwrap();
+        // A private source page, now and then.
+        let stolen = rng.next_below(PAGES / 2) * PAGE_SIZE;
+        if rng.next_below(4) == 0 {
+            mem.rmp_assign(stolen, PAGE_SIZE).unwrap();
+        }
+        if generation.has_rmp() {
+            // Leave the last private page unvalidated: a copy into it faults.
+            mem.pvalidate(private, private - PAGE_SIZE).unwrap();
+            if mem.is_assigned(stolen) {
+                mem.pvalidate(stolen, PAGE_SIZE).unwrap();
+            }
+        }
+        let len = rng.next_below(5 * PAGE_SIZE);
+        let src = rng.next_below(private - len);
+        let dst = match rng.next_below(3) {
+            // Same page offset: whole pages are shared.
+            0 => private + rng.next_below(PAGES / 2 - 5) * PAGE_SIZE + src % PAGE_SIZE,
+            // Overlapping (a private source range is copied onto itself).
+            1 => (src + rng.next_below(len + 1)).min(2 * private - len),
+            _ => private + rng.next_below(private - len),
+        };
+        let (mut old, mut new) = (
+            mem,
+            GuestMemory::new_sev(PAGES * PAGE_SIZE, [3u8; 16], generation),
+        );
+        new.restore_pages(&old.clone_pages()).unwrap();
+        let expected = read_write_read_back(&mut old, src, dst, len);
+        let view = new.copy_to_private(src, dst, len);
+        let copied = match (&expected, view) {
+            (Ok(bytes), Ok(view)) => {
+                assert_eq!(
+                    view.chunks().collect::<Vec<_>>().concat(),
+                    *bytes,
+                    "case {case}"
+                );
+                assert_eq!(new.guest_read(dst, len, true).unwrap(), *bytes);
+                shared_pages += usize::from(src % PAGE_SIZE == dst % PAGE_SIZE && len >= PAGE_SIZE);
+                Some((view, bytes.clone()))
+            }
+            (Err(want), Err(got)) => {
+                assert_eq!(got, *want, "case {case}");
+                faults += 1;
+                None
+            }
+            (want, got) => panic!("case {case}: expected {want:?}, got {got:?}"),
+        };
+        assert_eq!(observed(&new), observed(&old), "case {case}");
+        // Later writes to either side, by the host and by the guest, land
+        // the same way in both and never show through the other side.
+        let at = |rng: &mut XorShift64, base: u64| base + rng.next_below(len.max(1));
+        for write in 0..4 {
+            let (addr, data) = match write {
+                0 | 2 => (at(&mut rng, src), bytes(&mut rng, 1, 64)),
+                _ => (at(&mut rng, dst), bytes(&mut rng, 1, 64)),
+            };
+            let addr = addr.min(PAGES * PAGE_SIZE - data.len() as u64);
+            if write < 2 {
+                assert_eq!(new.host_write(addr, &data), old.host_write(addr, &data));
+            } else {
+                let encrypted = write == 3;
+                assert_eq!(
+                    new.guest_write(addr, &data, encrypted),
+                    old.guest_write(addr, &data, encrypted)
+                );
+            }
+            assert_eq!(observed(&new), observed(&old), "case {case}, write {write}");
+        }
+        if let Some((view, bytes)) = copied {
+            assert_eq!(
+                view.chunks().collect::<Vec<_>>().concat(),
+                bytes,
+                "the view moved, case {case}"
+            );
+        }
+    }
+    assert!(
+        shared_pages > 10 && faults > 5,
+        "{shared_pages} shared, {faults} faulted"
+    );
 }

@@ -12,10 +12,11 @@
 //!   load addresses — avoiding the extra whole-file copy the naive approach
 //!   would pay (§5).
 
-use sevf_crypto::sha256;
+use sevf_crypto::Sha256;
+use sevf_image::bzimage;
 use sevf_image::elf::{EHDR_SIZE, PHDR_SIZE};
 use sevf_image::ImageError;
-use sevf_mem::GuestMemory;
+use sevf_mem::{GuestMemory, PageView};
 use sevf_sim::{CostModel, PhaseKind, Step, Work};
 
 use crate::layout::GuestLayout;
@@ -38,31 +39,30 @@ pub struct LoadedKernel {
     pub steps: Vec<Step>,
 }
 
-/// Copies `len` staged bytes from the shared window at `src` to private
-/// memory at `dst` and returns the private copy, read back. Every digest is
-/// taken over that copy (§2.5 step 5: hashing the shared one would let the
-/// host race the check).
-pub(crate) fn copy_private(
-    mem: &mut GuestMemory,
-    src: u64,
-    dst: u64,
-    len: u64,
-) -> Result<Vec<u8>, VerifierError> {
-    let staged = mem.guest_read(src, len, false)?;
-    mem.guest_write(dst, &staged, true)?;
-    Ok(mem.guest_read(dst, len, true)?)
+/// SHA-256 of a private copy, absorbed page by page. Every digest is taken
+/// over the private copy, not the staged one (§2.5 step 5: hashing the
+/// shared one would let the host race the check).
+pub(crate) fn digest(private: &PageView) -> [u8; 32] {
+    let mut hasher = Sha256::new();
+    private.chunks().for_each(|chunk| hasher.update(chunk));
+    hasher.finalize()
 }
 
-/// Finishes a bzImage load once [`copy_private`] has made the private copy:
-/// hashes it, checks the setup header and prices the load.
+/// The first `len` bytes of a private copy (all of them if it is shorter).
+fn leading(private: &PageView, len: usize) -> Vec<u8> {
+    private.chunks().flatten().take(len).copied().collect()
+}
+
+/// Finishes a bzImage load once the private copy is made: hashes it,
+/// checks the setup header and prices the load.
 pub(crate) fn finish_bzimage(
-    private: &[u8],
+    private: &PageView,
     layout: &GuestLayout,
     cost: &CostModel,
 ) -> Result<LoadedKernel, VerifierError> {
-    let digest = sha256(private);
-    sevf_image::bzimage::parse(private)?;
+    let digest = digest(private);
     let size = layout.kernel_size;
+    bzimage::payload_range(&leading(private, bzimage::HEADER_LEN), size as usize)?;
     Ok(LoadedKernel {
         entry: layout.kernel_dest,
         computed_hashes: vec![digest],
@@ -92,8 +92,8 @@ pub fn load_vmlinux_fw_cfg(
 
     // Piece 1: ELF header → encrypted scratch (reuse the destination base).
     let ehdr_len = EHDR_SIZE as u64;
-    let ehdr = copy_private(mem, layout.kernel_staging, layout.kernel_dest, ehdr_len)?;
-    let ehdr_hash = sha256(&ehdr);
+    let private = mem.copy_to_private(layout.kernel_staging, layout.kernel_dest, ehdr_len)?;
+    let (ehdr, ehdr_hash) = (leading(&private, EHDR_SIZE), digest(&private));
     steps.push(step(
         cost,
         "copy + hash ELF header",
@@ -112,8 +112,8 @@ pub fn load_vmlinux_fw_cfg(
     // Piece 2: program headers.
     let phdrs_len = (phnum * PHDR_SIZE) as u64;
     let staged = layout.kernel_staging + ehdr_len;
-    let phdrs = copy_private(mem, staged, layout.kernel_dest + ehdr_len, phdrs_len)?;
-    let phdrs_hash = sha256(&phdrs);
+    let private = mem.copy_to_private(staged, layout.kernel_dest + ehdr_len, phdrs_len)?;
+    let (phdrs, phdrs_hash) = (leading(&private, phnum * PHDR_SIZE), digest(&private));
     steps.push(step(
         cost,
         "copy + hash program headers",
@@ -125,7 +125,7 @@ pub fn load_vmlinux_fw_cfg(
 
     // Piece 3: loadable segments, staged back to back, copied straight to
     // their run addresses (no intermediate whole-file copy — §5).
-    let mut seg_hasher = sevf_crypto::Sha256::new();
+    let mut seg_hasher = Sha256::new();
     let mut staged_cursor = staged + phdrs_len;
     // Encrypted memory receives each segment with its bss; the hash covers
     // only the bytes that were staged.
@@ -147,7 +147,8 @@ pub fn load_vmlinux_fw_cfg(
         if vaddr.checked_add(memsz).is_none_or(|end| end > mem.size()) {
             return Err(ImageError::BadElf("segment outside guest memory").into());
         }
-        seg_hasher.update(&copy_private(mem, staged_cursor, vaddr, filesz)?);
+        let private = mem.copy_to_private(staged_cursor, vaddr, filesz)?;
+        private.chunks().for_each(|chunk| seg_hasher.update(chunk));
         // Zero the bss tail the segment declares.
         if memsz > filesz {
             mem.guest_write(vaddr + filesz, &vec![0u8; (memsz - filesz) as usize], true)?;
@@ -201,7 +202,7 @@ mod tests {
         layout: &GuestLayout,
     ) -> Result<LoadedKernel, VerifierError> {
         let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
-        let private = copy_private(mem, staging, dest, layout.kernel_size)?;
+        let private = mem.copy_to_private(staging, dest, layout.kernel_size)?;
         finish_bzimage(&private, layout, &CostModel::calibrated())
     }
 

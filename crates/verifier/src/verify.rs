@@ -105,13 +105,14 @@ pub fn run(
 /// [`run`], which also calls `then(mem, kernel_entry)` — for a bzImage, its
 /// bootstrap loader — while the initrd's digest is still being taken.
 ///
-/// The kernel and then the initrd are copied into private memory. The
-/// initrd's SHA-256 runs on a second thread while this one hashes the
-/// kernel, checks its setup header, the hash-page mode and the kernel
-/// digest, and then calls `then`: nothing parses the kernel before its
-/// digest is checked, so only the initrd verdict is in flight while `then`
-/// runs. The initrd digest is joined last. The fw_cfg loader hashes a
-/// vmlinux as it places it, and the initrd is copied after that verdict.
+/// For a bzImage, the initrd is copied into private memory first and its
+/// SHA-256 starts on a second thread; this one then copies the kernel,
+/// hashes it, checks its setup header, the hash-page mode and the kernel
+/// digest, and calls `then`: nothing parses the kernel before its digest is
+/// checked, so only the initrd verdict is in flight while `then` runs. A
+/// fault copying the initrd is held until the kernel's checks pass, and the
+/// initrd digest is joined last. The fw_cfg loader hashes a vmlinux as it
+/// places it, and the initrd is copied after that verdict.
 ///
 /// # Errors
 ///
@@ -191,18 +192,20 @@ pub fn run_then<T, E: From<VerifierError>>(
     std::thread::scope(|s| {
         let hash_initrd = |mem: &mut GuestMemory| {
             let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
-            loader::copy_private(mem, staging, dest, layout.initrd_size)
-                .map(|private| s.spawn(move || sevf_crypto::sha256(&private)))
+            mem.copy_to_private(staging, dest, layout.initrd_size)
+                .map(|private| s.spawn(move || loader::digest(&private)))
+                .map_err(VerifierError::from)
         };
-        let (loaded, held_initrd) = match config.kind {
+        let held_initrd = (config.kind == KernelKind::Bzimage).then(|| hash_initrd(mem));
+        let loaded = match config.kind {
             KernelKind::Bzimage => {
                 let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
-                let private = loader::copy_private(mem, staging, dest, layout.kernel_size)?;
-                let initrd = hash_initrd(mem);
-                let loaded = loader::finish_bzimage(&private, layout, cost)?;
-                (loaded, Some(initrd))
+                let private = mem
+                    .copy_to_private(staging, dest, layout.kernel_size)
+                    .map_err(VerifierError::from)?;
+                loader::finish_bzimage(&private, layout, cost)?
             }
-            KernelKind::Vmlinux => (loader::load_vmlinux_fw_cfg(mem, layout, cost)?, None),
+            KernelKind::Vmlinux => loader::load_vmlinux_fw_cfg(mem, layout, cost)?,
         };
         let expected = match (hash_page.kernel, config.kind) {
             (KernelHashes::WholeImage(h), KernelKind::Bzimage) => vec![h],
@@ -472,6 +475,38 @@ mod tests {
             VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. })
                 if page_addr == layout.initrd_dest
         ));
+    }
+
+    #[test]
+    fn a_kernel_copy_fault_is_the_verdict_over_an_initrd_copy_fault() {
+        // A firmware range the sweep skips leaves its pages unvalidated, so
+        // a copy into it takes #VC. The initrd is copied before the kernel,
+        // but when both copies fault, the kernel's fault is the verdict.
+        let layout = bz_setup().1;
+        let (kernel, initrd) = (layout.kernel_dest, layout.initrd_dest);
+        let both = initrd + layout.initrd_size - kernel;
+        for (base, size, faulting) in [
+            (initrd, layout.initrd_size, initrd),
+            (kernel, layout.kernel_size, kernel),
+            (kernel, both, kernel),
+        ] {
+            let (mem, layout) = bz_setup();
+            let config = VerifierConfig {
+                firmware_base: base,
+                firmware_size: size,
+                ..VerifierConfig::severifast()
+            };
+            let (outcome, ran) = failing_continuation(mem, &layout, config);
+            assert!(
+                matches!(
+                    outcome,
+                    Err(VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. }))
+                        if page_addr == faulting
+                ),
+                "skipping {size} B at {base:#x}: {outcome:?}"
+            );
+            assert!(!ran);
+        }
     }
 
     #[test]
