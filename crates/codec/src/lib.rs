@@ -14,6 +14,13 @@
 //!   the same architectural shape as DEFLATE, documented as substitutions in
 //!   DESIGN.md.
 //!
+//! Every codec has one decode loop, [`Codec::decompress_into`]: it hands
+//! its output to a sink as `(offset, bytes)` pieces and holds only the
+//! codec's back-reference reach plus [`FLUSH_QUANTUM`] bytes, so a boot's
+//! bootstrap loader writes the vmlinux straight into guest pages (§4.4)
+//! without a host-side copy of it. [`Codec::decompress`] is the sink that
+//! collects the pieces into one buffer.
+//!
 //! Decompression *throughput* (LZ4 ≫ deflate) is part of the virtual-time
 //! cost model in `sevf-sim`; this crate is only responsible for real bytes
 //! in, real bytes out.
@@ -27,6 +34,15 @@
 //! let compressed = Codec::Lz4.compress(&data);
 //! assert!(compressed.len() < data.len() / 10);
 //! assert_eq!(Codec::Lz4.decompress(&compressed)?, data);
+//!
+//! // The same decode, piece by piece.
+//! let mut pieces = Vec::new();
+//! let len = Codec::Lz4.decompress_into(&compressed, |at, piece| {
+//!     assert_eq!(at, pieces.len() as u64);
+//!     pieces.extend_from_slice(piece);
+//!     Ok::<_, sevf_codec::CodecError>(())
+//! })?;
+//! assert_eq!((len, pieces), (data.len() as u64, data));
 //! # Ok::<(), sevf_codec::CodecError>(())
 //! ```
 
@@ -39,8 +55,11 @@ mod huffman;
 pub mod lz4;
 pub mod lzh;
 mod lzss;
+mod window;
 
 use std::fmt;
+
+pub use window::FLUSH_QUANTUM;
 
 /// Magic of the stored ([`Codec::None`]) container.
 const STORED_MAGIC: &[u8; 4] = b"SVST";
@@ -156,31 +175,91 @@ impl Codec {
         }
     }
 
-    /// Decompresses a container produced by [`Codec::compress`].
+    /// The output length a container of this codec declares.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadMagic`] if `data` is not this codec's container.
+    pub fn declared_len(self, data: &[u8]) -> Result<u64, CodecError> {
+        match self {
+            Codec::None => stored_header(data).map(|(len, _)| len),
+            Codec::Lz4 => lz4::header(data).map(|(len, _)| len),
+            Codec::Deflate | Codec::Zstd => lzh::declared_len(data),
+        }
+    }
+
+    /// Decompresses a container produced by [`Codec::compress`]: the
+    /// pieces of [`Codec::decompress_into`], collected.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] if the stream is malformed, truncated, or was
     /// produced by a different codec.
     pub fn decompress(self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        // Reserve once: the declared length, capped at what the payload
+        // could expand to (LZ4: 255 bytes per input byte; LZH: one flush
+        // quantum, then growth), so a corrupted header cannot force a huge
+        // allocation before any payload is validated.
+        let cap = match self {
+            Codec::None => data.len(),
+            Codec::Lz4 => data.len().saturating_mul(255),
+            Codec::Deflate | Codec::Zstd => FLUSH_QUANTUM,
+        };
+        let declared = self.declared_len(data).unwrap_or(0);
+        let mut out = Vec::with_capacity(usize::try_from(declared).map_or(cap, |d| d.min(cap)));
+        self.decompress_into(data, |_, piece| {
+            out.extend_from_slice(piece);
+            Ok::<_, CodecError>(())
+        })?;
+        Ok(out)
+    }
+
+    /// Decodes a container produced by [`Codec::compress`], handing the
+    /// output to `sink` as `(offset, bytes)` pieces, in order and back to
+    /// back. A decoder holds only its back-references' reach of output
+    /// (64 KiB for LZ4, the container's window for the LZH profiles) plus
+    /// at most [`FLUSH_QUANTUM`] bytes not yet handed out; a stored
+    /// container hands out its payload as one piece of the input. Returns
+    /// the output length.
+    ///
+    /// # Errors
+    ///
+    /// [`Codec::decompress`]'s, as soon as the stream shows them (the sink
+    /// may have taken pieces before), or the first error the sink returns,
+    /// which ends the decode.
+    pub fn decompress_into<E: From<CodecError>>(
+        self,
+        data: &[u8],
+        mut sink: impl FnMut(u64, &[u8]) -> Result<(), E>,
+    ) -> Result<u64, E> {
         match self {
             Codec::None => {
-                if data.len() < 12 || &data[..4] != STORED_MAGIC {
-                    return Err(CodecError::BadMagic);
-                }
-                let len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
-                if data.len() - 12 != len {
+                let (len, payload) = stored_header(data)?;
+                if payload.len() as u64 != len {
                     return Err(CodecError::LengthMismatch {
-                        expected: len as u64,
-                        actual: (data.len() - 12) as u64,
-                    });
+                        expected: len,
+                        actual: payload.len() as u64,
+                    }
+                    .into());
                 }
-                Ok(data[12..].to_vec())
+                if !payload.is_empty() {
+                    sink(0, payload)?;
+                }
+                Ok(len)
             }
-            Codec::Lz4 => lz4::decompress(data),
-            Codec::Deflate | Codec::Zstd => lzh::decompress(data),
+            Codec::Lz4 => lz4::decode(data, sink)?.finish(),
+            Codec::Deflate | Codec::Zstd => lzh::decode(data, sink)?.finish(),
         }
     }
+}
+
+/// The length a stored container declares, and its payload.
+fn stored_header(data: &[u8]) -> Result<(u64, &[u8]), CodecError> {
+    if data.len() < 12 || &data[..4] != STORED_MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let len = u64::from_le_bytes(data[4..12].try_into().unwrap());
+    Ok((len, &data[12..]))
 }
 
 impl fmt::Display for Codec {
@@ -274,6 +353,33 @@ mod tests {
     fn empty_input_roundtrips() {
         for codec in Codec::ALL {
             assert_eq!(codec.decompress(&codec.compress(&[])).unwrap(), vec![]);
+        }
+    }
+
+    #[test]
+    fn no_decoder_holds_more_than_its_reach_and_a_quantum() {
+        // Past three flushes, with references across each and a run longer
+        // than a quantum (one LZ4 match).
+        let mut data = sample().repeat(12);
+        data.extend(std::iter::repeat_n(7u8, 3 * FLUSH_QUANTUM / 2));
+        data.extend_from_slice(&sample());
+        type Sink = fn(u64, &[u8]) -> Result<(), CodecError>;
+        let sink: Sink = |_, piece| {
+            assert!(piece.len() <= FLUSH_QUANTUM, "a {} B piece", piece.len());
+            Ok(())
+        };
+        for codec in [Codec::Lz4, Codec::Deflate, Codec::Zstd] {
+            let packed = codec.compress(&data);
+            let (window, reach) = match codec {
+                Codec::Lz4 => (lz4::decode(&packed, sink).unwrap(), lz4::REACH),
+                _ => (lzh::decode(&packed, sink).unwrap(), 1 << packed[4]),
+            };
+            let held = window.capacity();
+            assert!(
+                held <= reach + FLUSH_QUANTUM,
+                "{codec}: {held} B for {reach}"
+            );
+            assert_eq!(window.finish(), Ok(data.len() as u64), "{codec}");
         }
     }
 

@@ -18,7 +18,8 @@
 //! container header (`"SVL4"` + original length) makes the stream
 //! self-describing.
 
-use crate::CodecError;
+use crate::window::Window;
+use crate::{Codec, CodecError};
 
 pub(crate) const MAGIC: &[u8; 4] = b"SVL4";
 const MIN_MATCH: usize = 4;
@@ -27,9 +28,6 @@ const MF_LIMIT: usize = 12;
 /// Spec: the last 5 bytes must be literals.
 const LAST_LITERALS: usize = 5;
 const MAX_DISTANCE: usize = 65_535;
-/// LZ4's largest possible expansion: every input byte decodes to at most
-/// 255 output bytes (a match-length extension byte).
-const MAX_EXPANSION: usize = 255;
 
 fn hash4(data: &[u8], pos: usize) -> usize {
     let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
@@ -125,75 +123,60 @@ fn compress_block(data: &[u8], out: &mut Vec<u8>) {
     emit_sequence(out, &data[anchor..], 0, 0);
 }
 
-/// Decompresses an "SVL4" container produced by [`compress`].
+/// Decompresses an "SVL4" container produced by [`compress`]: the
+/// [`Codec::decompress_into`] pieces, collected (as [`Codec::decompress`]
+/// does).
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] for bad magic, truncated streams, invalid
 /// offsets, or output that does not match the declared length.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    Codec::Lz4.decompress(data)
+}
+
+/// The length an "SVL4" container declares, and its block.
+pub(crate) fn header(data: &[u8]) -> Result<(u64, &[u8]), CodecError> {
     if data.len() < 12 || &data[..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let orig_len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
-    let mut input = &data[12..];
-    // Reserve once: the declared length, capped at what the payload could
-    // possibly expand to, so a corrupted header cannot force a huge
-    // allocation before any payload is validated.
-    let mut out = Vec::with_capacity(orig_len.min(input.len().saturating_mul(MAX_EXPANSION)));
-    // Refuses a copy of `n` bytes that would pass the declared length.
-    let room = |out: &Vec<u8>, n: usize| -> Result<(), CodecError> {
-        if n > orig_len.saturating_sub(out.len()) {
-            return Err(CodecError::LengthMismatch {
-                expected: orig_len as u64,
-                actual: out.len().saturating_add(n) as u64,
-            });
-        }
-        Ok(())
-    };
+    let orig_len = u64::from_le_bytes(data[4..12].try_into().unwrap());
+    Ok((orig_len, &data[12..]))
+}
 
+/// How far back an LZ4 offset (16 bits) can reach, rounded up to 64 KiB.
+pub(crate) const REACH: usize = 1 << 16;
+
+/// Runs the decode loop of [`Codec::decompress_into`], leaving the window
+/// unfinished.
+pub(crate) fn decode<S, E>(data: &[u8], sink: S) -> Result<Window<S>, E>
+where
+    S: FnMut(u64, &[u8]) -> Result<(), E>,
+    E: From<CodecError>,
+{
+    let (orig_len, mut input) = header(data)?;
+    let mut out = Window::new(REACH, orig_len, sink);
     loop {
         let (&token, rest) = input.split_first().ok_or(CodecError::Truncated)?;
         input = rest;
         let lit_len = read_varlen(&mut input, (token >> 4) as usize)?;
         if input.len() < lit_len {
-            return Err(CodecError::Truncated);
+            return Err(CodecError::Truncated.into());
         }
-        room(&out, lit_len)?;
-        out.extend_from_slice(&input[..lit_len]);
+        out.literal(&input[..lit_len])?;
         input = &input[lit_len..];
         if input.is_empty() {
             // Literal-only final sequence.
-            break;
+            return Ok(out);
         }
         if input.len() < 2 {
-            return Err(CodecError::Truncated);
+            return Err(CodecError::Truncated.into());
         }
         let offset = u16::from_le_bytes([input[0], input[1]]) as usize;
         input = &input[2..];
         let match_len = read_varlen(&mut input, (token & 0x0f) as usize)? + MIN_MATCH;
-        if offset == 0 || offset > out.len() {
-            return Err(CodecError::InvalidBackReference { at: out.len() });
-        }
-        room(&out, match_len)?;
-        // An overlapping match (offset < length) repeats the last `offset`
-        // bytes: copy whole periods, each piece up to everything copied so
-        // far, so a long run takes a logarithmic number of copies.
-        let start = out.len() - offset;
-        let mut left = match_len;
-        while left > 0 {
-            let piece = left.min(out.len() - start);
-            out.extend_from_within(start..start + piece);
-            left -= piece;
-        }
+        out.copy_back(offset, match_len)?;
     }
-    if out.len() != orig_len {
-        return Err(CodecError::LengthMismatch {
-            expected: orig_len as u64,
-            actual: out.len() as u64,
-        });
-    }
-    Ok(out)
 }
 
 /// Reads a length whose 4-bit `base` of 15 continues in 255-valued bytes.

@@ -21,7 +21,8 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::buckets::BucketTable;
 use crate::huffman::{build_code_lengths, Decoder, Encoder};
 use crate::lzss::{self, Token};
-use crate::CodecError;
+use crate::window::Window;
+use crate::{Codec, CodecError};
 
 /// Window log for the deflate-class configuration (32 KiB).
 pub const DEFLATE_WINDOW_LOG: u32 = 15;
@@ -119,7 +120,8 @@ pub fn compress(data: &[u8], window_log: u32) -> Vec<u8> {
     out
 }
 
-/// Decompresses an "SVLZ" container.
+/// Decompresses an "SVLZ" container: the [`Codec::decompress_into`]
+/// pieces, collected (as [`Codec::decompress`] does).
 ///
 /// # Errors
 ///
@@ -127,26 +129,41 @@ pub fn compress(data: &[u8], window_log: u32) -> Vec<u8> {
 /// truncated bitstreams, out-of-window back-references, or a payload that
 /// does not match the declared length.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    Codec::Deflate.decompress(data)
+}
+
+/// The length an "SVLZ" container declares.
+pub(crate) fn declared_len(data: &[u8]) -> Result<u64, CodecError> {
     if data.len() < 17 || &data[..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
+    Ok(u64::from_le_bytes(data[5..13].try_into().unwrap()))
+}
+
+/// Runs the decode loop of [`Codec::decompress_into`], leaving the window
+/// unfinished.
+pub(crate) fn decode<S, E>(data: &[u8], sink: S) -> Result<Window<S>, E>
+where
+    S: FnMut(u64, &[u8]) -> Result<(), E>,
+    E: From<CodecError>,
+{
+    let orig_len = declared_len(data)?;
     let window_log = data[4] as u32;
     if !(8..=30).contains(&window_log) {
-        return Err(CodecError::CorruptStream("implausible window size"));
+        return Err(CodecError::CorruptStream("implausible window size").into());
     }
-    let orig_len = u64::from_le_bytes(data[5..13].try_into().unwrap());
     let lit_count = u16::from_le_bytes(data[13..15].try_into().unwrap()) as usize;
     let dist_count = u16::from_le_bytes(data[15..17].try_into().unwrap()) as usize;
 
     let lengths_tbl = length_table(max_match_for(window_log));
     let dists_tbl = distance_table(window_log);
     if lit_count != 257 + lengths_tbl.symbol_count() || dist_count != dists_tbl.symbol_count() {
-        return Err(CodecError::CorruptStream("alphabet size mismatch"));
+        return Err(CodecError::CorruptStream("alphabet size mismatch").into());
     }
 
     let header_bytes = (lit_count + dist_count).div_ceil(2);
     if data.len() < 17 + header_bytes {
-        return Err(CodecError::Truncated);
+        return Err(CodecError::Truncated.into());
     }
     let mut header_bits = BitReader::new(&data[17..17 + header_bytes]);
     let mut lit_lengths = vec![0u8; lit_count];
@@ -161,42 +178,20 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
     let dist_dec = Decoder::from_lengths(&dist_lengths)?;
 
     let mut body = BitReader::new(&data[17 + header_bytes..]);
-    // Cap the up-front reservation: a corrupted header must not be able to
-    // trigger a huge allocation before any payload is validated.
-    let mut out: Vec<u8> = Vec::with_capacity((orig_len as usize).min(1 << 20));
+    let mut out = Window::new(1 << window_log, orig_len, sink);
     loop {
         let sym = lit_dec.decode(&mut body)? as usize;
         if sym < 256 {
-            out.push(sym as u8);
+            out.literal(&[sym as u8])?;
         } else if sym == EOB {
-            break;
+            return Ok(out);
         } else {
             let length = lengths_tbl.read_value(&mut body, sym - 257)?;
             let dist_sym = dist_dec.decode(&mut body)? as usize;
-            let distance = dists_tbl.read_value(&mut body, dist_sym)? as usize;
-            if distance == 0 || distance > out.len() {
-                return Err(CodecError::InvalidBackReference { at: out.len() });
-            }
-            let start = out.len() - distance;
-            for i in 0..length as usize {
-                let b = out[start + i];
-                out.push(b);
-            }
-        }
-        if out.len() as u64 > orig_len {
-            return Err(CodecError::LengthMismatch {
-                expected: orig_len,
-                actual: out.len() as u64,
-            });
+            let distance = dists_tbl.read_value(&mut body, dist_sym)?;
+            out.copy_back(distance as usize, length as usize)?;
         }
     }
-    if out.len() as u64 != orig_len {
-        return Err(CodecError::LengthMismatch {
-            expected: orig_len,
-            actual: out.len() as u64,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

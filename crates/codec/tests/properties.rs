@@ -1,10 +1,11 @@
-//! Property-based tests: every codec must roundtrip arbitrary byte streams
-//! and fail cleanly (never panic) on arbitrary garbage input.
+//! Property-based tests: every codec must roundtrip arbitrary byte streams,
+//! fail cleanly (never panic) on arbitrary garbage input, and stream the
+//! same bytes and errors to a sink as it collects into one buffer.
 //!
 //! Cases are drawn from a local xorshift generator (sevf-sim's RNG lives
 //! downstream of this crate), so every run covers the same seeded family.
 
-use sevf_codec::Codec;
+use sevf_codec::{lzh, Codec, CodecError, FLUSH_QUANTUM};
 
 const CASES: u64 = 64;
 
@@ -123,6 +124,85 @@ fn compressed_size_bounded() {
                 data.len(),
                 packed.len()
             );
+        }
+    }
+}
+
+/// `codec`'s [`Codec::decompress_into`] pieces, checked to arrive back to
+/// back, concatenated.
+fn streamed(codec: Codec, packed: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    let len = codec.decompress_into(packed, |at, piece| {
+        assert_eq!(at, out.len() as u64, "{codec}: a piece out of order");
+        assert!(!piece.is_empty(), "{codec}: an empty piece");
+        out.extend_from_slice(piece);
+        Ok::<_, CodecError>(())
+    })?;
+    assert_eq!(len, out.len() as u64, "{codec}");
+    Ok(out)
+}
+
+#[test]
+fn streamed_pieces_concatenate_to_decompress() {
+    let mut rng = Rng::new(0xC0DE_C006);
+    for case in 0..CASES {
+        let data = match case % 2 {
+            0 => compressible(&mut rng, 8192),
+            _ => rng.bytes(4096),
+        };
+        for codec in Codec::ALL {
+            let packed = codec.compress(&data);
+            assert_eq!(streamed(codec, &packed), codec.decompress(&packed));
+            assert_eq!(streamed(codec, &packed).unwrap(), data, "{codec}");
+        }
+    }
+}
+
+#[test]
+fn references_at_full_reach_across_a_flush_boundary_stream_intact() {
+    // Random bytes, except that a short block straddling the second flush
+    // boundary repeats the bytes exactly one reach back: the only match
+    // for it is as far back as the codec can refer.
+    let mut rng = Rng::new(0xC0DE_C007);
+    let boundary = 2 * FLUSH_QUANTUM;
+    for (codec, reach) in [
+        (Codec::Lz4, 65_535),
+        (Codec::Deflate, 1 << lzh::DEFLATE_WINDOW_LOG),
+        (Codec::Zstd, 1 << lzh::ZSTD_WINDOW_LOG),
+    ] {
+        let mut data: Vec<u8> = (0..boundary + 4096).map(|_| rng.next_u64() as u8).collect();
+        let at = boundary - 40;
+        data.copy_within(at - reach..at - reach + 96, at);
+        let packed = codec.compress(&data);
+        assert_eq!(streamed(codec, &packed).unwrap(), data, "{codec}");
+    }
+}
+
+#[test]
+fn corruptions_and_truncations_fail_alike_on_both_paths() {
+    let mut rng = Rng::new(0xC0DE_C008);
+    for _ in 0..CASES / 4 {
+        let data = compressible(&mut rng, 4096);
+        for codec in Codec::ALL {
+            let packed = codec.compress(&data);
+            for _ in 0..16 {
+                let mut bad = packed.clone();
+                let at = rng.below(bad.len() as u64) as usize;
+                bad[at] ^= 1 + rng.below(255) as u8;
+                assert_eq!(
+                    streamed(codec, &bad),
+                    codec.decompress(&bad),
+                    "{codec}: byte {at}"
+                );
+                let cut = rng.below(packed.len() as u64) as usize;
+                let short = &packed[..cut];
+                assert!(codec.decompress(short).is_err(), "{codec}: cut at {cut}");
+                assert_eq!(
+                    streamed(codec, short),
+                    codec.decompress(short),
+                    "{codec}: cut at {cut}"
+                );
+            }
         }
     }
 }

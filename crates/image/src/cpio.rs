@@ -4,6 +4,8 @@
 //! Fig. 5 point about leaving the initrd uncompressed rests on the fact that
 //! this unpack pass happens either way (§3.3).
 
+use std::ops::Range;
+
 use crate::ImageError;
 
 const MAGIC: &[u8; 6] = b"070701";
@@ -103,35 +105,62 @@ fn parse_hex8(bytes: &[u8]) -> Result<u32, ImageError> {
 }
 
 /// Parses a newc archive into its entries (trailer excluded), each
-/// borrowing its contents from `archive`.
+/// borrowing its contents from `archive`: [`walk`] over the slice.
 ///
 /// # Errors
 ///
-/// Returns [`ImageError::BadCpio`] for bad magic, a header field that is not
-/// eight hex digits, a name without its NUL terminator, truncated records,
-/// or a missing trailer.
+/// [`walk`]'s: [`ImageError::BadCpio`] for bad magic, a header field that
+/// is not eight hex digits, a name without its NUL terminator, truncated
+/// records, or a missing trailer.
 pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry<&[u8]>>, ImageError> {
+    let entries = walk(archive.len(), |range| Ok::<_, ImageError>(&archive[range]))?;
+    let borrow = |e: CpioEntry<Range<usize>>| CpioEntry {
+        data: &archive[e.data.clone()],
+        name: e.name,
+        mode: e.mode,
+    };
+    Ok(entries.into_iter().map(borrow).collect())
+}
+
+/// Walks a `len`-byte newc archive record by record, reading only each
+/// record's header and name, through `read` (given a range of the archive,
+/// always within `len`), so the archive can stay where it is (guest memory,
+/// say). Returns the entries (trailer excluded), each with its contents as
+/// their range in the archive.
+///
+/// # Errors
+///
+/// [`ImageError::BadCpio`] for bad magic, a header field that is not eight
+/// hex digits, a name without its NUL terminator, truncated records, or a
+/// missing trailer; or the first error `read` returns.
+pub fn walk<R: AsRef<[u8]>, E: From<ImageError>>(
+    len: usize,
+    mut read: impl FnMut(Range<usize>) -> Result<R, E>,
+) -> Result<Vec<CpioEntry<Range<usize>>>, E> {
     let mut entries = Vec::new();
     let mut pos = 0usize;
     loop {
-        if pos + 110 > archive.len() {
-            return Err(ImageError::BadCpio("truncated before trailer"));
+        if pos + 110 > len {
+            return Err(ImageError::BadCpio("truncated before trailer").into());
         }
-        if &archive[pos..pos + 6] != MAGIC {
-            return Err(ImageError::BadCpio("bad record magic"));
+        let header = read(pos..pos + 110)?;
+        let header = header.as_ref();
+        if &header[..6] != MAGIC {
+            return Err(ImageError::BadCpio("bad record magic").into());
         }
-        let field = |idx: usize| parse_hex8(&archive[pos + 6 + idx * 8..pos + 6 + (idx + 1) * 8]);
+        let field = |idx: usize| parse_hex8(&header[6 + idx * 8..6 + (idx + 1) * 8]);
         let mode = field(1)?;
         let filesize = field(6)? as usize;
         let namesize = field(11)? as usize;
         let name_start = pos + 110;
         // `c_namesize` counts the name's NUL terminator, which must be there.
-        let (terminator, name_bytes) = archive
-            .get(name_start..name_start + namesize)
-            .and_then(<[u8]>::split_last)
-            .ok_or(ImageError::BadCpio("empty or out-of-bounds name"))?;
+        let name = match name_start + namesize {
+            end if namesize > 0 && end <= len => read(name_start..end)?,
+            _ => return Err(ImageError::BadCpio("empty or out-of-bounds name").into()),
+        };
+        let (terminator, name_bytes) = name.as_ref().split_last().expect("namesize > 0");
         if *terminator != 0 {
-            return Err(ImageError::BadCpio("name not NUL-terminated"));
+            return Err(ImageError::BadCpio("name not NUL-terminated").into());
         }
         let name = std::str::from_utf8(name_bytes)
             .map_err(|_| ImageError::BadCpio("non-UTF-8 name"))?
@@ -140,11 +169,12 @@ pub fn parse(archive: &[u8]) -> Result<Vec<CpioEntry<&[u8]>>, ImageError> {
         if name == TRAILER {
             return Ok(entries);
         }
-        let data = archive
-            .get(data_start..data_start + filesize)
-            .ok_or(ImageError::BadCpio("data out of bounds"))?;
+        let data = data_start..data_start + filesize;
+        if data.end > len {
+            return Err(ImageError::BadCpio("data out of bounds").into());
+        }
+        pos = data.end + pad4(filesize);
         entries.push(CpioEntry { name, mode, data });
-        pos = data_start + filesize + pad4(filesize);
     }
 }
 

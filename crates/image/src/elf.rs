@@ -163,31 +163,49 @@ impl<'a> ElfImage<&'a [u8]> {
     /// Walks ELF64 `bytes` produced by [`ElfImage::to_bytes`] (or any simple
     /// static executable with LOAD segments) to the entry point and the LOAD
     /// segments, in program-header order, each borrowing its contents from
-    /// `bytes`.
+    /// `bytes`: [`ElfImage::parse_layout`] over the whole file.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::BadElf`] on malformed input.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, ImageError> {
-        if bytes.len() < EHDR_SIZE {
-            return Err(ImageError::BadElf("shorter than the ELF header"));
+        let layout = ElfImage::parse_layout(bytes, bytes.len())?;
+        Ok(layout.map(|range| &bytes[range.clone()]))
+    }
+}
+
+impl ElfImage<Range<usize>> {
+    /// How many leading bytes of a `file_len`-byte ELF file
+    /// [`ElfImage::parse_layout`] reads, judged from the first ones in
+    /// `head`: the ELF header, then the end of the program header table.
+    /// Once `head` shows the file malformed (a bad ELF header, a table past
+    /// the file's end), `head`'s own length: the parse can refuse it now.
+    pub fn headers_len(head: &[u8], file_len: usize) -> usize {
+        if head.len() < EHDR_SIZE {
+            return EHDR_SIZE;
         }
-        if &bytes[..4] != b"\x7fELF" {
-            return Err(ImageError::BadElf("bad magic"));
-        }
-        if bytes[4] != 2 {
-            return Err(ImageError::BadElf("not 64-bit"));
-        }
-        let entry = u64::from_le_bytes(bytes[24..32].try_into().expect("8"));
-        let phoff = u64::from_le_bytes(bytes[32..40].try_into().expect("8"));
-        let phentsize = u16::from_le_bytes(bytes[54..56].try_into().expect("2")) as usize;
-        let phnum = u16::from_le_bytes(bytes[56..58].try_into().expect("2")) as usize;
-        if phentsize != PHDR_SIZE {
-            return Err(ImageError::BadElf("unexpected program header size"));
-        }
+        let table = elf_header(head)
+            .ok()
+            .and_then(|(_, phoff, phnum)| in_range(file_len, phoff, (phnum * PHDR_SIZE) as u64));
+        table.map_or(head.len(), |table| table.end.max(EHDR_SIZE))
+    }
+
+    /// Walks the ELF header and program headers of a `file_len`-byte file
+    /// to its entry point and LOAD segments, in program-header order, each
+    /// segment's contents given as its range in the file. `head` is the
+    /// start of the file, at least [`ElfImage::headers_len`] bytes of it
+    /// (or the whole file); every range is checked against `file_len`, so
+    /// a loader can place the contents as they arrive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::BadElf`] on malformed input.
+    pub fn parse_layout(head: &[u8], file_len: usize) -> Result<Self, ImageError> {
+        let (entry, phoff, phnum) = elf_header(head)?;
         // Every offset and size below is the file's word: add them checked,
         // so a hostile one is an error, never a wrapped index.
-        let phdrs = in_bounds(bytes, phoff, (phnum * PHDR_SIZE) as u64)
+        let phdrs = in_range(file_len, phoff, (phnum * PHDR_SIZE) as u64)
+            .and_then(|table| head.get(table))
             .ok_or(ImageError::BadElf("program headers out of bounds"))?;
         let mut segments = Vec::with_capacity(phnum);
         for ph in phdrs.chunks_exact(PHDR_SIZE) {
@@ -200,7 +218,7 @@ impl<'a> ElfImage<&'a [u8]> {
             let vaddr = u64::from_le_bytes(ph[16..24].try_into().expect("8"));
             let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8"));
             let memsz = u64::from_le_bytes(ph[40..48].try_into().expect("8"));
-            let data = in_bounds(bytes, p_offset, filesz)
+            let data = in_range(file_len, p_offset, filesz)
                 .ok_or(ImageError::BadElf("segment data out of bounds"))?;
             if memsz < filesz {
                 return Err(ImageError::BadElf("memsz smaller than filesz"));
@@ -219,10 +237,32 @@ impl<'a> ElfImage<&'a [u8]> {
     }
 }
 
-/// `bytes[offset..offset + len]`, or `None` if any of it lies outside.
-fn in_bounds(bytes: &[u8], offset: u64, len: u64) -> Option<&[u8]> {
-    let end = offset.checked_add(len)?;
-    bytes.get(usize::try_from(offset).ok()?..usize::try_from(end).ok()?)
+/// The entry point, program header offset and count of the ELF header at
+/// the start of `head`, once its identity and program header size check.
+fn elf_header(head: &[u8]) -> Result<(u64, u64, usize), ImageError> {
+    if head.len() < EHDR_SIZE {
+        return Err(ImageError::BadElf("shorter than the ELF header"));
+    }
+    if &head[..4] != b"\x7fELF" {
+        return Err(ImageError::BadElf("bad magic"));
+    }
+    if head[4] != 2 {
+        return Err(ImageError::BadElf("not 64-bit"));
+    }
+    let entry = u64::from_le_bytes(head[24..32].try_into().expect("8"));
+    let phoff = u64::from_le_bytes(head[32..40].try_into().expect("8"));
+    let phentsize = u16::from_le_bytes(head[54..56].try_into().expect("2")) as usize;
+    let phnum = u16::from_le_bytes(head[56..58].try_into().expect("2")) as usize;
+    if phentsize != PHDR_SIZE {
+        return Err(ImageError::BadElf("unexpected program header size"));
+    }
+    Ok((entry, phoff, phnum))
+}
+
+/// `offset..offset + len`, or `None` if any of it lies past `file_len`.
+fn in_range(file_len: usize, offset: u64, len: u64) -> Option<Range<usize>> {
+    let end = usize::try_from(offset.checked_add(len)?).ok()?;
+    (end <= file_len).then_some(usize::try_from(offset).ok()?..end)
 }
 
 #[cfg(test)]

@@ -43,9 +43,22 @@ pub struct LoadedKernel {
 /// over the private copy, not the staged one (§2.5 step 5: hashing the
 /// shared one would let the host race the check).
 pub(crate) fn digest(private: &PageView) -> [u8; 32] {
+    digest_while(private, || true).expect("never stopped")
+}
+
+/// [`digest`], asking `go_on` before each page: `None` once it says no.
+pub(crate) fn digest_while(
+    private: &PageView,
+    mut go_on: impl FnMut() -> bool,
+) -> Option<[u8; 32]> {
     let mut hasher = Sha256::new();
-    private.chunks().for_each(|chunk| hasher.update(chunk));
-    hasher.finalize()
+    for chunk in private.chunks() {
+        if !go_on() {
+            return None;
+        }
+        hasher.update(chunk);
+    }
+    Some(hasher.finalize())
 }
 
 /// The first `len` bytes of a private copy (all of them if it is shorter).

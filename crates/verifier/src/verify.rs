@@ -7,8 +7,9 @@
 //! 1 of §2.6 (host swapping components after their hashes were registered).
 
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 
-use sevf_mem::{GuestMemory, PAGE_SIZE};
+use sevf_mem::{GuestMemory, PageView, PAGE_SIZE};
 use sevf_sim::{CostModel, Step, Work};
 
 use crate::hashes::{HashPage, KernelHashes};
@@ -111,7 +112,8 @@ pub fn run(
 /// digest, and calls `then`: nothing parses the kernel before its digest is
 /// checked, so only the initrd verdict is in flight while `then` runs. A
 /// fault copying the initrd is held until the kernel's checks pass, and the
-/// initrd digest is joined last. The fw_cfg loader hashes a vmlinux as it
+/// initrd digest is joined last. Any other exit stops the digest between
+/// pages, so a refused kernel does not wait for the whole initrd's hash. The fw_cfg loader hashes a vmlinux as it
 /// places it, and the initrd is copied after that verdict.
 ///
 /// # Errors
@@ -124,6 +126,52 @@ pub fn run_then<T, E: From<VerifierError>>(
     layout: &GuestLayout,
     cost: &CostModel,
     config: VerifierConfig,
+    then: impl FnOnce(&mut GuestMemory, u64) -> Result<T, E>,
+) -> Result<(VerifiedBoot, T), E> {
+    run_watched(mem, layout, cost, config, &InitrdDigest::default(), then)
+}
+
+/// The initrd digest's progress, shared with the thread that takes it: the
+/// pages it has started, and a flag that stops it between pages.
+#[derive(Debug, Default)]
+struct InitrdDigest {
+    stop: AtomicBool,
+    pages: AtomicU64,
+    /// `pages` when `stop` was set.
+    pages_at_stop: AtomicU64,
+}
+
+impl InitrdDigest {
+    /// SHA-256 of the private initrd, or `None` if stopped first.
+    fn take(&self, private: &PageView) -> Option<[u8; 32]> {
+        loader::digest_while(private, || {
+            let go_on = !self.stop.load(SeqCst);
+            self.pages.fetch_add(u64::from(go_on), SeqCst);
+            go_on
+        })
+    }
+}
+
+/// Stops the initrd digest when dropped: on every exit from the scope that
+/// spawned it, the `?` returns included, before the scope joins it. Only an
+/// accepted boot, which joins the digest first, needs its value.
+struct StopOnDrop<'a>(&'a InitrdDigest);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, SeqCst);
+        let pages = self.0.pages.load(SeqCst);
+        self.0.pages_at_stop.store(pages, SeqCst);
+    }
+}
+
+/// [`run_then`], with the initrd digest's progress kept in `watch`.
+fn run_watched<T, E: From<VerifierError>>(
+    mem: &mut GuestMemory,
+    layout: &GuestLayout,
+    cost: &CostModel,
+    config: VerifierConfig,
+    watch: &InitrdDigest,
     then: impl FnOnce(&mut GuestMemory, u64) -> Result<T, E>,
 ) -> Result<(VerifiedBoot, T), E> {
     let mut steps = Vec::new();
@@ -190,10 +238,11 @@ pub fn run_then<T, E: From<VerifierError>>(
     //    so verdicts come in the sequential order.
     let refused = |component| Err(VerifierError::HashMismatch { component }.into());
     std::thread::scope(|s| {
+        let _stop = StopOnDrop(watch);
         let hash_initrd = |mem: &mut GuestMemory| {
             let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
             mem.copy_to_private(staging, dest, layout.initrd_size)
-                .map(|private| s.spawn(move || loader::digest(&private)))
+                .map(|private| s.spawn(move || watch.take(&private)))
                 .map_err(VerifierError::from)
         };
         let held_initrd = (config.kind == KernelKind::Bzimage).then(|| hash_initrd(mem));
@@ -223,6 +272,7 @@ pub fn run_then<T, E: From<VerifierError>>(
         let initrd = held_initrd.unwrap_or_else(|| hash_initrd(mem))?;
         let outcome = then(mem, loaded.entry);
         let initrd_digest = initrd.join().unwrap_or_else(|panic| resume_unwind(panic));
+        let initrd_digest = initrd_digest.expect("nothing stops the digest before this join");
         let bytes = layout.initrd_size;
         steps.push(step(
             cost,
@@ -542,6 +592,38 @@ mod tests {
         assert!(
             !ran,
             "the continuation ran under a hash page of the wrong mode"
+        );
+    }
+
+    #[test]
+    fn a_refused_kernel_stops_the_initrd_digest_within_a_page() {
+        // A 12 MiB initrd takes far longer to hash than the tiny kernel
+        // takes to copy, hash and refuse; the refusal stops the digest
+        // between pages instead of waiting for all 3,072.
+        let bz = KernelConfig::test_tiny().build().bzimage(Codec::Lz4);
+        let mut tampered = bz.to_vec();
+        let mid = tampered.len() / 2;
+        tampered[mid] ^= 0x40;
+        let initrd: Vec<u8> = (0..12 << 20).map(|i: u32| ((i * 31) >> 7) as u8).collect();
+        let hashes = KernelHashes::WholeImage(sevf_crypto::sha256(&bz));
+        let (mut mem, layout) = prepare(&tampered, &initrd, hashes);
+        let watch = InitrdDigest::default();
+        let cost = CostModel::calibrated();
+        let config = VerifierConfig::severifast();
+        let outcome = run_watched(&mut mem, &layout, &cost, config, &watch, |_, _| {
+            Ok::<_, VerifierError>(())
+        });
+        assert_eq!(
+            outcome.unwrap_err(),
+            VerifierError::HashMismatch {
+                component: "kernel"
+            }
+        );
+        assert!(watch.stop.load(SeqCst));
+        let (at_stop, hashed) = (watch.pages_at_stop.load(SeqCst), watch.pages.load(SeqCst));
+        assert!(
+            hashed <= at_stop + 1,
+            "{hashed} pages hashed, {at_stop} of them before the stop"
         );
     }
 

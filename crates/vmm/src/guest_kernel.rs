@@ -4,8 +4,11 @@
 //!
 //! * **Bootstrap loader** (bzImage boots only, Fig. 11's third bar): the
 //!   setup stub decompresses the payload — really decompressed here, with
-//!   the codec's calibrated throughput — parses the inner ELF, and places
-//!   its segments. The VMM runs it as the verifier's continuation
+//!   the codec's calibrated throughput — straight into guest pages, as the
+//!   bzImage's own decompressor does (§4.4): it reads the ELF layout from
+//!   the first decoded bytes and writes each piece the decoder hands out
+//!   (`Codec::decompress_into`) into the segments it belongs to, so the
+//!   host never holds the whole vmlinux. The VMM runs it as the verifier's continuation
 //!   ([`sevf_verifier::verify::run_then`]): once the kernel's digest is
 //!   checked, while the initrd's is still being taken on a second host
 //!   thread. Verdicts keep the sequential order — kernel copy fault,
@@ -13,14 +16,18 @@
 //!   hash — and the loader's own outcome comes after all of them: a refused
 //!   initrd discards it.
 //! * **Linux boot**: validates `boot_params`, the mptable, and the command
-//!   line (all read from pre-encrypted memory), unpacks the initrd CPIO and
-//!   checks `/init` is runnable, then replays the boot-phase costs from the
+//!   line (all read from pre-encrypted memory), walks the initrd's CPIO
+//!   records where they lie (a header and a name at a time) and checks
+//!   `/init` is runnable, then replays the boot-phase costs from the
 //!   kernel's embedded descriptor, multiplied by the SEV generation factor
 //!   (§6.2: ≈ 2.3× under SNP from #VC handling and RMP-checked writes).
 
+use std::ops::Range;
+
+use sevf_codec::CodecError;
 use sevf_image::bzimage;
 use sevf_image::cpio;
-use sevf_image::elf::ElfImage;
+use sevf_image::elf::{ElfImage, Segment};
 use sevf_image::kernel::KernelDescriptor;
 use sevf_image::ImageError;
 use sevf_mem::{GuestMemory, PAGE_SIZE};
@@ -68,6 +75,12 @@ impl From<sevf_mem::MemError> for GuestBootError {
 impl From<ImageError> for GuestBootError {
     fn from(e: ImageError) -> Self {
         GuestBootError::Image(e)
+    }
+}
+
+impl From<CodecError> for GuestBootError {
+    fn from(e: CodecError) -> Self {
+        GuestBootError::Image(e.into())
     }
 }
 
@@ -121,31 +134,26 @@ pub(crate) fn run_bootstrap_loader_kaslr(
         "KASLR slide must be 2 MiB aligned"
     );
     let mut steps = Vec::new();
-    // The staged bzImage is dropped once decompressed, and the segments
-    // are placed from slices of the vmlinux: one image-sized buffer at a
-    // time beyond the decompression itself.
-    let vmlinux = {
-        let image = mem.guest_read(bzimage_addr, bzimage_len, true)?;
-        let (payload, codec) = bzimage::parse(&image)?;
-        let vmlinux = codec.decompress(payload).map_err(ImageError::from)?;
-        let (from, to) = (payload.len(), vmlinux.len());
-        steps.push(cost.step(
-            PhaseKind::BootstrapLoader,
-            format!("decompress {codec} payload ({from} → {to} B)"),
-            Work::Decompress(codec, to as u64),
-        ));
-        vmlinux
+    // The segments are placed over the private bzImage, so the loader
+    // reads it before decoding; the vmlinux never exists whole on the host.
+    let image = mem.guest_read(bzimage_addr, bzimage_len, true)?;
+    let (payload, codec) = bzimage::parse(&image)?;
+    let declared = codec.declared_len(payload).map_err(ImageError::from)?;
+    let mut placer = Placer {
+        mem,
+        slide,
+        file_len: usize::try_from(declared).unwrap_or(usize::MAX),
+        head: Vec::new(),
+        layout: None,
     };
-    let ElfImage { entry, segments } = ElfImage::parse(&vmlinux)?;
-    let mut placed = 0u64;
-    for seg in &segments {
-        let bss_at = seg.vaddr + slide + seg.data.len() as u64;
-        mem.guest_write(seg.vaddr + slide, seg.data, true)?;
-        if seg.bss > 0 {
-            mem.guest_write(bss_at, &vec![0u8; seg.bss as usize], true)?;
-        }
-        placed += seg.mem_size();
-    }
+    let to = codec.decompress_into(payload, |at, piece| placer.take(at, piece))?;
+    steps.push(cost.step(
+        PhaseKind::BootstrapLoader,
+        format!("decompress {codec} payload ({} → {to} B)", payload.len()),
+        Work::Decompress(codec, to),
+    ));
+    let ElfImage { entry, segments } = placer.finish()?;
+    let placed: u64 = segments.iter().map(|s| s.data.len() as u64 + s.bss).sum();
     let kaslr = match slide {
         0 => String::new(),
         slide => format!(", KASLR slide {slide:#x}"),
@@ -162,6 +170,92 @@ pub(crate) fn run_bootstrap_loader_kaslr(
         vmlinux_entry: entry + slide,
         steps,
     })
+}
+
+/// Writes `piece`, the vmlinux bytes at `at`, into every segment whose
+/// file range it overlaps, so segment order does not matter.
+fn place(
+    mem: &mut GuestMemory,
+    layout: &ElfImage<Range<usize>>,
+    slide: u64,
+    at: u64,
+    piece: &[u8],
+) -> Result<(), GuestBootError> {
+    let (start, end) = (at as usize, at as usize + piece.len());
+    for seg in &layout.segments {
+        let (lo, hi) = (start.max(seg.data.start), end.min(seg.data.end));
+        if lo < hi {
+            let dest = load_addr(seg, slide, lo - seg.data.start)?;
+            mem.guest_write(dest, &piece[lo - start..hi - start], true)?;
+        }
+    }
+    Ok(())
+}
+
+/// Where `seg`'s file byte `offset` is placed: `slide` above its link
+/// address. The address is the image's word, so an overflow is refused.
+fn load_addr(seg: &Segment<Range<usize>>, slide: u64, offset: usize) -> Result<u64, ImageError> {
+    let addr = seg.vaddr.checked_add(slide + offset as u64);
+    addr.ok_or(ImageError::BadElf("segment outside guest memory"))
+}
+
+/// What bss is zeroed from.
+static ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+/// The bootstrap loader's sink: places decoded vmlinux bytes into private
+/// memory as the decompressor hands them out.
+struct Placer<'m> {
+    mem: &'m mut GuestMemory,
+    slide: u64,
+    /// The vmlinux length the payload's container declares.
+    file_len: usize,
+    /// The leading bytes, held until the ELF headers in them are read.
+    head: Vec<u8>,
+    layout: Option<ElfImage<Range<usize>>>,
+}
+
+impl Placer<'_> {
+    /// Takes the decoded bytes at `at..at + piece.len()`: into `head` until
+    /// the layout is read from it, then into the segments.
+    fn take(&mut self, at: u64, piece: &[u8]) -> Result<(), GuestBootError> {
+        let mut rest = piece;
+        while self.layout.is_none() {
+            let want = ElfImage::headers_len(&self.head, self.file_len);
+            if self.head.len() >= want {
+                let layout = ElfImage::parse_layout(&self.head, self.file_len)?;
+                place(self.mem, &layout, self.slide, 0, &self.head[..at as usize])?;
+                self.head = Vec::new();
+                self.layout = Some(layout);
+            } else if rest.is_empty() {
+                return Ok(());
+            } else {
+                let (now, later) = rest.split_at((want - self.head.len()).min(rest.len()));
+                self.head.extend_from_slice(now);
+                rest = later;
+            }
+        }
+        let layout = self.layout.as_ref().expect("read above");
+        place(self.mem, layout, self.slide, at, piece)
+    }
+
+    /// Once the decode has ended: the layout (read now if the file was too
+    /// short to hold its headers), with every segment's bss zeroed.
+    fn finish(self) -> Result<ElfImage<Range<usize>>, GuestBootError> {
+        let layout = match self.layout {
+            Some(layout) => layout,
+            None => ElfImage::parse_layout(&self.head, self.file_len)?,
+        };
+        for seg in &layout.segments {
+            let mut at = load_addr(seg, self.slide, seg.data.len())?;
+            let mut left = seg.bss;
+            while left > 0 {
+                let n = left.min(PAGE_SIZE);
+                self.mem.guest_write(at, &ZEROS[..n as usize], true)?;
+                (at, left) = (at + n, left - n);
+            }
+        }
+        Ok(layout)
+    }
 }
 
 /// Result of the Linux boot stage.
@@ -231,27 +325,32 @@ pub fn run_kernel(
         Work::KernelPhase(descriptor.phases.drivers_us.into()),
     ));
 
-    // Late boot: unpack the initrd and exec /init. A compressed initrd
-    // (the Fig. 5 comparison point; not the recommended configuration) is
-    // decompressed first, paying the codec's calibrated cost.
-    let staged = mem.guest_read(boot_params.initrd_addr, boot_params.initrd_size, encrypted)?;
-    let initrd = match sevf_codec::Codec::detect(&staged) {
-        None => staged,
+    // Late boot: unpack the initrd and exec /init. The kernel walks an
+    // uncompressed initrd where it lies, a header and a name at a time. A
+    // compressed one (the Fig. 5 comparison point; not the recommended
+    // configuration) is decompressed first, paying the codec's calibrated
+    // cost.
+    let (addr, size) = (boot_params.initrd_addr, boot_params.initrd_size);
+    let magic = mem.guest_read(addr, size.min(16), encrypted)?;
+    let (entries, unpacked_len) = match sevf_codec::Codec::detect(&magic) {
+        None => {
+            let read =
+                |r: Range<usize>| mem.guest_read(addr + r.start as u64, r.len() as u64, encrypted);
+            let read = |r| read(r).map_err(GuestBootError::from);
+            (cpio::walk(size as usize, read)?, size)
+        }
         Some(codec) => {
+            let staged = mem.guest_read(addr, size, encrypted)?;
             let unpacked = codec.decompress(&staged).map_err(ImageError::from)?;
+            let len = unpacked.len() as u64;
             steps.push(step(
-                format!(
-                    "decompress {} initrd ({} → {} B)",
-                    codec,
-                    staged.len(),
-                    unpacked.len()
-                ),
-                Work::Decompress(codec, unpacked.len() as u64),
+                format!("decompress {codec} initrd ({size} → {len} B)"),
+                Work::Decompress(codec, len),
             ));
-            unpacked
+            let read = |r| Ok::<_, ImageError>(&unpacked[r]);
+            (cpio::walk(unpacked.len(), read)?, len)
         }
     };
-    let entries = cpio::parse(&initrd)?;
     let init = entries
         .iter()
         .find(|e| e.name == "init")
@@ -262,7 +361,7 @@ pub fn run_kernel(
     steps.push(step(
         format!("unpack initrd ({} files)", entries.len()),
         Work::All(vec![
-            Work::CopyPlain(initrd.len() as u64),
+            Work::CopyPlain(unpacked_len),
             Work::CpioEntries(entries.len() as u64),
         ]),
     ));
@@ -283,6 +382,7 @@ mod tests {
     use super::*;
     use crate::config::{BootPolicy, VmConfig};
     use sevf_codec::Codec;
+    use sevf_image::kernel::KernelConfig;
     use sevf_sim::Nanos;
     use sevf_verifier::layout::GuestLayout;
 
@@ -325,6 +425,147 @@ mod tests {
         // Descriptor readable at the placed entry.
         let head = mem.guest_read(stage.vmlinux_entry, 128, true).unwrap();
         assert!(KernelDescriptor::from_bytes(&head).is_ok());
+    }
+
+    /// An SNP guest with `kernel`'s bzImage in `codec` in private memory,
+    /// as the verifier leaves it: the memory, its address and length.
+    fn staged_bzimage(kernel: &KernelConfig, codec: Codec) -> (GuestMemory, u64, u64) {
+        let bz = kernel.build().bzimage(codec);
+        let mem_size = 256 << 20;
+        let layout = GuestLayout::plan(mem_size, bz.len() as u64, 1 << 20).unwrap();
+        let mut mem = GuestMemory::new_sev(mem_size, [7u8; 16], SevGeneration::SevSnp);
+        mem.rmp_assign(0, layout.staging_base).unwrap();
+        mem.pvalidate(0, layout.staging_base).unwrap();
+        mem.guest_write(layout.kernel_dest, &bz, true).unwrap();
+        (mem, layout.kernel_dest, bz.len() as u64)
+    }
+
+    /// The loader this one replaced: decode the whole vmlinux into a
+    /// buffer, parse it, then place each segment and a zeroed bss.
+    fn decode_then_place(
+        mem: &mut GuestMemory,
+        addr: u64,
+        len: u64,
+        cost: &CostModel,
+        slide: u64,
+    ) -> Result<LoaderStage, GuestBootError> {
+        let image = mem.guest_read(addr, len, true)?;
+        let (payload, codec) = bzimage::parse(&image)?;
+        let vmlinux = codec.decompress(payload)?;
+        let (from, to) = (payload.len(), vmlinux.len());
+        let mut steps = vec![cost.step(
+            PhaseKind::BootstrapLoader,
+            format!("decompress {codec} payload ({from} → {to} B)"),
+            Work::Decompress(codec, to as u64),
+        )];
+        let ElfImage { entry, segments } = ElfImage::parse(&vmlinux)?;
+        let mut placed = 0;
+        for seg in &segments {
+            let at = seg.vaddr + slide;
+            mem.guest_write(at, seg.data, true)?;
+            let bss = vec![0u8; seg.bss as usize];
+            mem.guest_write(at + seg.data.len() as u64, &bss, true)?;
+            placed += seg.mem_size();
+        }
+        let kaslr = match slide {
+            0 => String::new(),
+            slide => format!(", KASLR slide {slide:#x}"),
+        };
+        steps.push(cost.step(
+            PhaseKind::BootstrapLoader,
+            format!("place {} ELF segments ({placed} B{kaslr})", segments.len()),
+            Work::All(vec![
+                Work::CopyEncrypted(placed),
+                Work::ElfSegments(segments.len() as u64),
+            ]),
+        ));
+        Ok(LoaderStage {
+            vmlinux_entry: entry + slide,
+            steps,
+        })
+    }
+
+    #[test]
+    fn streamed_placement_equals_decode_then_place() {
+        let cost = CostModel::calibrated();
+        let kernels = [
+            KernelConfig::test_tiny(),
+            KernelConfig::lupine().scaled_down(16),
+            KernelConfig::aws().scaled_down(16),
+        ];
+        for kernel in &kernels {
+            for codec in Codec::ALL {
+                for slide in [0, 2 << 20] {
+                    let case = format!("{} {codec} slide {slide:#x}", kernel.name);
+                    let (mut streamed, addr, len) = staged_bzimage(kernel, codec);
+                    let stage =
+                        run_bootstrap_loader_kaslr(&mut streamed, addr, len, &cost, slide).unwrap();
+                    let (mut reference, ..) = staged_bzimage(kernel, codec);
+                    let want = decode_then_place(&mut reference, addr, len, &cost, slide).unwrap();
+                    assert_eq!(stage.vmlinux_entry, want.vmlinux_entry, "{case}");
+                    assert_eq!(stage.steps, want.steps, "{case}");
+                    assert_eq!(
+                        streamed.resident_pages(),
+                        reference.resident_pages(),
+                        "{case}"
+                    );
+                    assert!(
+                        streamed.host_page_digests() == reference.host_page_digests(),
+                        "{case}: the placed pages differ"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_elf_header_wins_over_a_later_codec_fault() {
+        // The streaming loader reads the ELF header from the first decoded
+        // bytes, so a bad one is refused before the decode reaches a fault
+        // at its end (here: a declared length one byte too long). Decoding
+        // first reported the codec's fault. A stored payload checks its
+        // length before handing out any byte, so its fault still wins.
+        let cost = CostModel::calibrated();
+        let image = KernelConfig::test_tiny().build();
+        let mut vmlinux = image.vmlinux().to_vec();
+        vmlinux[0] = 0;
+        for codec in Codec::ALL {
+            let mut bz = bzimage::build(&vmlinux, codec);
+            let (payload, _) = bzimage::payload_range(&bz, bz.len()).unwrap();
+            let field = payload.start
+                + match codec {
+                    Codec::Deflate | Codec::Zstd => 5,
+                    Codec::None | Codec::Lz4 => 4,
+                };
+            let declared = u64::from_le_bytes(bz[field..field + 8].try_into().unwrap());
+            bz[field..field + 8].copy_from_slice(&(declared + 1).to_le_bytes());
+            let staged = || {
+                let (mut mem, addr, _) = staged_bzimage(&KernelConfig::test_tiny(), codec);
+                mem.guest_write(addr, &bz, true).unwrap();
+                (mem, addr)
+            };
+            let ((mut mem, addr), (mut reference, _)) = (staged(), staged());
+            let len = bz.len() as u64;
+            let mismatch = CodecError::LengthMismatch {
+                expected: declared + 1,
+                actual: declared,
+            };
+            let codec_fault = GuestBootError::Image(ImageError::Codec(mismatch));
+            assert_eq!(
+                decode_then_place(&mut reference, addr, len, &cost, 0).unwrap_err(),
+                codec_fault,
+                "{codec}"
+            );
+            let streamed = run_bootstrap_loader(&mut mem, addr, len, &cost).unwrap_err();
+            match codec {
+                Codec::None => assert_eq!(streamed, codec_fault),
+                _ => assert_eq!(
+                    streamed,
+                    GuestBootError::Image(ImageError::BadElf("bad magic")),
+                    "{codec}"
+                ),
+            }
+        }
     }
 
     #[test]
