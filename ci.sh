@@ -3,6 +3,7 @@
 #
 #   ./ci.sh          # full gate: build, tests, golden replay, lints, docs, clean tree
 #   ./ci.sh quick    # fast inner loop: debug tests + one debug golden replay
+#   ./ci.sh mutants  # the mutation ledger, tests/mutants.txt (not in the full gate)
 #
 # Re-capture every golden (only for an intended model change):
 #
@@ -41,6 +42,102 @@ run_tests() {
   echo "==> cargo test -q --workspace --exclude severifast-repro"
   cargo test -q --workspace --exclude severifast-repro
 }
+
+# mutant_one — applies the parsed ledger entry (m_file, m_find, m_replace,
+# m_test, m_expect, m_why) in the copy at $tree, builds and runs its test,
+# and restores the file. Every write gives the file a new mtime, so cargo
+# rebuilds the crate after a mutant and again after its restore.
+mutant_one() {
+  local path=$tree/$m_file find=${m_find//\\n/$'\n'} replace=${m_replace//\\n/$'\n'}
+  local original rest outcome start code=0
+  n_mutants=$((n_mutants + 1))
+  if [[ -z "$m_find" || -z "$m_test" || -z "$m_why" || ! "$m_expect" =~ ^(caught|survives)$ ]]; then
+    echo "FAIL  $m_file: an entry needs find, test, why and expect caught|survives"
+    bad_mutants=$((bad_mutants + 1))
+    return
+  fi
+  if [[ ! -f "$path" ]]; then
+    echo "FAIL  $m_file: no such file"
+    bad_mutants=$((bad_mutants + 1))
+    return
+  fi
+  original=$(cat "$path"; echo x)
+  original=${original%x}
+  rest=${original#*"$find"}
+  if [[ "$rest" == "$original" || "$rest" == *"$find"* ]]; then
+    echo "FAIL  $m_file: the snippet does not occur exactly once: $m_find"
+    bad_mutants=$((bad_mutants + 1))
+    return
+  fi
+  printf '%s' "${original/"$find"/"$replace"}" > "$path"
+  start=$SECONDS
+  # shellcheck disable=SC2086 # m_test is a list of cargo arguments
+  if ! (cd "$tree" && cargo test -q --offline $m_test --no-run) > "$tree.log" 2>&1; then
+    outcome="FAIL  the mutant does not build"
+    bad_mutants=$((bad_mutants + 1))
+  else
+    # shellcheck disable=SC2086
+    (cd "$tree" && timeout 900 cargo test -q --offline $m_test -- --exact) > "$tree.log" 2>&1 || code=$?
+    case "$m_expect:$code" in
+      caught:0) outcome="FAIL  survived"; bad_mutants=$((bad_mutants + 1)) ;;
+      caught:124) outcome="ok    caught (timed out)" ;;
+      caught:*) outcome="ok    caught" ;;
+      survives:0) outcome="ok    survives (equivalent)" ;;
+      *) outcome="FAIL  an equivalent mutant failed its test"; bad_mutants=$((bad_mutants + 1)) ;;
+    esac
+  fi
+  printf '%s' "$original" > "$path"
+  echo "$outcome  $((SECONDS - start)) s  $m_file: $m_find  [$m_test]"
+  if [[ "$outcome" == FAIL* ]]; then
+    tail -n 20 "$tree.log"
+  fi
+}
+
+# The mutation ledger (ROADMAP item 13): each entry of tests/mutants.txt must
+# be caught by its named test, or, marked `expect: survives`, pass it. The
+# tree is copied to a scratch directory with its own target directory, so
+# nothing is built into this checkout's target/.
+run_mutants() {
+  local line start=$SECONDS
+  mutants_dir=$(mktemp -d)
+  trap 'rm -rf "$mutants_dir"' EXIT
+  tree=$mutants_dir/tree
+  mkdir "$tree"
+  tar -C . --exclude=./.git --exclude=./target --exclude=./benchmark/target \
+    --exclude=./benchmark/out -cf - . | tar -C "$tree" -xf -
+  export CARGO_TARGET_DIR=$mutants_dir/target
+  shopt -u patsub_replacement 2> /dev/null || true
+  n_mutants=0 bad_mutants=0
+  m_file="" m_find="" m_replace="" m_test="" m_expect=caught m_why=""
+  while IFS= read -r line || [[ -n "$line" ]]; do
+    case "$line" in
+      '#'*) ;;
+      '')
+        if [[ -n "$m_file" ]]; then mutant_one; fi
+        m_file="" m_find="" m_replace="" m_test="" m_expect=caught m_why=""
+        ;;
+      'file: '*) m_file=${line#file: } ;;
+      'find: '*) m_find=${line#find: } ;;
+      'replace: '*) m_replace=${line#replace: } ;;
+      'test: '*) m_test=${line#test: } ;;
+      'expect: '*) m_expect=${line#expect: } ;;
+      'why: '*) m_why=${line#why: } ;;
+      *)
+        echo "FAIL  tests/mutants.txt: unknown line: $line"
+        bad_mutants=$((bad_mutants + 1))
+        ;;
+    esac
+  done < tests/mutants.txt
+  if [[ -n "$m_file" ]]; then mutant_one; fi
+  echo "==> mutants: $n_mutants entries, $bad_mutants failed, $((SECONDS - start)) s"
+  (( bad_mutants == 0 && n_mutants > 0 ))
+}
+
+if [[ "$mode" == mutants ]]; then
+  run_mutants
+  echo "MUTANTS OK"
+  exit 0
+fi
 
 if [[ "$mode" == quick ]]; then
   run_tests
@@ -114,8 +211,13 @@ ceiling 4803 "serving-core (crates/fleet/src + crates/cluster/src)" \
   $(find crates/fleet/src crates/cluster/src -name '*.rs')
 ceiling 1855 "harness (examples/*.rs + crates/bench/src)" \
   examples/*.rs $(find crates/bench/src -name '*.rs')
-ceiling 4396 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
+ceiling 4368 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
   $(find crates/mem/src crates/codec/src crates/image/src crates/verifier/src crates/vmm/src -name '*.rs')
+# The modules that play the paper's root of trust (ROADMAP item 16): the
+# verifier's main sequence, its loaders, the hash page, the layout and the
+# page tables. The ELF reader they call lives in sevf-image.
+ceiling 500 "root of trust (crates/verifier/src/{verify,loader,hashes,layout,pagetable}.rs)" \
+  crates/verifier/src/{verify,loader,hashes,layout,pagetable}.rs
 ceiling 2891 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
   $(find crates/attplane/src crates/net/src crates/policy/src crates/scale/src crates/obs/src -name '*.rs')
 
@@ -299,9 +401,10 @@ echo 0
 
 # The bootstrap loader places the vmlinux from the decoder's stream
 # (`Codec::decompress_into`): it reads the ELF layout from the first decoded
-# bytes and writes each piece into its segments, and bss comes from a static
-# zero page. A whole-vmlinux parse or a zero-filled buffer in the loader
-# would put an image-sized host allocation back on the boot path.
+# piece and writes each piece into its segments, and bss is zeroed in place
+# (`GuestMemory::guest_zero`). A whole-vmlinux parse or a zero-filled buffer
+# in the loader would put an image-sized host allocation back on the boot
+# path.
 echo "==> vec![0 and ElfImage::parse( in crates/vmm/src/guest_kernel.rs code (same line rule; must be 0)"
 if code_of crates/vmm/src/guest_kernel.rs | grep -E 'vec!\[0|ElfImage::parse\('; then
   echo "the loader buffers a whole vmlinux or a zeroed bss: place from the decoder's pieces"
@@ -316,6 +419,18 @@ echo 0
 echo "==> guest_read( calls in crates/verifier/src/loader.rs code (same line rule; must be 0)"
 if code_of crates/verifier/src/loader.rs | grep 'guest_read('; then
   echo "a loader reads a private copy back: hash the PageView copy_to_private returns"
+  exit 1
+fi
+echo 0
+
+# The fw_cfg loader reads ELF fields only through sevf-image's one reader
+# (`elf::header`, `elf::load_segments`), which checks what the host-side
+# parse checks, and zeroes bss in place with `GuestMemory::guest_zero`. A
+# field decoded by hand here would skip those checks, and a zero-filled
+# buffer would be a host allocation as large as a segment's bss.
+echo "==> vec![0 and from_le_bytes in crates/verifier/src/loader.rs code (same line rule; must be 0)"
+if code_of crates/verifier/src/loader.rs | grep -E 'vec!\[0|from_le_bytes'; then
+  echo "the fw_cfg loader decodes or zeroes by hand: use sevf_image::elf and GuestMemory::guest_zero"
   exit 1
 fi
 echo 0

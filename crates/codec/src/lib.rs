@@ -18,8 +18,11 @@
 //! its output to a sink as `(offset, bytes)` pieces and holds only the
 //! codec's back-reference reach plus [`FLUSH_QUANTUM`] bytes, so a boot's
 //! bootstrap loader writes the vmlinux straight into guest pages (§4.4)
-//! without a host-side copy of it. [`Codec::decompress`] is the sink that
-//! collects the pieces into one buffer.
+//! without a host-side copy of it. Every piece but the last is exactly
+//! [`FLUSH_QUANTUM`] bytes (a stored container hands out one piece), so the
+//! first piece is the output's first `min(FLUSH_QUANTUM, len)` bytes: the
+//! loader reads the ELF layout from it. [`Codec::decompress`] is the sink
+//! that collects the pieces into one buffer.
 //!
 //! Decompression *throughput* (LZ4 ≫ deflate) is part of the virtual-time
 //! cost model in `sevf-sim`; this crate is only responsible for real bytes
@@ -218,7 +221,8 @@ impl Codec {
     /// output to `sink` as `(offset, bytes)` pieces, in order and back to
     /// back. A decoder holds only its back-references' reach of output
     /// (64 KiB for LZ4, the container's window for the LZH profiles) plus
-    /// at most [`FLUSH_QUANTUM`] bytes not yet handed out; a stored
+    /// at most [`FLUSH_QUANTUM`] bytes not yet handed out, and hands out
+    /// exactly [`FLUSH_QUANTUM`] bytes in every piece but the last; a stored
     /// container hands out its payload as one piece of the input. Returns
     /// the output length.
     ///

@@ -22,7 +22,7 @@ use crate::buckets::BucketTable;
 use crate::huffman::{build_code_lengths, Decoder, Encoder};
 use crate::lzss::{self, Token};
 use crate::window::Window;
-use crate::{Codec, CodecError};
+use crate::CodecError;
 
 /// Window log for the deflate-class configuration (32 KiB).
 pub const DEFLATE_WINDOW_LOG: u32 = 15;
@@ -56,12 +56,12 @@ fn distance_table(window_log: u32) -> BucketTable {
 /// # Example
 ///
 /// ```
-/// use sevf_codec::lzh;
+/// use sevf_codec::{lzh, Codec};
 ///
 /// let data = b"kernel text kernel text kernel text".repeat(50);
 /// let packed = lzh::compress(&data, lzh::DEFLATE_WINDOW_LOG);
 /// assert!(packed.len() < data.len());
-/// assert_eq!(lzh::decompress(&packed)?, data);
+/// assert_eq!(Codec::Deflate.decompress(&packed)?, data);
 /// # Ok::<(), sevf_codec::CodecError>(())
 /// ```
 pub fn compress(data: &[u8], window_log: u32) -> Vec<u8> {
@@ -120,18 +120,6 @@ pub fn compress(data: &[u8], window_log: u32) -> Vec<u8> {
     out
 }
 
-/// Decompresses an "SVLZ" container: the [`Codec::decompress_into`]
-/// pieces, collected (as [`Codec::decompress`] does).
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] for bad magic, malformed Huffman tables,
-/// truncated bitstreams, out-of-window back-references, or a payload that
-/// does not match the declared length.
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
-    Codec::Deflate.decompress(data)
-}
-
 /// The length an "SVLZ" container declares.
 pub(crate) fn declared_len(data: &[u8]) -> Result<u64, CodecError> {
     if data.len() < 17 || &data[..4] != MAGIC {
@@ -140,8 +128,8 @@ pub(crate) fn declared_len(data: &[u8]) -> Result<u64, CodecError> {
     Ok(u64::from_le_bytes(data[5..13].try_into().unwrap()))
 }
 
-/// Runs the decode loop of [`Codec::decompress_into`], leaving the window
-/// unfinished.
+/// Runs the decode loop of [`crate::Codec::decompress_into`], leaving the
+/// window unfinished.
 pub(crate) fn decode<S, E>(data: &[u8], sink: S) -> Result<Window<S>, E>
 where
     S: FnMut(u64, &[u8]) -> Result<(), E>,
@@ -197,6 +185,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both profiles decode through the one entry point.
+    fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        crate::Codec::Deflate.decompress(data)
+    }
 
     #[test]
     fn roundtrip_text() {

@@ -1,10 +1,10 @@
 //! The sliding window every decoder writes through.
 //!
 //! A decoder appends literals and back-references here; the window hands
-//! its output to a sink in pieces of at most [`FLUSH_QUANTUM`] bytes and
-//! keeps only as much history as the codec's back-references can reach.
-//! So a decode holds at most `reach + FLUSH_QUANTUM` bytes, whatever the
-//! size of its output.
+//! its output to a sink in pieces of exactly [`FLUSH_QUANTUM`] bytes (the
+//! last one may be shorter) and keeps only as much history as the codec's
+//! back-references can reach. So a decode holds at most
+//! `reach + FLUSH_QUANTUM` bytes, whatever the size of its output.
 
 use crate::CodecError;
 

@@ -129,16 +129,29 @@ fn compressed_size_bounded() {
 }
 
 /// `codec`'s [`Codec::decompress_into`] pieces, checked to arrive back to
-/// back, concatenated.
+/// back, concatenated. Every piece but the last is checked to be a whole
+/// [`FLUSH_QUANTUM`] (a stored container is one piece), so the first piece
+/// holds the first `min(FLUSH_QUANTUM, len)` bytes: the bootstrap loader
+/// reads the ELF layout from it.
 fn streamed(codec: Codec, packed: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
+    let mut sizes = Vec::new();
     let len = codec.decompress_into(packed, |at, piece| {
         assert_eq!(at, out.len() as u64, "{codec}: a piece out of order");
         assert!(!piece.is_empty(), "{codec}: an empty piece");
         out.extend_from_slice(piece);
+        sizes.push(piece.len());
         Ok::<_, CodecError>(())
     })?;
     assert_eq!(len, out.len() as u64, "{codec}");
+    let whole = sizes.split_last().map_or(&[][..], |(_, whole)| whole);
+    match codec {
+        Codec::None => assert!(whole.is_empty(), "a stored container in {sizes:?}"),
+        _ => assert!(
+            whole.iter().all(|&n| n == FLUSH_QUANTUM),
+            "{codec}: pieces of {sizes:?} B"
+        ),
+    }
     Ok(out)
 }
 
@@ -155,6 +168,15 @@ fn streamed_pieces_concatenate_to_decompress() {
             assert_eq!(streamed(codec, &packed), codec.decompress(&packed));
             assert_eq!(streamed(codec, &packed).unwrap(), data, "{codec}");
         }
+    }
+    // Past two flushes, so pieces before the last are checked to be whole.
+    let mut data = Vec::new();
+    while data.len() < 5 * FLUSH_QUANTUM / 2 {
+        data.extend(compressible(&mut rng, 1 << 16));
+    }
+    for codec in Codec::ALL {
+        let packed = codec.compress(&data);
+        assert_eq!(streamed(codec, &packed).unwrap(), data, "{codec}");
     }
 }
 

@@ -4,6 +4,11 @@
 //! vmlinux loader, the boot verifier's measured ELF loader, and the fw_cfg
 //! protocol of §5 (which serves the ELF header, program headers, and
 //! loadable segments as three separately hashed pieces).
+//!
+//! [`header`] and [`load_segments`] are the one reader of ELF fields: the
+//! host-side parse ([`ElfImage::parse_layout`], which the bootstrap loader
+//! also runs) and the verifier's fw_cfg loader both read through them, so
+//! the trusted loader refuses what the host-side reader refuses.
 
 use std::ops::Range;
 
@@ -175,71 +180,41 @@ impl<'a> ElfImage<&'a [u8]> {
 }
 
 impl ElfImage<Range<usize>> {
-    /// How many leading bytes of a `file_len`-byte ELF file
-    /// [`ElfImage::parse_layout`] reads, judged from the first ones in
-    /// `head`: the ELF header, then the end of the program header table.
-    /// Once `head` shows the file malformed (a bad ELF header, a table past
-    /// the file's end), `head`'s own length: the parse can refuse it now.
-    pub fn headers_len(head: &[u8], file_len: usize) -> usize {
-        if head.len() < EHDR_SIZE {
-            return EHDR_SIZE;
-        }
-        let table = elf_header(head)
-            .ok()
-            .and_then(|(_, phoff, phnum)| in_range(file_len, phoff, (phnum * PHDR_SIZE) as u64));
-        table.map_or(head.len(), |table| table.end.max(EHDR_SIZE))
-    }
-
     /// Walks the ELF header and program headers of a `file_len`-byte file
     /// to its entry point and LOAD segments, in program-header order, each
     /// segment's contents given as its range in the file. `head` is the
-    /// start of the file, at least [`ElfImage::headers_len`] bytes of it
-    /// (or the whole file); every range is checked against `file_len`, so
-    /// a loader can place the contents as they arrive.
+    /// start of the file, holding at least its ELF header and program
+    /// header table (or the whole file); every range is checked against
+    /// `file_len`, so a loader can place the contents as they arrive.
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::BadElf`] on malformed input.
+    /// Returns [`ImageError::BadElf`] on malformed input, and for a program
+    /// header table that ends past `head`.
     pub fn parse_layout(head: &[u8], file_len: usize) -> Result<Self, ImageError> {
-        let (entry, phoff, phnum) = elf_header(head)?;
+        let (entry, phoff, phnum) = header(head)?;
         // Every offset and size below is the file's word: add them checked,
         // so a hostile one is an error, never a wrapped index.
         let phdrs = in_range(file_len, phoff, (phnum * PHDR_SIZE) as u64)
             .and_then(|table| head.get(table))
             .ok_or(ImageError::BadElf("program headers out of bounds"))?;
-        let mut segments = Vec::with_capacity(phnum);
-        for ph in phdrs.chunks_exact(PHDR_SIZE) {
-            let p_type = u32::from_le_bytes(ph[0..4].try_into().expect("4"));
-            if p_type != 1 {
-                continue; // skip non-LOAD
-            }
-            let flags = u32::from_le_bytes(ph[4..8].try_into().expect("4"));
-            let p_offset = u64::from_le_bytes(ph[8..16].try_into().expect("8"));
-            let vaddr = u64::from_le_bytes(ph[16..24].try_into().expect("8"));
-            let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8"));
-            let memsz = u64::from_le_bytes(ph[40..48].try_into().expect("8"));
-            let data = in_range(file_len, p_offset, filesz)
-                .ok_or(ImageError::BadElf("segment data out of bounds"))?;
-            if memsz < filesz {
-                return Err(ImageError::BadElf("memsz smaller than filesz"));
-            }
-            segments.push(Segment {
-                vaddr,
-                data,
-                bss: memsz - filesz,
-                flags: SegmentFlags(flags),
-            });
-        }
-        if segments.is_empty() {
-            return Err(ImageError::BadElf("no loadable segments"));
-        }
+        let segments = load_segments(phdrs, |offset, filesz| {
+            in_range(file_len, offset, filesz)
+                .ok_or(ImageError::BadElf("segment data out of bounds"))
+        })?;
         Ok(ElfImage { entry, segments })
     }
 }
 
-/// The entry point, program header offset and count of the ELF header at
-/// the start of `head`, once its identity and program header size check.
-fn elf_header(head: &[u8]) -> Result<(u64, u64, usize), ImageError> {
+/// The entry point, program header offset and program header count of the
+/// ELF64 header at the start of `head`, once its magic, class and program
+/// header size check.
+///
+/// # Errors
+///
+/// Returns [`ImageError::BadElf`] if `head` is shorter than the header or
+/// fails one of those checks.
+pub fn header(head: &[u8]) -> Result<(u64, u64, usize), ImageError> {
     if head.len() < EHDR_SIZE {
         return Err(ImageError::BadElf("shorter than the ELF header"));
     }
@@ -257,6 +232,46 @@ fn elf_header(head: &[u8]) -> Result<(u64, u64, usize), ImageError> {
         return Err(ImageError::BadElf("unexpected program header size"));
     }
     Ok((entry, phoff, phnum))
+}
+
+/// The LOAD segments of the program header table `phdrs`, in table order,
+/// each one's contents `data(p_offset, p_filesz)`. A segment's contents are
+/// checked (by `data`) before its memory size.
+///
+/// # Errors
+///
+/// `data`'s error, or [`ImageError::BadElf`] for a segment whose memory
+/// size is below its file size, or a table with no LOAD entry.
+pub fn load_segments<D>(
+    phdrs: &[u8],
+    mut data: impl FnMut(u64, u64) -> Result<D, ImageError>,
+) -> Result<Vec<Segment<D>>, ImageError> {
+    let mut segments = Vec::with_capacity(phdrs.len() / PHDR_SIZE);
+    for ph in phdrs.chunks_exact(PHDR_SIZE) {
+        let p_type = u32::from_le_bytes(ph[0..4].try_into().expect("4"));
+        if p_type != 1 {
+            continue; // skip non-LOAD
+        }
+        let flags = u32::from_le_bytes(ph[4..8].try_into().expect("4"));
+        let p_offset = u64::from_le_bytes(ph[8..16].try_into().expect("8"));
+        let vaddr = u64::from_le_bytes(ph[16..24].try_into().expect("8"));
+        let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8"));
+        let memsz = u64::from_le_bytes(ph[40..48].try_into().expect("8"));
+        let data = data(p_offset, filesz)?;
+        if memsz < filesz {
+            return Err(ImageError::BadElf("memsz smaller than filesz"));
+        }
+        segments.push(Segment {
+            vaddr,
+            data,
+            bss: memsz - filesz,
+            flags: SegmentFlags(flags),
+        });
+    }
+    if segments.is_empty() {
+        return Err(ImageError::BadElf("no loadable segments"));
+    }
+    Ok(segments)
 }
 
 /// `offset..offset + len`, or `None` if any of it lies past `file_len`.
@@ -365,6 +380,19 @@ mod tests {
         assert_eq!(
             ElfImage::parse(&bytes),
             Err(ImageError::BadElf("segment data out of bounds"))
+        );
+    }
+
+    #[test]
+    fn memsz_below_filesz_is_bad_elf() {
+        // The segment's data lies in the file, so the size check decides.
+        let mut bytes = one_header();
+        bytes[EHDR_SIZE + 8..EHDR_SIZE + 16].copy_from_slice(&0u64.to_le_bytes()); // p_offset
+        bytes[EHDR_SIZE + 32..EHDR_SIZE + 40].copy_from_slice(&8u64.to_le_bytes()); // p_filesz
+        bytes[EHDR_SIZE + 40..EHDR_SIZE + 48].copy_from_slice(&4u64.to_le_bytes()); // p_memsz
+        assert_eq!(
+            ElfImage::parse(&bytes),
+            Err(ImageError::BadElf("memsz smaller than filesz"))
         );
     }
 

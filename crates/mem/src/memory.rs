@@ -409,6 +409,21 @@ impl GuestMemory {
         Ok(())
     }
 
+    /// Guest write of `len` zero bytes through the private mapping: what
+    /// [`GuestMemory::guest_write`] of that many zeros (`encrypted = true`)
+    /// does, without a buffer of them.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GuestMemory::guest_write`].
+    pub fn guest_zero(&mut self, addr: u64, len: u64) -> Result<(), MemError> {
+        self.guest_check(addr, len, true)?;
+        for (page, at, take) in spans(addr, len) {
+            self.page_mut(page)[at..at + take].fill(0);
+        }
+        Ok(())
+    }
+
     /// Guest read; `encrypted` selects a C-bit (private) mapping.
     ///
     /// Reading a *private* page through a *shared* mapping (`encrypted =

@@ -461,3 +461,62 @@ fn copy_to_private_is_the_read_write_read_back_it_replaced() {
         "{shared_pages} shared, {faults} faulted"
     );
 }
+
+#[test]
+fn guest_zero_is_a_guest_write_of_zeros() {
+    // A small guest, all of it private: pages written by the guest, left
+    // untouched, or (under SNP) left unvalidated, so a zeroing into one
+    // takes #VC. Ranges start at any offset, may cross pages, and may run
+    // past the end of memory.
+    const PAGES: u64 = 16;
+    let generations = [
+        SevGeneration::Sev,
+        SevGeneration::SevEs,
+        SevGeneration::SevSnp,
+    ];
+    let mut rng = XorShift64::new(0x3E3_00D0);
+    let (mut zeroed, mut faults, mut out_of_range) = (0, 0, 0);
+    for case in 0..3 * CASES {
+        let generation = generations[(case % 3) as usize];
+        let size = PAGES * PAGE_SIZE;
+        let mut mem = GuestMemory::new_sev(size, [4u8; 16], generation);
+        mem.rmp_assign(0, size).unwrap();
+        let unvalidated = rng.next_below(PAGES);
+        for page in 0..PAGES {
+            if generation.has_rmp() && page != unvalidated {
+                mem.pvalidate(page * PAGE_SIZE, PAGE_SIZE).unwrap();
+            }
+            if rng.next_below(2) == 0 && mem.is_validated(page * PAGE_SIZE) {
+                let data = bytes(&mut rng, PAGE_SIZE as usize, PAGE_SIZE as usize);
+                mem.guest_write(page * PAGE_SIZE, &data, true).unwrap();
+            }
+        }
+        let (addr, len) = (rng.next_below(size), rng.next_below(3 * PAGE_SIZE));
+        let mut written = GuestMemory::new_sev(size, [4u8; 16], generation);
+        written.restore_pages(&mem.clone_pages()).unwrap();
+        let want = written.guest_write(addr, &vec![0; len as usize], true);
+        assert_eq!(mem.guest_zero(addr, len), want, "case {case}");
+        match want {
+            Ok(()) => {
+                assert_eq!(
+                    mem.guest_read(addr, len, true).unwrap(),
+                    vec![0; len as usize]
+                );
+                zeroed += 1;
+            }
+            Err(MemError::VcException { .. }) => faults += 1,
+            Err(MemError::OutOfRange { .. }) => out_of_range += 1,
+            Err(other) => panic!("case {case}: {other:?}"),
+        }
+        assert_eq!(observed(&mem), observed(&written), "case {case}");
+    }
+    assert!(
+        zeroed > 50 && faults > 5 && out_of_range > 5,
+        "{zeroed} zeroed, {faults} faulted, {out_of_range} out of range"
+    );
+    let mut mem = snp();
+    assert_eq!(
+        mem.guest_zero(u64::MAX, 2),
+        mem.guest_write(u64::MAX, &[0; 2], true)
+    );
+}

@@ -14,7 +14,7 @@
 
 use sevf_crypto::Sha256;
 use sevf_image::bzimage;
-use sevf_image::elf::{EHDR_SIZE, PHDR_SIZE};
+use sevf_image::elf::{self, EHDR_SIZE, PHDR_SIZE};
 use sevf_image::ImageError;
 use sevf_mem::{GuestMemory, PageView};
 use sevf_sim::{CostModel, PhaseKind, Step, Work};
@@ -91,7 +91,10 @@ pub(crate) fn finish_bzimage(
     })
 }
 
-/// Loads an uncompressed vmlinux via the three-piece fw_cfg protocol.
+/// Loads an uncompressed vmlinux via the three-piece fw_cfg protocol. The
+/// ELF fields are read through `sevf_image::elf`'s [`elf::header`] and
+/// [`elf::load_segments`], so this loader refuses what the host-side reader
+/// refuses.
 ///
 /// # Errors
 ///
@@ -116,11 +119,12 @@ pub fn load_vmlinux_fw_cfg(
             Work::ElfHeader,
         ]),
     ));
-    let phnum = usize::from(u16::from_le_bytes([ehdr[56], ehdr[57]]));
+    // The program headers follow the ELF header in staging, whatever
+    // `e_phoff` says.
+    let (entry, _, phnum) = elf::header(&ehdr)?;
     if phnum == 0 || phnum > 64 {
         return Err(ImageError::BadElf("implausible program header count").into());
     }
-    let entry = u64::from_le_bytes(ehdr[24..32].try_into().expect("8"));
 
     // Piece 2: program headers.
     let phdrs_len = (phnum * PHDR_SIZE) as u64;
@@ -136,35 +140,27 @@ pub fn load_vmlinux_fw_cfg(
         ]),
     ));
 
-    // Piece 3: loadable segments, staged back to back, copied straight to
-    // their run addresses (no intermediate whole-file copy — §5).
+    // Piece 3: loadable segments, staged back to back in table order (so
+    // `p_offset` is not read), copied straight to their run addresses (no
+    // intermediate whole-file copy — §5).
+    let segments = elf::load_segments(&phdrs, |_, filesz| Ok(filesz))?;
     let mut seg_hasher = Sha256::new();
     let mut staged_cursor = staged + phdrs_len;
     // Encrypted memory receives each segment with its bss; the hash covers
     // only the bytes that were staged.
     let (mut copied_total, mut hashed_total) = (0u64, 0u64);
-    for i in 0..phnum {
-        let ph = &phdrs[i * PHDR_SIZE..(i + 1) * PHDR_SIZE];
-        let p_type = u32::from_le_bytes(ph[0..4].try_into().expect("4"));
-        if p_type != 1 {
-            continue;
-        }
-        let vaddr = u64::from_le_bytes(ph[16..24].try_into().expect("8"));
-        let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8"));
-        let memsz = u64::from_le_bytes(ph[40..48].try_into().expect("8"));
+    for seg in &segments {
+        let (filesz, memsz) = (seg.data, seg.data + seg.bss);
         // The host wrote this header: refuse a segment that does not fit
-        // in guest memory before reading, zeroing or allocating for it.
-        if memsz < filesz {
-            return Err(ImageError::BadElf("memsz smaller than filesz").into());
-        }
-        if vaddr.checked_add(memsz).is_none_or(|end| end > mem.size()) {
+        // in guest memory before reading or zeroing it.
+        let end = seg.vaddr.checked_add(memsz);
+        if end.is_none_or(|end| end > mem.size()) {
             return Err(ImageError::BadElf("segment outside guest memory").into());
         }
-        let private = mem.copy_to_private(staged_cursor, vaddr, filesz)?;
+        let private = mem.copy_to_private(staged_cursor, seg.vaddr, filesz)?;
         private.chunks().for_each(|chunk| seg_hasher.update(chunk));
-        // Zero the bss tail the segment declares.
-        if memsz > filesz {
-            mem.guest_write(vaddr + filesz, &vec![0u8; (memsz - filesz) as usize], true)?;
+        if seg.bss > 0 {
+            mem.guest_zero(seg.vaddr + filesz, seg.bss)?;
         }
         staged_cursor += filesz;
         copied_total += memsz;

@@ -106,15 +106,15 @@ pub fn run(
 /// [`run`], which also calls `then(mem, kernel_entry)` — for a bzImage, its
 /// bootstrap loader — while the initrd's digest is still being taken.
 ///
-/// For a bzImage, the initrd is copied into private memory first and its
-/// SHA-256 starts on a second thread; this one then copies the kernel,
-/// hashes it, checks its setup header, the hash-page mode and the kernel
-/// digest, and calls `then`: nothing parses the kernel before its digest is
-/// checked, so only the initrd verdict is in flight while `then` runs. A
-/// fault copying the initrd is held until the kernel's checks pass, and the
-/// initrd digest is joined last. Any other exit stops the digest between
-/// pages, so a refused kernel does not wait for the whole initrd's hash. The fw_cfg loader hashes a vmlinux as it
-/// places it, and the initrd is copied after that verdict.
+/// For either kernel kind, the initrd is copied into private memory first
+/// and its SHA-256 starts on a second thread; this one then loads and
+/// hashes the kernel (a bzImage: copies it and checks its setup header;
+/// a vmlinux: the fw_cfg loader places and hashes its three pieces),
+/// checks the hash-page mode and the kernel digest, and calls `then`, so
+/// only the initrd verdict is in flight while `then` runs. A fault copying
+/// the initrd is held until the kernel's checks pass, and the initrd
+/// digest is joined last. Any other exit stops the digest between pages,
+/// so a refused kernel does not wait for the whole initrd's hash.
 ///
 /// # Errors
 ///
@@ -239,13 +239,11 @@ fn run_watched<T, E: From<VerifierError>>(
     let refused = |component| Err(VerifierError::HashMismatch { component }.into());
     std::thread::scope(|s| {
         let _stop = StopOnDrop(watch);
-        let hash_initrd = |mem: &mut GuestMemory| {
-            let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
-            mem.copy_to_private(staging, dest, layout.initrd_size)
-                .map(|private| s.spawn(move || watch.take(&private)))
-                .map_err(VerifierError::from)
-        };
-        let held_initrd = (config.kind == KernelKind::Bzimage).then(|| hash_initrd(mem));
+        let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
+        let held_initrd = mem
+            .copy_to_private(staging, dest, layout.initrd_size)
+            .map(|private| s.spawn(move || watch.take(&private)))
+            .map_err(VerifierError::from);
         let loaded = match config.kind {
             KernelKind::Bzimage => {
                 let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
@@ -269,7 +267,7 @@ fn run_watched<T, E: From<VerifierError>>(
 
         // 6. The kernel is verified: run the continuation, then take the
         //    initrd verdict.
-        let initrd = held_initrd.unwrap_or_else(|| hash_initrd(mem))?;
+        let initrd = held_initrd?;
         let outcome = then(mem, loaded.entry);
         let initrd_digest = initrd.join().unwrap_or_else(|panic| resume_unwind(panic));
         let initrd_digest = initrd_digest.expect("nothing stops the digest before this join");
@@ -345,6 +343,44 @@ mod tests {
             &initrd,
             KernelHashes::WholeImage(sevf_crypto::sha256(&bz)),
         )
+    }
+
+    /// A guest staged for the fw_cfg vmlinux loader, as [`bz_setup`] is for
+    /// a bzImage.
+    fn vmlinux_setup() -> (GuestMemory, GuestLayout) {
+        let image = KernelConfig::test_tiny().build();
+        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
+        let initrd = sevf_image::initrd::build_initrd(64 * 1024);
+        let hashes = KernelHashes::FwCfg(FwCfgDigests {
+            ehdr: sevf_crypto::sha256(&ehdr),
+            phdrs: sevf_crypto::sha256(&phdrs),
+            segments: sevf_crypto::sha256(&segs),
+        });
+        prepare(&[ehdr, phdrs, segs].concat(), &initrd, hashes)
+    }
+
+    /// The guest of `kind`'s setup and the verifier configured for `kind`.
+    fn setup(kind: KernelKind) -> (GuestMemory, GuestLayout, VerifierConfig) {
+        let (mem, layout) = match kind {
+            KernelKind::Bzimage => bz_setup(),
+            KernelKind::Vmlinux => vmlinux_setup(),
+        };
+        let config = VerifierConfig {
+            kind,
+            ..VerifierConfig::severifast()
+        };
+        (mem, layout, config)
+    }
+
+    /// Where a one-byte flip lands in each kernel kind's staged image: the
+    /// middle of its payload (a bzImage's compressed vmlinux, a vmlinux's
+    /// segments), and a byte that makes it malformed (the bzImage's boot
+    /// signature, the ELF magic).
+    fn payload_and_malformed(kind: KernelKind, layout: &GuestLayout) -> (u64, u64) {
+        match kind {
+            KernelKind::Bzimage => (layout.kernel_size / 2, 510),
+            KernelKind::Vmlinux => (layout.kernel_size / 2, 0),
+        }
     }
 
     #[test]
@@ -446,17 +482,18 @@ mod tests {
         ));
     }
 
-    /// `bz_setup` after the host flipped the staged bzImage's byte at
-    /// `kernel_at` and, if asked, the initrd's middle byte. With `remap`, a
-    /// page the launch firmware validated at the initrd destination (the
+    /// `kind`'s [`setup`] after the host flipped the staged kernel's byte
+    /// at `kernel_at` and, if asked, the initrd's middle byte. With `remap`,
+    /// a page the launch firmware validated at the initrd destination (the
     /// firmware range is what the sweep skips) was then remapped by the
     /// host, so the initrd copy takes #VC.
     fn tampered(
+        kind: KernelKind,
         kernel_at: Option<u64>,
         swap_initrd: bool,
         remap: bool,
     ) -> (GuestMemory, GuestLayout, VerifierConfig) {
-        let (mut mem, layout) = bz_setup();
+        let (mut mem, layout, mut config) = setup(kind);
         let mut flip = |at: u64| {
             let byte = mem.host_read(at, 1).unwrap()[0];
             mem.host_write(at, &[byte ^ 0x40]).unwrap();
@@ -467,7 +504,6 @@ mod tests {
         if swap_initrd {
             flip(layout.initrd_staging + layout.initrd_size / 2);
         }
-        let mut config = VerifierConfig::severifast();
         if remap {
             mem.pre_encrypt(layout.initrd_dest, PAGE_SIZE).unwrap();
             mem.remap_by_host(layout.initrd_dest).unwrap();
@@ -478,8 +514,13 @@ mod tests {
     }
 
     /// Runs the verifier on a [`tampered`] guest.
-    fn refusal(kernel_at: Option<u64>, swap_initrd: bool, remap: bool) -> VerifierError {
-        let (mut mem, layout, config) = tampered(kernel_at, swap_initrd, remap);
+    fn refusal(
+        kind: KernelKind,
+        kernel_at: Option<u64>,
+        swap_initrd: bool,
+        remap: bool,
+    ) -> VerifierError {
+        let (mut mem, layout, config) = tampered(kind, kernel_at, swap_initrd, remap);
         run(&mut mem, &layout, &CostModel::calibrated(), config).unwrap_err()
     }
 
@@ -506,56 +547,62 @@ mod tests {
 
     #[test]
     fn kernel_verdicts_come_before_the_initrd_outcome() {
-        // The initrd is copied and hashed while the bzImage's digest is
-        // computed, but whatever the initrd copy met is reported only once
-        // the kernel has passed every check.
-        let layout = bz_setup().1;
-        let (payload, boot_signature) = (layout.kernel_size / 2, 510);
+        // The initrd is copied and hashed while the kernel is loaded and
+        // its digest computed, for either kernel kind, but whatever the
+        // initrd copy met is reported only once the kernel has passed every
+        // check.
         let kernel = VerifierError::HashMismatch {
             component: "kernel",
         };
-        assert_eq!(refusal(Some(payload), true, false), kernel);
-        assert!(matches!(
-            refusal(Some(boot_signature), true, false),
-            VerifierError::Image(_)
-        ));
-        assert_eq!(refusal(Some(payload), false, true), kernel);
-        assert!(matches!(
-            refusal(None, false, true),
-            VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. })
-                if page_addr == layout.initrd_dest
-        ));
+        for kind in [KernelKind::Bzimage, KernelKind::Vmlinux] {
+            let layout = setup(kind).1;
+            let (payload, malformed) = payload_and_malformed(kind, &layout);
+            assert_eq!(refusal(kind, Some(payload), true, false), kernel);
+            assert!(matches!(
+                refusal(kind, Some(malformed), true, false),
+                VerifierError::Image(_)
+            ));
+            assert_eq!(refusal(kind, Some(payload), false, true), kernel);
+            assert!(matches!(
+                refusal(kind, None, false, true),
+                VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. })
+                    if page_addr == layout.initrd_dest
+            ));
+        }
     }
 
     #[test]
     fn a_kernel_copy_fault_is_the_verdict_over_an_initrd_copy_fault() {
         // A firmware range the sweep skips leaves its pages unvalidated, so
         // a copy into it takes #VC. The initrd is copied before the kernel,
-        // but when both copies fault, the kernel's fault is the verdict.
-        let layout = bz_setup().1;
-        let (kernel, initrd) = (layout.kernel_dest, layout.initrd_dest);
-        let both = initrd + layout.initrd_size - kernel;
-        for (base, size, faulting) in [
-            (initrd, layout.initrd_size, initrd),
-            (kernel, layout.kernel_size, kernel),
-            (kernel, both, kernel),
-        ] {
-            let (mem, layout) = bz_setup();
-            let config = VerifierConfig {
-                firmware_base: base,
-                firmware_size: size,
-                ..VerifierConfig::severifast()
-            };
-            let (outcome, ran) = failing_continuation(mem, &layout, config);
-            assert!(
-                matches!(
-                    outcome,
-                    Err(VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. }))
-                        if page_addr == faulting
-                ),
-                "skipping {size} B at {base:#x}: {outcome:?}"
-            );
-            assert!(!ran);
+        // for either kernel kind, but when both copies fault, the kernel's
+        // fault is the verdict.
+        for kind in [KernelKind::Bzimage, KernelKind::Vmlinux] {
+            let layout = setup(kind).1;
+            let (kernel, initrd) = (layout.kernel_dest, layout.initrd_dest);
+            let both = initrd + layout.initrd_size - kernel;
+            for (base, size, faulting) in [
+                (initrd, layout.initrd_size, initrd),
+                (kernel, layout.kernel_size, kernel),
+                (kernel, both, kernel),
+            ] {
+                let (mem, layout, config) = setup(kind);
+                let config = VerifierConfig {
+                    firmware_base: base,
+                    firmware_size: size,
+                    ..config
+                };
+                let (outcome, ran) = failing_continuation(mem, &layout, config);
+                assert!(
+                    matches!(
+                        outcome,
+                        Err(VerifierError::Memory(sevf_mem::MemError::VcException { page_addr, .. }))
+                            if page_addr == faulting
+                    ),
+                    "{kind:?}, skipping {size} B at {base:#x}: {outcome:?}"
+                );
+                assert!(!ran);
+            }
         }
     }
 
@@ -564,7 +611,8 @@ mod tests {
         let layout = bz_setup().1;
         let (payload, boot_signature) = (layout.kernel_size / 2, 510);
         for kernel_at in [payload, boot_signature] {
-            let (mem, layout, config) = tampered(Some(kernel_at), false, false);
+            let (mem, layout, config) =
+                tampered(KernelKind::Bzimage, Some(kernel_at), false, false);
             let (outcome, ran) = failing_continuation(mem, &layout, config);
             assert!(matches!(
                 outcome,
@@ -629,7 +677,7 @@ mod tests {
 
     #[test]
     fn a_refused_initrd_overrides_the_continuation() {
-        let (mem, layout, config) = tampered(None, true, false);
+        let (mem, layout, config) = tampered(KernelKind::Bzimage, None, true, false);
         let (outcome, ran) = failing_continuation(mem, &layout, config);
         assert_eq!(
             outcome,
@@ -640,7 +688,7 @@ mod tests {
         assert!(ran, "an honest kernel hands over to the continuation");
         // An initrd that never reached private memory stops the boot before
         // the continuation, and its fault is the verdict.
-        let (mem, layout, config) = tampered(None, false, true);
+        let (mem, layout, config) = tampered(KernelKind::Bzimage, None, false, true);
         let (outcome, ran) = failing_continuation(mem, &layout, config);
         assert!(matches!(
             outcome,
@@ -671,26 +719,9 @@ mod tests {
 
     #[test]
     fn vmlinux_fw_cfg_boot_succeeds() {
-        let image = KernelConfig::test_tiny().build();
-        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
-        let mut staged = ehdr.clone();
-        staged.extend_from_slice(&phdrs);
-        staged.extend_from_slice(&segs);
-        let initrd = sevf_image::initrd::build_initrd(64 * 1024);
-        let (mut mem, layout) = prepare(
-            &staged,
-            &initrd,
-            KernelHashes::FwCfg(FwCfgDigests {
-                ehdr: sevf_crypto::sha256(&ehdr),
-                phdrs: sevf_crypto::sha256(&phdrs),
-                segments: sevf_crypto::sha256(&segs),
-            }),
-        );
-        let config = VerifierConfig {
-            kind: KernelKind::Vmlinux,
-            ..VerifierConfig::severifast()
-        };
+        let (mut mem, layout, config) = setup(KernelKind::Vmlinux);
         let boot = run(&mut mem, &layout, &CostModel::calibrated(), config).unwrap();
+        let image = KernelConfig::test_tiny().build();
         assert_eq!(boot.kernel_entry, image.elf().entry);
     }
 

@@ -6,15 +6,18 @@
 //!   setup stub decompresses the payload — really decompressed here, with
 //!   the codec's calibrated throughput — straight into guest pages, as the
 //!   bzImage's own decompressor does (§4.4): it reads the ELF layout from
-//!   the first decoded bytes and writes each piece the decoder hands out
-//!   (`Codec::decompress_into`) into the segments it belongs to, so the
-//!   host never holds the whole vmlinux. The VMM runs it as the verifier's continuation
+//!   the decoder's first piece (the first `FLUSH_QUANTUM` bytes, or the
+//!   whole file), writes each piece the decoder hands out
+//!   (`Codec::decompress_into`) into the segments it belongs to, and zeroes
+//!   bss in place (`GuestMemory::guest_zero`), so the host never holds the
+//!   whole vmlinux. The VMM runs it as the verifier's continuation
 //!   ([`sevf_verifier::verify::run_then`]): once the kernel's digest is
 //!   checked, while the initrd's is still being taken on a second host
-//!   thread. Verdicts keep the sequential order — kernel copy fault,
-//!   malformed image, hash-page mode, kernel hash, initrd copy fault, initrd
-//!   hash — and the loader's own outcome comes after all of them: a refused
-//!   initrd discards it.
+//!   thread (the verifier copies the initrd first, for either kernel kind).
+//!   Verdicts keep the sequential order — kernel copy fault, malformed
+//!   image, hash-page mode, kernel hash, initrd copy fault, initrd hash —
+//!   and the loader's own outcome comes after all of them: a refused initrd
+//!   discards it.
 //! * **Linux boot**: validates `boot_params`, the mptable, and the command
 //!   line (all read from pre-encrypted memory), walks the initrd's CPIO
 //!   records where they lie (a header and a name at a time) and checks
@@ -143,7 +146,6 @@ pub(crate) fn run_bootstrap_loader_kaslr(
         mem,
         slide,
         file_len: usize::try_from(declared).unwrap_or(usize::MAX),
-        head: Vec::new(),
         layout: None,
     };
     let to = codec.decompress_into(payload, |at, piece| placer.take(at, piece))?;
@@ -199,9 +201,6 @@ fn load_addr(seg: &Segment<Range<usize>>, slide: u64, offset: usize) -> Result<u
     addr.ok_or(ImageError::BadElf("segment outside guest memory"))
 }
 
-/// What bss is zeroed from.
-static ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
-
 /// The bootstrap loader's sink: places decoded vmlinux bytes into private
 /// memory as the decompressor hands them out.
 struct Placer<'m> {
@@ -209,50 +208,36 @@ struct Placer<'m> {
     slide: u64,
     /// The vmlinux length the payload's container declares.
     file_len: usize,
-    /// The leading bytes, held until the ELF headers in them are read.
-    head: Vec<u8>,
+    /// Read from the first piece.
     layout: Option<ElfImage<Range<usize>>>,
 }
 
 impl Placer<'_> {
-    /// Takes the decoded bytes at `at..at + piece.len()`: into `head` until
-    /// the layout is read from it, then into the segments.
+    /// Takes the decoded bytes at `at..at + piece.len()` into the segments,
+    /// reading the layout from the first piece. A decoder hands out whole
+    /// flush quanta until its last piece, so the first is the file's first
+    /// `FLUSH_QUANTUM` bytes, or all of it: a program header table that
+    /// ends past them is refused.
     fn take(&mut self, at: u64, piece: &[u8]) -> Result<(), GuestBootError> {
-        let mut rest = piece;
-        while self.layout.is_none() {
-            let want = ElfImage::headers_len(&self.head, self.file_len);
-            if self.head.len() >= want {
-                let layout = ElfImage::parse_layout(&self.head, self.file_len)?;
-                place(self.mem, &layout, self.slide, 0, &self.head[..at as usize])?;
-                self.head = Vec::new();
-                self.layout = Some(layout);
-            } else if rest.is_empty() {
-                return Ok(());
-            } else {
-                let (now, later) = rest.split_at((want - self.head.len()).min(rest.len()));
-                self.head.extend_from_slice(now);
-                rest = later;
-            }
+        if self.layout.is_none() {
+            self.layout = Some(ElfImage::parse_layout(piece, self.file_len)?);
         }
         let layout = self.layout.as_ref().expect("read above");
         place(self.mem, layout, self.slide, at, piece)
     }
 
-    /// Once the decode has ended: the layout (read now if the file was too
-    /// short to hold its headers), with every segment's bss zeroed.
+    /// Once the decode has ended: the layout (an empty file has none, so
+    /// it is refused now), with every segment's bss zeroed.
     fn finish(self) -> Result<ElfImage<Range<usize>>, GuestBootError> {
         let layout = match self.layout {
             Some(layout) => layout,
-            None => ElfImage::parse_layout(&self.head, self.file_len)?,
+            None => ElfImage::parse_layout(&[], self.file_len)?,
         };
-        for seg in &layout.segments {
-            let mut at = load_addr(seg, self.slide, seg.data.len())?;
-            let mut left = seg.bss;
-            while left > 0 {
-                let n = left.min(PAGE_SIZE);
-                self.mem.guest_write(at, &ZEROS[..n as usize], true)?;
-                (at, left) = (at + n, left - n);
-            }
+        // A zero-length write still checks the page at its address, so a
+        // segment without bss is not touched past its end.
+        for seg in layout.segments.iter().filter(|seg| seg.bss > 0) {
+            let at = load_addr(seg, self.slide, seg.data.len())?;
+            self.mem.guest_zero(at, seg.bss)?;
         }
         Ok(layout)
     }
@@ -430,13 +415,17 @@ mod tests {
     /// An SNP guest with `kernel`'s bzImage in `codec` in private memory,
     /// as the verifier leaves it: the memory, its address and length.
     fn staged_bzimage(kernel: &KernelConfig, codec: Codec) -> (GuestMemory, u64, u64) {
-        let bz = kernel.build().bzimage(codec);
+        staged(&kernel.build().bzimage(codec))
+    }
+
+    /// An SNP guest with the bzImage `bz` in private memory.
+    fn staged(bz: &[u8]) -> (GuestMemory, u64, u64) {
         let mem_size = 256 << 20;
         let layout = GuestLayout::plan(mem_size, bz.len() as u64, 1 << 20).unwrap();
         let mut mem = GuestMemory::new_sev(mem_size, [7u8; 16], SevGeneration::SevSnp);
         mem.rmp_assign(0, layout.staging_base).unwrap();
         mem.pvalidate(0, layout.staging_base).unwrap();
-        mem.guest_write(layout.kernel_dest, &bz, true).unwrap();
+        mem.guest_write(layout.kernel_dest, bz, true).unwrap();
         (mem, layout.kernel_dest, bz.len() as u64)
     }
 
@@ -564,6 +553,47 @@ mod tests {
                     GuestBootError::Image(ImageError::BadElf("bad magic")),
                     "{codec}"
                 ),
+            }
+        }
+    }
+
+    #[test]
+    fn a_program_header_table_past_the_first_piece_is_refused() {
+        // The loader reads the ELF layout from the decoder's first piece,
+        // the file's first `FLUSH_QUANTUM` bytes. A 1.5 MiB vmlinux carries
+        // its program header table twice, at offset 64 and at its end; only
+        // `e_phoff` tells the two files apart.
+        let cost = CostModel::calibrated();
+        let base = sevf_image::kernel::KERNEL_BASE;
+        let text: Vec<u8> = (0..3 << 19).map(|i: u32| (i * 7 % 251) as u8).collect();
+        let elf = ElfImage {
+            entry: base,
+            segments: vec![Segment {
+                vaddr: base,
+                data: text,
+                bss: 0x3000,
+                flags: sevf_image::elf::SegmentFlags::RX,
+            }],
+        };
+        let mut vmlinux = elf.to_bytes();
+        let (ehdr, phdr) = (sevf_image::elf::EHDR_SIZE, sevf_image::elf::PHDR_SIZE);
+        let end = vmlinux.len() as u64;
+        vmlinux.extend_from_within(ehdr..ehdr + phdr);
+        assert!(end > sevf_codec::FLUSH_QUANTUM as u64);
+        for codec in [Codec::Lz4, Codec::Zstd] {
+            for phoff in [ehdr as u64, end] {
+                vmlinux[32..40].copy_from_slice(&phoff.to_le_bytes());
+                let (mut mem, addr, len) = staged(&bzimage::build(&vmlinux, codec));
+                let loaded = run_bootstrap_loader(&mut mem, addr, len, &cost);
+                if phoff == end {
+                    let refused = ImageError::BadElf("program headers out of bounds");
+                    assert_eq!(loaded.unwrap_err(), GuestBootError::Image(refused));
+                } else {
+                    assert_eq!(loaded.unwrap().vmlinux_entry, base, "{codec}");
+                    let placed = mem.guest_read(base, elf.segments[0].mem_size(), true);
+                    let want = [&elf.segments[0].data[..], &[0; 0x3000]].concat();
+                    assert_eq!(placed.unwrap(), want, "{codec}");
+                }
             }
         }
     }

@@ -166,9 +166,13 @@ fn check_1_holds_on_the_template_path_with_carried_digests() {
 
 #[test]
 fn check_1_holds_on_the_fw_cfg_vmlinux_path() {
-    // The fw_cfg loader parses only e_entry, e_phnum and each program
-    // header's type, address and sizes; the piece hashes must cover the
-    // bytes it skips. Pieces are staged back to back: [ehdr][phdrs][segs].
+    // The fw_cfg loader reads the ELF header through `sevf_image::elf`'s
+    // `header` (the magic, the class and `e_phentsize` are checked; it uses
+    // `e_entry` and `e_phnum`, not `e_phoff`) and each program header
+    // through `load_segments` (type, flags, address and sizes; not
+    // `p_offset`, since the segments are staged back to back). The piece
+    // hashes must cover the bytes it skips. Pieces are staged back to back:
+    // [ehdr][phdrs][segs].
     let image = VmConfig::test_tiny(BootPolicy::SeverifastVmlinux)
         .kernel
         .build();
@@ -205,6 +209,25 @@ fn check_1_holds_on_the_fw_cfg_vmlinux_path() {
                 assert_eq!(component, expected, "{piece}")
             }
             (_, other) => panic!("tampered {piece}: {other:?}"),
+        }
+    }
+    // A field the header check reads is refused as a malformed image
+    // before any segment is placed, as the host-side reader refuses it.
+    for (field, at) in [("ELF magic", 1), ("e_phentsize", 54)] {
+        let (machine, mut mem, layout) = staged_template_guest(BootPolicy::SeverifastVmlinux);
+        flip(&mut mem, layout.kernel_staging + at).unwrap();
+        let outcome = verify::run(&mut mem, &layout, &machine.cost, config);
+        assert!(
+            matches!(outcome, Err(VerifierError::Image(ImageError::BadElf(_)))),
+            "tampered {field}: {outcome:?}"
+        );
+        for seg in &image.elf().segments {
+            let dest = mem.guest_read(seg.vaddr, seg.data.len() as u64, true);
+            assert_ne!(
+                dest.unwrap(),
+                seg.data,
+                "tampered {field}: a segment placed"
+            );
         }
     }
 }
