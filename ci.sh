@@ -211,12 +211,14 @@ ceiling 4803 "serving-core (crates/fleet/src + crates/cluster/src)" \
   $(find crates/fleet/src crates/cluster/src -name '*.rs')
 ceiling 1855 "harness (examples/*.rs + crates/bench/src)" \
   examples/*.rs $(find crates/bench/src -name '*.rs')
-ceiling 4368 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
+ceiling 4362 "boot path (crates/{mem,codec,image,verifier,vmm}/src)" \
   $(find crates/mem/src crates/codec/src crates/image/src crates/verifier/src crates/vmm/src -name '*.rs')
 # The modules that play the paper's root of trust (ROADMAP item 16): the
-# verifier's main sequence, its loaders, the hash page, the layout and the
-# page tables. The ELF reader they call lives in sevf-image.
-ceiling 500 "root of trust (crates/verifier/src/{verify,loader,hashes,layout,pagetable}.rs)" \
+# verifier's steps, its loaders, the hash page, the layout and the page
+# tables. The ELF reader they call lives in sevf-image; the driver that calls
+# the steps and overlaps the initrd digest (drive.rs) is host machinery and
+# not in the list.
+ceiling 445 "root of trust (crates/verifier/src/{verify,loader,hashes,layout,pagetable}.rs)" \
   crates/verifier/src/{verify,loader,hashes,layout,pagetable}.rs
 ceiling 2891 "control plane (crates/{attplane,net,policy,scale,obs}/src)" \
   $(find crates/attplane/src crates/net/src crates/policy/src crates/scale/src crates/obs/src -name '*.rs')
@@ -473,14 +475,25 @@ if code_of $(find crates/*/src -name '*.rs') | grep -Ew 'Instant|SystemTime'; th
 fi
 echo 0
 
-# Host threads enter at one place: the verifier takes the initrd's digest on
-# a scoped thread while it checks the kernel and runs the bootstrap loader. A
-# run stays a function of its seed because a thread computes only a pure
-# digest and never touches the DES, the RNG or a `Recorder`.
-echo "==> thread:: uses in crates/*/src code outside crates/verifier/src/verify.rs (same line rule; must be 0)"
-if code_of $(find crates/*/src -name '*.rs' ! -path crates/verifier/src/verify.rs) \
+# Host threads enter at one place: the verifier's driver takes the initrd's
+# digest on a scoped thread while the kernel is checked and the bootstrap
+# loader runs. A run stays a function of its seed because a thread computes
+# only a pure digest and never touches the DES, the RNG or a `Recorder`.
+echo "==> thread:: uses in crates/*/src code outside crates/verifier/src/drive.rs (same line rule; must be 0)"
+if code_of $(find crates/*/src -name '*.rs' ! -path crates/verifier/src/drive.rs) \
   | grep 'thread::'; then
-  echo "a thread outside the verifier's digest: host threads may only compute pure digests in verify.rs"
+  echo "a thread outside the verifier's driver: host threads may only compute pure digests in drive.rs"
+  exit 1
+fi
+echo 0
+
+# The root of trust is the verifier's steps alone, single-threaded as in the
+# paper: the thread, its stop flag and the panic re-raise that overlap the
+# initrd digest in host wall time belong to the driver (drive.rs).
+echo "==> thread::, Atomic and resume_unwind in the root-of-trust files' code (same line rule; must be 0)"
+if code_of crates/verifier/src/{verify,loader,hashes,layout,pagetable}.rs \
+  | grep -E 'thread::|Atomic|resume_unwind'; then
+  echo "host machinery in the root of trust: move it to the driver, crates/verifier/src/drive.rs"
   exit 1
 fi
 echo 0

@@ -50,5 +50,5 @@ pub use measurement::{
     measure_region, paged_measure, IncrementalChain, MeasurementChain, PageDigestCache, PageRef,
     PageType,
 };
-pub use report::{AmdRootRegistry, AttestationReport, ChipIdentity, GuestPolicy};
+pub use report::{AmdRootRegistry, AttestationReport, ChipIdentity, GuestPolicy, ReportError};
 pub use template::TemplateKey;

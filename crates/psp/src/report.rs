@@ -126,33 +126,65 @@ impl AttestationReport {
 
     /// Parses a wire encoding produced by [`AttestationReport::to_bytes`].
     ///
-    /// Returns `None` on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    /// # Errors
+    ///
+    /// [`ReportError::WrongLength`] unless the input is exactly one report
+    /// long, then [`ReportError::UnknownGeneration`] for a generation byte
+    /// that names no SEV generation.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ReportError> {
         if bytes.len() != 4 + 2 + 48 + 64 + 32 + 48 {
-            return None;
+            return Err(ReportError::WrongLength { len: bytes.len() });
         }
-        let version = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
         let generation = match bytes[4] {
             0 => SevGeneration::None,
             1 => SevGeneration::Sev,
             2 => SevGeneration::SevEs,
             3 => SevGeneration::SevSnp,
-            _ => return None,
+            other => return Err(ReportError::UnknownGeneration(other)),
         };
         let policy = GuestPolicy {
             generation,
             debug_allowed: bytes[5] != 0,
         };
-        Some(AttestationReport {
-            version,
+        // The length is checked above, so every field is in range.
+        let field = |at: usize| move |i: usize| bytes[at + i];
+        Ok(AttestationReport {
+            version: u32::from_le_bytes(std::array::from_fn(field(0))),
             policy,
-            measurement: bytes[6..54].try_into().ok()?,
-            report_data: bytes[54..118].try_into().ok()?,
-            chip_id: bytes[118..150].try_into().ok()?,
-            signature: bytes[150..198].try_into().ok()?,
+            measurement: std::array::from_fn(field(6)),
+            report_data: std::array::from_fn(field(54)),
+            chip_id: std::array::from_fn(field(118)),
+            signature: std::array::from_fn(field(150)),
         })
     }
 }
+
+/// Why [`AttestationReport::from_bytes`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReportError {
+    /// The input is not one report long.
+    WrongLength {
+        /// Its length in bytes.
+        len: usize,
+    },
+    /// The generation byte names no SEV generation.
+    UnknownGeneration(u8),
+}
+
+impl fmt::Display for ReportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReportError::WrongLength { len } => {
+                write!(f, "attestation report of {len} bytes, expected 198")
+            }
+            ReportError::UnknownGeneration(byte) => {
+                write!(f, "attestation report names unknown SEV generation {byte}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReportError {}
 
 /// The guest owner's view of AMD's root of trust: can check that a report
 /// was signed by a genuine chip, and tracks chips whose keys have been
@@ -283,11 +315,17 @@ mod tests {
 
     #[test]
     fn malformed_bytes_rejected() {
-        assert!(AttestationReport::from_bytes(&[0u8; 10]).is_none());
+        assert_eq!(
+            AttestationReport::from_bytes(&[0u8; 10]),
+            Err(ReportError::WrongLength { len: 10 })
+        );
         let chip = ChipIdentity::from_seed(b"m");
         let mut bytes = sample_report(&chip).to_bytes();
         bytes[4] = 9; // invalid generation tag
-        assert!(AttestationReport::from_bytes(&bytes).is_none());
+        assert_eq!(
+            AttestationReport::from_bytes(&bytes),
+            Err(ReportError::UnknownGeneration(9))
+        );
     }
 
     #[test]

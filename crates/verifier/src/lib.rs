@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod binary;
+mod drive;
 pub mod hashes;
 pub mod layout;
 pub mod loader;

@@ -39,26 +39,13 @@ pub struct LoadedKernel {
     pub steps: Vec<Step>,
 }
 
-/// SHA-256 of a private copy, absorbed page by page. Every digest is taken
-/// over the private copy, not the staged one (§2.5 step 5: hashing the
-/// shared one would let the host race the check).
-pub(crate) fn digest(private: &PageView) -> [u8; 32] {
-    digest_while(private, || true).expect("never stopped")
-}
-
-/// [`digest`], asking `go_on` before each page: `None` once it says no.
-pub(crate) fn digest_while(
-    private: &PageView,
-    mut go_on: impl FnMut() -> bool,
-) -> Option<[u8; 32]> {
+/// SHA-256 of a private copy's pages ([`PageView::chunks`]), absorbed page
+/// by page. Every digest is taken over the private copy, not the staged one
+/// (§2.5 step 5: hashing the shared one would let the host race the check).
+pub(crate) fn digest<'p>(pages: impl Iterator<Item = &'p [u8]>) -> [u8; 32] {
     let mut hasher = Sha256::new();
-    for chunk in private.chunks() {
-        if !go_on() {
-            return None;
-        }
-        hasher.update(chunk);
-    }
-    Some(hasher.finalize())
+    pages.for_each(|page| hasher.update(page));
+    hasher.finalize()
 }
 
 /// The first `len` bytes of a private copy (all of them if it is shorter).
@@ -66,16 +53,21 @@ fn leading(private: &PageView, len: usize) -> Vec<u8> {
     private.chunks().flatten().take(len).copied().collect()
 }
 
-/// Finishes a bzImage load once the private copy is made: hashes it,
-/// checks the setup header and prices the load.
-pub(crate) fn finish_bzimage(
-    private: &PageView,
+/// Loads a bzImage: copies the whole image to its private destination,
+/// hashes the copy and checks its setup header.
+///
+/// # Errors
+///
+/// A fault copying it, then a malformed setup header.
+pub(crate) fn load_bzimage(
+    mem: &mut GuestMemory,
     layout: &GuestLayout,
     cost: &CostModel,
 ) -> Result<LoadedKernel, VerifierError> {
-    let digest = digest(private);
     let size = layout.kernel_size;
-    bzimage::payload_range(&leading(private, bzimage::HEADER_LEN), size as usize)?;
+    let private = mem.copy_to_private(layout.kernel_staging, layout.kernel_dest, size)?;
+    let digest = digest(private.chunks());
+    bzimage::payload_range(&leading(&private, bzimage::HEADER_LEN), size as usize)?;
     Ok(LoadedKernel {
         entry: layout.kernel_dest,
         computed_hashes: vec![digest],
@@ -109,7 +101,7 @@ pub fn load_vmlinux_fw_cfg(
     // Piece 1: ELF header → encrypted scratch (reuse the destination base).
     let ehdr_len = EHDR_SIZE as u64;
     let private = mem.copy_to_private(layout.kernel_staging, layout.kernel_dest, ehdr_len)?;
-    let (ehdr, ehdr_hash) = (leading(&private, EHDR_SIZE), digest(&private));
+    let (ehdr, ehdr_hash) = (leading(&private, EHDR_SIZE), digest(private.chunks()));
     steps.push(step(
         cost,
         "copy + hash ELF header",
@@ -130,7 +122,8 @@ pub fn load_vmlinux_fw_cfg(
     let phdrs_len = (phnum * PHDR_SIZE) as u64;
     let staged = layout.kernel_staging + ehdr_len;
     let private = mem.copy_to_private(staged, layout.kernel_dest + ehdr_len, phdrs_len)?;
-    let (phdrs, phdrs_hash) = (leading(&private, phnum * PHDR_SIZE), digest(&private));
+    let phdrs = leading(&private, phnum * PHDR_SIZE);
+    let phdrs_hash = digest(private.chunks());
     steps.push(step(
         cost,
         "copy + hash program headers",
@@ -205,22 +198,12 @@ mod tests {
         (mem, layout)
     }
 
-    /// The bzImage load `verify::run` performs.
-    fn copy_and_finish(
-        mem: &mut GuestMemory,
-        layout: &GuestLayout,
-    ) -> Result<LoadedKernel, VerifierError> {
-        let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
-        let private = mem.copy_to_private(staging, dest, layout.kernel_size)?;
-        finish_bzimage(&private, layout, &CostModel::calibrated())
-    }
-
     #[test]
     fn bzimage_load_places_and_hashes() {
         let image = KernelConfig::test_tiny().build();
         let bz = image.bzimage(Codec::Lz4);
         let (mut mem, layout) = staged_guest(&bz, b"initrd");
-        let loaded = copy_and_finish(&mut mem, &layout).unwrap();
+        let loaded = load_bzimage(&mut mem, &layout, &CostModel::calibrated()).unwrap();
         assert_eq!(loaded.entry, layout.kernel_dest);
         assert_eq!(loaded.computed_hashes, vec![sevf_crypto::sha256(&bz)]);
         // The private copy equals the staged image.
@@ -235,7 +218,7 @@ mod tests {
         let junk = vec![0u8; 100_000];
         let (mut mem, layout) = staged_guest(&junk, b"initrd");
         assert!(matches!(
-            copy_and_finish(&mut mem, &layout),
+            load_bzimage(&mut mem, &layout, &CostModel::calibrated()),
             Err(VerifierError::Image(_))
         ));
     }
@@ -282,7 +265,7 @@ mod tests {
         mem.host_write(layout.kernel_staging, &bz).unwrap();
         // No assign/pvalidate of the destination: #VC.
         assert!(matches!(
-            copy_and_finish(&mut mem, &layout),
+            load_bzimage(&mut mem, &layout, &CostModel::calibrated()),
             Err(VerifierError::Memory(_))
         ));
     }

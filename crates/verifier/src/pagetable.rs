@@ -23,17 +23,6 @@ const PML4_OFF: u64 = 0;
 const PDPT_OFF: u64 = PAGE_SIZE;
 const PD_OFF: u64 = 2 * PAGE_SIZE;
 
-/// Summary of a built mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageTableStats {
-    /// Bytes of table data written.
-    pub table_bytes: u64,
-    /// Number of 2 MiB leaf entries.
-    pub leaf_entries: u64,
-    /// Number of guest-physical bytes mapped.
-    pub mapped_bytes: u64,
-}
-
 /// Builds an identity map of `map_size` bytes (rounded up to 2 MiB) at
 /// `region_base`, with the C-bit at `c_bit` set in every entry when
 /// `encrypted` is true. Writes go through the guest's private mapping, so
@@ -54,7 +43,7 @@ pub(crate) fn build_identity_map(
     map_size: u64,
     c_bit: u32,
     encrypted: bool,
-) -> Result<PageTableStats, MemError> {
+) -> Result<(), MemError> {
     assert!(c_bit >= 32, "C-bit must be above the mapped address bits");
     let leafs = map_size.div_ceil(HUGE_PAGE);
     let pd_tables = leafs.div_ceil(512);
@@ -90,11 +79,7 @@ pub(crate) fn build_identity_map(
         mem.guest_write(pd_addr, &entries, encrypted)?;
     }
 
-    Ok(PageTableStats {
-        table_bytes: PAGE_SIZE + PAGE_SIZE + pd_tables * PAGE_SIZE,
-        leaf_entries: leafs,
-        mapped_bytes: leafs * HUGE_PAGE,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -160,15 +145,24 @@ mod tests {
         mem
     }
 
+    /// Whether the tables at `MB` map exactly the addresses below `end`.
+    fn mapped_up_to(mem: &GuestMemory, end: u64) -> bool {
+        let at = |vaddr| walk(mem, MB, vaddr, C_BIT_POSITION, true).unwrap();
+        at(end - 1).is_some() && at(end).is_none()
+    }
+
     #[test]
     fn one_gig_map_uses_4k_of_pd() {
         let mut mem = prepared_mem();
-        let stats = build_identity_map(&mut mem, MB, 1024 * MB, C_BIT_POSITION, true).unwrap();
-        assert_eq!(stats.leaf_entries, 512);
-        assert_eq!(stats.mapped_bytes, 1024 * MB);
-        // Fig. 7: "4KB" of page tables — the PD with 512 leaf entries (the
-        // PML4/PDPT roots ride along in the same region).
-        assert_eq!(stats.table_bytes, 3 * PAGE_SIZE);
+        build_identity_map(&mut mem, MB, 1024 * MB, C_BIT_POSITION, true).unwrap();
+        assert!(mapped_up_to(&mem, 1024 * MB));
+        // Fig. 7: "4KB" of page tables — the PD with 512 leaf entries fills
+        // its page (the PML4/PDPT roots ride along in the same region), and
+        // nothing is written past it.
+        let pd = mem.guest_read(MB + 2 * PAGE_SIZE, PAGE_SIZE, true).unwrap();
+        assert!(pd.chunks(8).all(|pde| pde != [0; 8]));
+        let past = mem.guest_read(MB + 3 * PAGE_SIZE, PAGE_SIZE, true).unwrap();
+        assert!(past.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -217,9 +211,8 @@ mod tests {
     #[test]
     fn partial_size_rounds_up_to_huge_pages() {
         let mut mem = prepared_mem();
-        let stats = build_identity_map(&mut mem, MB, 3 * MB, C_BIT_POSITION, true).unwrap();
-        assert_eq!(stats.leaf_entries, 2);
-        assert_eq!(stats.mapped_bytes, 4 * MB);
+        build_identity_map(&mut mem, MB, 3 * MB, C_BIT_POSITION, true).unwrap();
+        assert!(mapped_up_to(&mem, 4 * MB));
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! entry point. It refuses to boot if any component's hash disagrees with
 //! the pre-encrypted hash page — that is the entire defense against attack
 //! 1 of §2.6 (host swapping components after their hashes were registered).
-
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+//!
+//! The sequence is [`Verifier`]'s step methods, called in order:
+//! [`Verifier::enter`], [`Verifier::copy_initrd`], [`Verifier::load_kernel`]
+//! and [`Verifier::check_initrd`]. Each returns at a step boundary, so a
+//! test can act as the host between any two of them. [`run`] and
+//! [`run_then`] are the one driver that calls them; this module holds no
+//! thread.
 
 use sevf_mem::{GuestMemory, PageView, PAGE_SIZE};
 use sevf_sim::{CostModel, Step, Work};
 
+pub use crate::drive::{run, run_then};
 use crate::hashes::{HashPage, KernelHashes};
 use crate::layout::{GuestLayout, HASH_PAGE_ADDR, PAGE_TABLE_ADDR};
 use crate::loader::{self, step};
@@ -73,204 +78,148 @@ pub struct VerifiedBoot {
     pub steps: Vec<Step>,
 }
 
-/// Runs the boot verifier against guest memory prepared by the VMM: the
-/// continuation-less [`run_then`].
-///
-/// Preconditions (the VMM's half of the contract):
-/// * the private range (`layout.private_ranges()`) is RMP-assigned;
-/// * the hash page, boot structures, and this verifier are pre-encrypted;
-/// * the kernel image and initrd are staged in the shared window.
-///
-/// # Errors
-///
-/// * [`VerifierError::HashMismatch`] — tampered component; boot refused.
-/// * [`VerifierError::Memory`] — RMP/#VC faults (e.g. the host remapped a
-///   page mid-boot).
-/// * [`VerifierError::BadHashPage`] / [`VerifierError::Image`] — corrupt
-///   root-of-trust contents.
-///
-/// When several measured-boot checks fail, the first in this order is
-/// reported, although the initrd is hashed while the kernel is checked: a
-/// fault copying the kernel, a malformed kernel image, a hash page of the
-/// wrong mode, the kernel hash, a fault copying the initrd, the initrd hash.
-pub fn run(
-    mem: &mut GuestMemory,
-    layout: &GuestLayout,
-    cost: &CostModel,
+/// The verifier between two of its steps: entered, with the hash page read
+/// and the steps so far priced. Its methods are called in the order they
+/// are declared; each step but the last returns at a boundary where the
+/// host may act.
+#[derive(Debug)]
+pub struct Verifier<'a> {
+    layout: &'a GuestLayout,
+    cost: &'a CostModel,
     config: VerifierConfig,
-) -> Result<VerifiedBoot, VerifierError> {
-    run_then(mem, layout, cost, config, |_, _| Ok::<_, VerifierError>(()))
-        .map(|(verified, ())| verified)
+    hash_page: HashPage,
+    steps: Vec<Step>,
+    /// The kernel's entry point, once [`Verifier::load_kernel`] passed it.
+    entry: u64,
 }
 
-/// [`run`], which also calls `then(mem, kernel_entry)` — for a bzImage, its
-/// bootstrap loader — while the initrd's digest is still being taken.
-///
-/// For either kernel kind, the initrd is copied into private memory first
-/// and its SHA-256 starts on a second thread; this one then loads and
-/// hashes the kernel (a bzImage: copies it and checks its setup header;
-/// a vmlinux: the fw_cfg loader places and hashes its three pieces),
-/// checks the hash-page mode and the kernel digest, and calls `then`, so
-/// only the initrd verdict is in flight while `then` runs. A fault copying
-/// the initrd is held until the kernel's checks pass, and the initrd
-/// digest is joined last. Any other exit stops the digest between pages,
-/// so a refused kernel does not wait for the whole initrd's hash.
-///
-/// # Errors
-///
-/// [`run`]'s, in [`run`]'s order; `then` is not called when the kernel is
-/// refused or the initrd copy faults. `then`'s own error comes after all of
-/// them: a refused initrd discards whatever `then` returned.
-pub fn run_then<T, E: From<VerifierError>>(
-    mem: &mut GuestMemory,
-    layout: &GuestLayout,
-    cost: &CostModel,
-    config: VerifierConfig,
-    then: impl FnOnce(&mut GuestMemory, u64) -> Result<T, E>,
-) -> Result<(VerifiedBoot, T), E> {
-    run_watched(mem, layout, cost, config, &InitrdDigest::default(), then)
-}
+impl<'a> Verifier<'a> {
+    /// The first step: discovers the C-bit, sweeps `pvalidate`, builds the
+    /// page tables and reads the pre-encrypted hash page.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifierError::Memory`] for a fault (a page the host remapped),
+    /// [`VerifierError::BadHashPage`] for a corrupt hash page.
+    pub fn enter(
+        mem: &mut GuestMemory,
+        layout: &'a GuestLayout,
+        cost: &'a CostModel,
+        config: VerifierConfig,
+    ) -> Result<Self, VerifierError> {
+        // 1. Discover the C-bit position: two cpuid leaves, each a #VC under
+        //    SNP (§5).
+        let mut steps = vec![step(cost, "cpuid C-bit discovery", Work::VcExits(2))];
 
-/// The initrd digest's progress, shared with the thread that takes it: the
-/// pages it has started, and a flag that stops it between pages.
-#[derive(Debug, Default)]
-struct InitrdDigest {
-    stop: AtomicBool,
-    pages: AtomicU64,
-    /// `pages` when `stop` was set.
-    pages_at_stop: AtomicU64,
-}
+        // 2. pvalidate every assigned page the launch firmware did *not*
+        //    already validate. The pre-encrypted ranges are skipped by address,
+        //    not by RMP state: if the hypervisor remapped one of them, its valid
+        //    bit is clear and blindly re-validating would accept the tampered
+        //    mapping instead of faulting on it.
+        let skip = layout.pre_encrypted_ranges(config.firmware_base, config.firmware_size);
+        let skipped = |addr: u64| skip.iter().any(|(b, l)| addr >= *b && addr < b + l);
+        let mut pages = 0u64;
+        if mem.generation().has_rmp() {
+            // `pvalidate` only exists under SEV-SNP (§2.2); SEV/SEV-ES guests
+            // have no RMP to populate.
+            for (base, len) in layout.private_ranges() {
+                for page in (base..base + len).step_by(PAGE_SIZE as usize) {
+                    if mem.is_assigned(page) && !mem.is_validated(page) && !skipped(page) {
+                        mem.pvalidate(page, PAGE_SIZE)?;
+                        pages += 1;
+                    }
+                }
+            }
+        }
+        let huge_pages = config.huge_pages;
+        let granularity = if huge_pages { "2MiB" } else { "4KiB" };
+        let label = format!("pvalidate sweep ({pages} pages at {granularity} granularity)");
+        steps.push(step(cost, label, Work::Pvalidate { pages, huge_pages }));
 
-impl InitrdDigest {
-    /// SHA-256 of the private initrd, or `None` if stopped first.
-    fn take(&self, private: &PageView) -> Option<[u8; 32]> {
-        loader::digest_while(private, || {
-            let go_on = !self.stop.load(SeqCst);
-            self.pages.fetch_add(u64::from(go_on), SeqCst);
-            go_on
+        // 3. Build identity-mapped page tables with the C-bit set (§4.2:
+        //    generated in C-bit memory, implicitly encrypting them).
+        pagetable::build_identity_map(mem, PAGE_TABLE_ADDR, 1 << 30, config.c_bit, true)?;
+        steps.push(step(
+            cost,
+            "build identity-mapped page tables (C-bit set)",
+            Work::PageTables,
+        ));
+
+        // 4. Read the pre-encrypted hash page.
+        let hash_page = HashPage::from_page(&mem.guest_read(HASH_PAGE_ADDR, PAGE_SIZE, true)?)?;
+        Ok(Verifier {
+            layout,
+            cost,
+            config,
+            hash_page,
+            steps,
+            entry: 0,
         })
     }
-}
 
-/// Stops the initrd digest when dropped: on every exit from the scope that
-/// spawned it, the `?` returns included, before the scope joins it. Only an
-/// accepted boot, which joins the digest first, needs its value.
-struct StopOnDrop<'a>(&'a InitrdDigest);
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.stop.store(true, SeqCst);
-        let pages = self.0.pages.load(SeqCst);
-        self.0.pages_at_stop.store(pages, SeqCst);
+    /// Measured direct boot begins: copies the initrd (uncompressed, §3.3)
+    /// into private memory. Its digest is taken over the returned view and
+    /// handed to [`Verifier::check_initrd`].
+    ///
+    /// # Errors
+    ///
+    /// [`VerifierError::Memory`] for a fault copying it.
+    pub fn copy_initrd(&self, mem: &mut GuestMemory) -> Result<PageView, VerifierError> {
+        let layout = self.layout;
+        Ok(mem.copy_to_private(
+            layout.initrd_staging,
+            layout.initrd_dest,
+            layout.initrd_size,
+        )?)
     }
-}
 
-/// [`run_then`], with the initrd digest's progress kept in `watch`.
-fn run_watched<T, E: From<VerifierError>>(
-    mem: &mut GuestMemory,
-    layout: &GuestLayout,
-    cost: &CostModel,
-    config: VerifierConfig,
-    watch: &InitrdDigest,
-    then: impl FnOnce(&mut GuestMemory, u64) -> Result<T, E>,
-) -> Result<(VerifiedBoot, T), E> {
-    let mut steps = Vec::new();
-
-    // 1. Discover the C-bit position: two cpuid leaves, each a #VC under
-    //    SNP (§5).
-    steps.push(step(cost, "cpuid C-bit discovery", Work::VcExits(2)));
-
-    // 2. pvalidate every assigned page the launch firmware did *not*
-    //    already validate. The pre-encrypted ranges are skipped by address,
-    //    not by RMP state: if the hypervisor remapped one of them, its valid
-    //    bit is clear and blindly re-validating would accept the tampered
-    //    mapping instead of faulting on it.
-    let skip = layout.pre_encrypted_ranges(config.firmware_base, config.firmware_size);
-    let skipped = |addr: u64| skip.iter().any(|(b, l)| addr >= *b && addr < b + l);
-    let mut pvalidated = 0u64;
-    if mem.generation().has_rmp() {
-        // `pvalidate` only exists under SEV-SNP (§2.2); SEV/SEV-ES guests
-        // have no RMP to populate.
-        for (base, len) in layout.private_ranges() {
-            let mut page = base;
-            while page < base + len {
-                if mem.is_assigned(page) && !mem.is_validated(page) && !skipped(page) {
-                    mem.pvalidate(page, PAGE_SIZE)
-                        .map_err(VerifierError::from)?;
-                    pvalidated += 1;
-                }
-                page += PAGE_SIZE;
-            }
-        }
-    }
-    steps.push(step(
-        cost,
-        format!(
-            "pvalidate sweep ({} pages at {} granularity)",
-            pvalidated,
-            if config.huge_pages { "2MiB" } else { "4KiB" }
-        ),
-        Work::Pvalidate {
-            pages: pvalidated,
-            huge_pages: config.huge_pages,
-        },
-    ));
-
-    // 3. Build identity-mapped page tables with the C-bit set (§4.2:
-    //    generated in C-bit memory, implicitly encrypting them).
-    pagetable::build_identity_map(mem, PAGE_TABLE_ADDR, 1 << 30, config.c_bit, true)
-        .map_err(VerifierError::from)?;
-    steps.push(step(
-        cost,
-        "build identity-mapped page tables (C-bit set)",
-        Work::PageTables,
-    ));
-
-    // 4. Read the pre-encrypted hash page.
-    let hash_page_bytes = mem
-        .guest_read(HASH_PAGE_ADDR, PAGE_SIZE, true)
-        .map_err(VerifierError::from)?;
-    let hash_page = HashPage::from_page(&hash_page_bytes)?;
-
-    // 5. Measured direct boot: each component is copied into private
-    //    memory and hashed there, the initrd (uncompressed per §3.3) on a
-    //    second thread. Its outcome is held until the kernel's checks pass,
-    //    so verdicts come in the sequential order.
-    let refused = |component| Err(VerifierError::HashMismatch { component }.into());
-    std::thread::scope(|s| {
-        let _stop = StopOnDrop(watch);
-        let (staging, dest) = (layout.initrd_staging, layout.initrd_dest);
-        let held_initrd = mem
-            .copy_to_private(staging, dest, layout.initrd_size)
-            .map(|private| s.spawn(move || watch.take(&private)))
-            .map_err(VerifierError::from);
-        let loaded = match config.kind {
-            KernelKind::Bzimage => {
-                let (staging, dest) = (layout.kernel_staging, layout.kernel_dest);
-                let private = mem
-                    .copy_to_private(staging, dest, layout.kernel_size)
-                    .map_err(VerifierError::from)?;
-                loader::finish_bzimage(&private, layout, cost)?
-            }
+    /// Loads the kernel and checks it: a bzImage is copied into private
+    /// memory, hashed and its setup header checked; a vmlinux is placed and
+    /// hashed piece by piece by the fw_cfg loader. Then the hash page's
+    /// mode and the kernel digest are checked. Returns the kernel's entry.
+    ///
+    /// # Errors
+    ///
+    /// In this order: [`VerifierError::Memory`] for a fault copying the
+    /// kernel, [`VerifierError::Image`] for a malformed image,
+    /// [`VerifierError::BadHashPage`] for a hash page of the other mode, and
+    /// [`VerifierError::HashMismatch`] for the kernel digest.
+    pub fn load_kernel(&mut self, mem: &mut GuestMemory) -> Result<u64, VerifierError> {
+        let (layout, cost) = (self.layout, self.cost);
+        let loaded = match self.config.kind {
+            KernelKind::Bzimage => loader::load_bzimage(mem, layout, cost)?,
             KernelKind::Vmlinux => loader::load_vmlinux_fw_cfg(mem, layout, cost)?,
         };
-        let expected = match (hash_page.kernel, config.kind) {
+        let expected = match (self.hash_page.kernel, self.config.kind) {
             (KernelHashes::WholeImage(h), KernelKind::Bzimage) => vec![h],
             (KernelHashes::FwCfg(d), KernelKind::Vmlinux) => vec![d.ehdr, d.phdrs, d.segments],
-            _ => return Err(VerifierError::BadHashPage("hash mode does not match loader").into()),
+            _ => {
+                return Err(VerifierError::BadHashPage(
+                    "hash mode does not match loader",
+                ))
+            }
         };
-        steps.extend(loaded.steps.iter().cloned());
+        self.steps.extend(loaded.steps);
         if loaded.computed_hashes != expected {
-            return refused("kernel");
+            return Err(VerifierError::HashMismatch {
+                component: "kernel",
+            });
         }
-        steps.push(step(cost, "compare kernel hash", Work::HashCompare));
+        self.steps
+            .push(step(cost, "compare kernel hash", Work::HashCompare));
+        self.entry = loaded.entry;
+        Ok(loaded.entry)
+    }
 
-        // 6. The kernel is verified: run the continuation, then take the
-        //    initrd verdict.
-        let initrd = held_initrd?;
-        let outcome = then(mem, loaded.entry);
-        let initrd_digest = initrd.join().unwrap_or_else(|panic| resume_unwind(panic));
-        let initrd_digest = initrd_digest.expect("nothing stops the digest before this join");
+    /// The last step, once [`Verifier::load_kernel`] passed the kernel:
+    /// compares the initrd's digest, taken over the view
+    /// [`Verifier::copy_initrd`] returned, against the hash page.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifierError::HashMismatch`] for the initrd.
+    pub fn check_initrd(self, digest: [u8; 32]) -> Result<VerifiedBoot, VerifierError> {
+        let (cost, layout, mut steps) = (self.cost, self.layout, self.steps);
         let bytes = layout.initrd_size;
         steps.push(step(
             cost,
@@ -278,23 +227,23 @@ fn run_watched<T, E: From<VerifierError>>(
             Work::CopyEncrypted(bytes),
         ));
         steps.push(step(cost, "SHA-256 initrd", Work::Sha256(bytes)));
-        if initrd_digest != hash_page.initrd {
-            return refused("initrd");
+        if digest != self.hash_page.initrd {
+            return Err(VerifierError::HashMismatch {
+                component: "initrd",
+            });
         }
         steps.push(step(cost, "compare initrd hash", Work::HashCompare));
-
-        let verified = VerifiedBoot {
-            kernel_entry: loaded.entry,
+        Ok(VerifiedBoot {
+            kernel_entry: self.entry,
             initrd_addr: layout.initrd_dest,
-            initrd_len: layout.initrd_size,
+            initrd_len: bytes,
             steps,
-        };
-        Ok((verified, outcome?))
-    })
+        })
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::binary::{VerifierBinary, VerifierFeatures};
     use crate::layout::VERIFIER_ADDR;
@@ -307,7 +256,7 @@ mod tests {
 
     /// Sets up a guest the way the VMM would: staged components, assigned
     /// private range, pre-encrypted hash page + verifier.
-    fn prepare(
+    pub(crate) fn prepare(
         kernel_bytes: &[u8],
         initrd: &[u8],
         kernel_hashes: KernelHashes,
@@ -640,38 +589,6 @@ mod tests {
         assert!(
             !ran,
             "the continuation ran under a hash page of the wrong mode"
-        );
-    }
-
-    #[test]
-    fn a_refused_kernel_stops_the_initrd_digest_within_a_page() {
-        // A 12 MiB initrd takes far longer to hash than the tiny kernel
-        // takes to copy, hash and refuse; the refusal stops the digest
-        // between pages instead of waiting for all 3,072.
-        let bz = KernelConfig::test_tiny().build().bzimage(Codec::Lz4);
-        let mut tampered = bz.to_vec();
-        let mid = tampered.len() / 2;
-        tampered[mid] ^= 0x40;
-        let initrd: Vec<u8> = (0..12 << 20).map(|i: u32| ((i * 31) >> 7) as u8).collect();
-        let hashes = KernelHashes::WholeImage(sevf_crypto::sha256(&bz));
-        let (mut mem, layout) = prepare(&tampered, &initrd, hashes);
-        let watch = InitrdDigest::default();
-        let cost = CostModel::calibrated();
-        let config = VerifierConfig::severifast();
-        let outcome = run_watched(&mut mem, &layout, &cost, config, &watch, |_, _| {
-            Ok::<_, VerifierError>(())
-        });
-        assert_eq!(
-            outcome.unwrap_err(),
-            VerifierError::HashMismatch {
-                component: "kernel"
-            }
-        );
-        assert!(watch.stop.load(SeqCst));
-        let (at_stop, hashed) = (watch.pages_at_stop.load(SeqCst), watch.pages.load(SeqCst));
-        assert!(
-            hashed <= at_stop + 1,
-            "{hashed} pages hashed, {at_stop} of them before the stop"
         );
     }
 

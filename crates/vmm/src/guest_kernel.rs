@@ -13,11 +13,8 @@
 //!   whole vmlinux. The VMM runs it as the verifier's continuation
 //!   ([`sevf_verifier::verify::run_then`]): once the kernel's digest is
 //!   checked, while the initrd's is still being taken on a second host
-//!   thread (the verifier copies the initrd first, for either kernel kind).
-//!   Verdicts keep the sequential order — kernel copy fault, malformed
-//!   image, hash-page mode, kernel hash, initrd copy fault, initrd hash —
-//!   and the loader's own outcome comes after all of them: a refused initrd
-//!   discards it.
+//!   thread. `run_then`'s docs give the verdict order, in which the loader's
+//!   own outcome comes last.
 //! * **Linux boot**: validates `boot_params`, the mptable, and the command
 //!   line (all read from pre-encrypted memory), walks the initrd's CPIO
 //!   records where they lie (a header and a name at a time) and checks

@@ -10,7 +10,7 @@ use severifast::prelude::*;
 use severifast::verifier::binary::{VerifierBinary, VerifierFeatures};
 use severifast::verifier::hashes::{HashPage, KernelHashes};
 use severifast::verifier::layout::{GuestLayout, HASH_PAGE_ADDR, VERIFIER_ADDR};
-use severifast::verifier::verify::{self, KernelKind, VerifierConfig};
+use severifast::verifier::verify::{self, KernelKind, Verifier, VerifierConfig};
 use severifast::verifier::VerifierError;
 use severifast::vmm::config::LaunchMode;
 use severifast::vmm::guest_kernel::{self, LoaderStage};
@@ -555,6 +555,92 @@ fn a_mid_boot_write_to_the_private_kernel_is_denied_only_under_snp() {
         }
         if !generation.has_rmp() {
             assert!(other_kernels > 0, "{cell}: no write booted other bytes");
+        }
+    }
+}
+
+/// The verifier's step boundaries, in boot order, at which
+/// [`boot_by_steps`] hands the host a turn: before the initrd copy, before
+/// the kernel load, between the kernel verdict and the bootstrap loader,
+/// and before the initrd verdict.
+const BOUNDARIES: [&str; 4] = [
+    "before the initrd copy",
+    "before the kernel load",
+    "between the kernel verdict and the loader",
+    "before the initrd verdict",
+];
+
+/// Boots a staged bzImage guest through the verifier's steps, in the
+/// driver's order, with the initrd's digest taken inline and the bootstrap
+/// loader in the gap after the kernel verdict. At the `i`-th of
+/// [`BOUNDARIES`] it calls `host(mem, i)`.
+fn boot_by_steps(
+    mem: &mut GuestMemory,
+    layout: &GuestLayout,
+    cost: &CostModel,
+    mut host: impl FnMut(&mut GuestMemory, usize),
+) -> Result<LoaderStage, VmmError> {
+    let mut verifier = Verifier::enter(mem, layout, cost, VerifierConfig::severifast())?;
+    host(mem, 0);
+    let initrd = verifier.copy_initrd(mem);
+    host(mem, 1);
+    let entry = verifier.load_kernel(mem)?;
+    let initrd = initrd?;
+    host(mem, 2);
+    let loader = guest_kernel::run_bootstrap_loader(mem, entry, layout.kernel_size, cost)?;
+    host(mem, 3);
+    verifier.check_initrd(sha256(&initrd.chunks().collect::<Vec<_>>().concat()))?;
+    Ok(loader)
+}
+
+#[test]
+fn a_host_write_at_every_step_boundary_is_denied_refused_or_documented() {
+    // SEV-Step's adversary (PAPERS.md) may act between any two of the
+    // verifier's steps. At each boundary the host flips one byte in the
+    // middle of the private kernel or the private initrd. Under SNP the RMP
+    // denies the write and the measured boot goes on. Before SNP the write
+    // lands: a copy made after it overwrites it, and once a component's
+    // private copy is made (the kernel's checked, the initrd's copied) the
+    // boot may be refused, or boot other bytes than the measured ones
+    // (DESIGN §5, check 1).
+    for (generation, mode) in mid_boot_cells() {
+        let (machine, mut mem, layout) = staged_vm_guest(BootPolicy::Severifast, generation, mode);
+        let initrd = mem
+            .host_read(layout.initrd_staging, layout.initrd_size)
+            .unwrap();
+        let staged = mem.clone_pages();
+        let components = [
+            ("kernel", layout.kernel_dest + layout.kernel_size / 2, 2),
+            ("initrd", layout.initrd_dest + layout.initrd_size / 2, 1),
+        ];
+        for (component, at, copied_before) in components {
+            for (boundary, name) in BOUNDARIES.iter().enumerate() {
+                mem.restore_pages(&staged).unwrap();
+                let cell = format!("{} {mode:?}: {component} written {name}", generation.name());
+                let mut write = None;
+                let host = |mem: &mut GuestMemory, now| {
+                    if now == boundary {
+                        write = Some(flip(mem, at));
+                    }
+                };
+                let boot = boot_by_steps(&mut mem, &layout, &machine.cost, host);
+                let write = write.unwrap_or_else(|| panic!("{cell}: {boot:?} before the write"));
+                let private_initrd = mem.guest_read(layout.initrd_dest, layout.initrd_size, true);
+                let measured = boot.as_ref().is_ok_and(|loader| {
+                    booted_the_measured_vmlinux(&mem, loader)
+                        && private_initrd.is_ok_and(|bytes| bytes == initrd)
+                });
+                if generation.has_rmp() {
+                    let page_addr = at / 4096 * 4096;
+                    let denied = write == Err(MemError::HostWriteDenied { page_addr });
+                    assert!(denied && measured || boot.is_err(), "{cell}: {boot:?}");
+                } else {
+                    assert_eq!(write, Ok(()), "{cell}");
+                    // Before its copy, a write is overwritten by the copy.
+                    let documented = boundary >= copied_before;
+                    assert!(measured || documented, "{cell}: {boot:?}");
+                }
+            }
         }
     }
 }
