@@ -345,6 +345,12 @@ impl KernelImage {
         Arc::clone(&self.vmlinux)
     }
 
+    /// The ELF structure, each segment's contents given as its byte range
+    /// in [`KernelImage::vmlinux`].
+    pub fn layout(&self) -> &ElfImage<Range<usize>> {
+        &self.layout
+    }
+
     /// The ELF structure, each segment borrowing its contents from
     /// [`KernelImage::vmlinux`].
     pub fn elf(&self) -> ElfImage<&[u8]> {

@@ -47,6 +47,14 @@
 //! the copy therefore lands in a fresh page and never reaches the private
 //! copy or its digest, exactly as with a byte copy.
 //!
+//! The host stages an image the same way: [`GuestMemory::host_share`] is
+//! [`GuestMemory::host_write`] with the same checks, except that each whole
+//! destination page that is not guest-owned becomes a page-sized window of
+//! the image's own immutable buffer. The window is copied out before the
+//! page's first write, so a staged byte exists once, from the image build
+//! through the private copy, and a write still lands exactly where it would
+//! on a copy.
+//!
 //! # Example
 //!
 //! ```

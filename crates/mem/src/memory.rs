@@ -17,9 +17,27 @@ type Page = [u8; PAGE_SIZE as usize];
 /// What every untouched page reads as.
 static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
 
+/// A materialized page: the guest's own, or a page-sized window of an
+/// immutable image buffer, staged by [`GuestMemory::host_share`] at its byte
+/// offset there. A window is copied out before its first write.
+#[derive(Debug, Clone)]
+enum Slot {
+    Own(Arc<Page>),
+    Window(Arc<Vec<u8>>, usize),
+}
+
+impl Slot {
+    fn bytes(&self) -> &Page {
+        match self {
+            Slot::Own(page) => page,
+            Slot::Window(bytes, at) => bytes[*at..].first_chunk().expect("a whole page"),
+        }
+    }
+}
+
 /// One slot per guest page, `None` until the page is first written. A page
 /// is shared with the snapshots taken of it until either side writes it.
-type PageTable = Vec<Option<Arc<Page>>>;
+type PageTable = Vec<Option<Slot>>;
 
 /// The launch context a guest's memory belongs to: a fingerprint of its
 /// memory-encryption key (none for a plain guest) and its SEV generation.
@@ -52,12 +70,12 @@ impl MemoryImage {
 /// page first, so the view keeps the bytes that were copied. It is `Send`,
 /// so a digest of it can run on another thread.
 #[derive(Debug, Clone)]
-pub struct PageView(Vec<(Arc<Page>, Range<usize>)>);
+pub struct PageView(Vec<(Slot, Range<usize>)>);
 
 impl PageView {
     /// The copied bytes, one slice per page, in address order.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.0.iter().map(|(page, bytes)| &page[bytes.clone()])
+        self.0.iter().map(|(slot, at)| &slot.bytes()[at.clone()])
     }
 }
 
@@ -191,18 +209,24 @@ impl GuestMemory {
 
     /// The stored plaintext of an in-range page.
     fn page(&self, page: u64) -> &Page {
-        self.pages[page as usize].as_deref().unwrap_or(&ZERO_PAGE)
+        let slot = &self.pages[page as usize];
+        slot.as_ref().map_or(&ZERO_PAGE, Slot::bytes)
     }
 
     /// The page's slot, materialized as a zero page if it was untouched.
-    fn slot_mut(&mut self, page: u64) -> &mut Arc<Page> {
-        self.pages[page as usize].get_or_insert_with(|| Arc::new(ZERO_PAGE))
+    fn slot_mut(&mut self, page: u64) -> &mut Slot {
+        self.pages[page as usize].get_or_insert_with(|| Slot::Own(Arc::new(ZERO_PAGE)))
     }
 
-    /// The page to write, copied first if a snapshot or a view still
-    /// shares it.
+    /// The page to write: an image window is copied out first, and a page
+    /// a snapshot or a view still shares is copied first.
     fn page_mut(&mut self, page: u64) -> &mut Page {
-        Arc::make_mut(self.slot_mut(page))
+        let slot = self.slot_mut(page);
+        if let Slot::Window(..) = slot {
+            *slot = Slot::Own(Arc::new(*slot.bytes()));
+        }
+        let Slot::Own(own) = slot else { unreachable!() };
+        Arc::make_mut(own)
     }
 
     /// True if the page is private (guest-owned / encrypted).
@@ -234,6 +258,45 @@ impl GuestMemory {
     /// Under SEV/SEV-ES the write *succeeds* on private pages and corrupts
     /// the guest's plaintext (the written bytes land as ciphertext).
     pub fn host_write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
+        self.host_store(addr, data, None)
+    }
+
+    /// Host write of `bytes[range]` at `addr`: what
+    /// [`GuestMemory::host_write`] of those bytes does, with the same
+    /// checks, except that every whole destination page that is not
+    /// guest-owned becomes a window of `bytes` instead of a copy. The
+    /// window is copied out before the page is first written, so the
+    /// buffer is never changed and a later write to the page lands exactly
+    /// where it would on a copy. Partial and guest-owned pages are written
+    /// as `host_write` writes them.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`GuestMemory::host_write`]; nothing is written on an
+    /// error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is outside `bytes`, as slicing it would.
+    pub fn host_share(
+        &mut self,
+        addr: u64,
+        bytes: &Arc<Vec<u8>>,
+        range: Range<usize>,
+    ) -> Result<(), MemError> {
+        self.host_store(addr, &bytes[range.clone()], Some((bytes, range.start)))
+    }
+
+    /// The host write behind [`GuestMemory::host_write`] and
+    /// [`GuestMemory::host_share`]: the range and RMP checks, then page by
+    /// page. `image` is the buffer `data` lies in and its offset there,
+    /// when its whole pages are to be shared.
+    fn host_store(
+        &mut self,
+        addr: u64,
+        data: &[u8],
+        image: Option<(&Arc<Vec<u8>>, usize)>,
+    ) -> Result<(), MemError> {
         self.check_range(addr, data.len() as u64)?;
         // SNP: deny if any touched page is guest-owned.
         if self.context.generation.has_rmp() {
@@ -247,12 +310,14 @@ impl GuestMemory {
                 }
             }
         }
-        let mut rest = data;
+        let mut from = 0;
         for (page, at, take) in spans(addr, data.len() as u64) {
-            let (chunk, tail) = rest.split_at(take);
-            rest = tail;
-            match &self.engine {
-                Some(engine) if self.is_private(page) => {
+            let (chunk, private) = (&data[from..from + take], self.is_private(page));
+            match (&self.engine, image) {
+                (_, Some((bytes, start))) if take == PAGE_SIZE as usize && !private => {
+                    self.pages[page as usize] = Some(Slot::Window(Arc::clone(bytes), start + from));
+                }
+                (Some(engine), _) if private => {
                     // SEV without RMP: the host's bytes become ciphertext;
                     // the guest will observe their decryption. Compute the
                     // new plaintext so every later observer sees consistent
@@ -265,6 +330,7 @@ impl GuestMemory {
                 }
                 _ => self.page_mut(page)[at..at + take].copy_from_slice(chunk),
             }
+            from += take;
         }
         Ok(())
     }
@@ -485,8 +551,8 @@ impl GuestMemory {
                 }
             }
         }
-        let view = spans(dst, len)
-            .map(|(page, at, take)| (Arc::clone(self.slot_mut(page)), at..at + take));
+        let view =
+            spans(dst, len).map(|(page, at, take)| (self.slot_mut(page).clone(), at..at + take));
         Ok(PageView(view.collect()))
     }
 

@@ -520,3 +520,127 @@ fn guest_zero_is_a_guest_write_of_zeros() {
         mem.guest_write(u64::MAX, &[0; 2], true)
     );
 }
+
+#[test]
+fn host_share_is_the_host_write_it_replaced() {
+    // A small guest: its top quarter private (the target of guest writes
+    // and private copies), and below it pages with prior contents, some of
+    // them guest-owned (denied under SNP, a ciphertext write under
+    // SEV/SEV-ES). Destinations and source offsets are unaligned or, now
+    // and then, page-aligned; ranges may run past the end of memory.
+    const PAGES: u64 = 32;
+    let size = PAGES * PAGE_SIZE;
+    let private = size / 4 * 3;
+    let generations = [
+        SevGeneration::Sev,
+        SevGeneration::SevEs,
+        SevGeneration::SevSnp,
+    ];
+    let mut rng = XorShift64::new(0x3E3_00E0);
+    let (mut shared, mut private_whole, mut denied) = (0, 0, 0);
+    for case in 0..3 * CASES {
+        let generation = generations[(case % 3) as usize];
+        let mut old = GuestMemory::new_sev(size, [6u8; 16], generation);
+        for page in 0..PAGES * 3 / 4 {
+            if rng.next_below(2) == 0 {
+                let data = bytes(&mut rng, 1, PAGE_SIZE as usize);
+                let at = rng.next_below(PAGE_SIZE - data.len() as u64 + 1);
+                old.host_write(page * PAGE_SIZE + at, &data).unwrap();
+            }
+            if rng.next_below(8) == 0 {
+                old.pre_encrypt(page * PAGE_SIZE, PAGE_SIZE).unwrap();
+            }
+        }
+        old.rmp_assign(private, size - private).unwrap();
+        if generation.has_rmp() {
+            old.pvalidate(private, size - private).unwrap();
+        }
+        let aligned = rng.next_below(3) == 0;
+        let len = rng.next_below(5 * PAGE_SIZE) as usize;
+        let mut off = rng.next_below(2 * PAGE_SIZE) as usize;
+        let mut addr = rng.next_below(size);
+        if aligned {
+            (off, addr) = (
+                off / PAGE_SIZE as usize * PAGE_SIZE as usize,
+                addr / PAGE_SIZE * PAGE_SIZE,
+            );
+        }
+        let image = std::sync::Arc::new(bytes(&mut rng, off + len, off + len + 100));
+        let range = off..off + len;
+        let mut new = GuestMemory::new_sev(size, [6u8; 16], generation);
+        new.restore_pages(&old.clone_pages()).unwrap();
+
+        // The whole destination pages a share takes as windows.
+        let whole: Vec<u64> = (addr / PAGE_SIZE..(addr + len as u64) / PAGE_SIZE)
+            .filter(|&p| p * PAGE_SIZE >= addr && !old.is_assigned(p * PAGE_SIZE))
+            .collect();
+        if !generation.has_rmp() {
+            private_whole += (addr.div_ceil(PAGE_SIZE)..(addr + len as u64) / PAGE_SIZE)
+                .filter(|&p| old.is_assigned(p * PAGE_SIZE))
+                .count();
+        }
+        let want = old.host_write(addr, &image[range.clone()]);
+        assert_eq!(new.host_share(addr, &image, range), want, "case {case}");
+        assert_eq!(observed(&new), observed(&old), "case {case}");
+        if want.is_err() {
+            assert_eq!(std::sync::Arc::strong_count(&image), 1, "case {case}");
+            denied += usize::from(matches!(want, Err(MemError::HostWriteDenied { .. })));
+            continue;
+        }
+        assert_eq!(std::sync::Arc::strong_count(&image), 1 + whole.len());
+        shared += whole.len();
+        // A host write to one shared page copies it out: one reference less.
+        if let Some(&page) = whole.first() {
+            let at = page * PAGE_SIZE + rng.next_below(PAGE_SIZE);
+            assert_eq!(new.host_write(at, b"w"), old.host_write(at, b"w"));
+            assert_eq!(std::sync::Arc::strong_count(&image), whole.len());
+            assert_eq!(observed(&new), observed(&old), "case {case}");
+        }
+
+        // Later host and guest writes, a private copy and a snapshot taken
+        // and restored land the same way in both.
+        let within = |rng: &mut XorShift64| addr + rng.next_below(len.max(1) as u64);
+        let data = bytes(&mut rng, 1, 64);
+        let at = within(&mut rng).min(size - data.len() as u64);
+        assert_eq!(new.host_write(at, &data), old.host_write(at, &data));
+        let at = within(&mut rng).min(size - data.len() as u64);
+        assert_eq!(
+            new.guest_write(at, &data, false),
+            old.guest_write(at, &data, false)
+        );
+        let at = private + rng.next_below(size - private - data.len() as u64);
+        assert_eq!(
+            new.guest_write(at, &data, true),
+            old.guest_write(at, &data, true)
+        );
+        assert_eq!(observed(&new), observed(&old), "case {case}");
+
+        let src = addr.min(private - PAGE_SIZE);
+        let dst = private + PAGE_SIZE + src % PAGE_SIZE;
+        let copy = (len as u64).min(size - dst);
+        let views = (
+            new.copy_to_private(src, dst, copy),
+            old.copy_to_private(src, dst, copy),
+        );
+        match &views {
+            (Ok(a), Ok(b)) => assert!(a.chunks().eq(b.chunks()), "case {case}"),
+            (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "case {case}"),
+        }
+        assert_eq!(observed(&new), observed(&old), "case {case}");
+
+        let snapshots = (new.clone_pages(), old.clone_pages());
+        let at = within(&mut rng).min(size - data.len() as u64);
+        assert_eq!(new.host_write(at, &data), old.host_write(at, &data));
+        assert_eq!(observed(&new), observed(&old), "case {case}");
+        new.restore_pages(&snapshots.0).unwrap();
+        old.restore_pages(&snapshots.1).unwrap();
+        assert_eq!(observed(&new), observed(&old), "case {case}");
+
+        drop((new, views, snapshots));
+        assert_eq!(std::sync::Arc::strong_count(&image), 1, "case {case}");
+    }
+    assert!(
+        shared > 100 && private_whole > 20 && denied > 10,
+        "{shared} shared, {private_whole} guest-owned whole pages, {denied} denied"
+    );
+}

@@ -644,13 +644,33 @@ pub(crate) mod tests {
 
     #[test]
     fn hash_mode_mismatch_rejected() {
-        let (mut mem, layout) = bz_setup();
-        let config = VerifierConfig {
-            kind: KernelKind::Vmlinux,
-            ..VerifierConfig::severifast()
-        };
-        // Whole-image hash page but vmlinux loader: refuse.
-        assert!(run(&mut mem, &layout, &CostModel::calibrated(), config).is_err());
+        // Each loader, on a valid image of its own kind, under a hash page
+        // of the other mode: the mode check refuses it, after the load.
+        let image = KernelConfig::test_tiny().build();
+        let fw_cfg = image.fw_cfg_staged().0;
+        let bz = image.bzimage(Codec::Lz4);
+        let initrd = sevf_image::initrd::build_initrd(64 * 1024);
+        for (kind, staged) in [(KernelKind::Vmlinux, fw_cfg), (KernelKind::Bzimage, bz)] {
+            let digest = sevf_crypto::sha256(&staged);
+            let hashes = match kind {
+                KernelKind::Vmlinux => KernelHashes::WholeImage(digest),
+                KernelKind::Bzimage => KernelHashes::FwCfg(FwCfgDigests {
+                    ehdr: digest,
+                    phdrs: digest,
+                    segments: digest,
+                }),
+            };
+            let (mut mem, layout) = prepare(&staged, &initrd, hashes);
+            let config = VerifierConfig {
+                kind,
+                ..VerifierConfig::severifast()
+            };
+            let outcome = run(&mut mem, &layout, &CostModel::calibrated(), config);
+            assert!(
+                matches!(outcome, Err(VerifierError::BadHashPage(_))),
+                "{kind:?}: {outcome:?}"
+            );
+        }
     }
 
     #[test]

@@ -544,7 +544,7 @@ impl MicroVm {
             ("kernel image", layout.kernel_staging, kernel),
             ("initrd", layout.initrd_staging, initrd),
         ] {
-            mem.host_write(addr, bytes)?;
+            mem.host_share(addr, bytes, 0..bytes.len())?;
             let bytes = bytes.len() as u64;
             steps.push(cost.step(
                 PhaseKind::VmmSetup,
@@ -608,9 +608,10 @@ impl MicroVm {
         );
 
         // Stage the shared-window components exactly as a full launch does.
-        mem.host_write(layout.kernel_staging, &artifacts.kernel_bytes)?;
-        mem.host_write(layout.initrd_staging, &artifacts.initrd_bytes)?;
-        let staged = (artifacts.kernel_bytes.len() + artifacts.initrd_bytes.len()) as u64;
+        let (kernel, initrd) = (&artifacts.kernel_bytes, &artifacts.initrd_bytes);
+        mem.host_share(layout.kernel_staging, kernel, 0..kernel.len())?;
+        mem.host_share(layout.initrd_staging, initrd, 0..initrd.len())?;
+        let staged = (kernel.len() + initrd.len()) as u64;
 
         // Install the template's attested root-of-trust state: plain copies
         // under the shared key (no PSP involvement).
@@ -685,12 +686,12 @@ impl MicroVm {
         //    with in-monitor KASLR the VMM slides the whole image
         //    (Holmes et al., EuroSys'22; only possible without SEV, §8).
         let slide = self.slide(KaslrMode::InMonitor, &mut machine.rng, artifacts);
-        let elf = artifacts.image.elf();
-        for seg in &elf.segments {
-            mem.host_write(seg.vaddr + slide, seg.data)?;
+        let (elf, initrd) = (artifacts.image.elf(), &artifacts.initrd_bytes);
+        for seg in &artifacts.image.layout().segments {
+            mem.host_share(seg.vaddr + slide, &artifacts.kernel_bytes, seg.data.clone())?;
         }
         let loaded = elf.loadable_bytes();
-        mem.host_write(layout.initrd_dest, &artifacts.initrd_bytes)?;
+        mem.host_share(layout.initrd_dest, initrd, 0..initrd.len())?;
 
         // 2. Set up the data structures Linux needs.
         let bp = BootParams::build(&self.config, layout);
@@ -698,7 +699,7 @@ impl MicroVm {
         mem.host_write(MPTABLE_ADDR, &mptable::build(self.config.vcpus))?;
         mem.host_write(CMDLINE_ADDR, &cmdline::to_page(&cmdline::default_cmdline()))?;
         let segments = Work::ElfSegments(elf.segments.len() as u64);
-        let initrd = artifacts.initrd_bytes.len() as u64;
+        let initrd = initrd.len() as u64;
         tl.place(
             [
                 (
@@ -1034,6 +1035,86 @@ mod tests {
             }
             assert_eq!(m.rng.next_u64(), expected.next_u64(), "swap {swap_initrd}");
         }
+    }
+
+    #[test]
+    fn no_boot_leaks_an_image_reference() {
+        // A kernel and an initrd size of this test's own, so no other
+        // test's boot holds a reference to them meanwhile.
+        let kernel = KernelConfig {
+            name: "test-image-references".into(),
+            ..KernelConfig::test_tiny()
+        };
+        let config = |policy, launch_mode, kernel_codec| VmConfig {
+            kernel: kernel.clone(),
+            initrd_size: 68 * 1024,
+            launch_mode,
+            kernel_codec,
+            ..VmConfig::test_tiny(policy)
+        };
+        let template = config(
+            BootPolicy::Severifast,
+            LaunchMode::SharedKeyTemplate,
+            Codec::Lz4,
+        );
+        let counts = || {
+            let image = kernel.build();
+            let initrd =
+                sevf_image::initrd::staged_initrd(template.initrd_size, template.initrd_codec);
+            [
+                image.bzimage(template.kernel_codec),
+                image.fw_cfg_staged().0,
+                image.vmlinux_shared(),
+                Arc::clone(initrd.bytes()),
+            ]
+            .map(|bytes| Arc::strong_count(&bytes))
+        };
+        let before = counts();
+        let mut m = machine();
+        let boots = [
+            (template.clone(), "template fill"),
+            (template.clone(), "template hit"),
+            (
+                config(BootPolicy::Severifast, LaunchMode::Normal, Codec::Lz4),
+                "cold SEV boot",
+            ),
+            (
+                config(
+                    BootPolicy::SeverifastVmlinux,
+                    LaunchMode::Normal,
+                    Codec::None,
+                ),
+                "cold vmlinux boot",
+            ),
+            (
+                config(BootPolicy::StockFirecracker, LaunchMode::Normal, Codec::Lz4),
+                "stock boot",
+            ),
+        ];
+        for (config, what) in boots {
+            let vm = MicroVm::new(config).unwrap();
+            if vm.config.policy.is_sev() {
+                vm.register_expected(&mut m).unwrap();
+            }
+            let report = vm.boot(&mut m).unwrap();
+            let hit = report
+                .timeline
+                .events()
+                .iter()
+                .any(|e| e.tag == "template-launch-ready");
+            assert_eq!(hit, what == "template hit", "{what}");
+            assert_eq!(counts(), before, "{what} kept an image reference");
+        }
+        // A guest kept alive holds its staged pages until it is dropped.
+        let vm = MicroVm::new(config(
+            BootPolicy::Severifast,
+            LaunchMode::Normal,
+            Codec::Lz4,
+        ));
+        let (_, live) = vm.unwrap().boot_keep_alive(&mut m).unwrap();
+        assert_ne!(counts(), before);
+        drop(live);
+        assert_eq!(counts(), before);
     }
 
     #[test]
